@@ -11,15 +11,16 @@ repeat until S seconds are used, then the medians are reported.
 --trace 0 reports the end-to-end metrics, measured untraced:
   wall_s            process wall time of one workload run
   path_steps_per_s  Euler path-steps (rows x steps, from the inputs) per wall_s
-  setup_s           import of sde_remle with numpy/scipy plus config parsing
-                    (these three per run scaled to the reference machine
-                    speed by its numpy/scipy import time; see REF_DEPS_S)
+                    (these two scaled to the reference machine speed
+                    by a probe process; see REF_PROBE_S)
+  setup_s           import of sde_remle plus config parsing, unscaled
   peak_rss_mb       peak resident memory of the run's process
   failed_frac       failed / attempted operations (replicate fits on the
                     experiments, paths on roundtrip), printed and carried by
                     the "attempted" and "failed" fields of the result line
 --trace 1 alternates untraced and traced runs and reports the per-layer
-metrics from perfbench/tracer.py, plus trace.overhead_frac.
+metrics from perfbench/tracer.py, plus trace.overhead_frac and
+trace.accounted_frac.
 
 Every run's CSVs are checked (exit code, header, row count with dropped
 replicates counted, finite values; the unit-model closed form on
@@ -30,6 +31,7 @@ one JSON object with keys correct, attempted, failed and metrics.
 """
 
 import argparse
+import importlib.metadata
 import json
 import os
 import shutil
@@ -48,13 +50,26 @@ MIN_TRACED = 2
 MAX_RUN_S = 150.0  # no new process starts after this; each run must end by 180 s
 
 # Machine speed on shared hosts drifts by tens of percent over minutes.
-# Each run's times are therefore scaled by REF_DEPS_S / deps_s, where
-# deps_s is the time the same process took to import numpy and
-# scipy.stats: fixed work that the program cannot change and that slows
-# with the machine. Times are reported at the speed of the reference
-# machine (2-vCPU Xeon KVM guest), which did that import in REF_DEPS_S;
-# the raw times are kept in the record file.
-REF_DEPS_S = 0.9
+# A probe process, which imports numpy and nothing of the program and
+# times a fixed numpy computation, runs before the first run and after
+# every run. Each run's wall time is scaled by REF_PROBE_S / (mean of the
+# probes just before and just after it), so it reads as if measured on a
+# machine whose probe takes REF_PROBE_S; on the reference machine (2-vCPU
+# Xeon KVM guest) the probe took 0.26 to 0.57 s, median 0.34. It runs outside
+# the measured processes, so nothing the program does changes it; set-up
+# time and memory are not scaled. Raw times stay in the record.
+REF_PROBE_S = 0.33
+PROBE = """\
+import time
+import numpy
+t0 = time.perf_counter()
+a = numpy.random.default_rng(0).standard_normal(1_000_000)
+for _ in range(48):
+    b = numpy.cumsum(a)
+    c = a * b
+    c.sum()
+print(time.perf_counter() - t0)
+"""
 
 # counters that must repeat exactly between traced runs at one seed
 EXACT = ("rng.streams", "simulate.path_steps", "likelihood.evals",
@@ -99,6 +114,24 @@ def machine_record():
         except OSError:
             pass
     return rec
+
+
+def versions():
+    """Python, numpy and scipy versions, read without importing numpy or scipy."""
+    rec = {"python": sys.version.split()[0]}
+    for dist in ("numpy", "scipy"):
+        try:
+            rec[dist] = importlib.metadata.version(dist)
+        except importlib.metadata.PackageNotFoundError:
+            rec[dist] = None
+    return rec
+
+
+def probe(deadline):
+    """Time the probe in a process of its own; returns seconds."""
+    got = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                         timeout=max(deadline - time.monotonic(), 1.0), check=True)
+    return float(got.stdout)
 
 
 def run_once(workload, run_dir, seed, trace, deadline, checked):
@@ -168,6 +201,7 @@ def bench(workload, seed, seconds, trace, units):
     load_start = os.getloadavg()
     records = []
     checked = {}
+    probes = [probe(deadline)]
 
     def spent():
         return time.monotonic() - start
@@ -184,13 +218,19 @@ def bench(workload, seed, seconds, trace, units):
         n_plain = len(records) - n_traced
         if n_plain < (1 if trace else MIN_UNTRACED) or (trace and n_traced < MIN_TRACED):
             return False
-        guess = statistics.median(r["wall_s"] for r in records)
+        guess = statistics.median(r["cycle_s"] for r in records)
         return spent() + guess > seconds
 
     while not enough() and spent() < MAX_RUN_S and len(records) < 100:
         k = len(records)
         run_dir = os.path.join(work, f"run-{k:03d}")
-        records.append(run_once(workload, run_dir, seed, next_trace(), deadline, checked))
+        t0 = time.monotonic()
+        rec = run_once(workload, run_dir, seed, next_trace(), deadline, checked)
+        probes.append(probe(deadline))
+        rec["probe_s"] = (probes[-2] + probes[-1]) / 2
+        rec["speed"] = REF_PROBE_S / rec["probe_s"]
+        rec["cycle_s"] = time.monotonic() - t0
+        records.append(rec)
         if k > 0:
             shutil.rmtree(os.path.join(work, f"run-{k - 1:03d}"), ignore_errors=True)
 
@@ -218,23 +258,19 @@ def bench(workload, seed, seconds, trace, units):
     # correct, attempted and failed carry the verdict on its outputs
     plain = [r for r in records if "setup_s" in r and not r["trace"]]
     traced = [r for r in records if "setup_s" in r and r["trace"]]
-    summary, raw = {}, {}
+    summary = {}
 
-    def put(name, values, unit, scales=None):
+    def put(name, values):
         p25, med, p75 = quartiles(values)
-        raw[name] = {"value": med, "p25": p25, "p75": p75}
-        if scales is not None:
-            p25, med, p75 = quartiles([v * k for v, k in zip(values, scales)])
-        summary[name] = {"value": med, "unit": unit, "p25": p25, "p75": p75,
+        summary[name] = {"value": med, "unit": units[name], "p25": p25, "p75": p75,
                          "n": len(values)}
 
     if plain:
-        speed = [REF_DEPS_S / r["deps_s"] for r in plain]
-        put("wall_s", [r["wall_s"] for r in plain], units["wall_s"], speed)
-        put("path_steps_per_s", [workload.path_steps / r["wall_s"] for r in plain],
-            units["path_steps_per_s"], [1.0 / k for k in speed])
-        put("setup_s", [r["setup_s"] for r in plain], units["setup_s"], speed)
-        put("peak_rss_mb", [r["peak_rss_mb"] for r in plain], units["peak_rss_mb"])
+        put("wall_s", [r["wall_s"] * r["speed"] for r in plain])
+        put("path_steps_per_s",
+            [workload.path_steps / (r["wall_s"] * r["speed"]) for r in plain])
+        put("setup_s", [r["setup_s"] for r in plain])
+        put("peak_rss_mb", [r["peak_rss_mb"] for r in plain])
     layers = {}
     counters_repeat = None
     if traced and plain:
@@ -261,25 +297,27 @@ def bench(workload, seed, seconds, trace, units):
                 layers["simulate.path_steps"]["value"] != workload.path_steps):
             notes.append("traced simulate.path_steps differs from the count "
                          "computed from the inputs")
-        untraced_wall = raw["wall_s"]["value"]
-        # each traced run against the nearest untraced run, so that drift
-        # in machine speed between runs cancels
+        # each traced run against the nearest untraced run, both scaled by
+        # their probes like wall_s, so that drift in machine speed cancels
         done = [r for r in records if "setup_s" in r]
         ratios = []
         for i, r in enumerate(done):
             if r["trace"]:
-                near = min((abs(i - j), j) for j, p in enumerate(done) if not p["trace"])
-                ratios.append(r["wall_s"] / done[near[1]]["wall_s"])
+                near = done[min((abs(i - j), j) for j, p in enumerate(done)
+                                if not p["trace"])[1]]
+                ratios.append(r["wall_s"] * r["speed"] / (near["wall_s"] * near["speed"]))
         layers["trace.overhead_frac"] = {"value": statistics.median(ratios) - 1.0,
                                          "unit": units["trace.overhead_frac"],
                                          "n": len(traced)}
-        # setup plus the self times along the blocking steps, against the
-        # untraced wall; the remainder is interpreter start-up and exit
-        accounted = statistics.median(
-            r["setup_s"] + r["layers"]["blocking_self_s"] for r in traced)
-        layers["trace.accounted_frac"] = {"value": accounted / untraced_wall,
-                                          "unit": units["trace.accounted_frac"],
-                                          "n": len(traced)}
+        # set-up plus the self times along the blocking steps, against the
+        # wall of the same traced process. The self times tile the cli.main
+        # spans by construction, so this is a start-up and exit check: the
+        # remainder is interpreter start-up, the worker's own imports and exit
+        layers["trace.accounted_frac"] = {
+            "value": statistics.median(
+                (r["setup_s"] + r["layers"]["blocking_self_s"]) / r["wall_s"]
+                for r in traced),
+            "unit": units["trace.accounted_frac"], "n": len(traced)}
         layers_missing = traced[0]["layers"]["missing"]
         if layers_missing:
             notes.append(f"boundaries missing: {layers_missing}; metrics not "
@@ -289,15 +327,15 @@ def bench(workload, seed, seconds, trace, units):
         "workload": workload.name, "seed": seed, "seconds": seconds, "trace": trace,
         "correct": correct, "attempted": attempted, "failed": failed,
         "failed_frac": failed / attempted if attempted else 1.0,
-        "metrics": summary, "raw_metrics": raw,
+        "metrics": summary, "probes_s": probes,
         "layers": layers, "counters_repeat": counters_repeat,
         "notes": notes,
         "machine": dict(machine_record(),
-                        versions=first_ok["versions"] if first_ok else None,
+                        versions=versions(),
                         loadavg_start=load_start, loadavg_end=os.getloadavg()),
         "hashes": first_ok["hashes"] if first_ok else None,
-        "runs": [{k: r.get(k) for k in ("trace", "ok", "wall_s", "setup_s", "deps_s",
-                                        "peak_rss_mb", "dropped", "error")}
+        "runs": [{k: r.get(k) for k in ("trace", "ok", "wall_s", "probe_s", "speed",
+                                        "setup_s", "peak_rss_mb", "dropped", "error")}
                  for r in records],
     }
     out = os.path.join(RUNS, f"{workload.name}-seed{seed}-trace{trace}.json")

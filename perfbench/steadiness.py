@@ -6,9 +6,9 @@ Run from the root of a checkout. Runs perfbench/run.py once per (workload,
 seed) with the run_seconds of BENCHMARK.json, then reports for each
 end-to-end metric the distance between the first and third quartiles of
 its values (statistics.quantiles, n=4) as a share of their median. A
-spread must stay below a third of the metric's bound; setup_s is exempt,
-its bound applies only to the shift of its median between two sets of
-runs: --compare FILE checks this set's medians against an earlier --out.
+spread must stay below a third of the metric's bound. --compare FILE
+checks that no median of this set is worse than that of an earlier --out
+by more than the metric's bound.
 --out writes every value, the per-seed output hashes and the machine
 record as JSON.
 """
@@ -46,7 +46,7 @@ def main():
     record = {"run_seconds": bench["run_seconds"], "seeds": args.seeds, "workloads": {}}
     steady = True
     for name in names:
-        values, raw_values, hashes, machine = {}, {}, {}, None
+        values, hashes, machine = {}, {}, None
         for seed in args.seeds:
             out = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
@@ -62,37 +62,24 @@ def main():
             with open(path, encoding="utf-8") as fh:
                 detail = json.load(fh)
             hashes[seed] = detail["hashes"]
-            for k, m in detail["raw_metrics"].items():
-                raw_values.setdefault(k, []).append(m["value"])
             machine = detail["machine"]
         spreads = {}
         for k, v in values.items():
             q = statistics.quantiles(v, n=4)
             med = statistics.median(v)
-            rq = statistics.quantiles(raw_values[k], n=4)
             spreads[k] = {"median": med, "p25": q[0], "p75": q[2],
-                          "spread": (q[2] - q[0]) / med, "bound": bounds[k],
-                          "raw_median": statistics.median(raw_values[k]),
-                          "raw_spread": (rq[2] - rq[0]) / statistics.median(raw_values[k])}
-            ok = k == "setup_s" or spreads[k]["spread"] < bounds[k] / 3
+                          "spread": (q[2] - q[0]) / med, "bound": bounds[k]}
+            ok = spreads[k]["spread"] < bounds[k] / 3
             steady &= ok
             line = (f"{name:15s} {k:17s} median {med:12.6g}  spread "
                     f"{spreads[k]['spread']:.4f}  bound/3 {bounds[k] / 3:.4f}"
-                    f"{'' if ok else '  TOO WIDE'}  raw {spreads[k]['raw_median']:.6g} "
-                    f"spread {spreads[k]['raw_spread']:.4f}")
+                    f"{'' if ok else '  TOO WIDE'}")
             if earlier and name in earlier:
                 before = earlier[name]["spreads"][k]["median"]
                 worse = (med - before if lower[k] else before - med) / before
                 spreads[k]["worse_than_earlier"] = worse
-                raw_before = earlier[name]["spreads"][k].get("raw_median")
-                if raw_before:
-                    raw_now = spreads[k]["raw_median"]
-                    spreads[k]["raw_worse_than_earlier"] = (
-                        raw_now - raw_before if lower[k] else raw_before - raw_now) / raw_before
                 steady &= worse <= bounds[k]
                 line += f"  vs earlier {worse:+.4f}{'' if worse <= bounds[k] else '  WORSE'}"
-                if "raw_worse_than_earlier" in spreads[k]:
-                    line += f" (raw {spreads[k]['raw_worse_than_earlier']:+.4f})"
             print(line, flush=True)
         record["workloads"][name] = {"values": values, "spreads": spreads,
                                      "hashes": hashes, "machine": machine}

@@ -3,10 +3,9 @@
 SPEC_JSON holds "calls" (CLI argument lists), "configs" (their config
 files), "trace" (0 or 1), "report" (where to write the timings) and
 "spans" (where a traced run dumps its spans). Set-up is the import of
-sde_remle with numpy and scipy plus parsing every config, and ends before
-the first CLI call; the import of numpy and scipy.stats alone is also
-timed (deps_s). Run from the root of a checkout; sde_remle is imported
-from its src/ directory.
+sde_remle (with whatever it imports) plus parsing every config, and ends
+before the first CLI call. Run from the root of a checkout; sde_remle is
+imported from its src/ directory.
 """
 
 import time
@@ -23,13 +22,6 @@ def main():
     spec = json.loads(sys.argv[1])
     src = os.path.abspath("src")
     sys.path.insert(0, src)
-    # importing the dependencies is fixed work the program cannot change:
-    # its time is the machine-speed probe that run.py scales by
-    t0 = time.perf_counter()
-    import numpy
-    import scipy
-    import scipy.stats  # noqa: F401
-    deps_s = time.perf_counter() - t0
     import sde_remle
     from sde_remle import cli, config
 
@@ -54,12 +46,9 @@ def main():
     run_s = time.perf_counter() - t0
     report = {
         "setup_s": setup_s,
-        "deps_s": deps_s,
         "run_s": run_s,
         "exit_codes": codes,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "versions": {"python": sys.version.split()[0], "numpy": numpy.__version__,
-                     "scipy": scipy.__version__},
     }
     if tracer is not None:
         t0 = time.perf_counter()
