@@ -20,8 +20,8 @@ from .errors import EmptyExperiment, ExperimentFailed
 from .estimator import FitOptions, fit_mle
 from .likelihood import hess_terms, ratio_terms, score_terms
 from .models import ParamSpace, Theta
-from .rng import PHI_STREAM_ID, derive_seed, float_label, generator
-from .simulate import simulate_replicates
+from .rng import derive_seed, float_label
+from .simulate import effect_rows, simulate_replicates
 from .stats import suff_stats_rows
 
 # seed lanes for nested Monte Carlo passes; keeps information / divergence /
@@ -192,11 +192,6 @@ class ContinuityConfig:
     threads: int = 1
 
 
-def _draw_phis(theta0, count, seed, replicate_id=0):
-    g = generator(seed, PHI_STREAM_ID, replicate_id)
-    return theta0.mu + math.sqrt(theta0.omega2) * g.standard_normal(count)
-
-
 def _point_uv(model, theta0, x0, T, dt, R, seed):
     """(U, V) for R independent subjects at one design point.
 
@@ -204,7 +199,7 @@ def _point_uv(model, theta0, x0, T, dt, R, seed):
     come from one reserved-stream draw, so the result is a pure function
     of the arguments.
     """
-    phis = _draw_phis(theta0, R, seed)
+    phis = effect_rows(theta0, seed, [0], R)[0]
     reps = np.arange(R)
     times, values, _ = simulate_replicates(
         model, phis, x0, T, dt, seed, 0, reps, raise_errors=False
@@ -390,9 +385,7 @@ def _ensemble_uv(model, theta0, subjects, dt, seed, replicates, threads):
     """
     n = len(subjects)
     reps = np.arange(replicates)
-    phis = np.empty((replicates, n))
-    for r in range(replicates):
-        phis[r] = _draw_phis(theta0, n, seed, replicate_id=r)
+    phis = effect_rows(theta0, seed, reps, n)
 
     def one_subject(i):
         x0, T = subjects[i]

@@ -94,6 +94,18 @@ def _check_schedule(vals, name):
         raise ValueError(f"{name} must be strictly increasing positive integers")
 
 
+def _check_step(dt, horizons):
+    """The Design rule dt <= min(T) / 10, for runs that never build a Design."""
+    if min(horizons) <= 0:
+        raise ValueError("every T must be > 0")
+    if dt > min(horizons) / 10:
+        raise ValueError("dt must be <= min(T) / 10")
+
+
+def _horizons(family, n):
+    return [T for _, T in family.subjects(n)]
+
+
 def _positive(cfg, *keys):
     for key in keys:
         if key in cfg and not cfg[key] > 0:
@@ -162,6 +174,7 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
 
     if kind == "consistency":
         _check_schedule(cfg["n_schedule"], "n_schedule")
+        _check_step(cfg["dt"], _horizons(_family(cfg), cfg["n_schedule"][-1]))
         report = run_consistency_experiment(ConsistencyConfig(
             model=model, theta0=theta0, space=_space(cfg), design=_family(cfg),
             n_schedule=tuple(cfg["n_schedule"]), replicates=cfg["replicates"],
@@ -178,6 +191,7 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
         return 0
 
     if kind == "normality":
+        _check_step(cfg["dt"], _horizons(_family(cfg), cfg["n"]))
         report = run_normality_experiment(NormalityConfig(
             model=model, theta0=theta0, space=_space(cfg), design=_family(cfg),
             n=cfg["n"], replicates=cfg["replicates"],
@@ -199,6 +213,8 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
         if family.kind != "harmonic":
             raise ValueError("the noniid experiment needs design = harmonic")
         _check_schedule(cfg["n_schedule"], "n_schedule")
+        _check_step(cfg["dt"], _horizons(family, max(cfg["n_schedule"][-1], cfg["n"]))
+                    + [family.limit_point()[1]])
         theta_alt = Theta(mu=cfg["mu_alt"], omega2=cfg["omega2_alt"])
         schedule = tuple(cfg["n_schedule"])
         table = averaged_limits(
@@ -228,6 +244,8 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
         return 0
 
     _check_schedule(cfg["m_schedule"], "m_schedule")
+    _check_step(cfg["dt"], [cfg["T_inf"] + cfg["T_amp"] / m for m in cfg["m_schedule"]]
+                + [cfg["T_inf"]])
     table = run_moment_continuity_probe(ContinuityConfig(
         model=model, theta0=theta0, psi=cfg["psi"], xi=cfg["xi"],
         x_limit=cfg["x_inf"], T_limit=cfg["T_inf"],

@@ -43,6 +43,10 @@ class EmptyEnsemble(SdeRemleError):
     """An ensemble reduction was asked for zero subjects."""
 
 
+class InvalidStats(SdeRemleError):
+    """Sufficient statistics handed to the estimator are not finite, or V < 0."""
+
+
 class AllDegenerate(SdeRemleError):
     """Every subject has V = 0, so the profile mean is undefined."""
 

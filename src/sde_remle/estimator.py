@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllDegenerate, EmptyEnsemble, NonFiniteObjective
+from .errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
 from .likelihood import total_hess_uv, total_loglik_uv, total_score_uv, uv_arrays
 from .models import Theta
 
@@ -127,13 +127,18 @@ def fit_mle(all_stats, space, opts=None):
     objective does not decrease. A flat final bracket (spread below 1e-12)
     resolves to its smallest omega2.
 
-    Raises AllDegenerate when every V_i = 0 and NonFiniteObjective when
-    any subject carries the V = 0, U != 0 sentinel.
+    Raises InvalidStats when any U or V is not finite or any V < 0,
+    AllDegenerate when every V_i = 0 and NonFiniteObjective when any
+    subject carries the V = 0, U != 0 sentinel.
     """
     opts = opts or FitOptions()
     u, v = uv_arrays(all_stats)
     if len(u) == 0:
         raise EmptyEnsemble("cannot fit zero subjects")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise InvalidStats("U and V must be finite")
+    if np.any(v < 0.0):
+        raise InvalidStats("V must be >= 0")
     if np.all(v == 0.0):
         raise AllDegenerate("every subject has V = 0")
     if np.any((v == 0.0) & (u != 0.0)):

@@ -4,6 +4,12 @@ Every stochastic routine in the package draws from a Philox generator keyed
 by the triple (seed, stream_id, replicate_id). The key is packed explicitly,
 so a given triple produces a bit-identical sequence on every platform and
 under any execution order, which is what makes parallel runs reproducible.
+
+The bulk drawer, simulate.path_normals, does not build one generator per
+substream: it re-keys a single Philox through its public state (key from
+row_keys, counter 0, empty buffer), which is exactly the state a fresh
+generator starts from. A re-keyed row is therefore bit-identical to
+generator(seed, stream_id, replicate_id).
 """
 
 from dataclasses import dataclass
@@ -18,14 +24,37 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 PHI_STREAM_ID = _MASK32
 
 
-def _packed_key(seed, stream_id, replicate_id):
+def _ids32(ids, name):
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        return ids.astype(np.uint64)
+    if ids.dtype.kind in "iu":
+        fits = 0 <= ids.min() and ids.max() <= _MASK32
+    elif ids.dtype.kind == "O":
+        fits = all(0 <= i <= _MASK32 for i in ids.ravel().tolist())
+    else:
+        raise TypeError(f"{name} must be integers")
+    if not fits:
+        raise ValueError(f"{name} must fit in 32 bits")
+    return ids.astype(np.uint64)
+
+
+def row_keys(seed, stream_ids, replicate_ids):
+    """Second key words (stream_id << 32 | replicate_id) of a batch of substreams.
+
+    stream_ids is one id for every row or one per row. Raises ValueError
+    when the seed does not fit in 64 bits or any id does not fit in 32.
+    The first key word of every row is the seed.
+    """
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")
-    if not 0 <= stream_id <= _MASK32:
-        raise ValueError("stream_id must fit in 32 bits")
-    if not 0 <= replicate_id <= _MASK32:
-        raise ValueError("replicate_id must fit in 32 bits")
-    return np.array([seed, (stream_id << 32) | replicate_id], dtype=np.uint64)
+    streams = _ids32(stream_ids, "stream_id")
+    reps = _ids32(replicate_ids, "replicate_id")
+    return (streams << np.uint64(32)) | reps
+
+
+def _packed_key(seed, stream_id, replicate_id):
+    return np.array([seed, row_keys(seed, stream_id, [replicate_id])[0]], dtype=np.uint64)
 
 
 def generator(seed, stream_id, replicate_id):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateDiffusion, SimulationDiverged
 from .models import RandomEffect
-from .rng import PHI_STREAM_ID, RngStream, generator
+from .rng import PHI_STREAM_ID, generator, row_keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +96,39 @@ def _euler_rows(model, phis, x0, T, dt, normals, raise_errors=True, subject_inde
 
 
 def path_normals(seed, subject_index, replicate_ids, steps):
-    """Standard-normal increments, one row per replicate substream."""
-    z = np.empty((len(replicate_ids), steps))
-    for j, rep in enumerate(replicate_ids):
-        z[j] = generator(seed, subject_index, rep).standard_normal(steps)
+    """Standard-normal increments, one row per (subject, replicate) substream.
+
+    Row j is bit-identical to
+    generator(seed, subject_index_j, replicate_ids[j]).standard_normal(steps),
+    where subject_index is one id for every row or one id per row. The
+    call builds one generator and re-keys it before each row by setting
+    its fresh state (counter 0, buffer empty) with the row's key through
+    the public state setter. Each call owns its generator, so concurrent
+    calls share no random state.
+    """
+    keys = row_keys(seed, subject_index, replicate_ids)
+    gen = generator(seed, 0, 0)
+    bits = gen.bit_generator
+    fresh = bits.state
+    key = fresh["state"]["key"]
+    z = np.empty((len(keys), steps))
+    for row, word in zip(z, keys):
+        key[1] = word
+        bits.state = fresh
+        gen.standard_normal(out=row)
+    return z
+
+
+def effect_rows(theta0, seed, replicate_ids, n, stream_id=PHI_STREAM_ID):
+    """Random effects N(mu0, omega2_0) of n subjects, one row per replicate.
+
+    Row j holds the first n draws of substream (seed, stream_id,
+    replicate_ids[j]); the reserved phi stream is the default.
+    """
+    z = path_normals(seed, stream_id, replicate_ids, n)
+    # in place, and bit for bit mu + sqrt(omega2) * z: no second matrix
+    z *= math.sqrt(theta0.omega2)
+    z += theta0.mu
     return z
 
 
@@ -125,7 +154,7 @@ def euler_maruyama(model, phi, x0, T, dt, rng, normals=None):
     times = time_grid(T, dt)
     steps = len(times) - 1
     if normals is None:
-        normals = rng.generator().standard_normal(steps)
+        normals = path_normals(rng.seed, rng.stream_id, [rng.replicate_id], steps)
     normals = np.asarray(normals, dtype=float).reshape(1, steps)
     times, values, _ = _euler_rows(
         model, [phi], x0, T, dt, normals,
@@ -143,14 +172,8 @@ def euler_maruyama(model, phi, x0, T, dt, rng, normals=None):
 
 def draw_random_effects(theta0, n, rng):
     """Draw n iid N(mu0, omega2_0) effects from one substream."""
-    scale = math.sqrt(theta0.omega2)
-    draws = theta0.mu + scale * rng.generator().standard_normal(n)
-    return [RandomEffect(phi=float(p)) for p in draws]
-
-
-def phi_stream(seed, replicate_id):
-    """The reserved substream that supplies an ensemble's random effects."""
-    return RngStream(seed=seed, stream_id=PHI_STREAM_ID, replicate_id=replicate_id)
+    row = effect_rows(theta0, rng.seed, [rng.replicate_id], n, rng.stream_id)[0]
+    return [RandomEffect(phi=float(p)) for p in row]
 
 
 def simulate_ensemble(model, theta0, design, replicate_id=0):
@@ -158,16 +181,34 @@ def simulate_ensemble(model, theta0, design, replicate_id=0):
 
     Subject i draws its increments from stream (design.seed, i, replicate_id)
     and the random effects come from the reserved phi stream, so ensembles
-    are reproducible and independent of subject evaluation order.
+    are reproducible and independent of subject evaluation order. Subjects
+    that share (x0, T), every subject of an iid design, advance as one row
+    block; each path equals euler_maruyama on its own stream bit for bit.
+
+    Raises SimulationDiverged for the lowest diverging subject, at its own
+    step, and DegenerateDiffusion if sigma <= 0 on any live row.
     """
-    effects = draw_random_effects(theta0, design.n, phi_stream(design.seed, replicate_id))
-    paths = []
-    for i, (x0, T) in enumerate(design.subjects):
-        rng = RngStream(seed=design.seed, stream_id=i, replicate_id=replicate_id)
-        try:
-            paths.append(euler_maruyama(model, effects[i].phi, x0, T, design.dt, rng))
-        except SimulationDiverged as err:
-            raise SimulationDiverged(err.step, subject_index=i) from None
+    phis = effect_rows(theta0, design.seed, [replicate_id], design.n)[0]
+    groups = {}
+    for i, point in enumerate(design.subjects):
+        groups.setdefault(point, []).append(i)
+    paths = [None] * design.n
+    diverged = []
+    for (x0, T), members in groups.items():
+        steps = len(time_grid(T, design.dt)) - 1
+        z = path_normals(design.seed, members, [replicate_id] * len(members), steps)
+        times, values, first_bad = _euler_rows(
+            model, phis[members], x0, T, design.dt, z, raise_errors=False
+        )
+        diverged += [(i, int(k)) for i, k in zip(members, first_bad) if k >= 0]
+        for i, row in zip(members, values):
+            paths[i] = Path(
+                times=times, values=row, x0=x0, phi=float(phis[i]),
+                seed=design.seed, subject_index=i,
+            )
+    if diverged:
+        i, step = min(diverged)
+        raise SimulationDiverged(step, subject_index=i)
     return paths
 
 

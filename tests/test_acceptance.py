@@ -15,6 +15,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from sde_remle import ParamSpace, Theta, builtin_model
@@ -216,6 +217,7 @@ def test_05_fisher_information_matches_closed_form_and_identity():
     assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.slow
 def test_06_estimation_error_halves_as_ensembles_quadruple():
     """Median error strictly decreasing over n = 50, 200, 800.
 
@@ -239,6 +241,7 @@ def test_06_estimation_error_halves_as_ensembles_quadruple():
     assert time.perf_counter() - t0 < 300.0
 
 
+@pytest.mark.slow
 def test_07_standardized_errors_are_gaussian_with_calibrated_coverage():
     """sqrt(n)-standardized errors pass KS normality; Wald CIs cover.
 
@@ -265,6 +268,7 @@ def test_07_standardized_errors_are_gaussian_with_calibrated_coverage():
     assert time.perf_counter() - t0 < 300.0
 
 
+@pytest.mark.slow
 def test_08_design_averaged_limits_converge_under_non_iid_layout():
     """Running averages of information and divergence approach the limit.
 

@@ -196,6 +196,38 @@ def test_unsorted_schedule_rejected(tmp_path, capsys):
     assert "n_schedule" in capsys.readouterr().err
 
 
+_COARSE_COMMON = """\
+model = unit
+mu0 = 1.0
+omega2_0 = 0.5
+""" + SPACE_CFG + """\
+replicates = 100
+dt = 0.05
+"""
+
+# each config breaks dt <= min(T) / 10 at exactly one horizon: the iid
+# horizon, or the limit point that no subject of the schedule reaches
+_COARSE = {
+    "consistency": "design = iid\nx0 = 0.0\nT = 0.3\nn_schedule = 2,4\n",
+    "normality": "design = iid\nx0 = 0.0\nT = 0.3\nn = 4\ninfo_replicates = 100\n",
+    "noniid": "design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 0.3\n"
+              "T_amp = 1.0\nn = 4\nn_schedule = 1,2,4\nmu_alt = 1.5\n"
+              "omega2_alt = 0.25\ninfo_replicates = 100\nlimit_replicates = 100\n",
+    "continuity": "psi = 1.0\nxi = 1.0\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 0.3\n"
+                  "T_amp = 1.0\nm_schedule = 1,2\nlimit_replicates = 100\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COARSE))
+def test_experiment_rejects_step_coarser_than_a_tenth_of_a_horizon(tmp_path, capsys, kind):
+    cfg = _cfg(tmp_path, _COARSE_COMMON + _COARSE[kind])
+    out = tmp_path / "out"
+    rc = main(["experiment", kind, "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    assert "dt must be <= min(T) / 10" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_noniid_requires_harmonic_design(tmp_path, capsys):
     cfg = _cfg(tmp_path, CONS_CFG + "mu_alt = 1.5\nomega2_alt = 0.25\n"
                "n = 16\ninfo_replicates = 100\nlimit_replicates = 100\n")

@@ -15,7 +15,7 @@ from sde_remle import (
     profile_mu,
     total_loglik,
 )
-from sde_remle.errors import AllDegenerate, EmptyEnsemble, NonFiniteObjective
+from sde_remle.errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
 from sde_remle.likelihood import loglik_terms
 
 SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
@@ -175,6 +175,20 @@ def test_fit_rejects_empty_and_degenerate():
         fit_mle(_stats([(0.0, 0.0)]), SPACE)
     with pytest.raises(NonFiniteObjective):
         fit_mle(_stats([(1.0, 0.0), (0.5, 1.0)]), SPACE)
+
+
+@pytest.mark.parametrize("u,v", [
+    ((math.inf, 1.0), (1.0, 1.0)),
+    ((math.nan, 1.0), (1.0, 1.0)),
+    ((1.0, 1.0), (1.0, math.inf)),
+    ((1.0, 1.0), (-1.0, 1.0)),
+    ((0.0, 0.0), (-1.0, -1.0)),
+])
+def test_fit_rejects_invalid_raw_pairs(u, v):
+    """A raw (u, v) pair skips the SuffStats checks, so fit_mle repeats
+    them: non-finite or negative-V input is a typed error, never a fit."""
+    with pytest.raises(InvalidStats):
+        fit_mle((np.array(u), np.array(v)), SPACE)
 
 
 def test_fit_bit_reproducible():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sde_remle.rng import (
     PHI_STREAM_ID,
@@ -7,6 +8,7 @@ from sde_remle.rng import (
     float_label,
     generator,
 )
+from sde_remle.simulate import path_normals
 
 
 def test_same_triple_bit_identical():
@@ -64,3 +66,53 @@ def test_float_label_distinguishes_sign_and_value():
     assert float_label(1.0) != float_label(-1.0)
     assert float_label(1.0) != float_label(2.0)
     assert float_label(0.5) == float_label(0.5)
+
+
+def _fresh_rows(seed, subjects, reps, steps):
+    return np.stack([
+        generator(seed, s, r).standard_normal(steps) for s, r in zip(subjects, reps)
+    ])
+
+
+def test_path_normals_rows_equal_fresh_generators():
+    reps = [0, 7, 2**32 - 1, 7, 3]
+    z = path_normals(12, 5, reps, 9)
+    assert np.array_equal(z, _fresh_rows(12, [5] * len(reps), reps, 9))
+
+
+def test_path_normals_mixed_subject_ids_per_row():
+    subjects = [3, 0, PHI_STREAM_ID, 3, 2**31]
+    reps = [1, 1, 2**32 - 1, 0, 4]
+    z = path_normals(2**64 - 1, subjects, reps, 17)
+    assert np.array_equal(z, _fresh_rows(2**64 - 1, subjects, reps, 17))
+
+
+def test_path_normals_phi_stream_and_odd_lengths():
+    # lengths that end mid-block and one longer than many Philox blocks
+    # must not carry buffered output into the next row
+    for steps in (1, 3, 5, 1001):
+        z = path_normals(4, PHI_STREAM_ID, [0, 1, 2], steps)
+        assert np.array_equal(z, _fresh_rows(4, [PHI_STREAM_ID] * 3, [0, 1, 2], steps))
+
+
+def test_path_normals_empty_and_numpy_ids():
+    assert path_normals(1, 0, [], 4).shape == (0, 4)
+    z = path_normals(1, np.array([2, 1], dtype=np.uint32), np.arange(2), 4)
+    assert np.array_equal(z, _fresh_rows(1, [2, 1], [0, 1], 4))
+
+
+@pytest.mark.parametrize("seed,subject,reps,bad_triple,match", [
+    (-1, 0, [0], (-1, 0, 0), "seed must fit in 64 bits"),
+    (2**64, 0, [0], (2**64, 0, 0), "seed must fit in 64 bits"),
+    (0, 2**32, [0], (0, 2**32, 0), "stream_id must fit in 32 bits"),
+    (0, -1, [0], (0, -1, 0), "stream_id must fit in 32 bits"),
+    (0, [0, 2**32], [0, 0], (0, 2**32, 0), "stream_id must fit in 32 bits"),
+    (0, 0, [0, 2**32], (0, 0, 2**32), "replicate_id must fit in 32 bits"),
+    (0, 0, [0, -1], (0, 0, -1), "replicate_id must fit in 32 bits"),
+    (0, 0, [2**64], (0, 0, 2**64), "replicate_id must fit in 32 bits"),
+])
+def test_path_normals_range_errors_match_single_key(seed, subject, reps, bad_triple, match):
+    with pytest.raises(ValueError, match=match):
+        path_normals(seed, subject, reps, 3)
+    with pytest.raises(ValueError, match=match):
+        generator(*bad_triple)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sde_remle import (
+    PHI_STREAM_ID,
     Design,
+    DesignFamily,
     RngStream,
     SimulationDiverged,
     Theta,
@@ -16,6 +18,7 @@ from sde_remle import (
 )
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec
+from sde_remle.rng import generator
 from sde_remle.simulate import path_normals, simulate_replicates
 
 UNIT = builtin_model("unit")
@@ -122,6 +125,13 @@ def test_random_effects_match_moments():
     assert 0.97 < phis.var() < 1.03
 
 
+def test_random_effects_equal_scaled_fresh_stream():
+    theta0 = Theta(mu=0.3, omega2=0.7)
+    effects = draw_random_effects(theta0, 50, RngStream(6, PHI_STREAM_ID, 2))
+    want = 0.3 + math.sqrt(0.7) * generator(6, PHI_STREAM_ID, 2).standard_normal(50)
+    assert [e.phi for e in effects] == want.tolist()
+
+
 def test_random_effects_deterministic():
     a = draw_random_effects(Theta(mu=0.0, omega2=1.0), 10, stream(seed=5))
     b = draw_random_effects(Theta(mu=0.0, omega2=1.0), 10, stream(seed=5))
@@ -140,12 +150,60 @@ def test_ensemble_deterministic_and_tagged():
         assert p.phi == q.phi
 
 
+def _own_divergence_step(model, phi, x0, T, dt, seed, subject):
+    with pytest.raises(SimulationDiverged) as exc:
+        euler_maruyama(model, phi, x0, T, dt, stream(seed=seed, subject=subject))
+    return exc.value.step
+
+
 def test_ensemble_divergence_carries_subject_index():
+    # both subjects diverge; the lowest index is reported at its own step
     design = Design(subjects=((0.0, 1.0), (1.0, 1.0)), dt=0.01, seed=4)
     theta0 = Theta(mu=1.0e8, omega2=0.0)
     with pytest.raises(SimulationDiverged) as exc:
         simulate_ensemble(LINEAR, theta0, design)
-    assert exc.value.subject_index in (0, 1)
+    assert exc.value.subject_index == 0
+    assert exc.value.step == _own_divergence_step(LINEAR, 1.0e8, 0.0, 1.0, 0.01, 4, 0)
+
+
+def test_ensemble_divergence_reports_lowest_subject_not_earliest_step():
+    # growth 1 + phi*dt = 1e6 per step: subject 0 stops after 10 steps
+    # short of overflow, subject 2 starts near overflow and diverges
+    # first, and subjects 1 and 3 share one row block
+    subjects = ((1.0, 0.1), (1.0, 1.0), (1.0e200, 1.0), (1.0, 1.0))
+    design = Design(subjects=subjects, dt=0.01, seed=9)
+    theta0 = Theta(mu=1.0e8, omega2=0.0)
+    with pytest.raises(SimulationDiverged) as exc:
+        simulate_ensemble(LINEAR, theta0, design)
+    step1 = _own_divergence_step(LINEAR, 1.0e8, 1.0, 1.0, 0.01, 9, 1)
+    step2 = _own_divergence_step(LINEAR, 1.0e8, 1.0e200, 1.0, 0.01, 9, 2)
+    assert step2 < step1
+    assert exc.value.subject_index == 1
+    assert exc.value.step == step1
+
+
+@pytest.mark.parametrize("replicate_id", [0, 5])
+def test_ensemble_row_blocks_equal_per_subject_paths(replicate_id):
+    """Subjects are grouped by (x0, T) into row blocks; every path must
+    equal euler_maruyama on the subject's own stream, bit for bit."""
+    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
+    subjects = family.subjects(4) + family.subjects(3) + ((0.25, 1.0),)
+    design = Design(subjects=subjects, dt=0.02, seed=31)
+    theta0 = Theta(mu=0.6, omega2=0.8)
+    paths = simulate_ensemble(BOUNDED, theta0, design, replicate_id=replicate_id)
+    effects = draw_random_effects(
+        theta0, design.n, RngStream(seed=31, stream_id=PHI_STREAM_ID, replicate_id=replicate_id)
+    )
+    assert len(paths) == design.n
+    for i, ((x0, T), path, effect) in enumerate(zip(subjects, paths, effects)):
+        want = euler_maruyama(
+            BOUNDED, effect.phi, x0, T, 0.02, stream(seed=31, subject=i, rep=replicate_id)
+        )
+        assert path.subject_index == i
+        assert path.phi == effect.phi
+        assert path.x0 == want.x0
+        assert np.array_equal(path.times, want.times)
+        assert np.array_equal(path.values, want.values)
 
 
 def test_ensemble_exchangeable_under_iid_design():
