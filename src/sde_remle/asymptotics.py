@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .errors import EmptyExperiment, ExperimentFailed
-from .estimator import FitOptions, fit_mle
+from .estimator import fit_rows
 from .likelihood import hess_terms, ratio_terms, score_terms
 from .models import ParamSpace, Theta
 from .rng import derive_seed, float_label
@@ -400,17 +399,20 @@ def _ensemble_uv(model, theta0, subjects, dt, seed, replicates, threads):
     return u, v
 
 
-def _fit_rows(u, v, space, threads):
-    """Fit each replicate row; returns (fits, ok_mask)."""
+def _fit_rows(u, v, space):
+    """Fit each replicate row whose (U, V) are all finite, in one lockstep
+    batch; returns (fits, ok_mask) with None for the dropped rows.
+
+    The lowest finite row that fails fit_mle's input checks raises its
+    error, as a replicate-by-replicate loop would.
+    """
     ok = np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
-    opts = FitOptions()
-
-    def one_fit(r):
-        if not ok[r]:
-            return None
-        return fit_mle((u[r], v[r]), space, opts)
-
-    return _det_map(one_fit, range(u.shape[0]), threads), ok
+    if ok.all():
+        return fit_rows(u, v, space), ok
+    fits = [None] * u.shape[0]
+    for r, fit in zip(np.flatnonzero(ok), fit_rows(u[ok], v[ok], space)):
+        fits[r] = fit
+    return fits, ok
 
 
 def _check_interior(theta0, space):
@@ -441,7 +443,7 @@ def run_consistency_experiment(config):
             config.model, config.theta0, config.design.subjects(n),
             config.dt, config.seed, config.replicates, config.threads,
         )
-        fits, ok = _fit_rows(u, v, config.space, config.threads)
+        fits, ok = _fit_rows(u, v, config.space)
         errs = []
         for r, fit in enumerate(fits):
             if fit is None:
@@ -515,14 +517,19 @@ def run_normality_experiment(config):
         raise EmptyExperiment("replicates = 0")
     n = config.n
     info_bar, info_bar_se = _info_bar(config)
-    L = sqrt_2x2_spd(info_bar)
+    try:
+        L = sqrt_2x2_spd(info_bar)
+    except ValueError as err:
+        raise ExperimentFailed(
+            f"the plug-in information estimate is not positive definite: {err}"
+        ) from err
     inv = np.linalg.inv(info_bar)
 
     u, v = _ensemble_uv(
         config.model, config.theta0, config.design.subjects(n),
         config.dt, config.seed, config.replicates, config.threads,
     )
-    fits, ok = _fit_rows(u, v, config.space, config.threads)
+    fits, ok = _fit_rows(u, v, config.space)
     theta0_vec = np.array([config.theta0.mu, config.theta0.omega2])
     rows = []
     failures = []
@@ -554,6 +561,10 @@ def run_normality_experiment(config):
         })
     if not rows:
         raise ExperimentFailed("every replicate failed")
+    # scipy.stats costs most of the package's import time and memory, and
+    # only this experiment uses it
+    from scipy import stats as sp_stats
+
     diffs = np.array(diffs)
     z_mat = math.sqrt(n) * (diffs @ L)
     ks_mu = float(sp_stats.kstest(z_mat[:, 0], "norm").pvalue)

@@ -28,10 +28,21 @@ class SimulationDiverged(SdeRemleError):
 
 
 class DegenerateDiffusion(SdeRemleError):
-    """The diffusion coefficient evaluated to a non-positive or vanishing value."""
+    """The diffusion coefficient evaluated to a non-positive or vanishing value.
 
-    def __init__(self, message, step=None):
+    Attributes
+    ----------
+    step : int or None
+        Index of the grid step at which sigma was evaluated, when known.
+    subject_index : int or None
+        Subject whose path met sigma <= 0, when known.
+    """
+
+    def __init__(self, message, step=None, subject_index=None):
         self.step = step
+        self.subject_index = subject_index
+        if subject_index is not None:
+            message = f"{message} (subject {subject_index})"
         super().__init__(message)
 
 

@@ -15,12 +15,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
-from .likelihood import total_hess_uv, total_loglik_uv, total_score_uv, uv_arrays
+from .likelihood import _row_totals, total_hess_uv, total_loglik_uv, total_score_uv, uv_arrays
 from .models import Theta
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_TOL = 1e-12
 _SCAN_POINTS = 33
+# terms per row block of fit_rows: each (rows, n) temporary stays at
+# 128 KB, inside the cache, whatever the batch size
+_BLOCK_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -60,61 +63,46 @@ def profile_mu(omega2, all_stats, space=None):
     by U_i + c*V_i shifts the unclamped value by exactly c.
     """
     u, v = uv_arrays(all_stats)
-    return _profile_mu_uv(u, v, omega2, space)
+    return float(_profile_mu_rows(u[None, :], v[None, :], np.array([omega2]), space)[0])
 
 
-def _profile_mu_uv(u, v, omega2, space):
-    d = 1.0 + omega2 * v
-    den = math.fsum((v / d).tolist())
-    if den == 0.0:
+def _profile_mu_rows(u, v, omega2, space):
+    """profile_mu for every row of (R, n) arrays at per-row omega2."""
+    d = 1.0 + omega2[:, None] * v
+    den, num = _row_totals((v / d, u / d)).T
+    if not den.all():
         raise AllDegenerate("every subject has V = 0")
-    mu = math.fsum((u / d).tolist()) / den
+    mu = num / den
     if space is not None:
-        mu = space.clamp_mu(mu)
+        mu = _clamp(mu, space.mu_lo, space.mu_hi)
     return mu
 
 
-def _golden_max(g, a, b, tol):
-    """Golden-section maximization on [a, b]; ties move the bracket left.
-
-    Returns (a, b, evals) with the final bracket no wider than tol.
-    """
-    evals = 0
-    h = b - a
-    if h <= tol:
-        return a, b, evals
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = g(c), g(d)
-    evals = 2
-    while h > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = g(d)
-        evals += 1
-    return a, b, evals
+def _clamp(x, lo, hi):
+    # min(max(x, lo), hi) with Python's tie rule: on equal values the
+    # argument that came first is kept, down to the sign of a zero
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
 
 
-def _solve_2x2(h, s):
-    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-    if det == 0.0 or not np.isfinite(det):
-        return None
-    step = np.array(
-        [
-            (-s[0] * h[1, 1] + s[1] * h[0, 1]) / det,
-            (-s[1] * h[0, 0] + s[0] * h[1, 0]) / det,
-        ]
+def _check_rows(u, v):
+    """fit_mle's input checks on every row; the lowest failing row raises."""
+    if u.shape[1] == 0:
+        raise EmptyEnsemble("cannot fit zero subjects")
+    zero_v = v == 0.0
+    failing = (
+        (~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)),
+         InvalidStats("U and V must be finite")),
+        ((v < 0.0).any(axis=1), InvalidStats("V must be >= 0")),
+        (zero_v.all(axis=1), AllDegenerate("every subject has V = 0")),
+        ((zero_v & (u != 0.0)).any(axis=1), NonFiniteObjective(
+            "subject with V = 0 but U != 0 makes the objective infinite"
+        )),
     )
-    if not np.all(np.isfinite(step)):
-        return None
-    return step
+    rows = np.stack([mask for mask, _ in failing], axis=1)
+    if rows.any():
+        r = int(np.argmax(rows.any(axis=1)))
+        raise failing[int(np.argmax(rows[r]))][1]
 
 
 def fit_mle(all_stats, space, opts=None):
@@ -131,86 +119,177 @@ def fit_mle(all_stats, space, opts=None):
     AllDegenerate when every V_i = 0 and NonFiniteObjective when any
     subject carries the V = 0, U != 0 sentinel.
     """
-    opts = opts or FitOptions()
     u, v = uv_arrays(all_stats)
-    if len(u) == 0:
-        raise EmptyEnsemble("cannot fit zero subjects")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise InvalidStats("U and V must be finite")
-    if np.any(v < 0.0):
-        raise InvalidStats("V must be >= 0")
-    if np.all(v == 0.0):
-        raise AllDegenerate("every subject has V = 0")
-    if np.any((v == 0.0) & (u != 0.0)):
-        raise NonFiniteObjective(
-            "subject with V = 0 but U != 0 makes the objective infinite"
-        )
+    return fit_rows(np.asarray(u, dtype=float)[None, :],
+                    np.asarray(v, dtype=float)[None, :], space, opts)[0]
 
+
+def fit_rows(u, v, space, opts=None):
+    """fit_mle on every row of (R, n) arrays u, v, in lockstep.
+
+    Returns R MleFits; fit r equals fit_mle((u[r], v[r]), space, opts) in
+    every field, bit for bit. Every stage runs on all rows at once, and
+    per-row masks stop each row where the scalar fit would stop it: the
+    golden section when its own bracket is narrow enough, Newton when its
+    own score is small or its step is refused. The lowest row that fails
+    fit_mle's input checks raises its error.
+    """
+    opts = opts or FitOptions()
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape[0] == 0:
+        return []
+    _check_rows(u, v)
+    block = max(1, _BLOCK_TERMS // u.shape[1])
+    return [
+        fit
+        for start in range(0, u.shape[0], block)
+        for fit in _fit_block(
+            np.ascontiguousarray(u[start:start + block]),
+            np.ascontiguousarray(v[start:start + block]),
+            space, opts,
+        )
+    ]
+
+
+def _fit_block(u, v, space, opts):
+    rows = u.shape[0]
     lo, hi = space.omega2_lo, space.omega2_hi
 
     def g(w2):
-        mu = _profile_mu_uv(u, v, w2, space)
-        return total_loglik_uv(u, v, mu, w2)
+        return total_loglik_uv(u, v, _profile_mu_rows(u, v, w2, space), w2)
 
     # coarse scan; first argmax wins so ties resolve to the smaller omega2
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    gvals = [g(w2) for w2 in grid]
-    j = int(np.argmax(gvals))
-    a = grid[max(j - 1, 0)]
-    b = grid[min(j + 1, _SCAN_POINTS - 1)]
+    gvals = np.empty((rows, _SCAN_POINTS))
+    for k, w2 in enumerate(grid):
+        gvals[:, k] = g(np.full(rows, w2))
+    j = np.argmax(gvals, axis=1)
+    a = grid[np.maximum(j - 1, 0)]
+    b = grid[np.minimum(j + 1, _SCAN_POINTS - 1)]
 
     tol = opts.bracket_rtol * (hi - lo)
-    a, b, golden_iters = _golden_max(g, a, b, tol)
+    a, b, golden_iters = _golden_rows(g, a, b, tol)
 
     # candidate set keeps the exact rectangle endpoints so boundary optima
     # land exactly on the bounds; ascending order makes argmax ties resolve
-    # to the smallest omega2
-    candidates = sorted({a, b, lo, hi})
-    cand_vals = [g(w2) for w2 in candidates]
-    if max(cand_vals) - min(cand_vals) < _FLAT_TOL:
-        w2_best = candidates[0]
-    else:
-        w2_best = candidates[int(np.argmax(cand_vals))]
+    # to the smallest omega2 (a repeated candidate repeats its value, so
+    # the first argmax picks the omega2 the de-duplicated set would)
+    candidates = np.sort(
+        np.stack([a, b, np.full(rows, float(lo)), np.full(rows, float(hi))], axis=1),
+        axis=1,
+    )
+    cand_vals = np.stack([g(candidates[:, k]) for k in range(4)], axis=1)
+    top, bottom = cand_vals[:, 0], cand_vals[:, 0]
+    for k in range(1, 4):
+        # Python's max and min: a later value replaces only if it compares
+        top = np.where(cand_vals[:, k] > top, cand_vals[:, k], top)
+        bottom = np.where(cand_vals[:, k] < bottom, cand_vals[:, k], bottom)
+    pick = np.where(top - bottom < _FLAT_TOL, 0, np.argmax(cand_vals, axis=1))
+    w2_best = candidates[np.arange(rows), pick]
+    mu_best = _profile_mu_rows(u, v, w2_best, space)
+    best_val = total_loglik_uv(u, v, mu_best, w2_best)
 
-    mu_best = _profile_mu_uv(u, v, w2_best, space)
-    best = np.array([mu_best, w2_best])
-    best_val = total_loglik_uv(u, v, best[0], best[1])
+    # Newton only accepts steps that do not lower the objective, so its
+    # end point is never worse than the bracket's best
+    mu_hat, w2_hat, val, newton_iters = _newton_rows(
+        u, v, space, opts, mu_best, w2_best, best_val
+    )
+    scores = total_score_uv(u, v, mu_hat, w2_hat)
+    hessians = total_hess_uv(u, v, mu_hat, w2_hat)
+    return [
+        _mle_fit(space, *fields)
+        for fields in zip(mu_hat.tolist(), w2_hat.tolist(), val.tolist(), scores,
+                          hessians, (golden_iters + newton_iters).tolist())
+    ]
 
-    def clamp(theta_vec):
-        return np.array(
-            [space.clamp_mu(theta_vec[0]), space.clamp_omega2(theta_vec[1])]
-        )
 
-    newton_iters = 0
-    current, current_val = best, best_val
+def _golden_rows(g, a, b, tol):
+    """Golden-section maximization of every row on [a, b]; ties move the
+    bracket left.
+
+    Returns (a, b, evals) with each final bracket no wider than tol; a row
+    that starts narrower than tol is left alone with no evaluations.
+    """
+    h = b - a
+    active = h > tol
+    evals = np.where(active, 2, 0)
+    c = b - _INVPHI * h
+    d = a + _INVPHI * h
+    fc, fd = g(c), g(d)
+    while active.any():
+        left = active & (fc >= fd)
+        right = active & ~(fc >= fd)
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        h = np.where(active, b - a, h)
+        c = np.where(left, b - _INVPHI * h, c)
+        d = np.where(right, a + _INVPHI * h, d)
+        fx = g(np.where(left, c, d))
+        fc = np.where(left, fx, fc)
+        fd = np.where(right, fx, fd)
+        evals += active
+        active &= h > tol
+    return a, b, evals
+
+
+def _newton_rows(u, v, space, opts, mu, w2, val):
+    """Projected Newton from (mu, w2) on every row, with backtracking.
+
+    A row stops when its score is within score_tol, its Newton system is
+    singular or not finite, or no halving of its step is accepted; a trial
+    is accepted only if it moves and does not lower the objective.
+    Returns (mu, w2, objective, iterations) per row.
+    """
+    mu, w2, val = mu.copy(), w2.copy(), val.copy()
+    iters = np.zeros(len(mu), dtype=np.int64)
+    live = np.arange(len(mu))
     for _ in range(opts.newton_steps):
-        s = total_score_uv(u, v, current[0], current[1])
-        if np.max(np.abs(s)) <= opts.score_tol:
+        if live.size == 0:
             break
-        h = total_hess_uv(u, v, current[0], current[1])
-        step = _solve_2x2(h, s)
-        if step is None:
+        s = total_score_uv(u[live], v[live], mu[live], w2[live])
+        going = ~(np.abs(s).max(axis=1) <= opts.score_tol)
+        live, s = live[going], s[going]
+        if live.size == 0:
             break
-        moved = False
+        ul, vl = u[live], v[live]
+        cur_mu, cur_w2, cur_val = mu[live], w2[live], val[live]
+        step_mu, step_w2, pending = _solve_rows(total_hess_uv(ul, vl, cur_mu, cur_w2), s)
+        solved = pending.copy()
         alpha = 1.0
         for _ in range(opts.backtrack_halvings):
-            trial = clamp(current + alpha * step)
-            trial_val = total_loglik_uv(u, v, trial[0], trial[1])
-            if trial_val >= current_val and not np.array_equal(trial, current):
-                current, current_val = trial, trial_val
-                moved = True
+            if not pending.any():
                 break
+            t_mu = _clamp(cur_mu + alpha * step_mu, space.mu_lo, space.mu_hi)
+            t_w2 = _clamp(cur_w2 + alpha * step_w2, space.omega2_lo, space.omega2_hi)
+            t_val = total_loglik_uv(ul, vl, t_mu, t_w2)
+            take = pending & (t_val >= cur_val) & ~((t_mu == cur_mu) & (t_w2 == cur_w2))
+            cur_mu = np.where(take, t_mu, cur_mu)
+            cur_w2 = np.where(take, t_w2, cur_w2)
+            cur_val = np.where(take, t_val, cur_val)
+            pending &= ~take
             alpha *= 0.5
-        newton_iters += 1
-        if not moved:
-            break
+        mu[live], w2[live], val[live] = cur_mu, cur_w2, cur_val
+        iters[live[solved]] += 1
+        live = live[solved & ~pending]
+    return mu, w2, val, iters
 
-    # Newton is only kept if it did not lose ground (it cannot, by the
-    # acceptance rule, but compare defensively)
-    if current_val >= best_val:
-        best, best_val = current, current_val
 
-    theta_hat = Theta(mu=float(best[0]), omega2=float(best[1]))
+def _solve_rows(h, s):
+    """Newton steps -h^-1 s per row; solved is False where the 2x2 system
+    is singular or the step is not finite, and its step is then 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        step_mu = (-s[:, 0] * h[:, 1, 1] + s[:, 1] * h[:, 0, 1]) / det
+        step_w2 = (-s[:, 1] * h[:, 0, 0] + s[:, 0] * h[:, 1, 0]) / det
+    solved = (det != 0.0) & np.isfinite(det) & np.isfinite(step_mu) & np.isfinite(step_w2)
+    # an unsolved row takes no trial step
+    return np.where(solved, step_mu, 0.0), np.where(solved, step_w2, 0.0), solved
+
+
+def _mle_fit(space, mu, w2, loglik, score, hess, iterations):
+    theta_hat = Theta(mu=mu, omega2=w2)
     flags = []
     if theta_hat.mu == space.mu_lo:
         flags.append("mu_lo")
@@ -220,9 +299,6 @@ def fit_mle(all_stats, space, opts=None):
         flags.append("omega2_lo")
     if theta_hat.omega2 == space.omega2_hi:
         flags.append("omega2_hi")
-
-    score = total_score_uv(u, v, theta_hat.mu, theta_hat.omega2)
-    hess = total_hess_uv(u, v, theta_hat.mu, theta_hat.omega2)
 
     wald_se = None
     if not flags:
@@ -236,12 +312,12 @@ def fit_mle(all_stats, space, opts=None):
 
     return MleFit(
         theta_hat=theta_hat,
-        loglik=best_val,
+        loglik=loglik,
         score_norm=float(np.max(np.abs(score))),
-        hess=hess,
+        hess=hess.copy(),
         boundary=tuple(flags),
         wald_se=wald_se,
-        iterations=golden_iters + newton_iters,
+        iterations=iterations,
     )
 
 
@@ -255,8 +331,10 @@ def audit_fit(fit, all_stats, space, grid_points=50):
     """
     u, v = uv_arrays(all_stats)
     slack = 1e-12 * max(1.0, abs(fit.loglik))
+    mus = np.linspace(space.mu_lo, space.mu_hi, grid_points)
+    shape = (grid_points, len(u))
+    u, v = np.broadcast_to(u, shape), np.broadcast_to(v, shape)
     for w2 in np.linspace(space.omega2_lo, space.omega2_hi, grid_points):
-        for mu in np.linspace(space.mu_lo, space.mu_hi, grid_points):
-            if total_loglik_uv(u, v, mu, w2) > fit.loglik + slack:
-                return False
+        if np.any(total_loglik_uv(u, v, mus, w2) > fit.loglik + slack):
+            return False
     return True

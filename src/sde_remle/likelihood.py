@@ -68,17 +68,30 @@ def loglik_terms(u, v, mu, omega2):
     """Per-subject log-likelihood terms, vectorized over (u, v).
 
     Returns +inf exactly where v == 0 and u != 0 (the degenerate-input
-    sentinel); finite everywhere else.
+    sentinel); finite everywhere else. The terms are built in place, in
+    the operation order of
+    -0.5*log1p(w2*v) + (2*mu*u - mu^2*v + w2*u^2) / (2*(1 + w2*v)).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    d = 1.0 + omega2 * v
-    terms = -0.5 * np.log1p(omega2 * v) + (
-        (2.0 * mu) * u - (mu * mu) * v + omega2 * (u * u)
-    ) / (2.0 * d)
-    sentinel = (v == 0.0) & (u != 0.0)
-    if np.any(sentinel):
-        terms = np.where(sentinel, np.inf, terms)
+    # explicit outputs keep the steps in place on 0-d input too
+    shape = np.broadcast_shapes(u.shape, v.shape, np.shape(mu), np.shape(omega2))
+    den = np.multiply(omega2, v, out=np.empty(shape))
+    terms = np.log1p(den, out=np.empty(shape))
+    terms *= -0.5
+    den += 1.0
+    den *= 2.0
+    num = np.multiply(2.0 * mu, u, out=np.empty(shape))
+    tmp = np.multiply(mu * mu, v, out=np.empty(shape))
+    num -= tmp
+    np.multiply(u, u, out=tmp)
+    tmp *= omega2
+    num += tmp
+    num /= den
+    terms += num
+    zero_v = v == 0.0
+    if zero_v.any():
+        terms[np.broadcast_to(zero_v & (u != 0.0), terms.shape)] = np.inf
     return terms
 
 
@@ -151,30 +164,107 @@ def log_density_ratio(stats, theta0, theta):
     return float(ratio_terms(stats.u, stats.v, theta0, theta)[()])
 
 
-def _fsum(values):
-    # exactly-rounded summation: totals are independent of term order and
-    # of how an ensemble was partitioned across workers
-    return math.fsum(values.tolist() if isinstance(values, np.ndarray) else values)
+# cap on error-free extraction passes; a row whose terms span more binary
+# orders than the cap covers is summed by math.fsum instead
+_FSUM_PASSES = 8
+
+
+def row_fsum(x):
+    """Exactly rounded sum of each row of a 2-D array.
+
+    Entry r equals math.fsum(x[r]) bit for bit, so row totals do not depend
+    on term order or on how rows were batched. On rows with an inf or NaN
+    term, or terms too close to overflow, the result or the error raised
+    is math.fsum's own.
+    """
+    return _row_fsum(np.array(x, dtype=float))
+
+
+def _row_fsum(p):
+    """row_fsum on a 2-D float array that it may overwrite.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SISC 2008): with sigma = 2^(M + e), 2^M >= n + 2
+    and every |p| < 2^e, q = (p + sigma) - sigma is a multiple of
+    2^-53 sigma and p - q is exact, so q sums exactly in any order and
+    |p - q| <= 2^-53 sigma bounds the next pass. Once every residual is 0
+    the few pass totals carry the exact row sum, and one correctly rounded
+    sum of them is math.fsum of the row.
+    """
+    rows, n = p.shape
+    out = np.zeros(rows)
+    if n == 0 or rows == 0:
+        return out
+    m = (n + 1).bit_length()
+    big = np.maximum(p.max(axis=1), -p.min(axis=1))
+    e = np.frexp(big)[1]
+    special = ~np.isfinite(big) | (e + m > 1023)
+    if special.any():
+        for r in np.flatnonzero(special):
+            out[r] = math.fsum(p[r].tolist())
+        p[special] = 0.0
+        e[special] = 0
+    sigma = np.ldexp(1.0, e + m)[:, None]
+    q = np.empty_like(p)
+    totals = []
+    done = False
+    for _ in range(_FSUM_PASSES):
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        totals.append(q.sum(axis=1))
+        if not p.any():
+            done = True
+            break
+        sigma = np.ldexp(sigma, m - 53)
+    if done and len(totals) <= 2:
+        # one IEEE addition is correctly rounded; pass totals are never -0.0
+        total = totals[0] if len(totals) == 1 else totals[0] + totals[1]
+        return np.where(special, out, total)
+    totals = np.stack(totals, axis=1).tolist()
+    for r in np.flatnonzero(~special):
+        # rows the passes did not finish add their residual terms
+        out[r] = math.fsum(totals[r] if done else totals[r] + p[r].tolist())
+    return out
+
+
+def _row_totals(parts):
+    """Exactly rounded row sums of k equal-shape (R, n) term arrays, as (R, k)."""
+    stacked = np.stack(parts)
+    k, rows, n = stacked.shape
+    return _row_fsum(stacked.reshape(k * rows, n)).reshape(k, rows).T
+
+
+def _col(x):
+    # per-row parameters broadcast down the columns of (R, n) terms
+    return np.asarray(x, dtype=float).reshape(-1, 1)
 
 
 def total_loglik_uv(u, v, mu, omega2):
-    """Ensemble log-likelihood from (U, V) arrays."""
-    return _fsum(loglik_terms(u, v, mu, omega2))
+    """Per-row log-likelihood totals of (R, n) arrays u, v.
+
+    mu and omega2 are scalars or one value per row; entry r is exactly
+    rounded, so it equals the total of row r summed on its own.
+    """
+    return _row_fsum(loglik_terms(u, v, _col(mu), _col(omega2)))
 
 
 def total_score_uv(u, v, mu, omega2):
-    """Ensemble score vector from (U, V) arrays."""
-    s_mu, s_w = score_terms(u, v, mu, omega2)
-    return np.array([_fsum(s_mu), _fsum(s_w)])
+    """Per-row score totals, shape (R, 2), with total_loglik_uv's contract."""
+    return _row_totals(score_terms(u, v, _col(mu), _col(omega2)))
 
 
 def total_hess_uv(u, v, mu, omega2):
-    """Ensemble Hessian from (U, V) arrays."""
-    h_mm, h_mw, h_ww = hess_terms(u, v, mu, omega2)
-    a = _fsum(h_mm)
-    b = _fsum(h_mw)
-    c = _fsum(h_ww)
-    return np.array([[a, b], [b, c]])
+    """Per-row Hessian totals, shape (R, 2, 2), with total_loglik_uv's contract."""
+    h = _row_totals(hess_terms(u, v, _col(mu), _col(omega2)))
+    return h[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+
+
+def _one_row(all_stats):
+    if len(all_stats) == 0:
+        raise EmptyEnsemble("no subjects to sum over")
+    u, v = uv_arrays(all_stats)
+    return u[None, :], v[None, :]
 
 
 def total_loglik(all_stats, theta):
@@ -183,23 +273,17 @@ def total_loglik(all_stats, theta):
     The reduction is exactly rounded, so any ordering or partitioning of
     the same subjects produces the identical double.
     """
-    if len(all_stats) == 0:
-        raise EmptyEnsemble("no subjects to sum over")
-    u, v = uv_arrays(all_stats)
-    return total_loglik_uv(u, v, theta.mu, theta.omega2)
+    u, v = _one_row(all_stats)
+    return float(total_loglik_uv(u, v, theta.mu, theta.omega2)[0])
 
 
 def total_score(all_stats, theta):
     """Ensemble score vector (same reduction contract as total_loglik)."""
-    if len(all_stats) == 0:
-        raise EmptyEnsemble("no subjects to sum over")
-    u, v = uv_arrays(all_stats)
-    return total_score_uv(u, v, theta.mu, theta.omega2)
+    u, v = _one_row(all_stats)
+    return total_score_uv(u, v, theta.mu, theta.omega2)[0]
 
 
 def total_hess(all_stats, theta):
     """Ensemble Hessian (same reduction contract as total_loglik)."""
-    if len(all_stats) == 0:
-        raise EmptyEnsemble("no subjects to sum over")
-    u, v = uv_arrays(all_stats)
-    return total_hess_uv(u, v, theta.mu, theta.omega2)
+    u, v = _one_row(all_stats)
+    return total_hess_uv(u, v, theta.mu, theta.omega2)[0]

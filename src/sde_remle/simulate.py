@@ -61,7 +61,10 @@ def _euler_rows(model, phis, x0, T, dt, normals, raise_errors=True, subject_inde
 
     Returns (times, values, first_bad) where values has shape (R, M+1) and
     first_bad[r] is the step at which row r stopped being finite, or -1.
-    With raise_errors the first divergence aborts instead.
+    With raise_errors the first divergence aborts instead. subject_index
+    is one subject id for every row or one id per row; errors name the
+    subject of the lowest failing row. sigma <= 0 on a live row always
+    raises DegenerateDiffusion.
     """
     times = time_grid(T, dt)
     steps = len(times) - 1
@@ -82,17 +85,29 @@ def _euler_rows(model, phis, x0, T, dt, normals, raise_errors=True, subject_inde
             bad_sigma = alive & ~(svals > 0)
             if bad_sigma.any():
                 raise DegenerateDiffusion(
-                    f"sigma <= 0 at step {k} for model {model.name!r}", step=k
+                    f"sigma <= 0 at step {k} for model {model.name!r}", step=k,
+                    subject_index=_subject_of(subject_index, bad_sigma),
                 )
             state = state + phis * bvals * delta + svals * math.sqrt(delta) * normals[:, k]
             newly_bad = alive & ~np.isfinite(state)
             if newly_bad.any():
                 if raise_errors:
-                    raise SimulationDiverged(k + 1, subject_index=subject_index)
+                    raise SimulationDiverged(
+                        k + 1, subject_index=_subject_of(subject_index, newly_bad)
+                    )
                 first_bad[newly_bad] = k + 1
                 alive &= ~newly_bad
             values[:, k + 1] = state
     return times, values, first_bad
+
+
+def _subject_of(subject_index, failing):
+    """Subject id of the lowest failing row, or None when ids are unknown."""
+    if subject_index is None:
+        return None
+    if np.ndim(subject_index) == 0:
+        return int(subject_index)
+    return int(subject_index[int(np.argmax(failing))])
 
 
 def path_normals(seed, subject_index, replicate_ids, steps):
@@ -186,7 +201,9 @@ def simulate_ensemble(model, theta0, design, replicate_id=0):
     block; each path equals euler_maruyama on its own stream bit for bit.
 
     Raises SimulationDiverged for the lowest diverging subject, at its own
-    step, and DegenerateDiffusion if sigma <= 0 on any live row.
+    step, and DegenerateDiffusion if sigma <= 0 on any live row, naming
+    the lowest such subject of the first row block and step where it
+    happens.
     """
     phis = effect_rows(theta0, design.seed, [replicate_id], design.n)[0]
     groups = {}
@@ -198,7 +215,8 @@ def simulate_ensemble(model, theta0, design, replicate_id=0):
         steps = len(time_grid(T, design.dt)) - 1
         z = path_normals(design.seed, members, [replicate_id] * len(members), steps)
         times, values, first_bad = _euler_rows(
-            model, phis[members], x0, T, design.dt, z, raise_errors=False
+            model, phis[members], x0, T, design.dt, z,
+            raise_errors=False, subject_index=members,
         )
         diverged += [(i, int(k)) for i, k in zip(members, first_bad) if k >= 0]
         for i, row in zip(members, values):

@@ -19,7 +19,14 @@ from sde_remle import (
     run_normality_experiment,
     sqrt_2x2_spd,
 )
-from sde_remle.errors import EmptyExperiment
+from sde_remle.asymptotics import _fit_rows
+from sde_remle.errors import (
+    AllDegenerate,
+    EmptyExperiment,
+    InvalidStats,
+    NonFiniteObjective,
+)
+from sde_remle.estimator import fit_mle
 from sde_remle.likelihood import ratio_terms
 
 UNIT = builtin_model("unit")
@@ -344,3 +351,42 @@ def test_design_family_layouts():
     assert har.limit_point() == (0.0, 1.0)
     with pytest.raises(ValueError):
         DesignFamily(kind="grid")
+
+
+def test_fit_rows_drop_non_finite_replicates():
+    rng = np.random.default_rng(6)
+    v = rng.uniform(0.5, 2.0, size=(4, 8))
+    u = rng.normal(v, np.sqrt(v))
+    u[1, 3] = np.nan
+    v[2, 0] = np.inf
+    fits, ok = _fit_rows(u, v, SPACE)
+    assert ok.tolist() == [True, False, False, True]
+    assert fits[1] is None and fits[2] is None
+    for r in (0, 3):
+        want = fit_mle((u[r], v[r]), SPACE)
+        assert fits[r].theta_hat == want.theta_hat
+        assert fits[r].loglik == want.loglik
+        assert fits[r].iterations == want.iterations
+
+
+@pytest.mark.parametrize("breaks,error", [
+    # (row, kind) pairs; the lowest finite failing row decides the error
+    (((1, "all_zero"), (2, "negative")), AllDegenerate),
+    (((1, "sentinel"), (3, "negative")), NonFiniteObjective),
+    (((0, "nan"), (2, "negative"), (3, "all_zero")), InvalidStats),
+])
+def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
+    rng = np.random.default_rng(12)
+    v = rng.uniform(0.5, 2.0, size=(4, 6))
+    u = rng.normal(v, np.sqrt(v))
+    for r, kind in breaks:
+        if kind == "all_zero":
+            u[r], v[r] = 0.0, 0.0
+        elif kind == "sentinel":
+            u[r, 2], v[r, 2] = 1.0, 0.0
+        elif kind == "negative":
+            v[r, 4] = -1.0
+        else:
+            u[r, 0] = np.nan
+    with pytest.raises(error):
+        _fit_rows(u, v, SPACE)

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sde_remle import Design, ParamSpace, Theta, builtin_model, simulate_ensemble
@@ -247,6 +248,30 @@ def test_experiment_failure_is_runtime_error(tmp_path, capsys):
     assert err.startswith("error:") and "fail" in err
     # partial outputs still land on disk for post-mortems
     assert (tmp_path / "replicates.csv").exists()
+
+
+NORM_CFG = CONS_CFG.replace("n_schedule = 20,40\n", "n = 20\ninfo_replicates = 100\n")
+
+
+def test_normality_with_singular_information_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # a Monte Carlo information estimate that is not positive definite is
+    # a runtime failure (exit 2), not a bad input (exit 1)
+    from sde_remle import asymptotics
+
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    monkeypatch.setattr(asymptotics, "_info_bar", lambda config: (singular, singular))
+    cfg = _cfg(tmp_path, NORM_CFG)
+    rc = main(["experiment", "normality", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
+def test_normality_experiment_runs(tmp_path, capsys):
+    cfg = _cfg(tmp_path, NORM_CFG)
+    rc = main(["experiment", "normality", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    assert len((tmp_path / "replicates.csv").read_text().splitlines()) == 1 + 12
+    capsys.readouterr()
 
 
 def test_console_script_runs():

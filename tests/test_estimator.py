@@ -16,6 +16,8 @@ from sde_remle import (
     total_loglik,
 )
 from sde_remle.errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
+from sde_remle.estimator import fit_rows
+from scalar_fit import scalar_fit
 from sde_remle.likelihood import loglik_terms
 
 SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
@@ -220,3 +222,116 @@ def test_audit_catches_a_bad_fit():
     )
     assert audit_fit(good, stats, SPACE)
     assert not audit_fit(bad, stats, SPACE)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _fields(fit):
+    """Every MleFit field, floats as their bit patterns."""
+    return (
+        _bits(fit.theta_hat.mu), _bits(fit.theta_hat.omega2), _bits(fit.loglik),
+        _bits(fit.score_norm), fit.hess.tobytes(), fit.boundary,
+        None if fit.wald_se is None else tuple(_bits(s) for s in fit.wald_se),
+        fit.iterations,
+    )
+
+
+# row shapes that drive the fitter down different paths: an interior
+# optimum, omega2 pinned at its lower or upper bound, mu pinned at a bound,
+# a profile flat to 1e-12, and subjects with V = 0 and U = 0
+_ROW_KINDS = ("interior", "tight", "spread", "shifted", "flat", "zeros")
+_SPACES = (
+    SPACE,
+    ParamSpace(mu_lo=-0.5, mu_hi=0.5, omega2_lo=0.1, omega2_hi=1.0),
+    ParamSpace(mu_lo=0.0, mu_hi=2.0, omega2_lo=0.5, omega2_hi=0.6),
+)
+
+
+def _row(rng, kind, n):
+    v = rng.uniform(0.05, 4.0, size=n)
+    if kind == "tight":
+        u = 0.5 * v + 1e-6 * rng.normal(size=n)
+    elif kind == "spread":
+        u = rng.normal(scale=10.0, size=n) * np.sqrt(v)
+    elif kind == "shifted":
+        u = 5.0 * v + rng.normal(size=n) * np.sqrt(v)
+    elif kind == "flat":
+        # the profile rises by less than 1e-12 over [0, 4]
+        v *= 1e-15
+        u = 1e-7 * rng.uniform(0.5, 1.0, size=n)
+    else:
+        u = rng.normal(0.5 * v, np.sqrt(v + 0.5 * v * v))
+    if kind == "zeros":
+        u[: n // 2] = 0.0
+        v[: n // 2] = 0.0
+    return u, v
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=5),
+    n=st.integers(min_value=1, max_value=12),
+    space=st.sampled_from(_SPACES),
+)
+@settings(max_examples=40, deadline=None)
+def test_fit_rows_equal_fit_mle_and_the_scalar_loop(seed, kinds, n, space):
+    # rows of different kinds share one batch, so their masks diverge
+    rng = np.random.default_rng(seed)
+    u, v = (np.array(x) for x in zip(*(_row(rng, k, n) for k in kinds)))
+    batch = fit_rows(u, v, space)
+    assert len(batch) == len(kinds)
+    for r, fit in enumerate(batch):
+        assert _fields(fit) == _fields(fit_mle((u[r].copy(), v[r].copy()), space))
+        assert _fields(fit) == _fields(scalar_fit(u[r], v[r], space, FitOptions()))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(_ROW_KINDS),
+    n=st.integers(min_value=2, max_value=30),
+)
+@settings(max_examples=30, deadline=None)
+def test_permuting_subjects_leaves_the_fit_bit_identical(seed, kind, n):
+    rng = np.random.default_rng(seed)
+    u, v = _row(rng, kind, n)
+    perm = rng.permutation(n)
+    assert _fields(fit_mle((u, v), SPACE)) == _fields(fit_mle((u[perm], v[perm]), SPACE))
+
+
+def test_fit_rows_paths_are_exercised():
+    # the row kinds above reach the boundary, flat and interior outcomes
+    rng = np.random.default_rng(4)
+    u, v = (np.array(x) for x in zip(*(_row(rng, k, 20) for k in _ROW_KINDS)))
+    fits = dict(zip(_ROW_KINDS, fit_rows(u, v, SPACE)))
+    assert fits["interior"].boundary == () and fits["interior"].wald_se is not None
+    assert fits["tight"].boundary == ("omega2_lo",)
+    assert "omega2_hi" in fits["spread"].boundary
+    assert "mu_hi" in fits["shifted"].boundary
+    assert fits["flat"].theta_hat.omega2 == SPACE.omega2_lo
+
+
+def test_fit_rows_across_row_blocks():
+    # 30 rows of 700 subjects span more than one row block of the fitter
+    rng = np.random.default_rng(8)
+    v = rng.uniform(0.5, 2.0, size=(30, 700))
+    u = rng.normal(0.5 * v, np.sqrt(v + 0.5 * v * v))
+    batch = fit_rows(u, v, SPACE)
+    for r in (0, 22, 23, 29):
+        assert _fields(batch[r]) == _fields(fit_mle((u[r], v[r]), SPACE))
+
+
+def test_fit_rows_checks_rows_in_order():
+    u = np.ones((3, 4))
+    v = np.ones((3, 4))
+    assert fit_rows(u[:0], v[:0], SPACE) == []
+    v[2, 0] = -1.0
+    u[1] = 0.0
+    v[1] = 0.0
+    with pytest.raises(AllDegenerate):
+        fit_rows(u, v, SPACE)
+    with pytest.raises(InvalidStats):
+        fit_rows(u[[2, 1]], v[[2, 1]], SPACE)
+    with pytest.raises(EmptyEnsemble):
+        fit_rows(np.empty((2, 0)), np.empty((2, 0)), SPACE)

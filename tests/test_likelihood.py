@@ -16,7 +16,14 @@ from sde_remle import (
     total_score,
 )
 from sde_remle.errors import EmptyEnsemble
-from sde_remle.likelihood import gamma_cap, ratio_terms
+from sde_remle.likelihood import (
+    gamma_cap,
+    ratio_terms,
+    row_fsum,
+    total_hess_uv,
+    total_loglik_uv,
+    total_score_uv,
+)
 
 finite_u = st.floats(min_value=-50.0, max_value=50.0)
 finite_v = st.floats(min_value=0.0, max_value=50.0)
@@ -227,3 +234,120 @@ def test_information_identity():
     diff = outers.mean(axis=0) + hessians.mean(axis=0)
     se = (outers + hessians).std(axis=0, ddof=1) / math.sqrt(R)
     assert np.all(np.abs(diff) <= 4.0 * se)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _fsum_or_error(row):
+    try:
+        return math.fsum(row), None
+    except (OverflowError, ValueError) as err:
+        return None, err
+
+
+def _assert_rows_match_fsum(rows):
+    """row_fsum of the rows equals math.fsum of each row, down to the bits;
+    where math.fsum raises, row_fsum raises the first such row's error."""
+    expected = [_fsum_or_error(row) for row in rows]
+    errors = [err for _, err in expected if err is not None]
+    x = np.array(rows, dtype=float).reshape(len(rows), -1)
+    if errors:
+        with pytest.raises(type(errors[0])) as exc:
+            row_fsum(x)
+        assert str(exc.value) == str(errors[0])
+        return
+    got = row_fsum(x)
+    assert got.shape == (len(rows),)
+    for g, (want, _) in zip(got.tolist(), expected):
+        assert _bits(g) == _bits(want)
+
+
+_ULP_TIES = [1.0, -1.0, 2.0 ** -53, -(2.0 ** -53), 2.0 ** -54, 3 * 2.0 ** -53,
+             2.0 ** -105, 1.5, 2.0 ** 52, 0.5]
+finite_terms = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+              st.integers(min_value=-300, max_value=300)),
+    st.sampled_from(_ULP_TIES),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+    st.floats(min_value=-1e-310, max_value=1e-310),
+)
+
+
+def _rows(elements, max_n=12):
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n),
+                           min_size=1, max_size=4)
+    )
+
+
+@given(rows=_rows(finite_terms))
+@settings(max_examples=400)
+def test_row_fsum_equals_math_fsum(rows):
+    _assert_rows_match_fsum(rows)
+
+
+@given(rows=_rows(finite_terms, max_n=6), data=st.data())
+@settings(max_examples=200)
+def test_row_fsum_cancelling_pairs(rows, data):
+    # each row plus its own negation, with a few extra terms, in shuffled
+    # order: the exact total is the sum of the extras alone
+    extra = data.draw(st.lists(finite_terms, min_size=2, max_size=2))
+    paired = []
+    for row in rows:
+        terms = row + [-t for t in row] + extra
+        paired.append(data.draw(st.permutations(terms)))
+    _assert_rows_match_fsum(paired)
+
+
+@given(rows=_rows(st.one_of(finite_terms, st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1.7976931348623157e308, -1.7976931348623157e308]
+))))
+@settings(max_examples=300)
+def test_row_fsum_special_rows_match_math_fsum(rows):
+    _assert_rows_match_fsum(rows)
+
+
+def test_row_fsum_edge_cases():
+    assert row_fsum(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert row_fsum(np.empty((0, 5))).shape == (0,)
+    # math.fsum gives +0.0 for an all-negative-zero row
+    assert _bits(row_fsum([[-0.0, -0.0]])[0]) == _bits(0.0)
+    # half-way ties round to even, as math.fsum does
+    assert row_fsum([[1.0, 2.0 ** -53], [1.0, 3 * 2.0 ** -53]]).tolist() == [
+        math.fsum([1.0, 2.0 ** -53]), math.fsum([1.0, 3 * 2.0 ** -53])
+    ]
+    # terms spread over more binary orders than the extraction passes cover
+    wide = [[math.ldexp(1.0, -40 * k) for k in range(26)]]
+    assert row_fsum(wide)[0] == math.fsum(wide[0])
+    with pytest.raises(OverflowError):
+        row_fsum([[1.0, 2.0], [1e308, 1e308]])
+    with pytest.raises(ValueError):
+        row_fsum([[math.inf, -math.inf]])
+    x = np.array([[1.0, 2.0 ** -60, -1.0]])
+    row_fsum(x)
+    assert x.tolist() == [[1.0, 2.0 ** -60, -1.0]]
+
+
+def test_row_totals_equal_one_row_totals():
+    rng = np.random.default_rng(23)
+    u = rng.normal(scale=3.0, size=(5, 40))
+    v = rng.uniform(0.0, 8.0, size=(5, 40))
+    mu = rng.uniform(-3.0, 3.0, size=5)
+    w2 = rng.uniform(0.0, 4.0, size=5)
+    ll = total_loglik_uv(u, v, mu, w2)
+    sc = total_score_uv(u, v, mu, w2)
+    he = total_hess_uv(u, v, mu, w2)
+    assert ll.shape == (5,) and sc.shape == (5, 2) and he.shape == (5, 2, 2)
+    for r in range(5):
+        stats = [_stats(a, b) for a, b in zip(u[r].tolist(), v[r].tolist())]
+        theta = Theta(mu=float(mu[r]), omega2=float(w2[r]))
+        assert ll[r] == total_loglik(stats, theta)
+        assert sc[r].tolist() == total_score(stats, theta).tolist()
+        assert he[r].tolist() == total_hess(stats, theta).tolist()
+        assert ll[r] == math.fsum(
+            log_lambda(s, theta) for s in stats
+        )

@@ -17,7 +17,7 @@ from sde_remle import (
     time_grid,
 )
 from sde_remle.errors import DegenerateDiffusion
-from sde_remle.models import ModelSpec
+from sde_remle.models import ModelSpec, register_model
 from sde_remle.rng import generator
 from sde_remle.simulate import path_normals, simulate_replicates
 
@@ -164,6 +164,65 @@ def test_ensemble_divergence_carries_subject_index():
         simulate_ensemble(LINEAR, theta0, design)
     assert exc.value.subject_index == 0
     assert exc.value.step == _own_divergence_step(LINEAR, 1.0e8, 0.0, 1.0, 0.01, 4, 0)
+
+
+def _cliff_sigma(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 5.0, 1.0, 0.0)
+
+
+# a user model whose diffusion vanishes beyond x = 5
+CLIFF = register_model(ModelSpec("cliff", lambda x: np.ones_like(x), _cliff_sigma, tau=1.0))
+
+
+def test_ensemble_degenerate_diffusion_names_the_lowest_failing_subject():
+    # subjects 1 and 3 start where sigma = 0 and share one row block, so
+    # the lowest failing row of that block is subject 1, not row 0
+    subjects = ((0.0, 1.0), (6.0, 1.0), (0.0, 1.0), (6.0, 1.0))
+    design = Design(subjects=subjects, dt=0.1, seed=3)
+    with pytest.raises(DegenerateDiffusion) as exc:
+        simulate_ensemble(CLIFF, Theta(mu=0.5, omega2=0.1), design)
+    assert exc.value.subject_index == 1
+    assert exc.value.step == 0
+    assert "(subject 1)" in str(exc.value)
+
+
+def _own_degenerate_step(model, theta0, subjects, dt, seed, i):
+    phi = draw_random_effects(theta0, len(subjects), stream(seed, PHI_STREAM_ID))[i].phi
+    x0, T = subjects[i]
+    try:
+        euler_maruyama(model, phi, x0, T, dt, stream(seed, i))
+    except DegenerateDiffusion as err:
+        return err.step
+    return math.inf
+
+
+def test_ensemble_degenerate_diffusion_is_the_lowest_row_to_fail_first():
+    # one row block started just below the cliff: the paths reach it at
+    # different steps, and the subject named is the lowest one among those
+    # that reach it first, not the first row of the block
+    theta0 = Theta(mu=0.0, omega2=4.0)
+    subjects = ((4.6, 1.0),) * 6
+    design = Design(subjects=subjects, dt=0.1, seed=11)
+    steps = [_own_degenerate_step(CLIFF, theta0, subjects, 0.1, 11, i) for i in range(6)]
+    first = min(steps)
+    expected = steps.index(first)
+    assert expected > 0
+    with pytest.raises(DegenerateDiffusion) as exc:
+        simulate_ensemble(CLIFF, theta0, design)
+    assert (exc.value.subject_index, exc.value.step) == (expected, first)
+
+
+def test_replicates_degenerate_diffusion_carries_subject_index():
+    with pytest.raises(DegenerateDiffusion) as exc:
+        simulate_replicates(CLIFF, [0.5, 0.5], 6.0, 1.0, 0.1, 3, 7, [0, 1])
+    assert exc.value.subject_index == 7
+    assert exc.value.step == 0
+
+
+def test_degenerate_diffusion_without_subject():
+    err = DegenerateDiffusion("sigma <= 0", step=2)
+    assert err.subject_index is None and str(err) == "sigma <= 0"
 
 
 def test_ensemble_divergence_reports_lowest_subject_not_earliest_step():
