@@ -20,8 +20,7 @@ from .estimator import fit_rows
 from .likelihood import hess_terms, ratio_terms, score_terms
 from .models import ParamSpace, Theta
 from .rng import derive_seed, float_label
-from .simulate import effect_rows, simulate_replicates
-from .stats import suff_stats_rows
+from .simulate import ROW_CHUNK, effect_rows, replicate_uv
 
 # seed lanes for nested Monte Carlo passes; keeps information / divergence /
 # probe estimation streams disjoint from the main experiment's path streams
@@ -199,11 +198,7 @@ def _point_uv(model, theta0, x0, T, dt, R, seed):
     of the arguments.
     """
     phis = effect_rows(theta0, seed, [0], R)[0]
-    reps = np.arange(R)
-    times, values, _ = simulate_replicates(
-        model, phis, x0, T, dt, seed, 0, reps, raise_errors=False
-    )
-    u, v = suff_stats_rows(times, values, model)
+    u, v = replicate_uv(model, phis, x0, T, dt, seed, 0, np.arange(R))
     ok = np.isfinite(u) & np.isfinite(v)
     return u[ok], v[ok], int(R - ok.sum())
 
@@ -381,21 +376,33 @@ def _ensemble_uv(model, theta0, subjects, dt, seed, replicates, threads):
     Subject i's replicate r uses path stream (seed, i, r); its drift
     effect is entry i of the reserved-stream draw for replicate r. This
     matches simulate_ensemble row for row.
+
+    Subjects that share (x0, T), every subject of an iid design, run as
+    one row block, subject-major, in chunks of ROW_CHUNK rows whose ids
+    and effects are gathered per chunk; threads map over the blocks. A
+    failing row raises for the first failing chunk of the lowest failing
+    block, at the chunk's first failing step.
     """
     n = len(subjects)
-    reps = np.arange(replicates)
-    phis = effect_rows(theta0, seed, reps, n)
+    phis = effect_rows(theta0, seed, np.arange(replicates), n)
+    u = np.empty((replicates, n))
+    v = np.empty((replicates, n))
+    groups = {}
+    for i, point in enumerate(subjects):
+        groups.setdefault(point, []).append(i)
 
-    def one_subject(i):
-        x0, T = subjects[i]
-        times, values, _ = simulate_replicates(
-            model, phis[:, i], x0, T, dt, seed, i, reps, raise_errors=False
-        )
-        return suff_stats_rows(times, values, model)
+    def one_group(group):
+        (x0, T), members = group
+        members = np.asarray(members)
+        rows = len(members) * replicates
+        for start in range(0, rows, ROW_CHUNK):
+            m, reps = np.divmod(np.arange(start, min(start + ROW_CHUNK, rows)), replicates)
+            ids = members[m]
+            u[reps, ids], v[reps, ids] = replicate_uv(
+                model, phis[reps, ids], x0, T, dt, seed, ids, reps
+            )
 
-    cols = _det_map(one_subject, range(n), threads)
-    u = np.stack([c[0] for c in cols], axis=1)
-    v = np.stack([c[1] for c in cols], axis=1)
+    _det_map(one_group, list(groups.items()), threads)
     return u, v
 
 

@@ -63,7 +63,9 @@ class AllDegenerate(SdeRemleError):
 
 
 class NonFiniteObjective(SdeRemleError):
-    """The log-likelihood carries an infinite sentinel (a subject with V = 0, U != 0)."""
+    """The log-likelihood is not finite: a subject with V = 0 and U != 0
+    carries the infinite sentinel, or U or V is so large that the
+    objective overflows."""
 
 
 class EmptyExperiment(SdeRemleError):

@@ -117,7 +117,8 @@ def fit_mle(all_stats, space, opts=None):
 
     Raises InvalidStats when any U or V is not finite or any V < 0,
     AllDegenerate when every V_i = 0 and NonFiniteObjective when any
-    subject carries the V = 0, U != 0 sentinel.
+    subject carries the V = 0, U != 0 sentinel or the objective at the
+    fit is not finite (U^2 overflows, say).
     """
     u, v = uv_arrays(all_stats)
     return fit_rows(np.asarray(u, dtype=float)[None, :],
@@ -132,7 +133,8 @@ def fit_rows(u, v, space, opts=None):
     per-row masks stop each row where the scalar fit would stop it: the
     golden section when its own bracket is narrow enough, Newton when its
     own score is small or its step is refused. The lowest row that fails
-    fit_mle's input checks raises its error.
+    fit_mle's input checks raises its error; past those checks, the lowest
+    row whose objective at its fit is not finite raises NonFiniteObjective.
     """
     opts = opts or FitOptions()
     u = np.asarray(u, dtype=float)
@@ -141,7 +143,7 @@ def fit_rows(u, v, space, opts=None):
         return []
     _check_rows(u, v)
     block = max(1, _BLOCK_TERMS // u.shape[1])
-    return [
+    fits = [
         fit
         for start in range(0, u.shape[0], block)
         for fit in _fit_block(
@@ -150,6 +152,9 @@ def fit_rows(u, v, space, opts=None):
             space, opts,
         )
     ]
+    if not all(math.isfinite(fit.loglik) for fit in fits):
+        raise NonFiniteObjective("the objective is not finite at the fit: U or V too large")
+    return fits
 
 
 def _fit_block(u, v, space, opts):

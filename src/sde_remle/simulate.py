@@ -4,6 +4,8 @@ The integration grid is uniform with step dt; when T is not a multiple of
 dt the final step covers the remainder. All simulation funnels through one
 batch kernel that advances many replicate rows in lockstep, so the scalar
 path API and the Monte Carlo experiment engines share identical arithmetic.
+The path API stores the states; the Monte Carlo entry, replicate_uv, keeps
+only the (U, V) increments of one row chunk at a time.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 from .errors import DegenerateDiffusion, SimulationDiverged
 from .models import RandomEffect
 from .rng import PHI_STREAM_ID, generator, row_keys
+from .stats import SIGMA2_FLOOR, floor_error
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,49 +59,77 @@ def time_grid(T, dt):
     return times
 
 
-def _euler_rows(model, phis, x0, T, dt, normals, raise_errors=True, subject_index=None):
-    """Advance R replicate rows of one subject through the full grid.
+# rows per chunk of the Monte Carlo kernel: wide enough that the Python
+# cost of a step stays small against its numpy work, narrow enough that
+# the two (rows, steps) increment buffers stay a few tens of MB
+ROW_CHUNK = 4096
 
-    Returns (times, values, first_bad) where values has shape (R, M+1) and
-    first_bad[r] is the step at which row r stopped being finite, or -1.
-    With raise_errors the first divergence aborts instead. subject_index
-    is one subject id for every row or one id per row; errors name the
-    subject of the lowest failing row. sigma <= 0 on a live row always
-    raises DegenerateDiffusion.
+
+def _euler_rows(model, phis, x0, times, normals, subject_index, values=None,
+                raise_errors=False):
+    """The one Euler step loop: advance every row of normals over times.
+
+    Each step evaluates b and sigma once, at the left endpoint. With
+    values, an (R, M+1) matrix, the states are stored there and the
+    result is first_bad, the step at which each row stopped being finite
+    or -1; with raise_errors the first divergence aborts instead. Without
+    values no path is kept: normals is overwritten by the U increments
+    (b / sigma^2) * (x_{k+1} - x_k), and the result is the row sums (U, V),
+    pairwise in the order suff_stats_rows sums a stored path, so they are
+    equal bit for bit, NaN where a row diverged.
+
+    subject_index is one subject id for every row or one id per row;
+    errors name the subject of the lowest failing row. sigma <= 0 on a
+    live row raises DegenerateDiffusion at that step; without values,
+    sigma^2 below SIGMA2_FLOOR on a row whose states 0..M-1 are finite
+    raises suff_stats_rows' error once every step has run.
     """
-    times = time_grid(T, dt)
-    steps = len(times) - 1
-    phis = np.asarray(phis, dtype=float)
-    rows = phis.shape[0]
-    if normals.shape != (rows, steps):
-        raise ValueError(f"normals must have shape ({rows}, {steps})")
-    values = np.empty((rows, steps + 1))
-    values[:, 0] = x0
+    rows, steps = normals.shape
     state = np.full(rows, float(x0))
-    first_bad = np.full(rows, -1, dtype=np.int64)
-    alive = np.ones(rows, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if values is None:
+        dv = np.empty_like(normals)
+        low = np.zeros(rows, dtype=bool)
+    else:
+        values[:, 0] = x0
+        first_bad = np.full(rows, -1, dtype=np.int64)
+    # a non-finite state never becomes finite again, so the live rows are
+    # the finite ones; masks are built only once a test on every row fails
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(steps):
             delta = times[k + 1] - times[k]
             bvals = model.b(state)
             svals = model.sigma(state)
-            bad_sigma = alive & ~(svals > 0)
-            if bad_sigma.any():
-                raise DegenerateDiffusion(
-                    f"sigma <= 0 at step {k} for model {model.name!r}", step=k,
-                    subject_index=_subject_of(subject_index, bad_sigma),
-                )
-            state = state + phis * bvals * delta + svals * math.sqrt(delta) * normals[:, k]
-            newly_bad = alive & ~np.isfinite(state)
-            if newly_bad.any():
-                if raise_errors:
-                    raise SimulationDiverged(
-                        k + 1, subject_index=_subject_of(subject_index, newly_bad)
+            if not (svals > 0).all():
+                bad_sigma = np.isfinite(state) & ~(svals > 0)
+                if bad_sigma.any():
+                    raise DegenerateDiffusion(
+                        f"sigma <= 0 at step {k} for model {model.name!r}", step=k,
+                        subject_index=_subject_of(subject_index, bad_sigma),
                     )
-                first_bad[newly_bad] = k + 1
-                alive &= ~newly_bad
-            values[:, k + 1] = state
-    return times, values, first_bad
+            after = state + phis * bvals * delta + svals * math.sqrt(delta) * normals[:, k]
+            if values is None:
+                sig2 = svals * svals
+                if not (sig2 >= SIGMA2_FLOOR).all():
+                    low |= sig2 < SIGMA2_FLOOR
+                w = bvals / sig2
+                normals[:, k] = w * (after - state)
+                dv[:, k] = (bvals * w) * delta
+            else:
+                values[:, k + 1] = after
+                if not np.isfinite(after).all():
+                    newly_bad = (first_bad < 0) & ~np.isfinite(after)
+                    if newly_bad.any():
+                        if raise_errors:
+                            raise SimulationDiverged(
+                                k + 1, subject_index=_subject_of(subject_index, newly_bad)
+                            )
+                        first_bad[newly_bad] = k + 1
+            body_end, state = state, after
+    if values is not None:
+        return first_bad
+    if (low & np.isfinite(body_end)).any():
+        raise floor_error(model)
+    return normals.sum(axis=1), dv.sum(axis=1)
 
 
 def _subject_of(subject_index, failing):
@@ -171,10 +202,9 @@ def euler_maruyama(model, phi, x0, T, dt, rng, normals=None):
     if normals is None:
         normals = path_normals(rng.seed, rng.stream_id, [rng.replicate_id], steps)
     normals = np.asarray(normals, dtype=float).reshape(1, steps)
-    times, values, _ = _euler_rows(
-        model, [phi], x0, T, dt, normals,
-        raise_errors=True, subject_index=rng.stream_id,
-    )
+    values = np.empty((1, steps + 1))
+    _euler_rows(model, np.array([float(phi)]), x0, times, normals, rng.stream_id,
+                values=values, raise_errors=True)
     return Path(
         times=times,
         values=values[0],
@@ -212,12 +242,10 @@ def simulate_ensemble(model, theta0, design, replicate_id=0):
     paths = [None] * design.n
     diverged = []
     for (x0, T), members in groups.items():
-        steps = len(time_grid(T, design.dt)) - 1
-        z = path_normals(design.seed, members, [replicate_id] * len(members), steps)
-        times, values, first_bad = _euler_rows(
-            model, phis[members], x0, T, design.dt, z,
-            raise_errors=False, subject_index=members,
-        )
+        times = time_grid(T, design.dt)
+        z = path_normals(design.seed, members, [replicate_id] * len(members), len(times) - 1)
+        values = np.empty((len(members), len(times)))
+        first_bad = _euler_rows(model, phis[members], x0, times, z, members, values=values)
         diverged += [(i, int(k)) for i, k in zip(members, first_bad) if k >= 0]
         for i, row in zip(members, values):
             paths[i] = Path(
@@ -240,7 +268,35 @@ def simulate_replicates(model, phis, x0, T, dt, seed, subject_index, replicate_i
     """
     times = time_grid(T, dt)
     z = path_normals(seed, subject_index, replicate_ids, len(times) - 1)
-    return _euler_rows(
-        model, phis, x0, T, dt, z,
-        raise_errors=raise_errors, subject_index=subject_index,
+    values = np.empty((len(z), len(times)))
+    first_bad = _euler_rows(
+        model, np.asarray(phis, dtype=float), x0, times, z, subject_index,
+        values=values, raise_errors=raise_errors,
     )
+    return times, values, first_bad
+
+
+def replicate_uv(model, phis, x0, T, dt, seed, subject_ids, replicate_ids):
+    """(U, V) of simulated paths that are never stored.
+
+    Row r is the path simulate_replicates draws from substream
+    (seed, subject_ids_r, replicate_ids[r]) with drift multiplier phis[r],
+    where subject_ids is one id for every row or one id per row. It runs
+    path_normals and the Euler kernel one chunk of ROW_CHUNK rows at a
+    time, so memory stays bounded whatever the number of rows. The result
+    equals suff_stats_rows of the stored paths bit for bit, with NaN on
+    the rows that diverged. Raises DegenerateDiffusion as the kernel does,
+    for the first chunk in which a row fails.
+    """
+    times = time_grid(T, dt)
+    phis = np.asarray(phis, dtype=float)
+    replicate_ids = np.asarray(replicate_ids)
+    per_row = np.ndim(subject_ids) > 0
+    u = np.empty(len(replicate_ids))
+    v = np.empty(len(replicate_ids))
+    for start in range(0, len(u), ROW_CHUNK):
+        rows = slice(start, start + ROW_CHUNK)
+        ids = subject_ids[rows] if per_row else subject_ids
+        z = path_normals(seed, ids, replicate_ids[rows], len(times) - 1)
+        u[rows], v[rows] = _euler_rows(model, phis[rows], x0, times, z, ids)
+    return u, v

@@ -50,6 +50,13 @@ class SuffStatsDecomposition:
     phi: float
 
 
+def floor_error(model):
+    """The error for sigma^2 below SIGMA2_FLOOR on a finite path."""
+    return DegenerateDiffusion(
+        f"sigma^2 below {SIGMA2_FLOOR:g} on the grid for model {model.name!r}"
+    )
+
+
 def suff_stats_rows(times, values, model):
     """U and V for each row of a (R, M+1) value matrix on a shared grid.
 
@@ -65,9 +72,7 @@ def suff_stats_rows(times, values, model):
         sig2 = svals * svals
         finite = np.isfinite(body).all(axis=1)
         if np.any(finite[:, None] & ((sig2 < SIGMA2_FLOOR) | ~(svals > 0))):
-            raise DegenerateDiffusion(
-                f"sigma^2 below {SIGMA2_FLOOR:g} on the grid for model {model.name!r}"
-            )
+            raise floor_error(model)
         w = bvals / sig2
         u = np.sum(w * np.diff(values, axis=1), axis=1)
         v = np.sum((bvals * w) * deltas, axis=1)

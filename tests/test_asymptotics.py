@@ -374,6 +374,7 @@ def test_fit_rows_drop_non_finite_replicates():
     (((1, "all_zero"), (2, "negative")), AllDegenerate),
     (((1, "sentinel"), (3, "negative")), NonFiniteObjective),
     (((0, "nan"), (2, "negative"), (3, "all_zero")), InvalidStats),
+    (((2, "overflow"),), NonFiniteObjective),
 ])
 def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
     rng = np.random.default_rng(12)
@@ -386,6 +387,8 @@ def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
             u[r, 2], v[r, 2] = 1.0, 0.0
         elif kind == "negative":
             v[r, 4] = -1.0
+        elif kind == "overflow":
+            u[r, 1] = 1e200
         else:
             u[r, 0] = np.nan
     with pytest.raises(error):

@@ -83,6 +83,20 @@ def test_fit_round_trips_through_csv(tmp_path, capsys):
     assert f"mu_hat={direct.theta_hat.mu!r}" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_with_an_overflowing_objective_is_runtime_error(tmp_path, capsys):
+    # on the unit model U = x(T) - x0, so a finite path ending at 1e200
+    # gives a U whose square overflows the objective
+    data = tmp_path / "paths.csv"
+    data.write_text("subject,k,t,x\n0,0,0.0,0.0\n0,1,1.0,1e200\n"
+                    "1,0,0.0,0.0\n1,1,1.0,1.0\n")
+    cfg = _cfg(tmp_path, f"model = unit\n{SPACE_CFG}data = {data}\n", name="fit.cfg")
+    rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    assert "objective is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "fit.csv").exists()
+
+
 def test_missing_config_file_is_validation_error(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1

@@ -193,6 +193,21 @@ def test_fit_rejects_invalid_raw_pairs(u, v):
         fit_mle((np.array(u), np.array(v)), SPACE)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_u_is_a_typed_error_not_a_nan_fit():
+    # U is finite but U^2 overflows, so the objective is NaN or inf on the
+    # whole rectangle; no fit with a non-finite loglik may come back
+    with pytest.raises(NonFiniteObjective):
+        fit_mle((np.array([1e200, 1.0]), np.array([1.0, 1.0])), SPACE)
+    rng = np.random.default_rng(3)
+    v = rng.uniform(0.5, 2.0, size=(40, 5))
+    u = rng.normal(v, np.sqrt(v))
+    u[33, 2] = -1e200
+    with pytest.raises(NonFiniteObjective):
+        fit_rows(u, v, SPACE)
+    assert all(math.isfinite(f.loglik) for f in fit_rows(u[:33], v[:33], SPACE))
+
+
 def test_fit_bit_reproducible():
     rng = np.random.default_rng(77)
     stats = _random_stats(rng, 40)
