@@ -3,9 +3,13 @@
 Estimates Fisher information and Kullback-Leibler divergence at single
 design points, their averaged limits along convergent design sequences,
 and runs the consistency / normality / moment-continuity experiments.
-Replicates are independent work units; every reduction is performed in
-replicate order with exactly-rounded sums, so reports are byte-identical
-across runs and across worker counts.
+Replicates are independent work units and each design point's streams
+are a pure function of its arguments. Every reduction runs in a fixed
+order, so reports are byte-identical across runs and across worker
+counts: divergence and probe means and the running design averages are
+exactly rounded (math.fsum), while fisher_info_mc and _info_bar reduce
+with numpy's pairwise sums and means over rows and points in a fixed
+order.
 """
 
 import math
@@ -79,10 +83,16 @@ class KlEstimate:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Rows of running averages plus the estimated limit values."""
+    """Rows of running averages plus the estimated limit values.
+
+    point_info maps each design point (x, T) of averaged_limits to its
+    InfoEstimate, so a later pass at the same point, seed and replicate
+    count can reuse it; the continuity probe leaves it empty.
+    """
 
     rows: tuple
     limit: dict
+    point_info: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -308,7 +318,8 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     n^-1 * sum_{k<=n} along a doubling schedule together with the estimates
     at limit_point. Point seeds are derived from the point's coordinates,
     so identical design points reuse identical streams and a constant
-    design reproduces the single-point values exactly.
+    design reproduces the single-point values exactly. The table's
+    point_info holds the information estimate of every design point.
     """
     designs = [(float(x), float(T)) for x, T in designs]
     if schedule is None:
@@ -367,7 +378,8 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
             row[f"{key}_gap"] = abs(avg - lim[key])
             row[f"{key}_gap_se"] = math.sqrt(se * se + lim[f"{key}_se"] ** 2)
         rows.append(row)
-    return ConvergenceTable(rows=tuple(rows), limit=lim)
+    point_info = {pt: info for pt, (_, info) in zip(designs, points)}
+    return ConvergenceTable(rows=tuple(rows), limit=lim, point_info=point_info)
 
 
 def _ensemble_uv(model, theta0, subjects, dt, seed, replicates, threads):
@@ -490,12 +502,19 @@ def run_consistency_experiment(config):
     )
 
 
-def _info_bar(config):
+def _info_bar(config, point_info=None):
     """Plug-in information: single-point for iid designs, design-averaged
-    (the largest-n running mean) for non-iid designs."""
+    (the largest-n running mean) for non-iid designs.
+
+    point_info maps (x, T) to an InfoEstimate already made by
+    fisher_info_mc with this config's model, theta0, dt, seed and
+    info_replicates, as averaged_limits makes them when its replicate
+    count is info_replicates; only the points it lacks are estimated.
+    """
     model, theta0, dt = config.model, config.theta0, config.dt
     pts = config.design.subjects(config.n)
-    unique = sorted(set(pts))
+    by_point = dict(point_info or {})
+    missing = sorted(set(pts) - by_point.keys())
 
     def one(pt):
         x, T = pt
@@ -504,7 +523,7 @@ def _info_bar(config):
             derive_seed(config.seed, _LANE_INFO, float_label(x), float_label(T)),
         )
 
-    by_point = dict(_det_map(one, unique, config.threads))
+    by_point.update(_det_map(one, missing, config.threads))
     mats = np.stack([by_point[pt].matrix for pt in pts])
     ses = np.stack([by_point[pt].mc_se for pt in pts])
     bar = mats.mean(axis=0)
@@ -512,18 +531,20 @@ def _info_bar(config):
     return bar, bar_se
 
 
-def run_normality_experiment(config):
+def run_normality_experiment(config, point_info=None):
     """Standardized estimation errors vs the standard normal law.
 
     z_r = sqrt(n) * L (theta_hat_r - theta0) with L the symmetric square
     root of the plug-in information; reports per-coordinate KS p-values,
-    Wald coverage, and a shifted-center negative control.
+    Wald coverage, and a shifted-center negative control. point_info, as
+    in _info_bar, supplies information estimates that need not be made
+    again.
     """
     _check_interior(config.theta0, config.space)
     if config.replicates == 0:
         raise EmptyExperiment("replicates = 0")
     n = config.n
-    info_bar, info_bar_se = _info_bar(config)
+    info_bar, info_bar_se = _info_bar(config, point_info)
     try:
         L = sqrt_2x2_spd(info_bar)
     except ValueError as err:
@@ -568,20 +589,20 @@ def run_normality_experiment(config):
         })
     if not rows:
         raise ExperimentFailed("every replicate failed")
-    # scipy.stats costs most of the package's import time and memory, and
-    # only this experiment uses it
-    from scipy import stats as sp_stats
+    # scipy.special, which the KS p-value needs, doubles the package's
+    # import time, and only this experiment uses it
+    from .ks import ks_norm_pvalue
 
     diffs = np.array(diffs)
     z_mat = math.sqrt(n) * (diffs @ L)
-    ks_mu = float(sp_stats.kstest(z_mat[:, 0], "norm").pvalue)
-    ks_w2 = float(sp_stats.kstest(z_mat[:, 1], "norm").pvalue)
+    ks_mu = ks_norm_pvalue(z_mat[:, 0])
+    ks_w2 = ks_norm_pvalue(z_mat[:, 1])
 
     # negative control: recenter mu by five standard errors of the mean
     # estimate; the standardized sample must now fail the normality test
     offset = 5.0 * math.sqrt(inv[0, 0] / n)
     z_off = math.sqrt(n) * ((diffs - np.array([offset, 0.0])) @ L)
-    ks_off = float(sp_stats.kstest(z_off[:, 0], "norm").pvalue)
+    ks_off = ks_norm_pvalue(z_off[:, 0])
 
     errs = np.hypot(diffs[:, 0], diffs[:, 1])
     cov_mu = covered["mu"] / with_se if with_se else float("nan")

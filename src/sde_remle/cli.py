@@ -227,12 +227,16 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
             os.path.join(out_dir, io_mod.LIMITS_FILE),
             os.path.join(out_dir, io_mod.LIMIT_FILE),
         )
+        # averaged_limits estimated the information at these design points
+        # with the normality pass's seeds; at its replicate count too, they
+        # are the estimates the pass would make
+        reuse = cfg["info_replicates"] == cfg["replicates"]
         report = run_normality_experiment(NormalityConfig(
             model=model, theta0=theta0, space=_space(cfg), design=family,
             n=cfg["n"], replicates=cfg["replicates"],
             info_replicates=cfg["info_replicates"],
             dt=cfg["dt"], seed=seed, threads=threads,
-        ))
+        ), table.point_info if reuse else None)
         rep_file, _ = _write_report(report, out_dir)
         final = table.rows[-1]
         print(

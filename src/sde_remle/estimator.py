@@ -85,11 +85,23 @@ def _clamp(x, lo, hi):
     return np.where(hi < x, hi, x)
 
 
-def _check_rows(u, v):
-    """fit_mle's input checks on every row; the lowest failing row raises."""
+def _check_rows(u, v, space):
+    """fit_mle's input checks on every row; the lowest failing row raises.
+
+    The last check asks that the products the objective forms, 2*mu*U,
+    mu^2*V, omega2*V and omega2*U^2, stay finite at the rectangle's
+    extremes; rounding is monotone, so then they are finite everywhere
+    on it.
+    """
     if u.shape[1] == 0:
         raise EmptyEnsemble("cannot fit zero subjects")
     zero_v = v == 0.0
+    mu_max = max(abs(space.mu_lo), abs(space.mu_hi))
+    u_max = np.abs(u).max(axis=1)
+    v_max = v.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.stack([2.0 * mu_max * u_max, mu_max * mu_max * v_max,
+                             space.omega2_hi * v_max, space.omega2_hi * (u_max * u_max)])
     failing = (
         (~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)),
          InvalidStats("U and V must be finite")),
@@ -97,6 +109,9 @@ def _check_rows(u, v):
         (zero_v.all(axis=1), AllDegenerate("every subject has V = 0")),
         ((zero_v & (u != 0.0)).any(axis=1), NonFiniteObjective(
             "subject with V = 0 but U != 0 makes the objective infinite"
+        )),
+        (~np.isfinite(products).all(axis=0), NonFiniteObjective(
+            "the objective is not finite on the rectangle: U or V too large"
         )),
     )
     rows = np.stack([mask for mask, _ in failing], axis=1)
@@ -117,8 +132,10 @@ def fit_mle(all_stats, space, opts=None):
 
     Raises InvalidStats when any U or V is not finite or any V < 0,
     AllDegenerate when every V_i = 0 and NonFiniteObjective when any
-    subject carries the V = 0, U != 0 sentinel or the objective at the
-    fit is not finite (U^2 overflows, say).
+    subject carries the V = 0, U != 0 sentinel, U or V is so large that
+    a product the objective forms (2*mu*U, mu^2*V, omega2*V, omega2*U^2)
+    overflows somewhere on the rectangle, the exact row sum overflows, or
+    the objective at the fit is not finite.
     """
     u, v = uv_arrays(all_stats)
     return fit_rows(np.asarray(u, dtype=float)[None, :],
@@ -133,25 +150,30 @@ def fit_rows(u, v, space, opts=None):
     per-row masks stop each row where the scalar fit would stop it: the
     golden section when its own bracket is narrow enough, Newton when its
     own score is small or its step is refused. The lowest row that fails
-    fit_mle's input checks raises its error; past those checks, the lowest
-    row whose objective at its fit is not finite raises NonFiniteObjective.
+    fit_mle's input checks raises its error; past those checks, a row sum
+    that overflows, or a row whose objective at its fit is not finite,
+    raises NonFiniteObjective.
     """
     opts = opts or FitOptions()
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[0] == 0:
         return []
-    _check_rows(u, v)
+    _check_rows(u, v, space)
     block = max(1, _BLOCK_TERMS // u.shape[1])
-    fits = [
-        fit
-        for start in range(0, u.shape[0], block)
-        for fit in _fit_block(
-            np.ascontiguousarray(u[start:start + block]),
-            np.ascontiguousarray(v[start:start + block]),
-            space, opts,
-        )
-    ]
+    try:
+        fits = [
+            fit
+            for start in range(0, u.shape[0], block)
+            for fit in _fit_block(
+                np.ascontiguousarray(u[start:start + block]),
+                np.ascontiguousarray(v[start:start + block]),
+                space, opts,
+            )
+        ]
+    except OverflowError as err:
+        # math.fsum's "intermediate overflow": finite terms, infinite total
+        raise NonFiniteObjective("the objective's row sum overflows: U or V too large") from err
     if not all(math.isfinite(fit.loglik) for fit in fits):
         raise NonFiniteObjective("the objective is not finite at the fit: U or V too large")
     return fits

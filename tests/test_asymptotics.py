@@ -19,7 +19,7 @@ from sde_remle import (
     run_normality_experiment,
     sqrt_2x2_spd,
 )
-from sde_remle.asymptotics import _fit_rows
+from sde_remle.asymptotics import _fit_rows, _info_bar
 from sde_remle.errors import (
     AllDegenerate,
     EmptyExperiment,
@@ -136,6 +136,32 @@ def test_averaged_limits_constant_design_exact():
         assert row["i11"] == table.limit["i11"]
         assert row["kl_gap"] == 0.0
         assert row["i00_gap"] == 0.0
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_info_bar_reuses_design_point_estimates_bit_for_bit():
+    """averaged_limits' point_info at the same seed and replicate count
+    stands in for _info_bar's own estimates without changing a bit; a
+    partial map is completed by estimating the points it lacks."""
+    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
+    theta0 = Theta(mu=1.0, omega2=0.5)
+    table = averaged_limits(
+        UNIT, family.subjects(4), theta0, Theta(mu=1.5, omega2=0.5), 0.05,
+        replicates=150, limit_point=family.limit_point(), limit_replicates=150,
+        seed=17, schedule=(1, 2, 4),
+    )
+    assert sorted(table.point_info) == sorted(family.subjects(4))
+    for n in (4, 6):
+        config = _normality_config(design=family, n=n, info_replicates=150, dt=0.05, seed=17)
+        fresh = _info_bar(config)
+        partial = dict(list(table.point_info.items())[:2])
+        for known in (table.point_info, partial):
+            reused = _info_bar(config, known)
+            assert _bits(reused[0]) == _bits(fresh[0])
+            assert _bits(reused[1]) == _bits(fresh[1])
 
 
 def test_averaged_limits_harmonic_converges():
@@ -375,6 +401,9 @@ def test_fit_rows_drop_non_finite_replicates():
     (((1, "sentinel"), (3, "negative")), NonFiniteObjective),
     (((0, "nan"), (2, "negative"), (3, "all_zero")), InvalidStats),
     (((2, "overflow"),), NonFiniteObjective),
+    (((1, "huge_v"), (3, "negative")), NonFiniteObjective),
+    (((1, "negative"), (2, "fsum_overflow")), InvalidStats),
+    (((0, "fsum_overflow"), (2, "nan")), NonFiniteObjective),
 ])
 def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
     rng = np.random.default_rng(12)
@@ -389,6 +418,10 @@ def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
             v[r, 4] = -1.0
         elif kind == "overflow":
             u[r, 1] = 1e200
+        elif kind == "huge_v":
+            v[r, 3] = 1e308
+        elif kind == "fsum_overflow":
+            u[r, :4], v[r, :4] = [1e308, 1e308, -1e308, -1e308], 1.0
         else:
             u[r, 0] = np.nan
     with pytest.raises(error):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -94,6 +95,25 @@ def test_fit_with_an_overflowing_objective_is_runtime_error(tmp_path, capsys):
     rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")])
     assert rc == 2
     assert "objective is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "fit.csv").exists()
+
+
+@pytest.mark.parametrize("rows", [
+    # U = (1e308, 1e308, -1e308, -1e308) used to leak OverflowError from fsum
+    ["0,0,0.0,0.0", "0,1,1.0,1e308", "1,0,0.0,0.0", "1,1,1.0,1e308",
+     "2,0,0.0,0.0", "2,1,1.0,-1e308", "3,0,0.0,0.0", "3,1,1.0,-1e308"],
+    # V = T = 1e308 used to give a finite, meaningless fit
+    ["0,0,0.0,0.0", "0,1,1e308,1.0", "1,0,0.0,0.0", "1,1,1.0,2.0"],
+])
+def test_fit_with_overflowing_products_is_runtime_error(tmp_path, capsys, rows):
+    # on the unit model U = x(T) - x0 and V = T
+    data = tmp_path / "paths.csv"
+    data.write_text("subject,k,t,x\n" + "\n".join(rows) + "\n")
+    cfg = _cfg(tmp_path, f"model = unit\n{SPACE_CFG}data = {data}\n", name="fit.cfg")
+    rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "objective is not finite" in err
     assert not (tmp_path / "fit" / "fit.csv").exists()
 
 
@@ -273,7 +293,7 @@ def test_normality_with_singular_information_is_runtime_error(tmp_path, capsys, 
     from sde_remle import asymptotics
 
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    monkeypatch.setattr(asymptotics, "_info_bar", lambda config: (singular, singular))
+    monkeypatch.setattr(asymptotics, "_info_bar", lambda config, point_info=None: (singular, singular))
     cfg = _cfg(tmp_path, NORM_CFG)
     rc = main(["experiment", "normality", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
@@ -286,6 +306,67 @@ def test_normality_experiment_runs(tmp_path, capsys):
     assert rc == 0
     assert len((tmp_path / "replicates.csv").read_text().splitlines()) == 1 + 12
     capsys.readouterr()
+
+
+NONIID_CFG = """\
+model = unit
+mu0 = 1.0
+omega2_0 = 0.5
+""" + SPACE_CFG + """\
+design = harmonic
+x_inf = 0.0
+x_amp = 1.0
+T_inf = 1.0
+T_amp = 1.0
+n = 4
+n_schedule = 1,2,4
+mu_alt = 1.5
+omega2_alt = 0.25
+replicates = 100
+limit_replicates = 100
+dt = 0.1
+seed = 3
+"""
+
+
+@pytest.mark.parametrize("info_replicates,estimates", [
+    # averaged_limits estimates the 4 design points and the limit point;
+    # the normality pass reuses the 4 when its replicate count is the same
+    (100, 5),
+    # and estimates them again when it is not
+    (101, 9),
+])
+def test_noniid_estimates_each_information_point_once(
+        tmp_path, capsys, monkeypatch, info_replicates, estimates):
+    from sde_remle import DesignFamily, NormalityConfig, asymptotics, run_normality_experiment
+    from sde_remle.cli import _write_report
+
+    calls = []
+    real = asymptotics.fisher_info_mc
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "fisher_info_mc", counting)
+    cfg = _cfg(tmp_path, NONIID_CFG + f"info_replicates = {info_replicates}\n")
+    rc = main(["experiment", "noniid", "--config", cfg, "--out", str(tmp_path / "cli")])
+    assert rc == 0
+    assert len(calls) == estimates
+    capsys.readouterr()
+
+    # reused or not, the outputs are those of a normality pass that
+    # estimates every point itself
+    report = run_normality_experiment(NormalityConfig(
+        model=builtin_model("unit"), theta0=Theta(1.0, 0.5),
+        space=ParamSpace(-3.0, 3.0, 0.0, 4.0),
+        design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
+        n=4, replicates=100, info_replicates=info_replicates, dt=0.1, seed=3,
+    ))
+    (tmp_path / "direct").mkdir()
+    for path in _write_report(report, str(tmp_path / "direct")):
+        name = os.path.basename(path)
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
 
 def test_console_script_runs():

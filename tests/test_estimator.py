@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,34 @@ def test_profile_mu_shift_equivariance(c, omega2):
     base = profile_mu(omega2, _stats(pairs))
     shifted = profile_mu(omega2, _stats([(u + c * v, v) for u, v in pairs]))
     assert shifted == pytest.approx(base + c, rel=1e-10, abs=1e-10)
+
+
+# the likelihood at (mu, omega2) after U -> U + c*V is the one before at
+# (mu - c, omega2), so the fit moves by (c, 0) up to its stopping rules: a
+# score within 1e-8, or a golden bracket 1e-6 of the omega2 range wide
+_SHIFT_TOL = 1e-5
+_WIDE = ParamSpace(mu_lo=-50.0, mu_hi=50.0, omega2_lo=0.0, omega2_hi=4.0)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    mu=st.floats(min_value=-3.0, max_value=3.0),
+    omega2=st.floats(min_value=0.0, max_value=5.0),
+    c=st.floats(min_value=-10.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_fit_shift_equivariance(n, mu, omega2, c, seed):
+    # one c for every subject; mu_hat stays off the mu edges in both fits
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.05, 5.0, size=n)
+    u = rng.normal(mu * v, np.sqrt(v * (1.0 + omega2 * v)))
+    base = fit_mle((u, v), _WIDE)
+    shifted = fit_mle((u + c * v, v), _WIDE)
+    for fit in (base, shifted):
+        assert not {"mu_lo", "mu_hi"} & set(fit.boundary)
+    assert abs(shifted.theta_hat.mu - base.theta_hat.mu - c) <= _SHIFT_TOL
+    assert abs(shifted.theta_hat.omega2 - base.theta_hat.omega2) <= _SHIFT_TOL
 
 
 def _gaussian_oracle(u, T):
@@ -206,6 +235,41 @@ def test_overflowing_u_is_a_typed_error_not_a_nan_fit():
     with pytest.raises(NonFiniteObjective):
         fit_rows(u, v, SPACE)
     assert all(math.isfinite(f.loglik) for f in fit_rows(u[:33], v[:33], SPACE))
+
+
+@pytest.mark.parametrize("u,v", [
+    # 2*mu*U overflows at the rectangle's edge; the row sum would overflow
+    ([1e308, 1e308, -1e308, -1e308], [1.0, 1.0, 1.0, 1.0]),
+    # mu^2*V and omega2*V overflow; the fit used to come back finite
+    ([1.0, 2.0], [1e308, 1.0]),
+])
+def test_products_overflowing_on_the_rectangle_are_refused_up_front(u, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteObjective, match="not finite on the rectangle"):
+            fit_mle((np.array(u), np.array(v)), SPACE)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_row_sum_overflow_is_a_typed_error():
+    # every product is finite, but at omega2 = 4 each term is about 7e307,
+    # so three of them overflow math.fsum
+    with pytest.raises(NonFiniteObjective, match="row sum overflows"):
+        fit_mle((np.full(3, 6e153), np.full(3, 1e-300)), SPACE)
+
+
+def test_fit_rows_report_the_lowest_overflowing_row():
+    rng = np.random.default_rng(21)
+    v = rng.uniform(0.5, 2.0, size=(5, 4))
+    u = rng.normal(v, np.sqrt(v))
+    v[1, 2] = 1e308
+    v[3, 0] = -1.0
+    with pytest.raises(NonFiniteObjective):
+        fit_rows(u, v, SPACE)
+    # a lower row with V < 0 decides the error instead
+    v[0, 1] = -1.0
+    with pytest.raises(InvalidStats):
+        fit_rows(u, v, SPACE)
 
 
 def test_fit_bit_reproducible():
