@@ -72,7 +72,11 @@ def _profile_mu_rows(u, v, omega2, space):
     den, num = _row_totals((v / d, u / d)).T
     if not den.all():
         raise AllDegenerate("every subject has V = 0")
-    mu = num / den
+    # a tiny den can overflow mu to inf; fit_rows clamps it into the
+    # rectangle and raises NonFiniteObjective if the objective then
+    # overflows, so the division need not warn
+    with np.errstate(over="ignore"):
+        mu = num / den
     if space is not None:
         mu = _clamp(mu, space.mu_lo, space.mu_hi)
     return mu

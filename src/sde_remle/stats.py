@@ -103,5 +103,21 @@ def decompose(path, model, stats):
 
 
 def stats_list(paths, model):
-    """Sufficient statistics for every path of an ensemble."""
-    return [compute_suff_stats(p, model) for p in paths]
+    """Sufficient statistics for every path of an ensemble, in order.
+
+    The paths that share one time grid go through suff_stats_rows as one
+    (rows, M+1) block; each row's sums equal those of the path alone, bit
+    for bit.
+    """
+    paths = list(paths)
+    grids = {}
+    for i, p in enumerate(paths):
+        times = np.asarray(p.times, dtype=float)
+        grids.setdefault(times.tobytes(), (times, []))[1].append(i)
+    u, v = np.empty(len(paths)), np.empty(len(paths))
+    for times, rows in grids.values():
+        u[rows], v[rows] = suff_stats_rows(times, [paths[i].values for i in rows], model)
+    return [
+        SuffStats(u=a, v=b, subject_index=p.subject_index)
+        for a, b, p in zip(u.tolist(), v.tolist(), paths)
+    ]

@@ -157,6 +157,21 @@ def test_bad_ingest_reports_subject_and_line(tmp_path, capsys):
     assert "subject 0" in err and "line 4" in err
 
 
+@pytest.mark.parametrize("data, reason", [
+    ("missing.csv", "No such file or directory"),
+    (".", "Is a directory"),
+    ("latin1.csv", "line 2: byte 0xe9 is not UTF-8"),
+])
+def test_unreadable_data_is_a_one_line_validation_error(tmp_path, capsys, data, reason):
+    (tmp_path / "latin1.csv").write_bytes(b"subject,k,t,x\n0,0,0.0,caf\xe9\n")
+    cfg = _cfg(tmp_path, f"model = unit\n{SPACE_CFG}data = {tmp_path / data}\n")
+    rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert err.count("\n") == 1
+
+
 def test_threads_must_be_positive(capsys):
     rc = main(["simulate", "--config", "whatever.cfg", "--threads", "0"])
     assert rc == 1

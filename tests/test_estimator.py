@@ -250,6 +250,15 @@ def test_products_overflowing_on_the_rectangle_are_refused_up_front(u, v):
             fit_mle((np.array(u), np.array(v)), SPACE)
 
 
+def test_row_sum_overflow_raises_without_warnings():
+    # mu = num/den overflows in the profile (den is about 3e-300); the
+    # typed error must come without a RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteObjective, match="row sum overflows"):
+            fit_mle((np.full(3, 6e153), np.full(3, 1e-300)), SPACE)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_row_sum_overflow_is_a_typed_error():
     # every product is finite, but at omega2 = 4 each term is about 7e307,

@@ -1,7 +1,14 @@
+import tracemalloc
+from unittest import mock
+
+import io_reference as reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sde_remle import Design, SuffStats, Theta, builtin_model, simulate_ensemble
+from sde_remle import io as sde_io
 from sde_remle.errors import IngestError
 from sde_remle.io import (
     _boundary_cell,
@@ -10,6 +17,7 @@ from sde_remle.io import (
     write_paths_csv,
     write_stats_csv,
 )
+from sde_remle.simulate import Path
 
 UNIT = builtin_model("unit")
 
@@ -156,3 +164,174 @@ def test_error_messages_carry_line_prefix(tmp_path):
     with pytest.raises(IngestError) as exc:
         read_paths_csv(f)
     assert str(exc.value).startswith("line 2: ")
+
+
+# --- the streaming codec against the per-line reference (io_reference) ---
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]),
+)
+
+
+@st.composite
+def _paths(draw):
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(2, 9))
+        rest = st.lists(_FLOATS, min_size=n - 1, max_size=n - 1)
+        times = [draw(st.sampled_from([0.0, -0.0]))] + draw(rest)
+        values = [draw(_FLOATS.filter(lambda x: x == x))] + draw(rest)
+        sid = draw(st.integers(0, 2**63 - 1))
+        out.append(Path(
+            times=np.array(times), values=np.array(values), x0=values[0], phi=None, seed=None,
+            subject_index=np.int64(sid) if draw(st.booleans()) else sid,
+        ))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_paths())
+def test_paths_writer_bytes_equal_the_per_cell_reference(tmp_path_factory, paths):
+    out = tmp_path_factory.mktemp("w")
+    write_paths_csv(paths, out / "new.csv")
+    reference.write_paths_csv(paths, out / "ref.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def _outcome(read, path):
+    try:
+        paths = read(path)
+    except IngestError as err:
+        return ("error", err.line, str(err))
+    return ("paths", [
+        (p.subject_index, type(p.subject_index), p.times.dtype, p.times.tobytes(),
+         p.values.dtype, p.values.tobytes(), p.x0, p.phi, p.seed)
+        for p in paths
+    ])
+
+
+def _assert_reads_like_reference(path, block_bytes):
+    with mock.patch.object(sde_io, "_BLOCK_BYTES", block_bytes):
+        got = _outcome(read_paths_csv, path)
+    assert got == _outcome(reference.read_paths_csv, path)
+    return got
+
+
+# one edit per check kind of the reader; each makes its line bad
+_FAULTS = {
+    "fields+": lambda r: r + [r[3]],
+    "fields-": lambda r: r[:3],
+    "subject": lambda r: ["s" + r[0]] + r[1:],
+    "subject<0": lambda r: ["-1"] + r[1:],
+    "k": lambda r: [r[0], r[1] + ".0"] + r[2:],
+    "k-seq": lambda r: [r[0], str(int(r[1]) + 1)] + r[2:],
+    "t": lambda r: r[:2] + ["1e"] + r[3:],
+    "t-finite": lambda r: r[:2] + ["nan"] + r[3:],
+    "t-order": lambda r: r[:2] + ["-0.5"] + r[3:],
+    "x": lambda r: r[:3] + ["x"],
+    "x-finite": lambda r: r[:3] + ["-inf"],
+}
+
+
+@st.composite
+def _path_files(draw):
+    """A paths.csv text: interleaved subjects, optional faults, blank
+    lines and any of the three line endings."""
+    queues = []
+    ids = st.one_of(st.integers(0, 40), st.sampled_from([2**63, 2**70]))  # past int64 too
+    for sid in draw(st.lists(ids, min_size=1, max_size=4, unique=True)):
+        n = draw(st.integers(1, 8))
+        steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+        t = np.cumsum([0.0] + steps).tolist()
+        x = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        queues.append([[str(sid), str(k), repr(t[k]), repr(x[k])] for k in range(n)])
+    rows = []
+    while queues:  # a random merge keeps each subject's rows in order
+        q = queues[draw(st.integers(0, len(queues) - 1))]
+        rows.append(q.pop(0))
+        queues = [q for q in queues if q]
+    for kind in draw(st.lists(st.sampled_from(sorted(_FAULTS)), max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = _FAULTS[kind](rows[i])
+    lines = ["subject,k,t,x"] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_path_files(), st.sampled_from([1, 7, 24, 64, 1 << 16]))
+def test_paths_reader_matches_the_per_line_reference(tmp_path_factory, text, block_bytes):
+    f = tmp_path_factory.mktemp("r") / "in.csv"
+    f.write_bytes(text.encode())
+    _assert_reads_like_reference(f, block_bytes)
+
+
+@pytest.mark.parametrize("kind", sorted(_FAULTS))
+def test_each_fault_on_either_side_of_a_block_boundary(tmp_path, kind):
+    rows = [[str(s), str(k), repr(0.25 * k), repr(1.0 + s + k)]
+            for k in range(6) for s in range(2)]
+    for bad in range(len(rows)):
+        for second in (None, bad + 3):
+            edited = [_FAULTS[kind](r) if i in (bad, second) else r for i, r in enumerate(rows)]
+            text = "subject,k,t,x\n" + "".join(",".join(r) + "\n" for r in edited)
+            f = tmp_path / "in.csv"
+            f.write_text(text)
+            # the block ends fall before, inside and after the bad line
+            for block_bytes in (1, 17, 30, 64, 100):
+                got = _assert_reads_like_reference(f, block_bytes)
+                assert got[0] == "error"
+
+
+def test_a_line_far_longer_than_a_block_reads_in_linear_time(tmp_path):
+    # with fixed 16-byte reads, re-copying the growing partial line would
+    # move about 30 GB for this one 1 MB line
+    f = tmp_path / "in.csv"
+    f.write_text("subject,k,t,x\n0,0,0.0," + "1" * 1_000_000 + "\n0,1,1.0,2.0\n")
+    got = _assert_reads_like_reference(f, 16)
+    assert got == ("error", 2, "line 2: x is not finite")
+
+
+def test_read_reports_a_byte_that_is_not_utf8_with_its_line(tmp_path):
+    f = tmp_path / "in.csv"
+    f.write_bytes(b"subject,k,t,x\r\n0,0,0.0,1.0\r\n\r\n0,1,0.5,\xff1.0\r\n")
+    for block_bytes in (1, 16, 1 << 16):
+        with mock.patch.object(sde_io, "_BLOCK_BYTES", block_bytes):
+            with pytest.raises(IngestError) as exc:
+                read_paths_csv(f)
+        assert exc.value.line == 4
+        assert str(exc.value) == "line 4: byte 0xff is not UTF-8"
+    # a bad line before it is still the one reported
+    f.write_bytes(b"subject,k,t,x\n0,0,0.5,1.0\n0,1,\xe9,1.0\n")
+    with pytest.raises(IngestError) as exc:
+        read_paths_csv(f)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("make", [lambda d: d / "missing.csv", lambda d: d])
+def test_read_of_a_missing_file_or_a_directory_is_an_ingest_error(tmp_path, make):
+    with pytest.raises(IngestError, match="cannot read"):
+        read_paths_csv(make(tmp_path))
+
+
+def test_codec_peak_memory_on_a_600_by_201_file(tmp_path):
+    design = Design(subjects=((1.0, 2.0),) * 600, dt=0.01, seed=3)
+    paths = simulate_ensemble(UNIT, Theta(mu=0.8, omega2=0.4), design)
+    out = tmp_path / "paths.csv"
+    # the per-cell writer peaked at about 37 MB and the per-line reader at
+    # about 10 MB; the file is 3.9 MB and its arrays 1.9 MB
+    tracemalloc.start()
+    try:
+        write_paths_csv(paths, out)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_paths_csv(out)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 600 and out.stat().st_size > 3.5e6
+    assert write_peak < 2e6
+    assert read_peak < 6e6

@@ -89,6 +89,19 @@ def test_stats_ignore_provenance_fields():
     assert sa.subject_index == 0 and sb.subject_index == 9
 
 
+@pytest.mark.parametrize("model", [UNIT, LINEAR, BOUNDED], ids=lambda m: m.name)
+def test_stats_list_stacks_shared_grids_bit_for_bit(model):
+    # three grids, interleaved: each (x0, T) group is one suff_stats_rows
+    # block, and every row must equal its path's statistics alone
+    subjects = tuple((0.1 * i, (1.0, 2.0, 0.7)[i % 3]) for i in range(60))
+    design = Design(subjects=subjects, dt=0.01, seed=8)
+    paths = simulate_ensemble(model, Theta(mu=0.8, omega2=0.4), design)
+    together = stats_list(paths, model)
+    alone = [compute_suff_stats(p, model) for p in paths]
+    assert [(s.u.hex(), s.v.hex(), s.subject_index) for s in together] == \
+        [(s.u.hex(), s.v.hex(), s.subject_index) for s in alone]
+
+
 def test_stats_list_preserves_order():
     design = Design(subjects=((0.0, 1.0), (1.0, 2.0), (2.0, 0.5)), dt=0.05, seed=3)
     paths = simulate_ensemble(UNIT, Theta(mu=0.0, omega2=1.0), design)
