@@ -12,7 +12,6 @@ from .asymptotics import (
     ConsistencyConfig,
     ContinuityConfig,
     ConvergenceTable,
-    DesignFamily,
     ExperimentReport,
     InfoEstimate,
     KlEstimate,
@@ -36,7 +35,6 @@ from .errors import (
     IngestError,
     InvalidStats,
     MissingKey,
-    MissingPhi,
     NonFiniteObjective,
     NotFound,
     ParseError,
@@ -44,19 +42,12 @@ from .errors import (
     SimulationDiverged,
     UnknownKey,
 )
-from .estimator import FitOptions, MleFit, audit_fit, fit_mle, profile_mu
+from .estimator import MleFit, fit_mle, profile_mu
 from .io import read_paths_csv, write_fit_csv, write_paths_csv, write_stats_csv
-from .likelihood import (
-    ScoreHess,
-    log_density_ratio,
-    log_lambda,
-    score_hess,
-    total_hess,
-    total_loglik,
-    total_score,
-)
+from .likelihood import total_hess, total_loglik, total_score
 from .models import (
     Design,
+    DesignFamily,
     ModelSpec,
     ParamSpace,
     RandomEffect,
@@ -72,7 +63,7 @@ from .simulate import (
     simulate_ensemble,
     time_grid,
 )
-from .stats import SuffStats, SuffStatsDecomposition, compute_suff_stats, decompose, stats_list
+from .stats import SuffStats, compute_suff_stats, stats_list
 
 __version__ = "0.1.0"
 
@@ -89,13 +80,11 @@ __all__ = [
     "EmptyExperiment",
     "ExperimentFailed",
     "ExperimentReport",
-    "FitOptions",
     "InfoEstimate",
     "IngestError",
     "InvalidStats",
     "KlEstimate",
     "MissingKey",
-    "MissingPhi",
     "MleFit",
     "ModelSpec",
     "NonFiniteObjective",
@@ -107,18 +96,14 @@ __all__ = [
     "PHI_STREAM_ID",
     "RandomEffect",
     "RngStream",
-    "ScoreHess",
     "SdeRemleError",
     "SimulationDiverged",
     "SuffStats",
-    "SuffStatsDecomposition",
     "Theta",
     "UnknownKey",
-    "audit_fit",
     "averaged_limits",
     "builtin_model",
     "compute_suff_stats",
-    "decompose",
     "derive_seed",
     "draw_random_effects",
     "emit_config",
@@ -126,8 +111,6 @@ __all__ = [
     "fisher_info_mc",
     "fit_mle",
     "kl_mc",
-    "log_density_ratio",
-    "log_lambda",
     "parse_config",
     "profile_mu",
     "read_paths_csv",
@@ -136,7 +119,6 @@ __all__ = [
     "run_consistency_experiment",
     "run_moment_continuity_probe",
     "run_normality_experiment",
-    "score_hess",
     "simulate_ensemble",
     "sqrt_2x2_spd",
     "stats_list",

@@ -15,14 +15,13 @@ order.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Optional
 
 import numpy as np
 
 from .errors import EmptyExperiment, ExperimentFailed
 from .estimator import fit_rows
 from .likelihood import hess_terms, ratio_terms, score_terms
-from .models import ParamSpace, Theta
+from .models import Design, DesignFamily, ParamSpace, Theta
 from .rng import derive_seed, float_label
 from .simulate import ROW_CHUNK, effect_rows, replicate_uv
 
@@ -119,43 +118,6 @@ class ExperimentReport:
 
 
 @dataclass(frozen=True)
-class DesignFamily:
-    """Subject layout: iid (every subject at (x0, T)) or harmonic
-    (subject i at (x_inf + x_amp/i, T_inf + T_amp/i), i starting at 1)."""
-
-    kind: str
-    x0: float = 0.0
-    T: float = 1.0
-    x_inf: float = 0.0
-    x_amp: float = 0.0
-    T_inf: float = 1.0
-    T_amp: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("iid", "harmonic"):
-            raise ValueError("design kind must be 'iid' or 'harmonic'")
-        if self.kind == "iid" and not self.T > 0:
-            raise ValueError("iid design needs T > 0")
-        if self.kind == "harmonic" and not (
-            self.T_inf > 0 and self.T_inf + self.T_amp > 0
-        ):
-            raise ValueError("harmonic design needs positive horizons")
-
-    def subjects(self, n):
-        if self.kind == "iid":
-            return tuple((self.x0, self.T) for _ in range(n))
-        return tuple(
-            (self.x_inf + self.x_amp / i, self.T_inf + self.T_amp / i)
-            for i in range(1, n + 1)
-        )
-
-    def limit_point(self):
-        if self.kind == "iid":
-            return (self.x0, self.T)
-        return (self.x_inf, self.T_inf)
-
-
-@dataclass(frozen=True)
 class ConsistencyConfig:
     model: object
     theta0: Theta
@@ -188,10 +150,7 @@ class ContinuityConfig:
     theta0: Theta
     psi: float
     xi: float
-    x_limit: float
-    T_limit: float
-    x_amp: float
-    T_amp: float
+    design: DesignFamily
     m_schedule: tuple
     replicates: int
     limit_replicates: int
@@ -205,11 +164,18 @@ def _point_uv(model, theta0, x0, T, dt, R, seed):
 
     Row r draws its path from stream (seed, 0, r) and the drift effects
     come from one reserved-stream draw, so the result is a pure function
-    of the arguments.
+    of the arguments. The point is validated as a Design first; fewer
+    than 3 finite rows raise ExperimentFailed.
     """
+    Design(((x0, T),), dt, seed)
     phis = effect_rows(theta0, seed, [0], R)[0]
     u, v = replicate_uv(model, phis, x0, T, dt, seed, 0, np.arange(R))
     ok = np.isfinite(u) & np.isfinite(v)
+    if ok.sum() < 3:
+        raise ExperimentFailed(
+            f"only {int(ok.sum())} of {R} Monte Carlo rows are finite at "
+            f"design point (x, T) = ({x0!r}, {T!r}); at least 3 are needed"
+        )
     return u[ok], v[ok], int(R - ok.sum())
 
 
@@ -322,6 +288,7 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     point_info holds the information estimate of every design point.
     """
     designs = [(float(x), float(T)) for x, T in designs]
+    Design(tuple(designs) + (tuple(limit_point),), dt, seed)
     if schedule is None:
         schedule = _doubling_schedule(len(designs))
 
@@ -382,8 +349,8 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     return ConvergenceTable(rows=tuple(rows), limit=lim, point_info=point_info)
 
 
-def _ensemble_uv(model, theta0, subjects, dt, seed, replicates, threads):
-    """(U, V) matrices of shape (replicates, n) for a whole design.
+def _ensemble_uv(model, theta0, design, replicates, threads):
+    """(U, V) matrices of shape (replicates, n) for a whole Design.
 
     Subject i's replicate r uses path stream (seed, i, r); its drift
     effect is entry i of the reserved-stream draw for replicate r. This
@@ -395,12 +362,12 @@ def _ensemble_uv(model, theta0, subjects, dt, seed, replicates, threads):
     failing row raises for the first failing chunk of the lowest failing
     block, at the chunk's first failing step.
     """
-    n = len(subjects)
+    n, dt, seed = design.n, design.dt, design.seed
     phis = effect_rows(theta0, seed, np.arange(replicates), n)
     u = np.empty((replicates, n))
     v = np.empty((replicates, n))
     groups = {}
-    for i, point in enumerate(subjects):
+    for i, point in enumerate(design.subjects):
         groups.setdefault(point, []).append(i)
 
     def one_group(group):
@@ -453,14 +420,15 @@ def run_consistency_experiment(config):
     _check_interior(config.theta0, config.space)
     if config.replicates == 0:
         raise EmptyExperiment("replicates = 0")
+    designs = [Design(config.design.subjects(n), config.dt, config.seed)
+               for n in config.n_schedule]
     theta0_vec = np.array([config.theta0.mu, config.theta0.omega2])
     rows = []
     summaries = []
     failures = []
-    for n in config.n_schedule:
+    for n, design in zip(config.n_schedule, designs):
         u, v = _ensemble_uv(
-            config.model, config.theta0, config.design.subjects(n),
-            config.dt, config.seed, config.replicates, config.threads,
+            config.model, config.theta0, design, config.replicates, config.threads,
         )
         fits, ok = _fit_rows(u, v, config.space)
         errs = []
@@ -544,6 +512,7 @@ def run_normality_experiment(config, point_info=None):
     if config.replicates == 0:
         raise EmptyExperiment("replicates = 0")
     n = config.n
+    design = Design(config.design.subjects(n), config.dt, config.seed)
     info_bar, info_bar_se = _info_bar(config, point_info)
     try:
         L = sqrt_2x2_spd(info_bar)
@@ -554,8 +523,7 @@ def run_normality_experiment(config, point_info=None):
     inv = np.linalg.inv(info_bar)
 
     u, v = _ensemble_uv(
-        config.model, config.theta0, config.design.subjects(n),
-        config.dt, config.seed, config.replicates, config.threads,
+        config.model, config.theta0, design, config.replicates, config.threads,
     )
     fits, ok = _fit_rows(u, v, config.space)
     theta0_vec = np.array([config.theta0.mu, config.theta0.omega2])
@@ -637,14 +605,18 @@ def run_normality_experiment(config, point_info=None):
 def run_moment_continuity_probe(config):
     """MC means of h(U, V)^k along a design sequence vs its limit point.
 
-    h(u, v) = exp(psi * u / (1 + xi * v)); est_m for k in {1, 2} at
-    (x_limit + x_amp/m, T_limit + T_amp/m) is compared with the estimate
-    at (x_limit, T_limit).
+    h(u, v) = exp(psi * u / (1 + xi * v)); est_m for k in {1, 2} at the
+    design family's point m is compared with the estimate at its limit
+    point. Every point is validated as one Design before any is estimated.
     """
     if config.replicates == 0:
         raise EmptyExperiment("replicates = 0")
     if not config.xi > 0:
         raise ValueError("xi must be > 0")
+    family = config.design
+    points = {m: family.point(m) for m in config.m_schedule}
+    limit_point = family.limit_point()
+    Design(tuple(points.values()) + (limit_point,), config.dt, config.seed)
 
     def h_moments(x, T, R, seed):
         u, v, failures = _point_uv(
@@ -661,13 +633,12 @@ def run_moment_continuity_probe(config):
         return out, failures
 
     lim_moments, _ = h_moments(
-        config.x_limit, config.T_limit, config.limit_replicates,
+        *limit_point, config.limit_replicates,
         derive_seed(config.seed, _LANE_PROBE, 0),
     )
 
     def one_m(m):
-        x = config.x_limit + config.x_amp / m
-        T = config.T_limit + config.T_amp / m
+        x, T = points[m]
         moments, failures = h_moments(
             x, T, config.replicates, derive_seed(config.seed, _LANE_PROBE, m)
         )

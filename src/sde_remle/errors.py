@@ -46,10 +46,6 @@ class DegenerateDiffusion(SdeRemleError):
         super().__init__(message)
 
 
-class MissingPhi(SdeRemleError):
-    """Operation needs the realized random effect but the path does not carry one."""
-
-
 class EmptyEnsemble(SdeRemleError):
     """An ensemble reduction was asked for zero subjects."""
 

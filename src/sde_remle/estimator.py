@@ -24,16 +24,13 @@ _SCAN_POINTS = 33
 # terms per row block of fit_rows: each (rows, n) temporary stays at
 # 128 KB, inside the cache, whatever the batch size
 _BLOCK_TERMS = 1 << 14
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Tuning knobs for fit_mle; defaults satisfy the accuracy contracts."""
-
-    bracket_rtol: float = 1e-6
-    newton_steps: int = 20
-    score_tol: float = 1e-8
-    backtrack_halvings: int = 10
+# golden-section bracket width relative to the omega2 range, Newton
+# iteration cap, score tolerance and backtracking halvings per step; these
+# meet the accuracy contracts
+_BRACKET_RTOL = 1e-6
+_NEWTON_STEPS = 20
+_SCORE_TOL = 1e-8
+_BACKTRACK_HALVINGS = 10
 
 
 @dataclass(frozen=True)
@@ -124,12 +121,12 @@ def _check_rows(u, v, space):
         raise failing[int(np.argmax(rows[r]))][1]
 
 
-def fit_mle(all_stats, space, opts=None):
+def fit_mle(all_stats, space):
     """Maximize the ensemble log-likelihood over the closed rectangle.
 
     Stages: 33-point scan of the profiled objective (guards against a
     multimodal profile), golden-section bracketing to a width of
-    bracket_rtol times the omega2 range, then at most newton_steps
+    _BRACKET_RTOL times the omega2 range, then at most _NEWTON_STEPS
     projected Newton iterations on (mu, omega2), each accepted only if the
     objective does not decrease. A flat final bracket (spread below 1e-12)
     resolves to its smallest omega2.
@@ -143,13 +140,13 @@ def fit_mle(all_stats, space, opts=None):
     """
     u, v = uv_arrays(all_stats)
     return fit_rows(np.asarray(u, dtype=float)[None, :],
-                    np.asarray(v, dtype=float)[None, :], space, opts)[0]
+                    np.asarray(v, dtype=float)[None, :], space)[0]
 
 
-def fit_rows(u, v, space, opts=None):
+def fit_rows(u, v, space):
     """fit_mle on every row of (R, n) arrays u, v, in lockstep.
 
-    Returns R MleFits; fit r equals fit_mle((u[r], v[r]), space, opts) in
+    Returns R MleFits; fit r equals fit_mle((u[r], v[r]), space) in
     every field, bit for bit. Every stage runs on all rows at once, and
     per-row masks stop each row where the scalar fit would stop it: the
     golden section when its own bracket is narrow enough, Newton when its
@@ -158,7 +155,6 @@ def fit_rows(u, v, space, opts=None):
     that overflows, or a row whose objective at its fit is not finite,
     raises NonFiniteObjective.
     """
-    opts = opts or FitOptions()
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[0] == 0:
@@ -172,7 +168,7 @@ def fit_rows(u, v, space, opts=None):
             for fit in _fit_block(
                 np.ascontiguousarray(u[start:start + block]),
                 np.ascontiguousarray(v[start:start + block]),
-                space, opts,
+                space,
             )
         ]
     except OverflowError as err:
@@ -183,7 +179,7 @@ def fit_rows(u, v, space, opts=None):
     return fits
 
 
-def _fit_block(u, v, space, opts):
+def _fit_block(u, v, space):
     rows = u.shape[0]
     lo, hi = space.omega2_lo, space.omega2_hi
 
@@ -199,7 +195,7 @@ def _fit_block(u, v, space, opts):
     a = grid[np.maximum(j - 1, 0)]
     b = grid[np.minimum(j + 1, _SCAN_POINTS - 1)]
 
-    tol = opts.bracket_rtol * (hi - lo)
+    tol = _BRACKET_RTOL * (hi - lo)
     a, b, golden_iters = _golden_rows(g, a, b, tol)
 
     # candidate set keeps the exact rectangle endpoints so boundary optima
@@ -224,7 +220,7 @@ def _fit_block(u, v, space, opts):
     # Newton only accepts steps that do not lower the objective, so its
     # end point is never worse than the bracket's best
     mu_hat, w2_hat, val, newton_iters = _newton_rows(
-        u, v, space, opts, mu_best, w2_best, best_val
+        u, v, space, mu_best, w2_best, best_val
     )
     scores = total_score_uv(u, v, mu_hat, w2_hat)
     hessians = total_hess_uv(u, v, mu_hat, w2_hat)
@@ -265,10 +261,10 @@ def _golden_rows(g, a, b, tol):
     return a, b, evals
 
 
-def _newton_rows(u, v, space, opts, mu, w2, val):
+def _newton_rows(u, v, space, mu, w2, val):
     """Projected Newton from (mu, w2) on every row, with backtracking.
 
-    A row stops when its score is within score_tol, its Newton system is
+    A row stops when its score is within _SCORE_TOL, its Newton system is
     singular or not finite, or no halving of its step is accepted; a trial
     is accepted only if it moves and does not lower the objective.
     Returns (mu, w2, objective, iterations) per row.
@@ -276,11 +272,11 @@ def _newton_rows(u, v, space, opts, mu, w2, val):
     mu, w2, val = mu.copy(), w2.copy(), val.copy()
     iters = np.zeros(len(mu), dtype=np.int64)
     live = np.arange(len(mu))
-    for _ in range(opts.newton_steps):
+    for _ in range(_NEWTON_STEPS):
         if live.size == 0:
             break
         s = total_score_uv(u[live], v[live], mu[live], w2[live])
-        going = ~(np.abs(s).max(axis=1) <= opts.score_tol)
+        going = ~(np.abs(s).max(axis=1) <= _SCORE_TOL)
         live, s = live[going], s[going]
         if live.size == 0:
             break
@@ -289,7 +285,7 @@ def _newton_rows(u, v, space, opts, mu, w2, val):
         step_mu, step_w2, pending = _solve_rows(total_hess_uv(ul, vl, cur_mu, cur_w2), s)
         solved = pending.copy()
         alpha = 1.0
-        for _ in range(opts.backtrack_halvings):
+        for _ in range(_BACKTRACK_HALVINGS):
             if not pending.any():
                 break
             t_mu = _clamp(cur_mu + alpha * step_mu, space.mu_lo, space.mu_hi)
@@ -350,22 +346,3 @@ def _mle_fit(space, mu, w2, loglik, score, hess, iterations):
         wald_se=wald_se,
         iterations=iterations,
     )
-
-
-def audit_fit(fit, all_stats, space, grid_points=50):
-    """True iff the fitted objective beats every point of an audit grid.
-
-    Cheap guard used by tests and diagnostics: evaluates the objective on a
-    grid_points x grid_points lattice over the rectangle and checks
-    loglik(theta_hat) >= loglik(theta) everywhere (up to one part in 1e12
-    of slack for ties).
-    """
-    u, v = uv_arrays(all_stats)
-    slack = 1e-12 * max(1.0, abs(fit.loglik))
-    mus = np.linspace(space.mu_lo, space.mu_hi, grid_points)
-    shape = (grid_points, len(u))
-    u, v = np.broadcast_to(u, shape), np.broadcast_to(v, shape)
-    for w2 in np.linspace(space.omega2_lo, space.omega2_hi, grid_points):
-        if np.any(total_loglik_uv(u, v, mus, w2) > fit.loglik + slack):
-            return False
-    return True

@@ -1,4 +1,5 @@
-"""Exact per-subject likelihood, score, Hessian, and log density ratio.
+"""Exact per-subject likelihood, score, Hessian, and log density ratio,
+vectorized over (U, V) arrays, and their exactly rounded ensemble totals.
 
 Integrating the Girsanov factor exp(phi*U - phi^2*V/2) against the
 N(mu, omega2) law of phi gives the closed-form per-subject likelihood
@@ -18,33 +19,20 @@ With d = 1 + w2*V, the building blocks
 give score = (gamma, (gamma^2 - I)/2) and the Hessian
 [[-I, -gamma*I], [-gamma*I, -(2*gamma^2*I - I^2)/2]].
 
-Degenerate hand-built inputs with V = 0 but U != 0 (impossible for stats
-computed from an actual grid) make the theta-free factor infinite; for
-those log_lambda reports +inf as a sentinel, which the optimizer refuses
-to consume. Ratios and derivatives are unaffected because the factor
-cancels there.
+The per-subject terms are loglik_terms, score_terms, hess_terms and
+ratio_terms; total_*_uv sum them per row of (R, n) arrays and total_*
+over one ensemble. Degenerate hand-built inputs with V = 0 but U != 0
+(impossible for stats computed from an actual grid) make the theta-free
+factor infinite; for those loglik_terms reports +inf as a sentinel,
+which the optimizer refuses to consume. Ratios and derivatives are
+unaffected because the factor cancels there.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyEnsemble
-
-
-@dataclass(frozen=True)
-class ScoreHess:
-    """Score vector and Hessian of one subject's log-likelihood.
-
-    gamma and cap_i are the building blocks above; score is the length-2
-    gradient in (mu, omega2) and hess the symmetric 2x2 second derivative.
-    """
-
-    gamma: float
-    cap_i: float
-    score: np.ndarray
-    hess: np.ndarray
 
 
 def uv_arrays(all_stats):
@@ -95,16 +83,6 @@ def loglik_terms(u, v, mu, omega2):
     return terms
 
 
-def log_lambda(stats, theta):
-    """Log of the exact mixed likelihood of one subject.
-
-    Special values: omega2 = 0 collapses to mu*U - mu^2*V/2, and mu = U/V
-    leaves -log(1 + w2*V)/2 + U^2/(2V); see the module docstring for the
-    V = 0, U != 0 sentinel.
-    """
-    return float(loglik_terms(stats.u, stats.v, theta.mu, theta.omega2)[()])
-
-
 def gamma_cap(u, v, mu, omega2):
     """The pair (gamma, I) vectorized over (u, v)."""
     u = np.asarray(u, dtype=float)
@@ -125,22 +103,11 @@ def hess_terms(u, v, mu, omega2):
     return -cap, -g * cap, -0.5 * (2.0 * g * g * cap - cap * cap)
 
 
-def score_hess(stats, theta):
-    """Analytic score and Hessian of log_lambda at (stats, theta)."""
-    g, cap = gamma_cap(stats.u, stats.v, theta.mu, theta.omega2)
-    g = float(g[()])
-    cap = float(cap[()])
-    score = np.array([g, 0.5 * (g * g - cap)])
-    h_mw = -g * cap
-    hess = np.array([[-cap, h_mw], [h_mw, -0.5 * (2.0 * g * g * cap - cap * cap)]])
-    return ScoreHess(gamma=g, cap_i=cap, score=score, hess=hess)
-
-
 def ratio_terms(u, v, theta0, theta):
     """Per-subject log density ratio log f(x|theta0) - log f(x|theta).
 
     Implemented directly from the six-term expansion (not as a difference
-    of two log_lambda calls), so the theta-free factor cancels by
+    of two loglik_terms calls), so the theta-free factor cancels by
     construction and the result is finite even at v = 0.
     """
     u = np.asarray(u, dtype=float)
@@ -157,11 +124,6 @@ def ratio_terms(u, v, theta0, theta):
         + ((mu * mu) * v / (2.0 * d) - (mu0 * mu0) * v / (2.0 * d0))
         + (mu0 * u / d0 - mu * u / d)
     )
-
-
-def log_density_ratio(stats, theta0, theta):
-    """Exact log density ratio for one subject; zero when theta == theta0."""
-    return float(ratio_terms(stats.u, stats.v, theta0, theta)[()])
 
 
 # cap on error-free extraction passes; a row whose terms span more binary
@@ -268,7 +230,7 @@ def _one_row(all_stats):
 
 
 def total_loglik(all_stats, theta):
-    """Sum of log_lambda over an ensemble.
+    """Sum of loglik_terms over an ensemble.
 
     The reduction is exactly rounded, so any ordering or partitioning of
     the same subjects produces the identical double.

@@ -7,11 +7,12 @@ The observation model for subject i is
 with phi_i drawn iid N(mu, omega2). A ModelSpec names the (b, sigma) pair
 together with the growth metadata the theory relies on; Theta and ParamSpace
 describe the random-effect law and the compact rectangle it is estimated
-over; Design lists the subjects of one ensemble.
+over; DesignFamily lays subjects out and Design, the one place the step
+rule dt <= min(T) / 10 is checked, lists the subjects of one ensemble.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -92,9 +93,42 @@ class ParamSpace:
         return min(max(omega2, self.omega2_lo), self.omega2_hi)
 
 
-def validate_theta(theta, space):
-    """True iff theta lies in the closed rectangle."""
-    return space.contains(theta)
+@dataclass(frozen=True)
+class DesignFamily:
+    """Subject layout: iid (every subject at (x0, T)) or harmonic
+    (subject i at (x_inf + x_amp/i, T_inf + T_amp/i), i starting at 1)."""
+
+    kind: str
+    x0: float = 0.0
+    T: float = 1.0
+    x_inf: float = 0.0
+    x_amp: float = 0.0
+    T_inf: float = 1.0
+    T_amp: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("iid", "harmonic"):
+            raise ValueError("design kind must be 'iid' or 'harmonic'")
+        if self.kind == "iid" and not self.T > 0:
+            raise ValueError("iid design needs T > 0")
+        if self.kind == "harmonic" and not (
+            self.T_inf > 0 and self.T_inf + self.T_amp > 0
+        ):
+            raise ValueError("harmonic design needs positive horizons")
+
+    def point(self, i):
+        """Design point (x0, T) of subject i, counting from 1."""
+        if self.kind == "iid":
+            return (self.x0, self.T)
+        return (self.x_inf + self.x_amp / i, self.T_inf + self.T_amp / i)
+
+    def subjects(self, n):
+        return tuple(self.point(i) for i in range(1, n + 1))
+
+    def limit_point(self):
+        if self.kind == "iid":
+            return (self.x0, self.T)
+        return (self.x_inf, self.T_inf)
 
 
 @dataclass(frozen=True)
@@ -102,36 +136,26 @@ class Design:
     """Subjects of one ensemble plus the shared Euler step and master seed.
 
     subjects is a tuple of (x0, T). The step must resolve every horizon:
-    dt <= min(T) / 10.
+    dt <= min(T) / 10. Every entry point that simulates validates its
+    design points here before it draws a normal.
     """
 
     subjects: tuple
     dt: float
     seed: int
-    x_range: Optional[tuple] = None
-    t_range: Optional[tuple] = None
 
     def __post_init__(self):
         subjects = tuple((float(x0), float(t)) for x0, t in self.subjects)
         object.__setattr__(self, "subjects", subjects)
         if not subjects:
             raise ValueError("design needs at least one subject")
-        ts = [t for _, t in subjects]
-        xs = [x for x, _ in subjects]
-        if min(ts) <= 0:
+        min_t = min(t for _, t in subjects)
+        if min_t <= 0:
             raise ValueError("every T must be > 0")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.dt > min(ts) / 10:
+        if self.dt > min_t / 10:
             raise ValueError("dt must be <= min(T) / 10")
-        x_range = self.x_range if self.x_range is not None else (min(xs), max(xs))
-        t_range = self.t_range if self.t_range is not None else (min(ts), max(ts))
-        object.__setattr__(self, "x_range", (float(x_range[0]), float(x_range[1])))
-        object.__setattr__(self, "t_range", (float(t_range[0]), float(t_range[1])))
-        if not all(x_range[0] <= x <= x_range[1] for x in xs):
-            raise ValueError("x0 outside the declared compact range")
-        if not all(t_range[0] <= t <= t_range[1] for t in ts):
-            raise ValueError("T outside the declared compact range")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 

@@ -8,14 +8,15 @@ through the pair
 
 computed here on the stored grid. Left-endpoint evaluation keeps the
 unit-model identities U = X(T) - x0 and V = T exact, and makes the drift
-decomposition below an identity rather than an approximation.
+decomposition U = phi * V + (martingale part) an identity rather than an
+approximation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDiffusion, MissingPhi
+from .errors import DegenerateDiffusion
 
 # hard floor on sigma^2; integrability of b^2/sigma^2 is an assumption of
 # the whole theory, so underflow is an error, never a clamp
@@ -35,19 +36,6 @@ class SuffStats:
             raise ValueError("v must be finite and >= 0")
         if not np.isfinite(self.u):
             raise ValueError("u must be finite")
-
-
-@dataclass(frozen=True)
-class SuffStatsDecomposition:
-    """Split of U into its drift and martingale parts: u = phi*u1 + u2.
-
-    u1 equals V by construction and u2 is recovered residually as
-    u - phi*u1, so the identity holds exactly at any step size.
-    """
-
-    u1: float
-    u2: float
-    phi: float
 
 
 def floor_error(model):
@@ -87,19 +75,6 @@ def compute_suff_stats(path, model):
     """
     u, v = suff_stats_rows(path.times, path.values, model)
     return SuffStats(u=float(u[0]), v=float(v[0]), subject_index=path.subject_index)
-
-
-def decompose(path, model, stats):
-    """Split stats.u as phi*u1 + u2 for a simulation-produced path.
-
-    u1 is the same left-endpoint sum as V; u2 is defined residually so the
-    identity is exact. Raises MissingPhi for ingested paths.
-    """
-    if path.phi is None:
-        raise MissingPhi("decomposition needs the realized phi of a simulated path")
-    u1 = stats.v
-    u2 = stats.u - path.phi * u1
-    return SuffStatsDecomposition(u1=u1, u2=u2, phi=path.phi)
 
 
 def stats_list(paths, model):

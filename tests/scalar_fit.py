@@ -11,6 +11,12 @@ import math
 import numpy as np
 
 from sde_remle import MleFit, Theta
+from sde_remle.estimator import (
+    _BACKTRACK_HALVINGS,
+    _BRACKET_RTOL,
+    _NEWTON_STEPS,
+    _SCORE_TOL,
+)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_TOL = 1e-12
@@ -86,7 +92,7 @@ def _solve_2x2(h, s):
     return step
 
 
-def scalar_fit(u, v, space, opts):
+def scalar_fit(u, v, space):
     """fit_mle on one valid (u, v) pair of 1-D arrays, the scalar way."""
     lo, hi = space.omega2_lo, space.omega2_hi
 
@@ -97,7 +103,7 @@ def scalar_fit(u, v, space, opts):
     j = int(np.argmax([g(w2) for w2 in grid]))
     a = grid[max(j - 1, 0)]
     b = grid[min(j + 1, _SCAN_POINTS - 1)]
-    a, b, golden_iters = _golden_max(g, a, b, opts.bracket_rtol * (hi - lo))
+    a, b, golden_iters = _golden_max(g, a, b, _BRACKET_RTOL * (hi - lo))
 
     candidates = sorted({a, b, lo, hi})
     cand_vals = [g(w2) for w2 in candidates]
@@ -109,16 +115,16 @@ def scalar_fit(u, v, space, opts):
     current_val = _loglik(u, v, current[0], current[1])
 
     newton_iters = 0
-    for _ in range(opts.newton_steps):
+    for _ in range(_NEWTON_STEPS):
         s = _score(u, v, current[0], current[1])
-        if np.max(np.abs(s)) <= opts.score_tol:
+        if np.max(np.abs(s)) <= _SCORE_TOL:
             break
         step = _solve_2x2(_hess(u, v, current[0], current[1]), s)
         if step is None:
             break
         moved = False
         alpha = 1.0
-        for _ in range(opts.backtrack_halvings):
+        for _ in range(_BACKTRACK_HALVINGS):
             trial = current + alpha * step
             trial = np.array([space.clamp_mu(trial[0]), space.clamp_omega2(trial[1])])
             trial_val = _loglik(u, v, trial[0], trial[1])

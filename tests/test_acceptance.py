@@ -317,7 +317,7 @@ def test_09_probe_moments_are_continuous_in_the_design_point():
     t0 = time.perf_counter()
     table = run_moment_continuity_probe(ContinuityConfig(
         model=UNIT, theta0=Theta(0.5, 0.5), psi=1.0, xi=1.0,
-        x_limit=0.0, T_limit=1.0, x_amp=1.0, T_amp=1.0,
+        design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
         m_schedule=(1, 2, 4, 8, 16), replicates=12_000,
         limit_replicates=48_000, dt=1.0 / 100.0, seed=5, threads=1,
     ))

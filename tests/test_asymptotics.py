@@ -23,6 +23,7 @@ from sde_remle.asymptotics import _fit_rows, _info_bar
 from sde_remle.errors import (
     AllDegenerate,
     EmptyExperiment,
+    ExperimentFailed,
     InvalidStats,
     NonFiniteObjective,
 )
@@ -50,7 +51,7 @@ def _unit_kl(theta0, theta, T):
 
 def test_fisher_matches_unit_closed_form():
     for T, omega2, seed in ((1.0, 1.0, 3), (1.0, 0.0, 4)):
-        est = fisher_info_mc(UNIT, Theta(mu=1.0, omega2=omega2), 0.0, T, 0.25, 20_000, seed)
+        est = fisher_info_mc(UNIT, Theta(mu=1.0, omega2=omega2), 0.0, T, 0.1, 20_000, seed)
         want = _unit_info(T, omega2)
         assert np.all(np.abs(est.matrix - want) <= 4.0 * est.mc_se)
         assert est.replicates == 20_000 and est.failures == 0
@@ -94,7 +95,7 @@ def test_kl_nonnegative_over_random_pairs():
     for i in range(60):
         theta0 = Theta(mu=float(rng.uniform(-2, 2)), omega2=float(rng.uniform(0, 3)))
         theta = Theta(mu=float(rng.uniform(-2, 2)), omega2=float(rng.uniform(0, 3)))
-        est = kl_mc(UNIT, theta0, theta, 0.0, 1.0, 0.25, 150, 100 + i)
+        est = kl_mc(UNIT, theta0, theta, 0.0, 1.0, 0.1, 150, 100 + i)
         assert est.value >= -3.0 * est.mc_se
 
 
@@ -127,7 +128,7 @@ def test_averaged_limits_constant_design_exact():
     sums of identical values by powers of two."""
     theta0, theta = Theta(mu=1.0, omega2=0.5), Theta(mu=0.0, omega2=1.0)
     table = averaged_limits(
-        UNIT, [(0.0, 1.0)] * 4, theta0, theta, 0.25,
+        UNIT, [(0.0, 1.0)] * 4, theta0, theta, 0.1,
         replicates=200, limit_point=(0.0, 1.0), limit_replicates=200, seed=30,
     )
     for row in table.rows:
@@ -172,7 +173,7 @@ def test_averaged_limits_harmonic_converges():
     n = 64
     designs = [(1.0 / i, 1.0 + 1.0 / i) for i in range(1, n + 1)]
     table = averaged_limits(
-        UNIT, designs, theta0, theta, 0.25,
+        UNIT, designs, theta0, theta, 0.1,
         replicates=150, limit_point=(0.0, 1.0), limit_replicates=4800, seed=61,
     )
     rows = table.rows
@@ -265,7 +266,7 @@ def _normality_config(**overrides):
         n=200,
         replicates=300,
         info_replicates=2000,
-        dt=0.25,
+        dt=0.1,
         seed=52,
     )
     base.update(overrides)
@@ -297,14 +298,11 @@ def test_probe_constant_sequence_is_noise_only():
         theta0=Theta(mu=0.5, omega2=0.5),
         psi=1.0,
         xi=1.0,
-        x_limit=0.0,
-        T_limit=1.0,
-        x_amp=0.0,
-        T_amp=0.0,
+        design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=0.0, T_inf=1.0, T_amp=0.0),
         m_schedule=(1, 2, 4),
         replicates=4000,
         limit_replicates=4000,
-        dt=0.25,
+        dt=0.1,
         seed=9,
     )
     table = run_moment_continuity_probe(config)
@@ -321,14 +319,11 @@ def test_probe_converges_to_lognormal_oracle():
         theta0=theta0,
         psi=1.0,
         xi=1.0,
-        x_limit=0.0,
-        T_limit=1.0,
-        x_amp=1.0,
-        T_amp=1.0,
+        design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
         m_schedule=(1, 2, 4, 8),
         replicates=4000,
         limit_replicates=16_000,
-        dt=0.25,
+        dt=0.1,
         seed=28,
     )
     table = run_moment_continuity_probe(config)
@@ -354,14 +349,11 @@ def test_probe_requires_positive_xi():
         theta0=Theta(mu=0.5, omega2=0.5),
         psi=1.0,
         xi=0.0,
-        x_limit=0.0,
-        T_limit=1.0,
-        x_amp=0.0,
-        T_amp=0.0,
+        design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=0.0, T_inf=1.0, T_amp=0.0),
         m_schedule=(1,),
         replicates=200,
         limit_replicates=200,
-        dt=0.25,
+        dt=0.1,
         seed=9,
     )
     with pytest.raises(ValueError):
@@ -426,3 +418,52 @@ def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
             u[r, 0] = np.nan
     with pytest.raises(error):
         _fit_rows(u, v, SPACE)
+
+
+def _coarse_step_calls():
+    theta = Theta(mu=1.0, omega2=0.5)
+    # each breaks dt <= min(T) / 10 at one horizon only: a later n level,
+    # the limit point, or a probe point estimated after the limit
+    late = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=0.5, T_amp=1.0)
+    first = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=-0.5)
+    return {
+        "fisher_info_mc": lambda: fisher_info_mc(UNIT, theta, 0.0, 1.0, 0.2, 100, 0),
+        "kl_mc": lambda: kl_mc(UNIT, theta, theta, 0.0, 1.0, 0.2, 100, 0),
+        "averaged_limits": lambda: averaged_limits(
+            UNIT, [(0.0, 1.0)] * 2, theta, theta, 0.1, replicates=100,
+            limit_point=(0.0, 0.5), limit_replicates=100, seed=0,
+        ),
+        "run_consistency_experiment": lambda: run_consistency_experiment(ConsistencyConfig(
+            model=UNIT, theta0=theta, space=SPACE, design=late, n_schedule=(1, 64),
+            replicates=10, dt=0.06, seed=0,
+        )),
+        "run_normality_experiment": lambda: run_normality_experiment(
+            _normality_config(dt=0.2)
+        ),
+        "run_moment_continuity_probe": lambda: run_moment_continuity_probe(ContinuityConfig(
+            model=UNIT, theta0=theta, psi=1.0, xi=1.0, design=first, m_schedule=(1, 2),
+            replicates=100, limit_replicates=100, dt=0.06, seed=0,
+        )),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_coarse_step_calls()))
+def test_entry_points_reject_a_coarse_step_before_drawing(monkeypatch, name):
+    from sde_remle import simulate
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a normal was drawn before the step rule was checked")
+
+    monkeypatch.setattr(simulate, "path_normals", no_draws)
+    with pytest.raises(ValueError, match=r"^dt must be <= min\(T\) / 10$"):
+        _coarse_step_calls()[name]()
+
+
+@pytest.mark.parametrize("call", [
+    lambda theta: fisher_info_mc(LINEAR, theta, 1.0, 1.0, 0.1, 100, 0),
+    lambda theta: kl_mc(LINEAR, theta, Theta(mu=0.0, omega2=0.5), 1.0, 1.0, 0.1, 100, 0),
+], ids=["fisher_info_mc", "kl_mc"])
+def test_point_estimates_without_finite_rows_raise_a_typed_error(call):
+    # growth 1 + phi*dt = 1e49 per step overflows float64 well before T
+    with pytest.raises(ExperimentFailed, match=r"design point \(x, T\) = \(1\.0, 1\.0\)"):
+        call(Theta(mu=1.0e50, omega2=0.5))

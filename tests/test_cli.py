@@ -344,6 +344,18 @@ seed = 3
 """
 
 
+def test_noniid_without_finite_monte_carlo_rows_is_runtime_error(tmp_path, capsys):
+    # growth 1 + phi*dt = 1e49 per step: every information and divergence
+    # row overflows, so the point estimate has nothing to average
+    cfg = _cfg(tmp_path, NONIID_CFG.replace("model = unit", "model = linear-drift")
+               .replace("mu0 = 1.0", "mu0 = 1.0e50") + "info_replicates = 100\n")
+    rc = main(["experiment", "noniid", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "(x, T) = (1.0, 2.0)" in err
+
+
 @pytest.mark.parametrize("info_replicates,estimates", [
     # averaged_limits estimates the 4 design points and the limit point;
     # the normality pass reuses the 4 when its replicate count is the same

@@ -7,17 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sde_remle import (
-    FitOptions,
     ParamSpace,
     SuffStats,
     Theta,
-    audit_fit,
     fit_mle,
     profile_mu,
     total_loglik,
 )
 from sde_remle.errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
 from sde_remle.estimator import fit_rows
+from oracles import audit_fit
 from scalar_fit import scalar_fit
 from sde_remle.likelihood import loglik_terms
 
@@ -284,9 +283,8 @@ def test_fit_rows_report_the_lowest_overflowing_row():
 def test_fit_bit_reproducible():
     rng = np.random.default_rng(77)
     stats = _random_stats(rng, 40)
-    opts = FitOptions(bracket_rtol=1e-7)
-    a = fit_mle(stats, SPACE, opts)
-    b = fit_mle(stats, SPACE, opts)
+    a = fit_mle(stats, SPACE)
+    b = fit_mle(stats, SPACE)
     assert a.theta_hat == b.theta_hat
     assert a.loglik == b.loglik
     assert a.score_norm == b.score_norm
@@ -372,7 +370,7 @@ def test_fit_rows_equal_fit_mle_and_the_scalar_loop(seed, kinds, n, space):
     assert len(batch) == len(kinds)
     for r, fit in enumerate(batch):
         assert _fields(fit) == _fields(fit_mle((u[r].copy(), v[r].copy()), space))
-        assert _fields(fit) == _fields(scalar_fit(u[r], v[r], space, FitOptions()))
+        assert _fields(fit) == _fields(scalar_fit(u[r], v[r], space))
 
 
 @given(

@@ -221,12 +221,14 @@ def _assert_reads_like_reference(path, block_bytes):
 
 # one edit per check kind of the reader; each makes its line bad
 _FAULTS = {
-    "fields+": lambda r: r + [r[3]],
+    # "fields+" appends a fixed cell and "k-seq" reads k through float, so
+    # any two faults compose on one row ("fields-" drops x, "k" makes k "2.0")
+    "fields+": lambda r: r + ["0"],
     "fields-": lambda r: r[:3],
     "subject": lambda r: ["s" + r[0]] + r[1:],
     "subject<0": lambda r: ["-1"] + r[1:],
     "k": lambda r: [r[0], r[1] + ".0"] + r[2:],
-    "k-seq": lambda r: [r[0], str(int(r[1]) + 1)] + r[2:],
+    "k-seq": lambda r: [r[0], str(int(float(r[1])) + 1)] + r[2:],
     "t": lambda r: r[:2] + ["1e"] + r[3:],
     "t-finite": lambda r: r[:2] + ["nan"] + r[3:],
     "t-order": lambda r: r[:2] + ["-0.5"] + r[3:],

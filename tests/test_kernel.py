@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sde_remle import DesignFamily, Theta, builtin_model, time_grid
+from sde_remle import Design, DesignFamily, Theta, builtin_model, time_grid
 from sde_remle.asymptotics import _ensemble_uv, _point_uv
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec, register_model
@@ -117,7 +117,7 @@ def test_stacked_iid_block_names_the_subject_that_fails_first(threads):
     expected = steps.index(first)
     assert expected > 0 and steps[0] > first
     with pytest.raises(DegenerateDiffusion) as exc:
-        _ensemble_uv(CLIFF, theta0, ((4.6, 1.0),) * n, dt, seed, R, threads)
+        _ensemble_uv(CLIFF, theta0, Design(((4.6, 1.0),) * n, dt, seed), R, threads)
     assert (exc.value.subject_index, exc.value.step) == (expected, first)
 
 
@@ -162,8 +162,8 @@ def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     assert point < 64
     # 800 iid subjects stacked into one block must not build their
     # 96,000-row ids and effects up front
-    design = DesignFamily("iid", x0=0.0, T=1.0).subjects(800)
+    design = Design(DesignFamily("iid", x0=0.0, T=1.0).subjects(800), 0.1, 7)
     ensemble = _peak_mb(lambda: _ensemble_uv(
-        builtin_model("linear-drift"), THETA, design, 0.1, 7, 120, 1
+        builtin_model("linear-drift"), THETA, design, 120, 1
     ))
     assert ensemble < 6

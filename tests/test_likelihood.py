@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from sde_remle import (
     SuffStats,
     Theta,
-    log_density_ratio,
-    log_lambda,
-    score_hess,
     total_hess,
     total_loglik,
     total_score,
@@ -18,8 +15,11 @@ from sde_remle import (
 from sde_remle.errors import EmptyEnsemble
 from sde_remle.likelihood import (
     gamma_cap,
+    hess_terms,
+    loglik_terms,
     ratio_terms,
     row_fsum,
+    score_terms,
     total_hess_uv,
     total_loglik_uv,
     total_score_uv,
@@ -35,46 +35,66 @@ def _stats(u, v):
     return SuffStats(u=u, v=v, subject_index=0)
 
 
+def _loglik(u, v, theta):
+    """One subject's log-likelihood term, as a float."""
+    return float(loglik_terms(u, v, theta.mu, theta.omega2)[()])
+
+
+def _ratio(u, v, theta0, theta):
+    """One subject's log density ratio, as a float."""
+    return float(ratio_terms(u, v, theta0, theta)[()])
+
+
+def _score_hess(u, v, theta):
+    """One subject's score vector and symmetric 2x2 Hessian."""
+    score = np.array([float(t) for t in score_terms(u, v, theta.mu, theta.omega2)])
+    h_mm, h_mw, h_ww = (float(t) for t in hess_terms(u, v, theta.mu, theta.omega2))
+    return score, np.array([[h_mm, h_mw], [h_mw, h_ww]])
+
+
 def test_known_value():
-    assert log_lambda(_stats(1.0, 1.0), Theta(mu=0.0, omega2=1.0)) == 0.25 - 0.5 * math.log(2.0)
+    assert _loglik(1.0, 1.0, Theta(mu=0.0, omega2=1.0)) == 0.25 - 0.5 * math.log(2.0)
 
 
 @given(u=finite_u, v=st.floats(min_value=0.001, max_value=50.0), mu=mus)
 def test_zero_omega2_collapses(u, v, mu):
-    got = log_lambda(_stats(u, v), Theta(mu=mu, omega2=0.0))
+    got = _loglik(u, v, Theta(mu=mu, omega2=0.0))
     assert got == pytest.approx(mu * u - mu * mu * v / 2.0, rel=1e-13, abs=1e-300)
 
 
 @given(u=finite_u, v=st.floats(min_value=0.1, max_value=50.0), omega2=omega2s)
 def test_mu_at_ratio_drops_quadratic(u, v, omega2):
-    got = log_lambda(_stats(u, v), Theta(mu=u / v, omega2=omega2))
+    got = _loglik(u, v, Theta(mu=u / v, omega2=omega2))
     want = -0.5 * math.log1p(omega2 * v) + u * u / (2.0 * v)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_sentinel_at_degenerate_input():
     theta = Theta(mu=1.0, omega2=1.0)
-    assert log_lambda(_stats(2.0, 0.0), theta) == math.inf
+    assert _loglik(2.0, 0.0, theta) == math.inf
     # derivatives and ratios stay finite: the offending factor cancels
-    sh = score_hess(_stats(2.0, 0.0), theta)
-    assert np.all(np.isfinite(sh.score)) and np.all(np.isfinite(sh.hess))
-    assert math.isfinite(log_density_ratio(_stats(2.0, 0.0), theta, Theta(mu=0.0, omega2=0.5)))
+    score, hess = _score_hess(2.0, 0.0, theta)
+    assert np.all(np.isfinite(score)) and np.all(np.isfinite(hess))
+    assert math.isfinite(_ratio(2.0, 0.0, theta, Theta(mu=0.0, omega2=0.5)))
 
 
 def test_score_hess_at_profile_mu():
     u, v, omega2 = 3.0, 2.0, 0.5
-    sh = score_hess(_stats(u, v), Theta(mu=u / v, omega2=omega2))
+    theta = Theta(mu=u / v, omega2=omega2)
+    score, hess = _score_hess(u, v, theta)
     cap = v / (1.0 + omega2 * v)
-    assert sh.gamma == 0.0
-    assert sh.score[0] == 0.0 and sh.score[1] == -cap / 2.0
-    assert np.array_equal(sh.hess, np.array([[-cap, 0.0], [0.0, cap * cap / 2.0]]))
+    assert gamma_cap(u, v, theta.mu, theta.omega2)[0] == 0.0
+    assert score[0] == 0.0 and score[1] == -cap / 2.0
+    assert np.array_equal(hess, np.array([[-cap, 0.0], [0.0, cap * cap / 2.0]]))
 
 
 def test_score_hess_degenerate_subject():
-    sh = score_hess(_stats(1.5, 0.0), Theta(mu=0.7, omega2=2.0))
-    assert sh.cap_i == 0.0 and sh.gamma == 1.5
-    assert sh.score[0] == 1.5 and sh.score[1] == 1.5 * 1.5 / 2.0
-    assert np.array_equal(sh.hess, np.zeros((2, 2)))
+    theta = Theta(mu=0.7, omega2=2.0)
+    gamma, cap = gamma_cap(1.5, 0.0, theta.mu, theta.omega2)
+    assert cap == 0.0 and gamma == 1.5
+    score, hess = _score_hess(1.5, 0.0, theta)
+    assert score[0] == 1.5 and score[1] == 1.5 * 1.5 / 2.0
+    assert np.array_equal(hess, np.zeros((2, 2)))
 
 
 @given(u=finite_u, v=finite_v, mu=mus, omega2=omega2s)
@@ -87,7 +107,7 @@ def test_cap_bounds(u, v, mu, omega2):
 
 
 def test_score_and_hess_match_finite_differences():
-    """Central differences of log_lambda reproduce the analytic derivatives
+    """Central differences of loglik_terms reproduce the analytic derivatives
     over a random sweep; error is measured relative to max(1, |analytic|).
 
     The second-difference step is wider than the gradient step because the
@@ -101,16 +121,15 @@ def test_score_and_hess_match_finite_differences():
         v = float(rng.uniform(0.0, 50.0))
         mu = float(rng.uniform(-3.0, 3.0))
         omega2 = float(rng.uniform(0.01, 3.99))
-        s = _stats(u, v)
-        sh = score_hess(s, Theta(mu=mu, omega2=omega2))
+        score, hess = _score_hess(u, v, Theta(mu=mu, omega2=omega2))
 
         def ll(m, w):
-            return log_lambda(s, Theta(mu=m, omega2=w))
+            return _loglik(u, v, Theta(mu=m, omega2=w))
 
         fd_mu = (ll(mu + h, omega2) - ll(mu - h, omega2)) / (2.0 * h)
         fd_w = (ll(mu, omega2 + h) - ll(mu, omega2 - h)) / (2.0 * h)
-        assert abs(fd_mu - sh.score[0]) <= 1e-5 * max(1.0, abs(sh.score[0]))
-        assert abs(fd_w - sh.score[1]) <= 1e-5 * max(1.0, abs(sh.score[1]))
+        assert abs(fd_mu - score[0]) <= 1e-5 * max(1.0, abs(score[0]))
+        assert abs(fd_w - score[1]) <= 1e-5 * max(1.0, abs(score[1]))
 
         base = ll(mu, omega2)
         fd_mm = (ll(mu + h2, omega2) - 2.0 * base + ll(mu - h2, omega2)) / (h2 * h2)
@@ -121,40 +140,37 @@ def test_score_and_hess_match_finite_differences():
             - ll(mu - h2, omega2 + h2)
             + ll(mu - h2, omega2 - h2)
         ) / (4.0 * h2 * h2)
-        assert abs(fd_mm - sh.hess[0, 0]) <= 1e-4 * max(1.0, abs(sh.hess[0, 0]))
-        assert abs(fd_mw - sh.hess[0, 1]) <= 1e-4 * max(1.0, abs(sh.hess[0, 1]))
-        assert abs(fd_ww - sh.hess[1, 1]) <= 1e-4 * max(1.0, abs(sh.hess[1, 1]))
+        assert abs(fd_mm - hess[0, 0]) <= 1e-4 * max(1.0, abs(hess[0, 0]))
+        assert abs(fd_mw - hess[0, 1]) <= 1e-4 * max(1.0, abs(hess[0, 1]))
+        assert abs(fd_ww - hess[1, 1]) <= 1e-4 * max(1.0, abs(hess[1, 1]))
 
 
 @given(u=finite_u, v=finite_v, mu=mus, omega2=omega2s)
 def test_self_ratio_is_exactly_zero(u, v, mu, omega2):
     theta = Theta(mu=mu, omega2=omega2)
-    assert log_density_ratio(_stats(u, v), theta, theta) == 0.0
+    assert _ratio(u, v, theta, theta) == 0.0
 
 
 def test_ratio_hand_value():
-    got = log_density_ratio(_stats(1.0, 1.0), Theta(mu=0.0, omega2=1.0), Theta(mu=1.0, omega2=0.0))
+    got = _ratio(1.0, 1.0, Theta(mu=0.0, omega2=1.0), Theta(mu=1.0, omega2=0.0))
     assert got == pytest.approx(0.5 * math.log(0.5) - 0.25, abs=1e-15)
 
 
 def test_ratio_matches_loglambda_difference():
     rng = np.random.default_rng(7)
     for _ in range(500):
-        s = _stats(float(rng.uniform(-20, 20)), float(rng.uniform(0.01, 30)))
+        u, v = float(rng.uniform(-20, 20)), float(rng.uniform(0.01, 30))
         t0 = Theta(mu=float(rng.uniform(-2, 2)), omega2=float(rng.uniform(0, 3)))
         t1 = Theta(mu=float(rng.uniform(-2, 2)), omega2=float(rng.uniform(0, 3)))
-        direct = log_density_ratio(s, t0, t1)
-        via_lambdas = log_lambda(s, t0) - log_lambda(s, t1)
+        direct = _ratio(u, v, t0, t1)
+        via_lambdas = _loglik(u, v, t0) - _loglik(u, v, t1)
         assert abs(direct - via_lambdas) <= 1e-10
 
 
 def test_ratio_antisymmetric():
-    s = _stats(2.0, 3.0)
     t0 = Theta(mu=0.5, omega2=1.5)
     t1 = Theta(mu=-1.0, omega2=0.25)
-    assert log_density_ratio(s, t0, t1) == pytest.approx(
-        -log_density_ratio(s, t1, t0), abs=1e-15
-    )
+    assert _ratio(2.0, 3.0, t0, t1) == pytest.approx(-_ratio(2.0, 3.0, t1, t0), abs=1e-15)
 
 
 def test_ratio_finite_at_v_zero():
@@ -167,8 +183,8 @@ def test_ratio_finite_at_v_zero():
 def test_totals_single_and_duplicated():
     theta = Theta(mu=0.4, omega2=0.9)
     s = _stats(1.3, 2.1)
-    assert total_loglik([s], theta) == log_lambda(s, theta)
-    assert total_loglik([s, s], theta) == 2.0 * log_lambda(s, theta)
+    assert total_loglik([s], theta) == _loglik(s.u, s.v, theta)
+    assert total_loglik([s, s], theta) == 2.0 * _loglik(s.u, s.v, theta)
     assert np.array_equal(total_score([s, s], theta), 2.0 * total_score([s], theta))
     assert np.array_equal(total_hess([s, s], theta), 2.0 * total_hess([s], theta))
 
@@ -211,9 +227,7 @@ def _unit_u_samples(theta0, T, size, seed):
 def test_expected_score_vanishes_at_truth():
     theta0, T, R = Theta(mu=0.7, omega2=0.5), 2.0, 20_000
     u = _unit_u_samples(theta0, T, R, seed=91)
-    scores = np.array(
-        [score_hess(_stats(float(ui), T), theta0).score for ui in u]
-    )
+    scores = np.array([_score_hess(float(ui), T, theta0)[0] for ui in u])
     mean = scores.mean(axis=0)
     se = scores.std(axis=0, ddof=1) / math.sqrt(R)
     assert np.all(np.abs(mean) < 4.0 * se)
@@ -226,9 +240,9 @@ def test_information_identity():
     u = _unit_u_samples(theta0, T, R, seed=17)
     outers, hessians = [], []
     for ui in u:
-        sh = score_hess(_stats(float(ui), T), theta0)
-        outers.append(np.outer(sh.score, sh.score))
-        hessians.append(sh.hess)
+        score, hess = _score_hess(float(ui), T, theta0)
+        outers.append(np.outer(score, score))
+        hessians.append(hess)
     outers = np.array(outers)
     hessians = np.array(hessians)
     diff = outers.mean(axis=0) + hessians.mean(axis=0)
@@ -348,6 +362,4 @@ def test_row_totals_equal_one_row_totals():
         assert ll[r] == total_loglik(stats, theta)
         assert sc[r].tolist() == total_score(stats, theta).tolist()
         assert he[r].tolist() == total_hess(stats, theta).tolist()
-        assert ll[r] == math.fsum(
-            log_lambda(s, theta) for s in stats
-        )
+        assert ll[r] == math.fsum(_loglik(s.u, s.v, theta) for s in stats)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sde_remle import (
     Design,
+    DesignFamily,
     ModelSpec,
     NotFound,
     ParamSpace,
@@ -13,7 +14,6 @@ from sde_remle import (
     builtin_model,
     register_model,
 )
-from sde_remle.models import validate_theta
 
 
 def test_builtin_unit_constants():
@@ -84,9 +84,9 @@ def test_param_space_ordering_enforced():
 
 def test_validate_theta_boundary_and_corner():
     space = ParamSpace(mu_lo=-1.0, mu_hi=1.0, omega2_lo=0.0, omega2_hi=1.0)
-    assert validate_theta(Theta(mu=0.0, omega2=0.0), space)
-    assert not validate_theta(Theta(mu=2.0, omega2=0.5), space)
-    assert validate_theta(Theta(mu=1.0, omega2=1.0), space)
+    assert space.contains(Theta(mu=0.0, omega2=0.0))
+    assert not space.contains(Theta(mu=2.0, omega2=0.5))
+    assert space.contains(Theta(mu=1.0, omega2=1.0))
 
 
 @given(
@@ -107,8 +107,8 @@ def test_validate_theta_monotone_in_rectangle(mu, w2, lo, hi, wlo, whi, grow):
         mu_lo=lo - grow, mu_hi=hi + grow, omega2_lo=max(0.0, wlo - grow),
         omega2_hi=whi + grow,
     )
-    if validate_theta(theta, small):
-        assert validate_theta(theta, big)
+    if small.contains(theta):
+        assert big.contains(theta)
 
 
 def test_design_validates_dt_against_horizon():
@@ -126,3 +126,15 @@ def test_design_subjects_need_positive_horizon():
 def test_design_rejects_negative_seed():
     with pytest.raises(ValueError):
         Design(subjects=((0.0, 1.0),), dt=0.01, seed=-1)
+
+
+def test_design_family_lives_with_design():
+    from sde_remle import asymptotics, models
+
+    assert DesignFamily is models.DesignFamily is asymptotics.DesignFamily
+    family = DesignFamily(kind="harmonic", x_inf=0.5, x_amp=1.0, T_inf=1.0, T_amp=2.0)
+    assert [family.point(i) for i in (1, 2, 3)] == list(family.subjects(3))
+    design = Design(subjects=family.subjects(4), dt=0.1, seed=0)
+    assert design.subjects == ((1.5, 3.0), (1.0, 2.0), (0.5 + 1.0 / 3, 1.0 + 2.0 / 3), (0.75, 1.5))
+    with pytest.raises(ValueError, match=r"dt must be <= min\(T\) / 10"):
+        Design(subjects=family.subjects(4), dt=0.16, seed=0)

@@ -9,14 +9,14 @@ from sde_remle import (
     Theta,
     builtin_model,
     compute_suff_stats,
-    decompose,
     simulate_ensemble,
     stats_list,
 )
-from sde_remle.errors import DegenerateDiffusion, MissingPhi
+from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec
 from sde_remle.simulate import Path, path_normals, simulate_replicates, time_grid
 from sde_remle.stats import SIGMA2_FLOOR, suff_stats_rows
+from oracles import MissingPhi, decompose
 
 UNIT = builtin_model("unit")
 LINEAR = builtin_model("linear-drift")
