@@ -3,17 +3,16 @@
 Estimates Fisher information and Kullback-Leibler divergence at single
 design points, their averaged limits along convergent design sequences,
 and runs the consistency / normality / moment-continuity experiments.
-Replicates are independent work units and each design point's streams
-are a pure function of its arguments. Every reduction runs in a fixed
-order, so reports are byte-identical across runs and across worker
-counts: divergence and probe means and the running design averages are
-exactly rounded (math.fsum), while fisher_info_mc and _info_bar reduce
-with numpy's pairwise sums and means over rows and points in a fixed
-order.
+Each design point's streams are a pure function of its arguments, so its
+(U, V) are the same alone or stacked with other points in one pass of
+simulate.replicate_uv, as every multi-point estimate runs. Every
+reduction runs in a fixed order, so reports are byte-identical across
+runs: divergence and probe means and the running design averages are
+exactly rounded (math.fsum), while the information estimates reduce
+with numpy's pairwise sums and means over rows and points.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -23,7 +22,7 @@ from .estimator import fit_rows
 from .likelihood import hess_terms, ratio_terms, score_terms
 from .models import Design, DesignFamily, ParamSpace, Theta
 from .rng import derive_seed, float_label
-from .simulate import ROW_CHUNK, effect_rows, replicate_uv
+from .simulate import Segment, effect_rows, replicate_uv
 
 # seed lanes for nested Monte Carlo passes; keeps information / divergence /
 # probe estimation streams disjoint from the main experiment's path streams
@@ -33,13 +32,6 @@ _LANE_LIMIT = 3
 _LANE_PROBE = 4
 
 _Z975 = 1.959963984540054
-
-
-def _det_map(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _mean_exact(values):
@@ -127,7 +119,6 @@ class ConsistencyConfig:
     replicates: int
     dt: float
     seed: int
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -141,7 +132,6 @@ class NormalityConfig:
     info_replicates: int
     dt: float
     seed: int
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -156,40 +146,36 @@ class ContinuityConfig:
     limit_replicates: int
     dt: float
     seed: int
-    threads: int = 1
+
+
+def _point_segment(theta0, x0, T, R, seed):
+    """R subjects at one point: row r on stream (seed, 0, r), effects from
+    one reserved-stream draw, so the segment is a pure function of its args."""
+    return Segment(float(x0), float(T), seed, 0, np.arange(R),
+                   effect_rows(theta0, seed, [0], R)[0])
 
 
 def _point_uv(model, theta0, x0, T, dt, R, seed):
-    """(U, V) for R independent subjects at one design point.
-
-    Row r draws its path from stream (seed, 0, r) and the drift effects
-    come from one reserved-stream draw, so the result is a pure function
-    of the arguments. The point is validated as a Design first; fewer
-    than 3 finite rows raise ExperimentFailed.
-    """
+    """(U, V) of the R rows of one design point's pass, NaN where a row
+    diverged; the point is validated as a Design first."""
     Design(((x0, T),), dt, seed)
-    phis = effect_rows(theta0, seed, [0], R)[0]
-    u, v = replicate_uv(model, phis, x0, T, dt, seed, 0, np.arange(R))
+    return replicate_uv(model, dt, [_point_segment(theta0, x0, T, R, seed)])[0]
+
+
+def _finite_rows(point, u, v):
+    """Finite rows of a point's pass and the count dropped; < 3 raise ExperimentFailed."""
     ok = np.isfinite(u) & np.isfinite(v)
     if ok.sum() < 3:
         raise ExperimentFailed(
-            f"only {int(ok.sum())} of {R} Monte Carlo rows are finite at "
-            f"design point (x, T) = ({x0!r}, {T!r}); at least 3 are needed"
+            f"only {int(ok.sum())} of {len(u)} Monte Carlo rows are finite at "
+            f"design point (x, T) = ({point[0]!r}, {point[1]!r}); at least 3 are needed"
         )
-    return u[ok], v[ok], int(R - ok.sum())
+    return u[ok], v[ok], int(len(u) - ok.sum())
 
 
-def fisher_info_mc(model, theta, x0, T, dt, R, seed):
-    """Sample covariance of per-subject scores at one design point.
-
-    Simulates R subjects under theta, evaluates the analytic score at
-    theta, and returns the covariance estimate with jackknife standard
-    errors, together with the matched -mean(Hessian) estimate for
-    information-identity checks.
-    """
-    if R < 100:
-        raise ValueError("information estimation needs R >= 100")
-    u, v, failures = _point_uv(model, theta, x0, T, dt, R, seed)
+def _info_estimate(theta, point, u, v):
+    """fisher_info_mc's estimate from the (U, V) of a point's pass."""
+    u, v, failures = _finite_rows(point, u, v)
     r = len(u)
     s_mu, s_w = score_terms(u, v, theta.mu, theta.omega2)
     scores = np.stack([s_mu, s_w], axis=1)
@@ -225,18 +211,16 @@ def fisher_info_mc(model, theta, x0, T, dt, R, seed):
         matrix=cov,
         mc_se=jack_se(loo_cov),
         replicates=r,
-        design_point=(float(x0), float(T)),
+        design_point=point,
         neg_mean_hess=neg_mean_hess,
         identity_se=jack_se(loo_cov - loo_negh),
         failures=failures,
     )
 
 
-def kl_mc(model, theta0, theta, x0, T, dt, R, seed):
-    """Mean log density ratio under theta0 at one design point."""
-    if R < 100:
-        raise ValueError("divergence estimation needs R >= 100")
-    u, v, failures = _point_uv(model, theta0, x0, T, dt, R, seed)
+def _kl_estimate(theta0, theta, point, u, v):
+    """kl_mc's estimate from the (U, V) of a point's pass."""
+    u, v, failures = _finite_rows(point, u, v)
     vals = ratio_terms(u, v, theta0, theta)
     r = len(vals)
     value = _mean_exact(vals.tolist())
@@ -246,10 +230,32 @@ def kl_mc(model, theta0, theta, x0, T, dt, R, seed):
         mc_se=sd / math.sqrt(r),
         theta0=theta0,
         theta=theta,
-        design_point=(float(x0), float(T)),
+        design_point=point,
         replicates=r,
         failures=failures,
     )
+
+
+def fisher_info_mc(model, theta, x0, T, dt, R, seed):
+    """Sample covariance of per-subject scores at one design point.
+
+    Simulates R subjects under theta, evaluates the analytic score at
+    theta, and returns the covariance estimate with jackknife standard
+    errors, together with the matched -mean(Hessian) estimate for
+    information-identity checks.
+    """
+    if R < 100:
+        raise ValueError("information estimation needs R >= 100")
+    u, v = _point_uv(model, theta, x0, T, dt, R, seed)
+    return _info_estimate(theta, (float(x0), float(T)), u, v)
+
+
+def kl_mc(model, theta0, theta, x0, T, dt, R, seed):
+    """Mean log density ratio under theta0 at one design point."""
+    if R < 100:
+        raise ValueError("divergence estimation needs R >= 100")
+    u, v = _point_uv(model, theta0, x0, T, dt, R, seed)
+    return _kl_estimate(theta0, theta, (float(x0), float(T)), u, v)
 
 
 def sqrt_2x2_spd(m):
@@ -275,8 +281,7 @@ def _doubling_schedule(n):
 
 
 def averaged_limits(model, designs, theta0, theta, dt, replicates,
-                    limit_point, limit_replicates, seed, schedule=None,
-                    threads=1):
+                    limit_point, limit_replicates, seed, schedule=None):
     """Running design averages of divergence and information vs their limit.
 
     For each design point (x_k, T_k) the divergence K_k(theta0, theta) and
@@ -284,29 +289,33 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     n^-1 * sum_{k<=n} along a doubling schedule together with the estimates
     at limit_point. Point seeds are derived from the point's coordinates,
     so identical design points reuse identical streams and a constant
-    design reproduces the single-point values exactly. The table's
-    point_info holds the information estimate of every design point.
+    design reproduces the single-point values exactly. All points run as
+    one stacked pass; each point's estimates equal kl_mc's and
+    fisher_info_mc's at its seeds. The table's point_info holds the
+    information estimate of every design point.
     """
     designs = [(float(x), float(T)) for x, T in designs]
-    Design(tuple(designs) + (tuple(limit_point),), dt, seed)
+    if not designs:
+        raise EmptyExperiment("averaged_limits needs at least one design point")
+    limit_point = (float(limit_point[0]), float(limit_point[1]))
+    Design(tuple(designs) + (limit_point,), dt, seed)
+    if min(replicates, limit_replicates) < 100:
+        raise ValueError("divergence estimation needs R >= 100")
     if schedule is None:
         schedule = _doubling_schedule(len(designs))
 
-    def one_point(pt):
-        x, T = pt
-        kl = kl_mc(model, theta0, theta, x, T, dt, replicates,
-                   derive_seed(seed, _LANE_KL, float_label(x), float_label(T)))
-        info = fisher_info_mc(model, theta0, x, T, dt, replicates,
-                              derive_seed(seed, _LANE_INFO, float_label(x), float_label(T)))
-        return kl, info
-
-    points = _det_map(one_point, designs, threads)
-
-    xl, tl = limit_point
-    kl_lim = kl_mc(model, theta0, theta, xl, tl, dt, limit_replicates,
-                   derive_seed(seed, _LANE_KL, float_label(xl), float_label(tl)))
-    info_lim = fisher_info_mc(model, theta0, xl, tl, dt, limit_replicates,
-                              derive_seed(seed, _LANE_INFO, float_label(xl), float_label(tl)))
+    pts = designs + [limit_point]
+    sizes = [replicates] * len(designs) + [limit_replicates]
+    parts = replicate_uv(model, dt, [
+        _point_segment(theta0, *pt, R, derive_seed(seed, lane, *map(float_label, pt)))
+        for pt, R in zip(pts, sizes) for lane in (_LANE_KL, _LANE_INFO)
+    ])
+    points = [
+        (_kl_estimate(theta0, theta, pt, *parts[2 * k]),
+         _info_estimate(theta0, pt, *parts[2 * k + 1]))
+        for k, pt in enumerate(pts)
+    ]
+    kl_lim, info_lim = points.pop()
 
     kl_vals = [kl.value for kl, _ in points]
     kl_ses = [kl.mc_se for kl, _ in points]
@@ -349,40 +358,25 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     return ConvergenceTable(rows=tuple(rows), limit=lim, point_info=point_info)
 
 
-def _ensemble_uv(model, theta0, design, replicates, threads):
+def _ensemble_uv(model, theta0, design, replicates):
     """(U, V) matrices of shape (replicates, n) for a whole Design.
 
     Subject i's replicate r uses path stream (seed, i, r); its drift
     effect is entry i of the reserved-stream draw for replicate r. This
     matches simulate_ensemble row for row.
 
-    Subjects that share (x0, T), every subject of an iid design, run as
-    one row block, subject-major, in chunks of ROW_CHUNK rows whose ids
-    and effects are gathered per chunk; threads map over the blocks. A
-    failing row raises for the first failing chunk of the lowest failing
-    block, at the chunk's first failing step.
+    Each subject is one segment of one stacked pass. A failing row raises
+    for the first failing chunk, at its first failing step.
     """
-    n, dt, seed = design.n, design.dt, design.seed
-    phis = effect_rows(theta0, seed, np.arange(replicates), n)
-    u = np.empty((replicates, n))
-    v = np.empty((replicates, n))
-    groups = {}
-    for i, point in enumerate(design.subjects):
-        groups.setdefault(point, []).append(i)
-
-    def one_group(group):
-        (x0, T), members = group
-        members = np.asarray(members)
-        rows = len(members) * replicates
-        for start in range(0, rows, ROW_CHUNK):
-            m, reps = np.divmod(np.arange(start, min(start + ROW_CHUNK, rows)), replicates)
-            ids = members[m]
-            u[reps, ids], v[reps, ids] = replicate_uv(
-                model, phis[reps, ids], x0, T, dt, seed, ids, reps
-            )
-
-    _det_map(one_group, list(groups.items()), threads)
-    return u, v
+    reps = np.arange(replicates)
+    phis = effect_rows(theta0, design.seed, reps, design.n)
+    u, v = zip(*replicate_uv(model, design.dt, [
+        Segment(x0, T, design.seed, i, reps, phis[:, i])
+        for i, (x0, T) in enumerate(design.subjects)
+    ]))
+    del phis  # the effects, and each pass column, go before its copy is made
+    u = np.stack(u, axis=1)
+    return u, np.stack(v, axis=1)
 
 
 def _fit_rows(u, v, space):
@@ -411,7 +405,6 @@ def _check_interior(theta0, space):
 def _config_echo(config):
     echo = asdict(config)
     echo["model"] = config.model.name
-    echo.pop("threads", None)
     return echo
 
 
@@ -427,9 +420,7 @@ def run_consistency_experiment(config):
     summaries = []
     failures = []
     for n, design in zip(config.n_schedule, designs):
-        u, v = _ensemble_uv(
-            config.model, config.theta0, design, config.replicates, config.threads,
-        )
+        u, v = _ensemble_uv(config.model, config.theta0, design, config.replicates)
         fits, ok = _fit_rows(u, v, config.space)
         errs = []
         for r, fit in enumerate(fits):
@@ -479,19 +470,18 @@ def _info_bar(config, point_info=None):
     info_replicates, as averaged_limits makes them when its replicate
     count is info_replicates; only the points it lacks are estimated.
     """
-    model, theta0, dt = config.model, config.theta0, config.dt
     pts = config.design.subjects(config.n)
     by_point = dict(point_info or {})
     missing = sorted(set(pts) - by_point.keys())
-
-    def one(pt):
-        x, T = pt
-        return pt, fisher_info_mc(
-            model, theta0, x, T, dt, config.info_replicates,
-            derive_seed(config.seed, _LANE_INFO, float_label(x), float_label(T)),
-        )
-
-    by_point.update(_det_map(one, missing, config.threads))
+    if missing and config.info_replicates < 100:
+        raise ValueError("information estimation needs R >= 100")
+    parts = replicate_uv(config.model, config.dt, [
+        _point_segment(config.theta0, *pt, config.info_replicates,
+                       derive_seed(config.seed, _LANE_INFO, *map(float_label, pt)))
+        for pt in missing
+    ])
+    for pt, (u, v) in zip(missing, parts):
+        by_point[pt] = _info_estimate(config.theta0, (float(pt[0]), float(pt[1])), u, v)
     mats = np.stack([by_point[pt].matrix for pt in pts])
     ses = np.stack([by_point[pt].mc_se for pt in pts])
     bar = mats.mean(axis=0)
@@ -522,9 +512,7 @@ def run_normality_experiment(config, point_info=None):
         ) from err
     inv = np.linalg.inv(info_bar)
 
-    u, v = _ensemble_uv(
-        config.model, config.theta0, design, config.replicates, config.threads,
-    )
+    u, v = _ensemble_uv(config.model, config.theta0, design, config.replicates)
     fits, ok = _fit_rows(u, v, config.space)
     theta0_vec = np.array([config.theta0.mu, config.theta0.omega2])
     rows = []
@@ -614,14 +602,19 @@ def run_moment_continuity_probe(config):
     if not config.xi > 0:
         raise ValueError("xi must be > 0")
     family = config.design
-    points = {m: family.point(m) for m in config.m_schedule}
-    limit_point = family.limit_point()
-    Design(tuple(points.values()) + (limit_point,), config.dt, config.seed)
+    pts = [family.limit_point()] + [family.point(m) for m in config.m_schedule]
+    Design(tuple(pts), config.dt, config.seed)
 
-    def h_moments(x, T, R, seed):
-        u, v, failures = _point_uv(
-            config.model, config.theta0, x, T, config.dt, R, seed
-        )
+    # the limit point's rows, then each m's, in one stacked pass
+    sizes = [config.limit_replicates] + [config.replicates] * len(config.m_schedule)
+    labels = [0] + list(config.m_schedule)
+    parts = replicate_uv(config.model, config.dt, [
+        _point_segment(config.theta0, *pt, R, derive_seed(config.seed, _LANE_PROBE, m))
+        for pt, R, m in zip(pts, sizes, labels)
+    ])
+
+    def h_moments(point, u, v):
+        u, v, _ = _finite_rows(point, u, v)
         with np.errstate(over="ignore"):
             h = np.exp(config.psi * u / (1.0 + config.xi * v))
         out = {}
@@ -630,23 +623,11 @@ def run_moment_continuity_probe(config):
             est = _mean_exact(hk.tolist())
             sd = float(np.std(hk, ddof=1)) if len(hk) > 1 else 0.0
             out[k] = (est, sd / math.sqrt(len(hk)))
-        return out, failures
+        return out
 
-    lim_moments, _ = h_moments(
-        *limit_point, config.limit_replicates,
-        derive_seed(config.seed, _LANE_PROBE, 0),
-    )
-
-    def one_m(m):
-        x, T = points[m]
-        moments, failures = h_moments(
-            x, T, config.replicates, derive_seed(config.seed, _LANE_PROBE, m)
-        )
-        return m, x, T, moments, failures
-
-    results = _det_map(one_m, list(config.m_schedule), config.threads)
+    lim_moments, *moments_m = [h_moments(pt, *part) for pt, part in zip(pts, parts)]
     rows = []
-    for m, x, T, moments, _ in results:
+    for m, (x, T), moments in zip(config.m_schedule, pts[1:], moments_m):
         for k in (1, 2):
             est, se = moments[k]
             lim_est, lim_se = lim_moments[k]

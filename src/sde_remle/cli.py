@@ -3,9 +3,9 @@
 Subcommands: simulate, fit, experiment {consistency,normality,noniid,
 continuity}. Each takes --config PATH (flat key=value file), --seed N
 (overrides the config key and the SDE_REMLE_SEED environment variable),
---out DIR, and --threads N. Threads change wall time only; output files
-are byte-identical for any worker count. Exit status: 0 success, 1
-validation error, 2 runtime error.
+--out DIR, and --threads N. Every pass runs on one thread: --threads
+must be >= 1 and changes nothing, so output files are byte-identical for
+any value. Exit status: 0 success, 1 validation error, 2 runtime error.
 """
 
 import argparse
@@ -101,7 +101,7 @@ def _positive(cfg, *keys):
             raise ValueError(f"'{key}' must be > 0")
 
 
-def cmd_simulate(cfg, seed, out_dir, threads):
+def cmd_simulate(cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     theta0 = _theta0(cfg)
     _positive(cfg, "n", "dt")
@@ -121,7 +121,7 @@ def cmd_simulate(cfg, seed, out_dir, threads):
     return 0
 
 
-def cmd_fit(cfg, seed, out_dir, threads):
+def cmd_fit(cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     space = _space(cfg)
     paths = io_mod.read_paths_csv(cfg["data"])
@@ -156,7 +156,7 @@ def _raise_if_failed(report, kind):
         )
 
 
-def cmd_experiment(kind, cfg, seed, out_dir, threads):
+def cmd_experiment(kind, cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     theta0 = _theta0(cfg)
     _positive(cfg, "dt", "replicates", "info_replicates", "limit_replicates", "n")
@@ -166,7 +166,7 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
         report = run_consistency_experiment(ConsistencyConfig(
             model=model, theta0=theta0, space=_space(cfg), design=_family(cfg),
             n_schedule=tuple(cfg["n_schedule"]), replicates=cfg["replicates"],
-            dt=cfg["dt"], seed=seed, threads=threads,
+            dt=cfg["dt"], seed=seed,
         ))
         rep_file, _ = _write_report(report, out_dir)
         last = report.summaries[-1]
@@ -183,7 +183,7 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
             model=model, theta0=theta0, space=_space(cfg), design=_family(cfg),
             n=cfg["n"], replicates=cfg["replicates"],
             info_replicates=cfg["info_replicates"],
-            dt=cfg["dt"], seed=seed, threads=threads,
+            dt=cfg["dt"], seed=seed,
         ))
         rep_file, _ = _write_report(report, out_dir)
         s = report.summaries[0]
@@ -205,7 +205,7 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
         table = averaged_limits(
             model, family.subjects(schedule[-1]), theta0, theta_alt,
             cfg["dt"], cfg["replicates"], family.limit_point(),
-            cfg["limit_replicates"], seed, schedule=schedule, threads=threads,
+            cfg["limit_replicates"], seed, schedule=schedule,
         )
         io_mod.write_limits_csv(
             table,
@@ -220,7 +220,7 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
             model=model, theta0=theta0, space=_space(cfg), design=family,
             n=cfg["n"], replicates=cfg["replicates"],
             info_replicates=cfg["info_replicates"],
-            dt=cfg["dt"], seed=seed, threads=threads,
+            dt=cfg["dt"], seed=seed,
         ), table.point_info if reuse else None)
         rep_file, _ = _write_report(report, out_dir)
         final = table.rows[-1]
@@ -237,7 +237,7 @@ def cmd_experiment(kind, cfg, seed, out_dir, threads):
         model=model, theta0=theta0, psi=cfg["psi"], xi=cfg["xi"],
         design=_family(cfg, "harmonic"), m_schedule=tuple(cfg["m_schedule"]),
         replicates=cfg["replicates"], limit_replicates=cfg["limit_replicates"], dt=cfg["dt"],
-        seed=seed, threads=threads,
+        seed=seed,
     ))
     out_file = os.path.join(out_dir, io_mod.CONTINUITY_FILE)
     io_mod.write_continuity_csv(table, out_file)
@@ -270,10 +270,10 @@ def main(argv=None):
         out_dir = args.out or cfg.get("output_dir") or "."
         io_mod.ensure_dir(out_dir)
         if args.command == "simulate":
-            return cmd_simulate(cfg, seed, out_dir, args.threads)
+            return cmd_simulate(cfg, seed, out_dir)
         if args.command == "fit":
-            return cmd_fit(cfg, seed, out_dir, args.threads)
-        return cmd_experiment(args.kind, cfg, seed, out_dir, args.threads)
+            return cmd_fit(cfg, seed, out_dir)
+        return cmd_experiment(args.kind, cfg, seed, out_dir)
     except _VALIDATION_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

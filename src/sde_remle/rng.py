@@ -24,32 +24,33 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 PHI_STREAM_ID = _MASK32
 
 
-def _ids32(ids, name):
+def _ids(ids, name, bits=32):
     ids = np.asarray(ids)
     if ids.size == 0:
         return ids.astype(np.uint64)
+    top = (1 << bits) - 1
     if ids.dtype.kind in "iu":
-        fits = 0 <= ids.min() and ids.max() <= _MASK32
+        fits = 0 <= ids.min() and ids.max() <= top
     elif ids.dtype.kind == "O":
-        fits = all(0 <= i <= _MASK32 for i in ids.ravel().tolist())
+        values = ids.ravel().tolist()
+        fits = 0 <= min(values) and max(values) <= top
     else:
         raise TypeError(f"{name} must be integers")
     if not fits:
-        raise ValueError(f"{name} must fit in 32 bits")
+        raise ValueError(f"{name} must fit in {bits} bits")
     return ids.astype(np.uint64)
 
 
 def row_keys(seed, stream_ids, replicate_ids):
     """Second key words (stream_id << 32 | replicate_id) of a batch of substreams.
 
-    stream_ids is one id for every row or one per row. Raises ValueError
-    when the seed does not fit in 64 bits or any id does not fit in 32.
-    The first key word of every row is the seed.
+    seed and stream_ids are each one value for every row or one per row.
+    Raises ValueError when a seed does not fit in 64 bits or any id does
+    not fit in 32. The first key word of every row is its seed.
     """
-    if not 0 <= seed <= _MASK64:
-        raise ValueError("seed must fit in 64 bits")
-    streams = _ids32(stream_ids, "stream_id")
-    reps = _ids32(replicate_ids, "replicate_id")
+    _ids(seed, "seed", 64)
+    streams = _ids(stream_ids, "stream_id")
+    reps = _ids(replicate_ids, "replicate_id")
     return (streams << np.uint64(32)) | reps
 
 

@@ -2,13 +2,14 @@
 
 The integration grid is uniform with step dt; when T is not a multiple of
 dt the final step covers the remainder. All simulation funnels through one
-batch kernel that advances many replicate rows in lockstep, so the scalar
-path API and the Monte Carlo experiment engines share identical arithmetic.
-The path API stores the states; the Monte Carlo entry, replicate_uv, keeps
-only the (U, V) increments of one row chunk at a time.
+batch kernel that advances many rows, each on its own grid, in lockstep,
+so the path API, which stores the states, and the Monte Carlo entry
+replicate_uv, which runs a pass of segments in chunks that span segments
+and keeps one chunk's (U, V) increments, share identical arithmetic.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,109 +60,134 @@ def time_grid(T, dt):
     return times
 
 
-# rows per chunk of the Monte Carlo kernel: wide enough that the Python
-# cost of a step stays small against its numpy work, narrow enough that
-# the two (rows, steps) increment buffers stay a few tens of MB
+# a chunk of the Monte Carlo kernel holds at most ROW_CHUNK rows, enough
+# that the Python cost of a step stays small against its numpy work, and
+# NORMAL_CHUNK normals (4096 rows of 400 steps, two 13 MB buffers)
 ROW_CHUNK = 4096
+NORMAL_CHUNK = ROW_CHUNK * 400
 
 
-def _euler_rows(model, phis, x0, times, normals, subject_index, values=None,
-                raise_errors=False):
-    """The one Euler step loop: advance every row of normals over times.
+def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, values=None,
+                raise_errors=False, dv=None):
+    """The one Euler step loop: advance row r of normals from x0[r] to T[r].
 
-    Each step evaluates b and sigma once, at the left endpoint. With
-    values, an (R, M+1) matrix, the states are stored there and the
-    result is first_bad, the step at which each row stopped being finite
-    or -1; with raise_errors the first divergence aborts instead. Without
-    values no path is kept: normals is overwritten by the U increments
-    (b / sigma^2) * (x_{k+1} - x_k), and the result is the row sums (U, V),
-    pairwise in the order suff_stats_rows sums a stored path, so they are
-    equal bit for bit, NaN where a row diverged.
-
-    subject_index is one subject id for every row or one id per row;
-    errors name the subject of the lowest failing row. sigma <= 0 on a
-    live row raises DegenerateDiffusion at that step; without values,
-    sigma^2 below SIGMA2_FLOOR on a row whose states 0..M-1 are finite
-    raises suff_stats_rows' error once every step has run.
+    phis, x0, T, steps (row r's step count on time_grid(T[r], dt)) and
+    subject_index hold one entry per row, longest first, so the rows still
+    running at step k are a prefix. A row's last step is its own partial
+    step T[r] - dt*(steps[r]-1), every other step dt*(k+1) - dt*k, as on
+    its own grid; b and sigma are evaluated once per step, at the left
+    end. With values, an (R, max steps + 1) matrix, the states are stored
+    there and the result is first_bad, the step at which each row stopped
+    being finite or -1 (raise_errors aborts instead). Otherwise normals
+    and dv (new when None) take the U and V increments and the result is
+    each row's sums over its own steps, pairwise as suff_stats_rows sums a
+    stored path, so equal bit for bit. sigma <= 0 on a live row raises
+    DegenerateDiffusion at that step, as does sigma^2 < SIGMA2_FLOOR on a
+    row finite up to its last step, after the loop; errors name the
+    lowest failing row's subject and design point.
     """
-    rows, steps = normals.shape
-    state = np.full(rows, float(x0))
+    rows = len(steps)
+    top = int(steps[0]) if rows else 0
+    # the first live[k] rows run at step k; live[top] = 0
+    live = np.searchsorted(-steps, -np.arange(1, top + 2), side="right").tolist()
+    state = np.array(x0, dtype=float)
     if values is None:
-        dv = np.empty_like(normals)
+        dv = np.empty_like(normals) if dv is None else dv
         low = np.zeros(rows, dtype=bool)
+        body_end = np.empty(rows)
     else:
         values[:, 0] = x0
         first_bad = np.full(rows, -1, dtype=np.int64)
     # a non-finite state never becomes finite again, so the live rows are
     # the finite ones; masks are built only once a test on every row fails
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(steps):
-            delta = times[k + 1] - times[k]
+        for k in range(top):
+            n, m = live[k], live[k + 1]
+            delta = dt * (k + 1) - dt * k
+            root = math.sqrt(delta)
+            if m < n:
+                # rows m..n-1 end at this step, each at its own T
+                delta = np.full(n, delta)
+                delta[m:] = T[m:n] - dt * k
+                root = np.sqrt(delta)
             bvals = model.b(state)
             svals = model.sigma(state)
             if not (svals > 0).all():
                 bad_sigma = np.isfinite(state) & ~(svals > 0)
                 if bad_sigma.any():
-                    raise DegenerateDiffusion(
-                        f"sigma <= 0 at step {k} for model {model.name!r}", step=k,
-                        subject_index=_subject_of(subject_index, bad_sigma),
+                    raise _degenerate(
+                        f"sigma <= 0 at step {k} for model {model.name!r}", k,
+                        x0, T, subject_index, bad_sigma,
                     )
-            after = state + phis * bvals * delta + svals * math.sqrt(delta) * normals[:, k]
+            after = state + phis[:n] * bvals * delta + svals * root * normals[:n, k]
             if values is None:
                 sig2 = svals * svals
                 if not (sig2 >= SIGMA2_FLOOR).all():
-                    low |= sig2 < SIGMA2_FLOOR
+                    low[:n] |= sig2 < SIGMA2_FLOOR
                 w = bvals / sig2
-                normals[:, k] = w * (after - state)
-                dv[:, k] = (bvals * w) * delta
+                normals[:n, k] = w * (after - state)
+                dv[:n, k] = (bvals * w) * delta
+                body_end[m:n] = state[m:]
             else:
-                values[:, k + 1] = after
+                values[:n, k + 1] = after
                 if not np.isfinite(after).all():
-                    newly_bad = (first_bad < 0) & ~np.isfinite(after)
+                    bad = first_bad[:n]
+                    newly_bad = (bad < 0) & ~np.isfinite(after)
                     if newly_bad.any():
                         if raise_errors:
                             raise SimulationDiverged(
-                                k + 1, subject_index=_subject_of(subject_index, newly_bad)
+                                k + 1, subject_index=int(subject_index[np.argmax(newly_bad)])
                             )
-                        first_bad[newly_bad] = k + 1
-            body_end, state = state, after
+                        bad[newly_bad] = k + 1
+            state = after[:m]
     if values is not None:
         return first_bad
-    if (low & np.isfinite(body_end)).any():
-        raise floor_error(model)
-    return normals.sum(axis=1), dv.sum(axis=1)
+    failing = low & np.isfinite(body_end)
+    if failing.any():
+        raise _degenerate(floor_error(model).args[0], None, x0, T, subject_index, failing)
+    u, v = np.empty(rows), np.empty(rows)
+    # one pairwise row sum per run of rows with equal step counts
+    runs = np.flatnonzero(np.diff(steps, prepend=-1)).tolist()
+    for a, b in zip(runs, runs[1:] + [rows]):
+        u[a:b] = normals[a:b, :steps[a]].sum(axis=1)
+        v[a:b] = dv[a:b, :steps[a]].sum(axis=1)
+    return u, v
 
 
-def _subject_of(subject_index, failing):
-    """Subject id of the lowest failing row, or None when ids are unknown."""
-    if subject_index is None:
-        return None
-    if np.ndim(subject_index) == 0:
-        return int(subject_index)
-    return int(subject_index[int(np.argmax(failing))])
+def _degenerate(what, step, x0, T, subject_index, failing):
+    """DegenerateDiffusion naming the lowest failing row's subject and (x, T)."""
+    r = int(np.argmax(failing))
+    return DegenerateDiffusion(
+        f"{what} at design point (x, T) = ({float(x0[r])!r}, {float(T[r])!r})",
+        step=step, subject_index=int(subject_index[r]),
+    )
 
 
-def path_normals(seed, subject_index, replicate_ids, steps):
-    """Standard-normal increments, one row per (subject, replicate) substream.
+def path_normals(seed, subject_index, replicate_ids, steps, out=None):
+    """Standard-normal increments, one row per (seed, subject, replicate) substream.
 
     Row j is bit-identical to
-    generator(seed, subject_index_j, replicate_ids[j]).standard_normal(steps),
-    where subject_index is one id for every row or one id per row. The
-    call builds one generator and re-keys it before each row by setting
-    its fresh state (counter 0, buffer empty) with the row's key through
-    the public state setter. Each call owns its generator, so concurrent
-    calls share no random state.
+    generator(seed_j, subject_index_j, replicate_ids[j]).standard_normal(steps_j);
+    seed, subject_index and steps are each one value or one per row, and
+    row j of the (rows, max(steps)) result (out, if given) is unset past
+    steps_j. One generator is re-keyed before each row: its fresh state
+    (key, counter 0, empty buffer) is set from plain Python ints, so
+    concurrent calls share no random state.
     """
-    keys = row_keys(seed, subject_index, replicate_ids)
-    gen = generator(seed, 0, 0)
+    words = row_keys(seed, subject_index, replicate_ids)
+    rows = len(words)
+    seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), rows).tolist()
+    lengths = np.broadcast_to(steps, rows).tolist()
+    z = np.empty((rows, int(np.max(steps, initial=0)))) if out is None else out
+    gen = generator(0, 0, 0)
     bits = gen.bit_generator
-    fresh = bits.state
-    key = fresh["state"]["key"]
-    z = np.empty((len(keys), steps))
-    for row, word in zip(z, keys):
-        key[1] = word
+    key = [0, 0]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, length, first, second in zip(z, lengths, seeds, words.tolist()):
+        key[0], key[1] = first, second
         bits.state = fresh
-        gen.standard_normal(out=row)
+        gen.standard_normal(out=row[:length])
     return z
 
 
@@ -203,8 +229,9 @@ def euler_maruyama(model, phi, x0, T, dt, rng, normals=None):
         normals = path_normals(rng.seed, rng.stream_id, [rng.replicate_id], steps)
     normals = np.asarray(normals, dtype=float).reshape(1, steps)
     values = np.empty((1, steps + 1))
-    _euler_rows(model, np.array([float(phi)]), x0, times, normals, rng.stream_id,
-                values=values, raise_errors=True)
+    _euler_rows(model, np.array([float(phi)]), np.array([float(x0)]), np.array([float(T)]),
+                np.array([steps]), dt, normals, [rng.stream_id], values=values,
+                raise_errors=True)
     return Path(
         times=times,
         values=values[0],
@@ -222,39 +249,38 @@ def draw_random_effects(theta0, n, rng):
 
 
 def simulate_ensemble(model, theta0, design, replicate_id=0):
-    """Simulate one path per design subject.
+    """Simulate one path per design subject, all in one row block.
 
     Subject i draws its increments from stream (design.seed, i, replicate_id)
-    and the random effects come from the reserved phi stream, so ensembles
-    are reproducible and independent of subject evaluation order. Subjects
-    that share (x0, T), every subject of an iid design, advance as one row
-    block; each path equals euler_maruyama on its own stream bit for bit.
-
-    Raises SimulationDiverged for the lowest diverging subject, at its own
-    step, and DegenerateDiffusion if sigma <= 0 on any live row, naming
-    the lowest such subject of the first row block and step where it
-    happens.
+    and the random effects come from the reserved phi stream, so each path
+    equals euler_maruyama on its own stream bit for bit. Raises
+    SimulationDiverged for the lowest diverging subject, at its own step,
+    and DegenerateDiffusion at the first step where sigma <= 0 on a row.
     """
-    phis = effect_rows(theta0, design.seed, [replicate_id], design.n)[0]
-    groups = {}
-    for i, point in enumerate(design.subjects):
-        groups.setdefault(point, []).append(i)
-    paths = [None] * design.n
-    diverged = []
-    for (x0, T), members in groups.items():
-        times = time_grid(T, design.dt)
-        z = path_normals(design.seed, members, [replicate_id] * len(members), len(times) - 1)
-        values = np.empty((len(members), len(times)))
-        first_bad = _euler_rows(model, phis[members], x0, times, z, members, values=values)
-        diverged += [(i, int(k)) for i, k in zip(members, first_bad) if k >= 0]
-        for i, row in zip(members, values):
-            paths[i] = Path(
-                times=times, values=row, x0=x0, phi=float(phis[i]),
-                seed=design.seed, subject_index=i,
-            )
-    if diverged:
-        i, step = min(diverged)
-        raise SimulationDiverged(step, subject_index=i)
+    dt, n = design.dt, design.n
+    phis = effect_rows(theta0, design.seed, [replicate_id], n)[0]
+    x0, T = np.array(design.subjects, dtype=float).reshape(n, 2).T
+    steps = np.array([len(time_grid(t, dt)) - 1 for t in T])
+    order = np.argsort(-steps, kind="stable")
+    z = path_normals(design.seed, order, [replicate_id] * n, steps[order])
+    values = np.empty((n, z.shape[1] + 1))
+    first_bad = _euler_rows(model, phis[order], x0[order], T[order], steps[order], dt, z,
+                            order, values=values)
+    bad = np.flatnonzero(first_bad >= 0)
+    if bad.size:
+        r = bad[np.argmin(order[bad])]
+        raise SimulationDiverged(int(first_bad[r]), subject_index=int(order[r]))
+    paths = [None] * n
+    times = None
+    for row, i in zip(values, order.tolist()):
+        x, t = design.subjects[i]
+        # a row shares the grid of the row before it when their horizons agree
+        if times is None or times[-1] != t:
+            times = time_grid(t, dt)
+        paths[i] = Path(
+            times=times, values=row[:len(times)], x0=x, phi=float(phis[i]),
+            seed=design.seed, subject_index=i,
+        )
     return paths
 
 
@@ -262,41 +288,72 @@ def simulate_replicates(model, phis, x0, T, dt, seed, subject_index, replicate_i
                         raise_errors=True):
     """Simulate many replicates of one subject as a (R, M+1) value matrix.
 
-    Row r uses the substream (seed, subject_index, replicate_ids[r]) and the
-    drift multiplier phis[r]; the arithmetic is identical to euler_maruyama
-    row by row. Returns (times, values, first_bad).
+    Row r uses the substream (seed, subject_index_r, replicate_ids[r]),
+    with subject_index one id or one per row, and drift multiplier phis[r],
+    as euler_maruyama would. Returns (times, values, first_bad).
     """
     times = time_grid(T, dt)
-    z = path_normals(seed, subject_index, replicate_ids, len(times) - 1)
-    values = np.empty((len(z), len(times)))
+    steps = len(times) - 1
+    z = path_normals(seed, subject_index, replicate_ids, steps)
+    rows = len(z)
+    values = np.empty((rows, steps + 1))
     first_bad = _euler_rows(
-        model, np.asarray(phis, dtype=float), x0, times, z, subject_index,
+        model, np.asarray(phis, dtype=float), np.full(rows, float(x0)), np.full(rows, float(T)),
+        np.full(rows, steps), dt, z, np.broadcast_to(subject_index, rows),
         values=values, raise_errors=raise_errors,
     )
     return times, values, first_bad
 
 
-def replicate_uv(model, phis, x0, T, dt, seed, subject_ids, replicate_ids):
-    """(U, V) of simulated paths that are never stored.
+# rows of a Monte Carlo pass: row r runs from x0 over [0, T] on substream
+# (seed, subject, replicates[r]) with drift multiplier phis[r]
+Segment = namedtuple("Segment", "x0 T seed subject replicates phis")
 
-    Row r is the path simulate_replicates draws from substream
-    (seed, subject_ids_r, replicate_ids[r]) with drift multiplier phis[r],
-    where subject_ids is one id for every row or one id per row. It runs
-    path_normals and the Euler kernel one chunk of ROW_CHUNK rows at a
-    time, so memory stays bounded whatever the number of rows. The result
-    equals suff_stats_rows of the stored paths bit for bit, with NaN on
-    the rows that diverged. Raises DegenerateDiffusion as the kernel does,
-    for the first chunk in which a row fails.
+
+def _chunks(steps, sizes):
+    """Chunks of (segment, first row, end row) lists, longest segments first
+    (stable), of at most ROW_CHUNK rows and NORMAL_CHUNK normals each."""
+    pieces, room = [], 0
+    for i in np.argsort(-steps, kind="stable").tolist():
+        a = 0
+        while a < sizes[i]:
+            if not room:
+                yield from [pieces] if pieces else []
+                pieces, room = [], min(ROW_CHUNK, max(1, NORMAL_CHUNK // int(steps[i])))
+            b = min(sizes[i], a + room)
+            pieces.append((i, a, b))
+            room, a = room - (b - a), b
+    yield from [pieces] if pieces else []
+
+
+def replicate_uv(model, dt, segments):
+    """(U, V) of each segment of a pass, in order, from paths never stored.
+
+    Row r of a segment equals suff_stats_rows of the path
+    simulate_replicates stores for it, bit for bit, NaN where it diverged.
+    A chunk gathers the keys, starts, horizons and effects of the segments
+    it covers; the first chunk with a failing row raises its error.
     """
-    times = time_grid(T, dt)
-    phis = np.asarray(phis, dtype=float)
-    replicate_ids = np.asarray(replicate_ids)
-    per_row = np.ndim(subject_ids) > 0
-    u = np.empty(len(replicate_ids))
-    v = np.empty(len(replicate_ids))
-    for start in range(0, len(u), ROW_CHUNK):
-        rows = slice(start, start + ROW_CHUNK)
-        ids = subject_ids[rows] if per_row else subject_ids
-        z = path_normals(seed, ids, replicate_ids[rows], len(times) - 1)
-        u[rows], v[rows] = _euler_rows(model, phis[rows], x0, times, z, ids)
-    return u, v
+    steps = np.array([len(time_grid(seg.T, dt)) - 1 for seg in segments], dtype=np.int64)
+    sizes = [len(seg.replicates) for seg in segments]
+    starts = np.cumsum([0] + sizes).tolist()
+    u, v = np.empty(starts[-1]), np.empty(starts[-1])
+    # (x0, T, seed, subject) per segment; object keeps 64-bit seeds exact
+    table = np.array([seg[:4] for seg in segments], dtype=object)
+    # one pair of buffers for the pass: chunks leave no holes in the heap
+    top = int(steps.max(initial=0))
+    cells = min(min(len(u), ROW_CHUNK) * top, max(NORMAL_CHUNK, top))
+    zbuf, dvbuf = np.empty(cells), np.empty(cells)
+    for pieces in _chunks(steps, sizes):
+        idx = [i for i, _, _ in pieces]
+        counts = [b - a for _, a, b in pieces]
+        x0, T, seeds, ids = (np.repeat(col, counts) for col in table[idx].T)
+        rows = np.repeat(steps[idx], counts)
+        shape = (len(rows), int(rows[0]))
+        reps = np.concatenate([segments[i].replicates[a:b] for i, a, b in pieces])
+        z = path_normals(seeds, ids, reps, rows, out=zbuf[:rows.size * shape[1]].reshape(shape))
+        phis = np.concatenate([np.asarray(segments[i].phis, float)[a:b] for i, a, b in pieces])
+        at = np.concatenate([np.arange(starts[i] + a, starts[i] + b) for i, a, b in pieces])
+        u[at], v[at] = _euler_rows(model, phis, x0.astype(float), T.astype(float), rows, dt,
+                                   z, ids, dv=dvbuf[:z.size].reshape(shape))
+    return [(u[a:b], v[a:b]) for a, b in zip(starts, starts[1:])]

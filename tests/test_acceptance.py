@@ -231,7 +231,7 @@ def test_06_estimation_error_halves_as_ensembles_quadruple():
             model=model, theta0=Theta(1.0, 0.5), space=SPACE,
             design=DesignFamily(kind="iid", x0=x0, T=1.0),
             n_schedule=(50, 200, 800), replicates=300,
-            dt=1.0 / 200.0, seed=6, threads=1,
+            dt=1.0 / 200.0, seed=6,
         ))
         assert not report.failed
         meds = [s["med_err"] for s in report.summaries]
@@ -254,7 +254,7 @@ def test_07_standardized_errors_are_gaussian_with_calibrated_coverage():
         model=UNIT, theta0=Theta(1.0, 1.0), space=SPACE,
         design=DesignFamily(kind="iid", x0=0.0, T=1.0),
         n=400, replicates=1000, info_replicates=20_000,
-        dt=1.0 / 500.0, seed=2, threads=1,
+        dt=1.0 / 500.0, seed=2,
     ))
     assert not report.failed
     assert len(report.failures) == 0
@@ -282,7 +282,7 @@ def test_08_design_averaged_limits_converge_under_non_iid_layout():
                           T_inf=1.0, T_amp=1.0)
     table = averaged_limits(
         UNIT, family.subjects(256), Theta(1.0, 1.0), Theta(1.5, 0.5),
-        1.0 / 200.0, 400, family.limit_point(), 25_600, 61, threads=1,
+        1.0 / 200.0, 400, family.limit_point(), 25_600, 61,
     )
     assert table.rows[-1]["n"] == 256
     for key in ("kl", "i00", "i01", "i11"):
@@ -295,7 +295,7 @@ def test_08_design_averaged_limits_converge_under_non_iid_layout():
     report = run_normality_experiment(NormalityConfig(
         model=UNIT, theta0=Theta(1.0, 1.0), space=SPACE, design=family,
         n=400, replicates=1000, info_replicates=500,
-        dt=1.0 / 500.0, seed=5, threads=1,
+        dt=1.0 / 500.0, seed=5,
     ))
     assert not report.failed
     s = report.summaries[0]
@@ -319,7 +319,7 @@ def test_09_probe_moments_are_continuous_in_the_design_point():
         model=UNIT, theta0=Theta(0.5, 0.5), psi=1.0, xi=1.0,
         design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
         m_schedule=(1, 2, 4, 8, 16), replicates=12_000,
-        limit_replicates=48_000, dt=1.0 / 100.0, seed=5, threads=1,
+        limit_replicates=48_000, dt=1.0 / 100.0, seed=5,
     ))
     for k in (1, 2):
         rows = [r for r in table.rows if r["k"] == k]

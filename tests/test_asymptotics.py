@@ -22,6 +22,7 @@ from sde_remle import (
 from sde_remle.asymptotics import _fit_rows, _info_bar
 from sde_remle.errors import (
     AllDegenerate,
+    DegenerateDiffusion,
     EmptyExperiment,
     ExperimentFailed,
     InvalidStats,
@@ -143,6 +144,87 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _same_fields(a, b):
+    """Dataclass estimates equal field for field, arrays bit for bit."""
+    assert type(a) is type(b)
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert _bits(x) == _bits(y), name
+        else:
+            assert x == y, name
+
+
+def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
+    """Each point's slice of averaged_limits' stacked pass gives the
+    estimates kl_mc and fisher_info_mc make at its seeds, field for field."""
+    from sde_remle import asymptotics
+    from sde_remle.rng import derive_seed, float_label
+
+    kls = []
+    real = asymptotics._kl_estimate
+
+    def keep(*args):
+        kls.append(real(*args))
+        return kls[-1]
+
+    monkeypatch.setattr(asymptotics, "_kl_estimate", keep)
+    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
+    theta0, theta, dt, seed = Theta(mu=0.8, omega2=0.4), Theta(mu=1.5, omega2=0.5), 0.03, 23
+    points = family.subjects(5)
+    table = averaged_limits(
+        BOUNDED, points, theta0, theta, dt, replicates=120,
+        limit_point=family.limit_point(), limit_replicates=300, seed=seed,
+    )
+    assert len(kls) == len(points) + 1
+    for (x, T), kl, R in zip(points + (family.limit_point(),), kls, [120] * 5 + [300]):
+        labels = (float_label(x), float_label(T))
+        kl_seed = derive_seed(seed, 2, *labels)
+        _same_fields(kl, kl_mc(BOUNDED, theta0, theta, x, T, dt, R, kl_seed))
+        info = fisher_info_mc(BOUNDED, theta0, x, T, dt, R, derive_seed(seed, 1, *labels))
+        if (x, T) in table.point_info:
+            _same_fields(table.point_info[(x, T)], info)
+        else:
+            assert table.limit["i00"] == float(info.matrix[0, 0])
+            assert table.limit["kl"] == kl.value
+
+
+def test_averaged_limits_without_design_points_is_empty(monkeypatch):
+    from sde_remle import simulate
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a normal was drawn for an empty design")
+
+    monkeypatch.setattr(simulate, "path_normals", no_draws)
+    theta = Theta(mu=1.0, omega2=0.5)
+    with pytest.raises(EmptyExperiment):
+        averaged_limits(UNIT, [], theta, theta, 0.1, 100, (0.0, 1.0), 100, 0)
+
+
+def _zone_model(name, sigma):
+    from sde_remle.models import ModelSpec, register_model
+
+    return register_model(ModelSpec(name, lambda x: np.ones_like(x), sigma, tau=1.0))
+
+
+@pytest.mark.parametrize("sigma,message,step", [
+    # sigma = 0 beyond x = 5, sigma^2 below the floor beyond x = 10
+    (lambda x: np.where(x < 5.0, 1.0, 0.0), r"sigma <= 0 at step 0", 0),
+    (lambda x: np.where(x < 10.0, 1.0, 1e-7), r"sigma\^2 below 1e-12", None),
+], ids=["sigma-zero", "sigma2-floor"])
+def test_stacked_point_pass_errors_name_the_failing_design_point(sigma, message, step):
+    # only the point at x = 11 starts where sigma fails; the others stay
+    # far below x = 5 over T = 1
+    model = _zone_model(f"zone-{step}", sigma)
+    theta = Theta(mu=0.0, omega2=0.01)
+    points = [(0.0, 1.0), (11.0, 1.5), (0.5, 2.0)]
+    with pytest.raises(DegenerateDiffusion, match=message) as exc:
+        averaged_limits(model, points, theta, theta, 0.1, replicates=100,
+                        limit_point=(0.0, 1.0), limit_replicates=100, seed=4)
+    assert "design point (x, T) = (11.0, 1.5)" in str(exc.value)
+    assert exc.value.step == step
+
+
 def test_info_bar_reuses_design_point_estimates_bit_for_bit():
     """averaged_limits' point_info at the same seed and replicate count
     stands in for _info_bar's own estimates without changing a bit; a
@@ -206,25 +288,6 @@ def test_consistency_experiment_rates_and_determinism():
     assert again.summaries == report.summaries
     assert again.failures == report.failures
     assert again.config == report.config
-
-
-def test_consistency_experiment_thread_count_is_invisible():
-    base = ConsistencyConfig(
-        model=LINEAR,
-        theta0=Theta(mu=0.5, omega2=0.25),
-        space=SPACE,
-        design=DesignFamily(kind="iid", x0=1.0, T=1.0),
-        n_schedule=(30,),
-        replicates=40,
-        dt=0.05,
-        seed=77,
-    )
-    threaded = ConsistencyConfig(**{**base.__dict__, "threads": 4})
-    a = run_consistency_experiment(base)
-    b = run_consistency_experiment(threaded)
-    assert a.rows == b.rows
-    assert a.summaries == b.summaries
-    assert a.config == b.config
 
 
 def test_consistency_refuses_boundary_truth():

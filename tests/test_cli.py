@@ -369,13 +369,13 @@ def test_noniid_estimates_each_information_point_once(
     from sde_remle.cli import _write_report
 
     calls = []
-    real = asymptotics.fisher_info_mc
+    real = asymptotics._info_estimate
 
-    def counting(*args, **kwargs):
-        calls.append(args[2:4])
-        return real(*args, **kwargs)
+    def counting(theta, point, u, v):
+        calls.append(point)
+        return real(theta, point, u, v)
 
-    monkeypatch.setattr(asymptotics, "fisher_info_mc", counting)
+    monkeypatch.setattr(asymptotics, "_info_estimate", counting)
     cfg = _cfg(tmp_path, NONIID_CFG + f"info_replicates = {info_replicates}\n")
     rc = main(["experiment", "noniid", "--config", cfg, "--out", str(tmp_path / "cli")])
     assert rc == 0

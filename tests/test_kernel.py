@@ -13,7 +13,10 @@ from sde_remle import Design, DesignFamily, Theta, builtin_model, time_grid
 from sde_remle.asymptotics import _ensemble_uv, _point_uv
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec, register_model
-from sde_remle.simulate import ROW_CHUNK, effect_rows, replicate_uv, simulate_replicates
+from sde_remle import simulate
+from sde_remle.simulate import (
+    ROW_CHUNK, Segment, effect_rows, replicate_uv, simulate_replicates,
+)
 from sde_remle.stats import suff_stats_rows
 
 # user models: a smooth state-dependent pair, a drift that explodes in
@@ -46,22 +49,31 @@ def _same_bits(a, b):
             and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
 
 
+def _segments_of(rows, parts, x0, T, seed, phis, reps):
+    """rows split into parts consecutive segments at one point, subject
+    ids 0, 1, ...; returns the segments and the per-row subject ids."""
+    cuts = np.linspace(0, rows, parts + 1).astype(int)
+    segments = [Segment(x0, T, seed, k, reps[a:b], phis[a:b])
+                for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    return segments, np.repeat(np.arange(parts), np.diff(cuts))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     model=st.sampled_from(MODELS),
     rows=st.sampled_from([1, 7, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 3]),
-    per_row_ids=st.booleans(),
+    parts=st.integers(1, 3),
     T=st.floats(0.3, 2.0),
     steps=st.floats(10.0, 30.0),
     x0=st.floats(-2.0, 3.0),
     phi_sd=st.floats(0.0, 4.0),
     seed=st.integers(0, 2**32),
 )
-# a chunk boundary with one id per row and rows that diverge
-@example(model=BLOWUP.name, rows=ROW_CHUNK + 3, per_row_ids=True, T=1.3, steps=17.5,
+# a chunk boundary inside a segment, with rows that diverge
+@example(model=BLOWUP.name, rows=ROW_CHUNK + 3, parts=3, T=1.3, steps=17.5,
          x0=2.0, phi_sd=4.0, seed=5)
 def test_replicate_uv_equals_the_stored_path_statistics(
-        model, rows, per_row_ids, T, steps, x0, phi_sd, seed):
+        model, rows, parts, T, steps, x0, phi_sd, seed):
     model = builtin_model(model)
     dt = T / steps
     try:
@@ -70,13 +82,13 @@ def test_replicate_uv_equals_the_stored_path_statistics(
         return
     rng = np.random.default_rng(seed)
     phis = rng.normal(0.5, phi_sd, rows)
-    ids = rng.integers(0, 1000, rows) if per_row_ids else int(rng.integers(0, 1000))
     reps = rng.integers(0, 2**32, rows)
+    segments, ids = _segments_of(rows, min(parts, rows), x0, T, seed, phis, reps)
     times, values, first_bad = simulate_replicates(
         model, phis, x0, T, dt, seed, ids, reps, raise_errors=False
     )
     want_u, want_v = suff_stats_rows(times, values, model)
-    u, v = replicate_uv(model, phis, x0, T, dt, seed, ids, reps)
+    u, v = _flat(replicate_uv(model, dt, segments))
     assert _same_bits(u, want_u) and _same_bits(v, want_v)
     # every diverged row reads non-finite, so the Monte Carlo drops it
     kept = np.isfinite(u) & np.isfinite(v)
@@ -88,12 +100,82 @@ def test_the_example_diverges_across_a_chunk_boundary():
     # on both sides of the boundary
     rng = np.random.default_rng(5)
     phis = rng.normal(0.5, 4.0, ROW_CHUNK + 3)
-    ids = rng.integers(0, 1000, ROW_CHUNK + 3)
     reps = rng.integers(0, 2**32, ROW_CHUNK + 3)
-    u, _ = replicate_uv(BLOWUP, phis, 2.0, 1.3, 1.3 / 17.5, 5, ids, reps)
+    segments, _ = _segments_of(ROW_CHUNK + 3, 3, 2.0, 1.3, 5, phis, reps)
+    u, _ = _flat(replicate_uv(BLOWUP, 1.3 / 17.5, segments))
     for part in (u[:ROW_CHUNK], u[ROW_CHUNK:]):
         assert np.isnan(part).any() or np.isinf(part).any()
         assert np.isfinite(part).any()
+
+
+def _flat(parts):
+    """The (U, V) of every segment of a pass, concatenated."""
+    return tuple(np.concatenate([np.empty(0), *col]) for col in zip(*parts))
+
+
+def _one_by_one(model, dt, segments):
+    """The reference: each segment as a pass of its own."""
+    return _flat(replicate_uv(model, dt, [seg])[0] for seg in segments)
+
+
+_SEGMENT = st.tuples(
+    # horizons in steps of dt: whole, fractional, and at most one step
+    st.sampled_from([0.4, 1.0, 2.5, 3.0, 3.7, 4.0, 6.2, 20.0]),
+    st.floats(-1.0, 2.0),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 9),
+    st.floats(0.0, 6.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(MODELS),
+    dt=st.sampled_from([0.1, 0.25, 0.3]),
+    specs=st.lists(_SEGMENT, min_size=1, max_size=8),
+    row_cap=st.integers(1, 12),
+    normal_cap=st.integers(1, 60),
+)
+# two segments with equal step counts but different horizons
+@example(model="unit", dt=0.25, specs=[(3.7, 0.0, 1, 2, 4, 1.0), (3.2, 0.5, 2, 3, 5, 1.0)],
+         row_cap=6, normal_cap=40)
+# a one-step segment between longer ones
+@example(model=WAVY.name, dt=0.3, specs=[(2.5, 0.0, 1, 0, 3, 1.0), (0.4, 1.0, 9, 1, 4, 2.0),
+                                         (6.2, -1.0, 3, 2, 9, 0.5)],
+         row_cap=5, normal_cap=25)
+# rows that diverge, with chunks cut by the normals cap
+@example(model=BLOWUP.name, dt=0.1, specs=[(20.0, 2.0, 5, 0, 9, 6.0), (6.2, 1.5, 6, 1, 9, 6.0)],
+         row_cap=12, normal_cap=50)
+def test_stacked_segments_equal_one_pass_per_segment(model, dt, specs, row_cap, normal_cap):
+    model = builtin_model(model)
+    segments = []
+    for steps, x0, seed, subject, rows, phi_sd in specs:
+        rng = np.random.default_rng(seed % 1000)
+        segments.append(Segment(x0, steps * dt, seed, subject, rng.integers(0, 2**32, rows),
+                                rng.normal(0.5, phi_sd, rows)))
+    with pytest.MonkeyPatch.context() as mp:
+        # small caps make chunks that straddle segments and split them
+        mp.setattr(simulate, "ROW_CHUNK", row_cap)
+        mp.setattr(simulate, "NORMAL_CHUNK", normal_cap)
+        u, v = _flat(replicate_uv(model, dt, segments))
+    want_u, want_v = _one_by_one(model, dt, segments)
+    assert _same_bits(u, want_u) and _same_bits(v, want_v)
+
+
+def test_stacked_segments_straddle_the_real_chunk_caps():
+    # 800-step rows fill a chunk at 2048 rows (the normals cap), 400-step
+    # rows at ROW_CHUNK; segments of 1500 and 3000 rows cross both
+    model, dt = builtin_model("bounded-ratio"), 0.0025
+    rng = np.random.default_rng(3)
+    segments = [
+        Segment(x0, T, seed, 0, np.arange(rows), rng.normal(0.5, 0.5, rows))
+        for x0, T, seed, rows in ((0.1, 1.0, 7, 3000), (0.5, 2.0, 8, 1500),
+                                  (0.2, 1.99, 9, 1500), (0.3, 1.0, 10, 1000))
+    ]
+    u, v = _flat(replicate_uv(model, dt, segments))
+    want_u, want_v = _one_by_one(model, dt, segments)
+    assert _same_bits(u, want_u) and _same_bits(v, want_v)
 
 
 def _own_degenerate_step(model, theta0, n, T, dt, seed, R, i):
@@ -106,8 +188,7 @@ def _own_degenerate_step(model, theta0, n, T, dt, seed, R, i):
     return math.inf
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_stacked_iid_block_names_the_subject_that_fails_first(threads):
+def test_stacked_iid_block_names_the_subject_that_fails_first():
     # six iid subjects just below the cliff share one row block; the
     # first failing step wins, and its lowest row names the subject.
     # Subject 0 fails too, but only at a later step.
@@ -117,7 +198,7 @@ def test_stacked_iid_block_names_the_subject_that_fails_first(threads):
     expected = steps.index(first)
     assert expected > 0 and steps[0] > first
     with pytest.raises(DegenerateDiffusion) as exc:
-        _ensemble_uv(CLIFF, theta0, Design(((4.6, 1.0),) * n, dt, seed), R, threads)
+        _ensemble_uv(CLIFF, theta0, Design(((4.6, 1.0),) * n, dt, seed), R)
     assert (exc.value.subject_index, exc.value.step) == (expected, first)
 
 
@@ -132,7 +213,7 @@ def test_sigma_below_the_floor_on_rows_that_diverge_is_not_an_error():
     # overflows well before the last step: its (U, V) are NaN and
     # dropped; phi = -1 stays small. The stored path statistics agree.
     phis = np.array([-1.0, 5.0])
-    u, v = replicate_uv(FAR_FAINT, phis, 2.0, 2.0, 0.05, 1, 0, [0, 1])
+    (u, v), = replicate_uv(FAR_FAINT, 0.05, [Segment(2.0, 2.0, 1, 0, [0, 1], phis)])
     assert np.isfinite(u[0]) and np.isfinite(v[0])
     assert not np.isfinite(u[1])
     times, values, first_bad = simulate_replicates(
@@ -164,6 +245,13 @@ def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     # 96,000-row ids and effects up front
     design = Design(DesignFamily("iid", x0=0.0, T=1.0).subjects(800), 0.1, 7)
     ensemble = _peak_mb(lambda: _ensemble_uv(
-        builtin_model("linear-drift"), THETA, design, 120, 1
+        builtin_model("linear-drift"), THETA, design, 120
     ))
     assert ensemble < 6
+    # 32 harmonic points of 400 rows, 413 to 800 steps each, stacked into
+    # one pass: chunks of 800-step rows stop at the normals cap
+    family = DesignFamily("harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
+    segments = [Segment(x, T, 7 + i, 0, np.arange(400), np.full(400, 0.5))
+                for i, (x, T) in enumerate(family.subjects(32))]
+    stacked = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments))
+    assert stacked < 64

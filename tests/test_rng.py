@@ -101,6 +101,23 @@ def test_path_normals_empty_and_numpy_ids():
     assert np.array_equal(z, _fresh_rows(1, [2, 1], [0, 1], 4))
 
 
+def test_path_normals_seed_and_length_per_row():
+    # rows of several seeds and lengths share one call; each row's first
+    # steps_j entries are its fresh generator's draws
+    seeds = np.array([2**64 - 1, 0, 12, 12], dtype=object)
+    subjects, reps, steps = [1, 1, 0, 5], [3, 3, 9, 0], np.array([11, 6, 6, 1])
+    z = path_normals(seeds, subjects, reps, steps)
+    assert z.shape == (4, 11)
+    for row, seed, subject, rep, length in zip(z, seeds, subjects, reps, steps):
+        fresh = generator(seed, subject, rep).standard_normal(length)
+        assert np.array_equal(row[:length], fresh)
+
+
+def test_path_normals_checks_every_row_seed():
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        path_normals(np.array([1, 2**64], dtype=object), 0, [0, 1], 3)
+
+
 @pytest.mark.parametrize("seed,subject,reps,bad_triple,match", [
     (-1, 0, [0], (-1, 0, 0), "seed must fit in 64 bits"),
     (2**64, 0, [0], (2**64, 0, 0), "seed must fit in 64 bits"),
