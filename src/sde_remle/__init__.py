@@ -44,26 +44,18 @@ from .errors import (
 )
 from .estimator import MleFit, fit_mle, profile_mu
 from .io import read_paths_csv, write_fit_csv, write_paths_csv, write_stats_csv
-from .likelihood import total_hess, total_loglik, total_score
 from .models import (
     Design,
     DesignFamily,
     ModelSpec,
     ParamSpace,
-    RandomEffect,
     Theta,
     builtin_model,
     register_model,
 )
-from .rng import PHI_STREAM_ID, RngStream, derive_seed
-from .simulate import (
-    Path,
-    draw_random_effects,
-    euler_maruyama,
-    simulate_ensemble,
-    time_grid,
-)
-from .stats import SuffStats, compute_suff_stats, stats_list
+from .rng import PHI_STREAM_ID, derive_seed
+from .simulate import Path, euler_maruyama, simulate_ensemble, time_grid
+from .stats import stats_list
 
 __version__ = "0.1.0"
 
@@ -94,18 +86,13 @@ __all__ = [
     "ParseError",
     "Path",
     "PHI_STREAM_ID",
-    "RandomEffect",
-    "RngStream",
     "SdeRemleError",
     "SimulationDiverged",
-    "SuffStats",
     "Theta",
     "UnknownKey",
     "averaged_limits",
     "builtin_model",
-    "compute_suff_stats",
     "derive_seed",
-    "draw_random_effects",
     "emit_config",
     "euler_maruyama",
     "fisher_info_mc",
@@ -123,9 +110,6 @@ __all__ = [
     "sqrt_2x2_spd",
     "stats_list",
     "time_grid",
-    "total_hess",
-    "total_loglik",
-    "total_score",
     "write_fit_csv",
     "write_paths_csv",
     "write_stats_csv",

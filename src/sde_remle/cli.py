@@ -109,11 +109,11 @@ def cmd_simulate(cfg, seed, out_dir):
         subjects=_family(cfg).subjects(cfg["n"]), dt=cfg["dt"], seed=seed
     )
     paths = simulate_ensemble(model, theta0, design)
-    all_stats = stats_list(paths, model)
+    u, v = stats_list(paths, model)
     paths_file = os.path.join(out_dir, io_mod.PATHS_FILE)
     stats_file = os.path.join(out_dir, io_mod.STATS_FILE)
     io_mod.write_paths_csv(paths, paths_file)
-    io_mod.write_stats_csv(all_stats, stats_file)
+    io_mod.write_stats_csv((p.subject_index for p in paths), u, v, stats_file)
     print(
         f"simulate: model={model.name} n={design.n} dt={cfg['dt']!r} "
         f"seed={seed} -> {paths_file}, {stats_file}"
@@ -125,15 +125,15 @@ def cmd_fit(cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     space = _space(cfg)
     paths = io_mod.read_paths_csv(cfg["data"])
-    all_stats = stats_list(paths, model)
-    fit = fit_mle(all_stats, space)
+    u, v = stats_list(paths, model)
+    fit = fit_mle(u, v, space)
     stats_file = os.path.join(out_dir, io_mod.STATS_FILE)
     fit_file = os.path.join(out_dir, io_mod.FIT_FILE)
-    io_mod.write_stats_csv(all_stats, stats_file)
-    io_mod.write_fit_csv(fit, len(all_stats), fit_file)
+    io_mod.write_stats_csv((p.subject_index for p in paths), u, v, stats_file)
+    io_mod.write_fit_csv(fit, len(u), fit_file)
     flags = "|".join(sorted(fit.boundary)) if fit.boundary else "-"
     print(
-        f"fit: n={len(all_stats)} mu_hat={fit.theta_hat.mu!r} "
+        f"fit: n={len(u)} mu_hat={fit.theta_hat.mu!r} "
         f"omega2_hat={fit.theta_hat.omega2!r} loglik={fit.loglik!r} "
         f"boundary={flags} -> {fit_file}"
     )

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
-from .likelihood import _row_totals, total_hess_uv, total_loglik_uv, total_score_uv, uv_arrays
+from .likelihood import _row_totals, total_hess_uv, total_loglik_uv, total_score_uv
 from .models import Theta
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -51,16 +51,21 @@ class MleFit:
     iterations: int
 
 
-def profile_mu(omega2, all_stats, space=None):
-    """Closed-form maximizer of the log-likelihood over mu at fixed omega2.
+def _one_row(u, v):
+    return np.asarray(u, dtype=float)[None, :], np.asarray(v, dtype=float)[None, :]
+
+
+def profile_mu(omega2, u, v, space=None):
+    """Closed-form maximizer over mu, at fixed omega2, of the log-likelihood
+    of the subjects with statistics u, v (1-D arrays).
 
     Solves sum(gamma_i) = 0:
         mu_hat = [sum U_i/(1+w2 V_i)] / [sum V_i/(1+w2 V_i)]
     clamped into [mu_lo, mu_hi] when a space is given. Replacing every U_i
     by U_i + c*V_i shifts the unclamped value by exactly c.
     """
-    u, v = uv_arrays(all_stats)
-    return float(_profile_mu_rows(u[None, :], v[None, :], np.array([omega2]), space)[0])
+    u, v = _one_row(u, v)
+    return float(_profile_mu_rows(u, v, np.array([omega2]), space)[0])
 
 
 def _profile_mu_rows(u, v, omega2, space):
@@ -121,8 +126,9 @@ def _check_rows(u, v, space):
         raise failing[int(np.argmax(rows[r]))][1]
 
 
-def fit_mle(all_stats, space):
-    """Maximize the ensemble log-likelihood over the closed rectangle.
+def fit_mle(u, v, space):
+    """Maximize over the closed rectangle the log-likelihood of the
+    subjects with statistics u, v (1-D arrays, one entry per subject).
 
     Stages: 33-point scan of the profiled objective (guards against a
     multimodal profile), golden-section bracketing to a width of
@@ -138,15 +144,13 @@ def fit_mle(all_stats, space):
     overflows somewhere on the rectangle, the exact row sum overflows, or
     the objective at the fit is not finite.
     """
-    u, v = uv_arrays(all_stats)
-    return fit_rows(np.asarray(u, dtype=float)[None, :],
-                    np.asarray(v, dtype=float)[None, :], space)[0]
+    return fit_rows(*_one_row(u, v), space)[0]
 
 
 def fit_rows(u, v, space):
     """fit_mle on every row of (R, n) arrays u, v, in lockstep.
 
-    Returns R MleFits; fit r equals fit_mle((u[r], v[r]), space) in
+    Returns R MleFits; fit r equals fit_mle(u[r], v[r], space) in
     every field, bit for bit. Every stage runs on all rows at once, and
     per-row masks stop each row where the scalar fit would stop it: the
     golden section when its own bracket is narrow enough, Newton when its

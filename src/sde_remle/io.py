@@ -83,9 +83,12 @@ def write_paths_csv(paths, out_path):
     write_table(out_path, _PATHS_HEADER, _path_rows(paths))
 
 
-def write_stats_csv(all_stats, out_path):
-    write_table(out_path, ("subject", "u", "v"), (
-        (str(s.subject_index), _cell(s.u), _cell(s.v)) for s in all_stats
+def write_stats_csv(subjects, u, v, out_path):
+    """One row per subject: subject,u,v, from subject ids and float arrays
+    whose cells are the repr of each float, as _cell writes it."""
+    write_table(out_path, ("subject", "u", "v"), zip(
+        map(str, subjects), map(repr, np.asarray(u, dtype=float).tolist()),
+        map(repr, np.asarray(v, dtype=float).tolist()),
     ))
 
 

@@ -20,8 +20,8 @@ give score = (gamma, (gamma^2 - I)/2) and the Hessian
 [[-I, -gamma*I], [-gamma*I, -(2*gamma^2*I - I^2)/2]].
 
 The per-subject terms are loglik_terms, score_terms, hess_terms and
-ratio_terms; total_*_uv sum them per row of (R, n) arrays and total_*
-over one ensemble. Degenerate hand-built inputs with V = 0 but U != 0
+ratio_terms; total_*_uv sum them per row of (R, n) arrays, one ensemble
+per row. Degenerate hand-built inputs with V = 0 but U != 0
 (impossible for stats computed from an actual grid) make the theta-free
 factor infinite; for those loglik_terms reports +inf as a sentinel,
 which the optimizer refuses to consume. Ratios and derivatives are
@@ -31,25 +31,6 @@ unaffected because the factor cancels there.
 import math
 
 import numpy as np
-
-from .errors import EmptyEnsemble
-
-
-def uv_arrays(all_stats):
-    """Extract (U, V) arrays from a list of SuffStats.
-
-    A pre-built pair of float arrays passes through unchanged, so bulk
-    callers can skip the per-subject objects.
-    """
-    if (
-        isinstance(all_stats, tuple)
-        and len(all_stats) == 2
-        and isinstance(all_stats[0], np.ndarray)
-    ):
-        return all_stats
-    u = np.array([s.u for s in all_stats], dtype=float)
-    v = np.array([s.v for s in all_stats], dtype=float)
-    return u, v
 
 
 def loglik_terms(u, v, mu, omega2):
@@ -206,7 +187,8 @@ def total_loglik_uv(u, v, mu, omega2):
     """Per-row log-likelihood totals of (R, n) arrays u, v.
 
     mu and omega2 are scalars or one value per row; entry r is exactly
-    rounded, so it equals the total of row r summed on its own.
+    rounded, so it depends neither on the order of row r's terms nor on
+    the other rows.
     """
     return _row_fsum(loglik_terms(u, v, _col(mu), _col(omega2)))
 
@@ -221,31 +203,3 @@ def total_hess_uv(u, v, mu, omega2):
     h = _row_totals(hess_terms(u, v, _col(mu), _col(omega2)))
     return h[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
-
-def _one_row(all_stats):
-    if len(all_stats) == 0:
-        raise EmptyEnsemble("no subjects to sum over")
-    u, v = uv_arrays(all_stats)
-    return u[None, :], v[None, :]
-
-
-def total_loglik(all_stats, theta):
-    """Sum of loglik_terms over an ensemble.
-
-    The reduction is exactly rounded, so any ordering or partitioning of
-    the same subjects produces the identical double.
-    """
-    u, v = _one_row(all_stats)
-    return float(total_loglik_uv(u, v, theta.mu, theta.omega2)[0])
-
-
-def total_score(all_stats, theta):
-    """Ensemble score vector (same reduction contract as total_loglik)."""
-    u, v = _one_row(all_stats)
-    return total_score_uv(u, v, theta.mu, theta.omega2)[0]
-
-
-def total_hess(all_stats, theta):
-    """Ensemble Hessian (same reduction contract as total_loglik)."""
-    u, v = _one_row(all_stats)
-    return total_hess_uv(u, v, theta.mu, theta.omega2)[0]

@@ -32,6 +32,9 @@ class ModelSpec:
         Growth exponent such that b^2/sigma^2 <= k_const * (1 + |x|^tau).
     k_const : float
         The constant in the quadratic growth bounds for b^2 and b^2/sigma^2.
+
+    tau and k_const are declared, not checked: nothing in the package
+    probes b and sigma against them.
     """
 
     name: str
@@ -164,13 +167,6 @@ class Design:
         return len(self.subjects)
 
 
-@dataclass(frozen=True)
-class RandomEffect:
-    """One realized drift multiplier phi_i."""
-
-    phi: float
-
-
 def _unit_b(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
@@ -192,8 +188,9 @@ _REGISTRY = {}
 
 
 def register_model(model):
-    """Register a ModelSpec under its name; user models are trusted but
-    must declare tau and k_const for the sample-probed growth checks."""
+    """Register a ModelSpec under its name. Its tau and k_const are taken
+    on trust: the package records them but never checks b and sigma
+    against them."""
     _REGISTRY[model.name] = model
     return model
 

@@ -12,8 +12,6 @@ generator starts from. A re-keyed row is therefore bit-identical to
 generator(seed, stream_id, replicate_id).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
@@ -54,29 +52,13 @@ def row_keys(seed, stream_ids, replicate_ids):
     return (streams << np.uint64(32)) | reps
 
 
-def _packed_key(seed, stream_id, replicate_id):
-    return np.array([seed, row_keys(seed, stream_id, [replicate_id])[0]], dtype=np.uint64)
-
-
 def generator(seed, stream_id, replicate_id):
-    """Return a fresh Generator for the given stream triple."""
-    key = _packed_key(seed, stream_id, replicate_id)
+    """Return a fresh Generator for the given stream triple.
+
+    Raises row_keys's ValueError when an id is out of range.
+    """
+    key = np.array([seed, row_keys(seed, stream_id, [replicate_id])[0]], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Address of one substream: (seed, stream_id, replicate_id)."""
-
-    seed: int
-    stream_id: int
-    replicate_id: int
-
-    def __post_init__(self):
-        _packed_key(self.seed, self.stream_id, self.replicate_id)
-
-    def generator(self):
-        return generator(self.seed, self.stream_id, self.replicate_id)
 
 
 def _splitmix64(x):

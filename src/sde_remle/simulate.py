@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDiffusion, SimulationDiverged
-from .models import RandomEffect
 from .rng import PHI_STREAM_ID, generator, row_keys
 from .stats import SIGMA2_FLOOR, floor_error
 
@@ -204,48 +203,35 @@ def effect_rows(theta0, seed, replicate_ids, n, stream_id=PHI_STREAM_ID):
     return z
 
 
-def euler_maruyama(model, phi, x0, T, dt, rng, normals=None):
+def euler_maruyama(model, phi, x0, T, dt, seed, stream_id=0, replicate_id=0, normals=None):
     """Simulate one path of dX = phi*b(X)dt + sigma(X)dW from x0 over [0, T].
 
-    Parameters
-    ----------
-    rng : RngStream
-        Substream supplying the standard-normal increments.
-    normals : array, optional
-        Test hook: explicit increments (length = number of steps) used
-        instead of drawing from rng; forcing zeros yields the explicit
-        Euler ODE solution.
+    The increments come from substream (seed, stream_id, replicate_id),
+    and the path's subject_index is stream_id. normals, a test hook,
+    gives explicit increments (one per step) instead; forcing zeros
+    yields the explicit Euler ODE solution.
 
-    Raises
-    ------
-    SimulationDiverged
-        If the state overflows or becomes NaN; the error carries the step.
-    DegenerateDiffusion
-        If sigma evaluates <= 0 along the path.
+    Raises SimulationDiverged, with the step, if the state overflows or
+    becomes NaN, and DegenerateDiffusion if sigma evaluates <= 0 along
+    the path.
     """
     times = time_grid(T, dt)
     steps = len(times) - 1
     if normals is None:
-        normals = path_normals(rng.seed, rng.stream_id, [rng.replicate_id], steps)
+        normals = path_normals(seed, stream_id, [replicate_id], steps)
     normals = np.asarray(normals, dtype=float).reshape(1, steps)
     values = np.empty((1, steps + 1))
     _euler_rows(model, np.array([float(phi)]), np.array([float(x0)]), np.array([float(T)]),
-                np.array([steps]), dt, normals, [rng.stream_id], values=values,
+                np.array([steps]), dt, normals, [stream_id], values=values,
                 raise_errors=True)
     return Path(
         times=times,
         values=values[0],
         x0=float(x0),
         phi=float(phi),
-        seed=rng.seed,
-        subject_index=rng.stream_id,
+        seed=seed,
+        subject_index=stream_id,
     )
-
-
-def draw_random_effects(theta0, n, rng):
-    """Draw n iid N(mu0, omega2_0) effects from one substream."""
-    row = effect_rows(theta0, rng.seed, [rng.replicate_id], n, rng.stream_id)[0]
-    return [RandomEffect(phi=float(p)) for p in row]
 
 
 def simulate_ensemble(model, theta0, design, replicate_id=0):
@@ -272,13 +258,17 @@ def simulate_ensemble(model, theta0, design, replicate_id=0):
         raise SimulationDiverged(int(first_bad[r]), subject_index=int(order[r]))
     paths = [None] * n
     times = None
+    # paths of unequal horizons get copies of their rows, so they do not
+    # keep the whole (n, max steps + 1) matrix alive; equal ones share it
+    ragged = steps.min() < steps.max()
     for row, i in zip(values, order.tolist()):
         x, t = design.subjects[i]
         # a row shares the grid of the row before it when their horizons agree
         if times is None or times[-1] != t:
             times = time_grid(t, dt)
+        row = row[:len(times)]
         paths[i] = Path(
-            times=times, values=row[:len(times)], x0=x, phi=float(phis[i]),
+            times=times, values=row.copy() if ragged else row, x0=x, phi=float(phis[i]),
             seed=design.seed, subject_index=i,
         )
     return paths

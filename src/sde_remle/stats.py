@@ -1,4 +1,4 @@
-"""Sufficient statistics of one path.
+"""Sufficient statistics of paths.
 
 For drift multiplier phi the exact likelihood of a path depends on it only
 through the pair
@@ -12,8 +12,6 @@ decomposition U = phi * V + (martingale part) an identity rather than an
 approximation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDiffusion
@@ -21,21 +19,6 @@ from .errors import DegenerateDiffusion
 # hard floor on sigma^2; integrability of b^2/sigma^2 is an assumption of
 # the whole theory, so underflow is an error, never a clamp
 SIGMA2_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SuffStats:
-    """The pair (U, V) for one subject; V is a sum of squares, so V >= 0."""
-
-    u: float
-    v: float
-    subject_index: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.v) and self.v >= 0):
-            raise ValueError("v must be finite and >= 0")
-        if not np.isfinite(self.u):
-            raise ValueError("u must be finite")
 
 
 def floor_error(model):
@@ -67,22 +50,13 @@ def suff_stats_rows(times, values, model):
     return u, v
 
 
-def compute_suff_stats(path, model):
-    """Left-endpoint sums for U and V on the path's own grid.
-
-    Pure in (times, values, model): provenance fields never affect the
-    result.
-    """
-    u, v = suff_stats_rows(path.times, path.values, model)
-    return SuffStats(u=float(u[0]), v=float(v[0]), subject_index=path.subject_index)
-
-
 def stats_list(paths, model):
-    """Sufficient statistics for every path of an ensemble, in order.
+    """U and V of every path of an ensemble, as two float arrays in order.
 
     The paths that share one time grid go through suff_stats_rows as one
     (rows, M+1) block; each row's sums equal those of the path alone, bit
-    for bit.
+    for bit. V is a sum of squares, so the lowest path whose V is not
+    finite or is < 0 raises ValueError, as does one whose U is not finite.
     """
     paths = list(paths)
     grids = {}
@@ -92,7 +66,9 @@ def stats_list(paths, model):
     u, v = np.empty(len(paths)), np.empty(len(paths))
     for times, rows in grids.values():
         u[rows], v[rows] = suff_stats_rows(times, [paths[i].values for i in rows], model)
-    return [
-        SuffStats(u=a, v=b, subject_index=p.subject_index)
-        for a, b, p in zip(u.tolist(), v.tolist(), paths)
-    ]
+    bad_v = ~(np.isfinite(v) & (v >= 0))
+    bad = bad_v | ~np.isfinite(u)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValueError("v must be finite and >= 0" if bad_v[r] else "u must be finite")
+    return u, v

@@ -1,7 +1,7 @@
-"""Per-line reference for sde_remle.io's paths codec.
+"""Per-line reference for sde_remle.io's codec.
 
-write_paths_csv formats every cell with _cell and read_paths_csv parses
-one line at a time, as the package did before its codec streamed blocks.
+The writers format every cell with _cell and read_paths_csv parses one
+line at a time, as the package did before its codec streamed blocks.
 The package must write the same bytes, and read the same arrays or raise
 the same IngestError (line and message) for the first bad line.
 """
@@ -43,6 +43,24 @@ def write_paths_csv(paths, out_path):
                 str(p.subject_index), str(k), _cell(p.times[k]), _cell(p.values[k]),
             ))
     _write_rows(out_path, ("subject", "k", "t", "x"), rows)
+
+
+def write_stats_csv(subjects, u, v, out_path):
+    """One row per subject: subject,u,v."""
+    rows = [(str(s), _cell(a), _cell(b)) for s, a, b in zip(subjects, u, v)]
+    _write_rows(out_path, ("subject", "u", "v"), rows)
+
+
+def write_fit_csv(fit, n, out_path):
+    se_mu, se_w2 = fit.wald_se if fit.wald_se is not None else (None, None)
+    boundary = "|".join(sorted(fit.boundary)) if fit.boundary else "-"
+    _write_rows(
+        out_path,
+        ("n", "mu_hat", "omega2_hat", "loglik", "score_norm",
+         "boundary", "se_mu", "se_omega2", "iterations"),
+        [(str(n), _cell(fit.theta_hat.mu), _cell(fit.theta_hat.omega2), _cell(fit.loglik),
+          _cell(fit.score_norm), boundary, _cell(se_mu), _cell(se_w2), str(fit.iterations))],
+    )
 
 
 def _parse_float(token, line, what):

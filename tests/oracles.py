@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sde_remle.errors import SdeRemleError
-from sde_remle.likelihood import total_loglik_uv, uv_arrays
+from sde_remle.likelihood import total_loglik_uv
 
 
 class MissingPhi(SdeRemleError):
@@ -29,27 +29,26 @@ class SuffStatsDecomposition:
     phi: float
 
 
-def decompose(path, model, stats):
-    """Split stats.u as phi*u1 + u2 for a simulation-produced path.
+def decompose(path, u, v):
+    """Split a simulated path's U = u as phi*u1 + u2, given its V = v.
 
     u1 is the same left-endpoint sum as V; u2 is defined residually so the
     identity is exact. Raises MissingPhi for ingested paths.
     """
     if path.phi is None:
         raise MissingPhi("decomposition needs the realized phi of a simulated path")
-    u1 = stats.v
-    u2 = stats.u - path.phi * u1
+    u1 = v
+    u2 = u - path.phi * u1
     return SuffStatsDecomposition(u1=u1, u2=u2, phi=path.phi)
 
 
-def audit_fit(fit, all_stats, space, grid_points=50):
+def audit_fit(fit, u, v, space, grid_points=50):
     """True iff the fitted objective beats every point of an audit grid.
 
     Evaluates the objective on a grid_points x grid_points lattice over
     the rectangle and checks loglik(theta_hat) >= loglik(theta) everywhere
     (up to one part in 1e12 of slack for ties).
     """
-    u, v = uv_arrays(all_stats)
     slack = 1e-12 * max(1.0, abs(fit.loglik))
     mus = np.linspace(space.mu_lo, space.mu_hi, grid_points)
     shape = (grid_points, len(u))

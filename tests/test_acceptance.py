@@ -171,7 +171,7 @@ def test_04_fit_matches_grid_argmax_and_gaussian_closed_form():
             UNIT, phis, 0.0, 1.0, 0.1, 9000 + case, 0, np.arange(n)
         )
         u, v = suff_stats_rows(times, values, UNIT)
-        fit = fit_mle((u, v), SPACE)
+        fit = fit_mle(u, v, SPACE)
         grid = loglik_terms(
             u[None, None, :], v[None, None, :],
             mu_axis[:, None, None], w2_axis[None, :, None],
@@ -189,7 +189,7 @@ def test_04_fit_matches_grid_argmax_and_gaussian_closed_form():
             UNIT, phis, 0.0, T, T / 10.0, 11000 + case, 0, np.arange(300)
         )
         u, v = suff_stats_rows(times, values, UNIT)
-        fit = fit_mle((u, v), SPACE)
+        fit = fit_mle(u, v, SPACE)
         mu_oracle = float(u.mean()) / T
         s2 = float(np.mean((u - u.mean()) ** 2))
         w2_oracle = max((s2 / T - 1.0) / T, 0.0)

@@ -444,7 +444,7 @@ def test_fit_rows_drop_non_finite_replicates():
     assert ok.tolist() == [True, False, False, True]
     assert fits[1] is None and fits[2] is None
     for r in (0, 3):
-        want = fit_mle((u[r], v[r]), SPACE)
+        want = fit_mle(u[r], v[r], SPACE)
         assert fits[r].theta_hat == want.theta_hat
         assert fits[r].loglik == want.loglik
         assert fits[r].iterations == want.iterations

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import io_reference as reference
 import numpy as np
 import pytest
 
@@ -9,7 +10,7 @@ from sde_remle import Design, ParamSpace, Theta, builtin_model, simulate_ensembl
 from sde_remle.cli import main
 from sde_remle.estimator import fit_mle
 from sde_remle.io import read_paths_csv
-from sde_remle.stats import stats_list
+from sde_remle.stats import stats_list, suff_stats_rows
 
 SIM_CFG = """\
 model = unit
@@ -75,13 +76,53 @@ def test_fit_round_trips_through_csv(tmp_path, capsys):
     # the CSV carries full-precision reprs, so the round trip is exact
     model = builtin_model("unit")
     space = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
-    direct = fit_mle(stats_list(read_paths_csv(sim_dir / "paths.csv"), model), space)
+    direct = fit_mle(*stats_list(read_paths_csv(sim_dir / "paths.csv"), model), space)
     header, row = (tmp_path / "fit" / "fit.csv").read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["mu_hat"]) == direct.theta_hat.mu
     assert float(cells["omega2_hat"]) == direct.theta_hat.omega2
     assert float(cells["loglik"]) == direct.loglik
     assert f"mu_hat={direct.theta_hat.mu!r}" in capsys.readouterr().out
+
+
+def test_stats_and_fit_bytes_equal_the_per_cell_reference(tmp_path):
+    # a harmonic design, so the paths lie on several grids
+    sim_cfg = SIM_CFG.replace("model = unit", "model = bounded-ratio").replace(
+        "design = iid\nx0 = 0.0\nT = 1.0\n",
+        "design = harmonic\nx_inf = 0.5\nx_amp = 1.0\nT_inf = 1.0\nT_amp = 1.0\n",
+    )
+    sim_dir, fit_dir, ref = tmp_path / "sim", tmp_path / "fit", tmp_path / "ref"
+    assert main(["simulate", "--config", _cfg(tmp_path, sim_cfg), "--out", str(sim_dir)]) == 0
+    fit_cfg = f"model = bounded-ratio\n{SPACE_CFG}data = {sim_dir / 'paths.csv'}\n"
+    assert main(["fit", "--config", _cfg(tmp_path, fit_cfg, "fit.cfg"), "--out", str(fit_dir)]) == 0
+
+    # each path's statistics on its own, written cell by cell
+    model = builtin_model("bounded-ratio")
+    paths = reference.read_paths_csv(sim_dir / "paths.csv")
+    assert len({len(p.times) for p in paths}) > 1
+    u, v = (np.array(x) for x in zip(*(
+        [float(s[0]) for s in suff_stats_rows(p.times, p.values, model)] for p in paths
+    )))
+    ref.mkdir()
+    reference.write_stats_csv([p.subject_index for p in paths], u, v, ref / "stats.csv")
+    space = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
+    reference.write_fit_csv(fit_mle(u, v, space), len(paths), ref / "fit.csv")
+    want = (ref / "stats.csv").read_bytes()
+    assert (sim_dir / "stats.csv").read_bytes() == want
+    assert (fit_dir / "stats.csv").read_bytes() == want
+    assert (fit_dir / "fit.csv").read_bytes() == (ref / "fit.csv").read_bytes()
+
+
+def test_fit_with_an_infinite_v_is_validation_error(tmp_path, capsys):
+    # b(x) = x on a path near 1e200 makes b^2 overflow, so V = inf
+    data = tmp_path / "paths.csv"
+    data.write_text("subject,k,t,x\n0,0,0.0,1e200\n0,1,0.5,2e200\n0,2,1.0,3e200\n"
+                    "1,0,0.0,1.0\n1,1,0.5,1.2\n1,2,1.0,0.9\n")
+    cfg = _cfg(tmp_path, f"model = linear-drift\n{SPACE_CFG}data = {data}\n", name="fit.cfg")
+    rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: v must be finite and >= 0\n"
+    assert not (tmp_path / "fit" / "stats.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,17 +1,24 @@
-"""The README's library quickstart runs as written, and the package's
-public names are exactly the names it exports."""
+"""The README's library quickstart runs as written, the package's public
+names are exactly the names it exports, and every package name the README
+quotes still exists."""
 
+import builtins
 import os
+import pkgutil
 import re
 
 import sde_remle
+from sde_remle import config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
+def _readme():
+    return open(README, encoding="utf-8").read()
+
+
 def _quickstart_code():
-    text = open(README, encoding="utf-8").read()
-    section = text.split("## Library quickstart", 1)[1]
+    section = _readme().split("## Library quickstart", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
@@ -28,3 +35,51 @@ def test_every_public_name_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(sde_remle, name) is not None, name
+
+
+_MODULES = {m.name for m in pkgutil.iter_modules(sde_remle.__path__)}
+
+
+def _package_names():
+    """Dotted names the README quotes in backticks (a call's arguments
+    dropped) that name the package: module.name for one of its modules,
+    Name.attr for one of its public names, or a bare name written like
+    one of its names (with '_' or a capital), other than a config key, a
+    builtin or an environment variable."""
+    prose = re.sub(r"```.*?```", "", _readme(), flags=re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        m = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", " ".join(span.split()))
+        if m is None:
+            continue
+        name = m.group(1)
+        head = name.split(".")[0]
+        if "." in name:
+            if head == "sde_remle" or head in _MODULES or head in sde_remle.__all__:
+                yield name
+        elif (("_" in name or name[0].isupper()) and name not in config._TYPES
+              and not hasattr(builtins, name) and not name.startswith("SDE_REMLE_")):
+            yield name
+
+
+def _resolves(name):
+    parts = name.split(".")
+    if parts[0] == "sde_remle":
+        parts = parts[1:]
+    obj = sde_remle
+    if parts[0] in _MODULES:
+        obj = __import__(f"sde_remle.{parts[0]}", fromlist=["_"])
+        parts = parts[1:]
+    for part in parts:
+        if part in getattr(obj, "__dataclass_fields__", {}):
+            return True
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_package_name_the_readme_quotes_resolves():
+    names = set(_package_names())
+    # the scan sees both forms
+    assert {"fit_mle", "Design", "simulate.replicate_uv", "sde_remle.ks"} <= names
+    assert sorted(n for n in names if not _resolves(n)) == []

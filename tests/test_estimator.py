@@ -6,25 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_remle import (
-    ParamSpace,
-    SuffStats,
-    Theta,
-    fit_mle,
-    profile_mu,
-    total_loglik,
-)
+from sde_remle import ParamSpace, Theta, fit_mle, profile_mu
 from sde_remle.errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
 from sde_remle.estimator import fit_rows
 from oracles import audit_fit
 from scalar_fit import scalar_fit
-from sde_remle.likelihood import loglik_terms
+from sde_remle.likelihood import loglik_terms, total_loglik_uv
 
 SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
 
 
 def _stats(pairs):
-    return [SuffStats(u=u, v=v, subject_index=i) for i, (u, v) in enumerate(pairs)]
+    """(u, v) arrays of a list of (U, V) pairs."""
+    u, v = zip(*pairs)
+    return np.array(u, dtype=float), np.array(v, dtype=float)
+
+
+def _total_loglik(stats, theta):
+    u, v = stats
+    return float(total_loglik_uv(u[None, :], v[None, :], theta.mu, theta.omega2)[0])
 
 
 def _random_stats(rng, n, vmax=10.0):
@@ -35,31 +35,31 @@ def _random_stats(rng, n, vmax=10.0):
 
 def test_profile_mu_zero_omega2():
     stats = _stats([(2.0, 1.0), (4.0, 3.0)])
-    assert profile_mu(0.0, stats) == (2.0 + 4.0) / (1.0 + 3.0)
+    assert profile_mu(0.0, *stats) == (2.0 + 4.0) / (1.0 + 3.0)
 
 
 def test_profile_mu_single_subject_hand_value():
-    assert profile_mu(1.0, _stats([(2.0, 1.0)])) == 2.0
+    assert profile_mu(1.0, *_stats([(2.0, 1.0)])) == 2.0
 
 
 def test_profile_mu_beats_grid():
     rng = np.random.default_rng(5)
     stats = _random_stats(rng, 12)
     for omega2 in (0.0, 0.5, 2.0):
-        best = profile_mu(omega2, stats)
-        ll_best = total_loglik(stats, Theta(mu=best, omega2=omega2))
+        best = profile_mu(omega2, *stats)
+        ll_best = _total_loglik(stats, Theta(mu=best, omega2=omega2))
         for mu in np.linspace(-3.0, 3.0, 1000):
-            assert ll_best >= total_loglik(stats, Theta(mu=float(mu), omega2=omega2))
+            assert ll_best >= _total_loglik(stats, Theta(mu=float(mu), omega2=omega2))
 
 
 def test_profile_mu_all_degenerate():
     with pytest.raises(AllDegenerate):
-        profile_mu(1.0, _stats([(0.0, 0.0), (0.0, 0.0)]))
+        profile_mu(1.0, *_stats([(0.0, 0.0), (0.0, 0.0)]))
 
 
 def test_profile_mu_clamps_into_space():
     narrow = ParamSpace(mu_lo=-0.5, mu_hi=0.5, omega2_lo=0.0, omega2_hi=1.0)
-    assert profile_mu(0.0, _stats([(5.0, 1.0)]), narrow) == 0.5
+    assert profile_mu(0.0, *_stats([(5.0, 1.0)]), narrow) == 0.5
 
 
 @given(
@@ -71,8 +71,8 @@ def test_profile_mu_shift_equivariance(c, omega2):
     # replacing every U by U + c*V moves the unclamped maximizer by exactly c
     rng = np.random.default_rng(9)
     pairs = [(float(rng.normal()), float(rng.uniform(0.1, 8.0))) for _ in range(7)]
-    base = profile_mu(omega2, _stats(pairs))
-    shifted = profile_mu(omega2, _stats([(u + c * v, v) for u, v in pairs]))
+    base = profile_mu(omega2, *_stats(pairs))
+    shifted = profile_mu(omega2, *_stats([(u + c * v, v) for u, v in pairs]))
     assert shifted == pytest.approx(base + c, rel=1e-10, abs=1e-10)
 
 
@@ -96,8 +96,8 @@ def test_fit_shift_equivariance(n, mu, omega2, c, seed):
     rng = np.random.default_rng(seed)
     v = rng.uniform(0.05, 5.0, size=n)
     u = rng.normal(mu * v, np.sqrt(v * (1.0 + omega2 * v)))
-    base = fit_mle((u, v), _WIDE)
-    shifted = fit_mle((u + c * v, v), _WIDE)
+    base = fit_mle(u, v, _WIDE)
+    shifted = fit_mle(u + c * v, v, _WIDE)
     for fit in (base, shifted):
         assert not {"mu_lo", "mu_hi"} & set(fit.boundary)
     assert abs(shifted.theta_hat.mu - base.theta_hat.mu - c) <= _SHIFT_TOL
@@ -117,7 +117,7 @@ def test_fit_matches_gaussian_oracle():
     T, theta0 = 1.0, Theta(mu=1.0, omega2=0.5)
     u = rng.normal(theta0.mu * T, math.sqrt(T * (1.0 + theta0.omega2 * T)), size=4000)
     stats = _stats([(float(ui), T) for ui in u])
-    fit = fit_mle(stats, SPACE)
+    fit = fit_mle(*stats, SPACE)
     mu_star, w2_star = _gaussian_oracle(u, T)
     assert fit.theta_hat.mu == pytest.approx(mu_star, abs=1e-5)
     assert fit.theta_hat.omega2 == pytest.approx(w2_star, abs=1e-5)
@@ -127,9 +127,9 @@ def test_fit_matches_gaussian_oracle():
 
 def test_fit_invariant_under_duplication():
     stats = _stats([(1.2, 0.8), (-0.4, 2.0), (2.5, 1.5)])
-    single = fit_mle(stats, SPACE)
+    single = fit_mle(*stats, SPACE)
     for k in (2, 4):
-        repeated = fit_mle(stats * k, SPACE)
+        repeated = fit_mle(*(np.tile(x, k) for x in stats), SPACE)
         assert repeated.theta_hat == single.theta_hat
         assert repeated.loglik == pytest.approx(k * single.loglik, rel=1e-12)
 
@@ -153,7 +153,7 @@ def test_fit_matches_brute_force_grid():
             j = int(np.argmax(lls))
             if lls[j] > best:
                 best, arg = float(lls[j]), (float(mu_axis[j]), float(w2))
-        fit = fit_mle(_stats(pairs), SPACE)
+        fit = fit_mle(*_stats(pairs), SPACE)
         assert abs(fit.theta_hat.mu - arg[0]) <= cell_mu * 1.0001
         assert abs(fit.theta_hat.omega2 - arg[1]) <= cell_w2 * 1.0001
         assert fit.loglik >= best - 1e-9
@@ -162,7 +162,7 @@ def test_fit_matches_brute_force_grid():
 def test_fit_flags_omega2_boundary():
     narrow = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=0.25)
     stats = _stats([(10.0, 1.0), (-10.0, 1.0)])
-    fit = fit_mle(stats, narrow)
+    fit = fit_mle(*stats, narrow)
     assert fit.theta_hat.omega2 == 0.25
     assert "omega2_hi" in fit.boundary
     assert fit.wald_se is None
@@ -171,7 +171,7 @@ def test_fit_flags_omega2_boundary():
 def test_fit_flags_mu_boundary():
     narrow = ParamSpace(mu_lo=-0.1, mu_hi=0.1, omega2_lo=0.0, omega2_hi=4.0)
     stats = _stats([(3.0, 1.0), (3.2, 1.0), (2.8, 1.0)])
-    fit = fit_mle(stats, narrow)
+    fit = fit_mle(*stats, narrow)
     assert fit.theta_hat.mu == 0.1
     assert "mu_hi" in fit.boundary
     assert fit.wald_se is None
@@ -180,7 +180,7 @@ def test_fit_flags_mu_boundary():
 def test_fit_omega2_zero_boundary_flagged():
     # tight cluster of U around mu*V leaves no room for extra variance
     stats = _stats([(1.0, 1.0), (1.000001, 1.0), (0.999999, 1.0)])
-    fit = fit_mle(stats, SPACE)
+    fit = fit_mle(*stats, SPACE)
     assert fit.theta_hat.omega2 == 0.0
     assert "omega2_lo" in fit.boundary
 
@@ -189,22 +189,22 @@ def test_interior_fit_certificates():
     rng = np.random.default_rng(14)
     u = rng.normal(0.5, math.sqrt(1.0 + 1.0), size=800)
     stats = _stats([(float(ui), 1.0) for ui in u])
-    fit = fit_mle(stats, SPACE)
+    fit = fit_mle(*stats, SPACE)
     assert fit.boundary == ()
     assert fit.score_norm <= 1e-6
     eigs = np.linalg.eigvalsh(fit.hess)
     assert np.all(eigs <= 1e-8)
     assert fit.wald_se is not None and all(s > 0 for s in fit.wald_se)
-    assert audit_fit(fit, stats, SPACE)
+    assert audit_fit(fit, *stats, SPACE)
 
 
 def test_fit_rejects_empty_and_degenerate():
     with pytest.raises(EmptyEnsemble):
-        fit_mle([], SPACE)
+        fit_mle(np.array([]), np.array([]), SPACE)
     with pytest.raises(AllDegenerate):
-        fit_mle(_stats([(0.0, 0.0)]), SPACE)
+        fit_mle(*_stats([(0.0, 0.0)]), SPACE)
     with pytest.raises(NonFiniteObjective):
-        fit_mle(_stats([(1.0, 0.0), (0.5, 1.0)]), SPACE)
+        fit_mle(*_stats([(1.0, 0.0), (0.5, 1.0)]), SPACE)
 
 
 @pytest.mark.parametrize("u,v", [
@@ -215,10 +215,10 @@ def test_fit_rejects_empty_and_degenerate():
     ((0.0, 0.0), (-1.0, -1.0)),
 ])
 def test_fit_rejects_invalid_raw_pairs(u, v):
-    """A raw (u, v) pair skips the SuffStats checks, so fit_mle repeats
-    them: non-finite or negative-V input is a typed error, never a fit."""
+    """fit_mle checks its (u, v) arrays itself: non-finite or negative-V
+    input is a typed error, never a fit."""
     with pytest.raises(InvalidStats):
-        fit_mle((np.array(u), np.array(v)), SPACE)
+        fit_mle(np.array(u), np.array(v), SPACE)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -226,7 +226,7 @@ def test_overflowing_u_is_a_typed_error_not_a_nan_fit():
     # U is finite but U^2 overflows, so the objective is NaN or inf on the
     # whole rectangle; no fit with a non-finite loglik may come back
     with pytest.raises(NonFiniteObjective):
-        fit_mle((np.array([1e200, 1.0]), np.array([1.0, 1.0])), SPACE)
+        fit_mle(np.array([1e200, 1.0]), np.array([1.0, 1.0]), SPACE)
     rng = np.random.default_rng(3)
     v = rng.uniform(0.5, 2.0, size=(40, 5))
     u = rng.normal(v, np.sqrt(v))
@@ -246,7 +246,7 @@ def test_products_overflowing_on_the_rectangle_are_refused_up_front(u, v):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteObjective, match="not finite on the rectangle"):
-            fit_mle((np.array(u), np.array(v)), SPACE)
+            fit_mle(np.array(u), np.array(v), SPACE)
 
 
 def test_row_sum_overflow_raises_without_warnings():
@@ -255,7 +255,7 @@ def test_row_sum_overflow_raises_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteObjective, match="row sum overflows"):
-            fit_mle((np.full(3, 6e153), np.full(3, 1e-300)), SPACE)
+            fit_mle(np.full(3, 6e153), np.full(3, 1e-300), SPACE)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -263,7 +263,7 @@ def test_row_sum_overflow_is_a_typed_error():
     # every product is finite, but at omega2 = 4 each term is about 7e307,
     # so three of them overflow math.fsum
     with pytest.raises(NonFiniteObjective, match="row sum overflows"):
-        fit_mle((np.full(3, 6e153), np.full(3, 1e-300)), SPACE)
+        fit_mle(np.full(3, 6e153), np.full(3, 1e-300), SPACE)
 
 
 def test_fit_rows_report_the_lowest_overflowing_row():
@@ -283,8 +283,8 @@ def test_fit_rows_report_the_lowest_overflowing_row():
 def test_fit_bit_reproducible():
     rng = np.random.default_rng(77)
     stats = _random_stats(rng, 40)
-    a = fit_mle(stats, SPACE)
-    b = fit_mle(stats, SPACE)
+    a = fit_mle(*stats, SPACE)
+    b = fit_mle(*stats, SPACE)
     assert a.theta_hat == b.theta_hat
     assert a.loglik == b.loglik
     assert a.score_norm == b.score_norm
@@ -296,18 +296,18 @@ def test_fit_bit_reproducible():
 
 def test_audit_catches_a_bad_fit():
     stats = _stats([(1.0, 1.0), (2.0, 1.5)])
-    good = fit_mle(stats, SPACE)
+    good = fit_mle(*stats, SPACE)
     bad = type(good)(
         theta_hat=Theta(mu=-2.0, omega2=3.0),
-        loglik=total_loglik(stats, Theta(mu=-2.0, omega2=3.0)),
+        loglik=_total_loglik(stats, Theta(mu=-2.0, omega2=3.0)),
         score_norm=1.0,
         hess=good.hess,
         boundary=(),
         wald_se=None,
         iterations=0,
     )
-    assert audit_fit(good, stats, SPACE)
-    assert not audit_fit(bad, stats, SPACE)
+    assert audit_fit(good, *stats, SPACE)
+    assert not audit_fit(bad, *stats, SPACE)
 
 
 def _bits(x):
@@ -369,7 +369,7 @@ def test_fit_rows_equal_fit_mle_and_the_scalar_loop(seed, kinds, n, space):
     batch = fit_rows(u, v, space)
     assert len(batch) == len(kinds)
     for r, fit in enumerate(batch):
-        assert _fields(fit) == _fields(fit_mle((u[r].copy(), v[r].copy()), space))
+        assert _fields(fit) == _fields(fit_mle(u[r].copy(), v[r].copy(), space))
         assert _fields(fit) == _fields(scalar_fit(u[r], v[r], space))
 
 
@@ -383,7 +383,7 @@ def test_permuting_subjects_leaves_the_fit_bit_identical(seed, kind, n):
     rng = np.random.default_rng(seed)
     u, v = _row(rng, kind, n)
     perm = rng.permutation(n)
-    assert _fields(fit_mle((u, v), SPACE)) == _fields(fit_mle((u[perm], v[perm]), SPACE))
+    assert _fields(fit_mle(u, v, SPACE)) == _fields(fit_mle(u[perm], v[perm], SPACE))
 
 
 def test_fit_rows_paths_are_exercised():
@@ -405,7 +405,7 @@ def test_fit_rows_across_row_blocks():
     u = rng.normal(0.5 * v, np.sqrt(v + 0.5 * v * v))
     batch = fit_rows(u, v, SPACE)
     for r in (0, 22, 23, 29):
-        assert _fields(batch[r]) == _fields(fit_mle((u[r], v[r]), SPACE))
+        assert _fields(batch[r]) == _fields(fit_mle(u[r], v[r], SPACE))
 
 
 def test_fit_rows_checks_rows_in_order():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_remle import Design, SuffStats, Theta, builtin_model, simulate_ensemble
+from sde_remle import Design, Theta, builtin_model, simulate_ensemble
 from sde_remle import io as sde_io
 from sde_remle.errors import IngestError
 from sde_remle.io import (
@@ -59,14 +59,25 @@ def test_paths_round_trip(tmp_path):
 
 
 def test_stats_csv_full_precision(tmp_path):
-    stats = [SuffStats(u=1.0 / 3.0, v=0.1 + 0.2, subject_index=0)]
     out = tmp_path / "stats.csv"
-    write_stats_csv(stats, out)
+    write_stats_csv([0], np.array([1.0 / 3.0]), np.array([0.1 + 0.2]), out)
     lines = out.read_text().splitlines()
     assert lines[0] == "subject,u,v"
     _, u_txt, v_txt = lines[1].split(",")
-    assert float(u_txt) == stats[0].u
-    assert float(v_txt) == stats[0].v
+    assert float(u_txt) == 1.0 / 3.0
+    assert float(v_txt) == 0.1 + 0.2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.floats(), st.floats()), max_size=20))
+def test_stats_writer_bytes_equal_the_per_cell_reference(tmp_path_factory, rows):
+    subjects = [np.int64(s) if s % 2 else s for s, _, _ in rows]
+    u = np.array([a for _, a, _ in rows], dtype=float)
+    v = np.array([b for _, _, b in rows], dtype=float)
+    out = tmp_path_factory.mktemp("s")
+    write_stats_csv(iter(subjects), u, v, str(out / "new.csv"))
+    reference.write_stats_csv(subjects, u, v, out / "ref.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
 def _write(tmp_path, text):

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_remle import (
-    SuffStats,
-    Theta,
-    total_hess,
-    total_loglik,
-    total_score,
-)
-from sde_remle.errors import EmptyEnsemble
+from sde_remle import Theta
 from sde_remle.likelihood import (
     gamma_cap,
     hess_terms,
@@ -31,8 +24,10 @@ mus = st.floats(min_value=-3.0, max_value=3.0)
 omega2s = st.floats(min_value=0.0, max_value=4.0)
 
 
-def _stats(u, v):
-    return SuffStats(u=u, v=v, subject_index=0)
+def _totals(u, v, theta):
+    """Log-likelihood, score and Hessian totals of one ensemble (u, v)."""
+    args = (np.atleast_2d(u), np.atleast_2d(v), theta.mu, theta.omega2)
+    return float(total_loglik_uv(*args)[0]), total_score_uv(*args)[0], total_hess_uv(*args)[0]
 
 
 def _loglik(u, v, theta):
@@ -182,39 +177,32 @@ def test_ratio_finite_at_v_zero():
 
 def test_totals_single_and_duplicated():
     theta = Theta(mu=0.4, omega2=0.9)
-    s = _stats(1.3, 2.1)
-    assert total_loglik([s], theta) == _loglik(s.u, s.v, theta)
-    assert total_loglik([s, s], theta) == 2.0 * _loglik(s.u, s.v, theta)
-    assert np.array_equal(total_score([s, s], theta), 2.0 * total_score([s], theta))
-    assert np.array_equal(total_hess([s, s], theta), 2.0 * total_hess([s], theta))
+    ll, score, hess = _totals([1.3], [2.1], theta)
+    ll2, score2, hess2 = _totals([1.3, 1.3], [2.1, 2.1], theta)
+    assert ll == _loglik(1.3, 2.1, theta)
+    assert ll2 == 2.0 * _loglik(1.3, 2.1, theta)
+    assert np.array_equal(score2, 2.0 * score)
+    assert np.array_equal(hess2, 2.0 * hess)
 
 
 def test_totals_order_independent():
     # exactly-rounded reduction: reversal changes nothing, not even an ulp
     rng = np.random.default_rng(12)
-    stats = [
-        _stats(float(rng.normal(scale=5)), float(rng.uniform(0, 10))) for _ in range(100)
-    ]
+    u, v = rng.normal(scale=5, size=100), rng.uniform(0, 10, size=100)
     theta = Theta(mu=0.8, omega2=0.6)
-    assert total_loglik(stats, theta) == total_loglik(stats[::-1], theta)
-    assert np.array_equal(total_score(stats, theta), total_score(stats[::-1], theta))
-    assert np.array_equal(total_hess(stats, theta), total_hess(stats[::-1], theta))
-
-
-def test_totals_reject_empty():
-    theta = Theta(mu=0.0, omega2=0.0)
-    for fn in (total_loglik, total_score, total_hess):
-        with pytest.raises(EmptyEnsemble):
-            fn([], theta)
+    forward, backward = _totals(u, v, theta), _totals(u[::-1], v[::-1], theta)
+    assert forward[0] == backward[0]
+    assert np.array_equal(forward[1], backward[1])
+    assert np.array_equal(forward[2], backward[2])
 
 
 def test_concavity_in_mu():
     rng = np.random.default_rng(3)
-    stats = [_stats(float(rng.normal()), float(rng.uniform(0.1, 5))) for _ in range(20)]
+    u, v = rng.normal(size=20), rng.uniform(0.1, 5, size=20)
     omega2 = 0.7
-    assert total_hess(stats, Theta(mu=0.3, omega2=omega2))[0, 0] < 0.0
+    assert _totals(u, v, Theta(mu=0.3, omega2=omega2))[2][0, 0] < 0.0
     grid = np.linspace(-3, 3, 41)
-    lls = [total_loglik(stats, Theta(mu=float(m), omega2=omega2)) for m in grid]
+    lls = [_totals(u, v, Theta(mu=float(m), omega2=omega2))[0] for m in grid]
     assert np.all(np.diff(lls, 2) < 0.0)
 
 
@@ -357,9 +345,9 @@ def test_row_totals_equal_one_row_totals():
     he = total_hess_uv(u, v, mu, w2)
     assert ll.shape == (5,) and sc.shape == (5, 2) and he.shape == (5, 2, 2)
     for r in range(5):
-        stats = [_stats(a, b) for a, b in zip(u[r].tolist(), v[r].tolist())]
         theta = Theta(mu=float(mu[r]), omega2=float(w2[r]))
-        assert ll[r] == total_loglik(stats, theta)
-        assert sc[r].tolist() == total_score(stats, theta).tolist()
-        assert he[r].tolist() == total_hess(stats, theta).tolist()
-        assert ll[r] == math.fsum(_loglik(s.u, s.v, theta) for s in stats)
+        alone = _totals(u[r], v[r], theta)
+        assert ll[r] == alone[0]
+        assert sc[r].tolist() == alone[1].tolist()
+        assert he[r].tolist() == alone[2].tolist()
+        assert ll[r] == math.fsum(_loglik(a, b, theta) for a, b in zip(u[r], v[r]))

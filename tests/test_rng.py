@@ -3,12 +3,12 @@ import pytest
 
 from sde_remle.rng import (
     PHI_STREAM_ID,
-    RngStream,
     derive_seed,
     float_label,
     generator,
 )
-from sde_remle.simulate import path_normals
+from sde_remle.models import builtin_model
+from sde_remle.simulate import euler_maruyama, path_normals
 
 
 def test_same_triple_bit_identical():
@@ -34,11 +34,12 @@ def test_draw_order_does_not_matter():
     assert np.array_equal(fresh, interleaved)
 
 
-def test_stream_object_matches_raw_generator():
-    s = RngStream(seed=9, stream_id=2, replicate_id=5)
-    assert np.array_equal(
-        s.generator().standard_normal(8), generator(9, 2, 5).standard_normal(8)
-    )
+def test_generator_key_packs_the_triple():
+    # first key word the seed, second stream_id << 32 | replicate_id
+    key = generator(9, 2, 5).bit_generator.state["state"]["key"]
+    assert key.tolist() == [9, (2 << 32) | 5]
+    top = generator(2**64 - 1, PHI_STREAM_ID, 2**32 - 1).bit_generator.state["state"]["key"]
+    assert top.tolist() == [2**64 - 1, 2**64 - 1]
 
 
 def test_phi_stream_id_is_reserved_top_of_range():
@@ -46,12 +47,13 @@ def test_phi_stream_id_is_reserved_top_of_range():
 
 
 def test_rng_stream_validates_ranges():
-    import pytest
-
-    with pytest.raises(ValueError):
-        RngStream(seed=-1, stream_id=0, replicate_id=0)
-    with pytest.raises(ValueError):
-        RngStream(seed=0, stream_id=2**32, replicate_id=0)
+    # generator and euler_maruyama's draw both check the key through row_keys
+    unit = builtin_model("unit")
+    for triple in ((-1, 0, 0), (2**64, 0, 0), (0, 2**32, 0), (0, -1, 0), (0, 0, 2**32)):
+        with pytest.raises(ValueError):
+            generator(*triple)
+        with pytest.raises(ValueError):
+            euler_maruyama(unit, 1.0, 0.0, 1.0, 0.1, *triple)
 
 
 def test_derive_seed_stable_and_sensitive():

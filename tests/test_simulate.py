@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,9 @@ from sde_remle import (
     PHI_STREAM_ID,
     Design,
     DesignFamily,
-    RngStream,
     SimulationDiverged,
     Theta,
     builtin_model,
-    draw_random_effects,
     euler_maruyama,
     simulate_ensemble,
     time_grid,
@@ -19,15 +18,11 @@ from sde_remle import (
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec, register_model
 from sde_remle.rng import generator
-from sde_remle.simulate import path_normals, simulate_replicates
+from sde_remle.simulate import effect_rows, path_normals, simulate_replicates
 
 UNIT = builtin_model("unit")
 LINEAR = builtin_model("linear-drift")
 BOUNDED = builtin_model("bounded-ratio")
-
-
-def stream(seed=0, subject=0, rep=0):
-    return RngStream(seed=seed, stream_id=subject, replicate_id=rep)
 
 
 class TestTimeGrid:
@@ -54,7 +49,7 @@ class TestTimeGrid:
 
 def test_zero_noise_unit_path_is_linear():
     normals = np.zeros(10)
-    p = euler_maruyama(UNIT, 2.0, 1.0, 1.0, 0.1, stream(), normals=normals)
+    p = euler_maruyama(UNIT, 2.0, 1.0, 1.0, 0.1, 0, normals=normals)
     assert p.values[-1] == pytest.approx(1.0 + 2.0 * 1.0, abs=1e-15)
     assert np.allclose(p.values, 1.0 + 2.0 * p.times)
 
@@ -64,7 +59,7 @@ def test_zero_noise_matches_explicit_euler_ode():
     dx = phi b(x) dt for any model."""
     phi, x0, T, dt = 0.8, 0.5, 1.0, 0.05
     normals = np.zeros(20)
-    p = euler_maruyama(LINEAR, phi, x0, T, dt, stream(), normals=normals)
+    p = euler_maruyama(LINEAR, phi, x0, T, dt, 0, normals=normals)
     state = x0
     for k in range(len(p.times) - 1):
         delta = p.times[k + 1] - p.times[k]
@@ -73,23 +68,22 @@ def test_zero_noise_matches_explicit_euler_ode():
 
 
 def test_single_step_formula():
-    p = euler_maruyama(UNIT, 1.5, 0.25, 1.0, 1.0, stream(seed=3))
+    p = euler_maruyama(UNIT, 1.5, 0.25, 1.0, 1.0, 3)
     z0 = path_normals(3, 0, [0], 1)[0, 0]
     assert p.values[-1] == pytest.approx(0.25 + 1.5 * 1.0 + math.sqrt(1.0) * z0, rel=1e-15)
     assert len(p.times) == 2
 
 
 def test_path_determinism():
-    a = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, stream(seed=11, subject=4, rep=2))
-    b = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, stream(seed=11, subject=4, rep=2))
+    a = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, 11, 4, 2)
+    b = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, 11, 4, 2)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.times, b.times)
 
 
 def test_unit_increment_moments():
     # X(t+dt) - X(t) - phi dt must be N(0, dt) for the unit model
-    rng = stream(seed=21)
-    p = euler_maruyama(UNIT, 1.0, 0.0, 40.0, 0.01, rng)
+    p = euler_maruyama(UNIT, 1.0, 0.0, 40.0, 0.01, 21)
     incs = np.diff(p.values) - 1.0 * np.diff(p.times)
     scaled = incs / np.sqrt(np.diff(p.times))
     n = len(scaled)
@@ -101,7 +95,7 @@ def test_divergence_raises_with_step_index():
     # growth factor 1 + phi*dt = 1e6 per step overflows float64 within
     # ~52 steps
     with pytest.raises(SimulationDiverged) as exc:
-        euler_maruyama(LINEAR, 1.0e8, 1.0, 1.0, 0.01, stream(seed=2))
+        euler_maruyama(LINEAR, 1.0e8, 1.0, 1.0, 0.01, 2)
     assert exc.value.step >= 1
 
 
@@ -110,32 +104,33 @@ def test_degenerate_sigma_raises():
     # -0.5 -> -0.25 -> 0.0 where sigma vanishes
     model = ModelSpec(name="vanishing", b=lambda x: np.ones_like(x), sigma=lambda x: -x, tau=1.0)
     with pytest.raises(DegenerateDiffusion):
-        euler_maruyama(model, 1.0, -0.5, 1.0, 0.25, stream(), normals=np.zeros(4))
+        euler_maruyama(model, 1.0, -0.5, 1.0, 0.25, 0, normals=np.zeros(4))
 
 
 def test_random_effects_zero_variance_collapses():
-    effects = draw_random_effects(Theta(mu=0.7, omega2=0.0), 5, stream(seed=1))
-    assert all(e.phi == 0.7 for e in effects)
+    phis = effect_rows(Theta(mu=0.7, omega2=0.0), 1, [0], 5, stream_id=0)
+    assert phis.tolist() == [[0.7] * 5]
 
 
 def test_random_effects_match_moments():
-    effects = draw_random_effects(Theta(mu=0.0, omega2=1.0), 100_000, stream(seed=8))
-    phis = np.array([e.phi for e in effects])
+    phis = effect_rows(Theta(mu=0.0, omega2=1.0), 8, [0], 100_000, stream_id=0)[0]
     assert abs(phis.mean()) < 0.02
     assert 0.97 < phis.var() < 1.03
 
 
 def test_random_effects_equal_scaled_fresh_stream():
     theta0 = Theta(mu=0.3, omega2=0.7)
-    effects = draw_random_effects(theta0, 50, RngStream(6, PHI_STREAM_ID, 2))
+    phis = effect_rows(theta0, 6, [2], 50)[0]
     want = 0.3 + math.sqrt(0.7) * generator(6, PHI_STREAM_ID, 2).standard_normal(50)
-    assert [e.phi for e in effects] == want.tolist()
+    assert phis.tolist() == want.tolist()
 
 
 def test_random_effects_deterministic():
-    a = draw_random_effects(Theta(mu=0.0, omega2=1.0), 10, stream(seed=5))
-    b = draw_random_effects(Theta(mu=0.0, omega2=1.0), 10, stream(seed=5))
-    assert [e.phi for e in a] == [e.phi for e in b]
+    theta0 = Theta(mu=0.0, omega2=1.0)
+    a = effect_rows(theta0, 5, [0, 3], 10, stream_id=0)
+    assert np.array_equal(a, effect_rows(theta0, 5, [0, 3], 10, stream_id=0))
+    # each replicate's row is its own substream, whatever rows come with it
+    assert a[1].tolist() == effect_rows(theta0, 5, [3], 10, stream_id=0)[0].tolist()
 
 
 def test_ensemble_deterministic_and_tagged():
@@ -152,7 +147,7 @@ def test_ensemble_deterministic_and_tagged():
 
 def _own_divergence_step(model, phi, x0, T, dt, seed, subject):
     with pytest.raises(SimulationDiverged) as exc:
-        euler_maruyama(model, phi, x0, T, dt, stream(seed=seed, subject=subject))
+        euler_maruyama(model, phi, x0, T, dt, seed, subject)
     return exc.value.step
 
 
@@ -188,10 +183,10 @@ def test_ensemble_degenerate_diffusion_names_the_lowest_failing_subject():
 
 
 def _own_degenerate_step(model, theta0, subjects, dt, seed, i):
-    phi = draw_random_effects(theta0, len(subjects), stream(seed, PHI_STREAM_ID))[i].phi
+    phi = effect_rows(theta0, seed, [0], len(subjects))[0, i]
     x0, T = subjects[i]
     try:
-        euler_maruyama(model, phi, x0, T, dt, stream(seed, i))
+        euler_maruyama(model, phi, x0, T, dt, seed, i)
     except DegenerateDiffusion as err:
         return err.step
     return math.inf
@@ -250,19 +245,38 @@ def test_ensemble_row_blocks_equal_per_subject_paths(replicate_id):
     design = Design(subjects=subjects, dt=0.02, seed=31)
     theta0 = Theta(mu=0.6, omega2=0.8)
     paths = simulate_ensemble(BOUNDED, theta0, design, replicate_id=replicate_id)
-    effects = draw_random_effects(
-        theta0, design.n, RngStream(seed=31, stream_id=PHI_STREAM_ID, replicate_id=replicate_id)
-    )
+    phis = effect_rows(theta0, 31, [replicate_id], design.n)[0].tolist()
     assert len(paths) == design.n
-    for i, ((x0, T), path, effect) in enumerate(zip(subjects, paths, effects)):
-        want = euler_maruyama(
-            BOUNDED, effect.phi, x0, T, 0.02, stream(seed=31, subject=i, rep=replicate_id)
-        )
+    for i, ((x0, T), path, phi) in enumerate(zip(subjects, paths, phis)):
+        want = euler_maruyama(BOUNDED, phi, x0, T, 0.02, 31, i, replicate_id)
         assert path.subject_index == i
-        assert path.phi == effect.phi
+        assert path.phi == phi
         assert path.x0 == want.x0
         assert np.array_equal(path.times, want.times)
         assert np.array_equal(path.values, want.values)
+
+
+def test_ensemble_of_unequal_horizons_keeps_only_its_paths():
+    # T from 50 down to about 1.25: the paths and grids need 0.8 MB, the
+    # (n, max steps + 1) matrix they are simulated in 8 MB
+    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=49.0)
+    design = Design(subjects=family.subjects(200), dt=0.01, seed=5)
+    theta0 = Theta(mu=0.5, omega2=0.2)
+    simulate_ensemble(UNIT, theta0, design)
+    tracemalloc.start()
+    try:
+        paths = simulate_ensemble(UNIT, theta0, design)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(p.values.nbytes + p.times.nbytes for p in paths) < 800_000
+    assert retained < 2_000_000
+
+
+def test_iid_ensemble_paths_share_one_matrix():
+    design = Design(subjects=((0.0, 1.0),) * 5, dt=0.1, seed=5)
+    paths = simulate_ensemble(UNIT, Theta(mu=0.5, omega2=0.2), design)
+    assert all(p.values.base is paths[0].values.base is not None for p in paths)
 
 
 def test_ensemble_exchangeable_under_iid_design():

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sde_remle import (
-    Design,
-    SuffStats,
-    Theta,
-    builtin_model,
-    compute_suff_stats,
-    simulate_ensemble,
-    stats_list,
-)
+from sde_remle import Design, Theta, builtin_model, simulate_ensemble, stats_list
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec
 from sde_remle.simulate import Path, path_normals, simulate_replicates, time_grid
@@ -36,6 +28,12 @@ def _path(times, values, phi=1.0, subject_index=0):
     )
 
 
+def _uv(path, model):
+    """(U, V) of one path, as floats."""
+    u, v = stats_list([path], model)
+    return float(u[0]), float(v[0])
+
+
 def test_unit_model_identities_exact():
     # unit model has constant integrand, so U telescopes and V sums the grid;
     # summing rounded diffs can drift from the endpoints by an ulp, so U is
@@ -43,24 +41,20 @@ def test_unit_model_identities_exact():
     for dt in (0.05, 1 / 3, 0.4):
         design = Design(subjects=((0.3, 4.0),), dt=dt, seed=5)
         p = simulate_ensemble(UNIT, Theta(mu=1.0, omega2=0.5), design)[0]
-        s = compute_suff_stats(p, UNIT)
-        assert math.isclose(s.u, p.values[-1] - p.x0, rel_tol=1e-14, abs_tol=0.0)
-        assert s.v == 4.0
+        u, v = _uv(p, UNIT)
+        assert math.isclose(u, p.values[-1] - p.x0, rel_tol=1e-14, abs_tol=0.0)
+        assert v == 4.0
 
 
 def test_unit_model_u_exact_on_dyadic_path():
     # every diff is a short dyadic rational, so the telescoped sum is exact
     p = _path([0.0, 0.25, 0.5, 1.0], [1.0, 1.5, 0.75, 2.0])
-    s = compute_suff_stats(p, UNIT)
-    assert s.u == 1.0
-    assert s.v == 1.0
+    assert _uv(p, UNIT) == (1.0, 1.0)
 
 
 def test_constant_path():
     p = _path([0.0, 0.25, 0.5, 0.75, 1.0], [2.0] * 5, phi=0.0)
-    s = compute_suff_stats(p, UNIT)
-    assert s.u == 0.0
-    assert s.v == 1.0
+    assert _uv(p, UNIT) == (0.0, 1.0)
 
 
 def test_v_and_u_additive_at_grid_point():
@@ -71,12 +65,12 @@ def test_v_and_u_additive_at_grid_point():
     """
     times = [0.0, 0.25, 0.5, 0.75, 1.0]
     values = [1.0, 2.0, 1.5, 3.0, 2.5]
-    whole = compute_suff_stats(_path(times, values), LINEAR)
-    left = compute_suff_stats(_path(times[:3], values[:3]), LINEAR)
+    whole = _uv(_path(times, values), LINEAR)
+    left = _uv(_path(times[:3], values[:3]), LINEAR)
     t_right = [t - 0.5 for t in times[2:]]
-    right = compute_suff_stats(_path(t_right, values[2:]), LINEAR)
-    assert whole.v == left.v + right.v
-    assert whole.u == left.u + right.u
+    right = _uv(_path(t_right, values[2:]), LINEAR)
+    assert whole[1] == left[1] + right[1]
+    assert whole[0] == left[0] + right[0]
 
 
 def test_stats_ignore_provenance_fields():
@@ -84,9 +78,7 @@ def test_stats_ignore_provenance_fields():
     values = np.cos(times) + 1.5
     a = _path(times, values, phi=0.3, subject_index=0)
     b = _path(times, values, phi=-2.0, subject_index=9)
-    sa, sb = compute_suff_stats(a, BOUNDED), compute_suff_stats(b, BOUNDED)
-    assert (sa.u, sa.v) == (sb.u, sb.v)
-    assert sa.subject_index == 0 and sb.subject_index == 9
+    assert _uv(a, BOUNDED) == _uv(b, BOUNDED)
 
 
 @pytest.mark.parametrize("model", [UNIT, LINEAR, BOUNDED], ids=lambda m: m.name)
@@ -96,43 +88,41 @@ def test_stats_list_stacks_shared_grids_bit_for_bit(model):
     subjects = tuple((0.1 * i, (1.0, 2.0, 0.7)[i % 3]) for i in range(60))
     design = Design(subjects=subjects, dt=0.01, seed=8)
     paths = simulate_ensemble(model, Theta(mu=0.8, omega2=0.4), design)
-    together = stats_list(paths, model)
-    alone = [compute_suff_stats(p, model) for p in paths]
-    assert [(s.u.hex(), s.v.hex(), s.subject_index) for s in together] == \
-        [(s.u.hex(), s.v.hex(), s.subject_index) for s in alone]
+    u, v = stats_list(paths, model)
+    alone = [_uv(p, model) for p in paths]
+    assert [(a.hex(), b.hex()) for a, b in zip(u.tolist(), v.tolist())] == \
+        [(a.hex(), b.hex()) for a, b in alone]
 
 
 def test_stats_list_preserves_order():
     design = Design(subjects=((0.0, 1.0), (1.0, 2.0), (2.0, 0.5)), dt=0.05, seed=3)
     paths = simulate_ensemble(UNIT, Theta(mu=0.0, omega2=1.0), design)
-    forward = stats_list(paths, UNIT)
-    backward = stats_list(list(reversed(paths)), UNIT)
-    assert [s.subject_index for s in forward] == [0, 1, 2]
-    assert [(s.u, s.v) for s in backward] == [(s.u, s.v) for s in reversed(forward)]
+    u, v = stats_list(paths, UNIT)
+    back_u, back_v = stats_list(list(reversed(paths)), UNIT)
+    assert list(zip(u.tolist(), v.tolist())) == [_uv(p, UNIT) for p in paths]
+    assert back_u.tolist() == u.tolist()[::-1] and back_v.tolist() == v.tolist()[::-1]
 
 
 def test_decompose_unit_model():
     design = Design(subjects=((0.5, 2.0),), dt=0.05, seed=11)
     p = simulate_ensemble(UNIT, Theta(mu=1.5, omega2=0.0), design)[0]
-    s = compute_suff_stats(p, UNIT)
-    d = decompose(p, UNIT, s)
-    assert d.u1 == s.v
-    assert s.u == d.phi * d.u1 + d.u2
-    assert d.u2 == pytest.approx(p.values[-1] - p.x0 - p.phi * s.v, abs=1e-12)
+    u, v = _uv(p, UNIT)
+    d = decompose(p, u, v)
+    assert d.u1 == v
+    assert u == d.phi * d.u1 + d.u2
+    assert d.u2 == pytest.approx(p.values[-1] - p.x0 - p.phi * v, abs=1e-12)
 
 
 def test_decompose_zero_phi():
     p = _path([0.0, 0.5, 1.0], [1.0, 1.2, 0.9], phi=0.0)
-    s = compute_suff_stats(p, LINEAR)
-    d = decompose(p, LINEAR, s)
-    assert d.u2 == s.u
+    u, v = _uv(p, LINEAR)
+    assert decompose(p, u, v).u2 == u
 
 
 def test_decompose_requires_phi():
     p = _path([0.0, 0.5, 1.0], [1.0, 1.2, 0.9], phi=None)
-    s = compute_suff_stats(p, LINEAR)
     with pytest.raises(MissingPhi):
-        decompose(p, LINEAR, s)
+        decompose(p, *_uv(p, LINEAR))
 
 
 def test_ito_isometry_unit_model():
@@ -143,8 +133,7 @@ def test_ito_isometry_unit_model():
     u2s = []
     for rep in range(R):
         p = simulate_ensemble(UNIT, Theta(mu=0.8, omega2=0.2), design, replicate_id=rep)[0]
-        s = compute_suff_stats(p, UNIT)
-        u2s.append(decompose(p, UNIT, s).u2)
+        u2s.append(decompose(p, *_uv(p, UNIT)).u2)
     u2s = np.asarray(u2s)
     assert abs(u2s.mean()) < 4.0 * math.sqrt(T / R)
     assert abs(u2s.var() - T) < 4.0 * T * math.sqrt(2.0 / R)
@@ -158,10 +147,8 @@ def test_even_moments_finite_and_stable(model):
     estimates = {}
     for n in (1500, 3000):
         design = Design(subjects=((1.0, 1.0),) * n, dt=0.02, seed=23)
-        stats = stats_list(simulate_ensemble(model, theta0, design), model)
-        g = np.array([s.u for s in stats]) / (
-            1.0 + theta0.omega2 * np.array([s.v for s in stats])
-        )
+        u, v = stats_list(simulate_ensemble(model, theta0, design), model)
+        g = u / (1.0 + theta0.omega2 * v)
         estimates[n] = [float(np.mean(g**2)), float(np.mean(g**4))]
     for k in (0, 1):
         lo, hi = estimates[1500][k], estimates[3000][k]
@@ -198,17 +185,26 @@ def test_sigma_floor_is_an_error():
     model = ModelSpec(name="thin", b=lambda x: np.ones_like(x), sigma=lambda x: x, tau=1.0)
     p = _path([0.0, 1.0], [1e-7, 1.0])
     with pytest.raises(DegenerateDiffusion) as exc:
-        compute_suff_stats(p, model)
+        stats_list([p], model)
     assert f"{SIGMA2_FLOOR:g}" in str(exc.value)
 
 
 def test_suffstats_validation():
-    with pytest.raises(ValueError):
-        SuffStats(u=float("nan"), v=1.0, subject_index=0)
-    with pytest.raises(ValueError):
-        SuffStats(u=0.0, v=-1e-9, subject_index=0)
-    with pytest.raises(ValueError):
-        SuffStats(u=0.0, v=float("inf"), subject_index=0)
+    # a decreasing grid gives V < 0, a state near the float limit V = inf,
+    # and an infinite last state U = inf with V finite
+    negative_v = _path([0.0, -1.0], [0.0, 0.0])
+    infinite_v = _path([0.0, 1.0], [1e200, 1e200])
+    infinite_u = _path([0.0, 1.0], [0.0, np.inf])
+    u, v = suff_stats_rows(infinite_u.times, infinite_u.values, UNIT)
+    assert (u[0], v[0]) == (np.inf, 1.0)
+    for path, model in ((negative_v, UNIT), (infinite_v, LINEAR)):
+        with pytest.raises(ValueError, match=r"^v must be finite and >= 0$"):
+            stats_list([path], model)
+    # as per path before: the lowest failing path decides, V checked first
+    with pytest.raises(ValueError, match=r"^u must be finite$"):
+        stats_list([infinite_u, negative_v], UNIT)
+    with pytest.raises(ValueError, match=r"^v must be finite and >= 0$"):
+        stats_list([negative_v, infinite_u], UNIT)
 
 
 def test_divergent_rows_yield_non_finite_stats():
@@ -228,5 +224,4 @@ def test_replicate_rows_match_single_paths():
     u_rows, v_rows = suff_stats_rows(times, values, LINEAR)
     for r in range(3):
         p = _path(times, values[r], phi=phis[r])
-        s = compute_suff_stats(p, LINEAR)
-        assert (s.u, s.v) == (u_rows[r], v_rows[r])
+        assert _uv(p, LINEAR) == (u_rows[r], v_rows[r])
