@@ -1,11 +1,13 @@
 """Maximum likelihood over a compact rectangle.
 
 The ensemble log-likelihood is strictly concave in mu for fixed omega2, so
-mu is profiled in closed form and the search reduces to one dimension:
-a coarse scan plus golden-section bracketing of the profiled objective
-g(omega2), followed by a short projected Newton polish of the full 2-D
-objective using the analytic score and Hessian. Everything is
-deterministic: identical inputs give a bit-identical fit.
+mu is profiled in closed form and the search reduces to the profile
+g(omega2) = l(mu_hat(omega2), omega2): a coarse scan of g picks a cell,
+then a safeguarded Newton iteration on g' (bisection when a step leaves
+the bracket or g'' >= 0, as in Brent 1973) finds its root in that cell.
+This is the profile-then-Newton scheme Lindstrom and Bates (JASA 1988)
+use for variance components. Every total is an exactly rounded row sum,
+so identical inputs give a bit-identical fit in any subject order.
 """
 
 import math
@@ -15,22 +17,20 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
-from .likelihood import _row_totals, total_hess_uv, total_loglik_uv, total_score_uv
+from .likelihood import _row_fsum, _row_totals, total_hess_uv, total_loglik_uv, total_score_uv
 from .models import Theta
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_TOL = 1e-12
 _SCAN_POINTS = 33
 # terms per row block of fit_rows: each (rows, n) temporary stays at
 # 128 KB, inside the cache, whatever the batch size
 _BLOCK_TERMS = 1 << 14
-# golden-section bracket width relative to the omega2 range, Newton
-# iteration cap, score tolerance and backtracking halvings per step; these
-# meet the accuracy contracts
-_BRACKET_RTOL = 1e-6
-_NEWTON_STEPS = 20
+# Newton stops when |g'| is within _SCORE_TOL or its bracket is at most
+# _BRACKET_ULPS ulps wide; the cap leaves room for a run of bisections
+# from a scan cell down to a few ulps
 _SCORE_TOL = 1e-8
-_BACKTRACK_HALVINGS = 10
+_BRACKET_ULPS = 4
+_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -65,30 +65,30 @@ def profile_mu(omega2, u, v, space=None):
     by U_i + c*V_i shifts the unclamped value by exactly c.
     """
     u, v = _one_row(u, v)
-    return float(_profile_mu_rows(u, v, np.array([omega2]), space)[0])
+    _, _, den, num = _profile_sums(u, v, np.array([omega2]))
+    mu = _ratio(num, den)
+    if space is not None:
+        mu = np.clip(mu, space.mu_lo, space.mu_hi)
+    return float(mu[0])
 
 
-def _profile_mu_rows(u, v, omega2, space):
-    """profile_mu for every row of (R, n) arrays at per-row omega2."""
+def _profile_sums(u, v, omega2):
+    """d = 1 + omega2*V, the weights V/d and the exactly rounded row sums
+    of V/d and U/d, for (R, n) arrays at per-row omega2."""
     d = 1.0 + omega2[:, None] * v
-    den, num = _row_totals((v / d, u / d)).T
+    cap = v / d
+    den, num = _row_totals((cap, u / d)).T
     if not den.all():
         raise AllDegenerate("every subject has V = 0")
+    return d, cap, den, num
+
+
+def _ratio(num, den):
     # a tiny den can overflow mu to inf; fit_rows clamps it into the
     # rectangle and raises NonFiniteObjective if the objective then
     # overflows, so the division need not warn
     with np.errstate(over="ignore"):
-        mu = num / den
-    if space is not None:
-        mu = _clamp(mu, space.mu_lo, space.mu_hi)
-    return mu
-
-
-def _clamp(x, lo, hi):
-    # min(max(x, lo), hi) with Python's tie rule: on equal values the
-    # argument that came first is kept, down to the sign of a zero
-    x = np.where(lo > x, lo, x)
-    return np.where(hi < x, hi, x)
+        return num / den
 
 
 def _check_rows(u, v, space):
@@ -130,12 +130,16 @@ def fit_mle(u, v, space):
     """Maximize over the closed rectangle the log-likelihood of the
     subjects with statistics u, v (1-D arrays, one entry per subject).
 
-    Stages: 33-point scan of the profiled objective (guards against a
-    multimodal profile), golden-section bracketing to a width of
-    _BRACKET_RTOL times the omega2 range, then at most _NEWTON_STEPS
-    projected Newton iterations on (mu, omega2), each accepted only if the
-    objective does not decrease. A flat final bracket (spread below 1e-12)
-    resolves to its smallest omega2.
+    Stages: a 33-point scan of the profile g(omega2) = l(mu_hat(omega2),
+    omega2) picks its first argmax (guards against a multimodal profile);
+    a scan spread below 1e-12 resolves to omega2_lo. From that grid point,
+    a Newton iteration on g' runs inside the point's scan cell, bisecting
+    whenever a step leaves the bracket or g'' >= 0, until |g'| is within
+    _SCORE_TOL, the bracket is a few ulps wide, or _NEWTON_STEPS steps are
+    taken. The fit lands exactly on omega2_lo (omega2_hi) when that is the
+    scan's argmax and g' <= 0 (>= 0) or |g'| <= _SCORE_TOL there. The
+    estimate is (mu_hat(omega2*), omega2*), so mu_hat equals profile_mu at
+    omega2_hat, and iterations counts the Newton and bisection steps on g'.
 
     Raises InvalidStats when any U or V is not finite or any V < 0,
     AllDegenerate when every V_i = 0 and NonFiniteObjective when any
@@ -152,12 +156,10 @@ def fit_rows(u, v, space):
 
     Returns R MleFits; fit r equals fit_mle(u[r], v[r], space) in
     every field, bit for bit. Every stage runs on all rows at once, and
-    per-row masks stop each row where the scalar fit would stop it: the
-    golden section when its own bracket is narrow enough, Newton when its
-    own score is small or its step is refused. The lowest row that fails
-    fit_mle's input checks raises its error; past those checks, a row sum
-    that overflows, or a row whose objective at its fit is not finite,
-    raises NonFiniteObjective.
+    Newton stops each row on its own g' and bracket. The lowest row that
+    fails fit_mle's input checks raises its error; past those checks, a
+    row sum that overflows, or a row whose objective at its fit is not
+    finite, raises NonFiniteObjective.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -184,139 +186,110 @@ def fit_rows(u, v, space):
 
 
 def _fit_block(u, v, space):
-    rows = u.shape[0]
     lo, hi = space.omega2_lo, space.omega2_hi
-
-    def g(w2):
-        return total_loglik_uv(u, v, _profile_mu_rows(u, v, w2, space), w2)
-
-    # coarse scan; first argmax wins so ties resolve to the smaller omega2
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    gvals = np.empty((rows, _SCAN_POINTS))
-    for k, w2 in enumerate(grid):
-        gvals[:, k] = g(np.full(rows, w2))
+    gvals = _scan_rows(u, v, space, grid)
+    # first argmax wins, so ties resolve to the smaller omega2
     j = np.argmax(gvals, axis=1)
-    a = grid[np.maximum(j - 1, 0)]
-    b = grid[np.minimum(j + 1, _SCAN_POINTS - 1)]
+    flat = gvals.max(axis=1) - gvals.min(axis=1) < _FLAT_TOL
+    start = np.where(flat, lo, grid[j])
+    a = np.where(flat, lo, grid[np.maximum(j - 1, 0)])
+    b = np.where(flat, lo, grid[np.minimum(j + 1, _SCAN_POINTS - 1)])
+    mu_hat, w2_hat, iterations = _profile_newton(u, v, space, start, a, b)
 
-    tol = _BRACKET_RTOL * (hi - lo)
-    a, b, golden_iters = _golden_rows(g, a, b, tol)
-
-    # candidate set keeps the exact rectangle endpoints so boundary optima
-    # land exactly on the bounds; ascending order makes argmax ties resolve
-    # to the smallest omega2 (a repeated candidate repeats its value, so
-    # the first argmax picks the omega2 the de-duplicated set would)
-    candidates = np.sort(
-        np.stack([a, b, np.full(rows, float(lo)), np.full(rows, float(hi))], axis=1),
-        axis=1,
-    )
-    cand_vals = np.stack([g(candidates[:, k]) for k in range(4)], axis=1)
-    top, bottom = cand_vals[:, 0], cand_vals[:, 0]
-    for k in range(1, 4):
-        # Python's max and min: a later value replaces only if it compares
-        top = np.where(cand_vals[:, k] > top, cand_vals[:, k], top)
-        bottom = np.where(cand_vals[:, k] < bottom, cand_vals[:, k], bottom)
-    pick = np.where(top - bottom < _FLAT_TOL, 0, np.argmax(cand_vals, axis=1))
-    w2_best = candidates[np.arange(rows), pick]
-    mu_best = _profile_mu_rows(u, v, w2_best, space)
-    best_val = total_loglik_uv(u, v, mu_best, w2_best)
-
-    # Newton only accepts steps that do not lower the objective, so its
-    # end point is never worse than the bracket's best
-    mu_hat, w2_hat, val, newton_iters = _newton_rows(
-        u, v, space, mu_best, w2_best, best_val
-    )
+    val = total_loglik_uv(u, v, mu_hat, w2_hat)
     scores = total_score_uv(u, v, mu_hat, w2_hat)
     hessians = total_hess_uv(u, v, mu_hat, w2_hat)
     return [
         _mle_fit(space, *fields)
         for fields in zip(mu_hat.tolist(), w2_hat.tolist(), val.tolist(), scores,
-                          hessians, (golden_iters + newton_iters).tolist())
+                          hessians, iterations.tolist())
     ]
 
 
-def _golden_rows(g, a, b, tol):
-    """Golden-section maximization of every row on [a, b]; ties move the
-    bracket left.
+def _scan_rows(u, v, space, grid):
+    """The profile g of every row at every grid point, shape (R, points).
 
-    Returns (a, b, evals) with each final bracket no wider than tol; a row
-    that starts narrower than tol is left alone with no evaluations.
+    With d = 1 + w2*V, A = sum U/d, B = sum V/d and
+    E = sum[-log1p(w2*V)/2 + w2*U^2/(2d)], the log-likelihood at (mu, w2)
+    is E + mu*A - mu^2*B/2, so one exact sum of three rows per point
+    gives g at mu_hat = A/B, clamped.
     """
-    h = b - a
-    active = h > tol
-    evals = np.where(active, 2, 0)
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = g(c), g(d)
-    while active.any():
-        left = active & (fc >= fd)
-        right = active & ~(fc >= fd)
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
-        h = np.where(active, b - a, h)
-        c = np.where(left, b - _INVPHI * h, c)
-        d = np.where(right, a + _INVPHI * h, d)
-        fx = g(np.where(left, c, d))
-        fc = np.where(left, fx, fc)
-        fd = np.where(right, fx, fd)
-        evals += active
-        active &= h > tol
-    return a, b, evals
+    rows, n = u.shape
+    terms = np.empty((3, rows, n))
+    ud, vd, e = terms
+    tmp = np.empty((rows, n))
+    gvals = np.empty((rows, len(grid)))
+    for k, w2 in enumerate(grid.tolist()):
+        np.multiply(v, w2, out=tmp)
+        np.log1p(tmp, out=e)
+        tmp += 1.0
+        np.divide(u, tmp, out=ud)
+        np.divide(v, tmp, out=vd)
+        np.multiply(ud, u, out=tmp)
+        tmp *= 0.5 * w2
+        e *= -0.5
+        e += tmp
+        s_a, s_b, s_e = _row_fsum(terms.reshape(3 * rows, n)).reshape(3, rows)
+        mu = np.clip(_ratio(s_a, s_b), space.mu_lo, space.mu_hi)
+        gvals[:, k] = s_e + mu * (s_a - 0.5 * mu * s_b)
+    return gvals
 
 
-def _newton_rows(u, v, space, mu, w2, val):
-    """Projected Newton from (mu, w2) on every row, with backtracking.
+def _profile_newton(u, v, space, w2, a, b):
+    """Safeguarded Newton on g' from w2, inside [a, b], for every row.
 
-    A row stops when its score is within _SCORE_TOL, its Newton system is
-    singular or not finite, or no halving of its step is accepted; a trial
-    is accepted only if it moves and does not lower the objective.
-    Returns (mu, w2, objective, iterations) per row.
+    Each iterate narrows the bracket to the side where g' says the
+    maximum lies; the next iterate is the Newton point when it falls
+    strictly inside the bracket with g'' < 0, else the midpoint. A row
+    stops when |g'| <= _SCORE_TOL, its bracket is _BRACKET_ULPS ulps wide
+    or it has taken _NEWTON_STEPS steps. Returns (mu_hat, omega2, steps)
+    per row, mu_hat the profile maximiser at the returned omega2.
     """
-    mu, w2, val = mu.copy(), w2.copy(), val.copy()
-    iters = np.zeros(len(mu), dtype=np.int64)
-    live = np.arange(len(mu))
-    for _ in range(_NEWTON_STEPS):
-        if live.size == 0:
+    w2, a, b = w2.copy(), a.copy(), b.copy()
+    mu = np.empty(len(w2))
+    steps = np.zeros(len(w2), dtype=np.int64)
+    live = np.arange(len(w2))
+    while True:
+        x = w2[live]
+        mu[live], slope, curv = _profile_slope(u[live], v[live], x, space)
+        rising = slope > 0.0
+        lo = np.where(rising, x, a[live])
+        hi = np.where(rising, b[live], x)
+        a[live], b[live] = lo, hi
+        going = ~(np.abs(slope) <= _SCORE_TOL) & (hi - lo > _BRACKET_ULPS * np.spacing(hi))
+        going &= steps[live] < _NEWTON_STEPS
+        if not going.any():
             break
-        s = total_score_uv(u[live], v[live], mu[live], w2[live])
-        going = ~(np.abs(s).max(axis=1) <= _SCORE_TOL)
-        live, s = live[going], s[going]
-        if live.size == 0:
-            break
-        ul, vl = u[live], v[live]
-        cur_mu, cur_w2, cur_val = mu[live], w2[live], val[live]
-        step_mu, step_w2, pending = _solve_rows(total_hess_uv(ul, vl, cur_mu, cur_w2), s)
-        solved = pending.copy()
-        alpha = 1.0
-        for _ in range(_BACKTRACK_HALVINGS):
-            if not pending.any():
-                break
-            t_mu = _clamp(cur_mu + alpha * step_mu, space.mu_lo, space.mu_hi)
-            t_w2 = _clamp(cur_w2 + alpha * step_w2, space.omega2_lo, space.omega2_hi)
-            t_val = total_loglik_uv(ul, vl, t_mu, t_w2)
-            take = pending & (t_val >= cur_val) & ~((t_mu == cur_mu) & (t_w2 == cur_w2))
-            cur_mu = np.where(take, t_mu, cur_mu)
-            cur_w2 = np.where(take, t_w2, cur_w2)
-            cur_val = np.where(take, t_val, cur_val)
-            pending &= ~take
-            alpha *= 0.5
-        mu[live], w2[live], val[live] = cur_mu, cur_w2, cur_val
-        iters[live[solved]] += 1
-        live = live[solved & ~pending]
-    return mu, w2, val, iters
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = x - slope / curv
+        inside = (curv < 0.0) & (lo < newton) & (newton < hi)
+        nxt = np.where(inside, newton, lo + 0.5 * (hi - lo))
+        live = live[going]
+        w2[live] = nxt[going]
+        steps[live] += 1
+    return mu, w2, steps
 
 
-def _solve_rows(h, s):
-    """Newton steps -h^-1 s per row; solved is False where the 2x2 system
-    is singular or the step is not finite, and its step is then 0."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        step_mu = (-s[:, 0] * h[:, 1, 1] + s[:, 1] * h[:, 0, 1]) / det
-        step_w2 = (-s[:, 1] * h[:, 0, 0] + s[:, 0] * h[:, 1, 0]) / det
-    solved = (det != 0.0) & np.isfinite(det) & np.isfinite(step_mu) & np.isfinite(step_w2)
-    # an unsolved row takes no trial step
-    return np.where(solved, step_mu, 0.0), np.where(solved, step_w2, 0.0), solved
+def _profile_slope(u, v, w2, space):
+    """(mu_hat, g', g'') at per-row omega2 w2.
+
+    By the envelope theorem g' is dl/domega2 at (mu_hat, w2); g'' is
+    l_ww - l_mw^2/l_mm where mu_hat is interior (l_mm = -sum V/d) and
+    l_ww where it is clamped to a mu bound. The terms are the ones
+    score_terms and hess_terms form.
+    """
+    d, cap, den, num = _profile_sums(u, v, w2)
+    raw = _ratio(num, den)
+    mu = np.clip(raw, space.mu_lo, space.mu_hi)
+    g = (u - mu[:, None] * v) / d
+    gg = g * g
+    slope, l_mw, l_ww = _row_totals(
+        (0.5 * (gg - cap), -g * cap, -0.5 * (2.0 * gg * cap - cap * cap))
+    ).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        curv = np.where(mu == raw, l_ww + l_mw * l_mw / den, l_ww)
+    return mu, slope, curv
 
 
 def _mle_fit(space, mu, w2, loglik, score, hess, iterations):

@@ -89,12 +89,6 @@ class ParamSpace:
             and self.omega2_lo < theta.omega2 < self.omega2_hi
         )
 
-    def clamp_mu(self, mu):
-        return min(max(mu, self.mu_lo), self.mu_hi)
-
-    def clamp_omega2(self, omega2):
-        return min(max(omega2, self.omega2_lo), self.omega2_hi)
-
 
 @dataclass(frozen=True)
 class DesignFamily:

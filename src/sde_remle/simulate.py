@@ -24,8 +24,9 @@ from .stats import SIGMA2_FLOOR, floor_error
 class Path:
     """One discretized trajectory.
 
-    times[0] = 0 and values[0] = x0; phi is retained for oracle tests on
-    simulated paths and is None for ingested data.
+    times starts at 0 and strictly increases, and values[0] = x0; phi is
+    retained for oracle tests on simulated paths and is None for ingested
+    data.
     """
 
     times: np.ndarray
@@ -40,6 +41,8 @@ class Path:
             raise ValueError("need matching time/value grids with >= 2 points")
         if self.times[0] != 0.0:
             raise ValueError("grid must start at t = 0")
+        if not (self.times[1:] > self.times[:-1]).all():
+            raise ValueError("grid must be strictly increasing")
         if self.values[0] != self.x0:
             raise ValueError("values[0] must equal x0")
 

@@ -1,9 +1,11 @@
-"""One-fit-at-a-time reference for the lockstep fitter.
+"""The earlier fitter, one fit at a time, as a reference for the profile
+Newton fitter.
 
-scalar_fit is the optimizer as it ran before fits were batched: one
-Python loop per ensemble, every total a math.fsum over a list, and the
-per-subject terms written as plain numpy expressions. estimator.fit_rows
-must return the same MleFit, bit for bit, for every row.
+scalar_fit is the optimizer as it ran before the profile Newton: a
+33-point scan, golden-section bracketing and a projected Newton polish of
+the 2-D objective with backtracking, one Python loop per ensemble, every
+total a math.fsum over a list. estimator.fit_rows must reach a
+log-likelihood at least as high, up to rounding, on every row.
 """
 
 import math
@@ -11,16 +13,22 @@ import math
 import numpy as np
 
 from sde_remle import MleFit, Theta
-from sde_remle.estimator import (
-    _BACKTRACK_HALVINGS,
-    _BRACKET_RTOL,
-    _NEWTON_STEPS,
-    _SCORE_TOL,
-)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_TOL = 1e-12
 _SCAN_POINTS = 33
+_BRACKET_RTOL = 1e-6
+_NEWTON_STEPS = 20
+_SCORE_TOL = 1e-8
+_BACKTRACK_HALVINGS = 10
+
+
+def _clamp_mu(space, mu):
+    return min(max(mu, space.mu_lo), space.mu_hi)
+
+
+def _clamp_omega2(space, omega2):
+    return min(max(omega2, space.omega2_lo), space.omega2_hi)
 
 
 def _loglik(u, v, mu, omega2):
@@ -52,7 +60,7 @@ def _hess(u, v, mu, omega2):
 def _profile_mu(u, v, omega2, space):
     d = 1.0 + omega2 * v
     den = math.fsum((v / d).tolist())
-    return space.clamp_mu(math.fsum((u / d).tolist()) / den)
+    return _clamp_mu(space, math.fsum((u / d).tolist()) / den)
 
 
 def _golden_max(g, a, b, tol):
@@ -126,7 +134,7 @@ def scalar_fit(u, v, space):
         alpha = 1.0
         for _ in range(_BACKTRACK_HALVINGS):
             trial = current + alpha * step
-            trial = np.array([space.clamp_mu(trial[0]), space.clamp_omega2(trial[1])])
+            trial = np.array([_clamp_mu(space, trial[0]), _clamp_omega2(space, trial[1])])
             trial_val = _loglik(u, v, trial[0], trial[1])
             if trial_val >= current_val and not np.array_equal(trial, current):
                 current, current_val = trial, trial_val

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from sde_remle import ParamSpace, Theta, fit_mle, profile_mu
 from sde_remle.errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
-from sde_remle.estimator import fit_rows
+from sde_remle import estimator, likelihood
+from sde_remle.estimator import _SCORE_TOL, fit_rows
 from oracles import audit_fit
 from scalar_fit import scalar_fit
-from sde_remle.likelihood import loglik_terms, total_loglik_uv
+from sde_remle.likelihood import loglik_terms, total_loglik_uv, total_score_uv
 
 SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
 
@@ -77,8 +78,8 @@ def test_profile_mu_shift_equivariance(c, omega2):
 
 
 # the likelihood at (mu, omega2) after U -> U + c*V is the one before at
-# (mu - c, omega2), so the fit moves by (c, 0) up to its stopping rules: a
-# score within 1e-8, or a golden bracket 1e-6 of the omega2 range wide
+# (mu - c, omega2), so the fit moves by (c, 0) up to its stopping rule, a
+# profile slope g' within 1e-8, which leaves omega2 off by 1e-8/|g''|
 _SHIFT_TOL = 1e-5
 _WIDE = ParamSpace(mu_lo=-50.0, mu_hi=50.0, omega2_lo=0.0, omega2_hi=4.0)
 
@@ -355,6 +356,12 @@ def _row(rng, kind, n):
     return u, v
 
 
+def _profile_slope(u, v, fit):
+    """g' at the fit: the omega2 score at (mu_hat, omega2_hat)."""
+    theta = fit.theta_hat
+    return float(total_score_uv(u[None, :], v[None, :], theta.mu, theta.omega2)[0, 1])
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=5),
@@ -362,15 +369,73 @@ def _row(rng, kind, n):
     space=st.sampled_from(_SPACES),
 )
 @settings(max_examples=40, deadline=None)
-def test_fit_rows_equal_fit_mle_and_the_scalar_loop(seed, kinds, n, space):
-    # rows of different kinds share one batch, so their masks diverge
+def test_fit_rows_equal_fit_mle_and_meet_the_kkt_conditions(seed, kinds, n, space):
+    # rows of different kinds share one batch, so their iterations diverge
     rng = np.random.default_rng(seed)
     u, v = (np.array(x) for x in zip(*(_row(rng, k, n) for k in kinds)))
     batch = fit_rows(u, v, space)
     assert len(batch) == len(kinds)
     for r, fit in enumerate(batch):
         assert _fields(fit) == _fields(fit_mle(u[r].copy(), v[r].copy(), space))
-        assert _fields(fit) == _fields(scalar_fit(u[r], v[r], space))
+        w2 = fit.theta_hat.omega2
+        # mu_hat is the profile maximiser at omega2_hat, on its edges too
+        assert _bits(fit.theta_hat.mu) == _bits(profile_mu(w2, u[r], v[r], space))
+        # KKT conditions of the profile, to the score tolerance
+        slope = _profile_slope(u[r], v[r], fit)
+        if w2 == space.omega2_lo:
+            assert slope <= _SCORE_TOL
+        elif w2 == space.omega2_hi:
+            assert slope >= -_SCORE_TOL
+        else:
+            assert abs(slope) <= _SCORE_TOL
+        # never a worse optimum than the earlier golden-section fitter's
+        ref = scalar_fit(u[r], v[r], space)
+        assert fit.loglik >= ref.loglik - 1e-12 * abs(ref.loglik)
+
+
+def test_fit_lands_on_the_global_maximum_of_a_bimodal_profile():
+    # one subject pair with a large V pulls the profile up near omega2 = 0.15
+    # and fifteen pairs with a small V near omega2 = 1.95; the U come in
+    # +-pairs, so mu_hat = 0 and the profile is the pairs' sum at mu = 0
+    big_v, small_v = 100.0, 0.2
+    u_big = math.sqrt(big_v * (1.0 + 0.1 * big_v))
+    u_small = math.sqrt(small_v * (1.0 + 3.5 * small_v))
+    u = np.array([u_big, -u_big] + [u_small, -u_small] * 15)
+    v = np.array([big_v] * 2 + [small_v] * 30)
+    w2_axis = np.linspace(SPACE.omega2_lo, SPACE.omega2_hi, 4001)
+    profile = np.array([
+        _total_loglik((u, v), Theta(mu=profile_mu(w2, u, v, SPACE), omega2=float(w2)))
+        for w2 in w2_axis
+    ])
+    peaks = [i for i in range(1, len(w2_axis) - 1)
+             if profile[i - 1] < profile[i] > profile[i + 1]]
+    assert len(peaks) == 2
+    local, best = sorted(peaks, key=lambda i: profile[i])
+    scan_cell = (SPACE.omega2_hi - SPACE.omega2_lo) / 32
+    assert abs(w2_axis[best] - w2_axis[local]) > scan_cell
+    fit = fit_mle(u, v, SPACE)
+    assert abs(fit.theta_hat.omega2 - w2_axis[best]) <= w2_axis[1]
+    assert fit.loglik >= profile[best]
+    assert fit.boundary == () and abs(_profile_slope(u, v, fit)) <= _SCORE_TOL
+
+
+def test_fit_rows_row_sums_per_fitted_row(monkeypatch):
+    # a deterministic cost guard: the scan makes 99 exact row sums per row,
+    # each Newton step 5 and the final totals 6
+    rng = np.random.default_rng(12)
+    v = rng.uniform(0.05, 2.0, size=(120, 200))
+    u = rng.normal(0.8 * v, np.sqrt(v + 0.4 * v * v))
+    summed = []
+    row_fsum = likelihood._row_fsum
+
+    def counting(p):
+        summed.append(p.shape[0])
+        return row_fsum(p)
+
+    monkeypatch.setattr(likelihood, "_row_fsum", counting)
+    monkeypatch.setattr(estimator, "_row_fsum", counting)
+    fits = fit_rows(u, v, SPACE)
+    assert 99 <= sum(summed) / len(fits) <= 150
 
 
 @given(

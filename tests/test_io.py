@@ -192,7 +192,9 @@ def _paths(draw):
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(2, 9))
         rest = st.lists(_FLOATS, min_size=n - 1, max_size=n - 1)
-        times = [draw(st.sampled_from([0.0, -0.0]))] + draw(rest)
+        # a Path's grid strictly increases from 0
+        times = [draw(st.sampled_from([0.0, -0.0]))] + sorted(draw(st.lists(
+            _FLOATS.filter(lambda x: x > 0), min_size=n - 1, max_size=n - 1, unique=True)))
         values = [draw(_FLOATS.filter(lambda x: x == x))] + draw(rest)
         sid = draw(st.integers(0, 2**63 - 1))
         out.append(Path(

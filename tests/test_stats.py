@@ -190,21 +190,25 @@ def test_sigma_floor_is_an_error():
 
 
 def test_suffstats_validation():
-    # a decreasing grid gives V < 0, a state near the float limit V = inf,
-    # and an infinite last state U = inf with V finite
-    negative_v = _path([0.0, -1.0], [0.0, 0.0])
+    # a grid that does not increase is refused by Path itself; an endless
+    # grid gives V = inf, a state near the float limit V = inf, and an
+    # infinite last state U = inf with V finite
+    for times in ([0.0, -1.0], [0.0, 1.0, 1.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match=r"^grid must be strictly increasing$"):
+            _path(times, [0.0] * len(times))
+    endless = _path([0.0, np.inf], [0.0, 0.0])
     infinite_v = _path([0.0, 1.0], [1e200, 1e200])
     infinite_u = _path([0.0, 1.0], [0.0, np.inf])
     u, v = suff_stats_rows(infinite_u.times, infinite_u.values, UNIT)
     assert (u[0], v[0]) == (np.inf, 1.0)
-    for path, model in ((negative_v, UNIT), (infinite_v, LINEAR)):
+    for path, model in ((endless, UNIT), (infinite_v, LINEAR)):
         with pytest.raises(ValueError, match=r"^v must be finite and >= 0$"):
             stats_list([path], model)
     # as per path before: the lowest failing path decides, V checked first
     with pytest.raises(ValueError, match=r"^u must be finite$"):
-        stats_list([infinite_u, negative_v], UNIT)
+        stats_list([infinite_u, endless], UNIT)
     with pytest.raises(ValueError, match=r"^v must be finite and >= 0$"):
-        stats_list([negative_v, infinite_u], UNIT)
+        stats_list([endless, infinite_u], UNIT)
 
 
 def test_divergent_rows_yield_non_finite_stats():
