@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sde_remle import ParamSpace, Theta, fit_mle, profile_mu
@@ -368,6 +368,9 @@ def _profile_slope(u, v, fit):
     n=st.integers(min_value=1, max_value=12),
     space=st.sampled_from(_SPACES),
 )
+# the earlier fitter left this row's mu_hat on omega2_hi 2.9e-7 off the
+# profile maximiser
+@example(seed=427, kinds=["spread"], n=8, space=SPACE)
 @settings(max_examples=40, deadline=None)
 def test_fit_rows_equal_fit_mle_and_meet_the_kkt_conditions(seed, kinds, n, space):
     # rows of different kinds share one batch, so their iterations diverge
