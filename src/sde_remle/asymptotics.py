@@ -92,8 +92,11 @@ class ExperimentReport:
 
     rows: per-replicate records (dicts with rep, n, mu_hat, omega2_hat,
     z_mu, z_omega2, boundary); summaries: one dict per n level; failures:
-    (n, rep) pairs whose replicate was dropped; extras: experiment-specific
-    diagnostics that do not go into the CSV schemas.
+    (n, rep) pairs whose replicate was dropped; failed: more than 1% of
+    replicates were dropped. The normality diagnostics, None for
+    consistency, stay out of the CSV schemas: ks_mu_offset_center is the
+    KS p-value of the negative control, and wald_denominator the number of
+    fits with Wald standard errors that the coverages count.
     """
 
     kind: str
@@ -102,11 +105,9 @@ class ExperimentReport:
     rows: tuple
     summaries: tuple
     failures: tuple
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def failed(self):
-        return bool(self.extras.get("failed", False))
+    failed: bool
+    ks_mu_offset_center: float = None
+    wald_denominator: int = None
 
 
 @dataclass(frozen=True)
@@ -449,7 +450,6 @@ def run_consistency_experiment(config):
             "cov_omega2": None,
         })
     total = config.replicates * len(config.n_schedule)
-    extras = {"failed": len(failures) > 0.01 * total}
     return ExperimentReport(
         kind="consistency",
         seed=config.seed,
@@ -457,7 +457,7 @@ def run_consistency_experiment(config):
         rows=tuple(rows),
         summaries=tuple(summaries),
         failures=tuple(failures),
-        extras=extras,
+        failed=len(failures) > 0.01 * total,
     )
 
 
@@ -482,11 +482,7 @@ def _info_bar(config, point_info=None):
     ])
     for pt, (u, v) in zip(missing, parts):
         by_point[pt] = _info_estimate(config.theta0, (float(pt[0]), float(pt[1])), u, v)
-    mats = np.stack([by_point[pt].matrix for pt in pts])
-    ses = np.stack([by_point[pt].mc_se for pt in pts])
-    bar = mats.mean(axis=0)
-    bar_se = np.sqrt((ses * ses).sum(axis=0)) / len(pts)
-    return bar, bar_se
+    return np.stack([by_point[pt].matrix for pt in pts]).mean(axis=0)
 
 
 def run_normality_experiment(config, point_info=None):
@@ -503,7 +499,7 @@ def run_normality_experiment(config, point_info=None):
         raise EmptyExperiment("replicates = 0")
     n = config.n
     design = Design(config.design.subjects(n), config.dt, config.seed)
-    info_bar, info_bar_se = _info_bar(config, point_info)
+    info_bar = _info_bar(config, point_info)
     try:
         L = sqrt_2x2_spd(info_bar)
     except ValueError as err:
@@ -572,13 +568,6 @@ def run_normality_experiment(config, point_info=None):
         "cov_mu": cov_mu,
         "cov_omega2": cov_w2,
     }
-    extras = {
-        "failed": len(failures) > 0.01 * config.replicates,
-        "ks_mu_offset_center": ks_off,
-        "info_bar": info_bar,
-        "info_bar_se": info_bar_se,
-        "wald_denominator": with_se,
-    }
     return ExperimentReport(
         kind="normality",
         seed=config.seed,
@@ -586,7 +575,9 @@ def run_normality_experiment(config, point_info=None):
         rows=tuple(rows),
         summaries=(summary,),
         failures=tuple(failures),
-        extras=extras,
+        failed=len(failures) > 0.01 * config.replicates,
+        ks_mu_offset_center=ks_off,
+        wald_denominator=with_se,
     )
 
 

@@ -4,13 +4,14 @@ The observation model for subject i is
 
     dX_i(t) = phi_i * b(X_i(t)) dt + sigma(X_i(t)) dW_i(t),   X_i(0) = x_i,
 
-with phi_i drawn iid N(mu, omega2). A ModelSpec names the (b, sigma) pair
-together with the growth metadata the theory relies on; Theta and ParamSpace
-describe the random-effect law and the compact rectangle it is estimated
-over; DesignFamily lays subjects out and Design, the one place the step
-rule dt <= min(T) / 10 is checked, lists the subjects of one ensemble.
+with phi_i drawn iid N(mu, omega2). A ModelSpec names the (b, sigma) pair;
+Theta and ParamSpace describe the random-effect law and the compact
+rectangle it is estimated over; DesignFamily lays subjects out and Design,
+the one place the step rule dt <= min(T) / 10 is checked, lists the
+subjects of one ensemble.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,24 +29,11 @@ class ModelSpec:
     name : str
     b, sigma : callable
         Vectorized real functions; sigma must stay positive wherever paths go.
-    tau : float
-        Growth exponent such that b^2/sigma^2 <= k_const * (1 + |x|^tau).
-    k_const : float
-        The constant in the quadratic growth bounds for b^2 and b^2/sigma^2.
-
-    tau and k_const are declared, not checked: nothing in the package
-    probes b and sigma against them.
     """
 
     name: str
     b: Callable
     sigma: Callable
-    tau: float
-    k_const: float = 1.0
-
-    def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,9 +120,10 @@ class DesignFamily:
 class Design:
     """Subjects of one ensemble plus the shared Euler step and master seed.
 
-    subjects is a tuple of (x0, T). The step must resolve every horizon:
-    dt <= min(T) / 10. Every entry point that simulates validates its
-    design points here before it draws a normal.
+    subjects is a tuple of (x0, T), each finite. The step must resolve
+    every horizon, dt <= min(T) / 10, and max(T) / dt must be finite.
+    Every entry point that simulates validates its design points here
+    before it draws a normal.
     """
 
     subjects: tuple
@@ -146,6 +135,8 @@ class Design:
         object.__setattr__(self, "subjects", subjects)
         if not subjects:
             raise ValueError("design needs at least one subject")
+        if not all(math.isfinite(x0) and math.isfinite(t) for x0, t in subjects):
+            raise ValueError("every x0 and T must be finite")
         min_t = min(t for _, t in subjects)
         if min_t <= 0:
             raise ValueError("every T must be > 0")
@@ -153,6 +144,8 @@ class Design:
             raise ValueError("dt must be > 0")
         if self.dt > min_t / 10:
             raise ValueError("dt must be <= min(T) / 10")
+        if not math.isfinite(max(t for _, t in subjects) / float(self.dt)):
+            raise ValueError("max(T) / dt overflows")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -182,9 +175,7 @@ _REGISTRY = {}
 
 
 def register_model(model):
-    """Register a ModelSpec under its name. Its tau and k_const are taken
-    on trust: the package records them but never checks b and sigma
-    against them."""
+    """Register a ModelSpec under its name, replacing any model of that name."""
     _REGISTRY[model.name] = model
     return model
 
@@ -194,8 +185,6 @@ def builtin_model(name):
 
     The built-ins are "unit" (b = 1, sigma = 1), "linear-drift" (b(x) = x,
     sigma = 1) and "bounded-ratio" (b(x) = x, sigma(x) = sqrt(1 + x^2)).
-    All satisfy b^2 <= 1 + x^2 and b^2/sigma^2 <= 1 + |x|^tau with the
-    recorded tau.
     """
     try:
         return _REGISTRY[name]
@@ -203,6 +192,6 @@ def builtin_model(name):
         raise NotFound(f"no model named {name!r}") from None
 
 
-register_model(ModelSpec("unit", _unit_b, _unit_sigma, tau=1.0))
-register_model(ModelSpec("linear-drift", _identity, _unit_sigma, tau=2.0))
-register_model(ModelSpec("bounded-ratio", _identity, _bounded_ratio_sigma, tau=1.0))
+register_model(ModelSpec("unit", _unit_b, _unit_sigma))
+register_model(ModelSpec("linear-drift", _identity, _unit_sigma))
+register_model(ModelSpec("bounded-ratio", _identity, _bounded_ratio_sigma))

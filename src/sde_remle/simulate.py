@@ -1,11 +1,12 @@
 """Euler-Maruyama path generation with reproducible substreams.
 
 The integration grid is uniform with step dt; when T is not a multiple of
-dt the final step covers the remainder. All simulation funnels through one
-batch kernel that advances many rows, each on its own grid, in lockstep,
-so the path API, which stores the states, and the Monte Carlo entry
-replicate_uv, which runs a pass of segments in chunks that span segments
-and keeps one chunk's (U, V) increments, share identical arithmetic.
+dt the final step covers the remainder. Every simulation is one pass of
+segments through replicate_uv's chunk driver, the only code that draws
+path normals and runs the Euler kernel: the Monte Carlo passes keep each
+chunk's (U, V) increments, and the path API (euler_maruyama,
+simulate_ensemble, simulate_replicates) keeps the states, copied per
+segment into exact-length arrays. Both share identical arithmetic.
 """
 
 import math
@@ -51,9 +52,12 @@ def time_grid(T, dt):
     """Uniform grid 0, dt, 2dt, ... ending exactly at T (last step partial)."""
     if not (T > 0 and dt > 0):
         raise ValueError("need T > 0 and dt > 0")
+    ratio = float(T) / float(dt)
+    if not math.isfinite(ratio):
+        raise ValueError("T / dt overflows")
     # the 1e-9 slack keeps T/dt that is a multiple up to rounding from
     # gaining a spurious extra step
-    steps = max(1, int(math.ceil(T / dt - 1e-9)))
+    steps = max(1, int(math.ceil(ratio - 1e-9)))
     times = np.empty(steps + 1)
     times[:steps] = dt * np.arange(steps)
     times[steps] = T
@@ -69,8 +73,7 @@ ROW_CHUNK = 4096
 NORMAL_CHUNK = ROW_CHUNK * 400
 
 
-def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, values=None,
-                raise_errors=False, dv=None):
+def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out):
     """The one Euler step loop: advance row r of normals from x0[r] to T[r].
 
     phis, x0, T, steps (row r's step count on time_grid(T[r], dt)) and
@@ -78,28 +81,28 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, values=No
     running at step k are a prefix. A row's last step is its own partial
     step T[r] - dt*(steps[r]-1), every other step dt*(k+1) - dt*k, as on
     its own grid; b and sigma are evaluated once per step, at the left
-    end. With values, an (R, max steps + 1) matrix, the states are stored
-    there and the result is first_bad, the step at which each row stopped
-    being finite or -1 (raise_errors aborts instead). Otherwise normals
-    and dv (new when None) take the U and V increments and the result is
-    each row's sums over its own steps, pairwise as suff_stats_rows sums a
-    stored path, so equal bit for bit. sigma <= 0 on a live row raises
-    DegenerateDiffusion at that step, as does sigma^2 < SIGMA2_FLOOR on a
-    row finite up to its last step, after the loop; errors name the
-    lowest failing row's subject and design point.
+    end. When out is one column wider than normals it takes the states,
+    and the result is first_bad, the step at which each row stopped being
+    finite or -1. Otherwise normals and out take the U and V increments,
+    and the result is each row's sums over its own steps, pairwise as
+    suff_stats_rows sums a stored path, so equal bit for bit. sigma <= 0
+    on a live row raises DegenerateDiffusion at that step, as does, for
+    (U, V), sigma^2 < SIGMA2_FLOOR on a row finite up to its last step,
+    after the loop; errors name the lowest failing row's subject and
+    design point.
     """
     rows = len(steps)
     top = int(steps[0]) if rows else 0
     # the first live[k] rows run at step k; live[top] = 0
     live = np.searchsorted(-steps, -np.arange(1, top + 2), side="right").tolist()
     state = np.array(x0, dtype=float)
-    if values is None:
-        dv = np.empty_like(normals) if dv is None else dv
+    store = out.shape[1] > normals.shape[1]
+    if store:
+        out[:, 0] = x0
+        first_bad = np.full(rows, -1, dtype=np.int64)
+    else:
         low = np.zeros(rows, dtype=bool)
         body_end = np.empty(rows)
-    else:
-        values[:, 0] = x0
-        first_bad = np.full(rows, -1, dtype=np.int64)
     # a non-finite state never becomes finite again, so the live rows are
     # the finite ones; masks are built only once a test on every row fails
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -122,27 +125,21 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, values=No
                         x0, T, subject_index, bad_sigma,
                     )
             after = state + phis[:n] * bvals * delta + svals * root * normals[:n, k]
-            if values is None:
+            if store:
+                out[:n, k + 1] = after
+                if not np.isfinite(after).all():
+                    bad = first_bad[:n]
+                    bad[(bad < 0) & ~np.isfinite(after)] = k + 1
+            else:
                 sig2 = svals * svals
                 if not (sig2 >= SIGMA2_FLOOR).all():
                     low[:n] |= sig2 < SIGMA2_FLOOR
                 w = bvals / sig2
                 normals[:n, k] = w * (after - state)
-                dv[:n, k] = (bvals * w) * delta
+                out[:n, k] = (bvals * w) * delta
                 body_end[m:n] = state[m:]
-            else:
-                values[:n, k + 1] = after
-                if not np.isfinite(after).all():
-                    bad = first_bad[:n]
-                    newly_bad = (bad < 0) & ~np.isfinite(after)
-                    if newly_bad.any():
-                        if raise_errors:
-                            raise SimulationDiverged(
-                                k + 1, subject_index=int(subject_index[np.argmax(newly_bad)])
-                            )
-                        bad[newly_bad] = k + 1
             state = after[:m]
-    if values is not None:
+    if store:
         return first_bad
     failing = low & np.isfinite(body_end)
     if failing.any():
@@ -152,7 +149,7 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, values=No
     runs = np.flatnonzero(np.diff(steps, prepend=-1)).tolist()
     for a, b in zip(runs, runs[1:] + [rows]):
         u[a:b] = normals[a:b, :steps[a]].sum(axis=1)
-        v[a:b] = dv[a:b, :steps[a]].sum(axis=1)
+        v[a:b] = out[a:b, :steps[a]].sum(axis=1)
     return u, v
 
 
@@ -206,96 +203,58 @@ def effect_rows(theta0, seed, replicate_ids, n, stream_id=PHI_STREAM_ID):
     return z
 
 
-def euler_maruyama(model, phi, x0, T, dt, seed, stream_id=0, replicate_id=0, normals=None):
+def euler_maruyama(model, phi, x0, T, dt, seed, stream_id=0, replicate_id=0):
     """Simulate one path of dX = phi*b(X)dt + sigma(X)dW from x0 over [0, T].
 
     The increments come from substream (seed, stream_id, replicate_id),
-    and the path's subject_index is stream_id. normals, a test hook,
-    gives explicit increments (one per step) instead; forcing zeros
-    yields the explicit Euler ODE solution.
+    and the path's subject_index is stream_id.
 
     Raises SimulationDiverged, with the step, if the state overflows or
     becomes NaN, and DegenerateDiffusion if sigma evaluates <= 0 along
     the path.
     """
-    times = time_grid(T, dt)
-    steps = len(times) - 1
-    if normals is None:
-        normals = path_normals(seed, stream_id, [replicate_id], steps)
-    normals = np.asarray(normals, dtype=float).reshape(1, steps)
-    values = np.empty((1, steps + 1))
-    _euler_rows(model, np.array([float(phi)]), np.array([float(x0)]), np.array([float(T)]),
-                np.array([steps]), dt, normals, [stream_id], values=values,
-                raise_errors=True)
-    return Path(
-        times=times,
-        values=values[0],
-        x0=float(x0),
-        phi=float(phi),
-        seed=seed,
-        subject_index=stream_id,
-    )
+    (times, values, first_bad), = replicate_uv(model, dt, [
+        Segment(float(x0), float(T), seed, stream_id, [replicate_id], [float(phi)])
+    ], store=True)
+    if first_bad[0] >= 0:
+        raise SimulationDiverged(int(first_bad[0]), subject_index=stream_id)
+    return Path(times=times, values=values[0], x0=float(x0), phi=float(phi), seed=seed,
+                subject_index=stream_id)
 
 
 def simulate_ensemble(model, theta0, design, replicate_id=0):
-    """Simulate one path per design subject, all in one row block.
+    """Simulate one path per design subject, all in one pass.
 
     Subject i draws its increments from stream (design.seed, i, replicate_id)
     and the random effects come from the reserved phi stream, so each path
     equals euler_maruyama on its own stream bit for bit. Raises
     SimulationDiverged for the lowest diverging subject, at its own step,
-    and DegenerateDiffusion at the first step where sigma <= 0 on a row.
+    and DegenerateDiffusion for the first chunk with a row where sigma <= 0.
     """
-    dt, n = design.dt, design.n
-    phis = effect_rows(theta0, design.seed, [replicate_id], n)[0]
-    x0, T = np.array(design.subjects, dtype=float).reshape(n, 2).T
-    steps = np.array([len(time_grid(t, dt)) - 1 for t in T])
-    order = np.argsort(-steps, kind="stable")
-    z = path_normals(design.seed, order, [replicate_id] * n, steps[order])
-    values = np.empty((n, z.shape[1] + 1))
-    first_bad = _euler_rows(model, phis[order], x0[order], T[order], steps[order], dt, z,
-                            order, values=values)
-    bad = np.flatnonzero(first_bad >= 0)
-    if bad.size:
-        r = bad[np.argmin(order[bad])]
-        raise SimulationDiverged(int(first_bad[r]), subject_index=int(order[r]))
-    paths = [None] * n
-    times = None
-    # paths of unequal horizons get copies of their rows, so they do not
-    # keep the whole (n, max steps + 1) matrix alive; equal ones share it
-    ragged = steps.min() < steps.max()
-    for row, i in zip(values, order.tolist()):
-        x, t = design.subjects[i]
-        # a row shares the grid of the row before it when their horizons agree
-        if times is None or times[-1] != t:
-            times = time_grid(t, dt)
-        row = row[:len(times)]
-        paths[i] = Path(
-            times=times, values=row.copy() if ragged else row, x0=x, phi=float(phis[i]),
-            seed=design.seed, subject_index=i,
-        )
-    return paths
+    phis = effect_rows(theta0, design.seed, [replicate_id], design.n)[0].tolist()
+    runs = replicate_uv(model, design.dt, [
+        Segment(x0, T, design.seed, i, [replicate_id], [phi])
+        for i, ((x0, T), phi) in enumerate(zip(design.subjects, phis))
+    ], store=True)
+    for i, (_, _, first_bad) in enumerate(runs):
+        if first_bad[0] >= 0:
+            raise SimulationDiverged(int(first_bad[0]), subject_index=i)
+    return [
+        Path(times=times, values=values[0], x0=x0, phi=phi, seed=design.seed, subject_index=i)
+        for i, ((x0, _), (times, values, _), phi) in enumerate(zip(design.subjects, runs, phis))
+    ]
 
 
-def simulate_replicates(model, phis, x0, T, dt, seed, subject_index, replicate_ids,
-                        raise_errors=True):
+def simulate_replicates(model, phis, x0, T, dt, seed, subject_index, replicate_ids):
     """Simulate many replicates of one subject as a (R, M+1) value matrix.
 
-    Row r uses the substream (seed, subject_index_r, replicate_ids[r]),
-    with subject_index one id or one per row, and drift multiplier phis[r],
-    as euler_maruyama would. Returns (times, values, first_bad).
+    Row r uses the substream (seed, subject_index, replicate_ids[r]) and
+    drift multiplier phis[r], as euler_maruyama would, but a row that
+    diverges raises nothing. Returns (times, values, first_bad).
     """
-    times = time_grid(T, dt)
-    steps = len(times) - 1
-    z = path_normals(seed, subject_index, replicate_ids, steps)
-    rows = len(z)
-    values = np.empty((rows, steps + 1))
-    first_bad = _euler_rows(
-        model, np.asarray(phis, dtype=float), np.full(rows, float(x0)), np.full(rows, float(T)),
-        np.full(rows, steps), dt, z, np.broadcast_to(subject_index, rows),
-        values=values, raise_errors=raise_errors,
-    )
-    return times, values, first_bad
+    return replicate_uv(model, dt, [
+        Segment(float(x0), float(T), seed, subject_index, replicate_ids, phis)
+    ], store=True)[0]
 
 
 # rows of a Monte Carlo pass: row r runs from x0 over [0, T] on substream
@@ -319,34 +278,64 @@ def _chunks(steps, sizes):
     yield from [pieces] if pieces else []
 
 
-def replicate_uv(model, dt, segments):
-    """(U, V) of each segment of a pass, in order, from paths never stored.
+def replicate_uv(model, dt, segments, store=False):
+    """The one chunk driver: each segment's rows, in order, as (U, V) from
+    paths never stored, or with store as (times, values, first_bad).
 
-    Row r of a segment equals suff_stats_rows of the path
-    simulate_replicates stores for it, bit for bit, NaN where it diverged.
-    A chunk gathers the keys, starts, horizons and effects of the segments
-    it covers; the first chunk with a failing row raises its error.
+    The segments run longest first (stable), in chunks of at most
+    ROW_CHUNK rows and NORMAL_CHUNK normals that may span segments; a
+    chunk gathers the keys, starts, horizons and effects of the segments
+    it covers. (U, V) equal suff_stats_rows of the stored rows bit for
+    bit, NaN where a row diverged. values holds a segment's (rows,
+    steps + 1) states in an array of its own, first_bad the step at which
+    each row stopped being finite, or -1. The first chunk with a failing
+    row raises its error.
     """
-    steps = np.array([len(time_grid(seg.T, dt)) - 1 for seg in segments], dtype=np.int64)
+    grids = {}
+    for seg in segments:
+        if seg.T not in grids:
+            grids[seg.T] = time_grid(seg.T, dt)
+    steps = np.array([len(grids[seg.T]) - 1 for seg in segments], dtype=np.int64)
     sizes = [len(seg.replicates) for seg in segments]
-    starts = np.cumsum([0] + sizes).tolist()
-    u, v = np.empty(starts[-1]), np.empty(starts[-1])
+    starts = np.cumsum([0] + sizes)
     # (x0, T, seed, subject) per segment; object keeps 64-bit seeds exact
     table = np.array([seg[:4] for seg in segments], dtype=object)
-    # one pair of buffers for the pass: chunks leave no holes in the heap
+    # one pair of buffers for the pass: chunks leave no holes in the heap;
+    # states take one column more than increments
     top = int(steps.max(initial=0))
-    cells = min(min(len(u), ROW_CHUNK) * top, max(NORMAL_CHUNK, top))
-    zbuf, dvbuf = np.empty(cells), np.empty(cells)
+    most = min(int(starts[-1]), ROW_CHUNK)
+    cells = min(most * top, max(NORMAL_CHUNK, top))
+    zbuf, outbuf = np.empty(cells), np.empty(cells + most * store)
+    if store:
+        widths = (steps + 1).tolist()
+        values = [np.empty((size, w)) for size, w in zip(sizes, widths)]
+        first_bad = np.empty(starts[-1], dtype=np.int64)
+    else:
+        u, v = np.empty(starts[-1]), np.empty(starts[-1])
     for pieces in _chunks(steps, sizes):
-        idx = [i for i, _, _ in pieces]
-        counts = [b - a for _, a, b in pieces]
+        idx, first, end = (np.array(col) for col in zip(*pieces))
+        counts = end - first
         x0, T, seeds, ids = (np.repeat(col, counts) for col in table[idx].T)
         rows = np.repeat(steps[idx], counts)
         shape = (len(rows), int(rows[0]))
         reps = np.concatenate([segments[i].replicates[a:b] for i, a, b in pieces])
         z = path_normals(seeds, ids, reps, rows, out=zbuf[:rows.size * shape[1]].reshape(shape))
-        phis = np.concatenate([np.asarray(segments[i].phis, float)[a:b] for i, a, b in pieces])
-        at = np.concatenate([np.arange(starts[i] + a, starts[i] + b) for i, a, b in pieces])
-        u[at], v[at] = _euler_rows(model, phis, x0.astype(float), T.astype(float), rows, dt,
-                                   z, ids, dv=dvbuf[:z.size].reshape(shape))
+        phis = np.concatenate([segments[i].phis[a:b] for i, a, b in pieces], dtype=float)
+        width = shape[1] + store
+        out = outbuf[:shape[0] * width].reshape(shape[0], width)
+        result = _euler_rows(model, phis, x0.astype(float), T.astype(float), rows, dt, z, ids,
+                             out)
+        # piece j's rows start at row lead[j] of the chunk; chunk row r is
+        # row at[r] of the pass
+        lead = np.cumsum(counts) - counts
+        at = np.arange(shape[0]) + np.repeat(starts[idx] + first - lead, counts)
+        if store:
+            first_bad[at] = result
+            for (i, a, b), c in zip(pieces, lead.tolist()):
+                values[i][a:b] = out[c:c + b - a, :widths[i]]
+        else:
+            u[at], v[at] = result
+    if store:
+        return [(grids[seg.T], vals, first_bad[a:b])
+                for seg, vals, a, b in zip(segments, values, starts, starts[1:])]
     return [(u[a:b], v[a:b]) for a, b in zip(starts, starts[1:])]

@@ -1,7 +1,8 @@
 """Test oracles that check the library from outside it.
 
 audit_fit certifies a fit against a grid of the objective; decompose
-splits a simulated path's U into its drift and martingale parts.
+splits a simulated path's U into its drift and martingale parts;
+stored_paths runs the Euler kernel on one unchunked block of rows.
 """
 
 from dataclasses import dataclass
@@ -10,6 +11,7 @@ import numpy as np
 
 from sde_remle.errors import SdeRemleError
 from sde_remle.likelihood import total_loglik_uv
+from sde_remle.simulate import _euler_rows, path_normals, time_grid
 
 
 class MissingPhi(SdeRemleError):
@@ -57,3 +59,23 @@ def audit_fit(fit, u, v, space, grid_points=50):
         if np.any(total_loglik_uv(u, v, mus, w2) > fit.loglik + slack):
             return False
     return True
+
+
+def stored_paths(model, phis, x0, T, dt, seed, subject_index, replicate_ids):
+    """(times, values, first_bad) of rows at one design point, run as one
+    block without the chunk driver.
+
+    Row r uses substream (seed, subject_index[r], replicate_ids[r]), with
+    subject_index one id or one per row, and drift multiplier phis[r];
+    first_bad is the step at which the row stopped being finite, or -1.
+    """
+    times = time_grid(T, dt)
+    steps = len(times) - 1
+    z = path_normals(seed, subject_index, replicate_ids, steps)
+    rows = len(z)
+    values = np.empty((rows, steps + 1))
+    first_bad = _euler_rows(
+        model, np.asarray(phis, dtype=float), np.full(rows, float(x0)), np.full(rows, float(T)),
+        np.full(rows, steps), dt, z, np.broadcast_to(subject_index, rows), values,
+    )
+    return times, values, first_bad

@@ -204,7 +204,7 @@ def test_averaged_limits_without_design_points_is_empty(monkeypatch):
 def _zone_model(name, sigma):
     from sde_remle.models import ModelSpec, register_model
 
-    return register_model(ModelSpec(name, lambda x: np.ones_like(x), sigma, tau=1.0))
+    return register_model(ModelSpec(name, lambda x: np.ones_like(x), sigma))
 
 
 @pytest.mark.parametrize("sigma,message,step", [
@@ -242,9 +242,7 @@ def test_info_bar_reuses_design_point_estimates_bit_for_bit():
         fresh = _info_bar(config)
         partial = dict(list(table.point_info.items())[:2])
         for known in (table.point_info, partial):
-            reused = _info_bar(config, known)
-            assert _bits(reused[0]) == _bits(fresh[0])
-            assert _bits(reused[1]) == _bits(fresh[1])
+            assert _bits(_info_bar(config, known)) == _bits(fresh)
 
 
 def test_averaged_limits_harmonic_converges():
@@ -280,7 +278,8 @@ def test_consistency_experiment_rates_and_determinism():
         seed=14,
     )
     report = run_consistency_experiment(config)
-    assert not report.failed
+    assert report.failed is False
+    assert report.ks_mu_offset_center is None and report.wald_denominator is None
     assert report.summaries[0]["n"] == 50 and report.summaries[1]["n"] == 200
     assert report.summaries[1]["med_err"] < report.summaries[0]["med_err"]
     again = run_consistency_experiment(config)
@@ -345,8 +344,8 @@ def test_normality_experiment():
     assert 0.90 <= summary["cov_omega2"] <= 0.985
     # a five-standard-error shift of the center must be flagrantly
     # non-normal
-    assert report.extras["ks_mu_offset_center"] < 1e-6
-    assert report.extras["wald_denominator"] > 0
+    assert report.ks_mu_offset_center < 1e-6
+    assert report.wald_denominator > 0
     assert len(report.rows) + len(report.failures) == 300
 
 

@@ -213,6 +213,30 @@ def test_unreadable_data_is_a_one_line_validation_error(tmp_path, capsys, data, 
     assert err.count("\n") == 1
 
 
+_SIM_HEAD = "model = unit\nmu0 = 1.0\nomega2_0 = 0.5\nn = 4\ndt = 0.01\n"
+
+
+# the config rejects a non-finite key, but the layout x_inf + x_amp / i,
+# T_inf + T_amp / i can still overflow
+@pytest.mark.parametrize("design, reason", [
+    ("design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 1e308\nT_amp = 1e308\n",
+     "every x0 and T must be finite"),
+    ("design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 1e307\nT_amp = 1e307\n",
+     "max(T) / dt overflows"),
+    ("design = harmonic\nx_inf = 1e308\nx_amp = 1e308\nT_inf = 1.0\nT_amp = 1.0\n",
+     "every x0 and T must be finite"),
+], ids=["T-inf", "T-over-dt-inf", "x0-inf"])
+def test_simulate_with_a_design_point_that_is_not_finite_is_validation_error(
+        tmp_path, capsys, design, reason):
+    cfg = _cfg(tmp_path, _SIM_HEAD + design)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {reason}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_threads_must_be_positive(capsys):
     rc = main(["simulate", "--config", "whatever.cfg", "--threads", "0"])
     assert rc == 1
@@ -349,7 +373,7 @@ def test_normality_with_singular_information_is_runtime_error(tmp_path, capsys, 
     from sde_remle import asymptotics
 
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    monkeypatch.setattr(asymptotics, "_info_bar", lambda config, point_info=None: (singular, singular))
+    monkeypatch.setattr(asymptotics, "_info_bar", lambda config, point_info=None: singular)
     cfg = _cfg(tmp_path, NORM_CFG)
     rc = main(["experiment", "normality", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2

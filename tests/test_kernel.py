@@ -1,5 +1,6 @@
-"""The fused Monte Carlo kernel: replicate_uv against stored paths, its
-error semantics on stacked row blocks, and its memory bound."""
+"""The chunk driver: replicate_uv against stored paths, its stored mode
+against one unchunked block, its error semantics on stacked row blocks,
+and its memory bound."""
 
 import math
 import tracemalloc
@@ -19,24 +20,26 @@ from sde_remle.simulate import (
 )
 from sde_remle.stats import suff_stats_rows
 
+from oracles import stored_paths
+
 # user models: a smooth state-dependent pair, a drift that explodes in
 # finite time for phi > 0, a diffusion that vanishes beyond x = 5, one
 # below the sigma^2 floor everywhere, and one below it only far out
 WAVY = register_model(ModelSpec(
-    "kernel-wavy", lambda x: np.sin(x) + 0.5 * x, lambda x: 1.0 + 0.5 * np.tanh(x), tau=2.0,
+    "kernel-wavy", lambda x: np.sin(x) + 0.5 * x, lambda x: 1.0 + 0.5 * np.tanh(x),
 ))
 BLOWUP = register_model(ModelSpec(
-    "kernel-blowup", lambda x: x * x, lambda x: np.ones_like(x), tau=4.0,
+    "kernel-blowup", lambda x: x * x, lambda x: np.ones_like(x),
 ))
 CLIFF = register_model(ModelSpec(
-    "kernel-cliff", lambda x: np.ones_like(x), lambda x: np.where(x < 5.0, 1.0, 0.0), tau=1.0,
+    "kernel-cliff", lambda x: np.ones_like(x), lambda x: np.where(x < 5.0, 1.0, 0.0),
 ))
 FAINT = register_model(ModelSpec(
-    "kernel-faint", lambda x: np.ones_like(x), lambda x: np.full_like(x, 1e-7), tau=1.0,
+    "kernel-faint", lambda x: np.ones_like(x), lambda x: np.full_like(x, 1e-7),
 ))
 FAR_FAINT = register_model(ModelSpec(
     "kernel-far-faint", lambda x: x * x,
-    lambda x: np.where(np.abs(x) > 1e3, 1e-7, 1.0), tau=4.0,
+    lambda x: np.where(np.abs(x) > 1e3, 1e-7, 1.0),
 ))
 MODELS = ("unit", "linear-drift", "bounded-ratio", WAVY.name, BLOWUP.name)
 THETA = Theta(mu=0.5, omega2=0.3)
@@ -84,12 +87,15 @@ def test_replicate_uv_equals_the_stored_path_statistics(
     phis = rng.normal(0.5, phi_sd, rows)
     reps = rng.integers(0, 2**32, rows)
     segments, ids = _segments_of(rows, min(parts, rows), x0, T, seed, phis, reps)
-    times, values, first_bad = simulate_replicates(
-        model, phis, x0, T, dt, seed, ids, reps, raise_errors=False
-    )
+    times, values, first_bad = stored_paths(model, phis, x0, T, dt, seed, ids, reps)
     want_u, want_v = suff_stats_rows(times, values, model)
     u, v = _flat(replicate_uv(model, dt, segments))
     assert _same_bits(u, want_u) and _same_bits(v, want_v)
+    # the stored mode gathers the same chunks and keeps their states
+    runs = replicate_uv(model, dt, segments, store=True)
+    assert all(np.array_equal(t, times) for t, _, _ in runs)
+    assert _same_bits(np.concatenate([vals for _, vals, _ in runs]), values)
+    assert np.array_equal(np.concatenate([bad for _, _, bad in runs]), first_bad)
     # every diverged row reads non-finite, so the Monte Carlo drops it
     kept = np.isfinite(u) & np.isfinite(v)
     assert not kept[first_bad >= 0].any()
@@ -182,7 +188,7 @@ def _own_degenerate_step(model, theta0, n, T, dt, seed, R, i):
     """Step at which subject i's replicates, run alone, meet sigma <= 0."""
     phis = effect_rows(theta0, seed, np.arange(R), n)[:, i]
     try:
-        simulate_replicates(model, phis, 4.6, T, dt, seed, i, np.arange(R), raise_errors=False)
+        simulate_replicates(model, phis, 4.6, T, dt, seed, i, np.arange(R))
     except DegenerateDiffusion as err:
         return err.step
     return math.inf
@@ -216,9 +222,7 @@ def test_sigma_below_the_floor_on_rows_that_diverge_is_not_an_error():
     (u, v), = replicate_uv(FAR_FAINT, 0.05, [Segment(2.0, 2.0, 1, 0, [0, 1], phis)])
     assert np.isfinite(u[0]) and np.isfinite(v[0])
     assert not np.isfinite(u[1])
-    times, values, first_bad = simulate_replicates(
-        FAR_FAINT, phis, 2.0, 2.0, 0.05, 1, 0, [0, 1], raise_errors=False
-    )
+    times, values, first_bad = simulate_replicates(FAR_FAINT, phis, 2.0, 2.0, 0.05, 1, 0, [0, 1])
     assert 0 < first_bad[1] < len(times) - 2
     want_u, want_v = suff_stats_rows(times, values, FAR_FAINT)
     assert _same_bits(u, want_u) and _same_bits(v, want_v)

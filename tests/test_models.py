@@ -20,14 +20,12 @@ def test_builtin_unit_constants():
     m = builtin_model("unit")
     assert m.b(3.7) == 1.0
     assert m.sigma(3.7) == 1.0
-    assert m.tau == 1.0
 
 
 def test_builtin_linear_drift_identity():
     m = builtin_model("linear-drift")
     assert m.b(2.0) == 2.0
     assert m.sigma(2.0) == 1.0
-    assert m.tau == 2.0
 
 
 def test_builtin_bounded_ratio_bound():
@@ -42,24 +40,27 @@ def test_unknown_model_not_found():
 
 
 def test_register_model_roundtrip():
-    m = ModelSpec(name="flat2", b=lambda x: 2.0, sigma=lambda x: 1.0, tau=1.0)
+    m = ModelSpec(name="flat2", b=lambda x: 2.0, sigma=lambda x: 1.0)
     register_model(m)
     assert builtin_model("flat2") is m
 
 
-@pytest.mark.parametrize("name", ["unit", "linear-drift", "bounded-ratio"])
+# growth constants (K, tau) of the built-in models, which the theory
+# assumes: b^2 <= K(1+x^2), sigma^2 <= K(1+x^2), b^2/sigma^2 <= K(1+|x|^tau)
+GROWTH = {"unit": (1.0, 1.0), "linear-drift": (1.0, 2.0), "bounded-ratio": (1.0, 1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
 @given(x=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_growth_bounds_hold(name, x):
-    """Recorded growth constants: b^2 <= K(1+x^2), sigma^2 <= K(1+x^2),
-    and b^2/sigma^2 <= K(1+|x|^tau)."""
     m = builtin_model(name)
-    k = m.k_const
+    k, tau = GROWTH[name]
     b2 = m.b(x) ** 2
     s2 = m.sigma(x) ** 2
     assert b2 <= k * (1.0 + x * x) * (1.0 + 1e-12)
     assert s2 <= k * (1.0 + x * x) * (1.0 + 1e-12)
-    assert b2 / s2 <= k * (1.0 + abs(x) ** m.tau) * (1.0 + 1e-12)
+    assert b2 / s2 <= k * (1.0 + abs(x) ** tau) * (1.0 + 1e-12)
 
 
 def test_theta_rejects_negative_variance():
@@ -121,6 +122,19 @@ def test_design_validates_dt_against_horizon():
 def test_design_subjects_need_positive_horizon():
     with pytest.raises(ValueError):
         Design(subjects=((0.0, 0.0),), dt=0.01, seed=0)
+
+
+@pytest.mark.parametrize("subjects, dt, match", [
+    (((float("inf"), 1.0),), 0.01, "finite"),
+    (((float("nan"), 1.0),), 0.01, "finite"),
+    (((0.0, 1.0), (0.0, float("inf"))), 0.01, "finite"),
+    (((0.0, float("nan")),), 0.01, "finite"),
+    # every T finite, but the step count is not
+    (((0.0, 1e307), (0.0, 1e306)), 0.01, "overflows"),
+])
+def test_design_rejects_points_that_are_not_finite(subjects, dt, match):
+    with pytest.raises(ValueError, match=match):
+        Design(subjects=subjects, dt=dt, seed=0)
 
 
 def test_design_rejects_negative_seed():

@@ -18,7 +18,7 @@ from sde_remle import (
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec, register_model
 from sde_remle.rng import generator
-from sde_remle.simulate import effect_rows, path_normals, simulate_replicates
+from sde_remle.simulate import _euler_rows, effect_rows, path_normals, simulate_replicates
 
 UNIT = builtin_model("unit")
 LINEAR = builtin_model("linear-drift")
@@ -46,25 +46,40 @@ class TestTimeGrid:
         assert len(t) == 4
         assert np.all(np.diff(t) > 0)
 
+    @pytest.mark.parametrize("T", [1e308, np.float64(1e308), float("inf")])
+    def test_step_count_that_overflows_is_a_value_error(self, T):
+        with pytest.raises(ValueError, match="overflows"):
+            time_grid(T, 0.01)
+
+
+def _zero_noise_path(model, phi, x0, T, dt):
+    """The kernel's stored path driven by zero increments: the explicit
+    Euler solution of dx = phi b(x) dt."""
+    times = time_grid(T, dt)
+    steps = len(times) - 1
+    values = np.empty((1, steps + 1))
+    first_bad = _euler_rows(model, np.array([phi]), np.array([x0]), np.array([T]),
+                            np.array([steps]), dt, np.zeros((1, steps)), [0], values)
+    assert first_bad.tolist() == [-1]
+    return times, values[0]
+
 
 def test_zero_noise_unit_path_is_linear():
-    normals = np.zeros(10)
-    p = euler_maruyama(UNIT, 2.0, 1.0, 1.0, 0.1, 0, normals=normals)
-    assert p.values[-1] == pytest.approx(1.0 + 2.0 * 1.0, abs=1e-15)
-    assert np.allclose(p.values, 1.0 + 2.0 * p.times)
+    times, values = _zero_noise_path(UNIT, 2.0, 1.0, 1.0, 0.1)
+    assert values[-1] == pytest.approx(1.0 + 2.0 * 1.0, abs=1e-15)
+    assert np.allclose(values, 1.0 + 2.0 * times)
 
 
 def test_zero_noise_matches_explicit_euler_ode():
     """With Z = 0 the path must reproduce the explicit-Euler recursion of
     dx = phi b(x) dt for any model."""
     phi, x0, T, dt = 0.8, 0.5, 1.0, 0.05
-    normals = np.zeros(20)
-    p = euler_maruyama(LINEAR, phi, x0, T, dt, 0, normals=normals)
+    times, values = _zero_noise_path(LINEAR, phi, x0, T, dt)
     state = x0
-    for k in range(len(p.times) - 1):
-        delta = p.times[k + 1] - p.times[k]
+    for k in range(len(times) - 1):
+        delta = times[k + 1] - times[k]
         state = state + phi * LINEAR.b(state) * delta
-        assert p.values[k + 1] == pytest.approx(state, rel=1e-15)
+        assert values[k + 1] == pytest.approx(state, rel=1e-15)
 
 
 def test_single_step_formula():
@@ -102,9 +117,9 @@ def test_divergence_raises_with_step_index():
 def test_degenerate_sigma_raises():
     # zero increments reduce the recursion to x -> x + dt, which walks
     # -0.5 -> -0.25 -> 0.0 where sigma vanishes
-    model = ModelSpec(name="vanishing", b=lambda x: np.ones_like(x), sigma=lambda x: -x, tau=1.0)
+    model = ModelSpec(name="vanishing", b=lambda x: np.ones_like(x), sigma=lambda x: -x)
     with pytest.raises(DegenerateDiffusion):
-        euler_maruyama(model, 1.0, -0.5, 1.0, 0.25, 0, normals=np.zeros(4))
+        _zero_noise_path(model, 1.0, -0.5, 1.0, 0.25)
 
 
 def test_random_effects_zero_variance_collapses():
@@ -167,7 +182,7 @@ def _cliff_sigma(x):
 
 
 # a user model whose diffusion vanishes beyond x = 5
-CLIFF = register_model(ModelSpec("cliff", lambda x: np.ones_like(x), _cliff_sigma, tau=1.0))
+CLIFF = register_model(ModelSpec("cliff", lambda x: np.ones_like(x), _cliff_sigma))
 
 
 def test_ensemble_degenerate_diffusion_names_the_lowest_failing_subject():
@@ -256,10 +271,7 @@ def test_ensemble_row_blocks_equal_per_subject_paths(replicate_id):
         assert np.array_equal(path.values, want.values)
 
 
-def test_ensemble_of_unequal_horizons_keeps_only_its_paths():
-    # T from 50 down to about 1.25: the paths and grids need 0.8 MB, the
-    # (n, max steps + 1) matrix they are simulated in 8 MB
-    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=49.0)
+def _check_keeps_only_its_paths(family):
     design = Design(subjects=family.subjects(200), dt=0.01, seed=5)
     theta0 = Theta(mu=0.5, omega2=0.2)
     simulate_ensemble(UNIT, theta0, design)
@@ -271,12 +283,20 @@ def test_ensemble_of_unequal_horizons_keeps_only_its_paths():
         tracemalloc.stop()
     assert sum(p.values.nbytes + p.times.nbytes for p in paths) < 800_000
     assert retained < 2_000_000
+    # no path keeps a padded matrix alive
+    assert all(p.values.base.size == len(p.values) for p in paths)
 
 
-def test_iid_ensemble_paths_share_one_matrix():
-    design = Design(subjects=((0.0, 1.0),) * 5, dt=0.1, seed=5)
-    paths = simulate_ensemble(UNIT, Theta(mu=0.5, omega2=0.2), design)
-    assert all(p.values.base is paths[0].values.base is not None for p in paths)
+def test_ensemble_of_unequal_horizons_keeps_only_its_paths():
+    # T from 50 down to about 1.25: the paths and grids need 0.8 MB, the
+    # chunk they are simulated in 8 MB
+    _check_keeps_only_its_paths(
+        DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=49.0))
+
+
+def test_iid_ensemble_keeps_only_its_paths():
+    # 200 paths of 200 steps on one shared grid
+    _check_keeps_only_its_paths(DesignFamily(kind="iid", x0=0.5, T=2.0))
 
 
 def test_ensemble_exchangeable_under_iid_design():

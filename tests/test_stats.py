@@ -182,7 +182,7 @@ def test_v_refinement_error_window():
 
 
 def test_sigma_floor_is_an_error():
-    model = ModelSpec(name="thin", b=lambda x: np.ones_like(x), sigma=lambda x: x, tau=1.0)
+    model = ModelSpec(name="thin", b=lambda x: np.ones_like(x), sigma=lambda x: x)
     p = _path([0.0, 1.0], [1e-7, 1.0])
     with pytest.raises(DegenerateDiffusion) as exc:
         stats_list([p], model)
