@@ -9,13 +9,10 @@ the Monte Carlo experiments that exercise the estimator's limit theory.
 """
 
 from .asymptotics import (
-    ConsistencyConfig,
-    ContinuityConfig,
     ConvergenceTable,
     ExperimentReport,
     InfoEstimate,
     KlEstimate,
-    NormalityConfig,
     averaged_limits,
     fisher_info_mc,
     kl_mc,
@@ -62,8 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllDegenerate",
     "ConfigError",
-    "ConsistencyConfig",
-    "ContinuityConfig",
     "ConvergenceTable",
     "DegenerateDiffusion",
     "Design",
@@ -80,7 +75,6 @@ __all__ = [
     "MleFit",
     "ModelSpec",
     "NonFiniteObjective",
-    "NormalityConfig",
     "NotFound",
     "ParamSpace",
     "ParseError",

@@ -3,6 +3,9 @@
 Estimates Fisher information and Kullback-Leibler divergence at single
 design points, their averaged limits along convergent design sequences,
 and runs the consistency / normality / moment-continuity experiments.
+Each experiment is a plain function of its settings (model, truth,
+rectangle, DesignFamily, sizes, dt, seed); consistency and normality
+share one simulate-and-fit loop over a Design's replicates.
 Each design point's streams are a pure function of its arguments, so its
 (U, V) are the same alone or stacked with other points in one pass of
 simulate.replicate_uv, as every multi-point estimate runs. Every
@@ -13,14 +16,14 @@ with numpy's pairwise sums and means over rows and points.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyExperiment, ExperimentFailed
 from .estimator import fit_rows
 from .likelihood import hess_terms, ratio_terms, score_terms
-from .models import Design, DesignFamily, ParamSpace, Theta
+from .models import Design
 from .rng import derive_seed, float_label
 from .simulate import Segment, effect_rows, replicate_uv
 
@@ -52,8 +55,6 @@ class InfoEstimate:
 
     matrix: np.ndarray
     mc_se: np.ndarray
-    replicates: int
-    design_point: tuple
     neg_mean_hess: np.ndarray
     identity_se: np.ndarray
     failures: int = 0
@@ -65,10 +66,6 @@ class KlEstimate:
 
     value: float
     mc_se: float
-    theta0: Theta
-    theta: Theta
-    design_point: tuple
-    replicates: int
     failures: int = 0
 
 
@@ -99,54 +96,12 @@ class ExperimentReport:
     fits with Wald standard errors that the coverages count.
     """
 
-    kind: str
-    seed: int
-    config: dict
     rows: tuple
     summaries: tuple
     failures: tuple
     failed: bool
     ks_mu_offset_center: float = None
     wald_denominator: int = None
-
-
-@dataclass(frozen=True)
-class ConsistencyConfig:
-    model: object
-    theta0: Theta
-    space: ParamSpace
-    design: DesignFamily
-    n_schedule: tuple
-    replicates: int
-    dt: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class NormalityConfig:
-    model: object
-    theta0: Theta
-    space: ParamSpace
-    design: DesignFamily
-    n: int
-    replicates: int
-    info_replicates: int
-    dt: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ContinuityConfig:
-    model: object
-    theta0: Theta
-    psi: float
-    xi: float
-    design: DesignFamily
-    m_schedule: tuple
-    replicates: int
-    limit_replicates: int
-    dt: float
-    seed: int
 
 
 def _point_segment(theta0, x0, T, R, seed):
@@ -211,8 +166,6 @@ def _info_estimate(theta, point, u, v):
     return InfoEstimate(
         matrix=cov,
         mc_se=jack_se(loo_cov),
-        replicates=r,
-        design_point=point,
         neg_mean_hess=neg_mean_hess,
         identity_se=jack_se(loo_cov - loo_negh),
         failures=failures,
@@ -229,10 +182,6 @@ def _kl_estimate(theta0, theta, point, u, v):
     return KlEstimate(
         value=value,
         mc_se=sd / math.sqrt(r),
-        theta0=theta0,
-        theta=theta,
-        design_point=point,
-        replicates=r,
         failures=failures,
     )
 
@@ -380,126 +329,132 @@ def _ensemble_uv(model, theta0, design, replicates):
     return u, np.stack(v, axis=1)
 
 
-def _fit_rows(u, v, space):
-    """Fit each replicate row whose (U, V) are all finite, in one lockstep
-    batch; returns (fits, ok_mask) with None for the dropped rows.
+def _replicate_fits(model, theta0, design, replicates, space):
+    """Simulate a Design's replicates and fit, in one lockstep batch, each
+    row whose (U, V) are all finite.
 
-    The lowest finite row that fails fit_mle's input checks raises its
-    error, as a replicate-by-replicate loop would.
+    Returns (kept, dropped): kept holds (rep, fit, theta_hat - theta0) per
+    fitted replicate and dropped the reps of the other rows, both in rep
+    order. The lowest finite row that fails fit_mle's input checks raises
+    its error, as a replicate-by-replicate loop would.
     """
+    u, v = _ensemble_uv(model, theta0, design, replicates)
     ok = np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
-    if ok.all():
-        return fit_rows(u, v, space), ok
-    fits = [None] * u.shape[0]
-    for r, fit in zip(np.flatnonzero(ok), fit_rows(u[ok], v[ok], space)):
-        fits[r] = fit
-    return fits, ok
+    if not ok.all():
+        u, v = u[ok], v[ok]
+    theta0_vec = np.array([theta0.mu, theta0.omega2])
+    kept = [(r, fit, np.array([fit.theta_hat.mu, fit.theta_hat.omega2]) - theta0_vec)
+            for r, fit in zip(np.flatnonzero(ok).tolist(), fit_rows(u, v, space))]
+    return kept, np.flatnonzero(~ok).tolist()
 
 
-def _check_interior(theta0, space):
-    if not space.interior_contains(theta0):
+def _row(rep, n, fit, z=(None, None)):
+    """One replicates.csv record."""
+    return {
+        "rep": rep,
+        "n": n,
+        "mu_hat": fit.theta_hat.mu,
+        "omega2_hat": fit.theta_hat.omega2,
+        "z_mu": z[0],
+        "z_omega2": z[1],
+        "boundary": fit.boundary,
+    }
+
+
+def _summary(n, errs, ks=(None, None), cov=(None, None)):
+    """One summary.csv record; the error quantiles are NaN without errors."""
+    def quantile(q):
+        return float(np.quantile(errs, q)) if errs.size else float("nan")
+
+    return {
+        "n": n,
+        "med_err": quantile(0.5),
+        "p90_err": quantile(0.9),
+        "ks_mu": ks[0],
+        "ks_omega2": ks[1],
+        "cov_mu": cov[0],
+        "cov_omega2": cov[1],
+    }
+
+
+def _check_run(replicates, theta0=None, space=None, limit_replicates=0):
+    """Bad input, before any normal is drawn: a truth off the rectangle's
+    interior or a negative count raises ValueError, zero replicates
+    EmptyExperiment."""
+    if space is not None and not space.interior_contains(theta0):
         raise ValueError(
             "the true theta must lie strictly inside the parameter rectangle"
         )
-
-
-def _config_echo(config):
-    echo = asdict(config)
-    echo["model"] = config.model.name
-    return echo
-
-
-def run_consistency_experiment(config):
-    """Replicated fits along an n schedule; errors should shrink like 1/sqrt(n)."""
-    _check_interior(config.theta0, config.space)
-    if config.replicates == 0:
+    for name, count in (("replicates", replicates), ("limit_replicates", limit_replicates)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+    if replicates == 0:
         raise EmptyExperiment("replicates = 0")
-    designs = [Design(config.design.subjects(n), config.dt, config.seed)
-               for n in config.n_schedule]
-    theta0_vec = np.array([config.theta0.mu, config.theta0.omega2])
+
+
+def run_consistency_experiment(model, theta0, space, design, n_schedule, replicates, dt, seed):
+    """Replicated fits along an n schedule; errors should shrink like 1/sqrt(n).
+
+    design is the DesignFamily whose first n subjects make level n; every
+    level is validated as a Design before any is simulated.
+    """
+    _check_run(replicates, theta0, space)
+    levels = [Design(design.subjects(n), dt, seed) for n in n_schedule]
     rows = []
     summaries = []
     failures = []
-    for n, design in zip(config.n_schedule, designs):
-        u, v = _ensemble_uv(config.model, config.theta0, design, config.replicates)
-        fits, ok = _fit_rows(u, v, config.space)
-        errs = []
-        for r, fit in enumerate(fits):
-            if fit is None:
-                failures.append((n, r))
-                continue
-            diff = np.array([fit.theta_hat.mu, fit.theta_hat.omega2]) - theta0_vec
-            errs.append(math.hypot(diff[0], diff[1]))
-            rows.append({
-                "rep": r,
-                "n": n,
-                "mu_hat": fit.theta_hat.mu,
-                "omega2_hat": fit.theta_hat.omega2,
-                "z_mu": None,
-                "z_omega2": None,
-                "boundary": fit.boundary,
-            })
-        errs = np.array(errs)
-        summaries.append({
-            "n": n,
-            "med_err": float(np.quantile(errs, 0.5)) if errs.size else float("nan"),
-            "p90_err": float(np.quantile(errs, 0.9)) if errs.size else float("nan"),
-            "ks_mu": None,
-            "ks_omega2": None,
-            "cov_mu": None,
-            "cov_omega2": None,
-        })
-    total = config.replicates * len(config.n_schedule)
+    for n, level in zip(n_schedule, levels):
+        kept, dropped = _replicate_fits(model, theta0, level, replicates, space)
+        failures += [(n, r) for r in dropped]
+        rows += [_row(r, n, fit) for r, fit, _ in kept]
+        errs = np.array([math.hypot(diff[0], diff[1]) for _, _, diff in kept])
+        summaries.append(_summary(n, errs))
     return ExperimentReport(
-        kind="consistency",
-        seed=config.seed,
-        config=_config_echo(config),
         rows=tuple(rows),
         summaries=tuple(summaries),
         failures=tuple(failures),
-        failed=len(failures) > 0.01 * total,
+        failed=len(failures) > 0.01 * replicates * len(n_schedule),
     )
 
 
-def _info_bar(config, point_info=None):
-    """Plug-in information: single-point for iid designs, design-averaged
-    (the largest-n running mean) for non-iid designs.
+def _info_bar(model, theta0, points, info_replicates, dt, seed, point_info=None):
+    """Plug-in information at the design points: single-point for iid
+    designs, design-averaged (the largest-n running mean) for non-iid ones.
 
     point_info maps (x, T) to an InfoEstimate already made by
-    fisher_info_mc with this config's model, theta0, dt, seed and
-    info_replicates, as averaged_limits makes them when its replicate
-    count is info_replicates; only the points it lacks are estimated.
+    fisher_info_mc with this model, theta0, dt, seed and info_replicates,
+    as averaged_limits makes them when its replicate count is
+    info_replicates; only the points it lacks are estimated.
     """
-    pts = config.design.subjects(config.n)
     by_point = dict(point_info or {})
-    missing = sorted(set(pts) - by_point.keys())
-    if missing and config.info_replicates < 100:
+    missing = sorted(set(points) - by_point.keys())
+    if missing and info_replicates < 100:
         raise ValueError("information estimation needs R >= 100")
-    parts = replicate_uv(config.model, config.dt, [
-        _point_segment(config.theta0, *pt, config.info_replicates,
-                       derive_seed(config.seed, _LANE_INFO, *map(float_label, pt)))
+    parts = replicate_uv(model, dt, [
+        _point_segment(theta0, *pt, info_replicates,
+                       derive_seed(seed, _LANE_INFO, *map(float_label, pt)))
         for pt in missing
     ])
     for pt, (u, v) in zip(missing, parts):
-        by_point[pt] = _info_estimate(config.theta0, (float(pt[0]), float(pt[1])), u, v)
-    return np.stack([by_point[pt].matrix for pt in pts]).mean(axis=0)
+        by_point[pt] = _info_estimate(theta0, (float(pt[0]), float(pt[1])), u, v)
+    return np.stack([by_point[pt].matrix for pt in points]).mean(axis=0)
 
 
-def run_normality_experiment(config, point_info=None):
+def run_normality_experiment(model, theta0, space, design, n, replicates, info_replicates,
+                             dt, seed, point_info=None):
     """Standardized estimation errors vs the standard normal law.
 
     z_r = sqrt(n) * L (theta_hat_r - theta0) with L the symmetric square
-    root of the plug-in information; reports per-coordinate KS p-values,
-    Wald coverage, and a shifted-center negative control. point_info, as
-    in _info_bar, supplies information estimates that need not be made
+    root of the plug-in information at the first n subjects of the
+    DesignFamily design; reports per-coordinate KS p-values, Wald
+    coverage, and a shifted-center negative control. point_info, as in
+    _info_bar, supplies information estimates that need not be made
     again.
     """
-    _check_interior(config.theta0, config.space)
-    if config.replicates == 0:
-        raise EmptyExperiment("replicates = 0")
-    n = config.n
-    design = Design(config.design.subjects(n), config.dt, config.seed)
-    info_bar = _info_bar(config, point_info)
+    _check_run(replicates, theta0, space)
+    points = design.subjects(n)
+    ensemble = Design(points, dt, seed)
+    info_bar = _info_bar(model, theta0, points, info_replicates, dt, seed, point_info)
     try:
         L = sqrt_2x2_spd(info_bar)
     except ValueError as err:
@@ -508,44 +463,26 @@ def run_normality_experiment(config, point_info=None):
         ) from err
     inv = np.linalg.inv(info_bar)
 
-    u, v = _ensemble_uv(config.model, config.theta0, design, config.replicates)
-    fits, ok = _fit_rows(u, v, config.space)
-    theta0_vec = np.array([config.theta0.mu, config.theta0.omega2])
+    kept, dropped = _replicate_fits(model, theta0, ensemble, replicates, space)
+    if not kept:
+        raise ExperimentFailed("every replicate failed")
     rows = []
-    failures = []
-    diffs = []
     covered = {"mu": 0, "omega2": 0}
     with_se = 0
-    for r, fit in enumerate(fits):
-        if fit is None:
-            failures.append((n, r))
-            continue
-        hat = np.array([fit.theta_hat.mu, fit.theta_hat.omega2])
-        diff = hat - theta0_vec
+    for r, fit, diff in kept:
         z = math.sqrt(n) * (L @ diff)
-        diffs.append(diff)
         if fit.wald_se is not None:
             with_se += 1
             if abs(diff[0]) <= _Z975 * fit.wald_se[0]:
                 covered["mu"] += 1
             if abs(diff[1]) <= _Z975 * fit.wald_se[1]:
                 covered["omega2"] += 1
-        rows.append({
-            "rep": r,
-            "n": n,
-            "mu_hat": fit.theta_hat.mu,
-            "omega2_hat": fit.theta_hat.omega2,
-            "z_mu": float(z[0]),
-            "z_omega2": float(z[1]),
-            "boundary": fit.boundary,
-        })
-    if not rows:
-        raise ExperimentFailed("every replicate failed")
+        rows.append(_row(r, n, fit, (float(z[0]), float(z[1]))))
     # scipy.special, which the KS p-value needs, doubles the package's
     # import time, and only this experiment uses it
     from .ks import ks_norm_pvalue
 
-    diffs = np.array(diffs)
+    diffs = np.array([diff for _, _, diff in kept])
     z_mat = math.sqrt(n) * (diffs @ L)
     ks_mu = ks_norm_pvalue(z_mat[:, 0])
     ks_w2 = ks_norm_pvalue(z_mat[:, 1])
@@ -559,55 +496,43 @@ def run_normality_experiment(config, point_info=None):
     errs = np.hypot(diffs[:, 0], diffs[:, 1])
     cov_mu = covered["mu"] / with_se if with_se else float("nan")
     cov_w2 = covered["omega2"] / with_se if with_se else float("nan")
-    summary = {
-        "n": n,
-        "med_err": float(np.quantile(errs, 0.5)),
-        "p90_err": float(np.quantile(errs, 0.9)),
-        "ks_mu": ks_mu,
-        "ks_omega2": ks_w2,
-        "cov_mu": cov_mu,
-        "cov_omega2": cov_w2,
-    }
     return ExperimentReport(
-        kind="normality",
-        seed=config.seed,
-        config=_config_echo(config),
         rows=tuple(rows),
-        summaries=(summary,),
-        failures=tuple(failures),
-        failed=len(failures) > 0.01 * config.replicates,
+        summaries=(_summary(n, errs, (ks_mu, ks_w2), (cov_mu, cov_w2)),),
+        failures=tuple((n, r) for r in dropped),
+        failed=len(dropped) > 0.01 * replicates,
         ks_mu_offset_center=ks_off,
         wald_denominator=with_se,
     )
 
 
-def run_moment_continuity_probe(config):
+def run_moment_continuity_probe(model, theta0, psi, xi, design, m_schedule, replicates,
+                                limit_replicates, dt, seed):
     """MC means of h(U, V)^k along a design sequence vs its limit point.
 
     h(u, v) = exp(psi * u / (1 + xi * v)); est_m for k in {1, 2} at the
-    design family's point m is compared with the estimate at its limit
-    point. Every point is validated as one Design before any is estimated.
+    DesignFamily design's point m is compared with the estimate at its
+    limit point. Every point is validated as one Design before any is
+    estimated.
     """
-    if config.replicates == 0:
-        raise EmptyExperiment("replicates = 0")
-    if not config.xi > 0:
+    _check_run(replicates, limit_replicates=limit_replicates)
+    if not xi > 0:
         raise ValueError("xi must be > 0")
-    family = config.design
-    pts = [family.limit_point()] + [family.point(m) for m in config.m_schedule]
-    Design(tuple(pts), config.dt, config.seed)
+    pts = [design.limit_point()] + [design.point(m) for m in m_schedule]
+    Design(tuple(pts), dt, seed)
 
     # the limit point's rows, then each m's, in one stacked pass
-    sizes = [config.limit_replicates] + [config.replicates] * len(config.m_schedule)
-    labels = [0] + list(config.m_schedule)
-    parts = replicate_uv(config.model, config.dt, [
-        _point_segment(config.theta0, *pt, R, derive_seed(config.seed, _LANE_PROBE, m))
+    sizes = [limit_replicates] + [replicates] * len(m_schedule)
+    labels = [0] + list(m_schedule)
+    parts = replicate_uv(model, dt, [
+        _point_segment(theta0, *pt, R, derive_seed(seed, _LANE_PROBE, m))
         for pt, R, m in zip(pts, sizes, labels)
     ])
 
     def h_moments(point, u, v):
         u, v, _ = _finite_rows(point, u, v)
         with np.errstate(over="ignore"):
-            h = np.exp(config.psi * u / (1.0 + config.xi * v))
+            h = np.exp(psi * u / (1.0 + xi * v))
         out = {}
         for k in (1, 2):
             hk = h ** k
@@ -618,7 +543,7 @@ def run_moment_continuity_probe(config):
 
     lim_moments, *moments_m = [h_moments(pt, *part) for pt, part in zip(pts, parts)]
     rows = []
-    for m, (x, T), moments in zip(config.m_schedule, pts[1:], moments_m):
+    for m, (x, T), moments in zip(m_schedule, pts[1:], moments_m):
         for k in (1, 2):
             est, se = moments[k]
             lim_est, lim_se = lim_moments[k]

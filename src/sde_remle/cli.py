@@ -6,7 +6,12 @@ continuity}. Each takes --config PATH (flat key=value file), --seed N
 --out DIR, and --threads N. Every pass runs on one thread: --threads
 must be >= 1 and changes nothing, so output files are byte-identical for
 any value. Exit status: 0 success, 1 validation error, 2 runtime error.
-"""
+
+Each experiment kind is one runner in the _EXPERIMENTS table. A runner
+calls its library function with the config's values, writes its files
+and returns the report (None for continuity) and the rest of its
+"experiment KIND: ..." stdout line; one shared tail prints the line and
+then raises ExperimentFailed when more than 1% of replicates failed."""
 
 import argparse
 import os
@@ -15,9 +20,6 @@ import sys
 from . import config as config_mod
 from . import io as io_mod
 from .asymptotics import (
-    ConsistencyConfig,
-    ContinuityConfig,
-    NormalityConfig,
     averaged_limits,
     run_consistency_experiment,
     run_moment_continuity_probe,
@@ -60,9 +62,7 @@ def _parser():
     common(sub.add_parser("simulate", help="simulate an ensemble, dump paths and stats"))
     common(sub.add_parser("fit", help="fit the MLE to a dumped path file"))
     pe = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    pe.add_argument(
-        "kind", choices=("consistency", "normality", "noniid", "continuity")
-    )
+    pe.add_argument("kind", choices=tuple(_EXPERIMENTS))
     common(pe)
     return p
 
@@ -141,111 +141,112 @@ def cmd_fit(cfg, seed, out_dir):
 
 
 def _write_report(report, out_dir):
+    """Write replicates.csv and summary.csv; returns the replicates path."""
     rep_file = os.path.join(out_dir, io_mod.REPLICATES_FILE)
-    sum_file = os.path.join(out_dir, io_mod.SUMMARY_FILE)
     io_mod.write_replicates_csv(report.rows, rep_file)
-    io_mod.write_summary_csv(report.summaries, sum_file)
-    return rep_file, sum_file
+    io_mod.write_summary_csv(report.summaries, os.path.join(out_dir, io_mod.SUMMARY_FILE))
+    return rep_file
 
 
-def _raise_if_failed(report, kind):
-    if report.failed:
-        raise ExperimentFailed(
-            f"{kind}: more than 1% of replicates failed "
-            f"({len(report.failures)} failures)"
-        )
+# Each experiment kind's runner writes its files and returns (report or
+# None, the text after "experiment KIND: " on stdout).
+
+def _consistency(cfg, model, theta0, seed, out_dir):
+    _check_schedule(cfg["n_schedule"], "n_schedule")
+    report = run_consistency_experiment(
+        model, theta0, _space(cfg), _family(cfg), tuple(cfg["n_schedule"]),
+        cfg["replicates"], cfg["dt"], seed,
+    )
+    rep_file = _write_report(report, out_dir)
+    return report, (
+        f"n_schedule={list(cfg['n_schedule'])} replicates={cfg['replicates']} "
+        f"med_err_final={report.summaries[-1]['med_err']!r} -> {rep_file}"
+    )
+
+
+def _normality_report(cfg, model, theta0, seed, out_dir, point_info=None):
+    report = run_normality_experiment(
+        model, theta0, _space(cfg), _family(cfg), cfg["n"], cfg["replicates"],
+        cfg["info_replicates"], cfg["dt"], seed, point_info,
+    )
+    return report, _write_report(report, out_dir)
+
+
+def _normality(cfg, model, theta0, seed, out_dir):
+    report, rep_file = _normality_report(cfg, model, theta0, seed, out_dir)
+    s = report.summaries[0]
+    return report, (
+        f"n={s['n']} ks_mu={s['ks_mu']!r} ks_omega2={s['ks_omega2']!r} "
+        f"cov_mu={s['cov_mu']!r} cov_omega2={s['cov_omega2']!r} -> {rep_file}"
+    )
+
+
+def _noniid(cfg, model, theta0, seed, out_dir):
+    family = _family(cfg)
+    if family.kind != "harmonic":
+        raise ValueError("the noniid experiment needs design = harmonic")
+    _check_schedule(cfg["n_schedule"], "n_schedule")
+    schedule = tuple(cfg["n_schedule"])
+    table = averaged_limits(
+        model, family.subjects(schedule[-1]), theta0,
+        Theta(mu=cfg["mu_alt"], omega2=cfg["omega2_alt"]),
+        cfg["dt"], cfg["replicates"], family.limit_point(),
+        cfg["limit_replicates"], seed, schedule=schedule,
+    )
+    io_mod.write_limits_csv(
+        table,
+        os.path.join(out_dir, io_mod.LIMITS_FILE),
+        os.path.join(out_dir, io_mod.LIMIT_FILE),
+    )
+    # averaged_limits estimated the information at these design points
+    # with the normality pass's seeds; at its replicate count too, they
+    # are the estimates the pass would make
+    reuse = cfg["info_replicates"] == cfg["replicates"]
+    report, rep_file = _normality_report(
+        cfg, model, theta0, seed, out_dir, table.point_info if reuse else None
+    )
+    final = table.rows[-1]
+    return report, (
+        f"n={final['n']} kl_gap={final['kl_gap']!r} i00_gap={final['i00_gap']!r} "
+        f"ks_mu={report.summaries[0]['ks_mu']!r} -> {rep_file}"
+    )
+
+
+def _continuity(cfg, model, theta0, seed, out_dir):
+    _check_schedule(cfg["m_schedule"], "m_schedule")
+    table = run_moment_continuity_probe(
+        model, theta0, cfg["psi"], cfg["xi"], _family(cfg, "harmonic"),
+        tuple(cfg["m_schedule"]), cfg["replicates"], cfg["limit_replicates"],
+        cfg["dt"], seed,
+    )
+    out_file = os.path.join(out_dir, io_mod.CONTINUITY_FILE)
+    io_mod.write_continuity_csv(table, out_file)
+    return None, (
+        f"m_schedule={list(cfg['m_schedule'])} "
+        f"final_gap={table.rows[-1]['gap']!r} -> {out_file}"
+    )
+
+
+_EXPERIMENTS = {
+    "consistency": _consistency,
+    "normality": _normality,
+    "noniid": _noniid,
+    "continuity": _continuity,
+}
 
 
 def cmd_experiment(kind, cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     theta0 = _theta0(cfg)
     _positive(cfg, "dt", "replicates", "info_replicates", "limit_replicates", "n")
-
-    if kind == "consistency":
-        _check_schedule(cfg["n_schedule"], "n_schedule")
-        report = run_consistency_experiment(ConsistencyConfig(
-            model=model, theta0=theta0, space=_space(cfg), design=_family(cfg),
-            n_schedule=tuple(cfg["n_schedule"]), replicates=cfg["replicates"],
-            dt=cfg["dt"], seed=seed,
-        ))
-        rep_file, _ = _write_report(report, out_dir)
-        last = report.summaries[-1]
-        print(
-            f"experiment consistency: n_schedule={list(cfg['n_schedule'])} "
-            f"replicates={cfg['replicates']} med_err_final={last['med_err']!r} "
-            f"-> {rep_file}"
+    report, summary = _EXPERIMENTS[kind](cfg, model, theta0, seed, out_dir)
+    print(f"experiment {kind}: {summary}")
+    # the files are on disk for a post-mortem before a failed run raises
+    if report is not None and report.failed:
+        raise ExperimentFailed(
+            f"{kind}: more than 1% of replicates failed "
+            f"({len(report.failures)} failures)"
         )
-        _raise_if_failed(report, kind)
-        return 0
-
-    if kind == "normality":
-        report = run_normality_experiment(NormalityConfig(
-            model=model, theta0=theta0, space=_space(cfg), design=_family(cfg),
-            n=cfg["n"], replicates=cfg["replicates"],
-            info_replicates=cfg["info_replicates"],
-            dt=cfg["dt"], seed=seed,
-        ))
-        rep_file, _ = _write_report(report, out_dir)
-        s = report.summaries[0]
-        print(
-            f"experiment normality: n={s['n']} ks_mu={s['ks_mu']!r} "
-            f"ks_omega2={s['ks_omega2']!r} cov_mu={s['cov_mu']!r} "
-            f"cov_omega2={s['cov_omega2']!r} -> {rep_file}"
-        )
-        _raise_if_failed(report, kind)
-        return 0
-
-    if kind == "noniid":
-        family = _family(cfg)
-        if family.kind != "harmonic":
-            raise ValueError("the noniid experiment needs design = harmonic")
-        _check_schedule(cfg["n_schedule"], "n_schedule")
-        theta_alt = Theta(mu=cfg["mu_alt"], omega2=cfg["omega2_alt"])
-        schedule = tuple(cfg["n_schedule"])
-        table = averaged_limits(
-            model, family.subjects(schedule[-1]), theta0, theta_alt,
-            cfg["dt"], cfg["replicates"], family.limit_point(),
-            cfg["limit_replicates"], seed, schedule=schedule,
-        )
-        io_mod.write_limits_csv(
-            table,
-            os.path.join(out_dir, io_mod.LIMITS_FILE),
-            os.path.join(out_dir, io_mod.LIMIT_FILE),
-        )
-        # averaged_limits estimated the information at these design points
-        # with the normality pass's seeds; at its replicate count too, they
-        # are the estimates the pass would make
-        reuse = cfg["info_replicates"] == cfg["replicates"]
-        report = run_normality_experiment(NormalityConfig(
-            model=model, theta0=theta0, space=_space(cfg), design=family,
-            n=cfg["n"], replicates=cfg["replicates"],
-            info_replicates=cfg["info_replicates"],
-            dt=cfg["dt"], seed=seed,
-        ), table.point_info if reuse else None)
-        rep_file, _ = _write_report(report, out_dir)
-        final = table.rows[-1]
-        print(
-            f"experiment noniid: n={final['n']} kl_gap={final['kl_gap']!r} "
-            f"i00_gap={final['i00_gap']!r} ks_mu={report.summaries[0]['ks_mu']!r} "
-            f"-> {rep_file}"
-        )
-        _raise_if_failed(report, kind)
-        return 0
-
-    _check_schedule(cfg["m_schedule"], "m_schedule")
-    table = run_moment_continuity_probe(ContinuityConfig(
-        model=model, theta0=theta0, psi=cfg["psi"], xi=cfg["xi"],
-        design=_family(cfg, "harmonic"), m_schedule=tuple(cfg["m_schedule"]),
-        replicates=cfg["replicates"], limit_replicates=cfg["limit_replicates"], dt=cfg["dt"],
-        seed=seed,
-    ))
-    out_file = os.path.join(out_dir, io_mod.CONTINUITY_FILE)
-    io_mod.write_continuity_csv(table, out_file)
-    final_gap = table.rows[-1]["gap"]
-    print(
-        f"experiment continuity: m_schedule={list(cfg['m_schedule'])} "
-        f"final_gap={final_gap!r} -> {out_file}"
-    )
     return 0
 
 

@@ -116,12 +116,28 @@ class DesignFamily:
         return (self.x_inf, self.T_inf)
 
 
+# the most Euler steps one time grid may have: 10**8 steps are 800 MB of
+# grid, and a stored path's normals and states as much again
+MAX_STEPS = 10**8
+
+
+def grid_steps(ratio):
+    """Steps of the grid with T / dt = ratio, a finite float: the ceiling
+    less a 1e-9 slack, which keeps a T/dt that is a multiple up to
+    rounding from gaining a spurious step. ValueError past MAX_STEPS."""
+    steps = max(1, math.ceil(ratio - 1e-9))
+    if steps > MAX_STEPS:
+        raise ValueError(f"T / dt gives {steps} steps; a grid may have at most {MAX_STEPS}")
+    return steps
+
+
 @dataclass(frozen=True)
 class Design:
     """Subjects of one ensemble plus the shared Euler step and master seed.
 
     subjects is a tuple of (x0, T), each finite. The step must resolve
-    every horizon, dt <= min(T) / 10, and max(T) / dt must be finite.
+    every horizon, dt <= min(T) / 10, and max(T) / dt must be finite and
+    give at most MAX_STEPS steps.
     Every entry point that simulates validates its design points here
     before it draws a normal.
     """
@@ -144,8 +160,10 @@ class Design:
             raise ValueError("dt must be > 0")
         if self.dt > min_t / 10:
             raise ValueError("dt must be <= min(T) / 10")
-        if not math.isfinite(max(t for _, t in subjects) / float(self.dt)):
+        ratio = max(t for _, t in subjects) / float(self.dt)
+        if not math.isfinite(ratio):
             raise ValueError("max(T) / dt overflows")
+        grid_steps(ratio)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDiffusion, SimulationDiverged
+from .models import grid_steps
 from .rng import PHI_STREAM_ID, generator, row_keys
 from .stats import SIGMA2_FLOOR, floor_error
 
@@ -49,15 +50,14 @@ class Path:
 
 
 def time_grid(T, dt):
-    """Uniform grid 0, dt, 2dt, ... ending exactly at T (last step partial)."""
+    """Uniform grid 0, dt, 2dt, ... ending exactly at T (last step partial);
+    ValueError, before anything is allocated, past MAX_STEPS steps."""
     if not (T > 0 and dt > 0):
         raise ValueError("need T > 0 and dt > 0")
     ratio = float(T) / float(dt)
     if not math.isfinite(ratio):
         raise ValueError("T / dt overflows")
-    # the 1e-9 slack keeps T/dt that is a multiple up to rounding from
-    # gaining a spurious extra step
-    steps = max(1, int(math.ceil(ratio - 1e-9)))
+    steps = grid_steps(ratio)
     times = np.empty(steps + 1)
     times[:steps] = dt * np.arange(steps)
     times[steps] = T

@@ -18,12 +18,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sde_remle import ParamSpace, Theta, builtin_model
+from sde_remle import DesignFamily, ParamSpace, Theta, builtin_model
 from sde_remle.asymptotics import (
-    ConsistencyConfig,
-    ContinuityConfig,
-    DesignFamily,
-    NormalityConfig,
     averaged_limits,
     fisher_info_mc,
     run_consistency_experiment,
@@ -227,12 +223,12 @@ def test_06_estimation_error_halves_as_ensembles_quadruple():
     """
     t0 = time.perf_counter()
     for model, x0 in ((UNIT, 0.0), (LINEAR, 1.0)):
-        report = run_consistency_experiment(ConsistencyConfig(
+        report = run_consistency_experiment(
             model=model, theta0=Theta(1.0, 0.5), space=SPACE,
             design=DesignFamily(kind="iid", x0=x0, T=1.0),
             n_schedule=(50, 200, 800), replicates=300,
             dt=1.0 / 200.0, seed=6,
-        ))
+        )
         assert not report.failed
         meds = [s["med_err"] for s in report.summaries]
         assert meds[0] > meds[1] > meds[2]
@@ -250,12 +246,12 @@ def test_07_standardized_errors_are_gaussian_with_calibrated_coverage():
     by five standard errors must drive the KS p-value below 1e-6.
     """
     t0 = time.perf_counter()
-    report = run_normality_experiment(NormalityConfig(
+    report = run_normality_experiment(
         model=UNIT, theta0=Theta(1.0, 1.0), space=SPACE,
         design=DesignFamily(kind="iid", x0=0.0, T=1.0),
         n=400, replicates=1000, info_replicates=20_000,
         dt=1.0 / 500.0, seed=2,
-    ))
+    )
     assert not report.failed
     assert len(report.failures) == 0
     s = report.summaries[0]
@@ -292,11 +288,11 @@ def test_08_design_averaged_limits_converge_under_non_iid_layout():
             assert gaps[i + 1] <= gaps[i] + 2.0 * math.hypot(ses[i], ses[i + 1])
         assert gaps[-1] <= 4.0 * ses[-1]
 
-    report = run_normality_experiment(NormalityConfig(
+    report = run_normality_experiment(
         model=UNIT, theta0=Theta(1.0, 1.0), space=SPACE, design=family,
         n=400, replicates=1000, info_replicates=500,
         dt=1.0 / 500.0, seed=5,
-    ))
+    )
     assert not report.failed
     s = report.summaries[0]
     assert s["ks_mu"] > 0.01
@@ -315,12 +311,12 @@ def test_09_probe_moments_are_continuous_in_the_design_point():
     final gap stays within 4 combined standard errors.
     """
     t0 = time.perf_counter()
-    table = run_moment_continuity_probe(ContinuityConfig(
+    table = run_moment_continuity_probe(
         model=UNIT, theta0=Theta(0.5, 0.5), psi=1.0, xi=1.0,
         design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
         m_schedule=(1, 2, 4, 8, 16), replicates=12_000,
         limit_replicates=48_000, dt=1.0 / 100.0, seed=5,
-    ))
+    )
     for k in (1, 2):
         rows = [r for r in table.rows if r["k"] == k]
         assert [r["m"] for r in rows] == [1, 2, 4, 8, 16]

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from sde_remle import (
-    ConsistencyConfig,
-    ContinuityConfig,
     DesignFamily,
-    NormalityConfig,
     ParamSpace,
     Theta,
     averaged_limits,
@@ -19,7 +16,8 @@ from sde_remle import (
     run_normality_experiment,
     sqrt_2x2_spd,
 )
-from sde_remle.asymptotics import _fit_rows, _info_bar
+from sde_remle import asymptotics
+from sde_remle.asymptotics import _info_bar, _replicate_fits
 from sde_remle.errors import (
     AllDegenerate,
     DegenerateDiffusion,
@@ -35,6 +33,18 @@ UNIT = builtin_model("unit")
 LINEAR = builtin_model("linear-drift")
 BOUNDED = builtin_model("bounded-ratio")
 SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
+THETA0 = Theta(mu=1.0, omega2=0.5)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Any path normal drawn fails the test."""
+    from sde_remle import simulate
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a normal was drawn before the input was checked")
+
+    monkeypatch.setattr(simulate, "path_normals", draw)
 
 
 def _unit_info(T, omega2):
@@ -55,7 +65,7 @@ def test_fisher_matches_unit_closed_form():
         est = fisher_info_mc(UNIT, Theta(mu=1.0, omega2=omega2), 0.0, T, 0.1, 20_000, seed)
         want = _unit_info(T, omega2)
         assert np.all(np.abs(est.matrix - want) <= 4.0 * est.mc_se)
-        assert est.replicates == 20_000 and est.failures == 0
+        assert est.failures == 0
 
 
 def test_fisher_information_identity():
@@ -189,13 +199,7 @@ def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
             assert table.limit["kl"] == kl.value
 
 
-def test_averaged_limits_without_design_points_is_empty(monkeypatch):
-    from sde_remle import simulate
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a normal was drawn for an empty design")
-
-    monkeypatch.setattr(simulate, "path_normals", no_draws)
+def test_averaged_limits_without_design_points_is_empty(no_draws):
     theta = Theta(mu=1.0, omega2=0.5)
     with pytest.raises(EmptyExperiment):
         averaged_limits(UNIT, [], theta, theta, 0.1, 100, (0.0, 1.0), 100, 0)
@@ -238,11 +242,11 @@ def test_info_bar_reuses_design_point_estimates_bit_for_bit():
     )
     assert sorted(table.point_info) == sorted(family.subjects(4))
     for n in (4, 6):
-        config = _normality_config(design=family, n=n, info_replicates=150, dt=0.05, seed=17)
-        fresh = _info_bar(config)
+        args = (UNIT, theta0, family.subjects(n), 150, 0.05, 17)
+        fresh = _info_bar(*args)
         partial = dict(list(table.point_info.items())[:2])
         for known in (table.point_info, partial):
-            assert _bits(_info_bar(config, known)) == _bits(fresh)
+            assert _bits(_info_bar(*args, known)) == _bits(fresh)
 
 
 def test_averaged_limits_harmonic_converges():
@@ -266,8 +270,8 @@ def test_averaged_limits_harmonic_converges():
         assert gaps[-1] <= 4.0 * ses[-1]
 
 
-def test_consistency_experiment_rates_and_determinism():
-    config = ConsistencyConfig(
+def _consistency(**overrides):
+    kwargs = dict(
         model=UNIT,
         theta0=Theta(mu=1.0, omega2=0.5),
         space=SPACE,
@@ -277,50 +281,34 @@ def test_consistency_experiment_rates_and_determinism():
         dt=0.1,
         seed=14,
     )
-    report = run_consistency_experiment(config)
+    kwargs.update(overrides)
+    return run_consistency_experiment(**kwargs)
+
+
+def test_consistency_experiment_rates_and_determinism():
+    report = _consistency()
     assert report.failed is False
     assert report.ks_mu_offset_center is None and report.wald_denominator is None
     assert report.summaries[0]["n"] == 50 and report.summaries[1]["n"] == 200
     assert report.summaries[1]["med_err"] < report.summaries[0]["med_err"]
-    again = run_consistency_experiment(config)
+    again = _consistency()
     assert again.rows == report.rows
     assert again.summaries == report.summaries
     assert again.failures == report.failures
-    assert again.config == report.config
 
 
 def test_consistency_refuses_boundary_truth():
-    config = ConsistencyConfig(
-        model=UNIT,
-        theta0=Theta(mu=1.0, omega2=0.0),
-        space=SPACE,
-        design=DesignFamily(kind="iid", x0=0.0, T=1.0),
-        n_schedule=(50,),
-        replicates=10,
-        dt=0.1,
-        seed=1,
-    )
     with pytest.raises(ValueError):
-        run_consistency_experiment(config)
+        _consistency(theta0=Theta(mu=1.0, omega2=0.0), n_schedule=(50,), replicates=10, seed=1)
 
 
 def test_consistency_zero_replicates():
-    config = ConsistencyConfig(
-        model=UNIT,
-        theta0=Theta(mu=1.0, omega2=0.5),
-        space=SPACE,
-        design=DesignFamily(kind="iid", x0=0.0, T=1.0),
-        n_schedule=(50,),
-        replicates=0,
-        dt=0.1,
-        seed=1,
-    )
     with pytest.raises(EmptyExperiment):
-        run_consistency_experiment(config)
+        _consistency(n_schedule=(50,), replicates=0, seed=1)
 
 
-def _normality_config(**overrides):
-    base = dict(
+def _normality(**overrides):
+    kwargs = dict(
         model=UNIT,
         theta0=Theta(mu=1.0, omega2=0.5),
         space=SPACE,
@@ -331,12 +319,12 @@ def _normality_config(**overrides):
         dt=0.1,
         seed=52,
     )
-    base.update(overrides)
-    return NormalityConfig(**base)
+    kwargs.update(overrides)
+    return run_normality_experiment(**kwargs)
 
 
 def test_normality_experiment():
-    report = run_normality_experiment(_normality_config())
+    report = _normality()
     summary = report.summaries[0]
     assert summary["ks_mu"] > 0.01
     assert summary["ks_omega2"] > 0.01
@@ -351,11 +339,11 @@ def test_normality_experiment():
 
 def test_normality_zero_replicates():
     with pytest.raises(EmptyExperiment):
-        run_normality_experiment(_normality_config(replicates=0))
+        _normality(replicates=0)
 
 
-def test_probe_constant_sequence_is_noise_only():
-    config = ContinuityConfig(
+def _continuity(**overrides):
+    kwargs = dict(
         model=UNIT,
         theta0=Theta(mu=0.5, omega2=0.5),
         psi=1.0,
@@ -367,7 +355,12 @@ def test_probe_constant_sequence_is_noise_only():
         dt=0.1,
         seed=9,
     )
-    table = run_moment_continuity_probe(config)
+    kwargs.update(overrides)
+    return run_moment_continuity_probe(**kwargs)
+
+
+def test_probe_constant_sequence_is_noise_only():
+    table = _continuity()
     assert {r["k"] for r in table.rows} == {1, 2}
     for row in table.rows:
         assert row["x"] == 0.0 and row["T"] == 1.0
@@ -376,19 +369,12 @@ def test_probe_constant_sequence_is_noise_only():
 
 def test_probe_converges_to_lognormal_oracle():
     theta0 = Theta(mu=0.5, omega2=0.5)
-    config = ContinuityConfig(
-        model=UNIT,
-        theta0=theta0,
-        psi=1.0,
-        xi=1.0,
+    table = _continuity(
         design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
         m_schedule=(1, 2, 4, 8),
-        replicates=4000,
         limit_replicates=16_000,
-        dt=0.1,
         seed=28,
     )
-    table = run_moment_continuity_probe(config)
     for k in (1, 2):
         rows = [r for r in table.rows if r["k"] == k]
         assert [r["m"] for r in rows] == [1, 2, 4, 8]
@@ -406,20 +392,8 @@ def test_probe_converges_to_lognormal_oracle():
 
 
 def test_probe_requires_positive_xi():
-    config = ContinuityConfig(
-        model=UNIT,
-        theta0=Theta(mu=0.5, omega2=0.5),
-        psi=1.0,
-        xi=0.0,
-        design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=0.0, T_inf=1.0, T_amp=0.0),
-        m_schedule=(1,),
-        replicates=200,
-        limit_replicates=200,
-        dt=0.1,
-        seed=9,
-    )
     with pytest.raises(ValueError):
-        run_moment_continuity_probe(config)
+        _continuity(xi=0.0, m_schedule=(1,), replicates=200, limit_replicates=200)
 
 
 def test_design_family_layouts():
@@ -433,20 +407,28 @@ def test_design_family_layouts():
         DesignFamily(kind="grid")
 
 
-def test_fit_rows_drop_non_finite_replicates():
+def _fits_of(monkeypatch, u, v):
+    """_replicate_fits on the given (U, V) in place of a simulated ensemble."""
+    monkeypatch.setattr(asymptotics, "_ensemble_uv", lambda *args: (u, v))
+    return _replicate_fits(UNIT, THETA0, None, len(u), SPACE)
+
+
+def test_fit_rows_drop_non_finite_replicates(monkeypatch):
     rng = np.random.default_rng(6)
     v = rng.uniform(0.5, 2.0, size=(4, 8))
     u = rng.normal(v, np.sqrt(v))
     u[1, 3] = np.nan
     v[2, 0] = np.inf
-    fits, ok = _fit_rows(u, v, SPACE)
-    assert ok.tolist() == [True, False, False, True]
-    assert fits[1] is None and fits[2] is None
-    for r in (0, 3):
+    kept, dropped = _fits_of(monkeypatch, u, v)
+    assert dropped == [1, 2]
+    assert [r for r, _, _ in kept] == [0, 3]
+    for r, fit, diff in kept:
         want = fit_mle(u[r], v[r], SPACE)
-        assert fits[r].theta_hat == want.theta_hat
-        assert fits[r].loglik == want.loglik
-        assert fits[r].iterations == want.iterations
+        assert fit.theta_hat == want.theta_hat
+        assert fit.loglik == want.loglik
+        assert fit.iterations == want.iterations
+        assert diff.tolist() == [want.theta_hat.mu - THETA0.mu,
+                                 want.theta_hat.omega2 - THETA0.omega2]
 
 
 @pytest.mark.parametrize("breaks,error", [
@@ -459,7 +441,7 @@ def test_fit_rows_drop_non_finite_replicates():
     (((1, "negative"), (2, "fsum_overflow")), InvalidStats),
     (((0, "fsum_overflow"), (2, "nan")), NonFiniteObjective),
 ])
-def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
+def test_fit_rows_raise_the_first_failing_replicates_error(monkeypatch, breaks, error):
     rng = np.random.default_rng(12)
     v = rng.uniform(0.5, 2.0, size=(4, 6))
     u = rng.normal(v, np.sqrt(v))
@@ -479,7 +461,7 @@ def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
         else:
             u[r, 0] = np.nan
     with pytest.raises(error):
-        _fit_rows(u, v, SPACE)
+        _fits_of(monkeypatch, u, v)
 
 
 def _coarse_step_calls():
@@ -495,30 +477,35 @@ def _coarse_step_calls():
             UNIT, [(0.0, 1.0)] * 2, theta, theta, 0.1, replicates=100,
             limit_point=(0.0, 0.5), limit_replicates=100, seed=0,
         ),
-        "run_consistency_experiment": lambda: run_consistency_experiment(ConsistencyConfig(
-            model=UNIT, theta0=theta, space=SPACE, design=late, n_schedule=(1, 64),
-            replicates=10, dt=0.06, seed=0,
-        )),
-        "run_normality_experiment": lambda: run_normality_experiment(
-            _normality_config(dt=0.2)
+        "run_consistency_experiment": lambda: _consistency(
+            theta0=theta, design=late, n_schedule=(1, 64), replicates=10, dt=0.06, seed=0,
         ),
-        "run_moment_continuity_probe": lambda: run_moment_continuity_probe(ContinuityConfig(
-            model=UNIT, theta0=theta, psi=1.0, xi=1.0, design=first, m_schedule=(1, 2),
-            replicates=100, limit_replicates=100, dt=0.06, seed=0,
-        )),
+        "run_normality_experiment": lambda: _normality(dt=0.2),
+        "run_moment_continuity_probe": lambda: _continuity(
+            theta0=theta, design=first, m_schedule=(1, 2), dt=0.06,
+        ),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_coarse_step_calls()))
-def test_entry_points_reject_a_coarse_step_before_drawing(monkeypatch, name):
-    from sde_remle import simulate
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a normal was drawn before the step rule was checked")
-
-    monkeypatch.setattr(simulate, "path_normals", no_draws)
+def test_entry_points_reject_a_coarse_step_before_drawing(no_draws, name):
     with pytest.raises(ValueError, match=r"^dt must be <= min\(T\) / 10$"):
         _coarse_step_calls()[name]()
+
+
+@pytest.mark.parametrize("run,counts,error,match", [
+    (_consistency, {"replicates": -1}, ValueError, r"^replicates must be >= 0, got -1$"),
+    (_normality, {"replicates": -1}, ValueError, r"^replicates must be >= 0, got -1$"),
+    (_continuity, {"replicates": -1}, ValueError, r"^replicates must be >= 0, got -1$"),
+    (_continuity, {"limit_replicates": -2}, ValueError,
+     r"^limit_replicates must be >= 0, got -2$"),
+    (_continuity, {"replicates": 0}, EmptyExperiment, r"^replicates = 0$"),
+], ids=["consistency", "normality", "continuity", "continuity-limit", "continuity-zero"])
+def test_experiments_reject_a_replicate_count_below_one_before_drawing(
+        no_draws, run, counts, error, match):
+    # a negative count is bad input; zero is an empty experiment
+    with pytest.raises(error, match=match):
+        run(**counts)
 
 
 @pytest.mark.parametrize("call", [

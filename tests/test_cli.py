@@ -1,4 +1,4 @@
-import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +10,7 @@ from sde_remle import Design, ParamSpace, Theta, builtin_model, simulate_ensembl
 from sde_remle.cli import main
 from sde_remle.estimator import fit_mle
 from sde_remle.io import read_paths_csv
+from sde_remle.models import MAX_STEPS
 from sde_remle.stats import stats_list, suff_stats_rows
 
 SIM_CFG = """\
@@ -237,6 +238,27 @@ def test_simulate_with_a_design_point_that_is_not_finite_is_validation_error(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, T, steps", [
+    ("simulate", "1e17", 10**19),
+    ("simulate", "1000000.01", MAX_STEPS + 1),
+    ("consistency", "1e17", 10**19),
+], ids=["simulate-1e19", "simulate-past-the-bound", "consistency-1e19"])
+def test_a_grid_past_the_step_bound_is_validation_error(tmp_path, capsys, command, T, steps):
+    # the step count is checked before anything is allocated
+    text = SIM_CFG.replace("T = 1.0", f"T = {T}").replace("dt = 0.05", "dt = 0.01")
+    args = ["simulate"]
+    if command != "simulate":
+        text += SPACE_CFG + "n_schedule = 1,2\nreplicates = 2\n"
+        args = ["experiment", command]
+    out = tmp_path / "out"
+    rc = main(args + ["--config", _cfg(tmp_path, text), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: T / dt gives {steps} steps; a grid may have at most {MAX_STEPS}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_threads_must_be_positive(capsys):
     rc = main(["simulate", "--config", "whatever.cfg", "--threads", "0"])
     assert rc == 1
@@ -373,7 +395,7 @@ def test_normality_with_singular_information_is_runtime_error(tmp_path, capsys, 
     from sde_remle import asymptotics
 
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    monkeypatch.setattr(asymptotics, "_info_bar", lambda config, point_info=None: singular)
+    monkeypatch.setattr(asymptotics, "_info_bar", lambda *args: singular)
     cfg = _cfg(tmp_path, NORM_CFG)
     rc = main(["experiment", "normality", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
@@ -430,8 +452,7 @@ def test_noniid_without_finite_monte_carlo_rows_is_runtime_error(tmp_path, capsy
 ])
 def test_noniid_estimates_each_information_point_once(
         tmp_path, capsys, monkeypatch, info_replicates, estimates):
-    from sde_remle import DesignFamily, NormalityConfig, asymptotics, run_normality_experiment
-    from sde_remle.cli import _write_report
+    from sde_remle import DesignFamily, asymptotics, io, run_normality_experiment
 
     calls = []
     real = asymptotics._info_estimate
@@ -449,16 +470,74 @@ def test_noniid_estimates_each_information_point_once(
 
     # reused or not, the outputs are those of a normality pass that
     # estimates every point itself
-    report = run_normality_experiment(NormalityConfig(
+    report = run_normality_experiment(
         model=builtin_model("unit"), theta0=Theta(1.0, 0.5),
         space=ParamSpace(-3.0, 3.0, 0.0, 4.0),
         design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
         n=4, replicates=100, info_replicates=info_replicates, dt=0.1, seed=3,
-    ))
-    (tmp_path / "direct").mkdir()
-    for path in _write_report(report, str(tmp_path / "direct")):
-        name = os.path.basename(path)
-        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+    )
+    io.write_replicates_csv(report.rows, tmp_path / "replicates.csv")
+    io.write_summary_csv(report.summaries, tmp_path / "summary.csv")
+    for name in ("replicates.csv", "summary.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+CONT_CFG = """\
+model = unit
+mu0 = 0.5
+omega2_0 = 0.5
+psi = 1.0
+xi = 1.0
+x_inf = 0.0
+x_amp = 1.0
+T_inf = 1.0
+T_amp = 1.0
+m_schedule = 1,2
+replicates = 200
+limit_replicates = 200
+dt = 0.05
+seed = 3
+"""
+
+
+def _last_row(path):
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), rows[-1].split(",")))
+
+
+# per kind: its config, the file its stdout line points at, the values it
+# echoes from the config, and for every value it quotes from a CSV that
+# file and column (of its last row)
+_LINES = {
+    "consistency": (CONS_CFG, "replicates.csv", {"n_schedule": "[20, 40]", "replicates": "12"},
+                    {"med_err_final": ("summary.csv", "med_err")}),
+    "normality": (NORM_CFG, "replicates.csv", {},
+                  {key: ("summary.csv", key)
+                   for key in ("n", "ks_mu", "ks_omega2", "cov_mu", "cov_omega2")}),
+    "noniid": (NONIID_CFG + "info_replicates = 100\n", "replicates.csv", {},
+               {"n": ("limits.csv", "n"), "kl_gap": ("limits.csv", "kl_gap"),
+                "i00_gap": ("limits.csv", "i00_gap"), "ks_mu": ("summary.csv", "ks_mu")}),
+    "continuity": (CONT_CFG, "continuity.csv", {"m_schedule": "[1, 2]"},
+                   {"final_gap": ("continuity.csv", "gap")}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LINES))
+def test_experiment_stdout_line_quotes_its_csv_cells(tmp_path, capsys, kind):
+    text, target, echoed, quoted = _LINES[kind]
+    out = tmp_path / "out"
+    assert main(["experiment", kind, "--config", _cfg(tmp_path, text), "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert line.count("\n") == 1
+    head, path = line.rstrip("\n").split(" -> ")
+    assert path == str(out / target)
+    prefix = f"experiment {kind}: "
+    assert head.startswith(prefix)
+    fields = re.findall(r"(\w+)=(\[[^\]]*\]|\S+)", head[len(prefix):])
+    assert " ".join(f"{k}={v}" for k, v in fields) == head[len(prefix):]
+    want = dict(echoed)
+    want.update((key, _last_row(out / name)[column]) for key, (name, column) in quoted.items())
+    assert dict(fields) == want
 
 
 def test_console_script_runs():

@@ -30,6 +30,26 @@ def test_readme_library_quickstart_runs_verbatim(capsys):
     assert str(fit.theta_hat) in capsys.readouterr().out
 
 
+# the public surface: a name joins or leaves it only by an edit here
+PUBLIC = (
+    "AllDegenerate", "ConfigError", "ConvergenceTable", "DegenerateDiffusion", "Design",
+    "DesignFamily", "EmptyEnsemble", "EmptyExperiment", "ExperimentFailed",
+    "ExperimentReport", "InfoEstimate", "IngestError", "InvalidStats", "KlEstimate",
+    "MissingKey", "MleFit", "ModelSpec", "NonFiniteObjective", "NotFound", "PHI_STREAM_ID",
+    "ParamSpace", "ParseError", "Path", "SdeRemleError", "SimulationDiverged", "Theta",
+    "UnknownKey", "averaged_limits", "builtin_model", "derive_seed", "emit_config",
+    "euler_maruyama", "fisher_info_mc", "fit_mle", "kl_mc", "parse_config", "profile_mu",
+    "read_paths_csv", "register_model", "resolve_seed", "run_consistency_experiment",
+    "run_moment_continuity_probe", "run_normality_experiment", "simulate_ensemble",
+    "sqrt_2x2_spd", "stats_list", "time_grid", "write_fit_csv", "write_paths_csv",
+    "write_stats_csv",
+)
+
+
+def test_public_names_are_exactly_the_listed_ones():
+    assert tuple(sorted(sde_remle.__all__)) == PUBLIC
+
+
 def test_every_public_name_resolves_once():
     names = sde_remle.__all__
     assert len(names) == len(set(names))

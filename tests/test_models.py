@@ -14,6 +14,7 @@ from sde_remle import (
     builtin_model,
     register_model,
 )
+from sde_remle.models import MAX_STEPS
 
 
 def test_builtin_unit_constants():
@@ -137,15 +138,24 @@ def test_design_rejects_points_that_are_not_finite(subjects, dt, match):
         Design(subjects=subjects, dt=dt, seed=0)
 
 
+@pytest.mark.parametrize("T, steps", [(1e17, 10**19), (1000000.01, MAX_STEPS + 1)])
+def test_design_rejects_a_grid_past_the_step_bound(T, steps):
+    with pytest.raises(ValueError, match=(
+            f"^T / dt gives {steps} steps; a grid may have at most {MAX_STEPS}$")):
+        Design(subjects=((0.0, 1.0), (0.0, T)), dt=0.01, seed=0)
+    # validation allocates nothing, so a design at the bound is cheap to check
+    assert Design(subjects=((0.0, MAX_STEPS * 0.01),), dt=0.01, seed=0).n == 1
+
+
 def test_design_rejects_negative_seed():
     with pytest.raises(ValueError):
         Design(subjects=((0.0, 1.0),), dt=0.01, seed=-1)
 
 
 def test_design_family_lives_with_design():
-    from sde_remle import asymptotics, models
+    from sde_remle import models
 
-    assert DesignFamily is models.DesignFamily is asymptotics.DesignFamily
+    assert DesignFamily is models.DesignFamily
     family = DesignFamily(kind="harmonic", x_inf=0.5, x_amp=1.0, T_inf=1.0, T_amp=2.0)
     assert [family.point(i) for i in (1, 2, 3)] == list(family.subjects(3))
     design = Design(subjects=family.subjects(4), dt=0.1, seed=0)

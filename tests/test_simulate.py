@@ -16,7 +16,7 @@ from sde_remle import (
     time_grid,
 )
 from sde_remle.errors import DegenerateDiffusion
-from sde_remle.models import ModelSpec, register_model
+from sde_remle.models import MAX_STEPS, ModelSpec, register_model
 from sde_remle.rng import generator
 from sde_remle.simulate import _euler_rows, effect_rows, path_normals, simulate_replicates
 
@@ -50,6 +50,17 @@ class TestTimeGrid:
     def test_step_count_that_overflows_is_a_value_error(self, T):
         with pytest.raises(ValueError, match="overflows"):
             time_grid(T, 0.01)
+
+    @pytest.mark.parametrize("T, steps", [(1e17, 10**19), (1000000.01, MAX_STEPS + 1)])
+    def test_step_count_past_the_bound_fails_before_allocating(self, T, steps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^T / dt gives {steps} steps; a grid may have at most {MAX_STEPS}$")):
+                time_grid(T, 0.01)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 def _zero_noise_path(model, phi, x0, T, dt):
