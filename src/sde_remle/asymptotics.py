@@ -6,13 +6,15 @@ and runs the consistency / normality / moment-continuity experiments.
 Each experiment is a plain function of its settings (model, truth,
 rectangle, DesignFamily, sizes, dt, seed); consistency and normality
 share one simulate-and-fit loop over a Design's replicates.
-Each design point's streams are a pure function of its arguments, so its
-(U, V) are the same alone or stacked with other points in one pass of
-simulate.replicate_uv, as every multi-point estimate runs. Every
-reduction runs in a fixed order, so reports are byte-identical across
-runs: divergence and probe means and the running design averages are
-exactly rounded (math.fsum), while the information estimates reduce
-with numpy's pairwise sums and means over rows and points.
+Every design-point estimate runs through _point_passes: it validates the
+points as one Design, then checks each replicate count (R >= 100 for
+information and divergence, 3 for the probe), then runs them as one
+stacked simulate.replicate_uv pass. A point's (U, V) are a pure function
+of its arguments, the same alone or stacked. Every reduction runs in a
+fixed order, so reports are byte-identical across runs: divergence and
+probe means and the running design averages are exactly rounded
+(math.fsum), while the information estimates reduce with numpy's
+pairwise sums and means over rows and points.
 """
 
 import math
@@ -104,34 +106,51 @@ class ExperimentReport:
     wald_denominator: int = None
 
 
-def _point_segment(theta0, x0, T, R, seed):
-    """R subjects at one point: row r on stream (seed, 0, r), effects from
-    one reserved-stream draw, so the segment is a pure function of its args."""
-    return Segment(float(x0), float(T), seed, 0, np.arange(R),
-                   effect_rows(theta0, seed, [0], R)[0])
+def _lane_seed(seed, lane, point):
+    """A design point's seed in one lane, from its coordinates; averaged_limits
+    and _info_bar must agree on it for point_info to be reusable."""
+    return derive_seed(seed, lane, *map(float_label, point))
 
 
-def _point_uv(model, theta0, x0, T, dt, R, seed):
-    """(U, V) of the R rows of one design point's pass, NaN where a row
-    diverged; the point is validated as a Design first."""
-    Design(((x0, T),), dt, seed)
-    return replicate_uv(model, dt, [_point_segment(theta0, x0, T, R, seed)])[0]
+def _point_passes(model, theta0, dt, seed, points, sizes, seeds, minimum, what):
+    """(U, V, dropped) of each design point's finite rows, from one stacked pass.
+
+    The points are validated as one Design, then every count against
+    minimum, before any normal is drawn. Point k's row r runs on stream
+    (seeds[k], 0, r), its effect from one reserved-stream draw. A point
+    with fewer than 3 finite rows raises ExperimentFailed.
+    """
+    points = Design(tuple(points), dt, seed).subjects
+    if min(sizes) < minimum:
+        raise ValueError(f"{what} estimation needs R >= {minimum}")
+    parts = replicate_uv(model, dt, [
+        Segment(x0, T, s, 0, np.arange(R), effect_rows(theta0, s, [0], R)[0])
+        for (x0, T), R, s in zip(points, sizes, seeds)
+    ])
+    out = []
+    for (x0, T), (u, v) in zip(points, parts):
+        ok = np.isfinite(u) & np.isfinite(v)
+        if ok.sum() < 3:
+            raise ExperimentFailed(
+                f"only {int(ok.sum())} of {len(u)} Monte Carlo rows are finite at "
+                f"design point (x, T) = ({x0!r}, {T!r}); at least 3 are needed"
+            )
+        out.append((u[ok], v[ok], int(len(u) - ok.sum())))
+    return out
 
 
-def _finite_rows(point, u, v):
-    """Finite rows of a point's pass and the count dropped; < 3 raise ExperimentFailed."""
-    ok = np.isfinite(u) & np.isfinite(v)
-    if ok.sum() < 3:
-        raise ExperimentFailed(
-            f"only {int(ok.sum())} of {len(u)} Monte Carlo rows are finite at "
-            f"design point (x, T) = ({point[0]!r}, {point[1]!r}); at least 3 are needed"
-        )
-    return u[ok], v[ok], int(len(u) - ok.sum())
+def _mean_se(values):
+    """Exactly rounded mean of a sample and its standard error."""
+    return _mean_exact(values.tolist()), float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
 
-def _info_estimate(theta, point, u, v):
-    """fisher_info_mc's estimate from the (U, V) of a point's pass."""
-    u, v, failures = _finite_rows(point, u, v)
+def _gap(est, se, lim_est, lim_se):
+    """Distance of an estimate from its limit and the standard error of it."""
+    return abs(est - lim_est), math.sqrt(se * se + lim_se * lim_se)
+
+
+def _info_estimate(theta, u, v, failures):
+    """fisher_info_mc's estimate from the finite (U, V) of a point's pass."""
     r = len(u)
     s_mu, s_w = score_terms(u, v, theta.mu, theta.omega2)
     scores = np.stack([s_mu, s_w], axis=1)
@@ -172,18 +191,10 @@ def _info_estimate(theta, point, u, v):
     )
 
 
-def _kl_estimate(theta0, theta, point, u, v):
-    """kl_mc's estimate from the (U, V) of a point's pass."""
-    u, v, failures = _finite_rows(point, u, v)
-    vals = ratio_terms(u, v, theta0, theta)
-    r = len(vals)
-    value = _mean_exact(vals.tolist())
-    sd = float(np.std(vals, ddof=1)) if r > 1 else 0.0
-    return KlEstimate(
-        value=value,
-        mc_se=sd / math.sqrt(r),
-        failures=failures,
-    )
+def _kl_estimate(theta0, theta, u, v, failures):
+    """kl_mc's estimate from the finite (U, V) of a point's pass."""
+    value, se = _mean_se(ratio_terms(u, v, theta0, theta))
+    return KlEstimate(value=value, mc_se=se, failures=failures)
 
 
 def fisher_info_mc(model, theta, x0, T, dt, R, seed):
@@ -194,18 +205,14 @@ def fisher_info_mc(model, theta, x0, T, dt, R, seed):
     errors, together with the matched -mean(Hessian) estimate for
     information-identity checks.
     """
-    if R < 100:
-        raise ValueError("information estimation needs R >= 100")
-    u, v = _point_uv(model, theta, x0, T, dt, R, seed)
-    return _info_estimate(theta, (float(x0), float(T)), u, v)
+    part, = _point_passes(model, theta, dt, seed, [(x0, T)], [R], [seed], 100, "information")
+    return _info_estimate(theta, *part)
 
 
 def kl_mc(model, theta0, theta, x0, T, dt, R, seed):
     """Mean log density ratio under theta0 at one design point."""
-    if R < 100:
-        raise ValueError("divergence estimation needs R >= 100")
-    u, v = _point_uv(model, theta0, x0, T, dt, R, seed)
-    return _kl_estimate(theta0, theta, (float(x0), float(T)), u, v)
+    part, = _point_passes(model, theta0, dt, seed, [(x0, T)], [R], [seed], 100, "divergence")
+    return _kl_estimate(theta0, theta, *part)
 
 
 def sqrt_2x2_spd(m):
@@ -236,73 +243,51 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
 
     For each design point (x_k, T_k) the divergence K_k(theta0, theta) and
     information I_k(theta0) are estimated by Monte Carlo; the table reports
-    n^-1 * sum_{k<=n} along a doubling schedule together with the estimates
-    at limit_point. Point seeds are derived from the point's coordinates,
-    so identical design points reuse identical streams and a constant
-    design reproduces the single-point values exactly. All points run as
-    one stacked pass; each point's estimates equal kl_mc's and
-    fisher_info_mc's at its seeds. The table's point_info holds the
-    information estimate of every design point.
+    n^-1 * sum_{k<=n} for each n of schedule (in 1..len(designs); doubling
+    by default) together with the estimates at limit_point. Point seeds
+    are derived from the point's coordinates, so identical design points
+    reuse identical streams and a constant design reproduces the
+    single-point values exactly. All points run as one stacked pass; each
+    point's estimates equal kl_mc's and fisher_info_mc's at its seeds. The
+    table's point_info holds the information estimate of every design point.
     """
     designs = [(float(x), float(T)) for x, T in designs]
     if not designs:
         raise EmptyExperiment("averaged_limits needs at least one design point")
-    limit_point = (float(limit_point[0]), float(limit_point[1]))
-    Design(tuple(designs) + (limit_point,), dt, seed)
-    if min(replicates, limit_replicates) < 100:
-        raise ValueError("divergence estimation needs R >= 100")
     if schedule is None:
         schedule = _doubling_schedule(len(designs))
+    if not all(1 <= n <= len(designs) for n in schedule):
+        raise ValueError(f"every schedule entry must lie in 1..{len(designs)}")
 
-    pts = designs + [limit_point]
-    sizes = [replicates] * len(designs) + [limit_replicates]
-    parts = replicate_uv(model, dt, [
-        _point_segment(theta0, *pt, R, derive_seed(seed, lane, *map(float_label, pt)))
-        for pt, R in zip(pts, sizes) for lane in (_LANE_KL, _LANE_INFO)
-    ])
-    points = [
-        (_kl_estimate(theta0, theta, pt, *parts[2 * k]),
-         _info_estimate(theta0, pt, *parts[2 * k + 1]))
-        for k, pt in enumerate(pts)
+    pts = designs + [(float(limit_point[0]), float(limit_point[1]))]
+    # each point's divergence rows, then its information rows
+    parts = _point_passes(
+        model, theta0, dt, seed, [pt for pt in pts for _ in range(2)],
+        [replicates] * (2 * len(designs)) + [limit_replicates] * 2,
+        [_lane_seed(seed, lane, pt) for pt in pts for lane in (_LANE_KL, _LANE_INFO)],
+        100, "divergence",
+    )
+    points = [(_kl_estimate(theta0, theta, *kl), _info_estimate(theta0, *info))
+              for kl, info in zip(parts[::2], parts[1::2])]
+    # (estimate, se) of the kl, i00, i01 and i11 columns at each point, the limit last
+    *columns, lim_columns = [
+        [(kl.value, kl.mc_se)] + [(float(info.matrix[ij]), float(info.mc_se[ij]))
+                                  for ij in ((0, 0), (0, 1), (1, 1))]
+        for kl, info in points
     ]
-    kl_lim, info_lim = points.pop()
-
-    kl_vals = [kl.value for kl, _ in points]
-    kl_ses = [kl.mc_se for kl, _ in points]
-    info_vals = {key: [float(info.matrix[i, j]) for _, info in points]
-                 for key, (i, j) in (("i00", (0, 0)), ("i01", (0, 1)), ("i11", (1, 1)))}
-    info_ses = {key: [float(info.mc_se[i, j]) for _, info in points]
-                for key, (i, j) in (("i00", (0, 0)), ("i01", (0, 1)), ("i11", (1, 1)))}
-    lim = {
-        "kl": kl_lim.value,
-        "kl_se": kl_lim.mc_se,
-        "i00": float(info_lim.matrix[0, 0]),
-        "i00_se": float(info_lim.mc_se[0, 0]),
-        "i01": float(info_lim.matrix[0, 1]),
-        "i01_se": float(info_lim.mc_se[0, 1]),
-        "i11": float(info_lim.matrix[1, 1]),
-        "i11_se": float(info_lim.mc_se[1, 1]),
-    }
-
-    def avg_and_se(vals, ses, n):
-        avg = _mean_exact(vals[:n])
-        se = math.sqrt(math.fsum(s * s for s in ses[:n])) / n
-        return avg, se
+    keys = ("kl", "i00", "i01", "i11")
+    lim = {}
+    for key, (est, se) in zip(keys, lim_columns):
+        lim[key], lim[f"{key}_se"] = est, se
 
     rows = []
     for n in schedule:
         row = {"n": n}
-        avg, se = avg_and_se(kl_vals, kl_ses, n)
-        row["kl"] = avg
-        row["kl_se"] = se
-        row["kl_gap"] = abs(avg - lim["kl"])
-        row["kl_gap_se"] = math.sqrt(se * se + lim["kl_se"] ** 2)
-        for key in ("i00", "i01", "i11"):
-            avg, se = avg_and_se(info_vals[key], info_ses[key], n)
-            row[key] = avg
-            row[f"{key}_se"] = se
-            row[f"{key}_gap"] = abs(avg - lim[key])
-            row[f"{key}_gap_se"] = math.sqrt(se * se + lim[f"{key}_se"] ** 2)
+        for key, col, lim_col in zip(keys, zip(*columns[:n]), lim_columns):
+            avg = _mean_exact([est for est, _ in col])
+            se = math.sqrt(math.fsum(s * s for _, s in col)) / n
+            row[key], row[f"{key}_se"] = avg, se
+            row[f"{key}_gap"], row[f"{key}_gap_se"] = _gap(avg, se, *lim_col)
         rows.append(row)
     point_info = {pt: info for pt, (_, info) in zip(designs, points)}
     return ConvergenceTable(rows=tuple(rows), limit=lim, point_info=point_info)
@@ -428,15 +413,12 @@ def _info_bar(model, theta0, points, info_replicates, dt, seed, point_info=None)
     """
     by_point = dict(point_info or {})
     missing = sorted(set(points) - by_point.keys())
-    if missing and info_replicates < 100:
-        raise ValueError("information estimation needs R >= 100")
-    parts = replicate_uv(model, dt, [
-        _point_segment(theta0, *pt, info_replicates,
-                       derive_seed(seed, _LANE_INFO, *map(float_label, pt)))
-        for pt in missing
-    ])
-    for pt, (u, v) in zip(missing, parts):
-        by_point[pt] = _info_estimate(theta0, (float(pt[0]), float(pt[1])), u, v)
+    if missing:
+        parts = _point_passes(
+            model, theta0, dt, seed, missing, [info_replicates] * len(missing),
+            [_lane_seed(seed, _LANE_INFO, pt) for pt in missing], 100, "information",
+        )
+        by_point.update((pt, _info_estimate(theta0, *part)) for pt, part in zip(missing, parts))
     return np.stack([by_point[pt].matrix for pt in points]).mean(axis=0)
 
 
@@ -518,51 +500,38 @@ def run_moment_continuity_probe(model, theta0, psi, xi, design, m_schedule, repl
     _check_run(replicates, limit_replicates=limit_replicates)
     if not xi > 0:
         raise ValueError("xi must be > 0")
-    pts = [design.limit_point()] + [design.point(m) for m in m_schedule]
-    Design(tuple(pts), dt, seed)
-
     # the limit point's rows, then each m's, in one stacked pass
-    sizes = [limit_replicates] + [replicates] * len(m_schedule)
-    labels = [0] + list(m_schedule)
-    parts = replicate_uv(model, dt, [
-        _point_segment(theta0, *pt, R, derive_seed(seed, _LANE_PROBE, m))
-        for pt, R, m in zip(pts, sizes, labels)
-    ])
+    pts = [design.limit_point()] + [design.point(m) for m in m_schedule]
+    parts = _point_passes(
+        model, theta0, dt, seed, pts, [limit_replicates] + [replicates] * len(m_schedule),
+        [derive_seed(seed, _LANE_PROBE, m) for m in (0, *m_schedule)], 3, "moment",
+    )
 
-    def h_moments(point, u, v):
-        u, v, _ = _finite_rows(point, u, v)
-        with np.errstate(over="ignore"):
+    def h_moments(point, u, v, _):
+        # (estimate, se) of h^1 and h^2; either overflows for a large psi
+        out = []
+        with np.errstate(over="ignore", invalid="ignore"):
             h = np.exp(psi * u / (1.0 + xi * v))
-        out = {}
-        for k in (1, 2):
-            hk = h ** k
-            est = _mean_exact(hk.tolist())
-            sd = float(np.std(hk, ddof=1)) if len(hk) > 1 else 0.0
-            out[k] = (est, sd / math.sqrt(len(hk)))
+            for k in (1, 2):
+                try:
+                    est, se = _mean_se(h ** k)
+                except OverflowError:  # math.fsum of finite values past 1.8e308
+                    est = se = math.inf
+                if not (math.isfinite(est) and math.isfinite(se)):
+                    raise ExperimentFailed(
+                        f"the Monte Carlo mean of h(U, V)^{k} is not finite at design "
+                        f"point (x, T) = ({point[0]!r}, {point[1]!r})"
+                    )
+                out.append((est, se))
         return out
 
-    lim_moments, *moments_m = [h_moments(pt, *part) for pt, part in zip(pts, parts)]
+    lim, *moments = [h_moments(pt, *part) for pt, part in zip(pts, parts)]
     rows = []
-    for m, (x, T), moments in zip(m_schedule, pts[1:], moments_m):
-        for k in (1, 2):
-            est, se = moments[k]
-            lim_est, lim_se = lim_moments[k]
-            rows.append({
-                "m": m,
-                "x": x,
-                "T": T,
-                "k": k,
-                "estimate": est,
-                "se": se,
-                "limit_estimate": lim_est,
-                "limit_se": lim_se,
-                "gap": abs(est - lim_est),
-                "gap_se": math.sqrt(se * se + lim_se * lim_se),
-            })
-    limit = {
-        "est_k1": lim_moments[1][0],
-        "se_k1": lim_moments[1][1],
-        "est_k2": lim_moments[2][0],
-        "se_k2": lim_moments[2][1],
-    }
+    for m, (x, T), point in zip(m_schedule, pts[1:], moments):
+        for k, ((est, se), (lim_est, lim_se)) in enumerate(zip(point, lim), 1):
+            gap, gap_se = _gap(est, se, lim_est, lim_se)
+            rows.append({"m": m, "x": x, "T": T, "k": k, "estimate": est, "se": se,
+                         "limit_estimate": lim_est, "limit_se": lim_se,
+                         "gap": gap, "gap_se": gap_se})
+    limit = {"est_k1": lim[0][0], "se_k1": lim[0][1], "est_k2": lim[1][0], "se_k2": lim[1][1]}
     return ConvergenceTable(rows=tuple(rows), limit=limit)

@@ -129,15 +129,14 @@ _LIMITS_KEYS = (
 )
 
 
-def write_limits_csv(table, out_path, limit_path=None):
-    """Running-average rows of a ConvergenceTable; the limit estimates go
-    to limit_path when given."""
+def write_limits_csv(table, out_path, limit_path):
+    """Running-average rows of a ConvergenceTable to out_path, its limit
+    estimates to limit_path."""
     write_table(out_path, ("n",) + _LIMITS_KEYS, (
         [str(r["n"])] + [_cell(r[k]) for k in _LIMITS_KEYS] for r in table.rows
     ))
-    if limit_path is not None:
-        keys = ("kl", "kl_se", "i00", "i00_se", "i01", "i01_se", "i11", "i11_se")
-        write_table(limit_path, keys, [[_cell(table.limit[k]) for k in keys]])
+    keys = ("kl", "kl_se", "i00", "i00_se", "i01", "i01_se", "i11", "i11_se")
+    write_table(limit_path, keys, [[_cell(table.limit[k]) for k in keys]])
 
 
 def write_continuity_csv(table, out_path):

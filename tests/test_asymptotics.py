@@ -80,12 +80,22 @@ def test_fisher_symmetric_and_psd():
         assert np.linalg.eigvalsh(est.matrix).min() >= -1e-8
 
 
-def test_estimators_reject_small_samples():
+def test_estimators_reject_small_samples(no_draws):
+    # every point entry point checks its counts before it draws a normal
     theta = Theta(mu=0.0, omega2=1.0)
-    with pytest.raises(ValueError):
-        fisher_info_mc(UNIT, theta, 0.0, 1.0, 0.1, 99, 0)
-    with pytest.raises(ValueError):
-        kl_mc(UNIT, theta, theta, 0.0, 1.0, 0.1, 99, 0)
+    cases = [
+        (lambda: fisher_info_mc(UNIT, theta, 0.0, 1.0, 0.1, 99, 0), "information", 100),
+        (lambda: kl_mc(UNIT, theta, theta, 0.0, 1.0, 0.1, 99, 0), "divergence", 100),
+        (lambda: averaged_limits(
+            UNIT, [(0.0, 1.0)] * 2, theta, theta, 0.1, replicates=100,
+            limit_point=(0.0, 1.0), limit_replicates=99, seed=0,
+        ), "divergence", 100),
+        (lambda: _normality(info_replicates=99), "information", 100),
+        (lambda: _continuity(limit_replicates=2), "moment", 3),
+    ]
+    for call, what, minimum in cases:
+        with pytest.raises(ValueError, match=rf"^{what} estimation needs R >= {minimum}$"):
+            call()
 
 
 def test_kl_matches_gaussian_oracle():
@@ -203,6 +213,16 @@ def test_averaged_limits_without_design_points_is_empty(no_draws):
     theta = Theta(mu=1.0, omega2=0.5)
     with pytest.raises(EmptyExperiment):
         averaged_limits(UNIT, [], theta, theta, 0.1, 100, (0.0, 1.0), 100, 0)
+
+
+@pytest.mark.parametrize("schedule", [(0, 2), (1, 4)])
+def test_averaged_limits_rejects_a_schedule_past_its_design_points(no_draws, schedule):
+    # n = 0 divided by zero after the pass; n = 4 of 2 points averaged 2
+    # and divided their standard error by 4
+    theta = Theta(mu=1.0, omega2=0.5)
+    with pytest.raises(ValueError, match=r"^every schedule entry must lie in 1\.\.2$"):
+        averaged_limits(UNIT, [(0.0, 1.0), (0.5, 1.5)], theta, theta, 0.1, 100,
+                        (0.0, 1.0), 100, 0, schedule=schedule)
 
 
 def _zone_model(name, sigma):
@@ -500,10 +520,16 @@ def test_entry_points_reject_a_coarse_step_before_drawing(no_draws, name):
     (_continuity, {"limit_replicates": -2}, ValueError,
      r"^limit_replicates must be >= 0, got -2$"),
     (_continuity, {"replicates": 0}, EmptyExperiment, r"^replicates = 0$"),
-], ids=["consistency", "normality", "continuity", "continuity-limit", "continuity-zero"])
+    *[(_continuity, {key: count}, ValueError, r"^moment estimation needs R >= 3$")
+      for key, count in (("limit_replicates", 0), ("limit_replicates", 1),
+                         ("limit_replicates", 2), ("replicates", 1), ("replicates", 2))],
+], ids=["consistency", "normality", "continuity", "continuity-limit", "continuity-zero",
+        "continuity-limit-0", "continuity-limit-1", "continuity-limit-2",
+        "continuity-1", "continuity-2"])
 def test_experiments_reject_a_replicate_count_below_one_before_drawing(
         no_draws, run, counts, error, match):
-    # a negative count is bad input; zero is an empty experiment
+    # a negative count, or a probe count under the 3 finite rows a point
+    # needs, is bad input; zero replicates is an empty experiment
     with pytest.raises(error, match=match):
         run(**counts)
 
@@ -516,3 +542,16 @@ def test_point_estimates_without_finite_rows_raise_a_typed_error(call):
     # growth 1 + phi*dt = 1e49 per step overflows float64 well before T
     with pytest.raises(ExperimentFailed, match=r"design point \(x, T\) = \(1\.0, 1\.0\)"):
         call(Theta(mu=1.0e50, omega2=0.5))
+
+
+@pytest.mark.parametrize("psi,k", [(10.0, 2), (400.0, 1)])
+def test_probe_moments_that_overflow_raise_a_typed_error(psi, k):
+    # h = exp(psi * U / (1 + xi * V)) passes 1.8e308 on some linear-drift
+    # rows at the limit point: for h^2 only at psi = 10, for h itself at 400
+    match = rf"h\(U, V\)\^{k} is not finite at design point \(x, T\) = \(0\.0, 1\.0\)$"
+    with pytest.raises(ExperimentFailed, match=match):
+        _continuity(
+            model=LINEAR, psi=psi, xi=0.001, m_schedule=(1, 2), replicates=50,
+            limit_replicates=50, dt=0.05, seed=3,
+            design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
+        )

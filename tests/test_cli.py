@@ -457,9 +457,9 @@ def test_noniid_estimates_each_information_point_once(
     calls = []
     real = asymptotics._info_estimate
 
-    def counting(theta, point, u, v):
-        calls.append(point)
-        return real(theta, point, u, v)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(asymptotics, "_info_estimate", counting)
     cfg = _cfg(tmp_path, NONIID_CFG + f"info_replicates = {info_replicates}\n")
@@ -498,6 +498,16 @@ limit_replicates = 200
 dt = 0.05
 seed = 3
 """
+
+
+def test_continuity_with_too_few_limit_replicates_is_validation_error(tmp_path, capsys):
+    # a point needs 3 finite rows; 2 is refused before a normal is drawn
+    cfg = _cfg(tmp_path, CONT_CFG.replace("limit_replicates = 200", "limit_replicates = 2"))
+    out = tmp_path / "out"
+    rc = main(["experiment", "continuity", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: moment estimation needs R >= 3\n"
+    assert list(out.iterdir()) == []
 
 
 def _last_row(path):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sde_remle import Design, DesignFamily, Theta, builtin_model, time_grid
-from sde_remle.asymptotics import _ensemble_uv, _point_uv
+from sde_remle.asymptotics import _ensemble_uv, _point_passes
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec, register_model
 from sde_remle import simulate
@@ -210,7 +210,7 @@ def test_stacked_iid_block_names_the_subject_that_fails_first():
 
 def test_sigma_below_the_floor_raises_through_point_uv():
     with pytest.raises(DegenerateDiffusion, match=r"sigma\^2 below 1e-12") as exc:
-        _point_uv(FAINT, THETA, 0.0, 1.0, 0.1, 10, 3)
+        _point_passes(FAINT, THETA, 0.1, 3, [(0.0, 1.0)], [10], [3], 3, "moment")
     assert exc.value.step is None
 
 
@@ -241,8 +241,9 @@ def _peak_mb(fn):
 def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     # a stored (12800, 401) path and its (U, V) temporaries took about
     # 240 MB; the chunked kernel keeps two (4096, 400) buffers at a time
-    point = _peak_mb(lambda: _point_uv(
-        builtin_model("bounded-ratio"), THETA, 0.0, 1.0, 0.0025, 12800, 7
+    point = _peak_mb(lambda: _point_passes(
+        builtin_model("bounded-ratio"), THETA, 0.0025, 7, [(0.0, 1.0)], [12800], [7], 100,
+        "information",
     ))
     assert point < 64
     # 800 iid subjects stacked into one block must not build their
