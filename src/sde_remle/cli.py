@@ -266,8 +266,8 @@ def main(argv=None):
         cfg = config_mod.parse_config(text)
         config_mod.check_required(command, cfg, eof_line=len(text.split("\n")))
         seed = config_mod.resolve_seed(cfg, args.seed)
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= seed < 2**64:
+            raise ValueError("seed must fit in 64 bits")
         out_dir = args.out or cfg.get("output_dir") or "."
         io_mod.ensure_dir(out_dir)
         if args.command == "simulate":

@@ -164,8 +164,8 @@ class Design:
         if not math.isfinite(ratio):
             raise ValueError("max(T) / dt overflows")
         grid_steps(ratio)
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 bits")
 
     @property
     def n(self):

@@ -74,11 +74,12 @@ def derive_seed(seed, *parts):
 
     Used by the experiment engines to give nested Monte Carlo passes
     (information, divergence, and limit estimation) their own seed lanes
-    that cannot collide with subject path streams.
+    that cannot collide with subject path streams. Raises ValueError when
+    the seed or a label does not fit in 64 bits.
     """
-    x = seed & _MASK64
+    x = int(_ids(seed, "seed", 64))
     for p in parts:
-        x = _splitmix64(x ^ (p & _MASK64))
+        x = _splitmix64(x ^ int(_ids(p, "label", 64)))
     return x
 
 

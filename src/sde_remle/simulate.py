@@ -3,10 +3,12 @@
 The integration grid is uniform with step dt; when T is not a multiple of
 dt the final step covers the remainder. Every simulation is one pass of
 segments through replicate_uv's chunk driver, the only code that draws
-path normals and runs the Euler kernel: the Monte Carlo passes keep each
-chunk's (U, V) increments, and the path API (euler_maruyama,
-simulate_ensemble, simulate_replicates) keeps the states, copied per
-segment into exact-length arrays. Both share identical arithmetic.
+path normals and runs the Euler kernel: the Monte Carlo passes add each
+row's (U, V) up as running left-to-right totals inside the step loop,
+holding one chunk buffer (the normals), and the path API
+(euler_maruyama, simulate_ensemble, simulate_replicates) keeps the
+states, copied per segment into exact-length arrays. Both share
+identical arithmetic.
 """
 
 import math
@@ -68,12 +70,13 @@ def time_grid(T, dt):
 
 # a chunk of the Monte Carlo kernel holds at most ROW_CHUNK rows, enough
 # that the Python cost of a step stays small against its numpy work, and
-# NORMAL_CHUNK normals (4096 rows of 400 steps, two 13 MB buffers)
+# NORMAL_CHUNK normals (4096 rows of 400 steps, one 13 MB buffer; a
+# stored pass holds a second, for the states)
 ROW_CHUNK = 4096
 NORMAL_CHUNK = ROW_CHUNK * 400
 
 
-def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out):
+def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out=None):
     """The one Euler step loop: advance row r of normals from x0[r] to T[r].
 
     phis, x0, T, steps (row r's step count on time_grid(T[r], dt)) and
@@ -81,28 +84,28 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out):
     running at step k are a prefix. A row's last step is its own partial
     step T[r] - dt*(steps[r]-1), every other step dt*(k+1) - dt*k, as on
     its own grid; b and sigma are evaluated once per step, at the left
-    end. When out is one column wider than normals it takes the states,
+    end. With out, one column wider than normals, it takes the states,
     and the result is first_bad, the step at which each row stopped being
-    finite or -1. Otherwise normals and out take the U and V increments,
-    and the result is each row's sums over its own steps, pairwise as
-    suff_stats_rows sums a stored path, so equal bit for bit. sigma <= 0
-    on a live row raises DegenerateDiffusion at that step, as does, for
-    (U, V), sigma^2 < SIGMA2_FLOOR on a row finite up to its last step,
-    after the loop; errors name the lowest failing row's subject and
-    design point.
+    finite or -1. Without, normals is only read and the result is each
+    row's (U, V), running totals from +0.0 that add each step's increments
+    left to right, as suff_stats_rows adds a stored path's: equal bit for
+    bit. sigma <= 0 on a live row raises DegenerateDiffusion at that step,
+    as does, for (U, V), sigma^2 < SIGMA2_FLOOR on a row finite up to its
+    last step, after the loop; errors name the lowest failing row's
+    subject and design point.
     """
     rows = len(steps)
     top = int(steps[0]) if rows else 0
     # the first live[k] rows run at step k; live[top] = 0
     live = np.searchsorted(-steps, -np.arange(1, top + 2), side="right").tolist()
     state = np.array(x0, dtype=float)
-    store = out.shape[1] > normals.shape[1]
+    store = out is not None
     if store:
         out[:, 0] = x0
         first_bad = np.full(rows, -1, dtype=np.int64)
     else:
+        u, v, body_end = np.zeros(rows), np.zeros(rows), np.empty(rows)
         low = np.zeros(rows, dtype=bool)
-        body_end = np.empty(rows)
     # a non-finite state never becomes finite again, so the live rows are
     # the finite ones; masks are built only once a test on every row fails
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -115,8 +118,7 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out):
                 delta = np.full(n, delta)
                 delta[m:] = T[m:n] - dt * k
                 root = np.sqrt(delta)
-            bvals = model.b(state)
-            svals = model.sigma(state)
+            bvals, svals = model.b(state), model.sigma(state)
             if not (svals > 0).all():
                 bad_sigma = np.isfinite(state) & ~(svals > 0)
                 if bad_sigma.any():
@@ -135,8 +137,8 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out):
                 if not (sig2 >= SIGMA2_FLOOR).all():
                     low[:n] |= sig2 < SIGMA2_FLOOR
                 w = bvals / sig2
-                normals[:n, k] = w * (after - state)
-                out[:n, k] = (bvals * w) * delta
+                u[:n] += w * (after - state)
+                v[:n] += (bvals * w) * delta
                 body_end[m:n] = state[m:]
             state = after[:m]
     if store:
@@ -144,12 +146,6 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out):
     failing = low & np.isfinite(body_end)
     if failing.any():
         raise _degenerate(floor_error(model).args[0], None, x0, T, subject_index, failing)
-    u, v = np.empty(rows), np.empty(rows)
-    # one pairwise row sum per run of rows with equal step counts
-    runs = np.flatnonzero(np.diff(steps, prepend=-1)).tolist()
-    for a, b in zip(runs, runs[1:] + [rows]):
-        u[a:b] = normals[a:b, :steps[a]].sum(axis=1)
-        v[a:b] = out[a:b, :steps[a]].sum(axis=1)
     return u, v
 
 
@@ -285,30 +281,28 @@ def replicate_uv(model, dt, segments, store=False):
     The segments run longest first (stable), in chunks of at most
     ROW_CHUNK rows and NORMAL_CHUNK normals that may span segments; a
     chunk gathers the keys, starts, horizons and effects of the segments
-    it covers. (U, V) equal suff_stats_rows of the stored rows bit for
-    bit, NaN where a row diverged. values holds a segment's (rows,
+    it covers. (U, V) are running totals kept by the step loop, with no
+    buffer but the normals; they equal suff_stats_rows of the stored rows
+    bit for bit, NaN where a row diverged. values holds a segment's (rows,
     steps + 1) states in an array of its own, first_bad the step at which
     each row stopped being finite, or -1. The first chunk with a failing
     row raises its error.
     """
-    grids = {}
-    for seg in segments:
-        if seg.T not in grids:
-            grids[seg.T] = time_grid(seg.T, dt)
+    grids = {T: time_grid(T, dt) for T in dict.fromkeys(seg.T for seg in segments)}
     steps = np.array([len(grids[seg.T]) - 1 for seg in segments], dtype=np.int64)
     sizes = [len(seg.replicates) for seg in segments]
     starts = np.cumsum([0] + sizes)
     # (x0, T, seed, subject) per segment; object keeps 64-bit seeds exact
     table = np.array([seg[:4] for seg in segments], dtype=object)
-    # one pair of buffers for the pass: chunks leave no holes in the heap;
-    # states take one column more than increments
+    # one normals buffer for the pass, and one of states, a column wider,
+    # when stored: chunks leave no holes in the heap
     top = int(steps.max(initial=0))
     most = min(int(starts[-1]), ROW_CHUNK)
     cells = min(most * top, max(NORMAL_CHUNK, top))
-    zbuf, outbuf = np.empty(cells), np.empty(cells + most * store)
+    zbuf = np.empty(cells)
     if store:
-        widths = (steps + 1).tolist()
-        values = [np.empty((size, w)) for size, w in zip(sizes, widths)]
+        outbuf = np.empty(cells + most)
+        values = [np.empty((size, w + 1)) for size, w in zip(sizes, steps.tolist())]
         first_bad = np.empty(starts[-1], dtype=np.int64)
     else:
         u, v = np.empty(starts[-1]), np.empty(starts[-1])
@@ -321,8 +315,7 @@ def replicate_uv(model, dt, segments, store=False):
         reps = np.concatenate([segments[i].replicates[a:b] for i, a, b in pieces])
         z = path_normals(seeds, ids, reps, rows, out=zbuf[:rows.size * shape[1]].reshape(shape))
         phis = np.concatenate([segments[i].phis[a:b] for i, a, b in pieces], dtype=float)
-        width = shape[1] + store
-        out = outbuf[:shape[0] * width].reshape(shape[0], width)
+        out = outbuf[:shape[0] * (shape[1] + 1)].reshape(shape[0], -1) if store else None
         result = _euler_rows(model, phis, x0.astype(float), T.astype(float), rows, dt, z, ids,
                              out)
         # piece j's rows start at row lead[j] of the chunk; chunk row r is
@@ -332,7 +325,7 @@ def replicate_uv(model, dt, segments, store=False):
         if store:
             first_bad[at] = result
             for (i, a, b), c in zip(pieces, lead.tolist()):
-                values[i][a:b] = out[c:c + b - a, :widths[i]]
+                values[i][a:b] = out[c:c + b - a, :values[i].shape[1]]
         else:
             u[at], v[at] = result
     if store:

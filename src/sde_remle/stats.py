@@ -9,7 +9,8 @@ through the pair
 computed here on the stored grid. Left-endpoint evaluation keeps the
 unit-model identities U = X(T) - x0 and V = T exact, and makes the drift
 decomposition U = phi * V + (martingale part) an identity rather than an
-approximation.
+approximation. Both sums run left to right from +0.0, the order of the
+Euler kernel's running totals, so storing a path does not change them.
 """
 
 import numpy as np
@@ -31,8 +32,10 @@ def floor_error(model):
 def suff_stats_rows(times, values, model):
     """U and V for each row of a (R, M+1) value matrix on a shared grid.
 
-    Rows containing non-finite states yield NaN statistics; callers that
-    tolerate divergence filter on finiteness.
+    A row's increments are added left to right from +0.0, equal bit for
+    bit to the Euler kernel's running totals, zero signs included (an
+    (R, 1) matrix gives zeros); rows with non-finite states yield NaN
+    statistics, which callers that tolerate divergence filter out.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     deltas = np.diff(np.asarray(times, dtype=float))
@@ -45,8 +48,11 @@ def suff_stats_rows(times, values, model):
         if np.any(finite[:, None] & ((sig2 < SIGMA2_FLOOR) | ~(svals > 0))):
             raise floor_error(model)
         w = bvals / sig2
-        u = np.sum(w * np.diff(values, axis=1), axis=1)
-        v = np.sum((bvals * w) * deltas, axis=1)
+        # a running sum is sequential; +0.0 + its last is a fold from +0.0
+        u, v = np.zeros((2, len(values)))
+        if deltas.size:
+            u += np.cumsum(w * np.diff(values, axis=1), axis=1)[:, -1]
+            v += np.cumsum((bvals * w) * deltas, axis=1)[:, -1]
     return u, v
 
 

@@ -2,7 +2,8 @@
 
 audit_fit certifies a fit against a grid of the objective; decompose
 splits a simulated path's U into its drift and martingale parts;
-stored_paths runs the Euler kernel on one unchunked block of rows.
+stored_paths runs the Euler kernel on one unchunked block of rows;
+path_increments and left_fold rebuild (U, V) from stored rows.
 """
 
 from dataclasses import dataclass
@@ -79,3 +80,27 @@ def stored_paths(model, phis, x0, T, dt, seed, subject_index, replicate_ids):
         np.full(rows, steps), dt, z, np.broadcast_to(subject_index, rows), values,
     )
     return times, values, first_bad
+
+
+def path_increments(times, values, model):
+    """The U and V increments, w * dX and b * w * dt with w = b / sigma^2 at
+    each step's left end, of every row of a stored (R, M+1) value matrix."""
+    values = np.atleast_2d(values)
+    body = values[:, :-1]
+    b, s = model.b(body), model.sigma(body)
+    w = b / (s * s)
+    return w * np.diff(values, axis=1), (b * w) * np.diff(times)
+
+
+def left_fold(terms):
+    """Each row's sum as a plain left fold of Python floats from 0.0.
+
+    An explicit loop, not sum(): newer Pythons compensate sum() of floats.
+    """
+    totals = []
+    for row in np.atleast_2d(terms).tolist():
+        total = 0.0
+        for term in row:
+            total += term
+        totals.append(total)
+    return np.array(totals)

@@ -550,6 +550,16 @@ def test_experiment_stdout_line_quotes_its_csv_cells(tmp_path, capsys, kind):
     assert dict(fields) == want
 
 
+@pytest.mark.parametrize("kind", ["continuity", "noniid"])
+def test_a_seed_past_64_bits_is_refused_before_any_work(tmp_path, capsys, kind):
+    # 2**64 must not alias seed 0 through the derived seed lanes
+    out = tmp_path / "out"
+    cfg = _cfg(tmp_path, _LINES[kind][0])
+    assert main(["experiment", kind, "--config", cfg, "--out", str(out), "--seed", str(2**64)]) == 1
+    assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
+    assert not out.exists()
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sde_remle.cli", "--help"],

@@ -1,6 +1,6 @@
 """The chunk driver: replicate_uv against stored paths, its stored mode
-against one unchunked block, its error semantics on stacked row blocks,
-and its memory bound."""
+against one unchunked block, its summation order, its error semantics on
+stacked row blocks, and its memory bound."""
 
 import math
 import tracemalloc
@@ -20,7 +20,7 @@ from sde_remle.simulate import (
 )
 from sde_remle.stats import suff_stats_rows
 
-from oracles import stored_paths
+from oracles import left_fold, path_increments, stored_paths
 
 # user models: a smooth state-dependent pair, a drift that explodes in
 # finite time for phi > 0, a diffusion that vanishes beyond x = 5, one
@@ -184,6 +184,53 @@ def test_stacked_segments_straddle_the_real_chunk_caps():
     assert _same_bits(u, want_u) and _same_bits(v, want_v)
 
 
+def test_running_totals_are_left_folds_of_the_stored_increments():
+    # a ragged pass of 40, 24, 13 and 9 steps, the last three ending in a
+    # partial step, cut into many chunks by small caps; numpy's pairwise
+    # row sums of the same increments differ in the last bits
+    model, dt = builtin_model("bounded-ratio"), 0.1
+    rng = np.random.default_rng(11)
+    segments = [Segment(x0, T, 20 + k, k, rng.integers(0, 2**32, 25), rng.normal(0.5, 1.0, 25))
+                for k, (x0, T) in enumerate(((0.5, 4.0), (-1.0, 2.35), (2.0, 1.25), (0.0, 0.85)))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "ROW_CHUNK", 16)
+        mp.setattr(simulate, "NORMAL_CHUNK", 400)
+        u, v = _flat(replicate_uv(model, dt, segments))
+    increments = []
+    for seg in segments:
+        times, values, first_bad = stored_paths(model, seg.phis, seg.x0, seg.T, dt, seg.seed,
+                                                seg.subject, seg.replicates)
+        assert (first_bad < 0).all()
+        increments.append(path_increments(times, values, model))
+    du, dv = zip(*increments)
+    want_u = np.concatenate([left_fold(d) for d in du])
+    want_v = np.concatenate([left_fold(d) for d in dv])
+    assert _same_bits(u, want_u) and _same_bits(v, want_v)
+    assert (np.concatenate([d.sum(axis=1) for d in du]) != want_u).any()
+    assert (np.concatenate([d.sum(axis=1) for d in dv]) != want_v).any()
+
+
+def test_running_totals_start_at_positive_zero():
+    # phi = 0 and zero normals hold x at -1, where b = -1: every U
+    # increment is -1 * (+0.0) = -0.0, and a sum from +0.0 is +0.0 in the
+    # kernel and on the stored path alike
+    model = builtin_model("linear-drift")
+    args = (model, np.zeros(1), np.array([-1.0]), np.array([1.2]), np.array([12]), 0.1,
+            np.zeros((1, 12)), [0])
+    u, v = simulate._euler_rows(*args)
+    values = np.empty((1, 13))
+    simulate._euler_rows(*args, values)
+    times = time_grid(1.2, 0.1)
+    assert np.signbit(path_increments(times, values, model)[0]).all()
+    want_u, want_v = suff_stats_rows(times, values, model)
+    assert _same_bits(u, want_u) and _same_bits(v, want_v)
+    assert u[0] == 0.0 and not np.signbit(u[0])
+    # a grid of one point has no steps: both sums are +0.0
+    zero_u, zero_v = suff_stats_rows([0.0], np.full((3, 1), -1.0), model)
+    assert not (zero_u.any() or zero_v.any() or np.signbit(zero_u).any()
+                or np.signbit(zero_v).any())
+
+
 def _own_degenerate_step(model, theta0, n, T, dt, seed, R, i):
     """Step at which subject i's replicates, run alone, meet sigma <= 0."""
     phis = effect_rows(theta0, seed, np.arange(R), n)[:, i]
@@ -240,7 +287,7 @@ def _peak_mb(fn):
 
 def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     # a stored (12800, 401) path and its (U, V) temporaries took about
-    # 240 MB; the chunked kernel keeps two (4096, 400) buffers at a time
+    # 240 MB; the chunked kernel keeps one (4096, 400) buffer at a time
     point = _peak_mb(lambda: _point_passes(
         builtin_model("bounded-ratio"), THETA, 0.0025, 7, [(0.0, 1.0)], [12800], [7], 100,
         "information",
@@ -260,3 +307,11 @@ def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
                 for i, (x, T) in enumerate(family.subjects(32))]
     stacked = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments))
     assert stacked < 64
+
+
+def test_a_monte_carlo_pass_holds_one_chunk_buffer():
+    # one full chunk of 4096 rows of 400 steps: the normals are the only
+    # chunk-sized buffer, as (U, V) are running totals
+    segments = [Segment(0.0, 1.0, 7, 0, np.arange(ROW_CHUNK), np.full(ROW_CHUNK, 0.5))]
+    peak = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments))
+    assert peak < 1.25 * ROW_CHUNK * 400 * 8 / 2**20

@@ -152,6 +152,12 @@ def test_design_rejects_negative_seed():
         Design(subjects=((0.0, 1.0),), dt=0.01, seed=-1)
 
 
+def test_design_rejects_a_seed_past_64_bits():
+    assert Design(subjects=((0.0, 1.0),), dt=0.01, seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        Design(subjects=((0.0, 1.0),), dt=0.01, seed=2**64)
+
+
 def test_design_family_lives_with_design():
     from sde_remle import models
 

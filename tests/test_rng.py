@@ -64,6 +64,16 @@ def test_derive_seed_stable_and_sensitive():
     assert 0 <= a < 2**64
 
 
+def test_derive_seed_refuses_a_seed_or_label_past_64_bits():
+    assert 0 <= derive_seed(2**64 - 1, 2**64 - 1) < 2**64
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            derive_seed(bad, 1)
+        # a label of 2**64 must not share the seed lane of label 0
+        with pytest.raises(ValueError, match="label must fit in 64 bits"):
+            derive_seed(1, 4, bad)
+
+
 def test_float_label_distinguishes_sign_and_value():
     assert float_label(1.0) != float_label(-1.0)
     assert float_label(1.0) != float_label(2.0)
