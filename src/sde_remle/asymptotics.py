@@ -29,11 +29,9 @@ from .models import Design
 from .rng import derive_seed, float_label
 from .simulate import Segment, effect_rows, replicate_uv
 
-# seed lanes for nested Monte Carlo passes; keeps information / divergence /
-# probe estimation streams disjoint from the main experiment's path streams
+# seed lanes for nested Monte Carlo passes, disjoint from the main experiment's
+# path streams: design points (information and divergence share one draw), probe
 _LANE_INFO = 1
-_LANE_KL = 2
-_LANE_LIMIT = 3
 _LANE_PROBE = 4
 
 _Z975 = 1.959963984540054
@@ -106,10 +104,10 @@ class ExperimentReport:
     wald_denominator: int = None
 
 
-def _lane_seed(seed, lane, point):
-    """A design point's seed in one lane, from its coordinates; averaged_limits
-    and _info_bar must agree on it for point_info to be reusable."""
-    return derive_seed(seed, lane, *map(float_label, point))
+def _point_seed(seed, point):
+    """A design point's seed, from its coordinates; averaged_limits and
+    _info_bar must agree on it for point_info to be reusable."""
+    return derive_seed(seed, _LANE_INFO, *map(float_label, point))
 
 
 def _point_passes(model, theta0, dt, seed, points, sizes, seeds, minimum, what):
@@ -244,12 +242,12 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     For each design point (x_k, T_k) the divergence K_k(theta0, theta) and
     information I_k(theta0) are estimated by Monte Carlo; the table reports
     n^-1 * sum_{k<=n} for each n of schedule (in 1..len(designs); doubling
-    by default) together with the estimates at limit_point. Point seeds
-    are derived from the point's coordinates, so identical design points
-    reuse identical streams and a constant design reproduces the
-    single-point values exactly. All points run as one stacked pass; each
-    point's estimates equal kl_mc's and fisher_info_mc's at its seeds. The
-    table's point_info holds the information estimate of every design point.
+    by default) together with the estimates at limit_point. All points run
+    as one stacked pass, one segment and one seed each: a point's two
+    estimates read the same (U, V) and equal kl_mc's and fisher_info_mc's
+    at its seed, which is derived from its coordinates, so a constant
+    design reproduces the single-point values exactly. The table's
+    point_info holds the information estimate of every design point.
     """
     designs = [(float(x), float(T)) for x, T in designs]
     if not designs:
@@ -260,15 +258,12 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
         raise ValueError(f"every schedule entry must lie in 1..{len(designs)}")
 
     pts = designs + [(float(limit_point[0]), float(limit_point[1]))]
-    # each point's divergence rows, then its information rows
     parts = _point_passes(
-        model, theta0, dt, seed, [pt for pt in pts for _ in range(2)],
-        [replicates] * (2 * len(designs)) + [limit_replicates] * 2,
-        [_lane_seed(seed, lane, pt) for pt in pts for lane in (_LANE_KL, _LANE_INFO)],
-        100, "divergence",
+        model, theta0, dt, seed, pts, [replicates] * len(designs) + [limit_replicates],
+        [_point_seed(seed, pt) for pt in pts], 100, "divergence",
     )
-    points = [(_kl_estimate(theta0, theta, *kl), _info_estimate(theta0, *info))
-              for kl, info in zip(parts[::2], parts[1::2])]
+    points = [(_kl_estimate(theta0, theta, *part), _info_estimate(theta0, *part))
+              for part in parts]
     # (estimate, se) of the kl, i00, i01 and i11 columns at each point, the limit last
     *columns, lim_columns = [
         [(kl.value, kl.mc_se)] + [(float(info.matrix[ij]), float(info.mc_se[ij]))
@@ -416,7 +411,7 @@ def _info_bar(model, theta0, points, info_replicates, dt, seed, point_info=None)
     if missing:
         parts = _point_passes(
             model, theta0, dt, seed, missing, [info_replicates] * len(missing),
-            [_lane_seed(seed, _LANE_INFO, pt) for pt in missing], 100, "information",
+            [_point_seed(seed, pt) for pt in missing], 100, "information",
         )
         by_point.update((pt, _info_estimate(theta0, *part)) for pt, part in zip(missing, parts))
     return np.stack([by_point[pt].matrix for pt in points]).mean(axis=0)

@@ -20,6 +20,7 @@ import sys
 from . import config as config_mod
 from . import io as io_mod
 from .asymptotics import (
+    _check_run,
     averaged_limits,
     run_consistency_experiment,
     run_moment_continuity_probe,
@@ -187,6 +188,8 @@ def _noniid(cfg, model, theta0, seed, out_dir):
         raise ValueError("the noniid experiment needs design = harmonic")
     _check_schedule(cfg["n_schedule"], "n_schedule")
     schedule = tuple(cfg["n_schedule"])
+    # the normality pass's rectangle and truth, refused before any draw
+    _check_run(cfg["replicates"], theta0, _space(cfg))
     table = averaged_limits(
         model, family.subjects(schedule[-1]), theta0,
         Theta(mu=cfg["mu_alt"], omega2=cfg["omega2_alt"]),

@@ -72,8 +72,8 @@ def _splitmix64(x):
 def derive_seed(seed, *parts):
     """Mix a master seed with integer labels into a fresh 64-bit seed.
 
-    Used by the experiment engines to give nested Monte Carlo passes
-    (information, divergence, and limit estimation) their own seed lanes
+    Used by the experiment engines to give nested Monte Carlo passes (the
+    design-point estimates and the continuity probe) their own seed lanes
     that cannot collide with subject path streams. Raises ValueError when
     the seed or a label does not fit in 64 bits.
     """

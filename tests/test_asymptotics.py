@@ -36,17 +36,6 @@ SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
 THETA0 = Theta(mu=1.0, omega2=0.5)
 
 
-@pytest.fixture
-def no_draws(monkeypatch):
-    """Any path normal drawn fails the test."""
-    from sde_remle import simulate
-
-    def draw(*args, **kwargs):
-        raise AssertionError("a normal was drawn before the input was checked")
-
-    monkeypatch.setattr(simulate, "path_normals", draw)
-
-
 def _unit_info(T, omega2):
     i_star = T / (1.0 + omega2 * T)
     return np.array([[i_star, 0.0], [0.0, 0.5 * i_star * i_star]])
@@ -177,7 +166,7 @@ def _same_fields(a, b):
 
 def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
     """Each point's slice of averaged_limits' stacked pass gives the
-    estimates kl_mc and fisher_info_mc make at its seeds, field for field."""
+    estimates kl_mc and fisher_info_mc make at its seed, field for field."""
     from sde_remle import asymptotics
     from sde_remle.rng import derive_seed, float_label
 
@@ -198,15 +187,49 @@ def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
     )
     assert len(kls) == len(points) + 1
     for (x, T), kl, R in zip(points + (family.limit_point(),), kls, [120] * 5 + [300]):
-        labels = (float_label(x), float_label(T))
-        kl_seed = derive_seed(seed, 2, *labels)
-        _same_fields(kl, kl_mc(BOUNDED, theta0, theta, x, T, dt, R, kl_seed))
-        info = fisher_info_mc(BOUNDED, theta0, x, T, dt, R, derive_seed(seed, 1, *labels))
+        point_seed = derive_seed(seed, 1, float_label(x), float_label(T))
+        _same_fields(kl, kl_mc(BOUNDED, theta0, theta, x, T, dt, R, point_seed))
+        info = fisher_info_mc(BOUNDED, theta0, x, T, dt, R, point_seed)
         if (x, T) in table.point_info:
             _same_fields(table.point_info[(x, T)], info)
         else:
             assert table.limit["i00"] == float(info.matrix[0, 0])
             assert table.limit["kl"] == kl.value
+
+
+def test_averaged_limits_draws_once_per_point(monkeypatch):
+    """Divergence and information at a design point read one draw: one
+    segment per point and the limit point, and bit-identical (U, V) in a
+    point's two estimates."""
+    passes, kl_uv, info_uv = [], [], []
+    real_uv, real_kl, real_info = (
+        asymptotics.replicate_uv, asymptotics._kl_estimate, asymptotics._info_estimate)
+
+    def uv(model, dt, segs, **kwargs):
+        passes.append(list(segs))
+        return real_uv(model, dt, segs, **kwargs)
+
+    def kl(theta0, theta, u, v, failures):
+        kl_uv.append((_bits(u), _bits(v)))
+        return real_kl(theta0, theta, u, v, failures)
+
+    def info(theta, u, v, failures):
+        info_uv.append((_bits(u), _bits(v)))
+        return real_info(theta, u, v, failures)
+
+    monkeypatch.setattr(asymptotics, "replicate_uv", uv)
+    monkeypatch.setattr(asymptotics, "_kl_estimate", kl)
+    monkeypatch.setattr(asymptotics, "_info_estimate", info)
+    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
+    theta0 = Theta(mu=0.8, omega2=0.4)
+    averaged_limits(BOUNDED, family.subjects(6), theta0, Theta(mu=1.5, omega2=0.5), 0.05,
+                    replicates=110, limit_point=family.limit_point(), limit_replicates=170,
+                    seed=9)
+    segments, = passes
+    assert len(segments) == 6 + 1
+    assert sum(len(seg.replicates) for seg in segments) == 6 * 110 + 170
+    assert len(kl_uv) == len(info_uv) == 6 + 1
+    assert kl_uv == info_uv
 
 
 def test_averaged_limits_without_design_points_is_empty(no_draws):

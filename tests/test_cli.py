@@ -435,12 +435,27 @@ def test_noniid_without_finite_monte_carlo_rows_is_runtime_error(tmp_path, capsy
     # growth 1 + phi*dt = 1e49 per step: every information and divergence
     # row overflows, so the point estimate has nothing to average
     cfg = _cfg(tmp_path, NONIID_CFG.replace("model = unit", "model = linear-drift")
-               .replace("mu0 = 1.0", "mu0 = 1.0e50") + "info_replicates = 100\n")
+               .replace("mu0 = 1.0", "mu0 = 1.0e50")
+               .replace("mu_hi = 3.0", "mu_hi = 1.0e51") + "info_replicates = 100\n")
     rc = main(["experiment", "noniid", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "(x, T) = (1.0, 2.0)" in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("mu0 = 1.0", "mu0 = 5.0"), "the true theta must lie strictly inside the parameter rectangle"),
+    (("mu_lo = -3.0", "mu_lo = 3.0"), "need mu_lo < mu_hi"),
+], ids=["truth-outside", "empty-rectangle"])
+def test_noniid_refuses_its_truth_and_rectangle_before_drawing(
+        tmp_path, capsys, no_draws, edit, message):
+    # the normality pass's checks, made before the averaged limits run
+    cfg = _cfg(tmp_path, NONIID_CFG.replace(*edit) + "info_replicates = 100\n")
+    out = tmp_path / "out"
+    assert main(["experiment", "noniid", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("info_replicates,estimates", [
