@@ -4,8 +4,9 @@ Estimates Fisher information and Kullback-Leibler divergence at single
 design points, their averaged limits along convergent design sequences,
 and runs the consistency / normality / moment-continuity experiments.
 Each experiment is a plain function of its settings (model, truth,
-rectangle, DesignFamily, sizes, dt, seed); consistency and normality
-share one simulate-and-fit loop over a Design's replicates.
+rectangle, DesignFamily, sizes, dt, seed). Consistency and normality
+fit the rows of one simulated ensemble in one batch each; consistency
+simulates only its largest level, and level n fits the first n columns.
 Every design-point estimate runs through _point_passes: it validates the
 points as one Design, then checks each replicate count (R >= 100 for
 information and divergence, 3 for the probe), then runs them as one
@@ -224,36 +225,23 @@ def sqrt_2x2_spd(m):
     return (m + s * np.eye(2)) / t
 
 
-def _doubling_schedule(n):
-    sched = []
-    k = 1
-    while k <= n:
-        sched.append(k)
-        k *= 2
-    if sched[-1] != n:
-        sched.append(n)
-    return sched
-
-
 def averaged_limits(model, designs, theta0, theta, dt, replicates,
-                    limit_point, limit_replicates, seed, schedule=None):
+                    limit_point, limit_replicates, seed, schedule):
     """Running design averages of divergence and information vs their limit.
 
     For each design point (x_k, T_k) the divergence K_k(theta0, theta) and
     information I_k(theta0) are estimated by Monte Carlo; the table reports
-    n^-1 * sum_{k<=n} for each n of schedule (in 1..len(designs); doubling
-    by default) together with the estimates at limit_point. All points run
-    as one stacked pass, one segment and one seed each: a point's two
-    estimates read the same (U, V) and equal kl_mc's and fisher_info_mc's
-    at its seed, which is derived from its coordinates, so a constant
-    design reproduces the single-point values exactly. The table's
-    point_info holds the information estimate of every design point.
+    n^-1 * sum_{k<=n} for each n of schedule (in 1..len(designs)) together
+    with the estimates at limit_point. All points run as one stacked
+    pass, one segment and one seed each: a point's two estimates read the
+    same (U, V) and equal kl_mc's and fisher_info_mc's at its seed, which
+    is derived from its coordinates, so a constant design reproduces the
+    single-point values exactly. The table's point_info holds the
+    information estimate of every design point.
     """
     designs = [(float(x), float(T)) for x, T in designs]
     if not designs:
         raise EmptyExperiment("averaged_limits needs at least one design point")
-    if schedule is None:
-        schedule = _doubling_schedule(len(designs))
     if not all(1 <= n <= len(designs) for n in schedule):
         raise ValueError(f"every schedule entry must lie in 1..{len(designs)}")
 
@@ -309,16 +297,15 @@ def _ensemble_uv(model, theta0, design, replicates):
     return u, np.stack(v, axis=1)
 
 
-def _replicate_fits(model, theta0, design, replicates, space):
-    """Simulate a Design's replicates and fit, in one lockstep batch, each
-    row whose (U, V) are all finite.
+def _replicate_fits(u, v, theta0, space):
+    """Fit, in one lockstep batch, each row of (replicates, n) (U, V)
+    matrices whose entries are all finite.
 
     Returns (kept, dropped): kept holds (rep, fit, theta_hat - theta0) per
     fitted replicate and dropped the reps of the other rows, both in rep
     order. The lowest finite row that fails fit_mle's input checks raises
     its error, as a replicate-by-replicate loop would.
     """
-    u, v = _ensemble_uv(model, theta0, design, replicates)
     ok = np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
     if not ok.all():
         u, v = u[ok], v[ok]
@@ -375,16 +362,21 @@ def _check_run(replicates, theta0=None, space=None, limit_replicates=0):
 def run_consistency_experiment(model, theta0, space, design, n_schedule, replicates, dt, seed):
     """Replicated fits along an n schedule; errors should shrink like 1/sqrt(n).
 
-    design is the DesignFamily whose first n subjects make level n; every
-    level is validated as a Design before any is simulated.
+    design is the DesignFamily whose first n subjects make level n. The
+    levels are nested, so one ensemble at the largest level is simulated,
+    and level n fits its first n columns: the largest level's Design has
+    every level's horizons within its own, so its validation covers all.
     """
     _check_run(replicates, theta0, space)
-    levels = [Design(design.subjects(n), dt, seed) for n in n_schedule]
+    if not n_schedule or min(n_schedule) < 1:
+        raise ValueError("n_schedule needs at least one entry, each >= 1")
+    u, v = _ensemble_uv(model, theta0, Design(design.subjects(max(n_schedule)), dt, seed),
+                        replicates)
     rows = []
     summaries = []
     failures = []
-    for n, level in zip(n_schedule, levels):
-        kept, dropped = _replicate_fits(model, theta0, level, replicates, space)
+    for n in n_schedule:
+        kept, dropped = _replicate_fits(u[:, :n], v[:, :n], theta0, space)
         failures += [(n, r) for r in dropped]
         rows += [_row(r, n, fit) for r, fit, _ in kept]
         errs = np.array([math.hypot(diff[0], diff[1]) for _, _, diff in kept])
@@ -440,7 +432,8 @@ def run_normality_experiment(model, theta0, space, design, n, replicates, info_r
         ) from err
     inv = np.linalg.inv(info_bar)
 
-    kept, dropped = _replicate_fits(model, theta0, ensemble, replicates, space)
+    kept, dropped = _replicate_fits(*_ensemble_uv(model, theta0, ensemble, replicates),
+                                    theta0, space)
     if not kept:
         raise ExperimentFailed("every replicate failed")
     rows = []

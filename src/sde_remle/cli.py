@@ -272,7 +272,7 @@ def main(argv=None):
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         out_dir = args.out or cfg.get("output_dir") or "."
-        io_mod.ensure_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         if args.command == "simulate":
             return cmd_simulate(cfg, seed, out_dir)
         if args.command == "fit":

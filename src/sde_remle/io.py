@@ -331,8 +331,3 @@ def read_paths_csv(in_path):
         paths.append(Path(times=np.concatenate(t), values=values, x0=float(values[0]),
                           phi=None, seed=None, subject_index=int(subject)))
     return paths
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

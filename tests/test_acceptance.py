@@ -279,6 +279,7 @@ def test_08_design_averaged_limits_converge_under_non_iid_layout():
     table = averaged_limits(
         UNIT, family.subjects(256), Theta(1.0, 1.0), Theta(1.5, 0.5),
         1.0 / 200.0, 400, family.limit_point(), 25_600, 61,
+        tuple(2 ** k for k in range(9)),
     )
     assert table.rows[-1]["n"] == 256
     for key in ("kl", "i00", "i01", "i11"):

@@ -77,7 +77,7 @@ def test_estimators_reject_small_samples(no_draws):
         (lambda: kl_mc(UNIT, theta, theta, 0.0, 1.0, 0.1, 99, 0), "divergence", 100),
         (lambda: averaged_limits(
             UNIT, [(0.0, 1.0)] * 2, theta, theta, 0.1, replicates=100,
-            limit_point=(0.0, 1.0), limit_replicates=99, seed=0,
+            limit_point=(0.0, 1.0), limit_replicates=99, seed=0, schedule=(1, 2),
         ), "divergence", 100),
         (lambda: _normality(info_replicates=99), "information", 100),
         (lambda: _continuity(limit_replicates=2), "moment", 3),
@@ -140,6 +140,7 @@ def test_averaged_limits_constant_design_exact():
     table = averaged_limits(
         UNIT, [(0.0, 1.0)] * 4, theta0, theta, 0.1,
         replicates=200, limit_point=(0.0, 1.0), limit_replicates=200, seed=30,
+        schedule=(1, 2, 4),
     )
     for row in table.rows:
         assert row["kl"] == table.limit["kl"]
@@ -184,6 +185,7 @@ def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
     table = averaged_limits(
         BOUNDED, points, theta0, theta, dt, replicates=120,
         limit_point=family.limit_point(), limit_replicates=300, seed=seed,
+        schedule=(1, 2, 4, 5),
     )
     assert len(kls) == len(points) + 1
     for (x, T), kl, R in zip(points + (family.limit_point(),), kls, [120] * 5 + [300]):
@@ -224,7 +226,7 @@ def test_averaged_limits_draws_once_per_point(monkeypatch):
     theta0 = Theta(mu=0.8, omega2=0.4)
     averaged_limits(BOUNDED, family.subjects(6), theta0, Theta(mu=1.5, omega2=0.5), 0.05,
                     replicates=110, limit_point=family.limit_point(), limit_replicates=170,
-                    seed=9)
+                    seed=9, schedule=(1, 2, 4, 6))
     segments, = passes
     assert len(segments) == 6 + 1
     assert sum(len(seg.replicates) for seg in segments) == 6 * 110 + 170
@@ -235,7 +237,7 @@ def test_averaged_limits_draws_once_per_point(monkeypatch):
 def test_averaged_limits_without_design_points_is_empty(no_draws):
     theta = Theta(mu=1.0, omega2=0.5)
     with pytest.raises(EmptyExperiment):
-        averaged_limits(UNIT, [], theta, theta, 0.1, 100, (0.0, 1.0), 100, 0)
+        averaged_limits(UNIT, [], theta, theta, 0.1, 100, (0.0, 1.0), 100, 0, (1,))
 
 
 @pytest.mark.parametrize("schedule", [(0, 2), (1, 4)])
@@ -267,7 +269,8 @@ def test_stacked_point_pass_errors_name_the_failing_design_point(sigma, message,
     points = [(0.0, 1.0), (11.0, 1.5), (0.5, 2.0)]
     with pytest.raises(DegenerateDiffusion, match=message) as exc:
         averaged_limits(model, points, theta, theta, 0.1, replicates=100,
-                        limit_point=(0.0, 1.0), limit_replicates=100, seed=4)
+                        limit_point=(0.0, 1.0), limit_replicates=100, seed=4,
+                        schedule=(1, 2, 3))
     assert "design point (x, T) = (11.0, 1.5)" in str(exc.value)
     assert exc.value.step == step
 
@@ -302,6 +305,7 @@ def test_averaged_limits_harmonic_converges():
     table = averaged_limits(
         UNIT, designs, theta0, theta, 0.1,
         replicates=150, limit_point=(0.0, 1.0), limit_replicates=4800, seed=61,
+        schedule=(1, 2, 4, 8, 16, 32, 64),
     )
     rows = table.rows
     for key in ("kl", "i00"):
@@ -338,6 +342,59 @@ def test_consistency_experiment_rates_and_determinism():
     assert again.rows == report.rows
     assert again.summaries == report.summaries
     assert again.failures == report.failures
+
+
+def test_consistency_simulates_its_largest_level_once(monkeypatch):
+    calls = []
+    real = asymptotics._ensemble_uv
+
+    def spy(model, theta0, design, replicates):
+        calls.append((design, replicates))
+        return real(model, theta0, design, replicates)
+
+    monkeypatch.setattr(asymptotics, "_ensemble_uv", spy)
+    family = DesignFamily(kind="iid", x0=0.0, T=1.0)
+    _consistency(design=family, n_schedule=(5, 10, 20), replicates=8)
+    (design, replicates), = calls
+    assert design.subjects == family.subjects(20) and replicates == 8
+
+
+def test_consistency_levels_equal_their_own_runs():
+    """Level n of a schedule is the run of n alone, field for field: its
+    ensemble is the first n columns of the largest level's."""
+    report = _consistency(n_schedule=(50, 200))
+    for level, n in enumerate((50, 200)):
+        alone = _consistency(n_schedule=(n,))
+        assert [row for row in report.rows if row["n"] == n] == list(alone.rows)
+        assert report.summaries[level] == alone.summaries[0]
+        assert [f for f in report.failures if f[0] == n] == list(alone.failures)
+
+
+@pytest.mark.parametrize("schedule", [(), (0,), (-1, 50)])
+def test_consistency_refuses_a_bad_schedule_before_drawing(no_draws, schedule):
+    with pytest.raises(ValueError, match=r"^n_schedule needs at least one entry, each >= 1$"):
+        _consistency(n_schedule=schedule)
+
+
+def test_consistency_raises_a_late_level_degeneracy_before_any_fit(monkeypatch):
+    # the first subject starts at x = 1, four units below the cliff at
+    # x = 5; the next seven start at 3 to 4.5, and some of their rows
+    # cross it
+    model = _zone_model("zone-late-level", lambda x: np.where(x < 5.0, 1.0, 0.0))
+    family = DesignFamily(kind="harmonic", x_inf=5.0, x_amp=-4.0, T_inf=1.0, T_amp=0.0)
+    fitted = []
+    real = asymptotics.fit_rows
+
+    def spy(u, v, space):
+        fitted.append(len(u))
+        return real(u, v, space)
+
+    monkeypatch.setattr(asymptotics, "fit_rows", spy)
+    with pytest.raises(DegenerateDiffusion, match=r"sigma <= 0") as exc:
+        _consistency(model=model, theta0=Theta(mu=0.0, omega2=0.01), design=family,
+                     n_schedule=(1, 8), replicates=20, seed=3)
+    assert exc.value.subject_index > 0
+    assert fitted == []
 
 
 def test_consistency_refuses_boundary_truth():
@@ -450,19 +507,13 @@ def test_design_family_layouts():
         DesignFamily(kind="grid")
 
 
-def _fits_of(monkeypatch, u, v):
-    """_replicate_fits on the given (U, V) in place of a simulated ensemble."""
-    monkeypatch.setattr(asymptotics, "_ensemble_uv", lambda *args: (u, v))
-    return _replicate_fits(UNIT, THETA0, None, len(u), SPACE)
-
-
-def test_fit_rows_drop_non_finite_replicates(monkeypatch):
+def test_fit_rows_drop_non_finite_replicates():
     rng = np.random.default_rng(6)
     v = rng.uniform(0.5, 2.0, size=(4, 8))
     u = rng.normal(v, np.sqrt(v))
     u[1, 3] = np.nan
     v[2, 0] = np.inf
-    kept, dropped = _fits_of(monkeypatch, u, v)
+    kept, dropped = _replicate_fits(u, v, THETA0, SPACE)
     assert dropped == [1, 2]
     assert [r for r, _, _ in kept] == [0, 3]
     for r, fit, diff in kept:
@@ -484,7 +535,7 @@ def test_fit_rows_drop_non_finite_replicates(monkeypatch):
     (((1, "negative"), (2, "fsum_overflow")), InvalidStats),
     (((0, "fsum_overflow"), (2, "nan")), NonFiniteObjective),
 ])
-def test_fit_rows_raise_the_first_failing_replicates_error(monkeypatch, breaks, error):
+def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
     rng = np.random.default_rng(12)
     v = rng.uniform(0.5, 2.0, size=(4, 6))
     u = rng.normal(v, np.sqrt(v))
@@ -504,7 +555,7 @@ def test_fit_rows_raise_the_first_failing_replicates_error(monkeypatch, breaks, 
         else:
             u[r, 0] = np.nan
     with pytest.raises(error):
-        _fits_of(monkeypatch, u, v)
+        _replicate_fits(u, v, THETA0, SPACE)
 
 
 def _coarse_step_calls():
@@ -518,7 +569,7 @@ def _coarse_step_calls():
         "kl_mc": lambda: kl_mc(UNIT, theta, theta, 0.0, 1.0, 0.2, 100, 0),
         "averaged_limits": lambda: averaged_limits(
             UNIT, [(0.0, 1.0)] * 2, theta, theta, 0.1, replicates=100,
-            limit_point=(0.0, 0.5), limit_replicates=100, seed=0,
+            limit_point=(0.0, 0.5), limit_replicates=100, seed=0, schedule=(1, 2),
         ),
         "run_consistency_experiment": lambda: _consistency(
             theta0=theta, design=late, n_schedule=(1, 64), replicates=10, dt=0.06, seed=0,
