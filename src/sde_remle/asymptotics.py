@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import EmptyExperiment, ExperimentFailed
 from .estimator import fit_rows
+from .ks import ks_norm_pvalue
 from .likelihood import hess_terms, ratio_terms, score_terms
 from .models import Design
 from .rng import derive_seed, float_label
@@ -448,10 +449,6 @@ def run_normality_experiment(model, theta0, space, design, n, replicates, info_r
             if abs(diff[1]) <= _Z975 * fit.wald_se[1]:
                 covered["omega2"] += 1
         rows.append(_row(r, n, fit, (float(z[0]), float(z[1]))))
-    # scipy.special, which the KS p-value needs, doubles the package's
-    # import time, and only this experiment uses it
-    from .ks import ks_norm_pvalue
-
     diffs = np.array([diff for _, _, diff in kept])
     z_mat = math.sqrt(n) * (diffs @ L)
     ks_mu = ks_norm_pvalue(z_mat[:, 0])

@@ -1,8 +1,10 @@
 """Exact p-value of the two-sided Kolmogorov-Smirnov test of N(0, 1).
 
-ks_norm_pvalue(x) equals float(scipy.stats.kstest(x, "norm").pvalue) bit
-for bit, but imports only numpy and scipy.special: scipy.stats costs more
-import time and memory than the rest of the package together.
+ks_norm_pvalue(x) agrees with float(scipy.stats.kstest(x, "norm").pvalue)
+to a relative 1e-9 (an absolute 1e-300 below 1e-300) for samples of up
+to 200,000 points, and needs only numpy and math: no run loads scipy,
+whose special-function module alone costs a quarter second and about
+25 MB in a fresh process.
 
 The survival function of D_n follows Simard and L'Ecuyer, "Computing the
 Two-Sided Kolmogorov-Smirnov Distribution", J. Stat. Softw. 39(11), 2011:
@@ -11,8 +13,10 @@ one-sided Smirnov tail for large n*D^2, the Durbin matrix algorithm in the
 Marsaglia-Tsang-Wang form, the Pomeranz recursion, and the Pelz-Good
 expansion. The code is the survival-function path of scipy's
 scipy/stats/_ksstats.py, with its arithmetic (and its long-double scaling)
-unchanged, so every branch rounds as scipy's does. That file carries this
-notice:
+unchanged. Only its two special functions are computed here: the normal
+cdf from math.erfc, and the one-sided Smirnov tail from the exact sum of
+Birnbaum and Tingey, Ann. Math. Statist. 22(4), 1951. That file carries
+this notice:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
     All rights reserved.
@@ -46,8 +50,9 @@ notice:
     OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
+import math
+
 import numpy as np
-from scipy.special import ndtr, smirnov
 
 # scaling of intermediate results; long double, as in scipy, because a
 # scaled scalar carries on in long-double arithmetic there
@@ -55,6 +60,7 @@ _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
 _EM128 = np.ldexp(np.longdouble(1), -_E128)
 
+_SQRT_HALF = math.sqrt(0.5)
 _SQRT2PI = np.sqrt(2 * np.pi)
 _LOG_2PI = np.log(2 * np.pi)
 _MIN_LOG = -708
@@ -82,7 +88,7 @@ def ks_norm_pvalue(x):
         raise ValueError("the KS test needs a non-empty 1-D sample")
     x = np.sort(x)
     n = x.shape[0]
-    cdf = ndtr(x)
+    cdf = _ndtr(x)
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
     d = d_plus if d_plus > d_minus else d_minus
@@ -93,6 +99,38 @@ def ks_norm_pvalue(x):
     if d >= 1.0:
         return 0.0
     return float(_clip_prob(_kolmogn_sf(n, d)))
+
+
+def _ndtr(x):
+    """The N(0, 1) cdf of each entry of the float array x, 0.5 erfc(-x/sqrt 2)
+    from libm: 0 at -inf, 1 at inf and NaN at NaN. The argument is rounded
+    as scipy's ndtr rounds it, x times sqrt(1/2)."""
+    return np.array([0.5 * math.erfc(-v * _SQRT_HALF) for v in x.tolist()])
+
+
+def _smirnov(n, x):
+    """Pr(D+_n >= x) for 0 < x < 1, by the Birnbaum-Tingey sum
+
+        x * sum_{j=0}^{floor(n(1-x))} C(n,j) (1-x-j/n)^(n-j) (x+j/n)^(j-1).
+
+    Every term is positive. With t = n*x, term j is
+    C(n,j) (n-j-t)^(n-j) (t+j)^(j-1) / n^(n-1); the terms are formed in
+    log space, shifted by the largest and added exactly (math.fsum), and
+    x, the shift and the common factors go into one final exp, so the
+    result underflows only where the true value does. The logs of the
+    factorials reach n log n, so the relative error grows like
+    eps * n log n; against scipy.special.smirnov it measured below 1e-11
+    for n <= 3000 and below 6e-10 for n <= 200,000.
+    """
+    t = n * x
+    j = np.arange(math.floor(n - t) + 1)
+    q = (n - j) - t
+    j, q = j[q > 0], q[q > 0]  # a zero base contributes nothing
+    log_fact = np.array([math.lgamma(k) for k in range(1, n + 2)])  # log(k!)
+    log_terms = (n - j) * np.log(q) + (j - 1) * np.log(t + j) - log_fact[j] - log_fact[n - j]
+    shift = float(log_terms.max())
+    total = math.fsum(np.exp(log_terms - shift).tolist())
+    return math.exp(math.log(x) + log_fact[n] - (n - 1) * math.log(n) + shift + math.log(total))
 
 
 def _clip_prob(p):
@@ -118,7 +156,7 @@ def _kolmogn_sf(n, x):
     if t >= n - 1:  # Ruben-Gambino
         return 2 * (1.0 - x)**n
     if x >= 0.5:  # exact: 2 * smirnov
-        return 2 * smirnov(n, x)
+        return 2 * _smirnov(n, x)
 
     nxsquared = t * x
     if n <= 140:
@@ -127,12 +165,12 @@ def _kolmogn_sf(n, x):
         if nxsquared <= 4:
             return 1.0 - _kolmogn_Pomeranz(n, x)
         # Miller approximation of 2*smirnov
-        return 2 * smirnov(n, x)
+        return 2 * _smirnov(n, x)
 
     if nxsquared >= 370.0:
         return 0.0
     if nxsquared >= 2.2:
-        return 2 * smirnov(n, x)
+        return 2 * _smirnov(n, x)
     if n <= 100000 and n * x**1.5 <= 1.4:
         return 1.0 - _kolmogn_DMTW(n, x)
     return 1.0 - _kolmogn_PelzGood(n, x)

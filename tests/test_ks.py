@@ -1,29 +1,40 @@
-"""ks_norm_pvalue equals scipy.stats.kstest(x, "norm").pvalue bit for bit.
+"""ks_norm_pvalue agrees with scipy.stats.kstest(x, "norm").pvalue to a
+relative 1e-9, or an absolute 1e-300 where scipy's p-value is below
+1e-300; NaN gives NaN.
 
 The targeted samples put the KS statistic D inside each region of the
 survival function's branch tree (Simard and L'Ecuyer's selection rule),
 and the test checks that the sample really landed in the region it was
-built for, so every branch is exercised on every run.
+built for, so every branch is exercised on every run. The module's two
+special functions are checked on their own against scipy.special:
+_smirnov in each region that calls it and in its underflow tail, and
+_ndtr out to |x| = 38.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
-from scipy.special import ndtri
+from scipy import special, stats
 
-from sde_remle.ks import ks_norm_pvalue
+from sde_remle.ks import _ndtr, _smirnov, ks_norm_pvalue
+
+RTOL = 1e-9
 
 
 def _scipy_pvalue(x):
     return float(stats.kstest(x, "norm").pvalue)
 
 
-def _same(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
+def _close(a, b, rtol=RTOL, floor=1e-300):
+    """a is within rtol of b relative, or within floor absolute where b is
+    below floor; NaN matches only NaN."""
+    if math.isnan(b):
+        return math.isnan(a)
+    return abs(a - b) <= (rtol * abs(b) if abs(b) >= floor else floor)
 
 
 def _branch(n, d):
@@ -64,7 +75,7 @@ def _sample_with_d(n, d, rng):
     """
     c = d - 0.5 / n
     u = np.minimum((np.arange(1, n + 1) - 0.5) / n + c, 1.0 - 1e-12)
-    x = ndtri(u)
+    x = special.ndtri(u)
     rng.shuffle(x)
     return x
 
@@ -107,7 +118,7 @@ def test_every_branch_matches_scipy_bit_for_bit(branch, data, seed):
     x = _sample_with_d(n, d, np.random.default_rng(seed))
     res = stats.kstest(x, "norm")
     assert _branch(n, float(res.statistic)) == branch
-    assert ks_norm_pvalue(x) == float(res.pvalue)
+    assert _close(ks_norm_pvalue(x), float(res.pvalue))
 
 
 @st.composite
@@ -129,7 +140,7 @@ def _normal_samples(draw):
 @example(np.array([-1.0, -1.0, 2.0, 2.0, 2.0]))
 @example(np.full(7, 0.25))
 def test_normal_samples_match_scipy_bit_for_bit(x):
-    assert _same(ks_norm_pvalue(x), _scipy_pvalue(x))
+    assert _close(ks_norm_pvalue(x), _scipy_pvalue(x))
 
 
 @pytest.mark.parametrize("n,d,branch", [
@@ -142,7 +153,7 @@ def test_very_large_samples_match_scipy(n, d, branch):
     x = _sample_with_d(n, d, np.random.default_rng(n))
     res = stats.kstest(x, "norm")
     assert _branch(n, float(res.statistic)) == branch
-    assert ks_norm_pvalue(x) == float(res.pvalue)
+    assert _close(ks_norm_pvalue(x), float(res.pvalue))
 
 
 def test_input_is_not_modified_and_order_does_not_matter():
@@ -157,3 +168,68 @@ def test_nan_gives_nan_and_empty_is_refused():
     assert math.isnan(ks_norm_pvalue([0.1, math.nan, 0.3]))
     with pytest.raises(ValueError):
         ks_norm_pvalue([])
+
+
+# _smirnov(n, x) = Pr(D+_n >= x) is called for x >= 0.5 (exact), for
+# n*x^2 > 4 at n <= 140, and for 2.2 <= n*x^2 < 370 at n > 140. Where
+# scipy's value is a normal float the sum must hold its relative
+# accuracy: it underflows only where the true value does.
+_NORMAL_MIN = sys.float_info.min
+
+
+def _smirnov_close(n, x):
+    return _close(_smirnov(n, x), float(special.smirnov(n, x)), floor=_NORMAL_MIN)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), frac=st.floats(0.0, 1.0, exclude_max=True))
+@example(n=1, frac=0.0)
+@example(n=3000, frac=0.999)
+def test_smirnov_exact_region_matches_scipy(n, frac):
+    assert _smirnov_close(n, min(0.5 + 0.5 * frac, math.nextafter(1.0, 0.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(17, 140), frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_smirnov_small_n_region_matches_scipy(n, frac):
+    lo = math.sqrt(4.0 / n)
+    assert _smirnov_close(n, lo + frac * (0.5 - lo))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(141, 3000), frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_smirnov_large_n_region_matches_scipy(n, frac):
+    lo, hi = math.sqrt(2.2 / n), min(0.5, math.sqrt(370.0 / n))
+    assert _smirnov_close(n, lo + frac * (hi - lo))
+
+
+@pytest.mark.parametrize("n", [5000, 20_000, 100_000, 200_000])
+@pytest.mark.parametrize("nx2", [2.2, 10.0, 100.0, 369.9])
+def test_smirnov_very_large_n_matches_scipy(n, nx2):
+    assert _smirnov_close(n, math.sqrt(nx2 / n))
+
+
+@pytest.mark.parametrize("n,x", [
+    (3000, 0.6),                             # 0.4^3000: 0 in float64
+    (200_000, math.sqrt(400.0 / 200_000)),   # about exp(-800): 0
+    (200_000, math.sqrt(372.0 / 200_000)),   # about exp(-744), subnormal
+    (1000, math.sqrt(352.0 / 1000)),         # about 1e-306, still normal
+    (100, 0.999),                            # 0.001^100 = 1e-300
+    (34, 1.0 - 2.0 ** -31),                  # 2^-1054, subnormal
+])
+def test_smirnov_underflow_tail_matches_scipy(n, x):
+    assert float(special.smirnov(n, x)) < 1e-299
+    assert _smirnov_close(n, x)
+
+
+def test_ndtr_matches_scipy_out_to_38():
+    # the cdf's relative sensitivity to rounding in x grows like x^2
+    x = np.concatenate([np.linspace(-38.0, 38.0, 76_001),
+                        np.random.default_rng(3).standard_normal(10_000) * 8.0])
+    ours, theirs = _ndtr(x), special.ndtr(x)
+    assert all(_close(a, b, rtol=1e-12) for a, b in zip(ours.tolist(), theirs.tolist()))
+
+
+def test_ndtr_at_infinities_and_nan():
+    out = _ndtr(np.array([-np.inf, np.inf, np.nan]))
+    assert out[0] == 0.0 and out[1] == 1.0 and math.isnan(out[2])
