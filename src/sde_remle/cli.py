@@ -33,6 +33,7 @@ from .errors import (
     ExperimentFailed,
     IngestError,
     NotFound,
+    ParseError,
     SdeRemleError,
 )
 from .estimator import fit_mle
@@ -253,19 +254,31 @@ def cmd_experiment(kind, cfg, seed, out_dir):
     return 0
 
 
+def _config_text(data):
+    """The config file's bytes as text, newlines translated as a text-mode
+    read translates them; a byte that is not UTF-8 raises ParseError."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"byte 0x{data[err.start]:02x} is not UTF-8",
+                         line=data.count(b"\n", 0, err.start) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 1
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.config, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 1
     command = args.command if args.command != "experiment" else args.kind
     try:
+        text = _config_text(data)
         cfg = config_mod.parse_config(text)
         config_mod.check_required(command, cfg, eof_line=len(text.split("\n")))
         seed = config_mod.resolve_seed(cfg, args.seed)
@@ -280,6 +293,9 @@ def main(argv=None):
         return cmd_experiment(args.kind, cfg, seed, out_dir)
     except _VALIDATION_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # the output directory or a file in it
+        print(f"error: cannot write output: {err}", file=sys.stderr)
         return 1
     except SdeRemleError as err:
         print(f"error: {err}", file=sys.stderr)

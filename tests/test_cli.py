@@ -165,6 +165,39 @@ def test_missing_config_file_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read config")
 
 
+def test_a_config_byte_that_is_not_utf8_is_a_one_line_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(SIM_CFG.encode().replace(b"design = iid", b"design = \xffiid"))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 4: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_config_lines_end_in_any_newline(tmp_path, capsys, newline):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes((SIM_CFG + "burnin = 7\n").replace("\n", newline).encode())
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 10: unknown key 'burnin'\n"
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("a_file", "File exists"),
+    ("a_file/sub", "Not a directory"),
+    ("out", "Is a directory"),
+], ids=["out-is-a-file", "out-under-a-file", "output-file-is-a-directory"])
+def test_a_bad_output_location_is_a_one_line_validation_error(tmp_path, capsys, out, reason):
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "out" / "paths.csv").mkdir(parents=True)
+    cfg = _cfg(tmp_path, SIM_CFG)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err and str(tmp_path / out) in err
+
+
 def test_unknown_key_reports_line(tmp_path, capsys):
     cfg = _cfg(tmp_path, SIM_CFG + "burnin = 7\n")
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])

@@ -5,10 +5,11 @@ relative 1e-9, or an absolute 1e-300 where scipy's p-value is below
 The targeted samples put the KS statistic D inside each region of the
 survival function's branch tree (Simard and L'Ecuyer's selection rule),
 and the test checks that the sample really landed in the region it was
-built for, so every branch is exercised on every run. The module's two
-special functions are checked on their own against scipy.special:
-_smirnov in each region that calls it and in its underflow tail, and
-_ndtr out to |x| = 38.
+built for, so every branch is exercised on every run. A fixed grid pins
+every n <= 140 against scipy.stats.kstwo.sf up to n*D^2 = 4. The
+module's two special functions are checked on their own against
+scipy.special: _smirnov in each region that calls it and in its
+underflow tail, and _ndtr out to |x| = 38.
 """
 
 import math
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from sde_remle.ks import _ndtr, _smirnov, ks_norm_pvalue
+from sde_remle.ks import _kolmogn_sf, _ndtr, _smirnov, ks_norm_pvalue
 
 RTOL = 1e-9
 
@@ -54,6 +55,7 @@ def _branch(n, d):
     if n <= 140:
         if nd2 <= 0.754693:
             return "small-durbin"
+        # scipy's Pomeranz region; ks.py computes it with the Durbin matrix
         return "small-pomeranz" if nd2 <= 4 else "small-smirnov"
     if nd2 >= 370.0:
         return "large-zero"
@@ -154,6 +156,26 @@ def test_very_large_samples_match_scipy(n, d, branch):
     res = stats.kstest(x, "norm")
     assert _branch(n, float(res.statistic)) == branch
     assert _close(ks_norm_pvalue(x), float(res.pvalue))
+
+
+def test_small_samples_match_kstwo_on_a_fixed_grid():
+    # 8 values of D per n in (1/(2n), min(0.5, sqrt(4/n))], empty at n = 1:
+    # the Ruben-Gambino low end and the Durbin matrix, which here also
+    # covers scipy's Pomeranz region
+    checked = 0
+    for n in range(2, 141):
+        lo, hi = 0.5 / n, min(0.5, math.sqrt(4.0 / n))
+        for d in np.linspace(lo, hi, 9)[1:].tolist():
+            p = float(np.clip(_kolmogn_sf(n, d), 0.0, 1.0))
+            assert _close(p, float(stats.kstwo.sf(d, n))), (n, d)
+            checked += 1
+    assert checked == 139 * 8
+
+
+@pytest.mark.parametrize("n", [141, 3000])
+def test_large_samples_with_d_at_most_1_over_n_have_p_one(n):
+    for d in np.linspace(0.5 / n, 1.0 / n, 9)[1:].tolist():
+        assert _kolmogn_sf(n, d) == 1.0
 
 
 def test_input_is_not_modified_and_order_does_not_matter():
