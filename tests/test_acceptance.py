@@ -194,6 +194,17 @@ def test_04_fit_matches_grid_argmax_and_gaussian_closed_form():
     assert time.perf_counter() - t0 < 120.0
 
 
+def check_05_fisher_information(seed):
+    """Test_05's assertions on the Monte Carlo pass at seed."""
+    for T, w2 in ((1.0, 1.0), (1.0, 0.0), (0.5, 0.5), (2.0, 0.25), (1.5, 2.0)):
+        est = fisher_info_mc(UNIT, Theta(1.0, w2), 0.0, T, T / 10.0, 10_000, seed)
+        istar = T / (1.0 + w2 * T)
+        closed = np.array([[istar, 0.0], [0.0, 0.5 * istar * istar]])
+        assert np.all(np.abs(est.matrix - closed) <= 4.0 * est.mc_se)
+        assert np.all(np.abs(est.matrix - est.neg_mean_hess) <= 4.0 * est.identity_se)
+        assert est.failures == 0
+
+
 def test_05_fisher_information_matches_closed_form_and_identity():
     """Score covariance vs [[I*, 0], [0, I*^2/2]], I* = T/(1+w2*T).
 
@@ -203,14 +214,24 @@ def test_05_fisher_information_matches_closed_form_and_identity():
     within 4 standard errors of their difference.
     """
     t0 = time.perf_counter()
-    for T, w2 in ((1.0, 1.0), (1.0, 0.0), (0.5, 0.5), (2.0, 0.25), (1.5, 2.0)):
-        est = fisher_info_mc(UNIT, Theta(1.0, w2), 0.0, T, T / 10.0, 10_000, 2)
-        istar = T / (1.0 + w2 * T)
-        closed = np.array([[istar, 0.0], [0.0, 0.5 * istar * istar]])
-        assert np.all(np.abs(est.matrix - closed) <= 4.0 * est.mc_se)
-        assert np.all(np.abs(est.matrix - est.neg_mean_hess) <= 4.0 * est.identity_se)
-        assert est.failures == 0
+    check_05_fisher_information(2)
     assert time.perf_counter() - t0 < 120.0
+
+
+def check_06_consistency(seed):
+    """Test_06's assertions on the consistency runs at seed."""
+    for model, x0 in ((UNIT, 0.0), (LINEAR, 1.0)):
+        report = run_consistency_experiment(
+            model=model, theta0=Theta(1.0, 0.5), space=SPACE,
+            design=DesignFamily(kind="iid", x0=x0, T=1.0),
+            n_schedule=(50, 200, 800), replicates=300,
+            dt=1.0 / 200.0, seed=seed,
+        )
+        assert not report.failed
+        meds = [s["med_err"] for s in report.summaries]
+        assert meds[0] > meds[1] > meds[2]
+        for a, b in zip(meds, meds[1:]):
+            assert 0.35 <= b / a <= 0.75
 
 
 @pytest.mark.slow
@@ -222,36 +243,11 @@ def test_06_estimation_error_halves_as_ensembles_quadruple():
     consecutive ratio lies in [0.35, 0.75] (0.5 is the 1/sqrt(n) rate).
     """
     t0 = time.perf_counter()
-    for model, x0 in ((UNIT, 0.0), (LINEAR, 1.0)):
-        report = run_consistency_experiment(
-            model=model, theta0=Theta(1.0, 0.5), space=SPACE,
-            design=DesignFamily(kind="iid", x0=x0, T=1.0),
-            n_schedule=(50, 200, 800), replicates=300,
-            dt=1.0 / 200.0, seed=6,
-        )
-        assert not report.failed
-        meds = [s["med_err"] for s in report.summaries]
-        assert meds[0] > meds[1] > meds[2]
-        for a, b in zip(meds, meds[1:]):
-            assert 0.35 <= b / a <= 0.75
+    check_06_consistency(6)
     assert time.perf_counter() - t0 < 300.0
 
 
-@pytest.mark.slow
-def test_07_standardized_errors_are_gaussian_with_calibrated_coverage():
-    """sqrt(n)-standardized errors pass KS normality; Wald CIs cover.
-
-    1000 fits of 400-subject ensembles. Per-coordinate KS p-value above
-    0.01, 95% interval coverage inside [0.92, 0.975], and recentering mu
-    by five standard errors must drive the KS p-value below 1e-6.
-    """
-    t0 = time.perf_counter()
-    report = run_normality_experiment(
-        model=UNIT, theta0=Theta(1.0, 1.0), space=SPACE,
-        design=DesignFamily(kind="iid", x0=0.0, T=1.0),
-        n=400, replicates=1000, info_replicates=20_000,
-        dt=1.0 / 500.0, seed=2,
-    )
+def _check_normality(report, replicates):
     assert not report.failed
     assert len(report.failures) == 0
     s = report.summaries[0]
@@ -260,25 +256,45 @@ def test_07_standardized_errors_are_gaussian_with_calibrated_coverage():
     assert 0.92 <= s["cov_mu"] <= 0.975
     assert 0.92 <= s["cov_omega2"] <= 0.975
     assert report.ks_mu_offset_center < 1e-6
-    assert report.wald_denominator == 1000
-    assert time.perf_counter() - t0 < 300.0
+    assert report.wald_denominator == replicates
+
+
+def check_07_normality(seed, n=6400, dt=0.1):
+    """Test_07's assertions on an iid normality run at seed."""
+    report = run_normality_experiment(
+        model=UNIT, theta0=Theta(1.0, 1.0), space=SPACE,
+        design=DesignFamily(kind="iid", x0=0.0, T=1.0),
+        n=n, replicates=1000, info_replicates=20_000, dt=dt, seed=seed,
+    )
+    _check_normality(report, 1000)
 
 
 @pytest.mark.slow
-def test_08_design_averaged_limits_converge_under_non_iid_layout():
-    """Running averages of information and divergence approach the limit.
+def test_07_standardized_errors_are_gaussian_with_calibrated_coverage():
+    """sqrt(n)-standardized errors pass KS normality; Wald CIs cover.
 
-    Subjects at (1/i, 1 + 1/i): along the doubling schedule up to n = 256
-    every gap to the limit-point estimate decreases up to 2 combined
-    standard errors, the final gaps sit within 4; the same layout passes
-    the normality thresholds with the design-averaged plug-in.
+    1000 fits of 6400-subject ensembles. Per-coordinate KS p-value above
+    0.01, 95% interval coverage inside [0.92, 0.975], and recentering mu
+    by five standard errors must drive the KS p-value below 1e-6. For
+    this model n * sigma2_hat / sigma2 is chi-squared with n - 1 degrees
+    of freedom, so omega2_hat has skewness sqrt(8 / n): at 400 subjects a
+    1000-sample KS test rejects it at about 15% of seeds, at 6400 at
+    about 1.4%. The unit model's (U, V) are exact on any grid, so dt =
+    0.1 costs nothing.
     """
     t0 = time.perf_counter()
-    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0,
-                          T_inf=1.0, T_amp=1.0)
+    check_07_normality(2)
+    assert time.perf_counter() - t0 < 300.0
+
+
+HARMONIC = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
+
+
+def check_08_limits(seed):
+    """Test_08's assertions on the averaged limits at seed."""
     table = averaged_limits(
-        UNIT, family.subjects(256), Theta(1.0, 1.0), Theta(1.5, 0.5),
-        1.0 / 200.0, 400, family.limit_point(), 25_600, 61,
+        UNIT, HARMONIC.subjects(256), Theta(1.0, 1.0), Theta(1.5, 0.5),
+        1.0 / 200.0, 400, HARMONIC.limit_point(), 25_600, seed,
         tuple(2 ** k for k in range(9)),
     )
     assert table.rows[-1]["n"] == 256
@@ -289,42 +305,60 @@ def test_08_design_averaged_limits_converge_under_non_iid_layout():
             assert gaps[i + 1] <= gaps[i] + 2.0 * math.hypot(ses[i], ses[i + 1])
         assert gaps[-1] <= 4.0 * ses[-1]
 
+
+def check_08_normality(seed, n=6400, dt=0.1):
+    """Test_08's assertions on a harmonic normality run at seed."""
     report = run_normality_experiment(
-        model=UNIT, theta0=Theta(1.0, 1.0), space=SPACE, design=family,
-        n=400, replicates=1000, info_replicates=500,
-        dt=1.0 / 500.0, seed=5,
+        model=UNIT, theta0=Theta(1.0, 1.0), space=SPACE, design=HARMONIC,
+        n=n, replicates=1000, info_replicates=500, dt=dt, seed=seed,
     )
-    assert not report.failed
-    s = report.summaries[0]
-    assert s["ks_mu"] > 0.01
-    assert s["ks_omega2"] > 0.01
-    assert 0.92 <= s["cov_mu"] <= 0.975
-    assert 0.92 <= s["cov_omega2"] <= 0.975
-    assert report.ks_mu_offset_center < 1e-6
+    _check_normality(report, 1000)
+
+
+@pytest.mark.slow
+def test_08_design_averaged_limits_converge_under_non_iid_layout():
+    """Running averages of information and divergence approach the limit.
+
+    Subjects at (1/i, 1 + 1/i): along the doubling schedule up to n = 256
+    every gap to the limit-point estimate decreases up to 2 combined
+    standard errors, the final gaps sit within 4; the same layout, at
+    test_07's size and step, passes the normality thresholds with the
+    design-averaged plug-in.
+    """
+    t0 = time.perf_counter()
+    check_08_limits(61)
+    check_08_normality(5)
     assert time.perf_counter() - t0 < 600.0
 
 
-def test_09_probe_moments_are_continuous_in_the_design_point():
-    """E[h^k] at (1/m, 1 + 1/m) approaches its value at (0, 1).
-
-    h(U, V) = exp(U / (1 + V)), k in {1, 2}; the gap to the limit-point
-    estimate is strictly decreasing over m = 1, 2, 4, 8, 16 and the
-    final gap stays within 4 combined standard errors.
-    """
-    t0 = time.perf_counter()
+def check_09_continuity(seed):
+    """Test_09's assertions on the continuity probe at seed."""
     table = run_moment_continuity_probe(
-        model=UNIT, theta0=Theta(0.5, 0.5), psi=1.0, xi=1.0,
-        design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
+        model=UNIT, theta0=Theta(0.5, 0.5), psi=1.0, xi=1.0, design=HARMONIC,
         m_schedule=(1, 2, 4, 8, 16), replicates=12_000,
-        limit_replicates=48_000, dt=1.0 / 100.0, seed=5,
+        limit_replicates=48_000, dt=1.0 / 100.0, seed=seed,
     )
     for k in (1, 2):
         rows = [r for r in table.rows if r["k"] == k]
         assert [r["m"] for r in rows] == [1, 2, 4, 8, 16]
         gaps = [r["gap"] for r in rows]
-        for a, b in zip(gaps, gaps[1:]):
-            assert b < a
-        assert gaps[-1] <= 4.0 * rows[-1]["gap_se"]
+        ses = [r["gap_se"] for r in rows]
+        for i in range(len(gaps) - 1):
+            assert gaps[i + 1] <= gaps[i] + 2.0 * math.hypot(ses[i], ses[i + 1])
+        assert gaps[-1] <= 4.0 * ses[-1]
+        assert gaps[0] - gaps[-1] > 4.0 * math.hypot(ses[0], ses[-1])
+
+
+def test_09_probe_moments_are_continuous_in_the_design_point():
+    """E[h^k] at (1/m, 1 + 1/m) approaches its value at (0, 1).
+
+    h(U, V) = exp(U / (1 + V)), k in {1, 2}; over m = 1, 2, 4, 8, 16 each
+    gap to the limit-point estimate rises by at most 2 combined standard
+    errors, the final gap stays within 4 of its own, and the gap at m = 1
+    exceeds the final one by more than 4 combined standard errors.
+    """
+    t0 = time.perf_counter()
+    check_09_continuity(5)
     assert time.perf_counter() - t0 < 180.0
 
 
