@@ -50,7 +50,7 @@ from .models import (
     builtin_model,
     register_model,
 )
-from .rng import PHI_STREAM_ID, derive_seed
+from .rng import derive_seed
 from .simulate import Path, euler_maruyama, simulate_ensemble, time_grid
 from .stats import stats_list
 
@@ -79,7 +79,6 @@ __all__ = [
     "ParamSpace",
     "ParseError",
     "Path",
-    "PHI_STREAM_ID",
     "SdeRemleError",
     "SimulationDiverged",
     "Theta",

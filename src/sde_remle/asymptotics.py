@@ -116,15 +116,15 @@ def _point_passes(model, theta0, dt, seed, points, sizes, seeds, minimum, what):
     """(U, V, dropped) of each design point's finite rows, from one stacked pass.
 
     The points are validated as one Design, then every count against
-    minimum, before any normal is drawn. Point k's row r runs on stream
-    (seeds[k], 0, r), its effect from one reserved-stream draw. A point
+    minimum, before any normal is drawn. Point k's rows are replicates
+    0..R-1 of subject 0 under seed seeds[k]. A point
     with fewer than 3 finite rows raises ExperimentFailed.
     """
     points = Design(tuple(points), dt, seed).subjects
     if min(sizes) < minimum:
         raise ValueError(f"{what} estimation needs R >= {minimum}")
     parts = replicate_uv(model, dt, [
-        Segment(x0, T, s, 0, np.arange(R), effect_rows(theta0, s, [0], R)[0])
+        Segment(x0, T, s, 0, effect_rows(theta0, s, R, 1)[:, 0])
         for (x0, T), R, s in zip(points, sizes, seeds)
     ])
     out = []
@@ -280,17 +280,17 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
 def _ensemble_uv(model, theta0, design, replicates):
     """(U, V) matrices of shape (replicates, n) for a whole Design.
 
-    Subject i's replicate r uses path stream (seed, i, r); its drift
-    effect is entry i of the reserved-stream draw for replicate r. This
-    matches simulate_ensemble row for row.
+    Subject i's replicate r reads its normals from path stream (seed, i)
+    and its drift effect from effect stream (seed, i), as every pass
+    does, so replicate 0 matches simulate_ensemble and the first n
+    columns are the ensemble of the first n subjects.
 
     Each subject is one segment of one stacked pass. A failing row raises
     for the first failing chunk, at its first failing step.
     """
-    reps = np.arange(replicates)
-    phis = effect_rows(theta0, design.seed, reps, design.n)
+    phis = effect_rows(theta0, design.seed, replicates, design.n)
     u, v = zip(*replicate_uv(model, design.dt, [
-        Segment(x0, T, design.seed, i, reps, phis[:, i])
+        Segment(x0, T, design.seed, i, phis[:, i])
         for i, (x0, T) in enumerate(design.subjects)
     ]))
     del phis  # the effects, and each pass column, go before its copy is made

@@ -1,29 +1,26 @@
 """Counter-based random number streams.
 
-Every stochastic routine in the package draws from a Philox generator keyed
-by the triple (seed, stream_id, replicate_id). The key is packed explicitly,
-so a given triple produces a bit-identical sequence on every platform and
-under any execution order, which is what makes parallel runs reproducible.
-
-The bulk drawer, simulate.path_normals, does not build one generator per
-substream: it re-keys a single Philox through its public state (key from
-row_keys, counter 0, empty buffer), which is exactly the state a fresh
-generator starts from. A re-keyed row is therefore bit-identical to
-generator(seed, stream_id, replicate_id).
+Every draw comes from a Philox stream keyed by two 64-bit words, (seed,
+word). Subject i has a path stream, word i, and an effect stream, word
+EFFECT_WORD | i; indices fit in 32 bits, so the two never meet. Streams
+are read in replicate order (see simulate), so no draw depends on the
+number of subjects or replicates or on chunking. The drawers re-key one
+Philox per stream with rekey, to the state generator(seed, word) starts
+from.
 """
 
 import numpy as np
 
-_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# stream_id reserved for drawing the per-replicate random effects; subject
-# path streams use stream_id = subject index, which must stay below this.
-PHI_STREAM_ID = _MASK32
+# set in the second key word of every effect stream, and in no path stream's
+EFFECT_WORD = 1 << 32
 
 
 def _ids(ids, name, bits=32):
-    ids = np.asarray(ids)
+    # a sequence of Python ints goes through object, which keeps a 64-bit
+    # value exact beside small ones
+    ids = ids if isinstance(ids, np.ndarray) else np.array(ids, dtype=object)
     if ids.size == 0:
         return ids.astype(np.uint64)
     top = (1 << bits) - 1
@@ -31,6 +28,8 @@ def _ids(ids, name, bits=32):
         fits = 0 <= ids.min() and ids.max() <= top
     elif ids.dtype.kind == "O":
         values = ids.ravel().tolist()
+        if not all(isinstance(x, (int, np.integer)) for x in values):
+            raise TypeError(f"{name} must be integers")
         fits = 0 <= min(values) and max(values) <= top
     else:
         raise TypeError(f"{name} must be integers")
@@ -39,26 +38,28 @@ def _ids(ids, name, bits=32):
     return ids.astype(np.uint64)
 
 
-def row_keys(seed, stream_ids, replicate_ids):
-    """Second key words (stream_id << 32 | replicate_id) of a batch of substreams.
-
-    seed and stream_ids are each one value for every row or one per row.
-    Raises ValueError when a seed does not fit in 64 bits or any id does
-    not fit in 32. The first key word of every row is its seed.
-    """
+def row_keys(seed, subjects):
+    """Second key words of the path streams of subjects: the indices, as
+    uint64, after a ValueError for a seed (one, or one per subject) past
+    64 bits or an index past 32."""
     _ids(seed, "seed", 64)
-    streams = _ids(stream_ids, "stream_id")
-    reps = _ids(replicate_ids, "replicate_id")
-    return (streams << np.uint64(32)) | reps
+    return _ids(subjects, "stream_id")
 
 
-def generator(seed, stream_id, replicate_id):
-    """Return a fresh Generator for the given stream triple.
-
-    Raises row_keys's ValueError when an id is out of range.
-    """
-    key = np.array([seed, row_keys(seed, stream_id, [replicate_id])[0]], dtype=np.uint64)
+def generator(seed, word):
+    """A fresh Generator on stream (seed, word); ValueError past 64 bits."""
+    key = np.array([int(_ids(seed, "seed", 64)), int(_ids(word, "word", 64))], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def rekey(gen, seed, word):
+    """Set Philox Generator gen to the fresh state of stream (seed, word):
+    key, counter 0, empty buffer, from plain Python ints, which the setter
+    converts faster than arrays. The caller checks the ranges (row_keys)."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [seed, word]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def _splitmix64(x):

@@ -1,14 +1,17 @@
-"""Euler-Maruyama path generation with reproducible substreams.
+"""Euler-Maruyama path generation with reproducible streams.
 
 The integration grid is uniform with step dt; when T is not a multiple of
 dt the final step covers the remainder. Every simulation is one pass of
-segments through replicate_uv's chunk driver, the only code that draws
-path normals and runs the Euler kernel: the Monte Carlo passes add each
-row's (U, V) up as running left-to-right totals inside the step loop,
-holding one chunk buffer (the normals), and the path API
-(euler_maruyama, simulate_ensemble, simulate_replicates) keeps the
-states, copied per segment into exact-length arrays. Both share
-identical arithmetic.
+segments through replicate_uv's chunk driver, the only code that runs
+the Euler kernel: the Monte Carlo passes add each row's (U, V) up as
+running left-to-right totals inside the step loop, holding one chunk
+buffer (the normals), and the path API (euler_maruyama,
+simulate_ensemble, simulate_replicates) keeps the states, copied per
+segment into exact-length arrays. Both share identical arithmetic.
+Every normal is drawn by path_normals, reading one stream (see rng) in
+order: replicate r of a subject on an s-step grid takes normals
+[r s, (r+1) s) of its path stream, and its effect is normal r of its
+effect stream.
 """
 
 import math
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateDiffusion, SimulationDiverged
 from .models import grid_steps
-from .rng import PHI_STREAM_ID, generator, row_keys
+from .rng import EFFECT_WORD, generator, rekey, row_keys
 from .stats import SIGMA2_FLOOR, floor_error
 
 
@@ -158,59 +161,46 @@ def _degenerate(what, step, x0, T, subject_index, failing):
     )
 
 
-def path_normals(seed, subject_index, replicate_ids, steps, out=None):
-    """Standard-normal increments, one row per (seed, subject, replicate) substream.
-
-    Row j is bit-identical to
-    generator(seed_j, subject_index_j, replicate_ids[j]).standard_normal(steps_j);
-    seed, subject_index and steps are each one value or one per row, and
-    row j of the (rows, max(steps)) result (out, if given) is unset past
-    steps_j. One generator is re-keyed before each row: its fresh state
-    (key, counter 0, empty buffer) is set from plain Python ints, so
-    concurrent calls share no random state.
-    """
-    words = row_keys(seed, subject_index, replicate_ids)
-    rows = len(words)
-    seeds = np.broadcast_to(np.asarray(seed, dtype=np.uint64), rows).tolist()
-    lengths = np.broadcast_to(steps, rows).tolist()
-    z = np.empty((rows, int(np.max(steps, initial=0)))) if out is None else out
-    gen = generator(0, 0, 0)
-    bits = gen.bit_generator
-    key = [0, 0]
-    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, length, first, second in zip(z, lengths, seeds, words.tolist()):
-        key[0], key[1] = first, second
-        bits.state = fresh
-        gen.standard_normal(out=row[:length])
-    return z
+def path_normals(gen, out):
+    """Fill out with the next normals of gen's stream, row after row, and
+    return it: one draw when out is C-contiguous, else one per row."""
+    if out.flags.c_contiguous:
+        gen.standard_normal(out=out)
+    else:
+        for row in out:
+            gen.standard_normal(out=row)
+    return out
 
 
-def effect_rows(theta0, seed, replicate_ids, n, stream_id=PHI_STREAM_ID):
-    """Random effects N(mu0, omega2_0) of n subjects, one row per replicate.
-
-    Row j holds the first n draws of substream (seed, stream_id,
-    replicate_ids[j]); the reserved phi stream is the default.
-    """
-    z = path_normals(seed, stream_id, replicate_ids, n)
+def effect_rows(theta0, seed, R, n):
+    """(R, n) random effects N(mu0, omega2_0): entry (r, i) is normal r of
+    subject i's effect stream, whatever R and n."""
+    words = (row_keys(seed, np.arange(n)) | np.uint64(EFFECT_WORD)).tolist()
+    z = np.empty((n, R))
+    gen = generator(0, 0)
+    for row, word in zip(z, words):
+        rekey(gen, seed, word)
+        path_normals(gen, row)
+    z = z.T
     # in place, and bit for bit mu + sqrt(omega2) * z: no second matrix
     z *= math.sqrt(theta0.omega2)
     z += theta0.mu
     return z
 
 
-def euler_maruyama(model, phi, x0, T, dt, seed, stream_id=0, replicate_id=0):
+def euler_maruyama(model, phi, x0, T, dt, seed, stream_id=0):
     """Simulate one path of dX = phi*b(X)dt + sigma(X)dW from x0 over [0, T].
 
-    The increments come from substream (seed, stream_id, replicate_id),
-    and the path's subject_index is stream_id.
+    The path is replicate 0 of subject stream_id: its increments are the
+    first normals of path stream (seed, stream_id), and its subject_index
+    is stream_id.
 
     Raises SimulationDiverged, with the step, if the state overflows or
     becomes NaN, and DegenerateDiffusion if sigma evaluates <= 0 along
     the path.
     """
     (times, values, first_bad), = replicate_uv(model, dt, [
-        Segment(float(x0), float(T), seed, stream_id, [replicate_id], [float(phi)])
+        Segment(float(x0), float(T), seed, stream_id, [float(phi)])
     ], store=True)
     if first_bad[0] >= 0:
         raise SimulationDiverged(int(first_bad[0]), subject_index=stream_id)
@@ -218,18 +208,18 @@ def euler_maruyama(model, phi, x0, T, dt, seed, stream_id=0, replicate_id=0):
                 subject_index=stream_id)
 
 
-def simulate_ensemble(model, theta0, design, replicate_id=0):
-    """Simulate one path per design subject, all in one pass.
+def simulate_ensemble(model, theta0, design):
+    """Simulate replicate 0 of every design subject, all in one pass.
 
-    Subject i draws its increments from stream (design.seed, i, replicate_id)
-    and the random effects come from the reserved phi stream, so each path
-    equals euler_maruyama on its own stream bit for bit. Raises
+    Subject i's increments start its path stream (design.seed, i) and its
+    effect is the first normal of its effect stream, so each path equals
+    euler_maruyama on its own stream bit for bit. Raises
     SimulationDiverged for the lowest diverging subject, at its own step,
     and DegenerateDiffusion for the first chunk with a row where sigma <= 0.
     """
-    phis = effect_rows(theta0, design.seed, [replicate_id], design.n)[0].tolist()
+    phis = effect_rows(theta0, design.seed, 1, design.n)[0].tolist()
     runs = replicate_uv(model, design.dt, [
-        Segment(x0, T, design.seed, i, [replicate_id], [phi])
+        Segment(x0, T, design.seed, i, [phi])
         for i, ((x0, T), phi) in enumerate(zip(design.subjects, phis))
     ], store=True)
     for i, (_, _, first_bad) in enumerate(runs):
@@ -241,21 +231,20 @@ def simulate_ensemble(model, theta0, design, replicate_id=0):
     ]
 
 
-def simulate_replicates(model, phis, x0, T, dt, seed, subject_index, replicate_ids):
-    """Simulate many replicates of one subject as a (R, M+1) value matrix.
-
-    Row r uses the substream (seed, subject_index, replicate_ids[r]) and
-    drift multiplier phis[r], as euler_maruyama would, but a row that
-    diverges raises nothing. Returns (times, values, first_bad).
+def simulate_replicates(model, phis, x0, T, dt, seed, subject_index):
+    """Simulate replicates 0..R-1 of one subject, R = len(phis), as a
+    (R, M+1) value matrix; row r has drift multiplier phis[r], and a row
+    that diverges raises nothing. Returns (times, values, first_bad).
     """
     return replicate_uv(model, dt, [
-        Segment(float(x0), float(T), seed, subject_index, replicate_ids, phis)
+        Segment(float(x0), float(T), seed, subject_index, phis)
     ], store=True)[0]
 
 
-# rows of a Monte Carlo pass: row r runs from x0 over [0, T] on substream
-# (seed, subject, replicates[r]) with drift multiplier phis[r]
-Segment = namedtuple("Segment", "x0 T seed subject replicates phis")
+# rows of a Monte Carlo pass: replicates 0..len(phis)-1 of one subject,
+# run from x0 over [0, T] on its path stream (seed, subject), row r with
+# drift multiplier phis[r]
+Segment = namedtuple("Segment", "x0 T seed subject phis")
 
 
 def _chunks(steps, sizes):
@@ -279,21 +268,25 @@ def replicate_uv(model, dt, segments, store=False):
     paths never stored, or with store as (times, values, first_bad).
 
     The segments run longest first (stable), in chunks of at most
-    ROW_CHUNK rows and NORMAL_CHUNK normals that may span segments; a
-    chunk gathers the keys, starts, horizons and effects of the segments
-    it covers. (U, V) are running totals kept by the step loop, with no
-    buffer but the normals; they equal suff_stats_rows of the stored rows
-    bit for bit, NaN where a row diverged. values holds a segment's (rows,
+    ROW_CHUNK rows and NORMAL_CHUNK normals that may span segments. One
+    Philox, keyed once per segment, reads its path stream in row order,
+    across chunk boundaries, since a segment's pieces are consecutive.
+    (U, V) are running totals kept by the step loop, with no buffer but
+    the normals; they equal suff_stats_rows of the stored rows bit for
+    bit, NaN where a row diverged. values holds a segment's (rows,
     steps + 1) states in an array of its own, first_bad the step at which
-    each row stopped being finite, or -1. The first chunk with a failing
-    row raises its error.
+    each row stopped being finite, or -1. Keys out of range raise before
+    any draw, the first chunk with a failing row after it.
     """
     grids = {T: time_grid(T, dt) for T in dict.fromkeys(seg.T for seg in segments)}
     steps = np.array([len(grids[seg.T]) - 1 for seg in segments], dtype=np.int64)
-    sizes = [len(seg.replicates) for seg in segments]
+    sizes = [len(seg.phis) for seg in segments]
     starts = np.cumsum([0] + sizes)
-    # (x0, T, seed, subject) per segment; object keeps 64-bit seeds exact
-    table = np.array([seg[:4] for seg in segments], dtype=object)
+    # each segment's path stream word, its subject index
+    subjects = row_keys([seg.seed for seg in segments], [seg.subject for seg in segments])
+    words = subjects.tolist()
+    x0 = np.array([seg.x0 for seg in segments], dtype=float)
+    T = np.array([seg.T for seg in segments], dtype=float)
     # one normals buffer for the pass, and one of states, a column wider,
     # when stored: chunks leave no holes in the heap
     top = int(steps.max(initial=0))
@@ -306,21 +299,24 @@ def replicate_uv(model, dt, segments, store=False):
         first_bad = np.empty(starts[-1], dtype=np.int64)
     else:
         u, v = np.empty(starts[-1]), np.empty(starts[-1])
+    gen = generator(0, 0)
     for pieces in _chunks(steps, sizes):
         idx, first, end = (np.array(col) for col in zip(*pieces))
         counts = end - first
-        x0, T, seeds, ids = (np.repeat(col, counts) for col in table[idx].T)
         rows = np.repeat(steps[idx], counts)
         shape = (len(rows), int(rows[0]))
-        reps = np.concatenate([segments[i].replicates[a:b] for i, a, b in pieces])
-        z = path_normals(seeds, ids, reps, rows, out=zbuf[:rows.size * shape[1]].reshape(shape))
+        z = zbuf[:rows.size * shape[1]].reshape(shape)
+        # piece j's rows start at row lead[j] of the chunk
+        lead = np.cumsum(counts) - counts
+        for (i, a, b), c, width in zip(pieces, lead.tolist(), steps[idx].tolist()):
+            if a == 0:
+                rekey(gen, segments[i].seed, words[i])
+            path_normals(gen, z[c:c + b - a, :width])
         phis = np.concatenate([segments[i].phis[a:b] for i, a, b in pieces], dtype=float)
         out = outbuf[:shape[0] * (shape[1] + 1)].reshape(shape[0], -1) if store else None
-        result = _euler_rows(model, phis, x0.astype(float), T.astype(float), rows, dt, z, ids,
-                             out)
-        # piece j's rows start at row lead[j] of the chunk; chunk row r is
-        # row at[r] of the pass
-        lead = np.cumsum(counts) - counts
+        result = _euler_rows(model, phis, np.repeat(x0[idx], counts), np.repeat(T[idx], counts),
+                             rows, dt, z, np.repeat(subjects[idx], counts), out)
+        # chunk row r is row at[r] of the pass
         at = np.arange(shape[0]) + np.repeat(starts[idx] + first - lead, counts)
         if store:
             first_bad[at] = result

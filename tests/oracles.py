@@ -12,7 +12,8 @@ import numpy as np
 
 from sde_remle.errors import SdeRemleError
 from sde_remle.likelihood import total_loglik_uv
-from sde_remle.simulate import _euler_rows, path_normals, time_grid
+from sde_remle.rng import generator
+from sde_remle.simulate import _euler_rows, time_grid
 
 
 class MissingPhi(SdeRemleError):
@@ -62,22 +63,28 @@ def audit_fit(fit, u, v, space, grid_points=50):
     return True
 
 
-def stored_paths(model, phis, x0, T, dt, seed, subject_index, replicate_ids):
+def stored_paths(model, phis, x0, T, dt, seed, subject_index):
     """(times, values, first_bad) of rows at one design point, run as one
     block without the chunk driver.
 
-    Row r uses substream (seed, subject_index[r], replicate_ids[r]), with
-    subject_index one id or one per row, and drift multiplier phis[r];
-    first_bad is the step at which the row stopped being finite, or -1.
+    subject_index is one id or one per row, and a subject's rows are its
+    replicates 0, 1, ... in row order: their normals are one call on the
+    subject's path stream (seed, id), cut into rows. Row r takes drift
+    multiplier phis[r]; first_bad is the step at which the row stopped
+    being finite, or -1.
     """
     times = time_grid(T, dt)
     steps = len(times) - 1
-    z = path_normals(seed, subject_index, replicate_ids, steps)
-    rows = len(z)
+    rows = len(phis)
+    ids = np.broadcast_to(subject_index, rows)
+    z = np.empty((rows, steps))
+    for subject in dict.fromkeys(ids.tolist()):
+        mine = ids == subject
+        z[mine] = generator(seed, subject).standard_normal((int(mine.sum()), steps))
     values = np.empty((rows, steps + 1))
     first_bad = _euler_rows(
         model, np.asarray(phis, dtype=float), np.full(rows, float(x0)), np.full(rows, float(T)),
-        np.full(rows, steps), dt, z, np.broadcast_to(subject_index, rows), values,
+        np.full(rows, steps), dt, z, ids, values,
     )
     return times, values, first_bad
 

@@ -52,7 +52,7 @@ def test_01_unit_statistics_recover_displacement_and_horizon():
         T = float(rng.uniform(0.5, 3.0))
         phis = rng.normal(0.8, math.sqrt(0.6), 100)
         times, values, bad = simulate_replicates(
-            UNIT, phis, x0, T, 0.05, 500 + j, 0, np.arange(100)
+            UNIT, phis, x0, T, 0.05, 500 + j, 0
         )
         assert (bad == -1).all()
         u, v = suff_stats_rows(times, values, UNIT)
@@ -164,7 +164,7 @@ def test_04_fit_matches_grid_argmax_and_gaussian_closed_form():
         phis = rng.normal(rng.uniform(-1.5, 1.5),
                           math.sqrt(rng.uniform(0.1, 2.5)), n)
         times, values, _ = simulate_replicates(
-            UNIT, phis, 0.0, 1.0, 0.1, 9000 + case, 0, np.arange(n)
+            UNIT, phis, 0.0, 1.0, 0.1, 9000 + case, 0
         )
         u, v = suff_stats_rows(times, values, UNIT)
         fit = fit_mle(u, v, SPACE)
@@ -182,7 +182,7 @@ def test_04_fit_matches_grid_argmax_and_gaussian_closed_form():
         phis = rng.normal(rng.uniform(-1.5, 1.5),
                           math.sqrt(rng.uniform(0.1, 2.0)), 300)
         times, values, _ = simulate_replicates(
-            UNIT, phis, 0.0, T, T / 10.0, 11000 + case, 0, np.arange(300)
+            UNIT, phis, 0.0, T, T / 10.0, 11000 + case, 0
         )
         u, v = suff_stats_rows(times, values, UNIT)
         fit = fit_mle(u, v, SPACE)

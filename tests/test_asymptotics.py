@@ -229,7 +229,7 @@ def test_averaged_limits_draws_once_per_point(monkeypatch):
                     seed=9, schedule=(1, 2, 4, 6))
     segments, = passes
     assert len(segments) == 6 + 1
-    assert sum(len(seg.replicates) for seg in segments) == 6 * 110 + 170
+    assert sum(len(seg.phis) for seg in segments) == 6 * 110 + 170
     assert len(kl_uv) == len(info_uv) == 6 + 1
     assert kl_uv == info_uv
 

@@ -52,11 +52,11 @@ def _same_bits(a, b):
             and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
 
 
-def _segments_of(rows, parts, x0, T, seed, phis, reps):
+def _segments_of(rows, parts, x0, T, seed, phis):
     """rows split into parts consecutive segments at one point, subject
     ids 0, 1, ...; returns the segments and the per-row subject ids."""
     cuts = np.linspace(0, rows, parts + 1).astype(int)
-    segments = [Segment(x0, T, seed, k, reps[a:b], phis[a:b])
+    segments = [Segment(x0, T, seed, k, phis[a:b])
                 for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
     return segments, np.repeat(np.arange(parts), np.diff(cuts))
 
@@ -85,9 +85,8 @@ def test_replicate_uv_equals_the_stored_path_statistics(
         return
     rng = np.random.default_rng(seed)
     phis = rng.normal(0.5, phi_sd, rows)
-    reps = rng.integers(0, 2**32, rows)
-    segments, ids = _segments_of(rows, min(parts, rows), x0, T, seed, phis, reps)
-    times, values, first_bad = stored_paths(model, phis, x0, T, dt, seed, ids, reps)
+    segments, ids = _segments_of(rows, min(parts, rows), x0, T, seed, phis)
+    times, values, first_bad = stored_paths(model, phis, x0, T, dt, seed, ids)
     want_u, want_v = suff_stats_rows(times, values, model)
     u, v = _flat(replicate_uv(model, dt, segments))
     assert _same_bits(u, want_u) and _same_bits(v, want_v)
@@ -106,8 +105,7 @@ def test_the_example_diverges_across_a_chunk_boundary():
     # on both sides of the boundary
     rng = np.random.default_rng(5)
     phis = rng.normal(0.5, 4.0, ROW_CHUNK + 3)
-    reps = rng.integers(0, 2**32, ROW_CHUNK + 3)
-    segments, _ = _segments_of(ROW_CHUNK + 3, 3, 2.0, 1.3, 5, phis, reps)
+    segments, _ = _segments_of(ROW_CHUNK + 3, 3, 2.0, 1.3, 5, phis)
     u, _ = _flat(replicate_uv(BLOWUP, 1.3 / 17.5, segments))
     for part in (u[:ROW_CHUNK], u[ROW_CHUNK:]):
         assert np.isnan(part).any() or np.isinf(part).any()
@@ -158,8 +156,7 @@ def test_stacked_segments_equal_one_pass_per_segment(model, dt, specs, row_cap, 
     segments = []
     for steps, x0, seed, subject, rows, phi_sd in specs:
         rng = np.random.default_rng(seed % 1000)
-        segments.append(Segment(x0, steps * dt, seed, subject, rng.integers(0, 2**32, rows),
-                                rng.normal(0.5, phi_sd, rows)))
+        segments.append(Segment(x0, steps * dt, seed, subject, rng.normal(0.5, phi_sd, rows)))
     with pytest.MonkeyPatch.context() as mp:
         # small caps make chunks that straddle segments and split them
         mp.setattr(simulate, "ROW_CHUNK", row_cap)
@@ -169,13 +166,61 @@ def test_stacked_segments_equal_one_pass_per_segment(model, dt, specs, row_cap, 
     assert _same_bits(u, want_u) and _same_bits(v, want_v)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(MODELS),
+    dt=st.sampled_from([0.1, 0.25, 0.3]),
+    specs=st.lists(_SEGMENT, min_size=1, max_size=8),
+    row_cap=st.integers(1, 12),
+    normal_cap=st.integers(1, 60),
+)
+# a 3-step segment split across chunks 16 normals wide: its pieces are
+# narrower than their chunks and drawn row by row
+@example(model="unit", dt=0.25, specs=[(4.0, 0.0, 1, 2, 9, 1.0), (0.7, 0.5, 2, 3, 7, 1.0)],
+         row_cap=4, normal_cap=64)
+def test_stored_rows_read_each_subject_stream_in_replicate_order(
+        model, dt, specs, row_cap, normal_cap):
+    """Row r of a segment on an s-step grid is driven by normals
+    [r s, (r+1) s) of its subject's path stream, drawn in one call,
+    however the chunks cut and stack the segments."""
+    model = builtin_model(model)
+    segments = []
+    for steps, x0, seed, subject, rows, phi_sd in specs:
+        rng = np.random.default_rng(seed % 1000)
+        segments.append(Segment(x0, steps * dt, seed, subject, rng.normal(0.5, phi_sd, rows)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "ROW_CHUNK", row_cap)
+        mp.setattr(simulate, "NORMAL_CHUNK", normal_cap)
+        runs = replicate_uv(model, dt, segments, store=True)
+    for seg, (times, values, first_bad) in zip(segments, runs):
+        want = stored_paths(model, seg.phis, seg.x0, seg.T, dt, seg.seed, seg.subject)
+        assert np.array_equal(times, want[0])
+        assert _same_bits(values, want[1])
+        assert np.array_equal(first_bad, want[2])
+
+
+def test_replicates_and_subjects_nest():
+    """R replicates are the first rows of R' > R, and n subjects the
+    first columns of n' > n: no draw depends on n or R."""
+    model, theta0 = builtin_model("bounded-ratio"), Theta(mu=0.5, omega2=0.6)
+    family = DesignFamily("harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
+    u, v = _ensemble_uv(model, theta0, Design(family.subjects(9), 0.05, 4), 30)
+    for n, R in ((9, 7), (4, 30), (2, 1)):
+        u_n, v_n = _ensemble_uv(model, theta0, Design(family.subjects(n), 0.05, 4), R)
+        assert _same_bits(u_n, u[:R, :n]) and _same_bits(v_n, v[:R, :n])
+    # a subject's effects are its column, whatever n and R
+    phis = effect_rows(theta0, 4, 30, 9)
+    assert np.array_equal(effect_rows(theta0, 4, 7, 4), phis[:7, :4])
+    assert np.array_equal(effect_rows(theta0, 4, 50, 1)[:30, 0], phis[:, 0])
+
+
 def test_stacked_segments_straddle_the_real_chunk_caps():
     # 800-step rows fill a chunk at 2048 rows (the normals cap), 400-step
     # rows at ROW_CHUNK; segments of 1500 and 3000 rows cross both
     model, dt = builtin_model("bounded-ratio"), 0.0025
     rng = np.random.default_rng(3)
     segments = [
-        Segment(x0, T, seed, 0, np.arange(rows), rng.normal(0.5, 0.5, rows))
+        Segment(x0, T, seed, 0, rng.normal(0.5, 0.5, rows))
         for x0, T, seed, rows in ((0.1, 1.0, 7, 3000), (0.5, 2.0, 8, 1500),
                                   (0.2, 1.99, 9, 1500), (0.3, 1.0, 10, 1000))
     ]
@@ -190,7 +235,7 @@ def test_running_totals_are_left_folds_of_the_stored_increments():
     # row sums of the same increments differ in the last bits
     model, dt = builtin_model("bounded-ratio"), 0.1
     rng = np.random.default_rng(11)
-    segments = [Segment(x0, T, 20 + k, k, rng.integers(0, 2**32, 25), rng.normal(0.5, 1.0, 25))
+    segments = [Segment(x0, T, 20 + k, k, rng.normal(0.5, 1.0, 25))
                 for k, (x0, T) in enumerate(((0.5, 4.0), (-1.0, 2.35), (2.0, 1.25), (0.0, 0.85)))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "ROW_CHUNK", 16)
@@ -199,7 +244,7 @@ def test_running_totals_are_left_folds_of_the_stored_increments():
     increments = []
     for seg in segments:
         times, values, first_bad = stored_paths(model, seg.phis, seg.x0, seg.T, dt, seg.seed,
-                                                seg.subject, seg.replicates)
+                                                seg.subject)
         assert (first_bad < 0).all()
         increments.append(path_increments(times, values, model))
     du, dv = zip(*increments)
@@ -233,9 +278,9 @@ def test_running_totals_start_at_positive_zero():
 
 def _own_degenerate_step(model, theta0, n, T, dt, seed, R, i):
     """Step at which subject i's replicates, run alone, meet sigma <= 0."""
-    phis = effect_rows(theta0, seed, np.arange(R), n)[:, i]
+    phis = effect_rows(theta0, seed, R, n)[:, i]
     try:
-        simulate_replicates(model, phis, 4.6, T, dt, seed, i, np.arange(R))
+        simulate_replicates(model, phis, 4.6, T, dt, seed, i)
     except DegenerateDiffusion as err:
         return err.step
     return math.inf
@@ -244,8 +289,9 @@ def _own_degenerate_step(model, theta0, n, T, dt, seed, R, i):
 def test_stacked_iid_block_names_the_subject_that_fails_first():
     # six iid subjects just below the cliff share one row block; the
     # first failing step wins, and its lowest row names the subject.
-    # Subject 0 fails too, but only at a later step.
-    theta0, n, R, dt, seed = Theta(mu=0.0, omega2=4.0), 6, 5, 0.1, 13
+    # Subject 0 fails too, but only at a later step. The seed is one
+    # whose draw sets up that scenario.
+    theta0, n, R, dt, seed = Theta(mu=0.0, omega2=4.0), 6, 5, 0.1, 18
     steps = [_own_degenerate_step(CLIFF, theta0, n, 1.0, dt, seed, R, i) for i in range(n)]
     first = min(steps)
     expected = steps.index(first)
@@ -266,10 +312,10 @@ def test_sigma_below_the_floor_on_rows_that_diverge_is_not_an_error():
     # overflows well before the last step: its (U, V) are NaN and
     # dropped; phi = -1 stays small. The stored path statistics agree.
     phis = np.array([-1.0, 5.0])
-    (u, v), = replicate_uv(FAR_FAINT, 0.05, [Segment(2.0, 2.0, 1, 0, [0, 1], phis)])
+    (u, v), = replicate_uv(FAR_FAINT, 0.05, [Segment(2.0, 2.0, 1, 0, phis)])
     assert np.isfinite(u[0]) and np.isfinite(v[0])
     assert not np.isfinite(u[1])
-    times, values, first_bad = simulate_replicates(FAR_FAINT, phis, 2.0, 2.0, 0.05, 1, 0, [0, 1])
+    times, values, first_bad = simulate_replicates(FAR_FAINT, phis, 2.0, 2.0, 0.05, 1, 0)
     assert 0 < first_bad[1] < len(times) - 2
     want_u, want_v = suff_stats_rows(times, values, FAR_FAINT)
     assert _same_bits(u, want_u) and _same_bits(v, want_v)
@@ -303,7 +349,7 @@ def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     # 32 harmonic points of 400 rows, 413 to 800 steps each, stacked into
     # one pass: chunks of 800-step rows stop at the normals cap
     family = DesignFamily("harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
-    segments = [Segment(x, T, 7 + i, 0, np.arange(400), np.full(400, 0.5))
+    segments = [Segment(x, T, 7 + i, 0, np.full(400, 0.5))
                 for i, (x, T) in enumerate(family.subjects(32))]
     stacked = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments))
     assert stacked < 64
@@ -312,6 +358,6 @@ def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
 def test_a_monte_carlo_pass_holds_one_chunk_buffer():
     # one full chunk of 4096 rows of 400 steps: the normals are the only
     # chunk-sized buffer, as (U, V) are running totals
-    segments = [Segment(0.0, 1.0, 7, 0, np.arange(ROW_CHUNK), np.full(ROW_CHUNK, 0.5))]
+    segments = [Segment(0.0, 1.0, 7, 0, np.full(ROW_CHUNK, 0.5))]
     peak = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments))
     assert peak < 1.25 * ROW_CHUNK * 400 * 8 / 2**20

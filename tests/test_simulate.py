@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sde_remle import (
-    PHI_STREAM_ID,
     Design,
     DesignFamily,
     SimulationDiverged,
@@ -17,8 +16,10 @@ from sde_remle import (
 )
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import MAX_STEPS, ModelSpec, register_model
-from sde_remle.rng import generator
-from sde_remle.simulate import _euler_rows, effect_rows, path_normals, simulate_replicates
+from sde_remle.rng import EFFECT_WORD, generator
+from sde_remle.simulate import (
+    Segment, _euler_rows, effect_rows, replicate_uv, simulate_replicates,
+)
 
 UNIT = builtin_model("unit")
 LINEAR = builtin_model("linear-drift")
@@ -95,14 +96,14 @@ def test_zero_noise_matches_explicit_euler_ode():
 
 def test_single_step_formula():
     p = euler_maruyama(UNIT, 1.5, 0.25, 1.0, 1.0, 3)
-    z0 = path_normals(3, 0, [0], 1)[0, 0]
+    z0 = generator(3, 0).standard_normal()
     assert p.values[-1] == pytest.approx(0.25 + 1.5 * 1.0 + math.sqrt(1.0) * z0, rel=1e-15)
     assert len(p.times) == 2
 
 
 def test_path_determinism():
-    a = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, 11, 4, 2)
-    b = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, 11, 4, 2)
+    a = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, 11, 4)
+    b = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, 11, 4)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.times, b.times)
 
@@ -134,29 +135,34 @@ def test_degenerate_sigma_raises():
 
 
 def test_random_effects_zero_variance_collapses():
-    phis = effect_rows(Theta(mu=0.7, omega2=0.0), 1, [0], 5, stream_id=0)
-    assert phis.tolist() == [[0.7] * 5]
+    phis = effect_rows(Theta(mu=0.7, omega2=0.0), 1, 2, 5)
+    assert phis.tolist() == [[0.7] * 5] * 2
 
 
 def test_random_effects_match_moments():
-    phis = effect_rows(Theta(mu=0.0, omega2=1.0), 8, [0], 100_000, stream_id=0)[0]
+    phis = effect_rows(Theta(mu=0.0, omega2=1.0), 8, 1, 100_000)[0]
     assert abs(phis.mean()) < 0.02
     assert 0.97 < phis.var() < 1.03
 
 
 def test_random_effects_equal_scaled_fresh_stream():
     theta0 = Theta(mu=0.3, omega2=0.7)
-    phis = effect_rows(theta0, 6, [2], 50)[0]
-    want = 0.3 + math.sqrt(0.7) * generator(6, PHI_STREAM_ID, 2).standard_normal(50)
-    assert phis.tolist() == want.tolist()
+    # column i is subject i's effect stream, read in replicate order
+    phis = effect_rows(theta0, 6, 50, 3)
+    assert phis.shape == (50, 3)
+    for i in range(3):
+        want = 0.3 + math.sqrt(0.7) * generator(6, EFFECT_WORD | i).standard_normal(50)
+        assert phis[:, i].tolist() == want.tolist()
 
 
 def test_random_effects_deterministic():
     theta0 = Theta(mu=0.0, omega2=1.0)
-    a = effect_rows(theta0, 5, [0, 3], 10, stream_id=0)
-    assert np.array_equal(a, effect_rows(theta0, 5, [0, 3], 10, stream_id=0))
-    # each replicate's row is its own substream, whatever rows come with it
-    assert a[1].tolist() == effect_rows(theta0, 5, [3], 10, stream_id=0)[0].tolist()
+    a = effect_rows(theta0, 5, 4, 10)
+    assert np.array_equal(a, effect_rows(theta0, 5, 4, 10))
+    # column i does not depend on how many replicates or subjects are drawn
+    b = effect_rows(theta0, 5, 9, 3)
+    assert np.array_equal(a[:, :3], b[:4])
+    assert np.array_equal(effect_rows(theta0, 5, 1, 2)[0], a[0, :2])
 
 
 def test_ensemble_deterministic_and_tagged():
@@ -209,7 +215,7 @@ def test_ensemble_degenerate_diffusion_names_the_lowest_failing_subject():
 
 
 def _own_degenerate_step(model, theta0, subjects, dt, seed, i):
-    phi = effect_rows(theta0, seed, [0], len(subjects))[0, i]
+    phi = effect_rows(theta0, seed, 1, len(subjects))[0, i]
     x0, T = subjects[i]
     try:
         euler_maruyama(model, phi, x0, T, dt, seed, i)
@@ -236,7 +242,7 @@ def test_ensemble_degenerate_diffusion_is_the_lowest_row_to_fail_first():
 
 def test_replicates_degenerate_diffusion_carries_subject_index():
     with pytest.raises(DegenerateDiffusion) as exc:
-        simulate_replicates(CLIFF, [0.5, 0.5], 6.0, 1.0, 0.1, 3, 7, [0, 1])
+        simulate_replicates(CLIFF, [0.5, 0.5], 6.0, 1.0, 0.1, 3, 7)
     assert exc.value.subject_index == 7
     assert exc.value.step == 0
 
@@ -262,19 +268,19 @@ def test_ensemble_divergence_reports_lowest_subject_not_earliest_step():
     assert exc.value.step == step1
 
 
-@pytest.mark.parametrize("replicate_id", [0, 5])
-def test_ensemble_row_blocks_equal_per_subject_paths(replicate_id):
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ensemble_row_blocks_equal_per_subject_paths(seed):
     """Subjects are grouped by (x0, T) into row blocks; every path must
     equal euler_maruyama on the subject's own stream, bit for bit."""
     family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
     subjects = family.subjects(4) + family.subjects(3) + ((0.25, 1.0),)
-    design = Design(subjects=subjects, dt=0.02, seed=31)
+    design = Design(subjects=subjects, dt=0.02, seed=31 + seed)
     theta0 = Theta(mu=0.6, omega2=0.8)
-    paths = simulate_ensemble(BOUNDED, theta0, design, replicate_id=replicate_id)
-    phis = effect_rows(theta0, 31, [replicate_id], design.n)[0].tolist()
+    paths = simulate_ensemble(BOUNDED, theta0, design)
+    phis = effect_rows(theta0, 31 + seed, 1, design.n)[0].tolist()
     assert len(paths) == design.n
     for i, ((x0, T), path, phi) in enumerate(zip(subjects, paths, phis)):
-        want = euler_maruyama(BOUNDED, phi, x0, T, 0.02, 31, i, replicate_id)
+        want = euler_maruyama(BOUNDED, phi, x0, T, 0.02, 31 + seed, i)
         assert path.subject_index == i
         assert path.phi == phi
         assert path.x0 == want.x0
@@ -315,14 +321,13 @@ def test_ensemble_exchangeable_under_iid_design():
     ensemble replicates (two-sample KS)."""
     from scipy.stats import ks_2samp
 
-    design = Design(subjects=((0.0, 1.0),) * 6, dt=0.05, seed=77)
+    # replicates 0..399 of subjects 0 and 5 of a six-subject ensemble
     theta0 = Theta(mu=0.5, omega2=0.3)
-    first, last = [], []
-    for rep in range(400):
-        paths = simulate_ensemble(UNIT, theta0, design, replicate_id=rep)
-        first.append(paths[0].values[-1] - paths[0].x0)
-        last.append(paths[-1].values[-1] - paths[-1].x0)
-    assert ks_2samp(first, last).pvalue > 0.01
+    phis = effect_rows(theta0, 77, 400, 6)
+    (_, first, _), (_, last, _) = replicate_uv(UNIT, 0.05, [
+        Segment(0.0, 1.0, 77, i, phis[:, i]) for i in (0, 5)
+    ], store=True)
+    assert ks_2samp(first[:, -1], last[:, -1]).pvalue > 0.01
 
 
 def test_brownian_endpoint_variance():
@@ -330,7 +335,7 @@ def test_brownian_endpoint_variance():
     T = 1.0
     theta0 = Theta(mu=0.0, omega2=0.0)
     times, values, _ = simulate_replicates(
-        UNIT, np.zeros(10_000), 0.0, T, 0.05, 99, 0, np.arange(10_000)
+        UNIT, np.zeros(10_000), 0.0, T, 0.05, 99, 0
     )
     endpoints = values[:, -1]
     assert T * 0.95 < endpoints.var() < T * 1.05
@@ -347,7 +352,7 @@ def _rms_halving_gap(model, M, reps, seed):
     """RMS(X_dt(T) - X_{dt/2}(T)) with both grids driven by one Brownian
     path sampled 4x finer, so the gap isolates discretization error."""
     T, phi, x0 = 1.0, 1.0, 1.0
-    z = path_normals(seed, 0, range(reps), 4 * M)
+    z = generator(seed, 0).standard_normal((reps, 4 * M))
     fine = z * math.sqrt(T / (4 * M))
     coarse = fine.reshape(reps, M, 4).sum(axis=2)
     half = fine.reshape(reps, 2 * M, 2).sum(axis=2)
@@ -374,7 +379,7 @@ def test_fourth_moment_stable_under_refinement():
     # moment-boundedness proxy: sup_t E[X^4] finite and, on a shared
     # Brownian path, insensitive to halving dt
     T, phi, x0, reps = 1.0, 0.5, 0.5, 2000
-    z = path_normals(17, 0, range(reps), 100)
+    z = generator(17, 0).standard_normal((reps, 100))
     fine = z * math.sqrt(T / 100)
     sups = []
     for dW in (fine.reshape(reps, 50, 2).sum(axis=2), fine):

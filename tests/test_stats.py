@@ -6,7 +6,8 @@ import pytest
 from sde_remle import Design, Theta, builtin_model, simulate_ensemble, stats_list
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec
-from sde_remle.simulate import Path, path_normals, simulate_replicates, time_grid
+from sde_remle.rng import generator
+from sde_remle.simulate import Path, effect_rows, simulate_replicates, time_grid
 from sde_remle.stats import SIGMA2_FLOOR, suff_stats_rows
 from oracles import MissingPhi, decompose
 
@@ -129,10 +130,13 @@ def test_ito_isometry_unit_model():
     """u2 is the Brownian increment sum, so over replicates its mean is 0
     and its variance is E[V] = T (4 sigma MC window, 10^4 paths)."""
     R, T = 10_000, 1.0
-    design = Design(subjects=((0.0, T),) * 1, dt=0.05, seed=41)
+    # replicates 0..R-1 of a one-subject ensemble, as simulate_ensemble
+    # draws replicate 0
+    phis = effect_rows(Theta(mu=0.8, omega2=0.2), 41, R, 1)[:, 0]
+    times, values, _ = simulate_replicates(UNIT, phis, 0.0, T, 0.05, 41, 0)
     u2s = []
-    for rep in range(R):
-        p = simulate_ensemble(UNIT, Theta(mu=0.8, omega2=0.2), design, replicate_id=rep)[0]
+    for phi, row in zip(phis, values):
+        p = _path(times, row, phi=phi)
         u2s.append(decompose(p, *_uv(p, UNIT)).u2)
     u2s = np.asarray(u2s)
     assert abs(u2s.mean()) < 4.0 * math.sqrt(T / R)
@@ -169,7 +173,7 @@ def test_v_refinement_error_window():
     relative error has mean <= 2*dt and 99th percentile <= 5*dt."""
     M, R, T, phi, x0 = 50, 2000, 1.0, 1.0, 1.0
     dt, dtf = T / M, T / (16 * M)
-    z = path_normals(11, 0, range(R), 16 * M)
+    z = generator(11, 0).standard_normal((R, 16 * M))
     dWf = z * math.sqrt(dtf)
     dWc = dWf.reshape(R, M, 16).sum(axis=2)
     _, vc = suff_stats_rows(np.arange(M + 1) * dt, _euler_path(LINEAR, phi, x0, dt, dWc), LINEAR)
@@ -224,7 +228,7 @@ def test_divergent_rows_yield_non_finite_stats():
 def test_replicate_rows_match_single_paths():
     # the batched simulator and per-path stats agree row by row
     phis = np.array([0.2, 0.7, 1.1])
-    times, values, _ = simulate_replicates(LINEAR, phis, 1.0, 1.0, 0.1, 9, 0, np.arange(3))
+    times, values, _ = simulate_replicates(LINEAR, phis, 1.0, 1.0, 0.1, 9, 0)
     u_rows, v_rows = suff_stats_rows(times, values, LINEAR)
     for r in range(3):
         p = _path(times, values[r], phi=phis[r])
