@@ -329,15 +329,26 @@ def _row(rep, n, fit, z=(None, None)):
     }
 
 
+def _quantile(sample, q):
+    """np.quantile(sample, q) of a finite sample array, bit for bit, or NaN
+    if it is empty: numpy's default linear interpolation on the sorted
+    sample, in its _lerp form. np.quantile imports numpy.ma (in np.unique)."""
+    if not sample.size:
+        return math.nan
+    xs = np.sort(sample)
+    h = (xs.size - 1) * q
+    i = math.floor(h)
+    g = h - i
+    a, b = float(xs[i]), float(xs[min(i + 1, xs.size - 1)])
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
 def _summary(n, errs, ks=(None, None), cov=(None, None)):
     """One summary.csv record; the error quantiles are NaN without errors."""
-    def quantile(q):
-        return float(np.quantile(errs, q)) if errs.size else float("nan")
-
     return {
         "n": n,
-        "med_err": quantile(0.5),
-        "p90_err": quantile(0.9),
+        "med_err": _quantile(errs, 0.5),
+        "p90_err": _quantile(errs, 0.9),
         "ks_mu": ks[0],
         "ks_omega2": ks[1],
         "cov_mu": cov[0],

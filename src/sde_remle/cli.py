@@ -133,11 +133,10 @@ def cmd_fit(cfg, seed, out_dir):
     fit_file = os.path.join(out_dir, io_mod.FIT_FILE)
     io_mod.write_stats_csv((p.subject_index for p in paths), u, v, stats_file)
     io_mod.write_fit_csv(fit, len(u), fit_file)
-    flags = "|".join(sorted(fit.boundary)) if fit.boundary else "-"
     print(
         f"fit: n={len(u)} mu_hat={fit.theta_hat.mu!r} "
         f"omega2_hat={fit.theta_hat.omega2!r} loglik={fit.loglik!r} "
-        f"boundary={flags} -> {fit_file}"
+        f"boundary={io_mod._boundary_cell(fit.boundary)} -> {fit_file}"
     )
     return 0
 

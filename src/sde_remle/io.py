@@ -7,8 +7,10 @@ byte. Absent values are empty cells. Boundary flags join with '|' in a
 fixed order, '-' when none.
 
 Tables stream both ways. write_table writes rows as its caller yields
-them, and read_paths_csv parses fixed-size blocks of lines and checks each
-block column by column, so neither holds a whole file of Python strings.
+them, and read_paths_csv parses fixed-size blocks of lines, so neither
+holds a whole file of Python strings. Each block is checked a column at a
+time, which only tells whether it is good; a refused block is walked
+line by line to raise the IngestError of its first bad line.
 """
 
 import math
@@ -173,23 +175,6 @@ def _line_blocks(fh):
             line_no += block.count(b"\n")
 
 
-def _parse(conv, tokens):
-    """(conv of each token up to the first it rejects, that token's index
-    or len(tokens)); a rejection is found by bisection."""
-    try:
-        return list(map(conv, tokens)), len(tokens)
-    except ValueError:
-        lo, hi = 0, len(tokens)  # tokens[:lo] parse; tokens[lo:hi] holds a reject
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                list(map(conv, tokens[lo:mid]))
-                lo = mid
-            except ValueError:
-                hi = mid
-        return list(map(conv, tokens[:lo])), lo
-
-
 def _ints(values):
     try:
         return np.array(values, dtype=np.int64)
@@ -202,99 +187,91 @@ def _check_block(block, first, seen):
     number first, and add its rows to seen.
 
     seen maps each subject to [its point count, its t chunks, its x
-    chunks]. Every check runs on whole columns, and a failing check cuts
-    the block before its first failing line, so later checks see only the
-    lines before it. The IngestError raised is thus the one of the first
-    bad line, and on that line the first failing check in this order:
-    UTF-8; field count; subject parse, >= 0; k parse; t parse, finite;
-    x parse, finite; k counting on from the subject's points so far; t
-    starting at 0 or exceeding the subject's last t.
+    chunks]. The checks run on whole columns; a block that fails one is
+    refused with the IngestError of its first bad line, from _bad_line.
     """
-    try:
-        lines = block.decode("utf-8").split("\n")
-    except UnicodeDecodeError as err:
-        good = block.rfind(b"\n", 0, err.start) + 1
-        _check_block(block[:good], first, seen)
-        raise IngestError(f"byte 0x{block[err.start]:02x} is not UTF-8",
-                          line=first + block.count(b"\n", 0, good)) from None
-    if not lines[-1]:
-        lines.pop()  # the empty text after the block's last '\n'
-    rows = list(filter(None, lines))  # blank lines carry no row
-    # line lengths and field counts from the bytes: ',' and '\n' are
-    # never part of a multi-byte UTF-8 character
     a = np.frombuffer(block, dtype=np.uint8)
-    ends = np.r_[np.flatnonzero(a == 10), a.size][:len(lines)]
-    fields = np.diff(np.searchsorted(np.flatnonzero(a == 44), ends), prepend=0) + 1
-    filled = np.diff(ends, prepend=-1) > 1
-    line_no, fields = first + np.flatnonzero(filled), fields[filled]
-    end, error = len(rows), None
-
-    def fail(i, message):
-        nonlocal end, error
-        end, error = int(i), IngestError(message, line=int(line_no[i]))
-
-    bad = np.flatnonzero(fields != 4)
-    if bad.size:
-        fail(bad[0], f"expected 4 fields, got {fields[bad[0]]}")
-    tokens = ",".join(rows[:end]).split(",") if end else []
-
-    def column(j, conv, what, kind):
-        cells = tokens[j::4][:end]
-        values, i = _parse(conv, cells)
-        if i < end:
-            fail(i, f"{what} is not {kind}: {cells[i]!r}")
-        return values[:end]
-
-    def floats(j, what):
-        x = np.array(column(j, float, what, "a number"), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:
-            fail(bad[0], f"{what} is not finite")
-        return x
-
-    s = _ints(column(0, int, "subject", "an integer"))
-    bad = np.flatnonzero(s < 0)
-    if bad.size:
-        fail(bad[0], "subject must be >= 0")
-    k = _ints(column(1, int, "k", "an integer"))
-    t = floats(2, "t")
-    x = floats(3, "x")
-    s, k, t, x = s[:end], k[:end], t[:end], x[:end]
-
+    # commas per line from the bytes: ',' and '\n' are never part of a
+    # multi-byte UTF-8 character
+    commas = np.diff(np.searchsorted(np.flatnonzero(a == 44),
+                                     np.r_[np.flatnonzero(a == 10), a.size]), prepend=0)
+    try:
+        rows = list(filter(None, block.decode("utf-8").split("\n")))
+        # a blank line has no comma, so every row has 4 fields just when
+        # as many lines as rows have 3 commas
+        if np.count_nonzero(commas == 3) != len(rows):
+            raise ValueError
+        tokens = ",".join(rows).split(",") if rows else []
+        s, k = (_ints(list(map(int, tokens[j::4]))) for j in (0, 1))
+        t, x = (np.array(list(map(float, tokens[j::4]))) for j in (2, 3))
+    except ValueError:  # a UnicodeDecodeError is one too
+        raise _bad_line(block, first, seen) from None
     # each subject's rows in file order, and where its run starts
+    n = len(rows)
     order = np.argsort(s, kind="stable")
     s_run, t_run, x_run = s[order], t[order], x[order]
-    new = np.ones(end, dtype=bool)
+    new = np.ones(n, dtype=bool)
     new[1:] = s_run[1:] != s_run[:-1]
     head = np.flatnonzero(new)
-    size = np.diff(np.r_[head, end])
+    size = np.diff(np.r_[head, n])
     ids = s_run[head].tolist()
     known = [seen.get(i) for i in ids]
-    expect = np.empty(end, dtype=np.int64)
-    expect[order] = (np.repeat([c[0] if c else 0 for c in known], size)
-                     + np.arange(end) - np.repeat(head, size))
-    prev = np.empty(end)
-    prev[order] = np.r_[math.nan, t_run[:-1]]
-    prev[order[head]] = [c[1][-1][-1] if c else math.nan for c in known]
-    bad_k = np.asarray(k != expect, dtype=bool)
-    bad = np.flatnonzero(bad_k | np.where(expect == 0, t != 0.0, ~(t > prev)))
-    if bad.size:
-        i, subject = bad[0], int(s[bad[0]])
-        if bad_k[i]:
-            fail(i, f"subject {subject} expected k={expect[i]}, got {int(k[i])}")
-        elif expect[i] == 0:
-            fail(i, f"subject {subject} must start at t=0")
-        else:
-            fail(i, f"subject {subject} time must increase "
-                    f"(t={float(t[i])!r} after t={float(prev[i])!r})")
-    if error is not None:
-        raise error
-    for i, c, h, n in zip(ids, known, head.tolist(), size.tolist()):
+    expect = (np.repeat([c[0] if c else 0 for c in known], size)
+              + np.arange(n) - np.repeat(head, size))
+    prev = np.empty(n)
+    prev[1:] = t_run[:-1]
+    prev[head] = [c[1][-1][-1] if c else math.nan for c in known]
+    if not ((s >= 0).all() and np.isfinite(t).all() and np.isfinite(x).all()
+            and (k[order] == expect).all()
+            and np.where(expect == 0, t_run == 0.0, t_run > prev).all()):
+        raise _bad_line(block, first, seen)
+    for i, c, h, m in zip(ids, known, head.tolist(), size.tolist()):
         if c is None:
             seen[i] = c = [0, [], []]
-        c[0] += n
-        c[1].append(t_run[h:h + n])
-        c[2].append(x_run[h:h + n])
+        c[0] += m
+        c[1].append(t_run[h:h + m])
+        c[2].append(x_run[h:h + m])
+
+
+_CELLS = (("subject", int, "an integer"), ("k", int, "an integer"),
+          ("t", float, "a number"), ("x", float, "a number"))
+
+
+def _bad_line(block, first, seen):
+    """The IngestError of the first bad line of a block that _check_block
+    refused: its lines are checked in order from the state in seen, each
+    as a line-by-line reader checks it."""
+    state = {i: (c[0], float(c[1][-1][-1])) for i, c in seen.items()}
+    for line, raw in enumerate(block.split(b"\n"), first):
+        try:
+            cells = raw.decode("utf-8").split(",")
+        except UnicodeDecodeError as err:
+            return IngestError(f"byte 0x{raw[err.start]:02x} is not UTF-8", line=line)
+        if cells == [""]:
+            continue  # a blank line carries no row
+        if len(cells) != 4:
+            return IngestError(f"expected 4 fields, got {len(cells)}", line=line)
+        values = []
+        for cell, (what, conv, kind) in zip(cells, _CELLS):
+            try:
+                values.append(conv(cell))
+            except ValueError:
+                return IngestError(f"{what} is not {kind}: {cell!r}", line=line)
+            if what == "subject" and values[0] < 0:
+                return IngestError("subject must be >= 0", line=line)
+            if conv is float and not math.isfinite(values[-1]):
+                return IngestError(f"{what} is not finite", line=line)
+        subject, k, t, _ = values
+        count, last = state.get(subject, (0, None))
+        if k != count:
+            return IngestError(f"subject {subject} expected k={count}, got {k}", line=line)
+        if count == 0 and t != 0.0:
+            return IngestError(f"subject {subject} must start at t=0", line=line)
+        if count and not t > last:
+            return IngestError(f"subject {subject} time must increase "
+                               f"(t={t!r} after t={last!r})", line=line)
+        state[subject] = (count + 1, t)
+    raise AssertionError(f"the block at line {first} was refused with no bad line")
 
 
 def read_paths_csv(in_path):

@@ -344,6 +344,19 @@ def test_consistency_experiment_rates_and_determinism():
     assert again.failures == report.failures
 
 
+def test_summary_quantile_equals_numpy_quantile_bit_for_bit():
+    # the summary's med_err and p90_err, without np.quantile's import of numpy.ma
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 50), 120, 400, 1000]:
+        for _ in range(20):
+            sample = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+            sample[: n // 3] = sample[-1]  # ties
+            for q in (0.5, 0.9):
+                got = np.float64(asymptotics._quantile(sample, q))
+                assert got.tobytes() == np.quantile(sample, q).tobytes(), (n, q)
+    assert math.isnan(asymptotics._quantile(np.array([]), 0.5))
+
+
 def test_consistency_simulates_its_largest_level_once(monkeypatch):
     calls = []
     real = asymptotics._ensemble_uv

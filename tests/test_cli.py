@@ -86,6 +86,19 @@ def test_fit_round_trips_through_csv(tmp_path, capsys):
     assert f"mu_hat={direct.theta_hat.mu!r}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mu_hi, flags", [(3.0, "omega2_lo"), (0.5, "mu_hi|omega2_lo")])
+def test_fit_prints_its_boundary_flags_as_fit_csv_does(tmp_path, capsys, mu_hi, flags):
+    sim_dir, fit_dir = tmp_path / "sim", tmp_path / "fit"
+    main(["simulate", "--config", _cfg(tmp_path, SIM_CFG), "--out", str(sim_dir)])
+    space_cfg = SPACE_CFG.replace("mu_hi = 3.0", f"mu_hi = {mu_hi}")
+    fit_cfg = _cfg(tmp_path, f"model = unit\n{space_cfg}data = {sim_dir / 'paths.csv'}\n", "f.cfg")
+    assert main(["fit", "--config", fit_cfg, "--out", str(fit_dir)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.endswith(f" boundary={flags} -> {fit_dir / 'fit.csv'}")
+    header, row = (fit_dir / "fit.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["boundary"] == flags
+
+
 def test_stats_and_fit_bytes_equal_the_per_cell_reference(tmp_path):
     # a harmonic design, so the paths lie on several grids
     sim_cfg = SIM_CFG.replace("model = unit", "model = bounded-ratio").replace(

@@ -13,6 +13,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 NORMALITY_CFG = (
@@ -47,11 +49,12 @@ FIT_CFG = (
 )
 
 
-def _loaded_scipy(script, cwd):
-    """The scipy modules loaded once script has run, in a fresh interpreter."""
-    code = textwrap.dedent(script) + textwrap.dedent("""
+def _loaded(script, cwd, package):
+    """The modules of package, itself included, loaded once script has
+    run, in a fresh interpreter."""
+    code = textwrap.dedent(script) + textwrap.dedent(f"""
         import sys
-        print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        print(" ".join(sorted(m for m in sys.modules if (m + ".").startswith({package!r} + "."))))
     """)
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -59,6 +62,10 @@ def _loaded_scipy(script, cwd):
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loaded_scipy(script, cwd):
+    return _loaded(script, cwd, "scipy")
 
 
 def _loads_scipy_stats(script, cwd):
@@ -148,3 +155,23 @@ def test_every_command_runs_with_scipy_refused(tmp_path):
     """, tmp_path)
     for out in ("sim", "fit", "consistency", "normality", "noniid", "continuity"):
         assert any((tmp_path / out).iterdir()), out
+
+
+@pytest.mark.parametrize("argv", [
+    *(["experiment", kind, "--config", kind + ".cfg", "--out", kind]
+      for kind in ("consistency", "normality", "noniid", "continuity")),
+    ["fit", "--config", "fit.cfg", "--out", "fit"],
+], ids=lambda argv: argv[-1])
+def test_no_command_loads_numpy_ma(tmp_path, argv):
+    # np.quantile loads numpy.ma (through np.unique), about 1.2 MB of peak
+    # RSS in a fresh process; each command runs after simulate, whose
+    # paths.csv fit reads
+    for name, cfg in [("consistency", CONSISTENCY_CFG), ("normality", NORMALITY_CFG),
+                      ("noniid", NONIID_CFG), ("continuity", CONTINUITY_CFG),
+                      ("sim", SIM_CFG), ("fit", FIT_CFG)]:
+        (tmp_path / f"{name}.cfg").write_text(cfg)
+    assert _loaded(f"""
+        from sde_remle.cli import main
+        assert main(["simulate", "--config", "sim.cfg", "--out", "sim"]) == 0
+        assert main({argv!r}) == 0
+    """, tmp_path, "numpy.ma") == set()

@@ -111,6 +111,14 @@ def test_read_rejects_decreasing_time(tmp_path):
     assert "subject 0" in str(exc.value)
 
 
+def test_read_rejects_a_repeated_time(tmp_path):
+    # the generated files' times always step up by 1e-3 or more
+    f = _write(tmp_path, "subject,k,t,x\n0,0,0.0,1.0\n1,0,0.0,2.0\n0,1,0.5,1.1\n0,2,0.5,1.2\n")
+    for block_bytes in (1, 1 << 16):
+        got = _assert_reads_like_reference(f, block_bytes)
+        assert got == ("error", 5, "line 5: subject 0 time must increase (t=0.5 after t=0.5)")
+
+
 def test_read_rejects_nonzero_start(tmp_path):
     f = _write(tmp_path, "subject,k,t,x\n0,0,0.5,1.0\n0,1,1.0,1.1\n")
     with pytest.raises(IngestError) as exc:
@@ -242,6 +250,7 @@ _FAULTS = {
     "subject<0": lambda r: ["-1"] + r[1:],
     "k": lambda r: [r[0], r[1] + ".0"] + r[2:],
     "k-seq": lambda r: [r[0], str(int(float(r[1])) + 1)] + r[2:],
+    "k-huge": lambda r: [r[0], str(2**70)] + r[2:],  # past int64
     "t": lambda r: r[:2] + ["1e"] + r[3:],
     "t-finite": lambda r: r[:2] + ["nan"] + r[3:],
     "t-order": lambda r: r[:2] + ["-0.5"] + r[3:],
@@ -299,6 +308,25 @@ def test_each_fault_on_either_side_of_a_block_boundary(tmp_path, kind):
             for block_bytes in (1, 17, 30, 64, 100):
                 got = _assert_reads_like_reference(f, block_bytes)
                 assert got[0] == "error"
+
+
+def test_valid_files_never_reach_the_per_line_explainer(tmp_path):
+    # _check_block's column checks accept every valid block themselves;
+    # _bad_line runs only on a block they refused
+    design = Design(subjects=((1.0, 2.0),) * 600, dt=0.01, seed=3)
+    big = tmp_path / "big.csv"
+    write_paths_csv(simulate_ensemble(UNIT, Theta(mu=0.8, omega2=0.4), design), big)
+    rows = ["subject,k,t,x", "", "7,0,0.0,1.5", f"{2**70},0,-0.0,2.5", "", "",
+            "7,1,0.25,-1.0", f"{2**70},1,1e-300,0.0", "0,0,0.0,3.0", "7,2,0.5,4.0",
+            "0,1,2.0,-0.0", ""]
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_bytes("".join(r + ("\r\n", "\r")[i % 2] for i, r in enumerate(rows)).encode())
+    spy = mock.patch.object(sde_io, "_bad_line", wraps=sde_io._bad_line)
+    for f in (big, mixed):
+        for block_bytes in (1, 17, 1 << 16):
+            with spy as bad_line:
+                assert _assert_reads_like_reference(f, block_bytes)[0] == "paths"
+            assert bad_line.call_count == 0, (f.name, block_bytes)
 
 
 def test_a_line_far_longer_than_a_block_reads_in_linear_time(tmp_path):
