@@ -6,8 +6,11 @@ g(omega2) = l(mu_hat(omega2), omega2): a coarse scan of g picks a cell,
 then a safeguarded Newton iteration on g' (bisection when a step leaves
 the bracket or g'' >= 0, as in Brent 1973) finds its root in that cell.
 This is the profile-then-Newton scheme Lindstrom and Bates (JASA 1988)
-use for variance components. Every total is an exactly rounded row sum,
-so identical inputs give a bit-identical fit in any subject order.
+use for variance components. The scan sums with plain numpy sums under
+an error bound, and rescans with exactly rounded row sums only the rows
+whose argmax or flat decision that bound leaves open; Newton and the
+fit's totals are exactly rounded row sums. So identical inputs give a
+bit-identical fit in any subject order.
 """
 
 import math
@@ -31,6 +34,7 @@ _BLOCK_TERMS = 1 << 14
 _SCORE_TOL = 1e-8
 _BRACKET_ULPS = 4
 _NEWTON_STEPS = 64
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,10 @@ def fit_mle(u, v, space):
     scan's argmax and g' <= 0 (>= 0) or |g'| <= _SCORE_TOL there. The
     estimate is (mu_hat(omega2*), omega2*), so mu_hat equals profile_mu at
     omega2_hat, and iterations counts the Newton and bisection steps on g'.
+    The scan takes plain sums with an error bound and falls back to exactly
+    rounded sums on a row whose argmax or flat test the bound leaves
+    undecided, so its decisions are those of exactly rounded sums; every
+    total that reaches the fit is an exactly rounded row sum.
 
     Raises InvalidStats when any U or V is not finite or any V < 0,
     AllDegenerate when every V_i = 0 and NonFiniteObjective when any
@@ -188,10 +196,7 @@ def fit_rows(u, v, space):
 def _fit_block(u, v, space):
     lo, hi = space.omega2_lo, space.omega2_hi
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    gvals = _scan_rows(u, v, space, grid)
-    # first argmax wins, so ties resolve to the smaller omega2
-    j = np.argmax(gvals, axis=1)
-    flat = gvals.max(axis=1) - gvals.min(axis=1) < _FLAT_TOL
+    j, flat = _scan_rows(u, v, space, grid)
     start = np.where(flat, lo, grid[j])
     a = np.where(flat, lo, grid[np.maximum(j - 1, 0)])
     b = np.where(flat, lo, grid[np.minimum(j + 1, _SCAN_POINTS - 1)])
@@ -208,12 +213,38 @@ def _fit_block(u, v, space):
 
 
 def _scan_rows(u, v, space, grid):
+    """The scan's two decisions for every row: the first argmax j of the
+    profile g over the grid, and whether g is flat (spread below 1e-12).
+
+    No scan value reaches a fit, only these decisions, and they are the
+    ones g from exactly rounded row sums gives. g is first computed from
+    plain sums; _scan_bound bounds each value's distance from the exact
+    one, and a row whose intervals fix both decisions (_settled) keeps
+    them. Every other row, and every row whose terms could come near
+    overflow, is scanned again with exactly rounded sums (_row_fsum), with
+    that function's overflow errors.
+    """
+    err = _scan_bound(u, v, space, grid)
+    plain = np.flatnonzero(np.isfinite(err).all(axis=1))
+    gvals = _profile_scan(u[plain], v[plain], space, grid, lambda p: p.sum(axis=1))
+    j = np.zeros(len(u), dtype=np.intp)
+    flat = np.zeros(len(u), dtype=bool)
+    j[plain], flat[plain] = _decide(gvals)
+    exact = np.ones(len(u), dtype=bool)
+    exact[plain] = ~_settled(gvals, err[plain])
+    if exact.any():
+        j[exact], flat[exact] = _decide(
+            _profile_scan(u[exact], v[exact], space, grid, _row_fsum))
+    return j, flat
+
+
+def _profile_scan(u, v, space, grid, row_sums):
     """The profile g of every row at every grid point, shape (R, points).
 
     With d = 1 + w2*V, A = sum U/d, B = sum V/d and
     E = sum[-log1p(w2*V)/2 + w2*U^2/(2d)], the log-likelihood at (mu, w2)
-    is E + mu*A - mu^2*B/2, so one exact sum of three rows per point
-    gives g at mu_hat = A/B, clamped.
+    is E + mu*A - mu^2*B/2, so the three row sums that row_sums takes of
+    a (3R, n) term array give g at mu_hat = A/B, clamped.
     """
     rows, n = u.shape
     terms = np.empty((3, rows, n))
@@ -230,10 +261,64 @@ def _scan_rows(u, v, space, grid):
         tmp *= 0.5 * w2
         e *= -0.5
         e += tmp
-        s_a, s_b, s_e = _row_fsum(terms.reshape(3 * rows, n)).reshape(3, rows)
+        s_a, s_b, s_e = row_sums(terms.reshape(3 * rows, n)).reshape(3, rows)
         mu = np.clip(_ratio(s_a, s_b), space.mu_lo, space.mu_hi)
         gvals[:, k] = s_e + mu * (s_a - 0.5 * mu * s_b)
     return gvals
+
+
+def _scan_bound(u, v, space, grid):
+    """A bound on |g from plain sums - g from exactly rounded sums|, per row
+    and grid point, and not finite on rows the plain scan must leave alone.
+
+    Any summation order is within gamma_{n-1} * sum|x| of the exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.
+    2002, section 4.2), and the exactly rounded sum within half an ulp of
+    it. The sums |x| need no pass per point: d >= 1 gives |U/d| <= |U|
+    and V/d <= V, and 0 <= log1p(x) <= x gives |E term| <= w2 (V + U^2)/2.
+    With M = max|mu| on the rectangle, g = E + max over mu of
+    (mu A - mu^2 B/2) moves by at most dE + M dA + M^2 dB/2, and
+    evaluating it rounds by at most 3u (|E| + M |A| + M^2 B); so
+    n u (S_E + M S_A + M^2 S_B) plus 6u of the same covers both scans,
+    and the bound takes four times that. The last term covers underflow.
+    A row is refused when its terms could reach 2^(1022 - bits(n + 1)),
+    half the size at which _row_fsum hands a row to math.fsum, which may
+    raise on overflow.
+    """
+    n = u.shape[1]
+    mu_max = max(abs(space.mu_lo), abs(space.mu_hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        uu = u * u
+        u_abs = np.abs(u)
+        s_e = 0.5 * (v.sum(axis=1) + uu.sum(axis=1))
+        s_ab = mu_max * u_abs.sum(axis=1) + mu_max * mu_max * v.sum(axis=1)
+        err = 2.0 * (n + 8) * _EPS * (np.multiply.outer(s_e, grid) + s_ab[:, None])
+        err += (1.0 + mu_max) * 2.0 ** -1060
+        big = np.maximum(np.maximum(u_abs.max(axis=1), v.max(axis=1)),
+                         grid[-1] * (v.max(axis=1) + uu.max(axis=1)))
+    err[~(big < 2.0 ** (1022 - (n + 1).bit_length()))] = np.inf
+    return err
+
+
+def _decide(gvals):
+    # first argmax wins, so ties resolve to the smaller omega2
+    return np.argmax(gvals, axis=1), gvals.max(axis=1) - gvals.min(axis=1) < _FLAT_TOL
+
+
+def _settled(gvals, err):
+    """Rows on which every profile within err of gvals gets _decide's answer:
+    a flat spread, or a spread of at least _FLAT_TOL with the first argmax
+    strictly above every earlier point and at least every later one. The
+    spread's own subtraction rounds, so the test keeps 4 ulps off 1e-12.
+    """
+    lo, hi = gvals - err, gvals + err
+    j = np.argmax(gvals, axis=1)[:, None]
+    lo_j = np.take_along_axis(lo, j, axis=1)
+    k = np.arange(gvals.shape[1])
+    first = np.where(k < j, hi < lo_j, (hi <= lo_j) | (k == j)).all(axis=1)
+    flat = hi.max(axis=1) - lo.min(axis=1) < _FLAT_TOL * (1.0 - 4.0 * _EPS)
+    rough = lo.max(axis=1) - hi.min(axis=1) >= _FLAT_TOL * (1.0 + 4.0 * _EPS)
+    return flat | (rough & first)
 
 
 def _profile_newton(u, v, space, w2, a, b):

@@ -423,8 +423,9 @@ def test_fit_lands_on_the_global_maximum_of_a_bimodal_profile():
 
 
 def test_fit_rows_row_sums_per_fitted_row(monkeypatch):
-    # a deterministic cost guard: the scan makes 99 exact row sums per row,
-    # each Newton step 5 and the final totals 6
+    # a deterministic cost guard: on these rows the profile scan settles
+    # both decisions from plain sums, so its 33 points make no exact row
+    # sum; each Newton step makes 5 and the final totals 6
     rng = np.random.default_rng(12)
     v = rng.uniform(0.05, 2.0, size=(120, 200))
     u = rng.normal(0.8 * v, np.sqrt(v + 0.4 * v * v))
@@ -435,10 +436,152 @@ def test_fit_rows_row_sums_per_fitted_row(monkeypatch):
         summed.append(p.shape[0])
         return row_fsum(p)
 
+    in_scan = []
+    scan_rows = estimator._scan_rows
+
+    def scanning(*args):
+        before = sum(summed)
+        out = scan_rows(*args)
+        in_scan.append(sum(summed) - before)
+        return out
+
     monkeypatch.setattr(likelihood, "_row_fsum", counting)
     monkeypatch.setattr(estimator, "_row_fsum", counting)
+    monkeypatch.setattr(estimator, "_scan_rows", scanning)
     fits = fit_rows(u, v, SPACE)
-    assert 99 <= sum(summed) / len(fits) <= 150
+    assert in_scan and not any(in_scan)
+    assert 6 <= sum(summed) / len(fits) <= 30
+
+
+_GRID = np.linspace(SPACE.omega2_lo, SPACE.omega2_hi, estimator._SCAN_POINTS)
+
+
+def _scan(u, v, exact=True):
+    """The profile scan of one row, from exactly rounded or plain sums."""
+    row_sums = likelihood._row_fsum if exact else (lambda p: p.sum(axis=1))
+    return estimator._profile_scan(u[None, :], v[None, :], SPACE, _GRID, row_sums)[0]
+
+
+def _fits_by_exact_scan(u, v, space=SPACE):
+    """fit_rows with the certificate settling no row: every row's scan
+    decisions come from exactly rounded sums."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimator, "_settled", lambda gvals, err: np.zeros(len(gvals), dtype=bool))
+        return fit_rows(u, v, space)
+
+
+def _fit_through_the_exact_scan(u, v):
+    """fit_mle of one row, after checking that its scan fell back to exactly
+    rounded sums and that the fit equals the one from an exact scan."""
+    scan = estimator._profile_scan
+    sent = []
+
+    def spy(u, v, space, grid, row_sums):
+        if row_sums is likelihood._row_fsum:
+            sent.append(len(u))
+        return scan(u, v, space, grid, row_sums)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimator, "_profile_scan", spy)
+        fit = fit_mle(u, v, SPACE)
+    assert sent == [1]
+    assert _fields(fit) == _fields(_fits_by_exact_scan(u[None, :], v[None, :])[0])
+    return fit
+
+
+def _bisect(f, lo, hi):
+    """The adjacent floats lo < hi at which the predicate f flips from
+    False (at lo) to True (at hi)."""
+    assert not f(lo) and f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        lo, hi = (lo, mid) if f(mid) else (mid, hi)
+
+
+def _near_tie(n):
+    """An interior row, and scales c of its U at which the exact scan's best
+    point k and its right neighbour k + 1 swap places: (u, v, k, scales)
+    with the scales the 401 floats around the crossing."""
+    rng = np.random.default_rng(5)
+    v = rng.uniform(0.5, 2.0, n)
+    u = rng.normal(0.8 * v, np.sqrt(v + 0.4 * v * v))
+    k = int(np.argmax(_scan(u, v)))
+    assert 0 < k < len(_GRID) - 2
+
+    def right_wins(c):
+        g = _scan(c * u, v)
+        return g[k + 1] >= g[k]
+
+    hi = 1.0
+    while not right_wins(hi):
+        hi *= 1.1
+    _, c = _bisect(right_wins, 1.0, hi)
+    return u, v, k, [c + i * math.ulp(c) for i in range(-200, 201)]
+
+
+def test_a_tie_to_the_last_ulp_takes_the_exact_scan_and_the_first_argmax():
+    u, v, k, scales = _near_tie(12)
+
+    def tied(c):
+        g = _scan(c * u, v)
+        return g[k] == g[k + 1] == g.max()
+
+    tied = [c for c in scales if tied(c)]
+    assert tied, "no exact tie of the two best grid points"
+    u = tied[0] * u
+    assert np.argmax(_scan(u, v)) == k
+    _fit_through_the_exact_scan(u, v)
+
+
+def test_a_row_whose_plain_scan_picks_another_argmax_takes_the_exact_scan():
+    u, v, _, scales = _near_tie(200)
+    wrong = [c for c in scales
+             if np.argmax(_scan(c * u, v)) != np.argmax(_scan(c * u, v, exact=False))]
+    assert wrong, "the plain sums never moved the argmax near the crossing"
+    u = wrong[0] * u
+    assert not np.array_equal(_scan(u, v), _scan(u, v, exact=False))
+    _fit_through_the_exact_scan(u, v)
+
+
+def test_spreads_just_either_side_of_the_flat_tolerance_take_the_exact_scan():
+    # a flat row (V about 1e-15) rises by about 2 (sum U^2 - sum V) over
+    # [0, 4]; scaling U puts the exact scan's spread on either side of 1e-12
+    rng = np.random.default_rng(6)
+    v = 1e-15 * rng.uniform(0.05, 4.0, size=10)
+    u = 1e-7 * rng.uniform(0.5, 1.0, size=10)
+
+    def rough(c):
+        g = _scan(c * u, v)
+        return not g.max() - g.min() < estimator._FLAT_TOL
+
+    below, above = _bisect(rough, 1.0, 100.0)
+    for c, omega2 in ((below, SPACE.omega2_lo), (above, SPACE.omega2_hi)):
+        g = _scan(c * u, v)
+        assert abs(g.max() - g.min() - estimator._FLAT_TOL) < 1e-6 * estimator._FLAT_TOL
+        assert _fit_through_the_exact_scan(c * u, v).theta_hat.omega2 == omega2
+
+
+def test_terms_near_overflow_take_the_exact_scan():
+    # the error bound is finite here, but E's terms reach 1.4e307, where
+    # _row_fsum sums by math.fsum, whose overflow errors the fit keeps
+    u, v = np.array([6e153]), np.array([1.0])
+    _fit_through_the_exact_scan(u, v)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=5),
+    n=st.integers(min_value=1, max_value=40),
+    space=st.sampled_from(_SPACES),
+)
+@settings(max_examples=40, deadline=None)
+def test_fit_rows_equal_the_fits_from_an_exact_scan(seed, kinds, n, space):
+    rng = np.random.default_rng(seed)
+    u, v = (np.array(x) for x in zip(*(_row(rng, k, n) for k in kinds)))
+    assert ([_fields(f) for f in fit_rows(u, v, space)]
+            == [_fields(f) for f in _fits_by_exact_scan(u, v, space)])
 
 
 @given(
