@@ -121,8 +121,11 @@ def _smirnov(n, x):
     for n <= 3000 and below 6e-10 for n <= 200,000.
     """
     t = n * x
-    j = np.arange(math.floor(n - t) + 1)
-    q = (n - j) - t
+    # base n - j - t; for x >= 1/2 as n (1 - x) - j, since 1 - x is exact
+    # there and rounding n x would lose most of it near x = 1
+    y = n * (1.0 - x) if x >= 0.5 else n - t
+    j = np.arange(math.floor(y) + 1)
+    q = y - j if x >= 0.5 else (n - j) - t
     j, q = j[q > 0], q[q > 0]  # a zero base contributes nothing
     log_fact = np.array([math.lgamma(k) for k in range(1, n + 2)])  # log(k!)
     log_terms = (n - j) * np.log(q) + (j - 1) * np.log(t + j) - log_fact[j] - log_fact[n - j]

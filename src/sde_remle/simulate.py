@@ -3,15 +3,15 @@
 The integration grid is uniform with step dt; when T is not a multiple of
 dt the final step covers the remainder. Every simulation is one pass of
 segments through replicate_uv's chunk driver, the only code that runs
-the Euler kernel: the Monte Carlo passes add each row's (U, V) up as
-running left-to-right totals inside the step loop, holding one chunk
-buffer (the normals), and the path API (euler_maruyama,
-simulate_ensemble, simulate_replicates) keeps the states, copied per
-segment into exact-length arrays. Both share identical arithmetic.
-Every normal is drawn by path_normals, reading one stream (see rng) in
-order: replicate r of a subject on an s-step grid takes normals
-[r s, (r+1) s) of its path stream, and its effect is normal r of its
-effect stream.
+the Euler kernel, and every pass holds one chunk buffer, the normals:
+the Monte Carlo passes add each row's (U, V) up as running left-to-right
+totals inside the step loop, and the path API (euler_maruyama,
+simulate_ensemble, simulate_replicates) writes each step's states over
+the normals just consumed, copied per segment into exact-length arrays.
+Both share identical arithmetic. Every normal is drawn by path_normals,
+reading one stream (see rng) in order: replicate r of a subject on an
+s-step grid takes normals [r s, (r+1) s) of its path stream, and its
+effect is normal r of its effect stream.
 """
 
 import math
@@ -73,13 +73,13 @@ def time_grid(T, dt):
 
 # a chunk of the Monte Carlo kernel holds at most ROW_CHUNK rows, enough
 # that the Python cost of a step stays small against its numpy work, and
-# NORMAL_CHUNK normals (4096 rows of 400 steps, one 13 MB buffer; a
-# stored pass holds a second, for the states)
+# NORMAL_CHUNK normals (4096 rows of 400 steps, one 13 MB buffer, which
+# a stored pass also fills with the states)
 ROW_CHUNK = 4096
 NORMAL_CHUNK = ROW_CHUNK * 400
 
 
-def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out=None):
+def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=False):
     """The one Euler step loop: advance row r of normals from x0[r] to T[r].
 
     phis, x0, T, steps (row r's step count on time_grid(T[r], dt)) and
@@ -87,13 +87,13 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out=None)
     running at step k are a prefix. A row's last step is its own partial
     step T[r] - dt*(steps[r]-1), every other step dt*(k+1) - dt*k, as on
     its own grid; b and sigma are evaluated once per step, at the left
-    end. With out, one column wider than normals, it takes the states,
-    and the result is first_bad, the step at which each row stopped being
-    finite or -1. Without, normals is only read and the result is each
-    row's (U, V), running totals from +0.0 that add each step's increments
-    left to right, as suff_stats_rows adds a stored path's: equal bit for
-    bit. sigma <= 0 on a live row raises DegenerateDiffusion at that step,
-    as does, for (U, V), sigma^2 < SIGMA2_FLOOR on a row finite up to its
+    end. With store, each step's state overwrites the normal it consumed,
+    so row r's states 1..steps[r] end up in normals[r, :steps[r]].
+    Without, normals is only read and the result is each row's (U, V),
+    running totals from +0.0 that add each step's increments left to
+    right, as suff_stats_rows adds a stored path's: equal bit for bit.
+    sigma <= 0 on a live row raises DegenerateDiffusion at that step, as
+    does, for (U, V), sigma^2 < SIGMA2_FLOOR on a row finite up to its
     last step, after the loop; errors name the lowest failing row's
     subject and design point.
     """
@@ -102,11 +102,7 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out=None)
     # the first live[k] rows run at step k; live[top] = 0
     live = np.searchsorted(-steps, -np.arange(1, top + 2), side="right").tolist()
     state = np.array(x0, dtype=float)
-    store = out is not None
-    if store:
-        out[:, 0] = x0
-        first_bad = np.full(rows, -1, dtype=np.int64)
-    else:
+    if not store:
         u, v, body_end = np.zeros(rows), np.zeros(rows), np.empty(rows)
         low = np.zeros(rows, dtype=bool)
     # a non-finite state never becomes finite again, so the live rows are
@@ -131,10 +127,7 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out=None)
                     )
             after = state + phis[:n] * bvals * delta + svals * root * normals[:n, k]
             if store:
-                out[:n, k + 1] = after
-                if not np.isfinite(after).all():
-                    bad = first_bad[:n]
-                    bad[(bad < 0) & ~np.isfinite(after)] = k + 1
+                normals[:n, k] = after
             else:
                 sig2 = svals * svals
                 if not (sig2 >= SIGMA2_FLOOR).all():
@@ -145,7 +138,7 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, out=None)
                 body_end[m:n] = state[m:]
             state = after[:m]
     if store:
-        return first_bad
+        return None
     failing = low & np.isfinite(body_end)
     if failing.any():
         raise _degenerate(floor_error(model).args[0], None, x0, T, subject_index, failing)
@@ -271,12 +264,13 @@ def replicate_uv(model, dt, segments, store=False):
     ROW_CHUNK rows and NORMAL_CHUNK normals that may span segments. One
     Philox, keyed once per segment, reads its path stream in row order,
     across chunk boundaries, since a segment's pieces are consecutive.
-    (U, V) are running totals kept by the step loop, with no buffer but
-    the normals; they equal suff_stats_rows of the stored rows bit for
-    bit, NaN where a row diverged. values holds a segment's (rows,
-    steps + 1) states in an array of its own, first_bad the step at which
-    each row stopped being finite, or -1. Keys out of range raise before
-    any draw, the first chunk with a failing row after it.
+    Either way the pass holds one chunk buffer, the normals. (U, V) are
+    running totals kept by the step loop, equal to suff_stats_rows of the
+    stored rows bit for bit, NaN where a row diverged. values holds a
+    segment's states in a (rows, steps + 1) array of its own, x0 and then
+    what the kernel wrote over the normals; first_bad is read from it.
+    Keys out of range raise before any draw, the first chunk with a
+    failing row after it.
     """
     grids = {T: time_grid(T, dt) for T in dict.fromkeys(seg.T for seg in segments)}
     steps = np.array([len(grids[seg.T]) - 1 for seg in segments], dtype=np.int64)
@@ -287,16 +281,12 @@ def replicate_uv(model, dt, segments, store=False):
     words = subjects.tolist()
     x0 = np.array([seg.x0 for seg in segments], dtype=float)
     T = np.array([seg.T for seg in segments], dtype=float)
-    # one normals buffer for the pass, and one of states, a column wider,
-    # when stored: chunks leave no holes in the heap
+    # one normals buffer for the pass: chunks leave no holes in the heap
     top = int(steps.max(initial=0))
-    most = min(int(starts[-1]), ROW_CHUNK)
-    cells = min(most * top, max(NORMAL_CHUNK, top))
+    cells = min(min(int(starts[-1]), ROW_CHUNK) * top, max(NORMAL_CHUNK, top))
     zbuf = np.empty(cells)
     if store:
-        outbuf = np.empty(cells + most)
         values = [np.empty((size, w + 1)) for size, w in zip(sizes, steps.tolist())]
-        first_bad = np.empty(starts[-1], dtype=np.int64)
     else:
         u, v = np.empty(starts[-1]), np.empty(starts[-1])
     gen = generator(0, 0)
@@ -313,18 +303,23 @@ def replicate_uv(model, dt, segments, store=False):
                 rekey(gen, segments[i].seed, words[i])
             path_normals(gen, z[c:c + b - a, :width])
         phis = np.concatenate([segments[i].phis[a:b] for i, a, b in pieces], dtype=float)
-        out = outbuf[:shape[0] * (shape[1] + 1)].reshape(shape[0], -1) if store else None
         result = _euler_rows(model, phis, np.repeat(x0[idx], counts), np.repeat(T[idx], counts),
-                             rows, dt, z, np.repeat(subjects[idx], counts), out)
-        # chunk row r is row at[r] of the pass
-        at = np.arange(shape[0]) + np.repeat(starts[idx] + first - lead, counts)
+                             rows, dt, z, np.repeat(subjects[idx], counts), store)
         if store:
-            first_bad[at] = result
-            for (i, a, b), c in zip(pieces, lead.tolist()):
-                values[i][a:b] = out[c:c + b - a, :values[i].shape[1]]
+            for (i, a, b), c, width in zip(pieces, lead.tolist(), steps[idx].tolist()):
+                values[i][a:b, 0] = x0[i]
+                values[i][a:b, 1:] = z[c:c + b - a, :width]
         else:
+            # chunk row r is row at[r] of the pass
+            at = np.arange(shape[0]) + np.repeat(starts[idx] + first - lead, counts)
             u[at], v[at] = result
     if store:
-        return [(grids[seg.T], vals, first_bad[a:b])
-                for seg, vals, a, b in zip(segments, values, starts, starts[1:])]
+        return [(grids[seg.T], vals, _first_bad(vals)) for seg, vals in zip(segments, values)]
     return [(u[a:b], v[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def _first_bad(values):
+    """Each row's first non-finite column after x0's, or -1: the step at
+    which it stopped being finite (a non-finite x0 reads step 1)."""
+    bad = ~np.isfinite(values[:, 1:])
+    return np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, -1)

@@ -2,10 +2,12 @@
 
 audit_fit certifies a fit against a grid of the objective; decompose
 splits a simulated path's U into its drift and martingale parts;
-stored_paths runs the Euler kernel on one unchunked block of rows;
+stored_paths runs the Euler kernel on one unchunked block of rows and
+first_nonfinite_step finds where a row of states diverged;
 path_increments and left_fold rebuild (U, V) from stored rows.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +73,7 @@ def stored_paths(model, phis, x0, T, dt, seed, subject_index):
     replicates 0, 1, ... in row order: their normals are one call on the
     subject's path stream (seed, id), cut into rows. Row r takes drift
     multiplier phis[r]; first_bad is the step at which the row stopped
-    being finite, or -1.
+    being finite, or -1, found by first_nonfinite_step.
     """
     times = time_grid(T, dt)
     steps = len(times) - 1
@@ -81,12 +83,23 @@ def stored_paths(model, phis, x0, T, dt, seed, subject_index):
     for subject in dict.fromkeys(ids.tolist()):
         mine = ids == subject
         z[mine] = generator(seed, subject).standard_normal((int(mine.sum()), steps))
-    values = np.empty((rows, steps + 1))
-    first_bad = _euler_rows(
+    _euler_rows(
         model, np.asarray(phis, dtype=float), np.full(rows, float(x0)), np.full(rows, float(T)),
-        np.full(rows, steps), dt, z, ids, values,
+        np.full(rows, steps), dt, z, ids, store=True,
     )
+    values = np.column_stack([np.full(rows, float(x0)), z])
+    first_bad = np.array([first_nonfinite_step(row) for row in values], dtype=np.int64)
     return times, values, first_bad
+
+
+def first_nonfinite_step(states):
+    """The first step k >= 1 whose state in one row of states is not
+    finite, or -1, by a plain Python scan; states[0] is x0, so a
+    non-finite x0 gives step 1."""
+    for k, state in enumerate(states[1:].tolist(), start=1):
+        if not math.isfinite(state):
+            return k
+    return -1
 
 
 def path_increments(times, values, model):

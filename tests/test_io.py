@@ -310,6 +310,7 @@ def test_each_fault_on_either_side_of_a_block_boundary(tmp_path, kind):
                 assert got[0] == "error"
 
 
+@pytest.mark.slow
 def test_valid_files_never_reach_the_per_line_explainer(tmp_path):
     # _check_block's column checks accept every valid block themselves;
     # _bad_line runs only on a block they refused

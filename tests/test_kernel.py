@@ -14,13 +14,14 @@ from sde_remle import Design, DesignFamily, Theta, builtin_model, time_grid
 from sde_remle.asymptotics import _ensemble_uv, _point_passes
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec, register_model
+from sde_remle.rng import generator
 from sde_remle import simulate
 from sde_remle.simulate import (
     ROW_CHUNK, Segment, effect_rows, replicate_uv, simulate_replicates,
 )
 from sde_remle.stats import suff_stats_rows
 
-from oracles import left_fold, path_increments, stored_paths
+from oracles import first_nonfinite_step, left_fold, path_increments, stored_paths
 
 # user models: a smooth state-dependent pair, a drift that explodes in
 # finite time for phi > 0, a diffusion that vanishes beyond x = 5, one
@@ -260,11 +261,11 @@ def test_running_totals_start_at_positive_zero():
     # increment is -1 * (+0.0) = -0.0, and a sum from +0.0 is +0.0 in the
     # kernel and on the stored path alike
     model = builtin_model("linear-drift")
-    args = (model, np.zeros(1), np.array([-1.0]), np.array([1.2]), np.array([12]), 0.1,
-            np.zeros((1, 12)), [0])
-    u, v = simulate._euler_rows(*args)
-    values = np.empty((1, 13))
-    simulate._euler_rows(*args, values)
+    args = (model, np.zeros(1), np.array([-1.0]), np.array([1.2]), np.array([12]), 0.1)
+    u, v = simulate._euler_rows(*args, np.zeros((1, 12)), [0])
+    states = np.zeros((1, 12))
+    simulate._euler_rows(*args, states, [0], store=True)
+    values = np.column_stack([[-1.0], states])
     times = time_grid(1.2, 0.1)
     assert np.signbit(path_increments(times, values, model)[0]).all()
     want_u, want_v = suff_stats_rows(times, values, model)
@@ -274,6 +275,28 @@ def test_running_totals_start_at_positive_zero():
     zero_u, zero_v = suff_stats_rows([0.0], np.full((3, 1), -1.0), model)
     assert not (zero_u.any() or zero_v.any() or np.signbit(zero_u).any()
                 or np.signbit(zero_v).any())
+
+
+def test_a_diverging_row_stops_at_the_step_of_a_scalar_euler_loop():
+    # the explosive drift x^2 overflows some rows, at steps that differ
+    # by row and, with small caps, across chunk boundaries; a scalar loop
+    # over the same normals, in Python floats, finds the same steps
+    T, dt, seed, subject, rows = 1.3, 1.3 / 17.5, 5, 3, 40
+    phis = np.random.default_rng(5).normal(0.5, 4.0, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "ROW_CHUNK", 16)
+        times, values, first_bad = simulate_replicates(BLOWUP, phis, 2.0, T, dt, seed, subject)
+    z = generator(seed, subject).standard_normal((rows, len(times) - 1))
+    want = []
+    for phi, normals in zip(phis.tolist(), z.tolist()):
+        x, states = 2.0, [2.0]
+        for delta, zk in zip(np.diff(times).tolist(), normals):
+            drift = phi * float(BLOWUP.b(x)) * delta
+            x = x + drift + float(BLOWUP.sigma(x)) * math.sqrt(delta) * zk
+            states.append(x)
+        want.append(first_nonfinite_step(np.array(states)))
+    assert first_bad.tolist() == want
+    assert len({step for step in want if step > 0}) > 1 and want.count(-1) > 0
 
 
 def _own_degenerate_step(model, theta0, n, T, dt, seed, R, i):
@@ -355,9 +378,25 @@ def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     assert stacked < 64
 
 
-def test_a_monte_carlo_pass_holds_one_chunk_buffer():
+@pytest.mark.parametrize("store", [False, True], ids=["uv", "stored"])
+def test_a_monte_carlo_pass_holds_one_chunk_buffer(store):
     # one full chunk of 4096 rows of 400 steps: the normals are the only
-    # chunk-sized buffer, as (U, V) are running totals
+    # chunk-sized buffer, as (U, V) are running totals and stored states
+    # overwrite the normals; a stored pass also keeps its (4096, 401) paths
     segments = [Segment(0.0, 1.0, 7, 0, np.full(ROW_CHUNK, 0.5))]
-    peak = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments))
-    assert peak < 1.25 * ROW_CHUNK * 400 * 8 / 2**20
+    kept = ROW_CHUNK * 401 * 8 / 2**20 if store else 0.0
+    peak = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments,
+                                         store))
+    assert peak < 1.25 * ROW_CHUNK * 400 * 8 / 2**20 + kept
+
+
+def test_a_long_ragged_stored_ensemble_holds_one_normals_buffer():
+    # 200 harmonic subjects, T from 50 down to 1.245 at dt = 0.01, fill
+    # one chunk of 200 x 5000 normals; beside it only the paths are kept
+    family = DesignFamily("harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=49.0)
+    design = Design(family.subjects(200), 0.01, 3)
+    paths = []
+    peak = _peak_mb(lambda: paths.extend(
+        simulate.simulate_ensemble(builtin_model("linear-drift"), THETA, design)))
+    kept = sum(p.times.nbytes + p.values.nbytes for p in paths) / 2**20
+    assert peak <= 1.25 * 200 * 5000 * 8 / 2**20 + kept

@@ -207,6 +207,9 @@ def _smirnov_close(n, x):
 @given(n=st.integers(1, 3000), frac=st.floats(0.0, 1.0, exclude_max=True))
 @example(n=1, frac=0.0)
 @example(n=3000, frac=0.999)
+# x = 1 - 2^-53, where forming n - j - n x from n x lost most of 1 - x
+@example(n=3, frac=0.9999999999999999)
+@example(n=5, frac=0.9999999999999999)
 def test_smirnov_exact_region_matches_scipy(n, frac):
     assert _smirnov_close(n, min(0.5 + 0.5 * frac, math.nextafter(1.0, 0.0)))
 

@@ -66,14 +66,14 @@ class TestTimeGrid:
 
 def _zero_noise_path(model, phi, x0, T, dt):
     """The kernel's stored path driven by zero increments: the explicit
-    Euler solution of dx = phi b(x) dt."""
+    Euler solution of dx = phi b(x) dt. The states overwrite the zeros."""
     times = time_grid(T, dt)
     steps = len(times) - 1
-    values = np.empty((1, steps + 1))
-    first_bad = _euler_rows(model, np.array([phi]), np.array([x0]), np.array([T]),
-                            np.array([steps]), dt, np.zeros((1, steps)), [0], values)
-    assert first_bad.tolist() == [-1]
-    return times, values[0]
+    states = np.zeros((1, steps))
+    _euler_rows(model, np.array([phi]), np.array([x0]), np.array([T]),
+                np.array([steps]), dt, states, [0], store=True)
+    assert np.isfinite(states).all()
+    return times, np.concatenate([[x0], states[0]])
 
 
 def test_zero_noise_unit_path_is_linear():
@@ -124,6 +124,18 @@ def test_divergence_raises_with_step_index():
     with pytest.raises(SimulationDiverged) as exc:
         euler_maruyama(LINEAR, 1.0e8, 1.0, 1.0, 0.01, 2)
     assert exc.value.step >= 1
+
+
+@pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("model", [UNIT, LINEAR, BOUNDED], ids=lambda m: m.name)
+def test_a_non_finite_start_diverges_at_step_one(model, x0):
+    # x0 is column 0 of the stored states; the step counts from column 1
+    _, values, first_bad = simulate_replicates(model, [0.5, -1.0], x0, 1.0, 0.1, 4, 2)
+    assert first_bad.tolist() == [1, 1]
+    assert np.array_equal(values[:, 0], [x0, x0], equal_nan=True)
+    with pytest.raises(SimulationDiverged) as exc:
+        euler_maruyama(model, 0.5, x0, 1.0, 0.1, 4, 2)
+    assert (exc.value.step, exc.value.subject_index) == (1, 2)
 
 
 def test_degenerate_sigma_raises():
