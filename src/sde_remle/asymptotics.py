@@ -13,13 +13,13 @@ information and divergence, 3 for the probe), then runs them as one
 stacked simulate.replicate_uv pass. A point's (U, V) are a pure function
 of its arguments, the same alone or stacked. Every reduction runs in a
 fixed order, so reports are byte-identical across runs: divergence and
-probe means and the running design averages are exactly rounded
-(math.fsum), while the information estimates reduce with numpy's
-pairwise sums and means over rows and points.
+probe means and the design averages of every estimate are exactly
+rounded (math.fsum), while each point's information estimate reduces
+its rows with numpy's pairwise sums.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,16 +73,10 @@ class KlEstimate:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Rows of running averages plus the estimated limit values.
-
-    point_info maps each design point (x, T) of averaged_limits to its
-    InfoEstimate, so a later pass at the same point, seed and replicate
-    count can reuse it; the continuity probe leaves it empty.
-    """
+    """Rows of running averages plus the estimated limit values."""
 
     rows: tuple
     limit: dict
-    point_info: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -108,8 +102,17 @@ class ExperimentReport:
 
 def _point_seed(seed, point):
     """A design point's seed, from its coordinates; averaged_limits and
-    _info_bar must agree on it for point_info to be reusable."""
+    _info_bar share it, so their information averages agree."""
     return derive_seed(seed, _LANE_INFO, *map(float_label, point))
+
+
+def _check_schedule(name, schedule):
+    """Bad schedule, before any draw: empty, an entry below 1, or not
+    strictly increasing raises ValueError."""
+    if not schedule or min(schedule) < 1:
+        raise ValueError(f"{name} needs at least one entry, each >= 1")
+    if any(a >= b for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
 
 
 def _point_passes(model, theta0, dt, seed, points, sizes, seeds, minimum, what):
@@ -237,14 +240,14 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     pass, one segment and one seed each: a point's two estimates read the
     same (U, V) and equal kl_mc's and fisher_info_mc's at its seed, which
     is derived from its coordinates, so a constant design reproduces the
-    single-point values exactly. The table's point_info holds the
-    information estimate of every design point.
+    single-point values exactly.
     """
     designs = [(float(x), float(T)) for x, T in designs]
     if not designs:
         raise EmptyExperiment("averaged_limits needs at least one design point")
     if not all(1 <= n <= len(designs) for n in schedule):
         raise ValueError(f"every schedule entry must lie in 1..{len(designs)}")
+    _check_schedule("schedule", schedule)
 
     pts = designs + [(float(limit_point[0]), float(limit_point[1]))]
     parts = _point_passes(
@@ -273,8 +276,7 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
             row[key], row[f"{key}_se"] = avg, se
             row[f"{key}_gap"], row[f"{key}_gap_se"] = _gap(avg, se, *lim_col)
         rows.append(row)
-    point_info = {pt: info for pt, (_, info) in zip(designs, points)}
-    return ConvergenceTable(rows=tuple(rows), limit=lim, point_info=point_info)
+    return ConvergenceTable(rows=tuple(rows), limit=lim)
 
 
 def _ensemble_uv(model, theta0, design, replicates):
@@ -380,8 +382,7 @@ def run_consistency_experiment(model, theta0, space, design, n_schedule, replica
     every level's horizons within its own, so its validation covers all.
     """
     _check_run(replicates, theta0, space)
-    if not n_schedule or min(n_schedule) < 1:
-        raise ValueError("n_schedule needs at least one entry, each >= 1")
+    _check_schedule("n_schedule", n_schedule)
     u, v = _ensemble_uv(model, theta0, Design(design.subjects(max(n_schedule)), dt, seed),
                         replicates)
     rows = []
@@ -401,41 +402,38 @@ def run_consistency_experiment(model, theta0, space, design, n_schedule, replica
     )
 
 
-def _info_bar(model, theta0, points, info_replicates, dt, seed, point_info=None):
-    """Plug-in information at the design points: single-point for iid
-    designs, design-averaged (the largest-n running mean) for non-iid ones.
-
-    point_info maps (x, T) to an InfoEstimate already made by
-    fisher_info_mc with this model, theta0, dt, seed and info_replicates,
-    as averaged_limits makes them when its replicate count is
-    info_replicates; only the points it lacks are estimated.
-    """
-    by_point = dict(point_info or {})
-    missing = sorted(set(points) - by_point.keys())
-    if missing:
-        parts = _point_passes(
-            model, theta0, dt, seed, missing, [info_replicates] * len(missing),
-            [_point_seed(seed, pt) for pt in missing], 100, "information",
-        )
-        by_point.update((pt, _info_estimate(theta0, *part)) for pt, part in zip(missing, parts))
-    return np.stack([by_point[pt].matrix for pt in points]).mean(axis=0)
+def _info_bar(model, theta0, points, info_replicates, dt, seed):
+    """Design-averaged information n^-1 * sum_k I(x_k, T_k) at the points:
+    each distinct point estimated once, on its _point_seed, and each entry
+    averaged exactly, as averaged_limits averages its i00, i01 and i11."""
+    distinct = sorted(set(points))
+    parts = _point_passes(
+        model, theta0, dt, seed, distinct, [info_replicates] * len(distinct),
+        [_point_seed(seed, pt) for pt in distinct], 100, "information",
+    )
+    by_point = {pt: _info_estimate(theta0, *part).matrix for pt, part in zip(distinct, parts)}
+    return np.array([[_mean_exact([by_point[pt][i, j] for pt in points]) for j in (0, 1)]
+                     for i in (0, 1)])
 
 
 def run_normality_experiment(model, theta0, space, design, n, replicates, info_replicates,
-                             dt, seed, point_info=None):
+                             dt, seed, information=None):
     """Standardized estimation errors vs the standard normal law.
 
     z_r = sqrt(n) * L (theta_hat_r - theta0) with L the symmetric square
-    root of the plug-in information at the first n subjects of the
-    DesignFamily design; reports per-coordinate KS p-values, Wald
-    coverage, and a shifted-center negative control. point_info, as in
-    _info_bar, supplies information estimates that need not be made
-    again.
+    root of the design-averaged information at the first n subjects of
+    the DesignFamily design, estimated with info_replicates rows per
+    point unless the 2x2 matrix information is given, in which case
+    info_replicates is not read; reports per-coordinate KS p-values,
+    Wald coverage, and a shifted-center negative control.
     """
     _check_run(replicates, theta0, space)
     points = design.subjects(n)
     ensemble = Design(points, dt, seed)
-    info_bar = _info_bar(model, theta0, points, info_replicates, dt, seed, point_info)
+    if information is None:
+        info_bar = _info_bar(model, theta0, points, info_replicates, dt, seed)
+    else:
+        info_bar = np.array(information, dtype=float)
     try:
         L = sqrt_2x2_spd(info_bar)
     except ValueError as err:
@@ -494,6 +492,7 @@ def run_moment_continuity_probe(model, theta0, psi, xi, design, m_schedule, repl
     estimated.
     """
     _check_run(replicates, limit_replicates=limit_replicates)
+    _check_schedule("m_schedule", m_schedule)
     if not xi > 0:
         raise ValueError("xi must be > 0")
     # the limit point's rows, then each m's, in one stacked pass

@@ -92,21 +92,9 @@ def _family(cfg, kind=None):
     )
 
 
-def _check_schedule(vals, name):
-    if any(v < 1 for v in vals) or list(vals) != sorted(set(vals)):
-        raise ValueError(f"{name} must be strictly increasing positive integers")
-
-
-def _positive(cfg, *keys):
-    for key in keys:
-        if key in cfg and not cfg[key] > 0:
-            raise ValueError(f"'{key}' must be > 0")
-
-
 def cmd_simulate(cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     theta0 = _theta0(cfg)
-    _positive(cfg, "n", "dt")
     design = Design(
         subjects=_family(cfg).subjects(cfg["n"]), dt=cfg["dt"], seed=seed
     )
@@ -153,7 +141,6 @@ def _write_report(report, out_dir):
 # None, the text after "experiment KIND: " on stdout).
 
 def _consistency(cfg, model, theta0, seed, out_dir):
-    _check_schedule(cfg["n_schedule"], "n_schedule")
     report = run_consistency_experiment(
         model, theta0, _space(cfg), _family(cfg), tuple(cfg["n_schedule"]),
         cfg["replicates"], cfg["dt"], seed,
@@ -165,16 +152,12 @@ def _consistency(cfg, model, theta0, seed, out_dir):
     )
 
 
-def _normality_report(cfg, model, theta0, seed, out_dir, point_info=None):
+def _normality(cfg, model, theta0, seed, out_dir):
     report = run_normality_experiment(
         model, theta0, _space(cfg), _family(cfg), cfg["n"], cfg["replicates"],
-        cfg["info_replicates"], cfg["dt"], seed, point_info,
+        cfg["info_replicates"], cfg["dt"], seed,
     )
-    return report, _write_report(report, out_dir)
-
-
-def _normality(cfg, model, theta0, seed, out_dir):
-    report, rep_file = _normality_report(cfg, model, theta0, seed, out_dir)
+    rep_file = _write_report(report, out_dir)
     s = report.summaries[0]
     return report, (
         f"n={s['n']} ks_mu={s['ks_mu']!r} ks_omega2={s['ks_omega2']!r} "
@@ -186,12 +169,16 @@ def _noniid(cfg, model, theta0, seed, out_dir):
     family = _family(cfg)
     if family.kind != "harmonic":
         raise ValueError("the noniid experiment needs design = harmonic")
-    _check_schedule(cfg["n_schedule"], "n_schedule")
-    schedule = tuple(cfg["n_schedule"])
-    # the normality pass's rectangle and truth, refused before any draw
+    schedule, n = tuple(cfg["n_schedule"]), cfg["n"]
+    # the normality pass's rectangle, truth and sizes, refused before any draw
     _check_run(cfg["replicates"], theta0, _space(cfg))
+    if n not in schedule:
+        raise ValueError(f"noniid needs n to be an n_schedule entry, got n = {n}")
+    if cfg["info_replicates"] != cfg["replicates"]:
+        raise ValueError("noniid standardises by its limits pass's information, "
+                         "so info_replicates must equal replicates")
     table = averaged_limits(
-        model, family.subjects(schedule[-1]), theta0,
+        model, family.subjects(max(schedule)), theta0,
         Theta(mu=cfg["mu_alt"], omega2=cfg["omega2_alt"]),
         cfg["dt"], cfg["replicates"], family.limit_point(),
         cfg["limit_replicates"], seed, schedule=schedule,
@@ -201,13 +188,14 @@ def _noniid(cfg, model, theta0, seed, out_dir):
         os.path.join(out_dir, io_mod.LIMITS_FILE),
         os.path.join(out_dir, io_mod.LIMIT_FILE),
     )
-    # averaged_limits estimated the information at these design points
-    # with the normality pass's seeds; at its replicate count too, they
-    # are the estimates the pass would make
-    reuse = cfg["info_replicates"] == cfg["replicates"]
-    report, rep_file = _normality_report(
-        cfg, model, theta0, seed, out_dir, table.point_info if reuse else None
+    # limits.csv's row n is the design-averaged information at the first
+    # n points, the one the normality pass would estimate at these seeds
+    row = table.rows[schedule.index(n)]
+    report = run_normality_experiment(
+        model, theta0, _space(cfg), family, n, cfg["replicates"], None, cfg["dt"], seed,
+        information=[[row["i00"], row["i01"]], [row["i01"], row["i11"]]],
     )
+    rep_file = _write_report(report, out_dir)
     final = table.rows[-1]
     return report, (
         f"n={final['n']} kl_gap={final['kl_gap']!r} i00_gap={final['i00_gap']!r} "
@@ -216,7 +204,6 @@ def _noniid(cfg, model, theta0, seed, out_dir):
 
 
 def _continuity(cfg, model, theta0, seed, out_dir):
-    _check_schedule(cfg["m_schedule"], "m_schedule")
     table = run_moment_continuity_probe(
         model, theta0, cfg["psi"], cfg["xi"], _family(cfg, "harmonic"),
         tuple(cfg["m_schedule"]), cfg["replicates"], cfg["limit_replicates"],
@@ -241,7 +228,6 @@ _EXPERIMENTS = {
 def cmd_experiment(kind, cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     theta0 = _theta0(cfg)
-    _positive(cfg, "dt", "replicates", "info_replicates", "limit_replicates", "n")
     report, summary = _EXPERIMENTS[kind](cfg, model, theta0, seed, out_dir)
     print(f"experiment {kind}: {summary}")
     # the files are on disk for a post-mortem before a failed run raises

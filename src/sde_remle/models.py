@@ -103,6 +103,8 @@ class DesignFamily:
 
     def point(self, i):
         """Design point (x0, T) of subject i, counting from 1."""
+        if i < 1:
+            raise ValueError(f"design points count from 1, got {i}")
         if self.kind == "iid":
             return (self.x0, self.T)
         return (self.x_inf + self.x_amp / i, self.T_inf + self.T_amp / i)

@@ -171,14 +171,17 @@ def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
     from sde_remle import asymptotics
     from sde_remle.rng import derive_seed, float_label
 
-    kls = []
-    real = asymptotics._kl_estimate
+    kls, infos = [], []
+    real_kl, real_info = asymptotics._kl_estimate, asymptotics._info_estimate
 
-    def keep(*args):
-        kls.append(real(*args))
-        return kls[-1]
+    def keep(made, real):
+        def estimate(*args):
+            made.append(real(*args))
+            return made[-1]
+        return estimate
 
-    monkeypatch.setattr(asymptotics, "_kl_estimate", keep)
+    monkeypatch.setattr(asymptotics, "_kl_estimate", keep(kls, real_kl))
+    monkeypatch.setattr(asymptotics, "_info_estimate", keep(infos, real_info))
     family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
     theta0, theta, dt, seed = Theta(mu=0.8, omega2=0.4), Theta(mu=1.5, omega2=0.5), 0.03, 23
     points = family.subjects(5)
@@ -187,16 +190,14 @@ def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
         limit_point=family.limit_point(), limit_replicates=300, seed=seed,
         schedule=(1, 2, 4, 5),
     )
-    assert len(kls) == len(points) + 1
-    for (x, T), kl, R in zip(points + (family.limit_point(),), kls, [120] * 5 + [300]):
+    assert len(kls) == len(infos) == len(points) + 1
+    for (x, T), kl, info, R in zip(points + (family.limit_point(),), kls, infos,
+                                   [120] * 5 + [300]):
         point_seed = derive_seed(seed, 1, float_label(x), float_label(T))
         _same_fields(kl, kl_mc(BOUNDED, theta0, theta, x, T, dt, R, point_seed))
-        info = fisher_info_mc(BOUNDED, theta0, x, T, dt, R, point_seed)
-        if (x, T) in table.point_info:
-            _same_fields(table.point_info[(x, T)], info)
-        else:
-            assert table.limit["i00"] == float(info.matrix[0, 0])
-            assert table.limit["kl"] == kl.value
+        _same_fields(info, fisher_info_mc(BOUNDED, theta0, x, T, dt, R, point_seed))
+    assert table.limit["i00"] == float(infos[-1].matrix[0, 0])
+    assert table.limit["kl"] == kls[-1].value
 
 
 def test_averaged_limits_draws_once_per_point(monkeypatch):
@@ -275,24 +276,34 @@ def test_stacked_point_pass_errors_name_the_failing_design_point(sigma, message,
     assert exc.value.step == step
 
 
-def test_info_bar_reuses_design_point_estimates_bit_for_bit():
-    """averaged_limits' point_info at the same seed and replicate count
-    stands in for _info_bar's own estimates without changing a bit; a
-    partial map is completed by estimating the points it lacks."""
+def test_info_bar_equals_the_averaged_limits_row_bit_for_bit():
+    """_info_bar over the first n design points is the i00, i01 and i11
+    of averaged_limits' row n at the same seed and replicate count, with
+    the symmetric entry equal to i01: one design-averaged information."""
     family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
     theta0 = Theta(mu=1.0, omega2=0.5)
     table = averaged_limits(
-        UNIT, family.subjects(4), theta0, Theta(mu=1.5, omega2=0.5), 0.05,
+        BOUNDED, family.subjects(6), theta0, Theta(mu=1.5, omega2=0.5), 0.05,
         replicates=150, limit_point=family.limit_point(), limit_replicates=150,
-        seed=17, schedule=(1, 2, 4),
+        seed=17, schedule=(1, 2, 3, 6),
     )
-    assert sorted(table.point_info) == sorted(family.subjects(4))
-    for n in (4, 6):
-        args = (UNIT, theta0, family.subjects(n), 150, 0.05, 17)
-        fresh = _info_bar(*args)
-        partial = dict(list(table.point_info.items())[:2])
-        for known in (table.point_info, partial):
-            assert _bits(_info_bar(*args, known)) == _bits(fresh)
+    for row in table.rows:
+        bar = _info_bar(BOUNDED, theta0, family.subjects(row["n"]), 150, 0.05, 17)
+        want = [[row["i00"], row["i01"]], [row["i01"], row["i11"]]]
+        assert _bits(bar) == _bits(want), row["n"]
+
+
+def test_info_bar_estimates_each_distinct_point_once(monkeypatch):
+    calls = []
+    real = asymptotics._info_estimate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(asymptotics, "_info_estimate", counting)
+    _info_bar(UNIT, Theta(mu=1.0, omega2=0.5), [(0.0, 1.0)] * 3 + [(0.5, 2.0)], 100, 0.1, 5)
+    assert len(calls) == 2
 
 
 def test_averaged_limits_harmonic_converges():
@@ -387,6 +398,30 @@ def test_consistency_levels_equal_their_own_runs():
 def test_consistency_refuses_a_bad_schedule_before_drawing(no_draws, schedule):
     with pytest.raises(ValueError, match=r"^n_schedule needs at least one entry, each >= 1$"):
         _consistency(n_schedule=schedule)
+
+
+def _schedule_calls():
+    theta = Theta(mu=1.0, omega2=0.5)
+    return {
+        "run_consistency_experiment": lambda s: _consistency(n_schedule=s),
+        "averaged_limits": lambda s: averaged_limits(
+            UNIT, [(0.0, 1.0)] * 4, theta, theta, 0.1, replicates=100,
+            limit_point=(0.0, 1.0), limit_replicates=100, seed=0, schedule=s,
+        ),
+        "run_moment_continuity_probe": lambda s: _continuity(m_schedule=s),
+    }
+
+
+@pytest.mark.parametrize("schedule,match", [
+    # averaged_limits names the range of its design points instead of the floor
+    ((0, 2), r"(needs at least one entry, each >= 1|every schedule entry must lie in 1\.\.4)$"),
+    # a repeated or falling schedule wrote rows for 4, 4, 2, 2, 2, 2
+    ((4, 2, 2), r"must be strictly increasing$"),
+], ids=["zero", "unsorted"])
+@pytest.mark.parametrize("name", sorted(_schedule_calls()))
+def test_schedules_are_refused_before_drawing(no_draws, name, schedule, match):
+    with pytest.raises(ValueError, match=match):
+        _schedule_calls()[name](schedule)
 
 
 def test_consistency_raises_a_late_level_degeneracy_before_any_fit(monkeypatch):
@@ -518,6 +553,9 @@ def test_design_family_layouts():
     assert har.limit_point() == (0.0, 1.0)
     with pytest.raises(ValueError):
         DesignFamily(kind="grid")
+    for family in (iid, har):
+        with pytest.raises(ValueError, match=r"^design points count from 1, got 0$"):
+            family.point(0)
 
 
 def test_fit_rows_drop_non_finite_replicates():

@@ -504,15 +504,11 @@ def test_noniid_refuses_its_truth_and_rectangle_before_drawing(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("info_replicates,estimates", [
-    # averaged_limits estimates the 4 design points and the limit point;
-    # the normality pass reuses the 4 when its replicate count is the same
-    (100, 5),
-    # and estimates them again when it is not
-    (101, 9),
-])
-def test_noniid_estimates_each_information_point_once(
-        tmp_path, capsys, monkeypatch, info_replicates, estimates):
+@pytest.mark.parametrize("n", [4, 2])
+def test_noniid_estimates_each_information_point_once(tmp_path, capsys, monkeypatch, n):
+    """averaged_limits estimates the 4 design points and the limit point;
+    the normality pass standardises by limits.csv's row n, so its outputs
+    are those of a normality pass at n that estimates every point itself."""
     from sde_remle import DesignFamily, asymptotics, io, run_normality_experiment
 
     calls = []
@@ -523,24 +519,39 @@ def test_noniid_estimates_each_information_point_once(
         return real(*args)
 
     monkeypatch.setattr(asymptotics, "_info_estimate", counting)
-    cfg = _cfg(tmp_path, NONIID_CFG + f"info_replicates = {info_replicates}\n")
-    rc = main(["experiment", "noniid", "--config", cfg, "--out", str(tmp_path / "cli")])
+    text = NONIID_CFG.replace("\nn = 4\n", f"\nn = {n}\n") + "info_replicates = 100\n"
+    rc = main(["experiment", "noniid", "--config", _cfg(tmp_path, text),
+               "--out", str(tmp_path / "cli")])
     assert rc == 0
-    assert len(calls) == estimates
+    assert len(calls) == 5
     capsys.readouterr()
 
-    # reused or not, the outputs are those of a normality pass that
-    # estimates every point itself
     report = run_normality_experiment(
         model=builtin_model("unit"), theta0=Theta(1.0, 0.5),
         space=ParamSpace(-3.0, 3.0, 0.0, 4.0),
         design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
-        n=4, replicates=100, info_replicates=info_replicates, dt=0.1, seed=3,
+        n=n, replicates=100, info_replicates=100, dt=0.1, seed=3,
     )
     io.write_replicates_csv(report.rows, tmp_path / "replicates.csv")
     io.write_summary_csv(report.summaries, tmp_path / "summary.csv")
     for name in ("replicates.csv", "summary.csv"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("n,info_replicates,message", [
+    (3, 100, "noniid needs n to be an n_schedule entry, got n = 3"),
+    (4, 50, "noniid standardises by its limits pass's information, "
+            "so info_replicates must equal replicates"),
+], ids=["n-off-schedule", "info-replicates"])
+def test_noniid_refuses_what_its_limits_pass_cannot_serve_before_drawing(
+        tmp_path, capsys, no_draws, n, info_replicates, message):
+    # its normality pass reads the information of limits.csv's row n
+    text = NONIID_CFG.replace("\nn = 4\n", f"\nn = {n}\n")
+    text += f"info_replicates = {info_replicates}\n"
+    out = tmp_path / "out"
+    assert main(["experiment", "noniid", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 CONT_CFG = """\
@@ -609,6 +620,50 @@ def test_experiment_stdout_line_quotes_its_csv_cells(tmp_path, capsys, kind):
     want = dict(echoed)
     want.update((key, _last_row(out / name)[column]) for key, (name, column) in quoted.items())
     assert dict(fields) == want
+
+
+_CONFIGS = {"simulate": SIM_CFG, **{kind: text for kind, (text, *_) in _LINES.items()}}
+_EMPTY = "design needs at least one subject"
+_NO_STEP = "dt must be > 0"
+_NOT_SAME = ("noniid standardises by its limits pass's information, "
+             "so info_replicates must equal replicates")
+_COUNT = {0: "replicates = 0", -1: "replicates must be >= 0, got -1"}
+# (command, key): the error at key = 0 and at key = -1
+_SIZE_ERRORS = {
+    ("simulate", "n"): (_EMPTY, _EMPTY),
+    ("simulate", "dt"): (_NO_STEP, _NO_STEP),
+    ("consistency", "dt"): (_NO_STEP, _NO_STEP),
+    ("consistency", "replicates"): (_COUNT[0], _COUNT[-1]),
+    ("normality", "dt"): (_NO_STEP, _NO_STEP),
+    ("normality", "replicates"): (_COUNT[0], _COUNT[-1]),
+    ("normality", "info_replicates"): ("information estimation needs R >= 100",) * 2,
+    ("normality", "n"): (_EMPTY, _EMPTY),
+    ("noniid", "dt"): (_NO_STEP, _NO_STEP),
+    ("noniid", "replicates"): (_COUNT[0], _COUNT[-1]),
+    ("noniid", "info_replicates"): (_NOT_SAME, _NOT_SAME),
+    ("noniid", "limit_replicates"): ("divergence estimation needs R >= 100",) * 2,
+    ("noniid", "n"): tuple(f"noniid needs n to be an n_schedule entry, got n = {v}"
+                           for v in (0, -1)),
+    ("continuity", "dt"): (_NO_STEP, _NO_STEP),
+    ("continuity", "replicates"): (_COUNT[0], _COUNT[-1]),
+    ("continuity", "limit_replicates"): ("moment estimation needs R >= 3",
+                                         "limit_replicates must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    (command, key, value, message) for (command, key), messages in _SIZE_ERRORS.items()
+    for value, message in zip((0, -1), messages)
+])
+def test_a_size_below_one_is_refused_by_the_library_before_any_draw(
+        tmp_path, capsys, no_draws, command, key, value, message):
+    text, subs = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", _CONFIGS[command])
+    assert subs == 1
+    out = tmp_path / "out"
+    args = [command] if command == "simulate" else ["experiment", command]
+    assert main(args + ["--config", _cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", ["continuity", "noniid"])

@@ -1,8 +1,10 @@
 """The README's library quickstart runs as written, the package's public
-names are exactly the names it exports, and every package name the README
-quotes still exists."""
+names are exactly the names it exports, every package name the README
+quotes still exists, and every package function it quotes as a call
+takes the arguments it names."""
 
 import builtins
+import inspect
 import os
 import pkgutil
 import re
@@ -81,7 +83,12 @@ def _package_names():
             yield name
 
 
-def _resolves(name):
+_MISSING, _FIELD = object(), object()
+
+
+def _lookup(name):
+    """The package object a dotted name names, _FIELD for a dataclass
+    field, or _MISSING."""
     parts = name.split(".")
     if parts[0] == "sde_remle":
         parts = parts[1:]
@@ -91,11 +98,15 @@ def _resolves(name):
         parts = parts[1:]
     for part in parts:
         if part in getattr(obj, "__dataclass_fields__", {}):
-            return True
+            return _FIELD
         if not hasattr(obj, part):
-            return False
+            return _MISSING
         obj = getattr(obj, part)
-    return True
+    return obj
+
+
+def _resolves(name):
+    return _lookup(name) is not _MISSING
 
 
 def test_every_package_name_the_readme_quotes_resolves():
@@ -103,3 +114,26 @@ def test_every_package_name_the_readme_quotes_resolves():
     # the scan sees both forms
     assert {"fit_mle", "Design", "simulate.replicate_uv", "sde_remle.ks"} <= names
     assert sorted(n for n in names if not _resolves(n)) == []
+
+
+def _quoted_calls():
+    """(name, argument names with defaults dropped) of every call with
+    arguments that the README quotes in backticks."""
+    prose = re.sub(r"```.*?```", "", _readme(), flags=re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        m = re.fullmatch(r"([A-Za-z_][\w.]*)\((.+)\)", " ".join(span.split()))
+        if m is not None:
+            yield m.group(1), [arg.split("=")[0].strip() for arg in m.group(2).split(",")]
+
+
+def test_every_package_call_the_readme_quotes_names_its_parameters():
+    signatures = {}
+    for name, args in _quoted_calls():
+        obj = _lookup(name)
+        if inspect.isfunction(obj):
+            params = [p for p in inspect.signature(obj).parameters if p != "self"]
+            signatures[name] = (args, params)
+    # the scan sees module functions, methods and the experiment runners
+    assert {"fit_mle", "DesignFamily.point", "io.write_stats_csv",
+            "run_normality_experiment"} <= signatures.keys()
+    assert {name: pair for name, pair in signatures.items() if pair[0] != pair[1]} == {}
