@@ -18,6 +18,7 @@ from .asymptotics import (
     kl_mc,
     run_consistency_experiment,
     run_moment_continuity_probe,
+    run_noniid_experiment,
     run_normality_experiment,
     sqrt_2x2_spd,
 )
@@ -39,7 +40,7 @@ from .errors import (
     SimulationDiverged,
     UnknownKey,
 )
-from .estimator import MleFit, fit_mle, profile_mu
+from .estimator import MleFit, fit_mle
 from .io import read_paths_csv, write_fit_csv, write_paths_csv, write_stats_csv
 from .models import (
     Design,
@@ -92,12 +93,12 @@ __all__ = [
     "fit_mle",
     "kl_mc",
     "parse_config",
-    "profile_mu",
     "read_paths_csv",
     "register_model",
     "resolve_seed",
     "run_consistency_experiment",
     "run_moment_continuity_probe",
+    "run_noniid_experiment",
     "run_normality_experiment",
     "simulate_ensemble",
     "sqrt_2x2_spd",

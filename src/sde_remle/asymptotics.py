@@ -2,20 +2,22 @@
 
 Estimates Fisher information and Kullback-Leibler divergence at single
 design points, their averaged limits along convergent design sequences,
-and runs the consistency / normality / moment-continuity experiments.
-Each experiment is a plain function of its settings (model, truth,
-rectangle, DesignFamily, sizes, dt, seed). Consistency and normality
-fit the rows of one simulated ensemble in one batch each; consistency
-simulates only its largest level, and level n fits the first n columns.
-Every design-point estimate runs through _point_passes: it validates the
-points as one Design, then checks each replicate count (R >= 100 for
-information and divergence, 3 for the probe), then runs them as one
-stacked simulate.replicate_uv pass. A point's (U, V) are a pure function
-of its arguments, the same alone or stacked. Every reduction runs in a
-fixed order, so reports are byte-identical across runs: divergence and
-probe means and the design averages of every estimate are exactly
-rounded (math.fsum), while each point's information estimate reduces
-its rows with numpy's pairwise sums.
+and runs the consistency / normality / noniid / moment-continuity
+experiments, each a plain function of its settings (model, truth,
+rectangle, DesignFamily, sizes, dt, seed). Each fits the rows of one
+simulated ensemble in one batch; consistency and noniid simulate only
+their largest size, and size n reads the first n columns. The design
+points of averaged_limits are such an ensemble's subjects, so noniid's
+limits, standardiser and fits share one draw. Every single-point
+estimate runs through _point_passes: it validates the points as one
+Design, checks each replicate count (R >= 100 for information and
+divergence, 3 for the probe), then runs them as one stacked
+simulate.replicate_uv pass. A point's (U, V) are a pure function of its
+arguments, the same alone or stacked. Every reduction runs in a fixed
+order, so reports are byte-identical across runs: divergence and probe
+means and the design averages of every estimate are exactly rounded
+(math.fsum), while each point's information estimate reduces its rows
+with numpy's pairwise sums.
 """
 
 import math
@@ -32,7 +34,7 @@ from .rng import derive_seed, float_label
 from .simulate import Segment, effect_rows, replicate_uv
 
 # seed lanes for nested Monte Carlo passes, disjoint from the main experiment's
-# path streams: design points (information and divergence share one draw), probe
+# path streams: single points (information and divergence share one draw), probe
 _LANE_INFO = 1
 _LANE_PROBE = 4
 
@@ -101,8 +103,8 @@ class ExperimentReport:
 
 
 def _point_seed(seed, point):
-    """A design point's seed, from its coordinates; averaged_limits and
-    _info_bar share it, so their information averages agree."""
+    """A single design point's seed, from its coordinates: the lane of
+    averaged_limits' limit point and of each point _info_bar estimates."""
     return derive_seed(seed, _LANE_INFO, *map(float_label, point))
 
 
@@ -115,31 +117,40 @@ def _check_schedule(name, schedule):
         raise ValueError(f"{name} must be strictly increasing")
 
 
-def _point_passes(model, theta0, dt, seed, points, sizes, seeds, minimum, what):
-    """(U, V, dropped) of each design point's finite rows, from one stacked pass.
-
-    The points are validated as one Design, then every count against
-    minimum, before any normal is drawn. Point k's rows are replicates
-    0..R-1 of subject 0 under seed seeds[k]. A point
-    with fewer than 3 finite rows raises ExperimentFailed.
-    """
+def _check_points(points, sizes, dt, seed, minimum, what):
+    """The points as one Design's subjects, after each count in sizes is
+    checked against minimum; raises ValueError before any draw."""
     points = Design(tuple(points), dt, seed).subjects
     if min(sizes) < minimum:
         raise ValueError(f"{what} estimation needs R >= {minimum}")
+    return points
+
+
+def _finite_rows(point, u, v):
+    """(U, V, dropped) of a design point's finite rows; fewer than 3
+    raise ExperimentFailed."""
+    ok = np.isfinite(u) & np.isfinite(v)
+    if ok.sum() < 3:
+        raise ExperimentFailed(
+            f"only {int(ok.sum())} of {len(u)} Monte Carlo rows are finite at "
+            f"design point (x, T) = ({point[0]!r}, {point[1]!r}); at least 3 are needed"
+        )
+    return u[ok], v[ok], int(len(u) - ok.sum())
+
+
+def _point_passes(model, theta0, dt, seed, points, sizes, seeds, minimum, what):
+    """_finite_rows of each design point, from one stacked pass.
+
+    The points and counts go through _check_points before any normal is
+    drawn. Point k's rows are replicates 0..R-1 of subject 0 under seed
+    seeds[k].
+    """
+    points = _check_points(points, sizes, dt, seed, minimum, what)
     parts = replicate_uv(model, dt, [
         Segment(x0, T, s, 0, effect_rows(theta0, s, R, 1)[:, 0])
         for (x0, T), R, s in zip(points, sizes, seeds)
     ])
-    out = []
-    for (x0, T), (u, v) in zip(points, parts):
-        ok = np.isfinite(u) & np.isfinite(v)
-        if ok.sum() < 3:
-            raise ExperimentFailed(
-                f"only {int(ok.sum())} of {len(u)} Monte Carlo rows are finite at "
-                f"design point (x, T) = ({x0!r}, {T!r}); at least 3 are needed"
-            )
-        out.append((u[ok], v[ok], int(len(u) - ok.sum())))
-    return out
+    return [_finite_rows(pt, u, v) for pt, (u, v) in zip(points, parts)]
 
 
 def _mean_se(values):
@@ -236,26 +247,37 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     For each design point (x_k, T_k) the divergence K_k(theta0, theta) and
     information I_k(theta0) are estimated by Monte Carlo; the table reports
     n^-1 * sum_{k<=n} for each n of schedule (in 1..len(designs)) together
-    with the estimates at limit_point. All points run as one stacked
-    pass, one segment and one seed each: a point's two estimates read the
-    same (U, V) and equal kl_mc's and fisher_info_mc's at its seed, which
-    is derived from its coordinates, so a constant design reproduces the
-    single-point values exactly.
+    with the estimates at limit_point. Point k is subject k of one
+    ensemble on the run's seed, the limit point a pass on its _point_seed.
+    A point's two estimates read one (U, V): point 0's equal kl_mc's and
+    fisher_info_mc's at the run's seed, and a repeated point is a new draw.
     """
+    return _limits(model, designs, theta0, theta, dt, replicates, limit_point,
+                   limit_replicates, seed, schedule)[0]
+
+
+def _limits(model, designs, theta0, theta, dt, replicates, limit_point, limit_replicates,
+            seed, schedule):
+    """averaged_limits' table, the (replicates, N) (U, V) of its design
+    points and each point's information matrix."""
     designs = [(float(x), float(T)) for x, T in designs]
     if not designs:
         raise EmptyExperiment("averaged_limits needs at least one design point")
     if not all(1 <= n <= len(designs) for n in schedule):
         raise ValueError(f"every schedule entry must lie in 1..{len(designs)}")
     _check_schedule("schedule", schedule)
+    limit_point = (float(limit_point[0]), float(limit_point[1]))
+    _check_points(designs + [limit_point], [replicates, limit_replicates], dt, seed,
+                  100, "divergence")
 
-    pts = designs + [(float(limit_point[0]), float(limit_point[1]))]
-    parts = _point_passes(
-        model, theta0, dt, seed, pts, [replicates] * len(designs) + [limit_replicates],
-        [_point_seed(seed, pt) for pt in pts], 100, "divergence",
-    )
-    points = [(_kl_estimate(theta0, theta, *part), _info_estimate(theta0, *part))
-              for part in parts]
+    def estimates(u, v, dropped):
+        return _kl_estimate(theta0, theta, u, v, dropped), _info_estimate(theta0, u, v, dropped)
+
+    u, v = _ensemble_uv(model, theta0, Design(designs, dt, seed), replicates)
+    points = [estimates(*_finite_rows(pt, u[:, k], v[:, k])) for k, pt in enumerate(designs)]
+    points += [estimates(*part) for part in _point_passes(
+        model, theta0, dt, seed, [limit_point], [limit_replicates],
+        [_point_seed(seed, limit_point)], 100, "divergence")]
     # (estimate, se) of the kl, i00, i01 and i11 columns at each point, the limit last
     *columns, lim_columns = [
         [(kl.value, kl.mc_se)] + [(float(info.matrix[ij]), float(info.mc_se[ij]))
@@ -276,7 +298,8 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
             row[key], row[f"{key}_se"] = avg, se
             row[f"{key}_gap"], row[f"{key}_gap_se"] = _gap(avg, se, *lim_col)
         rows.append(row)
-    return ConvergenceTable(rows=tuple(rows), limit=lim)
+    table = ConvergenceTable(rows=tuple(rows), limit=lim)
+    return table, (u, v), [info.matrix for _, info in points[:-1]]
 
 
 def _ensemble_uv(model, theta0, design, replicates):
@@ -402,38 +425,67 @@ def run_consistency_experiment(model, theta0, space, design, n_schedule, replica
     )
 
 
+def _info_mean(matrices):
+    """Entrywise exactly rounded mean of 2x2 information matrices: the
+    design-averaged information n^-1 * sum_k I_k."""
+    return np.array([[_mean_exact([m[i, j] for m in matrices]) for j in (0, 1)]
+                     for i in (0, 1)])
+
+
 def _info_bar(model, theta0, points, info_replicates, dt, seed):
-    """Design-averaged information n^-1 * sum_k I(x_k, T_k) at the points:
-    each distinct point estimated once, on its _point_seed, and each entry
-    averaged exactly, as averaged_limits averages its i00, i01 and i11."""
+    """Design-averaged information at the points, each distinct point
+    estimated once, on its _point_seed."""
     distinct = sorted(set(points))
     parts = _point_passes(
         model, theta0, dt, seed, distinct, [info_replicates] * len(distinct),
         [_point_seed(seed, pt) for pt in distinct], 100, "information",
     )
     by_point = {pt: _info_estimate(theta0, *part).matrix for pt, part in zip(distinct, parts)}
-    return np.array([[_mean_exact([by_point[pt][i, j] for pt in points]) for j in (0, 1)]
-                     for i in (0, 1)])
+    return _info_mean([by_point[pt] for pt in points])
 
 
 def run_normality_experiment(model, theta0, space, design, n, replicates, info_replicates,
-                             dt, seed, information=None):
+                             dt, seed):
     """Standardized estimation errors vs the standard normal law.
 
     z_r = sqrt(n) * L (theta_hat_r - theta0) with L the symmetric square
     root of the design-averaged information at the first n subjects of
     the DesignFamily design, estimated with info_replicates rows per
-    point unless the 2x2 matrix information is given, in which case
-    info_replicates is not read; reports per-coordinate KS p-values,
-    Wald coverage, and a shifted-center negative control.
+    point; reports per-coordinate KS p-values, Wald coverage, and a
+    shifted-center negative control.
     """
     _check_run(replicates, theta0, space)
     points = design.subjects(n)
     ensemble = Design(points, dt, seed)
-    if information is None:
-        info_bar = _info_bar(model, theta0, points, info_replicates, dt, seed)
-    else:
-        info_bar = np.array(information, dtype=float)
+    info_bar = _info_bar(model, theta0, points, info_replicates, dt, seed)
+    return _normality_report(*_ensemble_uv(model, theta0, ensemble, replicates),
+                             theta0, space, info_bar)
+
+
+def run_noniid_experiment(model, theta0, theta, space, design, n, n_schedule, replicates,
+                          limit_replicates, dt, seed):
+    """averaged_limits along n_schedule and the normality experiment at n
+    from one draw; returns (ConvergenceTable, ExperimentReport).
+
+    The first max(n, max(n_schedule)) subjects of the DesignFamily design
+    are simulated once. Limits row m averages the first m columns'
+    estimates; the fits read the first n columns, standardised by the
+    exact mean of their information, limits row n's on the schedule.
+    """
+    _check_run(replicates, theta0, space)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    table, (u, v), infos = _limits(
+        model, design.subjects(max((n, *n_schedule))), theta0, theta, dt, replicates,
+        design.limit_point(), limit_replicates, seed, n_schedule,
+    )
+    return table, _normality_report(u[:, :n], v[:, :n], theta0, space, _info_mean(infos[:n]))
+
+
+def _normality_report(u, v, theta0, space, info_bar):
+    """The normality report of the fits of (replicates, n) (U, V)
+    matrices, standardised by the design-averaged information info_bar."""
+    n = u.shape[1]
     try:
         L = sqrt_2x2_spd(info_bar)
     except ValueError as err:
@@ -442,22 +494,14 @@ def run_normality_experiment(model, theta0, space, design, n, replicates, info_r
         ) from err
     inv = np.linalg.inv(info_bar)
 
-    kept, dropped = _replicate_fits(*_ensemble_uv(model, theta0, ensemble, replicates),
-                                    theta0, space)
+    kept, dropped = _replicate_fits(u, v, theta0, space)
     if not kept:
         raise ExperimentFailed("every replicate failed")
-    rows = []
-    covered = {"mu": 0, "omega2": 0}
-    with_se = 0
-    for r, fit, diff in kept:
-        z = math.sqrt(n) * (L @ diff)
-        if fit.wald_se is not None:
-            with_se += 1
-            if abs(diff[0]) <= _Z975 * fit.wald_se[0]:
-                covered["mu"] += 1
-            if abs(diff[1]) <= _Z975 * fit.wald_se[1]:
-                covered["omega2"] += 1
-        rows.append(_row(r, n, fit, (float(z[0]), float(z[1]))))
+    rows = [_row(r, n, fit, tuple((math.sqrt(n) * (L @ diff)).tolist())) for r, fit, diff in kept]
+    # Wald coverage over the fits that have standard errors
+    wald = [(diff, fit.wald_se) for _, fit, diff in kept if fit.wald_se is not None]
+    cov_mu, cov_w2 = (sum(bool(abs(d[i]) <= _Z975 * se[i]) for d, se in wald) / len(wald)
+                      if wald else math.nan for i in (0, 1))
     diffs = np.array([diff for _, _, diff in kept])
     z_mat = math.sqrt(n) * (diffs @ L)
     ks_mu = ks_norm_pvalue(z_mat[:, 0])
@@ -470,15 +514,13 @@ def run_normality_experiment(model, theta0, space, design, n, replicates, info_r
     ks_off = ks_norm_pvalue(z_off[:, 0])
 
     errs = np.hypot(diffs[:, 0], diffs[:, 1])
-    cov_mu = covered["mu"] / with_se if with_se else float("nan")
-    cov_w2 = covered["omega2"] / with_se if with_se else float("nan")
     return ExperimentReport(
         rows=tuple(rows),
         summaries=(_summary(n, errs, (ks_mu, ks_w2), (cov_mu, cov_w2)),),
         failures=tuple((n, r) for r in dropped),
-        failed=len(dropped) > 0.01 * replicates,
+        failed=len(dropped) > 0.01 * len(u),
         ks_mu_offset_center=ks_off,
-        wald_denominator=with_se,
+        wald_denominator=len(wald),
     )
 
 

@@ -20,10 +20,9 @@ import sys
 from . import config as config_mod
 from . import io as io_mod
 from .asymptotics import (
-    _check_run,
-    averaged_limits,
     run_consistency_experiment,
     run_moment_continuity_probe,
+    run_noniid_experiment,
     run_normality_experiment,
 )
 from .errors import (
@@ -169,32 +168,13 @@ def _noniid(cfg, model, theta0, seed, out_dir):
     family = _family(cfg)
     if family.kind != "harmonic":
         raise ValueError("the noniid experiment needs design = harmonic")
-    schedule, n = tuple(cfg["n_schedule"]), cfg["n"]
-    # the normality pass's rectangle, truth and sizes, refused before any draw
-    _check_run(cfg["replicates"], theta0, _space(cfg))
-    if n not in schedule:
-        raise ValueError(f"noniid needs n to be an n_schedule entry, got n = {n}")
-    if cfg["info_replicates"] != cfg["replicates"]:
-        raise ValueError("noniid standardises by its limits pass's information, "
-                         "so info_replicates must equal replicates")
-    table = averaged_limits(
-        model, family.subjects(max(schedule)), theta0,
-        Theta(mu=cfg["mu_alt"], omega2=cfg["omega2_alt"]),
-        cfg["dt"], cfg["replicates"], family.limit_point(),
-        cfg["limit_replicates"], seed, schedule=schedule,
+    table, report = run_noniid_experiment(
+        model, theta0, Theta(mu=cfg["mu_alt"], omega2=cfg["omega2_alt"]), _space(cfg), family,
+        cfg["n"], tuple(cfg["n_schedule"]), cfg["replicates"], cfg["limit_replicates"],
+        cfg["dt"], seed,
     )
-    io_mod.write_limits_csv(
-        table,
-        os.path.join(out_dir, io_mod.LIMITS_FILE),
-        os.path.join(out_dir, io_mod.LIMIT_FILE),
-    )
-    # limits.csv's row n is the design-averaged information at the first
-    # n points, the one the normality pass would estimate at these seeds
-    row = table.rows[schedule.index(n)]
-    report = run_normality_experiment(
-        model, theta0, _space(cfg), family, n, cfg["replicates"], None, cfg["dt"], seed,
-        information=[[row["i00"], row["i01"]], [row["i01"], row["i11"]]],
-    )
+    io_mod.write_limits_csv(table, os.path.join(out_dir, io_mod.LIMITS_FILE),
+                            os.path.join(out_dir, io_mod.LIMIT_FILE))
     rep_file = _write_report(report, out_dir)
     final = table.rows[-1]
     return report, (

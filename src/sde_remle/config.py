@@ -59,8 +59,7 @@ _BASE_REQUIRED = {
     + ("design", "n", "replicates", "info_replicates", "dt"),
     "noniid": ("model", "mu0", "omega2_0", "mu_alt", "omega2_alt")
     + _SPACE_KEYS
-    + ("design", "n", "n_schedule", "replicates", "info_replicates",
-       "limit_replicates", "dt"),
+    + ("design", "n", "n_schedule", "replicates", "limit_replicates", "dt"),
     "continuity": ("model", "mu0", "omega2_0", "psi", "xi",
                    "x_inf", "x_amp", "T_inf", "T_amp",
                    "m_schedule", "replicates", "limit_replicates", "dt"),

@@ -55,27 +55,6 @@ class MleFit:
     iterations: int
 
 
-def _one_row(u, v):
-    return np.asarray(u, dtype=float)[None, :], np.asarray(v, dtype=float)[None, :]
-
-
-def profile_mu(omega2, u, v, space=None):
-    """Closed-form maximizer over mu, at fixed omega2, of the log-likelihood
-    of the subjects with statistics u, v (1-D arrays).
-
-    Solves sum(gamma_i) = 0:
-        mu_hat = [sum U_i/(1+w2 V_i)] / [sum V_i/(1+w2 V_i)]
-    clamped into [mu_lo, mu_hi] when a space is given. Replacing every U_i
-    by U_i + c*V_i shifts the unclamped value by exactly c.
-    """
-    u, v = _one_row(u, v)
-    _, _, den, num = _profile_sums(u, v, np.array([omega2]))
-    mu = _ratio(num, den)
-    if space is not None:
-        mu = np.clip(mu, space.mu_lo, space.mu_hi)
-    return float(mu[0])
-
-
 def _profile_sums(u, v, omega2):
     """d = 1 + omega2*V, the weights V/d and the exactly rounded row sums
     of V/d and U/d, for (R, n) arrays at per-row omega2."""
@@ -142,8 +121,9 @@ def fit_mle(u, v, space):
     _SCORE_TOL, the bracket is a few ulps wide, or _NEWTON_STEPS steps are
     taken. The fit lands exactly on omega2_lo (omega2_hi) when that is the
     scan's argmax and g' <= 0 (>= 0) or |g'| <= _SCORE_TOL there. The
-    estimate is (mu_hat(omega2*), omega2*), so mu_hat equals profile_mu at
-    omega2_hat, and iterations counts the Newton and bisection steps on g'.
+    estimate is (mu_hat(omega2*), omega2*), so mu_hat is the closed-form
+    profile maximizer at omega2_hat, clamped into [mu_lo, mu_hi], and
+    iterations counts the Newton and bisection steps on g'.
     The scan takes plain sums with an error bound and falls back to exactly
     rounded sums on a row whose argmax or flat test the bound leaves
     undecided, so its decisions are those of exactly rounded sums; every
@@ -156,7 +136,8 @@ def fit_mle(u, v, space):
     overflows somewhere on the rectangle, the exact row sum overflows, or
     the objective at the fit is not finite.
     """
-    return fit_rows(*_one_row(u, v), space)[0]
+    return fit_rows(np.asarray(u, dtype=float)[None, :],
+                    np.asarray(v, dtype=float)[None, :], space)[0]
 
 
 def fit_rows(u, v, space):

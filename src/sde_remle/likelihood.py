@@ -112,19 +112,14 @@ def ratio_terms(u, v, theta0, theta):
 _FSUM_PASSES = 8
 
 
-def row_fsum(x):
-    """Exactly rounded sum of each row of a 2-D array.
+def _row_fsum(p):
+    """Exactly rounded sum of each row of a 2-D float array, which it may
+    overwrite.
 
-    Entry r equals math.fsum(x[r]) bit for bit, so row totals do not depend
+    Entry r equals math.fsum(p[r]) bit for bit, so row totals do not depend
     on term order or on how rows were batched. On rows with an inf or NaN
     term, or terms too close to overflow, the result or the error raised
     is math.fsum's own.
-    """
-    return _row_fsum(np.array(x, dtype=float))
-
-
-def _row_fsum(p):
-    """row_fsum on a 2-D float array that it may overwrite.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation, part I", SISC 2008): with sigma = 2^(M + e), 2^M >= n + 2

@@ -1,6 +1,7 @@
 """Test oracles that check the library from outside it.
 
-audit_fit certifies a fit against a grid of the objective; decompose
+audit_fit certifies a fit against a grid of the objective; profile_mu
+is the fitter's closed-form mu at one omega2; decompose
 splits a simulated path's U into its drift and martingale parts;
 stored_paths runs the Euler kernel on one unchunked block of rows and
 first_nonfinite_step finds where a row of states diverged;
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sde_remle.errors import SdeRemleError
+from sde_remle.estimator import _profile_sums, _ratio
 from sde_remle.likelihood import total_loglik_uv
 from sde_remle.rng import generator
 from sde_remle.simulate import _euler_rows, time_grid
@@ -46,6 +48,24 @@ def decompose(path, u, v):
     u1 = v
     u2 = u - path.phi * u1
     return SuffStatsDecomposition(u1=u1, u2=u2, phi=path.phi)
+
+
+def profile_mu(omega2, u, v, space=None):
+    """Closed-form maximizer over mu, at fixed omega2, of the log-likelihood
+    of the subjects with statistics u, v (1-D arrays), from the fitter's
+    own sums.
+
+    Solves sum(gamma_i) = 0:
+        mu_hat = [sum U_i/(1+w2 V_i)] / [sum V_i/(1+w2 V_i)]
+    clamped into [mu_lo, mu_hi] when a space is given. Replacing every U_i
+    by U_i + c*V_i shifts the unclamped value by exactly c.
+    """
+    u, v = np.asarray(u, dtype=float)[None, :], np.asarray(v, dtype=float)[None, :]
+    _, _, den, num = _profile_sums(u, v, np.array([omega2]))
+    mu = _ratio(num, den)
+    if space is not None:
+        mu = np.clip(mu, space.mu_lo, space.mu_hi)
+    return float(mu[0])
 
 
 def audit_fit(fit, u, v, space, grid_points=50):

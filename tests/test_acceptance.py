@@ -6,7 +6,8 @@ integral, analytic derivatives against finite differences, the fitter
 against grid search and the closed-form Gaussian oracle, Monte Carlo
 Fisher information against the closed form, error shrinkage, standardized
 normality with calibrated coverage, design-averaged limits under a
-non-iid layout, moment continuity in the design point, and byte-level
+non-iid layout, normality standardised by the information of the fits'
+own non-iid ensemble, moment continuity in the design point, and byte-level
 thread determinism. Each test pins its tolerances and asserts its own
 wall-clock budget. Seeds are fixed; every number below is reproducible.
 """
@@ -24,6 +25,7 @@ from sde_remle.asymptotics import (
     fisher_info_mc,
     run_consistency_experiment,
     run_moment_continuity_probe,
+    run_noniid_experiment,
     run_normality_experiment,
 )
 from sde_remle.cli import main
@@ -315,6 +317,18 @@ def check_08_normality(seed, n=6400, dt=0.1):
     _check_normality(report, 1000)
 
 
+def check_08_noniid(seed, n=6400, dt=0.1):
+    """Test_08's normality assertions on run_noniid_experiment at seed:
+    the fits of test_08's normality half, standardised by the information
+    of the ensemble columns they read."""
+    _, report = run_noniid_experiment(
+        model=UNIT, theta0=Theta(1.0, 1.0), theta=Theta(1.5, 0.5), space=SPACE,
+        design=HARMONIC, n=n, n_schedule=(n,), replicates=1000, limit_replicates=100,
+        dt=dt, seed=seed,
+    )
+    _check_normality(report, 1000)
+
+
 @pytest.mark.slow
 def test_08_design_averaged_limits_converge_under_non_iid_layout():
     """Running averages of information and divergence approach the limit.
@@ -328,6 +342,16 @@ def test_08_design_averaged_limits_converge_under_non_iid_layout():
     t0 = time.perf_counter()
     check_08_limits(61)
     check_08_normality(5)
+    assert time.perf_counter() - t0 < 600.0
+
+
+@pytest.mark.slow
+def test_08_noniid_standardised_by_its_own_ensemble_is_gaussian():
+    """test_08's normality half through run_noniid_experiment: one
+    ensemble gives the fits and, from the same draws, the design-averaged
+    information that standardises them; the thresholds still hold."""
+    t0 = time.perf_counter()
+    check_08_noniid(5)
     assert time.perf_counter() - t0 < 600.0
 
 

@@ -13,6 +13,7 @@ from sde_remle import (
     kl_mc,
     run_consistency_experiment,
     run_moment_continuity_probe,
+    run_noniid_experiment,
     run_normality_experiment,
     sqrt_2x2_spd,
 )
@@ -28,6 +29,7 @@ from sde_remle.errors import (
 )
 from sde_remle.estimator import fit_mle
 from sde_remle.likelihood import ratio_terms
+from sde_remle.rng import derive_seed, float_label
 
 UNIT = builtin_model("unit")
 LINEAR = builtin_model("linear-drift")
@@ -132,24 +134,6 @@ def test_sqrt_2x2():
         sqrt_2x2_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_averaged_limits_constant_design_exact():
-    """A constant design must reproduce the single-point estimates bit for
-    bit: point seeds are content-addressed and the running mean divides
-    sums of identical values by powers of two."""
-    theta0, theta = Theta(mu=1.0, omega2=0.5), Theta(mu=0.0, omega2=1.0)
-    table = averaged_limits(
-        UNIT, [(0.0, 1.0)] * 4, theta0, theta, 0.1,
-        replicates=200, limit_point=(0.0, 1.0), limit_replicates=200, seed=30,
-        schedule=(1, 2, 4),
-    )
-    for row in table.rows:
-        assert row["kl"] == table.limit["kl"]
-        assert row["i00"] == table.limit["i00"]
-        assert row["i11"] == table.limit["i11"]
-        assert row["kl_gap"] == 0.0
-        assert row["i00_gap"] == 0.0
-
-
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
@@ -165,23 +149,21 @@ def _same_fields(a, b):
             assert x == y, name
 
 
-def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
-    """Each point's slice of averaged_limits' stacked pass gives the
-    estimates kl_mc and fisher_info_mc make at its seed, field for field."""
-    from sde_remle import asymptotics
-    from sde_remle.rng import derive_seed, float_label
+def _keep(made, real):
+    """real, recording each estimate it makes in made."""
+    def estimate(*args):
+        made.append(real(*args))
+        return made[-1]
+    return estimate
 
+
+def test_column_0_and_the_limit_point_equal_the_single_point_estimators(monkeypatch):
+    """Design point 0 is subject 0 of the run's seed and the limit point
+    has its own _point_seed lane, so their estimates are those kl_mc and
+    fisher_info_mc make at those seeds, field for field."""
     kls, infos = [], []
-    real_kl, real_info = asymptotics._kl_estimate, asymptotics._info_estimate
-
-    def keep(made, real):
-        def estimate(*args):
-            made.append(real(*args))
-            return made[-1]
-        return estimate
-
-    monkeypatch.setattr(asymptotics, "_kl_estimate", keep(kls, real_kl))
-    monkeypatch.setattr(asymptotics, "_info_estimate", keep(infos, real_info))
+    monkeypatch.setattr(asymptotics, "_kl_estimate", _keep(kls, asymptotics._kl_estimate))
+    monkeypatch.setattr(asymptotics, "_info_estimate", _keep(infos, asymptotics._info_estimate))
     family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
     theta0, theta, dt, seed = Theta(mu=0.8, omega2=0.4), Theta(mu=1.5, omega2=0.5), 0.03, 23
     points = family.subjects(5)
@@ -190,26 +172,28 @@ def test_stacked_points_equal_the_single_point_estimators(monkeypatch):
         limit_point=family.limit_point(), limit_replicates=300, seed=seed,
         schedule=(1, 2, 4, 5),
     )
+    monkeypatch.undo()
     assert len(kls) == len(infos) == len(points) + 1
-    for (x, T), kl, info, R in zip(points + (family.limit_point(),), kls, infos,
-                                   [120] * 5 + [300]):
-        point_seed = derive_seed(seed, 1, float_label(x), float_label(T))
-        _same_fields(kl, kl_mc(BOUNDED, theta0, theta, x, T, dt, R, point_seed))
-        _same_fields(info, fisher_info_mc(BOUNDED, theta0, x, T, dt, R, point_seed))
+    (x, T), (lx, lT) = points[0], family.limit_point()
+    lane = derive_seed(seed, 1, float_label(lx), float_label(lT))
+    for k, (px, pT, R, s) in ((0, (x, T, 120, seed)), (-1, (lx, lT, 300, lane))):
+        _same_fields(kls[k], kl_mc(BOUNDED, theta0, theta, px, pT, dt, R, s))
+        _same_fields(infos[k], fisher_info_mc(BOUNDED, theta0, px, pT, dt, R, s))
+    assert table.rows[0]["kl"] == kls[0].value
     assert table.limit["i00"] == float(infos[-1].matrix[0, 0])
     assert table.limit["kl"] == kls[-1].value
 
 
-def test_averaged_limits_draws_once_per_point(monkeypatch):
-    """Divergence and information at a design point read one draw: one
-    segment per point and the limit point, and bit-identical (U, V) in a
-    point's two estimates."""
+def test_averaged_limits_draws_one_ensemble_and_one_limit_point_pass(monkeypatch):
+    """The design points are subjects 0..N-1 of one pass on the run's
+    seed, the limit point subject 0 of a pass on its _point_seed; a
+    point's divergence and information read bit-identical (U, V)."""
     passes, kl_uv, info_uv = [], [], []
     real_uv, real_kl, real_info = (
         asymptotics.replicate_uv, asymptotics._kl_estimate, asymptotics._info_estimate)
 
     def uv(model, dt, segs, **kwargs):
-        passes.append(list(segs))
+        passes.append([(seg.seed, seg.subject, len(seg.phis)) for seg in segs])
         return real_uv(model, dt, segs, **kwargs)
 
     def kl(theta0, theta, u, v, failures):
@@ -228,11 +212,34 @@ def test_averaged_limits_draws_once_per_point(monkeypatch):
     averaged_limits(BOUNDED, family.subjects(6), theta0, Theta(mu=1.5, omega2=0.5), 0.05,
                     replicates=110, limit_point=family.limit_point(), limit_replicates=170,
                     seed=9, schedule=(1, 2, 4, 6))
-    segments, = passes
-    assert len(segments) == 6 + 1
-    assert sum(len(seg.phis) for seg in segments) == 6 * 110 + 170
+    lane = derive_seed(9, 1, *map(float_label, family.limit_point()))
+    assert passes == [[(9, k, 110) for k in range(6)], [(lane, 0, 170)]]
     assert len(kl_uv) == len(info_uv) == 6 + 1
     assert kl_uv == info_uv
+
+
+def test_a_constant_designs_repeated_points_are_distinct_subjects(monkeypatch):
+    """Repeated design points are different subjects, each with a draw of
+    its own: their estimates differ, so the running averages move and the
+    gap to the same point's limit estimate is not 0. When a point's draw
+    came from its coordinates, all nine were one draw and every kl_gap
+    read exactly 0 against a kl_gap_se of 0.022 to 0.030."""
+    kls, infos = [], []
+    monkeypatch.setattr(asymptotics, "_kl_estimate", _keep(kls, asymptotics._kl_estimate))
+    monkeypatch.setattr(asymptotics, "_info_estimate", _keep(infos, asymptotics._info_estimate))
+    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=0.0, T_inf=1.0, T_amp=0.0)
+    table = averaged_limits(
+        LINEAR, family.subjects(8), THETA0, Theta(mu=1.5, omega2=0.5), 0.1,
+        replicates=200, limit_point=family.limit_point(), limit_replicates=200, seed=3,
+        schedule=(1, 2, 4, 8),
+    )
+    assert family.subjects(8) == (family.limit_point(),) * 8
+    assert len({kl.value for kl in kls}) == len(kls) == 9
+    assert len({_bits(info.matrix) for info in infos}) == len(infos) == 9
+    assert len({row["kl"] for row in table.rows}) == 4
+    for row in table.rows:
+        for key in ("kl", "i00", "i01", "i11"):
+            assert row[f"{key}_gap"] > 0.0, (row["n"], key)
 
 
 def test_averaged_limits_without_design_points_is_empty(no_draws):
@@ -276,21 +283,67 @@ def test_stacked_point_pass_errors_name_the_failing_design_point(sigma, message,
     assert exc.value.step == step
 
 
-def test_info_bar_equals_the_averaged_limits_row_bit_for_bit():
-    """_info_bar over the first n design points is the i00, i01 and i11
-    of averaged_limits' row n at the same seed and replicate count, with
-    the symmetric entry equal to i01: one design-averaged information."""
-    family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
-    theta0 = Theta(mu=1.0, omega2=0.5)
-    table = averaged_limits(
-        BOUNDED, family.subjects(6), theta0, Theta(mu=1.5, omega2=0.5), 0.05,
-        replicates=150, limit_point=family.limit_point(), limit_replicates=150,
-        seed=17, schedule=(1, 2, 3, 6),
+HARMONIC = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
+ALT = Theta(mu=1.5, omega2=0.5)
+
+
+def _noniid(**overrides):
+    kwargs = dict(
+        model=BOUNDED, theta0=THETA0, theta=ALT, space=SPACE, design=HARMONIC, n=4,
+        n_schedule=(1, 2, 4, 6), replicates=150, limit_replicates=150, dt=0.05, seed=17,
     )
-    for row in table.rows:
-        bar = _info_bar(BOUNDED, theta0, family.subjects(row["n"]), 150, 0.05, 17)
-        want = [[row["i00"], row["i01"]], [row["i01"], row["i11"]]]
-        assert _bits(bar) == _bits(want), row["n"]
+    kwargs.update(overrides)
+    return run_noniid_experiment(**kwargs)
+
+
+def _table_bits(table):
+    return ([sorted((k, _bits(x)) for k, x in row.items()) for row in table.rows],
+            sorted((k, _bits(x)) for k, x in table.limit.items()))
+
+
+# on the schedule, its last entry, past it
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_noniid_limits_are_averaged_limits_of_its_subjects(n):
+    table, _ = _noniid(n=n)
+    want = averaged_limits(BOUNDED, HARMONIC.subjects(max(n, 6)), THETA0, ALT, 0.05, 150,
+                           HARMONIC.limit_point(), 150, 17, (1, 2, 4, 6))
+    assert _table_bits(table) == _table_bits(want)
+
+
+def test_noniid_standardises_by_limits_row_n_bit_for_bit(monkeypatch):
+    """The fits at n are standardised by the design-averaged information
+    of their n columns: limits row n's i00, i01 and i11."""
+    seen = []
+    real = asymptotics._normality_report
+
+    def spy(u, v, theta0, space, info_bar):
+        seen.append((u.shape, info_bar))
+        return real(u, v, theta0, space, info_bar)
+
+    monkeypatch.setattr(asymptotics, "_normality_report", spy)
+    for n in (1, 2, 4, 6):
+        table, _ = _noniid(n=n)
+        row, = [row for row in table.rows if row["n"] == n]
+        shape, info_bar = seen[-1]
+        assert shape == (150, n)
+        assert _bits(info_bar) == _bits([[row["i00"], row["i01"]], [row["i01"], row["i11"]]])
+
+
+# before the schedule's last entry, on it, past it
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_noniid_fits_equal_the_normality_experiments(n):
+    """The fits read the ensemble run_normality_experiment simulates at
+    the same seed; only the standardiser, and so z and KS, differ."""
+    _, report = _noniid(n=n)
+    alone = run_normality_experiment(BOUNDED, THETA0, SPACE, HARMONIC, n, 150, 150, 0.05, 17)
+    # repr, as the CSVs write them: bit for bit, zero signs included
+    keys = ("rep", "n", "mu_hat", "omega2_hat", "boundary")
+    assert [[repr(row[k]) for k in keys] for row in report.rows] == [
+        [repr(row[k]) for k in keys] for row in alone.rows]
+    for key in ("n", "med_err", "p90_err", "cov_mu", "cov_omega2"):
+        assert repr(report.summaries[0][key]) == repr(alone.summaries[0][key]), key
+    assert report.failures == alone.failures
+    assert report.wald_denominator == alone.wald_denominator
 
 
 def test_info_bar_estimates_each_distinct_point_once(monkeypatch):
@@ -409,6 +462,7 @@ def _schedule_calls():
             limit_point=(0.0, 1.0), limit_replicates=100, seed=0, schedule=s,
         ),
         "run_moment_continuity_probe": lambda s: _continuity(m_schedule=s),
+        "run_noniid_experiment": lambda s: _noniid(n_schedule=s),
     }
 
 
@@ -626,6 +680,7 @@ def _coarse_step_calls():
             theta0=theta, design=late, n_schedule=(1, 64), replicates=10, dt=0.06, seed=0,
         ),
         "run_normality_experiment": lambda: _normality(dt=0.2),
+        "run_noniid_experiment": lambda: _noniid(design=late, dt=0.06),
         "run_moment_continuity_probe": lambda: _continuity(
             theta0=theta, design=first, m_schedule=(1, 2), dt=0.06,
         ),
@@ -648,9 +703,15 @@ def test_entry_points_reject_a_coarse_step_before_drawing(no_draws, name):
     *[(_continuity, {key: count}, ValueError, r"^moment estimation needs R >= 3$")
       for key, count in (("limit_replicates", 0), ("limit_replicates", 1),
                          ("limit_replicates", 2), ("replicates", 1), ("replicates", 2))],
+    (_noniid, {"replicates": -1}, ValueError, r"^replicates must be >= 0, got -1$"),
+    (_noniid, {"replicates": 0}, EmptyExperiment, r"^replicates = 0$"),
+    *[(_noniid, {key: count}, ValueError, r"^divergence estimation needs R >= 100$")
+      for key, count in (("replicates", 99), ("limit_replicates", 99), ("limit_replicates", -1))],
+    *[(_noniid, {"n": n}, ValueError, rf"^n must be >= 1, got {n}$") for n in (0, -1)],
 ], ids=["consistency", "normality", "continuity", "continuity-limit", "continuity-zero",
         "continuity-limit-0", "continuity-limit-1", "continuity-limit-2",
-        "continuity-1", "continuity-2"])
+        "continuity-1", "continuity-2", "noniid", "noniid-zero", "noniid-99",
+        "noniid-limit-99", "noniid-limit-negative", "noniid-n-0", "noniid-n-negative"])
 def test_experiments_reject_a_replicate_count_below_one_before_drawing(
         no_draws, run, counts, error, match):
     # a negative count, or a probe count under the 3 finite rows a point

@@ -395,7 +395,7 @@ _COARSE = {
     "normality": "design = iid\nx0 = 0.0\nT = 0.3\nn = 4\ninfo_replicates = 100\n",
     "noniid": "design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 0.3\n"
               "T_amp = 1.0\nn = 4\nn_schedule = 1,2,4\nmu_alt = 1.5\n"
-              "omega2_alt = 0.25\ninfo_replicates = 100\nlimit_replicates = 100\n",
+              "omega2_alt = 0.25\nlimit_replicates = 100\n",
     "continuity": "psi = 1.0\nxi = 1.0\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 0.3\n"
                   "T_amp = 1.0\nm_schedule = 1,2\nlimit_replicates = 100\n",
 }
@@ -413,7 +413,7 @@ def test_experiment_rejects_step_coarser_than_a_tenth_of_a_horizon(tmp_path, cap
 
 def test_noniid_requires_harmonic_design(tmp_path, capsys):
     cfg = _cfg(tmp_path, CONS_CFG + "mu_alt = 1.5\nomega2_alt = 0.25\n"
-               "n = 16\ninfo_replicates = 100\nlimit_replicates = 100\n")
+               "n = 16\nlimit_replicates = 100\n")
     rc = main(["experiment", "noniid", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "harmonic" in capsys.readouterr().err
@@ -482,7 +482,7 @@ def test_noniid_without_finite_monte_carlo_rows_is_runtime_error(tmp_path, capsy
     # row overflows, so the point estimate has nothing to average
     cfg = _cfg(tmp_path, NONIID_CFG.replace("model = unit", "model = linear-drift")
                .replace("mu0 = 1.0", "mu0 = 1.0e50")
-               .replace("mu_hi = 3.0", "mu_hi = 1.0e51") + "info_replicates = 100\n")
+               .replace("mu_hi = 3.0", "mu_hi = 1.0e51"))
     rc = main(["experiment", "noniid", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -496,20 +496,26 @@ def test_noniid_without_finite_monte_carlo_rows_is_runtime_error(tmp_path, capsy
 ], ids=["truth-outside", "empty-rectangle"])
 def test_noniid_refuses_its_truth_and_rectangle_before_drawing(
         tmp_path, capsys, no_draws, edit, message):
-    # the normality pass's checks, made before the averaged limits run
-    cfg = _cfg(tmp_path, NONIID_CFG.replace(*edit) + "info_replicates = 100\n")
+    # the fits' checks, made before the ensemble is drawn
+    cfg = _cfg(tmp_path, NONIID_CFG.replace(*edit))
     out = tmp_path / "out"
     assert main(["experiment", "noniid", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("n", [4, 2])
-def test_noniid_estimates_each_information_point_once(tmp_path, capsys, monkeypatch, n):
-    """averaged_limits estimates the 4 design points and the limit point;
-    the normality pass standardises by limits.csv's row n, so its outputs
-    are those of a normality pass at n that estimates every point itself."""
-    from sde_remle import DesignFamily, asymptotics, io, run_normality_experiment
+# on the schedule, before its last entry, off it, past it; info_replicates
+# is not read
+@pytest.mark.parametrize("n,extra", [(4, ""), (2, ""), (3, ""), (6, ""),
+                                     (4, "info_replicates = 50\n")],
+                         ids=["n-4", "n-2", "n-off-schedule", "n-past-schedule",
+                              "info-replicates-50"])
+def test_noniid_writes_run_noniid_experiment_estimating_each_column_once(
+        tmp_path, capsys, monkeypatch, n, extra):
+    """experiment noniid writes the tables of run_noniid_experiment at the
+    config's values, with one information estimate per ensemble column
+    and one for the limit point."""
+    from sde_remle import DesignFamily, asymptotics, io, run_noniid_experiment
 
     calls = []
     real = asymptotics._info_estimate
@@ -519,39 +525,55 @@ def test_noniid_estimates_each_information_point_once(tmp_path, capsys, monkeypa
         return real(*args)
 
     monkeypatch.setattr(asymptotics, "_info_estimate", counting)
-    text = NONIID_CFG.replace("\nn = 4\n", f"\nn = {n}\n") + "info_replicates = 100\n"
+    text = NONIID_CFG.replace("\nn = 4\n", f"\nn = {n}\n") + extra
     rc = main(["experiment", "noniid", "--config", _cfg(tmp_path, text),
                "--out", str(tmp_path / "cli")])
     assert rc == 0
-    assert len(calls) == 5
+    assert len(calls) == max(n, 4) + 1
     capsys.readouterr()
 
-    report = run_normality_experiment(
-        model=builtin_model("unit"), theta0=Theta(1.0, 0.5),
+    table, report = run_noniid_experiment(
+        model=builtin_model("unit"), theta0=Theta(1.0, 0.5), theta=Theta(1.5, 0.25),
         space=ParamSpace(-3.0, 3.0, 0.0, 4.0),
         design=DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0),
-        n=n, replicates=100, info_replicates=100, dt=0.1, seed=3,
+        n=n, n_schedule=(1, 2, 4), replicates=100, limit_replicates=100, dt=0.1, seed=3,
     )
+    io.write_limits_csv(table, tmp_path / "limits.csv", tmp_path / "limit.csv")
     io.write_replicates_csv(report.rows, tmp_path / "replicates.csv")
     io.write_summary_csv(report.summaries, tmp_path / "summary.csv")
-    for name in ("replicates.csv", "summary.csv"):
+    names = ["limit.csv", "limits.csv", "replicates.csv", "summary.csv"]
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+    for name in names:
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
-@pytest.mark.parametrize("n,info_replicates,message", [
-    (3, 100, "noniid needs n to be an n_schedule entry, got n = 3"),
-    (4, 50, "noniid standardises by its limits pass's information, "
-            "so info_replicates must equal replicates"),
-], ids=["n-off-schedule", "info-replicates"])
-def test_noniid_refuses_what_its_limits_pass_cannot_serve_before_drawing(
-        tmp_path, capsys, no_draws, n, info_replicates, message):
-    # its normality pass reads the information of limits.csv's row n
-    text = NONIID_CFG.replace("\nn = 4\n", f"\nn = {n}\n")
-    text += f"info_replicates = {info_replicates}\n"
-    out = tmp_path / "out"
-    assert main(["experiment", "noniid", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(out.iterdir()) == []
+def test_noniid_runs_one_ensemble_pass_and_one_limit_point_pass(tmp_path, capsys, monkeypatch):
+    """At the benchmark's noniid sizes the path steps are one (400, 32)
+    ensemble's and 12800 rows at the limit point: 10,894,400 in all."""
+    from sde_remle import asymptotics
+    from sde_remle.simulate import time_grid
+
+    passes = []
+    real = asymptotics.replicate_uv
+
+    def counting(model, dt, segments, **kwargs):
+        passes.append((sum(len(seg.phis) for seg in segments),
+                       sum(len(seg.phis) * (len(time_grid(seg.T, dt)) - 1) for seg in segments)))
+        return real(model, dt, segments, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "replicate_uv", counting)
+    text = NONIID_CFG.replace("model = unit", "model = bounded-ratio")
+    for key, value in (("mu0", "0.8"), ("omega2_0", "0.4"), ("n", "32"), ("mu_alt", "1.5"),
+                       ("omega2_alt", "0.5"), ("n_schedule", "1,2,4,8,16,32"),
+                       ("replicates", "400"), ("limit_replicates", "12800"), ("dt", "0.0025")):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    rc = main(["experiment", "noniid", "--config", _cfg(tmp_path, text),
+               "--out", str(tmp_path / "out"), "--seed", "2"])
+    assert rc == 0
+    capsys.readouterr()
+    ensemble_steps = 400 * sum(len(time_grid(1.0 + 1.0 / k, 0.0025)) - 1 for k in range(1, 33))
+    assert passes == [(400 * 32, ensemble_steps), (12800, 12800 * 400)]
+    assert sum(steps for _, steps in passes) == 10_894_400
 
 
 CONT_CFG = """\
@@ -596,7 +618,7 @@ _LINES = {
     "normality": (NORM_CFG, "replicates.csv", {},
                   {key: ("summary.csv", key)
                    for key in ("n", "ks_mu", "ks_omega2", "cov_mu", "cov_omega2")}),
-    "noniid": (NONIID_CFG + "info_replicates = 100\n", "replicates.csv", {},
+    "noniid": (NONIID_CFG, "replicates.csv", {},
                {"n": ("limits.csv", "n"), "kl_gap": ("limits.csv", "kl_gap"),
                 "i00_gap": ("limits.csv", "i00_gap"), "ks_mu": ("summary.csv", "ks_mu")}),
     "continuity": (CONT_CFG, "continuity.csv", {"m_schedule": "[1, 2]"},
@@ -625,8 +647,6 @@ def test_experiment_stdout_line_quotes_its_csv_cells(tmp_path, capsys, kind):
 _CONFIGS = {"simulate": SIM_CFG, **{kind: text for kind, (text, *_) in _LINES.items()}}
 _EMPTY = "design needs at least one subject"
 _NO_STEP = "dt must be > 0"
-_NOT_SAME = ("noniid standardises by its limits pass's information, "
-             "so info_replicates must equal replicates")
 _COUNT = {0: "replicates = 0", -1: "replicates must be >= 0, got -1"}
 # (command, key): the error at key = 0 and at key = -1
 _SIZE_ERRORS = {
@@ -640,10 +660,8 @@ _SIZE_ERRORS = {
     ("normality", "n"): (_EMPTY, _EMPTY),
     ("noniid", "dt"): (_NO_STEP, _NO_STEP),
     ("noniid", "replicates"): (_COUNT[0], _COUNT[-1]),
-    ("noniid", "info_replicates"): (_NOT_SAME, _NOT_SAME),
     ("noniid", "limit_replicates"): ("divergence estimation needs R >= 100",) * 2,
-    ("noniid", "n"): tuple(f"noniid needs n to be an n_schedule entry, got n = {v}"
-                           for v in (0, -1)),
+    ("noniid", "n"): ("n must be >= 1, got 0", "n must be >= 1, got -1"),
     ("continuity", "dt"): (_NO_STEP, _NO_STEP),
     ("continuity", "replicates"): (_COUNT[0], _COUNT[-1]),
     ("continuity", "limit_replicates"): ("moment estimation needs R >= 3",

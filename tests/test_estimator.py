@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sde_remle import ParamSpace, Theta, fit_mle, profile_mu
+from sde_remle import ParamSpace, Theta, fit_mle
 from sde_remle.errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
 from sde_remle import estimator, likelihood
 from sde_remle.estimator import _SCORE_TOL, fit_rows
-from oracles import audit_fit
+from oracles import audit_fit, profile_mu
 from scalar_fit import scalar_fit
 from sde_remle.likelihood import loglik_terms, total_loglik_uv, total_score_uv
 
