@@ -8,16 +8,17 @@ rectangle, DesignFamily, sizes, dt, seed). Each fits the rows of one
 simulated ensemble in one batch; consistency and noniid simulate only
 their largest size, and size n reads the first n columns. The design
 points of averaged_limits are such an ensemble's subjects, so noniid's
-limits, standardiser and fits share one draw. Every single-point
-estimate runs through _point_passes: it validates the points as one
-Design, checks each replicate count (R >= 100 for information and
-divergence, 3 for the probe), then runs them as one stacked
-simulate.replicate_uv pass. A point's (U, V) are a pure function of its
-arguments, the same alone or stacked. Every reduction runs in a fixed
-order, so reports are byte-identical across runs: divergence and probe
-means and the design averages of every estimate are exactly rounded
-(math.fsum), while each point's information estimate reduces its rows
-with numpy's pairwise sums.
+limits, standardiser and fits share one draw; normality standardises
+its fits by the information of the columns they read, as noniid does.
+Every single-point estimate runs through _point_passes: it validates
+the points as one Design, checks each replicate count (R >= 100 for
+information and divergence, 3 for the probe), then runs them as one
+stacked simulate.replicate_uv pass. A point's (U, V) are a pure
+function of its arguments, the same alone or stacked. Every reduction
+runs in a fixed order, so reports are byte-identical across runs:
+divergence and probe means and the design averages of every estimate
+are exactly rounded (math.fsum), while each point's information
+estimate reduces its rows with numpy's pairwise sums.
 """
 
 import math
@@ -103,8 +104,7 @@ class ExperimentReport:
 
 
 def _point_seed(seed, point):
-    """A single design point's seed, from its coordinates: the lane of
-    averaged_limits' limit point and of each point _info_bar estimates."""
+    """The seed of averaged_limits' limit point, from its coordinates."""
     return derive_seed(seed, _LANE_INFO, *map(float_label, point))
 
 
@@ -432,34 +432,21 @@ def _info_mean(matrices):
                      for i in (0, 1)])
 
 
-def _info_bar(model, theta0, points, info_replicates, dt, seed):
-    """Design-averaged information at the points, each distinct point
-    estimated once, on its _point_seed."""
-    distinct = sorted(set(points))
-    parts = _point_passes(
-        model, theta0, dt, seed, distinct, [info_replicates] * len(distinct),
-        [_point_seed(seed, pt) for pt in distinct], 100, "information",
-    )
-    by_point = {pt: _info_estimate(theta0, *part).matrix for pt, part in zip(distinct, parts)}
-    return _info_mean([by_point[pt] for pt in points])
-
-
-def run_normality_experiment(model, theta0, space, design, n, replicates, info_replicates,
-                             dt, seed):
+def run_normality_experiment(model, theta0, space, design, n, replicates, dt, seed):
     """Standardized estimation errors vs the standard normal law.
 
     z_r = sqrt(n) * L (theta_hat_r - theta0) with L the symmetric square
     root of the design-averaged information at the first n subjects of
-    the DesignFamily design, estimated with info_replicates rows per
-    point; reports per-coordinate KS p-values, Wald coverage, and a
-    shifted-center negative control.
+    the DesignFamily design, the exact mean of each ensemble column's
+    information estimate; reports per-coordinate KS p-values, Wald
+    coverage, and a shifted-center negative control.
     """
     _check_run(replicates, theta0, space)
-    points = design.subjects(n)
-    ensemble = Design(points, dt, seed)
-    info_bar = _info_bar(model, theta0, points, info_replicates, dt, seed)
-    return _normality_report(*_ensemble_uv(model, theta0, ensemble, replicates),
-                             theta0, space, info_bar)
+    points = _check_points(design.subjects(n), [replicates], dt, seed, 100, "information")
+    u, v = _ensemble_uv(model, theta0, Design(points, dt, seed), replicates)
+    infos = [_info_estimate(theta0, *_finite_rows(pt, u[:, k], v[:, k])).matrix
+             for k, pt in enumerate(points)]
+    return _normality_report(u, v, theta0, space, _info_mean(infos))
 
 
 def run_noniid_experiment(model, theta0, theta, space, design, n, n_schedule, replicates,
@@ -473,6 +460,7 @@ def run_noniid_experiment(model, theta0, theta, space, design, n, n_schedule, re
     exact mean of their information, limits row n's on the schedule.
     """
     _check_run(replicates, theta0, space)
+    _check_schedule("n_schedule", n_schedule)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     table, (u, v), infos = _limits(

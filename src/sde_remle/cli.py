@@ -153,8 +153,7 @@ def _consistency(cfg, model, theta0, seed, out_dir):
 
 def _normality(cfg, model, theta0, seed, out_dir):
     report = run_normality_experiment(
-        model, theta0, _space(cfg), _family(cfg), cfg["n"], cfg["replicates"],
-        cfg["info_replicates"], cfg["dt"], seed,
+        model, theta0, _space(cfg), _family(cfg), cfg["n"], cfg["replicates"], cfg["dt"], seed,
     )
     rep_file = _write_report(report, out_dir)
     s = report.summaries[0]

@@ -36,7 +36,7 @@ _REGISTRY = (
     ("dt", "float"),
     ("seed", "int"),
     ("replicates", "int"),
-    ("info_replicates", "int"),
+    ("info_replicates", "int"),  # accepted, read by no command
     ("limit_replicates", "int"),
     ("psi", "float"),
     ("xi", "float"),
@@ -56,7 +56,7 @@ _BASE_REQUIRED = {
     "consistency": ("model", "mu0", "omega2_0") + _SPACE_KEYS
     + ("design", "n_schedule", "replicates", "dt"),
     "normality": ("model", "mu0", "omega2_0") + _SPACE_KEYS
-    + ("design", "n", "replicates", "info_replicates", "dt"),
+    + ("design", "n", "replicates", "dt"),
     "noniid": ("model", "mu0", "omega2_0", "mu_alt", "omega2_alt")
     + _SPACE_KEYS
     + ("design", "n", "n_schedule", "replicates", "limit_replicates", "dt"),

@@ -31,7 +31,6 @@ CHECKS = {
     "07": acc.check_07_normality,
     "08-limits": acc.check_08_limits,
     "08-normality": acc.check_08_normality,
-    "08-noniid": acc.check_08_noniid,
     "09": acc.check_09_continuity,
 }
 

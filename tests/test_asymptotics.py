@@ -18,7 +18,7 @@ from sde_remle import (
     sqrt_2x2_spd,
 )
 from sde_remle import asymptotics
-from sde_remle.asymptotics import _info_bar, _replicate_fits
+from sde_remle.asymptotics import _replicate_fits
 from sde_remle.errors import (
     AllDegenerate,
     DegenerateDiffusion,
@@ -81,7 +81,7 @@ def test_estimators_reject_small_samples(no_draws):
             UNIT, [(0.0, 1.0)] * 2, theta, theta, 0.1, replicates=100,
             limit_point=(0.0, 1.0), limit_replicates=99, seed=0, schedule=(1, 2),
         ), "divergence", 100),
-        (lambda: _normality(info_replicates=99), "information", 100),
+        (lambda: _normality(replicates=99), "information", 100),
         (lambda: _continuity(limit_replicates=2), "moment", 3),
     ]
     for call, what, minimum in cases:
@@ -330,33 +330,16 @@ def test_noniid_standardises_by_limits_row_n_bit_for_bit(monkeypatch):
 
 
 # before the schedule's last entry, on it, past it
-@pytest.mark.parametrize("n", [3, 6, 8])
+@pytest.mark.parametrize("n", [3, 6, 9])
 def test_noniid_fits_equal_the_normality_experiments(n):
-    """The fits read the ensemble run_normality_experiment simulates at
-    the same seed; only the standardiser, and so z and KS, differ."""
+    """noniid's report is run_normality_experiment's at the same seed:
+    both fit the first n columns of one ensemble and standardise by the
+    exact mean of those columns' information."""
     _, report = _noniid(n=n)
-    alone = run_normality_experiment(BOUNDED, THETA0, SPACE, HARMONIC, n, 150, 150, 0.05, 17)
-    # repr, as the CSVs write them: bit for bit, zero signs included
-    keys = ("rep", "n", "mu_hat", "omega2_hat", "boundary")
-    assert [[repr(row[k]) for k in keys] for row in report.rows] == [
-        [repr(row[k]) for k in keys] for row in alone.rows]
-    for key in ("n", "med_err", "p90_err", "cov_mu", "cov_omega2"):
-        assert repr(report.summaries[0][key]) == repr(alone.summaries[0][key]), key
-    assert report.failures == alone.failures
-    assert report.wald_denominator == alone.wald_denominator
-
-
-def test_info_bar_estimates_each_distinct_point_once(monkeypatch):
-    calls = []
-    real = asymptotics._info_estimate
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(asymptotics, "_info_estimate", counting)
-    _info_bar(UNIT, Theta(mu=1.0, omega2=0.5), [(0.0, 1.0)] * 3 + [(0.5, 2.0)], 100, 0.1, 5)
-    assert len(calls) == 2
+    alone = run_normality_experiment(BOUNDED, THETA0, SPACE, HARMONIC, n, 150, 0.05, 17)
+    # every field, rows and summary cells included, by repr as the CSVs
+    # write them: bit for bit, zero signs included
+    assert repr(report) == repr(alone)
 
 
 def test_averaged_limits_harmonic_converges():
@@ -517,7 +500,6 @@ def _normality(**overrides):
         design=DesignFamily(kind="iid", x0=0.0, T=1.0),
         n=200,
         replicates=300,
-        info_replicates=2000,
         dt=0.1,
         seed=52,
     )

@@ -379,6 +379,18 @@ def test_unsorted_schedule_rejected(tmp_path, capsys):
     assert "n_schedule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule,message", [
+    ("4,2", "n_schedule must be strictly increasing"),
+    ("0,2", "n_schedule needs at least one entry, each >= 1"),
+], ids=["unsorted", "zero"])
+def test_noniid_schedule_errors_name_n_schedule(tmp_path, capsys, no_draws, schedule, message):
+    cfg = _cfg(tmp_path, NONIID_CFG.replace("n_schedule = 1,2,4", f"n_schedule = {schedule}"))
+    out = tmp_path / "out"
+    assert main(["experiment", "noniid", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 _COARSE_COMMON = """\
 model = unit
 mu0 = 1.0
@@ -392,7 +404,7 @@ dt = 0.05
 # horizon, or the limit point that no subject of the schedule reaches
 _COARSE = {
     "consistency": "design = iid\nx0 = 0.0\nT = 0.3\nn_schedule = 2,4\n",
-    "normality": "design = iid\nx0 = 0.0\nT = 0.3\nn = 4\ninfo_replicates = 100\n",
+    "normality": "design = iid\nx0 = 0.0\nT = 0.3\nn = 4\n",
     "noniid": "design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 0.3\n"
               "T_amp = 1.0\nn = 4\nn_schedule = 1,2,4\nmu_alt = 1.5\n"
               "omega2_alt = 0.25\nlimit_replicates = 100\n",
@@ -432,7 +444,8 @@ def test_experiment_failure_is_runtime_error(tmp_path, capsys):
     assert (tmp_path / "replicates.csv").exists()
 
 
-NORM_CFG = CONS_CFG.replace("n_schedule = 20,40\n", "n = 20\ninfo_replicates = 100\n")
+NORM_CFG = (CONS_CFG.replace("n_schedule = 20,40\n", "n = 20\n")
+            .replace("replicates = 12\n", "replicates = 100\n"))
 
 
 def test_normality_with_singular_information_is_runtime_error(tmp_path, capsys, monkeypatch):
@@ -441,7 +454,7 @@ def test_normality_with_singular_information_is_runtime_error(tmp_path, capsys, 
     from sde_remle import asymptotics
 
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    monkeypatch.setattr(asymptotics, "_info_bar", lambda *args: singular)
+    monkeypatch.setattr(asymptotics, "_info_mean", lambda *args: singular)
     cfg = _cfg(tmp_path, NORM_CFG)
     rc = main(["experiment", "normality", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
@@ -452,7 +465,7 @@ def test_normality_experiment_runs(tmp_path, capsys):
     cfg = _cfg(tmp_path, NORM_CFG)
     rc = main(["experiment", "normality", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
-    assert len((tmp_path / "replicates.csv").read_text().splitlines()) == 1 + 12
+    assert len((tmp_path / "replicates.csv").read_text().splitlines()) == 1 + 100
     capsys.readouterr()
 
 
@@ -504,14 +517,11 @@ def test_noniid_refuses_its_truth_and_rectangle_before_drawing(
     assert list(out.iterdir()) == []
 
 
-# on the schedule, before its last entry, off it, past it; info_replicates
-# is not read
-@pytest.mark.parametrize("n,extra", [(4, ""), (2, ""), (3, ""), (6, ""),
-                                     (4, "info_replicates = 50\n")],
-                         ids=["n-4", "n-2", "n-off-schedule", "n-past-schedule",
-                              "info-replicates-50"])
+# on the schedule, before its last entry, off it, past it
+@pytest.mark.parametrize("n", [4, 2, 3, 6],
+                         ids=["n-4", "n-2", "n-off-schedule", "n-past-schedule"])
 def test_noniid_writes_run_noniid_experiment_estimating_each_column_once(
-        tmp_path, capsys, monkeypatch, n, extra):
+        tmp_path, capsys, monkeypatch, n):
     """experiment noniid writes the tables of run_noniid_experiment at the
     config's values, with one information estimate per ensemble column
     and one for the limit point."""
@@ -525,7 +535,7 @@ def test_noniid_writes_run_noniid_experiment_estimating_each_column_once(
         return real(*args)
 
     monkeypatch.setattr(asymptotics, "_info_estimate", counting)
-    text = NONIID_CFG.replace("\nn = 4\n", f"\nn = {n}\n") + extra
+    text = NONIID_CFG.replace("\nn = 4\n", f"\nn = {n}\n")
     rc = main(["experiment", "noniid", "--config", _cfg(tmp_path, text),
                "--out", str(tmp_path / "cli")])
     assert rc == 0
@@ -574,6 +584,41 @@ def test_noniid_runs_one_ensemble_pass_and_one_limit_point_pass(tmp_path, capsys
     ensemble_steps = 400 * sum(len(time_grid(1.0 + 1.0 / k, 0.0025)) - 1 for k in range(1, 33))
     assert passes == [(400 * 32, ensemble_steps), (12800, 12800 * 400)]
     assert sum(steps for _, steps in passes) == 10_894_400
+
+
+def test_normality_runs_one_ensemble_pass(tmp_path, capsys, monkeypatch):
+    """The fits and the information that standardises them read one
+    (replicates, n) ensemble: 100 rows of 20 subjects, 10 steps each."""
+    from sde_remle import asymptotics
+    from sde_remle.simulate import time_grid
+
+    passes = []
+    real = asymptotics.replicate_uv
+
+    def counting(model, dt, segments, **kwargs):
+        passes.append((sum(len(seg.phis) for seg in segments),
+                       sum(len(seg.phis) * (len(time_grid(seg.T, dt)) - 1) for seg in segments)))
+        return real(model, dt, segments, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "replicate_uv", counting)
+    rc = main(["experiment", "normality", "--config", _cfg(tmp_path, NORM_CFG),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    capsys.readouterr()
+    assert passes == [(100 * 20, 100 * 20 * 10)]
+
+
+@pytest.mark.parametrize("kind", ["normality", "noniid"])
+def test_info_replicates_is_accepted_and_read_by_no_command(tmp_path, capsys, kind):
+    text = {"normality": NORM_CFG, "noniid": NONIID_CFG}[kind]
+    for name, extra in (("plain", ""), ("keyed", "info_replicates = 7\n")):
+        cfg = _cfg(tmp_path, text + extra, f"{name}.cfg")
+        assert main(["experiment", kind, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "keyed").iterdir())
+    for name in names:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "keyed" / name).read_bytes()
 
 
 CONT_CFG = """\
@@ -656,7 +701,6 @@ _SIZE_ERRORS = {
     ("consistency", "replicates"): (_COUNT[0], _COUNT[-1]),
     ("normality", "dt"): (_NO_STEP, _NO_STEP),
     ("normality", "replicates"): (_COUNT[0], _COUNT[-1]),
-    ("normality", "info_replicates"): ("information estimation needs R >= 100",) * 2,
     ("normality", "n"): (_EMPTY, _EMPTY),
     ("noniid", "dt"): (_NO_STEP, _NO_STEP),
     ("noniid", "replicates"): (_COUNT[0], _COUNT[-1]),
@@ -670,8 +714,10 @@ _SIZE_ERRORS = {
 
 
 @pytest.mark.parametrize("command,key,value,message", [
-    (command, key, value, message) for (command, key), messages in _SIZE_ERRORS.items()
-    for value, message in zip((0, -1), messages)
+    *((command, key, value, message) for (command, key), messages in _SIZE_ERRORS.items()
+      for value, message in zip((0, -1), messages)),
+    # normality estimates its information from its own rows
+    ("normality", "replicates", 99, "information estimation needs R >= 100"),
 ])
 def test_a_size_below_one_is_refused_by_the_library_before_any_draw(
         tmp_path, capsys, no_draws, command, key, value, message):

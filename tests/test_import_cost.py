@@ -20,13 +20,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 NORMALITY_CFG = (
     "model = unit\nmu0 = 1.0\nomega2_0 = 0.5\nmu_lo = -3.0\nmu_hi = 3.0\n"
     "omega2_lo = 0.0\nomega2_hi = 4.0\ndesign = iid\nx0 = 0.0\nT = 1.0\n"
-    "n = 8\nreplicates = 4\ninfo_replicates = 100\ndt = 0.1\nseed = 1\n"
+    "n = 8\nreplicates = 100\ndt = 0.1\nseed = 1\n"
 )
 NONIID_CFG = (
     "model = unit\nmu0 = 1.0\nomega2_0 = 0.5\nmu_alt = 1.5\nomega2_alt = 0.5\n"
     "mu_lo = -3.0\nmu_hi = 3.0\nomega2_lo = 0.0\nomega2_hi = 4.0\n"
     "design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 1.0\nT_amp = 1.0\n"
-    "n = 4\nn_schedule = 1,2,4\nreplicates = 100\ninfo_replicates = 100\n"
+    "n = 4\nn_schedule = 1,2,4\nreplicates = 100\n"
     "limit_replicates = 100\ndt = 0.1\nseed = 1\n"
 )
 CONSISTENCY_CFG = (
