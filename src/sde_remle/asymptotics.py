@@ -10,15 +10,17 @@ their largest size, and size n reads the first n columns. The design
 points of averaged_limits are such an ensemble's subjects, so noniid's
 limits, standardiser and fits share one draw; normality standardises
 its fits by the information of the columns they read, as noniid does.
-Every single-point estimate runs through _point_passes: it validates
-the points as one Design, checks each replicate count (R >= 100 for
-information and divergence, 3 for the probe), then runs them as one
-stacked simulate.replicate_uv pass. A point's (U, V) are a pure
-function of its arguments, the same alone or stacked. Every reduction
-runs in a fixed order, so reports are byte-identical across runs:
-divergence and probe means and the design averages of every estimate
-are exactly rounded (math.fsum), while each point's information
-estimate reduces its rows with numpy's pairwise sums.
+Every Monte Carlo estimate draws through _draw: it validates all its
+points as one Design, checks each replicate count (R >= 100 for
+information and divergence, 3 for the probe), then runs every group of
+points as one stacked simulate.replicate_uv pass, so averaged_limits
+and noniid draw their limit point with the ensemble. A point's (U, V)
+are a pure function of its seed, subject and R, the same alone or
+stacked. Every reduction runs in a fixed order, so reports are
+byte-identical across runs: divergence and probe means and the design
+averages of every estimate are exactly rounded (math.fsum), while each
+point's information estimate reduces its rows with numpy's pairwise
+sums.
 """
 
 import math
@@ -32,10 +34,11 @@ from .ks import ks_norm_pvalue
 from .likelihood import hess_terms, ratio_terms, score_terms
 from .models import Design
 from .rng import derive_seed, float_label
-from .simulate import Segment, effect_rows, replicate_uv
+from .simulate import replicate_uv, subject_segments
 
-# seed lanes for nested Monte Carlo passes, disjoint from the main experiment's
-# path streams: single points (information and divergence share one draw), probe
+# seed lanes for nested Monte Carlo draws, disjoint from the main experiment's
+# path streams: averaged_limits' limit point (its information and divergence
+# share one draw), probe
 _LANE_INFO = 1
 _LANE_PROBE = 4
 
@@ -103,11 +106,6 @@ class ExperimentReport:
     wald_denominator: int = None
 
 
-def _point_seed(seed, point):
-    """The seed of averaged_limits' limit point, from its coordinates."""
-    return derive_seed(seed, _LANE_INFO, *map(float_label, point))
-
-
 def _check_schedule(name, schedule):
     """Bad schedule, before any draw: empty, an entry below 1, or not
     strictly increasing raises ValueError."""
@@ -117,40 +115,43 @@ def _check_schedule(name, schedule):
         raise ValueError(f"{name} must be strictly increasing")
 
 
-def _check_points(points, sizes, dt, seed, minimum, what):
-    """The points as one Design's subjects, after each count in sizes is
-    checked against minimum; raises ValueError before any draw."""
-    points = Design(tuple(points), dt, seed).subjects
-    if min(sizes) < minimum:
-        raise ValueError(f"{what} estimation needs R >= {minimum}")
-    return points
-
-
 def _finite_rows(point, u, v):
     """(U, V, dropped) of a design point's finite rows; fewer than 3
     raise ExperimentFailed."""
     ok = np.isfinite(u) & np.isfinite(v)
     if ok.sum() < 3:
         raise ExperimentFailed(
-            f"only {int(ok.sum())} of {len(u)} Monte Carlo rows are finite at "
-            f"design point (x, T) = ({point[0]!r}, {point[1]!r}); at least 3 are needed"
+            f"only {int(ok.sum())} of {len(u)} Monte Carlo rows are finite at design point "
+            f"(x, T) = ({float(point[0])!r}, {float(point[1])!r}); at least 3 are needed"
         )
     return u[ok], v[ok], int(len(u) - ok.sum())
 
 
-def _point_passes(model, theta0, dt, seed, points, sizes, seeds, minimum, what):
-    """_finite_rows of each design point, from one stacked pass.
+def _columns(points, u, v):
+    """_finite_rows of each column of (R, len(points)) (U, V) matrices."""
+    return [_finite_rows(pt, u[:, k], v[:, k]) for k, pt in enumerate(points)]
 
-    The points and counts go through _check_points before any normal is
-    drawn. Point k's rows are replicates 0..R-1 of subject 0 under seed
-    seeds[k].
+
+def _draw(model, theta0, dt, groups, minimum, what):
+    """The (U, V) of each group (seed, points, R) as two (R, len(points))
+    matrices, all from one stacked replicate_uv pass.
+
+    Every point of every group is validated as one Design, and each R
+    against minimum, before any normal is drawn. Column i of a group is
+    subject i of its seed (simulate.subject_segments), so the first n
+    columns are the ensemble of its first n points, replicate 0 matches
+    simulate_ensemble, and a column is the same alone or stacked. A
+    failing row raises for the first failing chunk, at its first failing
+    step.
     """
-    points = _check_points(points, sizes, dt, seed, minimum, what)
-    parts = replicate_uv(model, dt, [
-        Segment(x0, T, s, 0, effect_rows(theta0, s, R, 1)[:, 0])
-        for (x0, T), R, s in zip(points, sizes, seeds)
-    ])
-    return [_finite_rows(pt, u, v) for pt, (u, v) in zip(points, parts)]
+    Design(tuple(pt for _, points, _ in groups for pt in points), dt, groups[0][0])
+    if min(R for _, _, R in groups) < minimum:
+        raise ValueError(f"{what} estimation needs R >= {minimum}")
+    parts = iter(replicate_uv(model, dt, [
+        seg for seed, points, R in groups for seg in subject_segments(theta0, seed, points, R)
+    ]))
+    return [[np.stack(m, axis=1) for m in zip(*(next(parts) for _ in points))]
+            for _, points, _ in groups]
 
 
 def _mean_se(values):
@@ -219,13 +220,15 @@ def fisher_info_mc(model, theta, x0, T, dt, R, seed):
     errors, together with the matched -mean(Hessian) estimate for
     information-identity checks.
     """
-    part, = _point_passes(model, theta, dt, seed, [(x0, T)], [R], [seed], 100, "information")
+    (u, v), = _draw(model, theta, dt, [(seed, [(x0, T)], R)], 100, "information")
+    part, = _columns([(x0, T)], u, v)
     return _info_estimate(theta, *part)
 
 
 def kl_mc(model, theta0, theta, x0, T, dt, R, seed):
     """Mean log density ratio under theta0 at one design point."""
-    part, = _point_passes(model, theta0, dt, seed, [(x0, T)], [R], [seed], 100, "divergence")
+    (u, v), = _draw(model, theta0, dt, [(seed, [(x0, T)], R)], 100, "divergence")
+    part, = _columns([(x0, T)], u, v)
     return _kl_estimate(theta0, theta, *part)
 
 
@@ -247,8 +250,9 @@ def averaged_limits(model, designs, theta0, theta, dt, replicates,
     For each design point (x_k, T_k) the divergence K_k(theta0, theta) and
     information I_k(theta0) are estimated by Monte Carlo; the table reports
     n^-1 * sum_{k<=n} for each n of schedule (in 1..len(designs)) together
-    with the estimates at limit_point. Point k is subject k of one
-    ensemble on the run's seed, the limit point a pass on its _point_seed.
+    with the estimates at limit_point. Point k is subject k on the run's
+    seed, the limit point subject 0 on a seed derived from its
+    coordinates, in one pass.
     A point's two estimates read one (U, V): point 0's equal kl_mc's and
     fisher_info_mc's at the run's seed, and a repeated point is a new draw.
     """
@@ -267,17 +271,15 @@ def _limits(model, designs, theta0, theta, dt, replicates, limit_point, limit_re
         raise ValueError(f"every schedule entry must lie in 1..{len(designs)}")
     _check_schedule("schedule", schedule)
     limit_point = (float(limit_point[0]), float(limit_point[1]))
-    _check_points(designs + [limit_point], [replicates, limit_replicates], dt, seed,
-                  100, "divergence")
-
-    def estimates(u, v, dropped):
-        return _kl_estimate(theta0, theta, u, v, dropped), _info_estimate(theta0, u, v, dropped)
-
-    u, v = _ensemble_uv(model, theta0, Design(designs, dt, seed), replicates)
-    points = [estimates(*_finite_rows(pt, u[:, k], v[:, k])) for k, pt in enumerate(designs)]
-    points += [estimates(*part) for part in _point_passes(
-        model, theta0, dt, seed, [limit_point], [limit_replicates],
-        [_point_seed(seed, limit_point)], 100, "divergence")]
+    (u, v), limit_uv = _draw(model, theta0, dt, [
+        (seed, designs, replicates),
+        (derive_seed(seed, _LANE_INFO, *map(float_label, limit_point)), [limit_point],
+         limit_replicates),
+    ], 100, "divergence")
+    points = [
+        (_kl_estimate(theta0, theta, *part), _info_estimate(theta0, *part))
+        for part in _columns(designs, u, v) + _columns([limit_point], *limit_uv)
+    ]
     # (estimate, se) of the kl, i00, i01 and i11 columns at each point, the limit last
     *columns, lim_columns = [
         [(kl.value, kl.mc_se)] + [(float(info.matrix[ij]), float(info.mc_se[ij]))
@@ -300,27 +302,6 @@ def _limits(model, designs, theta0, theta, dt, replicates, limit_point, limit_re
         rows.append(row)
     table = ConvergenceTable(rows=tuple(rows), limit=lim)
     return table, (u, v), [info.matrix for _, info in points[:-1]]
-
-
-def _ensemble_uv(model, theta0, design, replicates):
-    """(U, V) matrices of shape (replicates, n) for a whole Design.
-
-    Subject i's replicate r reads its normals from path stream (seed, i)
-    and its drift effect from effect stream (seed, i), as every pass
-    does, so replicate 0 matches simulate_ensemble and the first n
-    columns are the ensemble of the first n subjects.
-
-    Each subject is one segment of one stacked pass. A failing row raises
-    for the first failing chunk, at its first failing step.
-    """
-    phis = effect_rows(theta0, design.seed, replicates, design.n)
-    u, v = zip(*replicate_uv(model, design.dt, [
-        Segment(x0, T, design.seed, i, phis[:, i])
-        for i, (x0, T) in enumerate(design.subjects)
-    ]))
-    del phis  # the effects, and each pass column, go before its copy is made
-    u = np.stack(u, axis=1)
-    return u, np.stack(v, axis=1)
 
 
 def _replicate_fits(u, v, theta0, space):
@@ -406,8 +387,8 @@ def run_consistency_experiment(model, theta0, space, design, n_schedule, replica
     """
     _check_run(replicates, theta0, space)
     _check_schedule("n_schedule", n_schedule)
-    u, v = _ensemble_uv(model, theta0, Design(design.subjects(max(n_schedule)), dt, seed),
-                        replicates)
+    (u, v), = _draw(model, theta0, dt, [(seed, design.subjects(max(n_schedule)), replicates)],
+                    1, "consistency")
     rows = []
     summaries = []
     failures = []
@@ -442,10 +423,9 @@ def run_normality_experiment(model, theta0, space, design, n, replicates, dt, se
     coverage, and a shifted-center negative control.
     """
     _check_run(replicates, theta0, space)
-    points = _check_points(design.subjects(n), [replicates], dt, seed, 100, "information")
-    u, v = _ensemble_uv(model, theta0, Design(points, dt, seed), replicates)
-    infos = [_info_estimate(theta0, *_finite_rows(pt, u[:, k], v[:, k])).matrix
-             for k, pt in enumerate(points)]
+    points = design.subjects(n)
+    (u, v), = _draw(model, theta0, dt, [(seed, points, replicates)], 100, "information")
+    infos = [_info_estimate(theta0, *part).matrix for part in _columns(points, u, v)]
     return _normality_report(u, v, theta0, space, _info_mean(infos))
 
 
@@ -527,10 +507,10 @@ def run_moment_continuity_probe(model, theta0, psi, xi, design, m_schedule, repl
         raise ValueError("xi must be > 0")
     # the limit point's rows, then each m's, in one stacked pass
     pts = [design.limit_point()] + [design.point(m) for m in m_schedule]
-    parts = _point_passes(
-        model, theta0, dt, seed, pts, [limit_replicates] + [replicates] * len(m_schedule),
-        [derive_seed(seed, _LANE_PROBE, m) for m in (0, *m_schedule)], 3, "moment",
-    )
+    groups = [(derive_seed(seed, _LANE_PROBE, m), [pt], R) for m, pt, R in zip(
+        (0, *m_schedule), pts, [limit_replicates] + [replicates] * len(m_schedule))]
+    parts = [_columns([pt], u, v)[0]
+             for pt, (u, v) in zip(pts, _draw(model, theta0, dt, groups, 3, "moment"))]
 
     def h_moments(point, u, v, _):
         # (estimate, se) of h^1 and h^2; either overflows for a large psi

@@ -109,6 +109,16 @@ def _check_rows(u, v, space):
         raise failing[int(np.argmax(rows[r]))][1]
 
 
+def _arrays(u, v, ndim):
+    """u, v as float arrays; InvalidStats naming both shapes unless they
+    have ndim axes and one shape."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.ndim != ndim or u.shape != v.shape:
+        raise InvalidStats(f"U and V must be {ndim}-D arrays of one shape, got shapes "
+                           f"{u.shape} and {v.shape}")
+    return u, v
+
+
 def fit_mle(u, v, space):
     """Maximize over the closed rectangle the log-likelihood of the
     subjects with statistics u, v (1-D arrays, one entry per subject).
@@ -129,15 +139,16 @@ def fit_mle(u, v, space):
     undecided, so its decisions are those of exactly rounded sums; every
     total that reaches the fit is an exactly rounded row sum.
 
-    Raises InvalidStats when any U or V is not finite or any V < 0,
+    Raises InvalidStats, before any work, when u and v are not 1-D
+    arrays of one shape, and when any U or V is not finite or any V < 0,
     AllDegenerate when every V_i = 0 and NonFiniteObjective when any
     subject carries the V = 0, U != 0 sentinel, U or V is so large that
     a product the objective forms (2*mu*U, mu^2*V, omega2*V, omega2*U^2)
     overflows somewhere on the rectangle, the exact row sum overflows, or
     the objective at the fit is not finite.
     """
-    return fit_rows(np.asarray(u, dtype=float)[None, :],
-                    np.asarray(v, dtype=float)[None, :], space)[0]
+    u, v = _arrays(u, v, 1)
+    return fit_rows(u[None, :], v[None, :], space)[0]
 
 
 def fit_rows(u, v, space):
@@ -145,13 +156,13 @@ def fit_rows(u, v, space):
 
     Returns R MleFits; fit r equals fit_mle(u[r], v[r], space) in
     every field, bit for bit. Every stage runs on all rows at once, and
-    Newton stops each row on its own g' and bracket. The lowest row that
+    Newton stops each row on its own g' and bracket. u and v not 2-D of
+    one shape raise InvalidStats before any work; the lowest row that
     fails fit_mle's input checks raises its error; past those checks, a
     row sum that overflows, or a row whose objective at its fit is not
     finite, raises NonFiniteObjective.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _arrays(u, v, 2)
     if u.shape[0] == 0:
         return []
     _check_rows(u, v, space)

@@ -174,11 +174,7 @@ class Design:
         return len(self.subjects)
 
 
-def _unit_b(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _unit_sigma(x):
+def _one(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
@@ -212,6 +208,6 @@ def builtin_model(name):
         raise NotFound(f"no model named {name!r}") from None
 
 
-register_model(ModelSpec("unit", _unit_b, _unit_sigma))
-register_model(ModelSpec("linear-drift", _identity, _unit_sigma))
+register_model(ModelSpec("unit", _one, _one))
+register_model(ModelSpec("linear-drift", _identity, _one))
 register_model(ModelSpec("bounded-ratio", _identity, _bounded_ratio_sigma))

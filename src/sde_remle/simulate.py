@@ -11,7 +11,10 @@ the normals just consumed, copied per segment into exact-length arrays.
 Both share identical arithmetic. Every normal is drawn by path_normals,
 reading one stream (see rng) in order: replicate r of a subject on an
 s-step grid takes normals [r s, (r+1) s) of its path stream, and its
-effect is normal r of its effect stream.
+effect is normal r of its effect stream. subject_segments is the one
+place that lays design points out as subjects, point i as subject i;
+simulate_ensemble and every Monte Carlo draw of the experiments take
+their segments from it.
 """
 
 import math
@@ -210,17 +213,15 @@ def simulate_ensemble(model, theta0, design):
     SimulationDiverged for the lowest diverging subject, at its own step,
     and DegenerateDiffusion for the first chunk with a row where sigma <= 0.
     """
-    phis = effect_rows(theta0, design.seed, 1, design.n)[0].tolist()
-    runs = replicate_uv(model, design.dt, [
-        Segment(x0, T, design.seed, i, [phi])
-        for i, ((x0, T), phi) in enumerate(zip(design.subjects, phis))
-    ], store=True)
+    segments = subject_segments(theta0, design.seed, design.subjects, 1)
+    runs = replicate_uv(model, design.dt, segments, store=True)
     for i, (_, _, first_bad) in enumerate(runs):
         if first_bad[0] >= 0:
             raise SimulationDiverged(int(first_bad[0]), subject_index=i)
     return [
-        Path(times=times, values=values[0], x0=x0, phi=phi, seed=design.seed, subject_index=i)
-        for i, ((x0, _), (times, values, _), phi) in enumerate(zip(design.subjects, runs, phis))
+        Path(times=times, values=values[0], x0=seg.x0, phi=float(seg.phis[0]), seed=seg.seed,
+             subject_index=seg.subject)
+        for seg, (times, values, _) in zip(segments, runs)
     ]
 
 
@@ -238,6 +239,14 @@ def simulate_replicates(model, phis, x0, T, dt, seed, subject_index):
 # run from x0 over [0, T] on its path stream (seed, subject), row r with
 # drift multiplier phis[r]
 Segment = namedtuple("Segment", "x0 T seed subject phis")
+
+
+def subject_segments(theta0, seed, points, R):
+    """The stream layout: one Segment per design point, point i being
+    subject i on seed, whose replicate r reads path stream (seed, i) and
+    normal r of effect stream (seed, i) for its random effect."""
+    phis = effect_rows(theta0, seed, R, len(points))
+    return [Segment(x0, T, seed, i, phis[:, i]) for i, (x0, T) in enumerate(points)]
 
 
 def _chunks(steps, sizes):

@@ -15,7 +15,7 @@ It prints each input's median and quartiles in ms, then the rows the scan
 sent to exact sums against the rows fitted (an untimed pass). pytest
 does not collect this file.
 
-    PYTHONPATH=src python tests/bench_fit.py [--repeats N] [--seed S]
+    PYTHONPATH=src python tests/bench_fit.py [--repeats N >= 2] [--seed S]
 """
 
 import argparse
@@ -24,8 +24,8 @@ import time
 
 import numpy as np
 
-from sde_remle import Design, DesignFamily, ParamSpace, Theta, builtin_model, estimator
-from sde_remle.asymptotics import _ensemble_uv
+from sde_remle import DesignFamily, ParamSpace, Theta, builtin_model, estimator
+from sde_remle.asymptotics import _draw
 
 SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
 LEVELS = (50, 200, 800)
@@ -34,8 +34,9 @@ LEVELS = (50, 200, 800)
 def inputs(seed):
     """{name: list of (u, v) blocks}, each block one fit_rows call."""
     theta0 = Theta(mu=0.8, omega2=0.4)
-    design = Design(DesignFamily("iid", x0=1.0, T=1.0).subjects(max(LEVELS)), 0.1, seed)
-    u, v = _ensemble_uv(builtin_model("linear-drift"), theta0, design, 120)
+    subjects = DesignFamily("iid", x0=1.0, T=1.0).subjects(max(LEVELS))
+    (u, v), = _draw(builtin_model("linear-drift"), theta0, 0.1, [(seed, subjects, 120)], 1,
+                    "consistency")
     blocks = {"consistency": [(u[:, :n], v[:, :n]) for n in LEVELS]}
     rng = np.random.default_rng(seed)
     for rows, n in ((1000, 400), (120, 800)):
@@ -69,6 +70,8 @@ def main():
     p.add_argument("--repeats", type=int, default=11)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
+    if args.repeats < 2:
+        p.error("--repeats must be >= 2: the quartiles need two timings")
     blocks = inputs(args.seed)
     times = {name: [] for name in blocks}
     for name, pairs in blocks.items():  # warm-up, untimed

@@ -159,7 +159,7 @@ def _keep(made, real):
 
 def test_column_0_and_the_limit_point_equal_the_single_point_estimators(monkeypatch):
     """Design point 0 is subject 0 of the run's seed and the limit point
-    has its own _point_seed lane, so their estimates are those kl_mc and
+    has a seed lane of its own, so their estimates are those kl_mc and
     fisher_info_mc make at those seeds, field for field."""
     kls, infos = [], []
     monkeypatch.setattr(asymptotics, "_kl_estimate", _keep(kls, asymptotics._kl_estimate))
@@ -185,8 +185,8 @@ def test_column_0_and_the_limit_point_equal_the_single_point_estimators(monkeypa
 
 
 def test_averaged_limits_draws_one_ensemble_and_one_limit_point_pass(monkeypatch):
-    """The design points are subjects 0..N-1 of one pass on the run's
-    seed, the limit point subject 0 of a pass on its _point_seed; a
+    """One pass draws the design points, subjects 0..N-1 on the run's
+    seed, and then the limit point, subject 0 on its own seed lane; a
     point's divergence and information read bit-identical (U, V)."""
     passes, kl_uv, info_uv = [], [], []
     real_uv, real_kl, real_info = (
@@ -213,9 +213,59 @@ def test_averaged_limits_draws_one_ensemble_and_one_limit_point_pass(monkeypatch
                     replicates=110, limit_point=family.limit_point(), limit_replicates=170,
                     seed=9, schedule=(1, 2, 4, 6))
     lane = derive_seed(9, 1, *map(float_label, family.limit_point()))
-    assert passes == [[(9, k, 110) for k in range(6)], [(lane, 0, 170)]]
+    assert passes == [[(9, k, 110) for k in range(6)] + [(lane, 0, 170)]]
     assert len(kl_uv) == len(info_uv) == 6 + 1
     assert kl_uv == info_uv
+
+
+def _lane(seed, point):
+    return derive_seed(seed, 1, *map(float_label, point))
+
+
+# each Monte Carlo entry point, run small, and the (seed, subject, rows)
+# of the segments of the one pass it should make
+_ONE_PASS = {
+    "fisher_info_mc": (
+        lambda: fisher_info_mc(BOUNDED, THETA0, 0.5, 1.5, 0.05, 120, 31),
+        [(31, 0, 120)]),
+    "kl_mc": (
+        lambda: kl_mc(BOUNDED, THETA0, Theta(mu=1.5, omega2=0.5), 0.5, 1.5, 0.05, 130, 32),
+        [(32, 0, 130)]),
+    "averaged_limits": (
+        lambda: averaged_limits(BOUNDED, [(1.0, 2.0), (0.5, 1.5), (1.0, 2.0)], THETA0, THETA0,
+                                0.05, 100, (0.0, 1.0), 140, 33, (1, 3)),
+        [(33, k, 100) for k in range(3)] + [(_lane(33, (0.0, 1.0)), 0, 140)]),
+    "run_consistency_experiment": (
+        lambda: _consistency(n_schedule=(3, 7), replicates=5, seed=34),
+        [(34, i, 5) for i in range(7)]),
+    "run_normality_experiment": (
+        lambda: _normality(n=6, replicates=100, seed=35),
+        [(35, i, 100) for i in range(6)]),
+    "run_noniid_experiment": (
+        lambda: _noniid(n=2, n_schedule=(1, 3), replicates=100, limit_replicates=120, seed=36),
+        [(36, i, 100) for i in range(3)] + [(_lane(36, (0.0, 1.0)), 0, 120)]),
+    "run_moment_continuity_probe": (
+        lambda: _continuity(m_schedule=(1, 5), replicates=20, limit_replicates=30, seed=37),
+        [(derive_seed(37, 4, m), 0, R) for m, R in ((0, 30), (1, 20), (5, 20))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_PASS))
+def test_each_monte_carlo_entry_point_draws_in_one_pass(monkeypatch, name):
+    """Every estimate an entry point makes reads one replicate_uv pass:
+    averaged_limits and noniid draw their limit point behind the
+    ensemble, and the probe stacks its limit point and every m."""
+    passes = []
+    real = asymptotics.replicate_uv
+
+    def uv(model, dt, segs, **kwargs):
+        passes.append([(seg.seed, seg.subject, len(seg.phis)) for seg in segs])
+        return real(model, dt, segs, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "replicate_uv", uv)
+    run, segments = _ONE_PASS[name]
+    run()
+    assert passes == [segments]
 
 
 def test_a_constant_designs_repeated_points_are_distinct_subjects(monkeypatch):
@@ -406,17 +456,17 @@ def test_summary_quantile_equals_numpy_quantile_bit_for_bit():
 
 def test_consistency_simulates_its_largest_level_once(monkeypatch):
     calls = []
-    real = asymptotics._ensemble_uv
+    real = asymptotics._draw
 
-    def spy(model, theta0, design, replicates):
-        calls.append((design, replicates))
-        return real(model, theta0, design, replicates)
+    def spy(model, theta0, dt, groups, minimum, what):
+        calls.append(groups)
+        return real(model, theta0, dt, groups, minimum, what)
 
-    monkeypatch.setattr(asymptotics, "_ensemble_uv", spy)
+    monkeypatch.setattr(asymptotics, "_draw", spy)
     family = DesignFamily(kind="iid", x0=0.0, T=1.0)
     _consistency(design=family, n_schedule=(5, 10, 20), replicates=8)
-    (design, replicates), = calls
-    assert design.subjects == family.subjects(20) and replicates == 8
+    ((_, points, replicates),), = calls
+    assert points == family.subjects(20) and replicates == 8
 
 
 def test_consistency_levels_equal_their_own_runs():

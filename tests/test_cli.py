@@ -558,8 +558,9 @@ def test_noniid_writes_run_noniid_experiment_estimating_each_column_once(
 
 
 def test_noniid_runs_one_ensemble_pass_and_one_limit_point_pass(tmp_path, capsys, monkeypatch):
-    """At the benchmark's noniid sizes the path steps are one (400, 32)
-    ensemble's and 12800 rows at the limit point: 10,894,400 in all."""
+    """At the benchmark's noniid sizes one pass draws a (400, 32)
+    ensemble and 12800 rows at the limit point: 25,600 rows and
+    10,894,400 path steps."""
     from sde_remle import asymptotics
     from sde_remle.simulate import time_grid
 
@@ -582,8 +583,8 @@ def test_noniid_runs_one_ensemble_pass_and_one_limit_point_pass(tmp_path, capsys
     assert rc == 0
     capsys.readouterr()
     ensemble_steps = 400 * sum(len(time_grid(1.0 + 1.0 / k, 0.0025)) - 1 for k in range(1, 33))
-    assert passes == [(400 * 32, ensemble_steps), (12800, 12800 * 400)]
-    assert sum(steps for _, steps in passes) == 10_894_400
+    assert passes == [(400 * 32 + 12800, ensemble_steps + 12800 * 400)]
+    assert passes == [(25_600, 10_894_400)]
 
 
 def test_normality_runs_one_ensemble_pass(tmp_path, capsys, monkeypatch):

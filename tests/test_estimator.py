@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -617,6 +618,29 @@ def test_fit_rows_across_row_blocks():
     batch = fit_rows(u, v, SPACE)
     for r in (0, 22, 23, 29):
         assert _fields(batch[r]) == _fields(fit_mle(u[r], v[r], SPACE))
+
+
+@pytest.mark.parametrize("fit,u,v,shapes", [
+    (fit_mle, [1.0, 2.0], [1.0], "(2,) and (1,)"),
+    (fit_mle, np.ones((2, 3)), np.ones((2, 3)), "(2, 3) and (2, 3)"),
+    (fit_mle, 1.0, 1.0, "() and ()"),
+    (fit_rows, np.ones(3), np.ones(3), "(3,) and (3,)"),
+    (fit_rows, np.ones((2, 3)), np.ones((3, 2)), "(2, 3) and (3, 2)"),
+    (fit_rows, np.ones((0, 3)), np.ones((0, 2)), "(0, 3) and (0, 2)"),
+    (fit_rows, np.ones((1, 2, 3)), np.ones((1, 2, 3)), "(1, 2, 3) and (1, 2, 3)"),
+], ids=["mle-lengths", "mle-2d", "mle-scalar", "rows-1d", "rows-transposed", "rows-empty",
+        "rows-3d"])
+def test_input_shapes_are_checked_before_any_work(monkeypatch, fit, u, v, shapes):
+    # 1-D input to fit_rows raised IndexError, and fit_mle's mismatched
+    # or 2-D input numpy's broadcasting errors
+    def scan(*args):
+        raise AssertionError("the profile scan ran before the shapes were checked")
+
+    monkeypatch.setattr(estimator, "_scan_rows", scan)
+    ndim = 1 if fit is fit_mle else 2
+    with pytest.raises(InvalidStats, match=rf"^U and V must be {ndim}-D arrays of one shape, "
+                                           rf"got shapes {re.escape(shapes)}$"):
+        fit(u, v, SPACE)
 
 
 def test_fit_rows_checks_rows_in_order():

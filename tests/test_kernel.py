@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sde_remle import Design, DesignFamily, Theta, builtin_model, time_grid
-from sde_remle.asymptotics import _ensemble_uv, _point_passes
+from sde_remle.asymptotics import _draw
 from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import ModelSpec, register_model
 from sde_remle.rng import generator
@@ -205,10 +205,14 @@ def test_replicates_and_subjects_nest():
     first columns of n' > n: no draw depends on n or R."""
     model, theta0 = builtin_model("bounded-ratio"), Theta(mu=0.5, omega2=0.6)
     family = DesignFamily("harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
-    u, v = _ensemble_uv(model, theta0, Design(family.subjects(9), 0.05, 4), 30)
+    (u, v), = _draw(model, theta0, 0.05, [(4, family.subjects(9), 30)], 1, "ensemble")
     for n, R in ((9, 7), (4, 30), (2, 1)):
-        u_n, v_n = _ensemble_uv(model, theta0, Design(family.subjects(n), 0.05, 4), R)
+        (u_n, v_n), = _draw(model, theta0, 0.05, [(4, family.subjects(n), R)], 1, "ensemble")
         assert _same_bits(u_n, u[:R, :n]) and _same_bits(v_n, v[:R, :n])
+    # a group stacked behind another is the same draw as alone
+    _, (u_s, v_s) = _draw(model, theta0, 0.05, [(5, family.subjects(3), 40),
+                                                (4, family.subjects(9), 30)], 1, "ensemble")
+    assert _same_bits(u_s, u) and _same_bits(v_s, v)
     # a subject's effects are its column, whatever n and R
     phis = effect_rows(theta0, 4, 30, 9)
     assert np.array_equal(effect_rows(theta0, 4, 7, 4), phis[:7, :4])
@@ -320,13 +324,13 @@ def test_stacked_iid_block_names_the_subject_that_fails_first():
     expected = steps.index(first)
     assert expected > 0 and steps[0] > first
     with pytest.raises(DegenerateDiffusion) as exc:
-        _ensemble_uv(CLIFF, theta0, Design(((4.6, 1.0),) * n, dt, seed), R)
+        _draw(CLIFF, theta0, dt, [(seed, ((4.6, 1.0),) * n, R)], 1, "ensemble")
     assert (exc.value.subject_index, exc.value.step) == (expected, first)
 
 
 def test_sigma_below_the_floor_raises_through_point_uv():
     with pytest.raises(DegenerateDiffusion, match=r"sigma\^2 below 1e-12") as exc:
-        _point_passes(FAINT, THETA, 0.1, 3, [(0.0, 1.0)], [10], [3], 3, "moment")
+        _draw(FAINT, THETA, 0.1, [(3, [(0.0, 1.0)], 10)], 3, "moment")
     assert exc.value.step is None
 
 
@@ -357,16 +361,16 @@ def _peak_mb(fn):
 def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     # a stored (12800, 401) path and its (U, V) temporaries took about
     # 240 MB; the chunked kernel keeps one (4096, 400) buffer at a time
-    point = _peak_mb(lambda: _point_passes(
-        builtin_model("bounded-ratio"), THETA, 0.0025, 7, [(0.0, 1.0)], [12800], [7], 100,
+    point = _peak_mb(lambda: _draw(
+        builtin_model("bounded-ratio"), THETA, 0.0025, [(7, [(0.0, 1.0)], 12800)], 100,
         "information",
     ))
     assert point < 64
     # 800 iid subjects stacked into one block must not build their
     # 96,000-row ids and effects up front
-    design = Design(DesignFamily("iid", x0=0.0, T=1.0).subjects(800), 0.1, 7)
-    ensemble = _peak_mb(lambda: _ensemble_uv(
-        builtin_model("linear-drift"), THETA, design, 120
+    subjects = DesignFamily("iid", x0=0.0, T=1.0).subjects(800)
+    ensemble = _peak_mb(lambda: _draw(
+        builtin_model("linear-drift"), THETA, 0.1, [(7, subjects, 120)], 1, "ensemble"
     ))
     assert ensemble < 6
     # 32 harmonic points of 400 rows, 413 to 800 steps each, stacked into
