@@ -164,23 +164,28 @@ def _gap(est, se, lim_est, lim_se):
     return abs(est - lim_est), math.sqrt(se * se + lim_se * lim_se)
 
 
+def _score_cov(theta, u, v):
+    """(cov, scores, outer, s1, s2): the sample covariance of the rows'
+    scores under theta, from their outer products and the sums of both."""
+    r = len(u)
+    scores = np.stack(score_terms(u, v, theta.mu, theta.omega2), axis=1)
+    s1 = scores.sum(axis=0)
+    outer = scores[:, :, None] * scores[:, None, :]
+    s2 = outer.sum(axis=0)
+    mean = s1 / r
+    return (s2 - r * np.outer(mean, mean)) / (r - 1), scores, outer, s1, s2
+
+
 def _info_estimate(theta, u, v, failures):
     """fisher_info_mc's estimate from the finite (U, V) of a point's pass."""
     r = len(u)
-    s_mu, s_w = score_terms(u, v, theta.mu, theta.omega2)
-    scores = np.stack([s_mu, s_w], axis=1)
+    cov, scores, outer, s1, s2 = _score_cov(theta, u, v)
     h_mm, h_mw, h_ww = hess_terms(u, v, theta.mu, theta.omega2)
     hessians = np.empty((r, 2, 2))
     hessians[:, 0, 0] = h_mm
     hessians[:, 0, 1] = h_mw
     hessians[:, 1, 0] = h_mw
     hessians[:, 1, 1] = h_ww
-
-    s1 = scores.sum(axis=0)
-    outer = scores[:, :, None] * scores[:, None, :]
-    s2 = outer.sum(axis=0)
-    mean = s1 / r
-    cov = (s2 - r * np.outer(mean, mean)) / (r - 1)
 
     hsum = hessians.sum(axis=0)
     neg_mean_hess = -hsum / r
@@ -425,7 +430,7 @@ def run_normality_experiment(model, theta0, space, design, n, replicates, dt, se
     _check_run(replicates, theta0, space)
     points = design.subjects(n)
     (u, v), = _draw(model, theta0, dt, [(seed, points, replicates)], 100, "information")
-    infos = [_info_estimate(theta0, *part).matrix for part in _columns(points, u, v)]
+    infos = [_score_cov(theta0, u_k, v_k)[0] for u_k, v_k, _ in _columns(points, u, v)]
     return _normality_report(u, v, theta0, space, _info_mean(infos))
 
 

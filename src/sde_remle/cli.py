@@ -220,13 +220,14 @@ def cmd_experiment(kind, cfg, seed, out_dir):
 
 def _config_text(data):
     """The config file's bytes as text, newlines translated as a text-mode
-    read translates them; a byte that is not UTF-8 raises ParseError."""
+    read translates them and one leading byte order mark dropped, as the
+    utf-8-sig codec drops it; a byte that is not UTF-8 raises ParseError."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"byte 0x{data[err.start]:02x} is not UTF-8",
                          line=data.count(b"\n", 0, err.start) + 1) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def main(argv=None):

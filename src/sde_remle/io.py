@@ -190,38 +190,35 @@ def _check_block(block, first, seen):
     chunks]. The checks run on whole columns; a block that fails one is
     refused with the IngestError of its first bad line, from _bad_line.
     """
-    a = np.frombuffer(block, dtype=np.uint8)
-    # commas per line from the bytes: ',' and '\n' are never part of a
-    # multi-byte UTF-8 character
-    commas = np.diff(np.searchsorted(np.flatnonzero(a == 44),
-                                     np.r_[np.flatnonzero(a == 10), a.size]), prepend=0)
     try:
         rows = list(filter(None, block.decode("utf-8").split("\n")))
-        # a blank line has no comma, so every row has 4 fields just when
-        # as many lines as rows have 3 commas
-        if np.count_nonzero(commas == 3) != len(rows):
+        # a blank line carries no row; every other has 4 fields
+        if not all(row.count(",") == 3 for row in rows):
             raise ValueError
         tokens = ",".join(rows).split(",") if rows else []
-        s, k = (_ints(list(map(int, tokens[j::4]))) for j in (0, 1))
-        t, x = (np.array(list(map(float, tokens[j::4]))) for j in (2, 3))
+        n = len(rows)
+        s, k = _ints(list(map(int, tokens[0::4] + tokens[1::4]))).reshape(2, n)
+        t, x = tx = np.array(list(map(float, tokens[2::4] + tokens[3::4]))).reshape(2, n)
     except ValueError:  # a UnicodeDecodeError is one too
         raise _bad_line(block, first, seen) from None
     # each subject's rows in file order, and where its run starts
-    n = len(rows)
     order = np.argsort(s, kind="stable")
     s_run, t_run, x_run = s[order], t[order], x[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = s_run[1:] != s_run[:-1]
-    head = np.flatnonzero(new)
-    size = np.diff(np.r_[head, n])
+    new = np.ones(n + 1, dtype=bool)
+    new[1:n] = s_run[1:] != s_run[:-1]
+    # the first row of each run, then n
+    edge = np.flatnonzero(new)
+    head, size = edge[:-1], edge[1:] - edge[:-1]
     ids = s_run[head].tolist()
     known = [seen.get(i) for i in ids]
-    expect = (np.repeat([c[0] if c else 0 for c in known], size)
-              + np.arange(n) - np.repeat(head, size))
+    # row j of a run that starts at row h expects k = its subject's count
+    # so far + j - h
+    start = np.subtract([c[0] if c else 0 for c in known], head)
+    expect = np.repeat(start, size) + np.arange(n)
     prev = np.empty(n)
     prev[1:] = t_run[:-1]
     prev[head] = [c[1][-1][-1] if c else math.nan for c in known]
-    if not ((s >= 0).all() and np.isfinite(t).all() and np.isfinite(x).all()
+    if not ((s >= 0).all() and np.isfinite(tx).all()
             and (k[order] == expect).all()
             and np.where(expect == 0, t_run == 0.0, t_run > prev).all()):
         raise _bad_line(block, first, seen)

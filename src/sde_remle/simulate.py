@@ -76,10 +76,10 @@ def time_grid(T, dt):
 
 # a chunk of the Monte Carlo kernel holds at most ROW_CHUNK rows, enough
 # that the Python cost of a step stays small against its numpy work, and
-# NORMAL_CHUNK normals (4096 rows of 400 steps, one 13 MB buffer, which
+# NORMAL_CHUNK normals (4096 rows of 200 steps, one 6.25 MiB buffer, which
 # a stored pass also fills with the states)
 ROW_CHUNK = 4096
-NORMAL_CHUNK = ROW_CHUNK * 400
+NORMAL_CHUNK = ROW_CHUNK * 200
 
 
 def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=False):
@@ -105,6 +105,9 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=Fal
     # the first live[k] rows run at step k; live[top] = 0
     live = np.searchsorted(-steps, -np.arange(1, top + 2), side="right").tolist()
     state = np.array(x0, dtype=float)
+    # two scratch rows take each step's drift and noise terms, then its
+    # (U, V) increments, so a step allocates only its new state
+    one, two = np.empty((2, rows))
     if not store:
         u, v, body_end = np.zeros(rows), np.zeros(rows), np.empty(rows)
         low = np.zeros(rows, dtype=bool)
@@ -120,25 +123,42 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=Fal
                 delta = np.full(n, delta)
                 delta[m:] = T[m:n] - dt * k
                 root = np.sqrt(delta)
+                if not store:
+                    body_end[m:n] = state[m:]
             bvals, svals = model.b(state), model.sigma(state)
-            if not (svals > 0).all():
+            # sigma >= smin > 0 gives sigma^2 >= smin^2, rounding being
+            # monotone; a NaN smin fails both tests
+            smin = svals.min()
+            clean = smin > 0 and smin * smin >= SIGMA2_FLOOR
+            if not clean:
                 bad_sigma = np.isfinite(state) & ~(svals > 0)
                 if bad_sigma.any():
                     raise _degenerate(
                         f"sigma <= 0 at step {k} for model {model.name!r}", k,
                         x0, T, subject_index, bad_sigma,
                     )
-            after = state + phis[:n] * bvals * delta + svals * root * normals[:n, k]
+            drift, noise = one[:n], two[:n]
+            np.multiply(phis[:n], bvals, out=drift)
+            drift *= delta
+            np.multiply(svals, root, out=noise)
+            noise *= normals[:n, k]
+            after = state + drift
+            after += noise
             if store:
                 normals[:n, k] = after
             else:
-                sig2 = svals * svals
-                if not (sig2 >= SIGMA2_FLOOR).all():
+                # noise takes sigma^2, then w = b / sigma^2, then v's
+                # increment; drift takes u's
+                sig2 = np.multiply(svals, svals, out=noise)
+                if not clean:
                     low[:n] |= sig2 < SIGMA2_FLOOR
-                w = bvals / sig2
-                u[:n] += w * (after - state)
-                v[:n] += (bvals * w) * delta
-                body_end[m:n] = state[m:]
+                w = np.divide(bvals, sig2, out=noise)
+                np.subtract(after, state, out=drift)
+                drift *= w
+                u[:n] += drift
+                np.multiply(bvals, w, out=noise)
+                noise *= delta
+                v[:n] += noise
             state = after[:m]
     if store:
         return None

@@ -315,10 +315,11 @@ def _zone_model(name, sigma):
 
 
 @pytest.mark.parametrize("sigma,message,step", [
-    # sigma = 0 beyond x = 5, sigma^2 below the floor beyond x = 10
+    # sigma = 0 or NaN beyond x = 5, sigma^2 below the floor beyond x = 10
     (lambda x: np.where(x < 5.0, 1.0, 0.0), r"sigma <= 0 at step 0", 0),
+    (lambda x: np.where(x < 5.0, 1.0, np.nan), r"sigma <= 0 at step 0", 0),
     (lambda x: np.where(x < 10.0, 1.0, 1e-7), r"sigma\^2 below 1e-12", None),
-], ids=["sigma-zero", "sigma2-floor"])
+], ids=["sigma-zero", "sigma-nan", "sigma2-floor"])
 def test_stacked_point_pass_errors_name_the_failing_design_point(sigma, message, step):
     # only the point at x = 11 starts where sigma fails; the others stay
     # far below x = 5 over T = 1

@@ -195,6 +195,18 @@ def test_config_lines_end_in_any_newline(tmp_path, capsys, newline):
     assert capsys.readouterr().err == "error: line 10: unknown key 'burnin'\n"
 
 
+def test_a_config_saved_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # the mark was read as part of the first key: "unknown key 'model'",
+    # with the U+FEFF before "model" invisible
+    outputs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(bom + SIM_CFG.encode())
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        outputs.append({f: (tmp_path / name / f).read_bytes() for f in ("paths.csv", "stats.csv")})
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("out, reason", [
     ("a_file", "File exists"),
     ("a_file/sub", "Not a directory"),

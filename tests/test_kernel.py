@@ -220,14 +220,17 @@ def test_replicates_and_subjects_nest():
 
 
 def test_stacked_segments_straddle_the_real_chunk_caps():
-    # 800-step rows fill a chunk at 2048 rows (the normals cap), 400-step
-    # rows at ROW_CHUNK; segments of 1500 and 3000 rows cross both
+    # the normals cap fills a chunk of 800-step rows at 1024 rows and one
+    # of 400-step rows at 2048, which segments of 1500 and 3000 rows
+    # cross; rows of 200 steps or fewer stop at ROW_CHUNK, which segments
+    # of 3000 and 2000 rows cross
     model, dt = builtin_model("bounded-ratio"), 0.0025
     rng = np.random.default_rng(3)
     segments = [
         Segment(x0, T, seed, 0, rng.normal(0.5, 0.5, rows))
         for x0, T, seed, rows in ((0.1, 1.0, 7, 3000), (0.5, 2.0, 8, 1500),
-                                  (0.2, 1.99, 9, 1500), (0.3, 1.0, 10, 1000))
+                                  (0.2, 1.99, 9, 1500), (0.3, 1.0, 10, 1000),
+                                  (0.4, 0.5, 11, 3000), (0.6, 0.45, 12, 2000))
     ]
     u, v = _flat(replicate_uv(model, dt, segments))
     want_u, want_v = _one_by_one(model, dt, segments)
@@ -360,12 +363,12 @@ def _peak_mb(fn):
 
 def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     # a stored (12800, 401) path and its (U, V) temporaries took about
-    # 240 MB; the chunked kernel keeps one (4096, 400) buffer at a time
+    # 240 MB; the chunked kernel keeps one (2048, 400) buffer at a time
     point = _peak_mb(lambda: _draw(
         builtin_model("bounded-ratio"), THETA, 0.0025, [(7, [(0.0, 1.0)], 12800)], 100,
         "information",
     ))
-    assert point < 64
+    assert point < 9
     # 800 iid subjects stacked into one block must not build their
     # 96,000-row ids and effects up front
     subjects = DesignFamily("iid", x0=0.0, T=1.0).subjects(800)
@@ -379,14 +382,15 @@ def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     segments = [Segment(x, T, 7 + i, 0, np.full(400, 0.5))
                 for i, (x, T) in enumerate(family.subjects(32))]
     stacked = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments))
-    assert stacked < 64
+    assert stacked < 9
 
 
 @pytest.mark.parametrize("store", [False, True], ids=["uv", "stored"])
 def test_a_monte_carlo_pass_holds_one_chunk_buffer(store):
-    # one full chunk of 4096 rows of 400 steps: the normals are the only
-    # chunk-sized buffer, as (U, V) are running totals and stored states
-    # overwrite the normals; a stored pass also keeps its (4096, 401) paths
+    # 4096 rows of 400 steps, two full chunks of 2048 rows: the normals
+    # are the only chunk-sized buffer, as (U, V) are running totals and
+    # stored states overwrite the normals; a stored pass also keeps its
+    # (4096, 401) paths
     segments = [Segment(0.0, 1.0, 7, 0, np.full(ROW_CHUNK, 0.5))]
     kept = ROW_CHUNK * 401 * 8 / 2**20 if store else 0.0
     peak = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments,
@@ -396,7 +400,8 @@ def test_a_monte_carlo_pass_holds_one_chunk_buffer(store):
 
 def test_a_long_ragged_stored_ensemble_holds_one_normals_buffer():
     # 200 harmonic subjects, T from 50 down to 1.245 at dt = 0.01, fill
-    # one chunk of 200 x 5000 normals; beside it only the paths are kept
+    # chunks of 163 and 37 rows from one NORMAL_CHUNK buffer, below the
+    # 200 x 5000 normals of one chunk; beside it only the paths are kept
     family = DesignFamily("harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=49.0)
     design = Design(family.subjects(200), 0.01, 3)
     paths = []

@@ -21,9 +21,10 @@ def _run(cwd, script, *args):
 
 @pytest.mark.parametrize("args,last", [
     (("bench_fit.py", "--repeats", "2"), "120x800"),
+    (("bench_kernel.py", "--repeats", "2", "--rows", "4"), "median: pass"),
     (("fuzz_reader.py", "--examples", "20"), "20 files,"),
     (("seed_sweep.py", "05", "1", "2"), "05 {}: 1 of 1 seeds pass"),
-], ids=["bench_fit", "fuzz_reader", "seed_sweep"])
+], ids=["bench_fit", "bench_kernel", "fuzz_reader", "seed_sweep"])
 def test_uncollected_script_runs_at_its_smallest_size(tmp_path, args, last):
     done = _run(tmp_path, *args)
     assert done.returncode == 0, done.stderr
