@@ -11,8 +11,7 @@ the Monte Carlo experiments that exercise the estimator's limit theory.
 from .asymptotics import (
     ConvergenceTable,
     ExperimentReport,
-    InfoEstimate,
-    KlEstimate,
+    McEstimate,
     averaged_limits,
     fisher_info_mc,
     kl_mc,
@@ -68,10 +67,9 @@ __all__ = [
     "EmptyExperiment",
     "ExperimentFailed",
     "ExperimentReport",
-    "InfoEstimate",
     "IngestError",
     "InvalidStats",
-    "KlEstimate",
+    "McEstimate",
     "MissingKey",
     "MleFit",
     "ModelSpec",

@@ -16,13 +16,13 @@ information and divergence, 3 for the probe), then runs every group of
 points as one stacked simulate.replicate_uv pass, so averaged_limits
 and noniid draw their limit point with the ensemble. A point's (U, V)
 are a pure function of its seed, subject and R, the same alone or
-stacked. Every reduction runs in a fixed order, so reports are
-byte-identical across runs: divergence and probe means and the design
-averages of every estimate are exactly rounded (math.fsum), while each
-point's information estimate reduces its rows with numpy's pairwise
-sums.
+stacked. Every estimate at a point is one _reduce of a matrix of
+per-row terms: exactly rounded (math.fsum) means, covariances from them,
+and standard errors from influence rows. Design averages are exactly
+rounded too, so reports are byte-identical across runs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import EmptyExperiment, ExperimentFailed
 from .estimator import fit_rows
 from .ks import ks_norm_pvalue
-from .likelihood import hess_terms, ratio_terms, score_terms
+from .likelihood import _row_fsum, ratio_terms, score_terms
 from .models import Design
 from .rng import derive_seed, float_label
 from .simulate import replicate_uv, subject_segments
@@ -52,28 +52,16 @@ def _mean_exact(values):
 
 
 @dataclass(frozen=True)
-class InfoEstimate:
-    """Monte Carlo Fisher information at one design point.
+class McEstimate:
+    """A Monte Carlo estimate at one design point.
 
-    matrix is the sample covariance of per-subject scores under theta;
-    neg_mean_hess is the matched -mean(Hessian) estimate and identity_se
-    the jackknife standard error of their entrywise difference, used for
-    information-identity checks.
+    value is a float (kl_mc) or a 2x2 matrix (fisher_info_mc), mc_se its
+    standard error, of the same shape, and failures the count of the
+    point's rows that were dropped as not finite.
     """
 
-    matrix: np.ndarray
-    mc_se: np.ndarray
-    neg_mean_hess: np.ndarray
-    identity_se: np.ndarray
-    failures: int = 0
-
-
-@dataclass(frozen=True)
-class KlEstimate:
-    """Monte Carlo Kullback-Leibler divergence at one design point."""
-
-    value: float
-    mc_se: float
+    value: float | np.ndarray
+    mc_se: float | np.ndarray
     failures: int = 0
 
 
@@ -154,87 +142,81 @@ def _draw(model, theta0, dt, groups, minimum, what):
             for _, points, _ in groups]
 
 
-def _mean_se(values):
-    """Exactly rounded mean of a sample and its standard error."""
-    return _mean_exact(values.tolist()), float(np.std(values, ddof=1)) / math.sqrt(len(values))
-
-
 def _gap(est, se, lim_est, lim_se):
     """Distance of an estimate from its limit and the standard error of it."""
     return abs(est - lim_est), math.sqrt(se * se + lim_se * lim_se)
 
 
-def _score_cov(theta, u, v):
-    """(cov, scores, outer, s1, s2): the sample covariance of the rows'
-    scores under theta, from their outer products and the sums of both."""
-    r = len(u)
-    scores = np.stack(score_terms(u, v, theta.mu, theta.omega2), axis=1)
-    s1 = scores.sum(axis=0)
-    outer = scores[:, :, None] * scores[:, None, :]
-    s2 = outer.sum(axis=0)
-    mean = s1 / r
-    return (s2 - r * np.outer(mean, mean)) / (r - 1), scores, outer, s1, s2
+# the pairs i <= j of k rows, row-major, as two index arrays
+_pairs = functools.cache(np.triu_indices)
 
 
-def _info_estimate(theta, u, v, failures):
-    """fisher_info_mc's estimate from the finite (U, V) of a point's pass."""
-    r = len(u)
-    cov, scores, outer, s1, s2 = _score_cov(theta, u, v)
-    h_mm, h_mw, h_ww = hess_terms(u, v, theta.mu, theta.omega2)
-    hessians = np.empty((r, 2, 2))
-    hessians[:, 0, 0] = h_mm
-    hessians[:, 0, 1] = h_mw
-    hessians[:, 1, 0] = h_mw
-    hessians[:, 1, 1] = h_ww
+def _reduce(point, terms, names, cov=False):
+    """(estimates, ses) of a design point's (k, R) matrix of per-row
+    terms: each row's mean, math.fsum / R bit for bit, then with cov each
+    covariance (E[t_i t_j] - E[t_i] E[t_j]) R / (R - 1), i <= j row-major.
+    A standard error is sqrt(sum(f^2) / (R - 1) / R) of the influence rows
+    f, t_i - E[t_i] or (t_i - E[t_i]) (t_j - E[t_j]) less their mean, and
+    0 where they are all equal. A non-finite estimate or se raises
+    ExperimentFailed naming the point and the estimate's entry of names.
+    """
+    k, r = terms.shape
+    i, j = _pairs(k if cov else 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.concatenate([terms, terms[i] * terms[j]])
+        try:
+            means = _row_fsum(rows.copy()) / r
+        except (OverflowError, ValueError):
+            # math.fsum refuses inf with -inf, or a sum past 1.8e308: such a
+            # row has a term within a factor R of overflow, so its plain sum
+            # or its standard error below is not finite either
+            means = rows.sum(axis=1) / r
+        dev = terms - means[:k, None]
+        biased = means[k:] - means[i] * means[j]
+        est = np.concatenate([means[:k], biased * r / (r - 1)])
+        infl = np.concatenate([dev, dev[i] * dev[j] - biased[:, None]])
+        se = np.sqrt((infl * infl).sum(axis=1) / (r - 1)) / math.sqrt(r)
+    se[infl.min(axis=1) == infl.max(axis=1)] = 0.0
+    bad = ~(np.isfinite(est) & np.isfinite(se))
+    if bad.any():
+        raise ExperimentFailed(
+            f"the Monte Carlo estimate or standard error of {names[int(np.argmax(bad))]} is "
+            f"not finite at design point (x, T) = ({float(point[0])!r}, {float(point[1])!r})"
+        )
+    return est, se
 
-    hsum = hessians.sum(axis=0)
-    neg_mean_hess = -hsum / r
 
-    # leave-one-out replicas of both estimates, for jackknife errors of the
-    # covariance entries and of the identity gap (cov + mean hess)
-    loo_mean = (s1[None, :] - scores) / (r - 1)
-    loo_outer = loo_mean[:, :, None] * loo_mean[:, None, :]
-    loo_cov = (s2[None, :, :] - outer - (r - 1) * loo_outer) / (r - 2)
-    loo_negh = -(hsum[None, :, :] - hessians) / (r - 1)
-
-    def jack_se(replicas):
-        center = replicas.mean(axis=0)
-        dev = replicas - center[None, :, :]
-        return np.sqrt((r - 1) / r * (dev * dev).sum(axis=0))
-
-    return InfoEstimate(
-        matrix=cov,
-        mc_se=jack_se(loo_cov),
-        neg_mean_hess=neg_mean_hess,
-        identity_se=jack_se(loo_cov - loo_negh),
-        failures=failures,
-    )
+def _info(point, theta, u, v):
+    """The information at theta, the covariance of the rows' scores, and
+    its standard errors, as 2x2 matrices."""
+    est, se = _reduce(point, np.stack(score_terms(u, v, theta.mu, theta.omega2)),
+                      ("the mu score", "the omega2 score", "i00", "i01", "i11"), cov=True)
+    return est[[2, 3, 3, 4]].reshape(2, 2), se[[2, 3, 3, 4]].reshape(2, 2)
 
 
-def _kl_estimate(theta0, theta, u, v, failures):
-    """kl_mc's estimate from the finite (U, V) of a point's pass."""
-    value, se = _mean_se(ratio_terms(u, v, theta0, theta))
-    return KlEstimate(value=value, mc_se=se, failures=failures)
+def _kl(point, theta0, theta, u, v):
+    """(estimate, se) of the divergence: the mean log density ratio."""
+    est, se = _reduce(point, ratio_terms(u, v, theta0, theta)[None], ("kl",))
+    return float(est[0]), float(se[0])
 
 
 def fisher_info_mc(model, theta, x0, T, dt, R, seed):
     """Sample covariance of per-subject scores at one design point.
 
     Simulates R subjects under theta, evaluates the analytic score at
-    theta, and returns the covariance estimate with jackknife standard
-    errors, together with the matched -mean(Hessian) estimate for
-    information-identity checks.
+    theta, and returns the covariance matrix with the standard error of
+    each entry from its influence rows.
     """
     (u, v), = _draw(model, theta, dt, [(seed, [(x0, T)], R)], 100, "information")
-    part, = _columns([(x0, T)], u, v)
-    return _info_estimate(theta, *part)
+    (u, v, failures), = _columns([(x0, T)], u, v)
+    return McEstimate(*_info((x0, T), theta, u, v), failures)
 
 
 def kl_mc(model, theta0, theta, x0, T, dt, R, seed):
     """Mean log density ratio under theta0 at one design point."""
     (u, v), = _draw(model, theta0, dt, [(seed, [(x0, T)], R)], 100, "divergence")
-    part, = _columns([(x0, T)], u, v)
-    return _kl_estimate(theta0, theta, *part)
+    (u, v, failures), = _columns([(x0, T)], u, v)
+    return McEstimate(*_kl((x0, T), theta0, theta, u, v), failures)
 
 
 def sqrt_2x2_spd(m):
@@ -281,15 +263,13 @@ def _limits(model, designs, theta0, theta, dt, replicates, limit_point, limit_re
         (derive_seed(seed, _LANE_INFO, *map(float_label, limit_point)), [limit_point],
          limit_replicates),
     ], 100, "divergence")
-    points = [
-        (_kl_estimate(theta0, theta, *part), _info_estimate(theta0, *part))
-        for part in _columns(designs, u, v) + _columns([limit_point], *limit_uv)
-    ]
+    parts = _columns(designs, u, v) + _columns([limit_point], *limit_uv)
+    points = [(_kl(pt, theta0, theta, u_k, v_k), _info(pt, theta0, u_k, v_k))
+              for pt, (u_k, v_k, _) in zip(designs + [limit_point], parts)]
     # (estimate, se) of the kl, i00, i01 and i11 columns at each point, the limit last
     *columns, lim_columns = [
-        [(kl.value, kl.mc_se)] + [(float(info.matrix[ij]), float(info.mc_se[ij]))
-                                  for ij in ((0, 0), (0, 1), (1, 1))]
-        for kl, info in points
+        [kl] + [(float(info[ij]), float(se[ij])) for ij in ((0, 0), (0, 1), (1, 1))]
+        for kl, (info, se) in points
     ]
     keys = ("kl", "i00", "i01", "i11")
     lim = {}
@@ -306,7 +286,7 @@ def _limits(model, designs, theta0, theta, dt, replicates, limit_point, limit_re
             row[f"{key}_gap"], row[f"{key}_gap_se"] = _gap(avg, se, *lim_col)
         rows.append(row)
     table = ConvergenceTable(rows=tuple(rows), limit=lim)
-    return table, (u, v), [info.matrix for _, info in points[:-1]]
+    return table, (u, v), [info for _, (info, _) in points[:-1]]
 
 
 def _replicate_fits(u, v, theta0, space):
@@ -430,7 +410,8 @@ def run_normality_experiment(model, theta0, space, design, n, replicates, dt, se
     _check_run(replicates, theta0, space)
     points = design.subjects(n)
     (u, v), = _draw(model, theta0, dt, [(seed, points, replicates)], 100, "information")
-    infos = [_score_cov(theta0, u_k, v_k)[0] for u_k, v_k, _ in _columns(points, u, v)]
+    infos = [_info(pt, theta0, u_k, v_k)[0]
+             for pt, (u_k, v_k, _) in zip(points, _columns(points, u, v))]
     return _normality_report(u, v, theta0, space, _info_mean(infos))
 
 
@@ -519,21 +500,10 @@ def run_moment_continuity_probe(model, theta0, psi, xi, design, m_schedule, repl
 
     def h_moments(point, u, v, _):
         # (estimate, se) of h^1 and h^2; either overflows for a large psi
-        out = []
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             h = np.exp(psi * u / (1.0 + xi * v))
-            for k in (1, 2):
-                try:
-                    est, se = _mean_se(h ** k)
-                except OverflowError:  # math.fsum of finite values past 1.8e308
-                    est = se = math.inf
-                if not (math.isfinite(est) and math.isfinite(se)):
-                    raise ExperimentFailed(
-                        f"the Monte Carlo mean of h(U, V)^{k} is not finite at design "
-                        f"point (x, T) = ({point[0]!r}, {point[1]!r})"
-                    )
-                out.append((est, se))
-        return out
+            est, se = _reduce(point, np.stack([h, h * h]), ("h(U, V)^1", "h(U, V)^2"))
+        return list(zip(est.tolist(), se.tolist()))
 
     lim, *moments = [h_moments(pt, *part) for pt, part in zip(pts, parts)]
     rows = []

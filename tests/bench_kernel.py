@@ -12,8 +12,10 @@ the time inside simulate.path_normals (the normals) and inside
 simulate._euler_rows (the Euler step loop), the chunk count and the step
 iterations (the sum over chunks of their longest row's steps). The
 second, untimed, reports the tracemalloc peak above the memory held
-before the pass. A warm-up pass runs first; the last line gives the
-medians. pytest does not collect this file.
+before the pass. Each repeat then times the reduction of the pass's 33
+points to their divergence (at mu 1.5, omega2 0.5) and information
+estimates, as asymptotics._limits makes them. A warm-up pass runs first;
+the last line gives the medians. pytest does not collect this file.
 
     PYTHONPATH=src python tests/bench_kernel.py [--repeats N >= 2] [--rows R] [--seed S]
 """
@@ -23,12 +25,13 @@ import statistics
 import time
 import tracemalloc
 
-from sde_remle import DesignFamily, Theta, builtin_model, simulate
+from sde_remle import DesignFamily, Theta, asymptotics, builtin_model, simulate
 from sde_remle.asymptotics import _LANE_INFO
 from sde_remle.rng import derive_seed, float_label
 
 MODEL = builtin_model("bounded-ratio")
 THETA0 = Theta(mu=0.8, omega2=0.4)
+ALT = Theta(mu=1.5, omega2=0.5)
 DT = 0.0025
 POINTS = 32
 
@@ -43,8 +46,21 @@ def segments(seed, rows):
             + simulate.subject_segments(THETA0, lane, [limit], POINTS * rows))
 
 
+def timed_reduction(segs, parts):
+    """Seconds to reduce each point's finite (U, V) rows of a pass to its
+    divergence and information estimates."""
+    t0 = time.perf_counter()
+    for seg, (u, v) in zip(segs, parts):
+        pt = (seg.x0, seg.T)
+        u, v, _ = asymptotics._finite_rows(pt, u, v)
+        asymptotics._kl(pt, THETA0, ALT, u, v)
+        asymptotics._info(pt, THETA0, u, v)
+    return time.perf_counter() - t0
+
+
 def timed_pass(segs):
-    """(pass s, normals s, Euler s, chunks, step iterations) of one pass."""
+    """(pass s, normals s, Euler s, chunks, step iterations, (U, V) of
+    each segment) of one pass."""
     fill, euler = simulate.path_normals, simulate._euler_rows
     spent = {"normals": 0.0, "euler": 0.0, "chunks": 0, "steps": 0}
 
@@ -67,11 +83,11 @@ def timed_pass(segs):
     simulate.path_normals, simulate._euler_rows = timed_fill, timed_euler
     try:
         t0 = time.perf_counter()
-        simulate.replicate_uv(MODEL, DT, segs)
+        parts = simulate.replicate_uv(MODEL, DT, segs)
         wall = time.perf_counter() - t0
     finally:
         simulate.path_normals, simulate._euler_rows = fill, euler
-    return wall, spent["normals"], spent["euler"], spent["chunks"], spent["steps"]
+    return wall, spent["normals"], spent["euler"], spent["chunks"], spent["steps"], parts
 
 
 def peak_mib(segs):
@@ -102,14 +118,14 @@ def main():
     simulate.replicate_uv(MODEL, DT, segs)  # warm-up, untimed
     runs = []
     for r in range(args.repeats):
-        wall, normals, euler, chunks, steps = timed_pass(segs)
-        runs.append((wall, normals, euler, peak_mib(segs)))
+        wall, normals, euler, chunks, steps, parts = timed_pass(segs)
+        runs.append((wall, normals, euler, peak_mib(segs), timed_reduction(segs, parts)))
         print(f"repeat {r + 1}: pass {wall:.3f} s, normals {normals:.3f} s, "
               f"Euler {euler:.3f} s, {chunks} chunks, {steps} step iterations, "
-              f"peak {runs[-1][3]:.2f} MiB")
-    wall, normals, euler, peak = (statistics.median(col) for col in zip(*runs))
+              f"peak {runs[-1][3]:.2f} MiB, reduce {1e3 * runs[-1][4]:.2f} ms")
+    wall, normals, euler, peak, reduce = (statistics.median(col) for col in zip(*runs))
     print(f"median: pass {wall:.3f} s, normals {normals:.3f} s, Euler {euler:.3f} s, "
-          f"peak {peak:.2f} MiB")
+          f"peak {peak:.2f} MiB, reduce {1e3 * reduce:.2f} ms")
 
 
 if __name__ == "__main__":

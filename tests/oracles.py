@@ -6,6 +6,10 @@ splits a simulated path's U into its drift and martingale parts;
 stored_paths runs the Euler kernel on one unchunked block of rows and
 first_nonfinite_step finds where a row of states diverged;
 path_increments and left_fold rebuild (U, V) from stored rows.
+unit_info and unit_kl are the unit model's closed forms at one design
+point; reduce_reference is asymptotics._reduce in plain Python floats,
+and identity_gap checks the information identity on fisher_info_mc's
+rows.
 """
 
 import math
@@ -13,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sde_remle.asymptotics import _columns, _draw, _reduce
 from sde_remle.errors import SdeRemleError
 from sde_remle.estimator import _profile_sums, _ratio
-from sde_remle.likelihood import total_loglik_uv
+from sde_remle.likelihood import hess_terms, score_terms, total_loglik_uv
 from sde_remle.rng import generator
 from sde_remle.simulate import _euler_rows, time_grid
 
@@ -144,3 +149,53 @@ def left_fold(terms):
             total += term
         totals.append(total)
     return np.array(totals)
+
+
+def unit_info(T, omega2):
+    """The unit model's per-subject information at horizon T,
+    [[I*, 0], [0, I*^2 / 2]] with I* = T / (1 + omega2 T)."""
+    i_star = T / (1.0 + omega2 * T)
+    return np.array([[i_star, 0.0], [0.0, 0.5 * i_star * i_star]])
+
+
+def unit_kl(theta0, theta, T):
+    """The unit model's per-subject divergence at horizon T."""
+    # U is Gaussian with variance T*(1 + omega2*T) and V is the constant T,
+    # so the divergence is the usual one between two normal laws
+    m0, s0 = theta0.mu * T, T * (1.0 + theta0.omega2 * T)
+    m1, s1 = theta.mu * T, T * (1.0 + theta.omega2 * T)
+    return 0.5 * (math.log(s1 / s0) + s0 / s1 + (m0 - m1) ** 2 / s1 - 1.0)
+
+
+def reduce_reference(terms, cov=False):
+    """asymptotics._reduce's (estimates, ses) of a (k, R) term matrix as
+    two lists, computed in Python floats: math.fsum per row for the means,
+    and math.fsum of the squared influence rows for each standard error."""
+    rows = np.asarray(terms, dtype=float).tolist()
+    r = len(rows[0])
+    means = [math.fsum(row) / r for row in rows]
+    devs = [[x - m for x in row] for row, m in zip(rows, means)]
+    est, influence = list(means), list(devs)
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i, len(rows))] if cov else []
+    for i, j in pairs:
+        biased = math.fsum(a * b for a, b in zip(rows[i], rows[j])) / r - means[i] * means[j]
+        est.append(biased * r / (r - 1))
+        influence.append([a * b - biased for a, b in zip(devs[i], devs[j])])
+    ses = [0.0 if min(f) == max(f) else
+           math.sqrt(math.fsum(x * x for x in f) / (r - 1)) / math.sqrt(r) for f in influence]
+    return est, ses
+
+
+def identity_gap(model, theta, x0, T, dt, R, seed):
+    """(gap, se) of the information identity on the rows fisher_info_mc
+    draws: for (i, j) = 00, 01, 11, the mean of
+    (s_i - mean s_i)(s_j - mean s_j) R / (R - 1) + h_ij, the score
+    covariance less -mean(Hessian), with its reduction's standard error."""
+    (u, v), = _draw(model, theta, dt, [(seed, [(x0, T)], R)], 100, "information")
+    (u, v, _), = _columns([(x0, T)], u, v)
+    s = np.stack(score_terms(u, v, theta.mu, theta.omega2))
+    dev = s - s.mean(axis=1, keepdims=True)
+    i, j = np.triu_indices(2)
+    terms = dev[i] * dev[j] * (len(u) / (len(u) - 1)) + np.stack(
+        hess_terms(u, v, theta.mu, theta.omega2))
+    return _reduce((x0, T), terms, ("g00", "g01", "g11"))

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sde_remle import (
     DesignFamily,
+    McEstimate,
     ParamSpace,
     Theta,
     averaged_limits,
@@ -30,6 +33,7 @@ from sde_remle.errors import (
 from sde_remle.estimator import fit_mle
 from sde_remle.likelihood import ratio_terms
 from sde_remle.rng import derive_seed, float_label
+from oracles import identity_gap, reduce_reference, unit_info, unit_kl
 
 UNIT = builtin_model("unit")
 LINEAR = builtin_model("linear-drift")
@@ -38,37 +42,24 @@ SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
 THETA0 = Theta(mu=1.0, omega2=0.5)
 
 
-def _unit_info(T, omega2):
-    i_star = T / (1.0 + omega2 * T)
-    return np.array([[i_star, 0.0], [0.0, 0.5 * i_star * i_star]])
-
-
-def _unit_kl(theta0, theta, T):
-    # U is Gaussian with variance T*(1 + omega2*T) and V is the constant T,
-    # so the divergence is the usual one between two normal laws
-    m0, s0 = theta0.mu * T, T * (1.0 + theta0.omega2 * T)
-    m1, s1 = theta.mu * T, T * (1.0 + theta.omega2 * T)
-    return 0.5 * (math.log(s1 / s0) + s0 / s1 + (m0 - m1) ** 2 / s1 - 1.0)
-
-
 def test_fisher_matches_unit_closed_form():
     for T, omega2, seed in ((1.0, 1.0, 3), (1.0, 0.0, 4)):
         est = fisher_info_mc(UNIT, Theta(mu=1.0, omega2=omega2), 0.0, T, 0.1, 20_000, seed)
-        want = _unit_info(T, omega2)
-        assert np.all(np.abs(est.matrix - want) <= 4.0 * est.mc_se)
+        want = unit_info(T, omega2)
+        assert np.all(np.abs(est.value - want) <= 4.0 * est.mc_se)
         assert est.failures == 0
 
 
 def test_fisher_information_identity():
-    est = fisher_info_mc(LINEAR, Theta(mu=0.8, omega2=0.4), 1.0, 1.0, 0.02, 2000, 8)
-    assert np.all(np.abs(est.matrix - est.neg_mean_hess) <= 4.0 * est.identity_se)
+    gap, se = identity_gap(LINEAR, Theta(mu=0.8, omega2=0.4), 1.0, 1.0, 0.02, 2000, 8)
+    assert np.all(np.abs(gap) <= 4.0 * se)
 
 
 def test_fisher_symmetric_and_psd():
     for model, x0 in ((UNIT, 0.0), (BOUNDED, 0.5)):
         est = fisher_info_mc(model, Theta(mu=0.5, omega2=0.5), x0, 1.0, 0.05, 500, 6)
-        assert np.array_equal(est.matrix, est.matrix.T)
-        assert np.linalg.eigvalsh(est.matrix).min() >= -1e-8
+        assert np.array_equal(est.value, est.value.T)
+        assert np.linalg.eigvalsh(est.value).min() >= -1e-8
 
 
 def test_estimators_reject_small_samples(no_draws):
@@ -92,7 +83,7 @@ def test_estimators_reject_small_samples(no_draws):
 def test_kl_matches_gaussian_oracle():
     theta0, theta = Theta(mu=1.0, omega2=0.5), Theta(mu=0.5, omega2=1.0)
     est = kl_mc(UNIT, theta0, theta, 0.0, 2.0, 0.2, 20_000, 19)
-    assert abs(est.value - _unit_kl(theta0, theta, 2.0)) <= 4.0 * est.mc_se
+    assert abs(est.value - unit_kl(theta0, theta, 2.0)) <= 4.0 * est.mc_se
 
 
 def test_kl_self_is_exactly_zero():
@@ -125,6 +116,58 @@ def test_kl_nonnegative_dense_gaussian_sweep():
         assert float(vals.mean()) >= -3.0 * se
 
 
+# each row of a term matrix: a normal sample at a drawn location and
+# scale, a heavy-tailed one, or a constant
+_ROW_KINDS = ("normal", "lognormal", "constant")
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduce_matches_its_plain_python_reference(data):
+    """Means bit for bit and standard errors within 1e-12 relative of the
+    math.fsum reference, for R from 2 to 500, with and without
+    covariances; a constant row's standard error is exactly 0."""
+    r = data.draw(st.integers(min_value=2, max_value=500), label="R")
+    kinds = data.draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=3))
+    cov = data.draw(st.booleans(), label="cov")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    loc = data.draw(st.floats(min_value=-1e6, max_value=1e6), label="loc")
+    scale = data.draw(st.floats(min_value=1e-6, max_value=1e3), label="scale")
+    terms = np.array([
+        np.full(r, loc) if kind == "constant" else
+        loc + scale * (rng.standard_normal(r) if kind == "normal" else rng.lognormal(0, 2, r))
+        for kind in kinds])
+    names = [f"t{m}" for m in range(len(kinds) * (len(kinds) + 3) // 2)]
+    est, se = asymptotics._reduce((0.0, 1.0), terms, names, cov)
+    want_est, want_se = reduce_reference(terms, cov)
+    assert _bits(est) == _bits(want_est)
+    assert np.all(np.abs(se - want_se) <= 1e-12 * np.abs(want_se))
+    for m, kind in enumerate(kinds):
+        if kind == "constant":
+            assert se[m] == 0.0
+
+
+@pytest.mark.parametrize("big,cov,name", [
+    ([1e308, 1e308, 1.0], False, "big"),  # math.fsum overflows
+    # math.fsum overflows adding the first two terms, while numpy's plain
+    # sum, eight strided partial sums, adds 1e308 and -1e308 first
+    ([1e308, 1e308] + [0.0] * 6 + [-1e308, -1e308] + [0.0] * 6, False, "big"),
+    ([math.inf, 1.0, 1.0], False, "big"),
+    ([math.inf, -math.inf, 1.0], False, "big"),  # math.fsum raises ValueError
+    ([1e200, -1e200, 0.0], False, "big"),  # a finite mean, an infinite se
+    ([1e100, -2e100, 1e100], True, "big x big"),  # the covariance's se overflows
+], ids=["fsum-overflow", "fsum-intermediate-overflow", "inf", "inf-minus-inf", "se-overflow",
+        "covariance-se"])
+def test_reduce_raises_for_an_estimate_that_is_not_finite(big, cov, name):
+    # the first estimate that is not finite is named, after finite ones
+    names = ("small", "big", "small x small", "small x big", "big x big")
+    match = (rf"^the Monte Carlo estimate or standard error of {name} is not finite at "
+             r"design point \(x, T\) = \(0\.5, 2\.0\)$")
+    terms = np.array([np.arange(1.0, len(big) + 1), big])
+    with pytest.raises(ExperimentFailed, match=match):
+        asymptotics._reduce((0.5, 2.0), terms, names, cov)
+
+
 def test_sqrt_2x2():
     m = np.array([[2.0, 0.3], [0.3, 0.5]])
     L = sqrt_2x2_spd(m)
@@ -149,21 +192,26 @@ def _same_fields(a, b):
             assert x == y, name
 
 
-def _keep(made, real):
-    """real, recording each estimate it makes in made."""
-    def estimate(*args):
-        made.append(real(*args))
-        return made[-1]
-    return estimate
+def _keep_reductions(monkeypatch):
+    """Record each asymptotics._reduce call's (estimates, ses), the
+    divergence ones in kls and the information ones, which take
+    covariances, in infos; returns (kls, infos)."""
+    kls, infos = [], []
+    real = asymptotics._reduce
+
+    def reduce(point, terms, names, cov=False):
+        (infos if cov else kls).append(real(point, terms, names, cov))
+        return (infos if cov else kls)[-1]
+
+    monkeypatch.setattr(asymptotics, "_reduce", reduce)
+    return kls, infos
 
 
 def test_column_0_and_the_limit_point_equal_the_single_point_estimators(monkeypatch):
     """Design point 0 is subject 0 of the run's seed and the limit point
     has a seed lane of its own, so their estimates are those kl_mc and
     fisher_info_mc make at those seeds, field for field."""
-    kls, infos = [], []
-    monkeypatch.setattr(asymptotics, "_kl_estimate", _keep(kls, asymptotics._kl_estimate))
-    monkeypatch.setattr(asymptotics, "_info_estimate", _keep(infos, asymptotics._info_estimate))
+    kls, infos = _keep_reductions(monkeypatch)
     family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
     theta0, theta, dt, seed = Theta(mu=0.8, omega2=0.4), Theta(mu=1.5, omega2=0.5), 0.03, 23
     points = family.subjects(5)
@@ -177,11 +225,15 @@ def test_column_0_and_the_limit_point_equal_the_single_point_estimators(monkeypa
     (x, T), (lx, lT) = points[0], family.limit_point()
     lane = derive_seed(seed, 1, float_label(lx), float_label(lT))
     for k, (px, pT, R, s) in ((0, (x, T, 120, seed)), (-1, (lx, lT, 300, lane))):
-        _same_fields(kls[k], kl_mc(BOUNDED, theta0, theta, px, pT, dt, R, s))
-        _same_fields(infos[k], fisher_info_mc(BOUNDED, theta0, px, pT, dt, R, s))
-    assert table.rows[0]["kl"] == kls[0].value
-    assert table.limit["i00"] == float(infos[-1].matrix[0, 0])
-    assert table.limit["kl"] == kls[-1].value
+        (kl, kl_se), (info, info_se) = kls[k], infos[k]
+        _same_fields(McEstimate(float(kl[0]), float(kl_se[0])),
+                     kl_mc(BOUNDED, theta0, theta, px, pT, dt, R, s))
+        _same_fields(McEstimate(info[[2, 3, 3, 4]].reshape(2, 2),
+                                info_se[[2, 3, 3, 4]].reshape(2, 2)),
+                     fisher_info_mc(BOUNDED, theta0, px, pT, dt, R, s))
+    assert table.rows[0]["kl"] == kls[0][0][0]
+    assert table.limit["i00"] == infos[-1][0][2]
+    assert table.limit["kl"] == kls[-1][0][0]
 
 
 def test_averaged_limits_draws_one_ensemble_and_one_limit_point_pass(monkeypatch):
@@ -189,24 +241,24 @@ def test_averaged_limits_draws_one_ensemble_and_one_limit_point_pass(monkeypatch
     seed, and then the limit point, subject 0 on its own seed lane; a
     point's divergence and information read bit-identical (U, V)."""
     passes, kl_uv, info_uv = [], [], []
-    real_uv, real_kl, real_info = (
-        asymptotics.replicate_uv, asymptotics._kl_estimate, asymptotics._info_estimate)
+    real_uv, real_ratio, real_scores = (
+        asymptotics.replicate_uv, asymptotics.ratio_terms, asymptotics.score_terms)
 
     def uv(model, dt, segs, **kwargs):
         passes.append([(seg.seed, seg.subject, len(seg.phis)) for seg in segs])
         return real_uv(model, dt, segs, **kwargs)
 
-    def kl(theta0, theta, u, v, failures):
+    def ratio(u, v, theta0, theta):
         kl_uv.append((_bits(u), _bits(v)))
-        return real_kl(theta0, theta, u, v, failures)
+        return real_ratio(u, v, theta0, theta)
 
-    def info(theta, u, v, failures):
+    def scores(u, v, mu, omega2):
         info_uv.append((_bits(u), _bits(v)))
-        return real_info(theta, u, v, failures)
+        return real_scores(u, v, mu, omega2)
 
     monkeypatch.setattr(asymptotics, "replicate_uv", uv)
-    monkeypatch.setattr(asymptotics, "_kl_estimate", kl)
-    monkeypatch.setattr(asymptotics, "_info_estimate", info)
+    monkeypatch.setattr(asymptotics, "ratio_terms", ratio)
+    monkeypatch.setattr(asymptotics, "score_terms", scores)
     family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
     theta0 = Theta(mu=0.8, omega2=0.4)
     averaged_limits(BOUNDED, family.subjects(6), theta0, Theta(mu=1.5, omega2=0.5), 0.05,
@@ -274,9 +326,7 @@ def test_a_constant_designs_repeated_points_are_distinct_subjects(monkeypatch):
     gap to the same point's limit estimate is not 0. When a point's draw
     came from its coordinates, all nine were one draw and every kl_gap
     read exactly 0 against a kl_gap_se of 0.022 to 0.030."""
-    kls, infos = [], []
-    monkeypatch.setattr(asymptotics, "_kl_estimate", _keep(kls, asymptotics._kl_estimate))
-    monkeypatch.setattr(asymptotics, "_info_estimate", _keep(infos, asymptotics._info_estimate))
+    kls, infos = _keep_reductions(monkeypatch)
     family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=0.0, T_inf=1.0, T_amp=0.0)
     table = averaged_limits(
         LINEAR, family.subjects(8), THETA0, Theta(mu=1.5, omega2=0.5), 0.1,
@@ -284,8 +334,8 @@ def test_a_constant_designs_repeated_points_are_distinct_subjects(monkeypatch):
         schedule=(1, 2, 4, 8),
     )
     assert family.subjects(8) == (family.limit_point(),) * 8
-    assert len({kl.value for kl in kls}) == len(kls) == 9
-    assert len({_bits(info.matrix) for info in infos}) == len(infos) == 9
+    assert len({float(kl[0]) for kl, _ in kls}) == len(kls) == 9
+    assert len({_bits(info) for info, _ in infos}) == len(infos) == 9
     assert len({row["kl"] for row in table.rows}) == 4
     for row in table.rows:
         for key in ("kl", "i00", "i01", "i11"):

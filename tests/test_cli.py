@@ -540,13 +540,15 @@ def test_noniid_writes_run_noniid_experiment_estimating_each_column_once(
     from sde_remle import DesignFamily, asymptotics, io, run_noniid_experiment
 
     calls = []
-    real = asymptotics._info_estimate
+    real = asymptotics._reduce
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(point, terms, names, cov=False):
+        # an information estimate is the one reduction that takes covariances
+        if cov:
+            calls.append(point)
+        return real(point, terms, names, cov)
 
-    monkeypatch.setattr(asymptotics, "_info_estimate", counting)
+    monkeypatch.setattr(asymptotics, "_reduce", counting)
     text = NONIID_CFG.replace("\nn = 4\n", f"\nn = {n}\n")
     rc = main(["experiment", "noniid", "--config", _cfg(tmp_path, text),
                "--out", str(tmp_path / "cli")])

@@ -36,8 +36,8 @@ def test_readme_library_quickstart_runs_verbatim(capsys):
 PUBLIC = (
     "AllDegenerate", "ConfigError", "ConvergenceTable", "DegenerateDiffusion", "Design",
     "DesignFamily", "EmptyEnsemble", "EmptyExperiment", "ExperimentFailed",
-    "ExperimentReport", "InfoEstimate", "IngestError", "InvalidStats", "KlEstimate",
-    "MissingKey", "MleFit", "ModelSpec", "NonFiniteObjective", "NotFound",
+    "ExperimentReport", "IngestError", "InvalidStats", "McEstimate", "MissingKey", "MleFit",
+    "ModelSpec", "NonFiniteObjective", "NotFound",
     "ParamSpace", "ParseError", "Path", "SdeRemleError", "SimulationDiverged", "Theta",
     "UnknownKey", "averaged_limits", "builtin_model", "derive_seed", "emit_config",
     "euler_maruyama", "fisher_info_mc", "fit_mle", "kl_mc", "parse_config",
