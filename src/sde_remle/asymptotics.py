@@ -451,13 +451,14 @@ def _normality_report(u, v, theta0, space, info_bar):
     kept, dropped = _replicate_fits(u, v, theta0, space)
     if not kept:
         raise ExperimentFailed("every replicate failed")
-    rows = [_row(r, n, fit, tuple((math.sqrt(n) * (L @ diff)).tolist())) for r, fit, diff in kept]
+    diffs = np.array([diff for _, _, diff in kept])
+    # L is symmetric, so row r of diffs @ L is L @ diff_r
+    z_mat = math.sqrt(n) * (diffs @ L)
+    rows = [_row(r, n, fit, z) for (r, fit, _), z in zip(kept, map(tuple, z_mat.tolist()))]
     # Wald coverage over the fits that have standard errors
     wald = [(diff, fit.wald_se) for _, fit, diff in kept if fit.wald_se is not None]
     cov_mu, cov_w2 = (sum(bool(abs(d[i]) <= _Z975 * se[i]) for d, se in wald) / len(wald)
                       if wald else math.nan for i in (0, 1))
-    diffs = np.array([diff for _, _, diff in kept])
-    z_mat = math.sqrt(n) * (diffs @ L)
     ks_mu = ks_norm_pvalue(z_mat[:, 0])
     ks_w2 = ks_norm_pvalue(z_mat[:, 1])
 

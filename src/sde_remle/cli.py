@@ -5,13 +5,17 @@ continuity}. Each takes --config PATH (flat key=value file), --seed N
 (overrides the config key and the SDE_REMLE_SEED environment variable),
 --out DIR, and --threads N. Every pass runs on one thread: --threads
 must be >= 1 and changes nothing, so output files are byte-identical for
-any value. Exit status: 0 success, 1 validation error, 2 runtime error.
+any value. Exit status: 0 success, 1 validation error (a malformed flag
+included), 2 runtime error; every error is one "error: ..." line on
+stderr.
 
-Each experiment kind is one runner in the _EXPERIMENTS table. A runner
-calls its library function with the config's values, writes its files
-and returns the report (None for continuity) and the rest of its
-"experiment KIND: ..." stdout line; one shared tail prints the line and
-then raises ExperimentFailed when more than 1% of replicates failed."""
+Each command is one entry in the _COMMANDS table: its runner and the
+config keys it needs, to which a command that reads the design key adds
+its kind's DesignFamily.FIELDS. A runner calls its library function with
+the config's values, writes its files and returns the report (None when
+it has none) and the rest of its stdout line; one shared tail prints the
+line and then raises ExperimentFailed when more than 1% of replicates
+failed."""
 
 import argparse
 import os
@@ -46,8 +50,15 @@ _VALIDATION_ERRORS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    # a malformed command line is a validation error like a malformed
+    # config: one "error:" line and exit 1, not a usage dump and exit 2
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sde-remle",
         description="Simulation and exact-likelihood estimation for "
                     "mixed-effects SDEs with multiplicative random drift.",
@@ -63,9 +74,13 @@ def _parser():
     common(sub.add_parser("simulate", help="simulate an ensemble, dump paths and stats"))
     common(sub.add_parser("fit", help="fit the MLE to a dumped path file"))
     pe = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    pe.add_argument("kind", choices=tuple(_EXPERIMENTS))
+    pe.add_argument("kind", choices=[c for c in _COMMANDS if c not in ("simulate", "fit")])
     common(pe)
     return p
+
+
+_TRUTH = ("model", "mu0", "omega2_0")
+_SPACE = ("mu_lo", "mu_hi", "omega2_lo", "omega2_hi")
 
 
 def _theta0(cfg):
@@ -73,44 +88,37 @@ def _theta0(cfg):
 
 
 def _space(cfg):
-    return ParamSpace(
-        mu_lo=cfg["mu_lo"], mu_hi=cfg["mu_hi"],
-        omega2_lo=cfg["omega2_lo"], omega2_hi=cfg["omega2_hi"],
-    )
+    return ParamSpace(**{key: cfg[key] for key in _SPACE})
 
 
 def _family(cfg, kind=None):
     """The config's subject layout; continuity, which has no design key,
-    asks for its harmonic family by kind."""
+    asks for its harmonic family by kind. An unknown kind reads no field
+    and is refused by DesignFamily."""
     kind = kind or cfg["design"]
-    if kind == "iid":
-        return DesignFamily(kind="iid", x0=cfg["x0"], T=cfg["T"])
-    return DesignFamily(
-        kind=kind, x_inf=cfg["x_inf"], x_amp=cfg["x_amp"],
-        T_inf=cfg["T_inf"], T_amp=cfg["T_amp"],
-    )
+    return DesignFamily(kind, **{key: cfg[key] for key in DesignFamily.FIELDS.get(kind, ())})
 
 
-def cmd_simulate(cfg, seed, out_dir):
+# Each runner takes (cfg, seed, out_dir), writes its files and returns
+# (report or None, the text after "COMMAND: " on stdout). It builds the
+# model first and the truth second, so of a config's errors the model's
+# is the one reported, then the truth's.
+
+def _simulate(cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     theta0 = _theta0(cfg)
-    design = Design(
-        subjects=_family(cfg).subjects(cfg["n"]), dt=cfg["dt"], seed=seed
-    )
+    design = Design(subjects=_family(cfg).subjects(cfg["n"]), dt=cfg["dt"], seed=seed)
     paths = simulate_ensemble(model, theta0, design)
     u, v = stats_list(paths, model)
     paths_file = os.path.join(out_dir, io_mod.PATHS_FILE)
     stats_file = os.path.join(out_dir, io_mod.STATS_FILE)
     io_mod.write_paths_csv(paths, paths_file)
     io_mod.write_stats_csv((p.subject_index for p in paths), u, v, stats_file)
-    print(
-        f"simulate: model={model.name} n={design.n} dt={cfg['dt']!r} "
-        f"seed={seed} -> {paths_file}, {stats_file}"
-    )
-    return 0
+    return None, (f"model={model.name} n={design.n} dt={cfg['dt']!r} seed={seed} "
+                  f"-> {paths_file}, {stats_file}")
 
 
-def cmd_fit(cfg, seed, out_dir):
+def _fit(cfg, seed, out_dir):
     model = builtin_model(cfg["model"])
     space = _space(cfg)
     paths = io_mod.read_paths_csv(cfg["data"])
@@ -120,12 +128,8 @@ def cmd_fit(cfg, seed, out_dir):
     fit_file = os.path.join(out_dir, io_mod.FIT_FILE)
     io_mod.write_stats_csv((p.subject_index for p in paths), u, v, stats_file)
     io_mod.write_fit_csv(fit, len(u), fit_file)
-    print(
-        f"fit: n={len(u)} mu_hat={fit.theta_hat.mu!r} "
-        f"omega2_hat={fit.theta_hat.omega2!r} loglik={fit.loglik!r} "
-        f"boundary={io_mod._boundary_cell(fit.boundary)} -> {fit_file}"
-    )
-    return 0
+    return None, (f"n={len(u)} mu_hat={fit.theta_hat.mu!r} omega2_hat={fit.theta_hat.omega2!r} "
+                  f"loglik={fit.loglik!r} boundary={io_mod._cell(fit.boundary)} -> {fit_file}")
 
 
 def _write_report(report, out_dir):
@@ -136,34 +140,32 @@ def _write_report(report, out_dir):
     return rep_file
 
 
-# Each experiment kind's runner writes its files and returns (report or
-# None, the text after "experiment KIND: " on stdout).
-
-def _consistency(cfg, model, theta0, seed, out_dir):
+def _consistency(cfg, seed, out_dir):
+    model = builtin_model(cfg["model"])
     report = run_consistency_experiment(
-        model, theta0, _space(cfg), _family(cfg), tuple(cfg["n_schedule"]),
+        model, _theta0(cfg), _space(cfg), _family(cfg), tuple(cfg["n_schedule"]),
         cfg["replicates"], cfg["dt"], seed,
     )
     rep_file = _write_report(report, out_dir)
-    return report, (
-        f"n_schedule={list(cfg['n_schedule'])} replicates={cfg['replicates']} "
-        f"med_err_final={report.summaries[-1]['med_err']!r} -> {rep_file}"
-    )
+    return report, (f"n_schedule={list(cfg['n_schedule'])} replicates={cfg['replicates']} "
+                    f"med_err_final={report.summaries[-1]['med_err']!r} -> {rep_file}")
 
 
-def _normality(cfg, model, theta0, seed, out_dir):
+def _normality(cfg, seed, out_dir):
+    model = builtin_model(cfg["model"])
     report = run_normality_experiment(
-        model, theta0, _space(cfg), _family(cfg), cfg["n"], cfg["replicates"], cfg["dt"], seed,
+        model, _theta0(cfg), _space(cfg), _family(cfg), cfg["n"], cfg["replicates"],
+        cfg["dt"], seed,
     )
     rep_file = _write_report(report, out_dir)
     s = report.summaries[0]
-    return report, (
-        f"n={s['n']} ks_mu={s['ks_mu']!r} ks_omega2={s['ks_omega2']!r} "
-        f"cov_mu={s['cov_mu']!r} cov_omega2={s['cov_omega2']!r} -> {rep_file}"
-    )
+    return report, (f"n={s['n']} ks_mu={s['ks_mu']!r} ks_omega2={s['ks_omega2']!r} "
+                    f"cov_mu={s['cov_mu']!r} cov_omega2={s['cov_omega2']!r} -> {rep_file}")
 
 
-def _noniid(cfg, model, theta0, seed, out_dir):
+def _noniid(cfg, seed, out_dir):
+    model = builtin_model(cfg["model"])
+    theta0 = _theta0(cfg)
     family = _family(cfg)
     if family.kind != "harmonic":
         raise ValueError("the noniid experiment needs design = harmonic")
@@ -176,52 +178,48 @@ def _noniid(cfg, model, theta0, seed, out_dir):
                             os.path.join(out_dir, io_mod.LIMIT_FILE))
     rep_file = _write_report(report, out_dir)
     final = table.rows[-1]
-    return report, (
-        f"n={final['n']} kl_gap={final['kl_gap']!r} i00_gap={final['i00_gap']!r} "
-        f"ks_mu={report.summaries[0]['ks_mu']!r} -> {rep_file}"
-    )
+    return report, (f"n={final['n']} kl_gap={final['kl_gap']!r} i00_gap={final['i00_gap']!r} "
+                    f"ks_mu={report.summaries[0]['ks_mu']!r} -> {rep_file}")
 
 
-def _continuity(cfg, model, theta0, seed, out_dir):
+def _continuity(cfg, seed, out_dir):
+    model = builtin_model(cfg["model"])
     table = run_moment_continuity_probe(
-        model, theta0, cfg["psi"], cfg["xi"], _family(cfg, "harmonic"),
+        model, _theta0(cfg), cfg["psi"], cfg["xi"], _family(cfg, "harmonic"),
         tuple(cfg["m_schedule"]), cfg["replicates"], cfg["limit_replicates"],
         cfg["dt"], seed,
     )
     out_file = os.path.join(out_dir, io_mod.CONTINUITY_FILE)
     io_mod.write_continuity_csv(table, out_file)
-    return None, (
-        f"m_schedule={list(cfg['m_schedule'])} "
-        f"final_gap={table.rows[-1]['gap']!r} -> {out_file}"
-    )
+    return None, (f"m_schedule={list(cfg['m_schedule'])} "
+                  f"final_gap={table.rows[-1]['gap']!r} -> {out_file}")
 
 
-_EXPERIMENTS = {
-    "consistency": _consistency,
-    "normality": _normality,
-    "noniid": _noniid,
-    "continuity": _continuity,
+# command -> (runner, the config keys it needs, in the order they are
+# reported missing); "design" brings its kind's fields
+_COMMANDS = {
+    "simulate": (_simulate, _TRUTH + ("design", "n", "dt")),
+    "fit": (_fit, ("model",) + _SPACE + ("data",)),
+    "consistency": (_consistency, _TRUTH + _SPACE
+                    + ("design", "n_schedule", "replicates", "dt")),
+    "normality": (_normality, _TRUTH + _SPACE + ("design", "n", "replicates", "dt")),
+    "noniid": (_noniid, _TRUTH + ("mu_alt", "omega2_alt") + _SPACE
+               + ("design", "n", "n_schedule", "replicates", "limit_replicates", "dt")),
+    "continuity": (_continuity, _TRUTH + ("psi", "xi") + DesignFamily.FIELDS["harmonic"]
+                   + ("m_schedule", "replicates", "limit_replicates", "dt")),
 }
 
 
-def cmd_experiment(kind, cfg, seed, out_dir):
-    model = builtin_model(cfg["model"])
-    theta0 = _theta0(cfg)
-    report, summary = _EXPERIMENTS[kind](cfg, model, theta0, seed, out_dir)
-    print(f"experiment {kind}: {summary}")
-    # the files are on disk for a post-mortem before a failed run raises
-    if report is not None and report.failed:
-        raise ExperimentFailed(
-            f"{kind}: more than 1% of replicates failed "
-            f"({len(report.failures)} failures)"
-        )
-    return 0
-
-
-def _config_text(data):
-    """The config file's bytes as text, newlines translated as a text-mode
-    read translates them and one leading byte order mark dropped, as the
-    utf-8-sig codec drops it; a byte that is not UTF-8 raises ParseError."""
+def _config_text(path):
+    """The config file's text, newlines translated as a text-mode read
+    translates them and one leading byte order mark dropped, as the
+    utf-8-sig codec drops it. A file that cannot be read raises
+    ConfigError, and a byte that is not UTF-8 ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read config: {err}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -231,31 +229,32 @@ def _config_text(data):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
-        with open(args.config, "rb") as fh:
-            data = fh.read()
-    except OSError as err:
-        print(f"error: cannot read config: {err}", file=sys.stderr)
-        return 1
-    command = args.command if args.command != "experiment" else args.kind
-    try:
-        text = _config_text(data)
+        args = _parser().parse_args(argv)
+        if args.threads < 1:
+            raise ValueError("--threads must be >= 1")
+        text = _config_text(args.config)
         cfg = config_mod.parse_config(text)
-        config_mod.check_required(command, cfg, eof_line=len(text.split("\n")))
+        command = args.kind if args.command == "experiment" else args.command
+        run, keys = _COMMANDS[command]
+        if "design" in keys:
+            keys += DesignFamily.FIELDS.get(cfg.get("design"), ())
+        config_mod.check_required(keys, cfg, eof_line=len(text.split("\n")))
         seed = config_mod.resolve_seed(cfg, args.seed)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         out_dir = args.out or cfg.get("output_dir") or "."
         os.makedirs(out_dir, exist_ok=True)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, seed, out_dir)
-        if args.command == "fit":
-            return cmd_fit(cfg, seed, out_dir)
-        return cmd_experiment(args.kind, cfg, seed, out_dir)
+        report, line = run(cfg, seed, out_dir)
+        print(f"experiment {command}: {line}" if args.command == "experiment"
+              else f"{command}: {line}")
+        # the files are on disk for a post-mortem before a failed run raises
+        if report is not None and report.failed:
+            raise ExperimentFailed(
+                f"{command}: more than 1% of replicates failed "
+                f"({len(report.failures)} failures)"
+            )
+        return 0
     except _VALIDATION_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -4,7 +4,8 @@ One option per line, '#' comments, UTF-8. Every key lives in a single
 registry with a declared type; parsing rejects unknown keys, duplicate
 keys, and unparseable values with the offending line number. emit_config
 writes a canonical form (registry order) that reparses to the same
-mapping.
+mapping. Which keys a command needs is the CLI's to say: check_required
+takes the list and reports the first that is absent.
 """
 
 import math
@@ -45,27 +46,6 @@ _REGISTRY = (
 )
 _TYPES = dict(_REGISTRY)
 _ORDER = tuple(key for key, _ in _REGISTRY)
-
-_SPACE_KEYS = ("mu_lo", "mu_hi", "omega2_lo", "omega2_hi")
-
-# base requirements per command; design-dependent point keys are added by
-# required_keys once the design kind is known
-_BASE_REQUIRED = {
-    "simulate": ("model", "mu0", "omega2_0", "design", "n", "dt"),
-    "fit": ("model",) + _SPACE_KEYS + ("data",),
-    "consistency": ("model", "mu0", "omega2_0") + _SPACE_KEYS
-    + ("design", "n_schedule", "replicates", "dt"),
-    "normality": ("model", "mu0", "omega2_0") + _SPACE_KEYS
-    + ("design", "n", "replicates", "dt"),
-    "noniid": ("model", "mu0", "omega2_0", "mu_alt", "omega2_alt")
-    + _SPACE_KEYS
-    + ("design", "n", "n_schedule", "replicates", "limit_replicates", "dt"),
-    "continuity": ("model", "mu0", "omega2_0", "psi", "xi",
-                   "x_inf", "x_amp", "T_inf", "T_amp",
-                   "m_schedule", "replicates", "limit_replicates", "dt"),
-}
-
-COMMANDS = tuple(sorted(_BASE_REQUIRED))
 
 
 def _parse_value(key, raw, line):
@@ -142,24 +122,10 @@ def emit_config(cfg):
     return "\n".join(lines) + "\n"
 
 
-def required_keys(command, cfg):
-    """The full key set the command needs, given the design kind in cfg."""
-    if command not in _BASE_REQUIRED:
-        raise ValueError(f"unknown command '{command}'")
-    keys = list(_BASE_REQUIRED[command])
-    if "design" in keys:
-        kind = cfg.get("design")
-        if kind == "iid":
-            keys += ["x0", "T"]
-        elif kind == "harmonic":
-            keys += ["x_inf", "x_amp", "T_inf", "T_amp"]
-        # an unknown kind is reported by the design constructor instead
-    return tuple(keys)
-
-
-def check_required(command, cfg, eof_line):
-    """Raise MissingKey (positioned at end of file) for each absent key."""
-    for key in required_keys(command, cfg):
+def check_required(keys, cfg, eof_line):
+    """Raise MissingKey, positioned at the end of file, for the first of
+    keys that cfg lacks."""
+    for key in keys:
         if key not in cfg:
             raise MissingKey(f"missing required key '{key}'", line=eof_line)
 

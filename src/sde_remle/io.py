@@ -6,6 +6,10 @@ serialization of the in-memory result and reruns can be compared byte for
 byte. Absent values are empty cells. Boundary flags join with '|' in a
 fixed order, '-' when none.
 
+Every table but paths.csv and stats.csv, which are written a column at a
+time, is a tuple of column names and a write_records call: one row per
+record, a mapping, with the _cell of its value under each column.
+
 Tables stream both ways. write_table writes rows as its caller yields
 them, and read_paths_csv parses fixed-size blocks of lines, so neither
 holds a whole file of Python strings. Each block is checked a column at a
@@ -32,6 +36,17 @@ LIMIT_FILE = "limit.csv"
 CONTINUITY_FILE = "continuity.csv"
 
 _PATHS_HEADER = ("subject", "k", "t", "x")
+# the columns of each table written by write_records
+_FIT_COLUMNS = ("n", "mu_hat", "omega2_hat", "loglik", "score_norm",
+                "boundary", "se_mu", "se_omega2", "iterations")
+_REPLICATES_COLUMNS = ("rep", "n", "mu_hat", "omega2_hat", "z_mu", "z_omega2", "boundary")
+_SUMMARY_COLUMNS = ("n", "med_err", "p90_err", "ks_mu", "ks_omega2", "cov_mu", "cov_omega2")
+_ESTIMATES = ("kl", "i00", "i01", "i11")
+_LIMITS_COLUMNS = ("n",) + tuple(
+    f"{e}{s}" for e in _ESTIMATES for s in ("", "_se", "_gap", "_gap_se"))
+_LIMIT_COLUMNS = tuple(f"{e}{s}" for e in _ESTIMATES for s in ("", "_se"))
+_CONTINUITY_COLUMNS = ("m", "x", "T", "k", "estimate", "se",
+                       "limit_estimate", "limit_se", "gap", "gap_se")
 # bytes of text read_paths_csv parses at a time; its working set is a few
 # dozen times this (the lines, tokens and parsed values of one block),
 # whatever the size of the file
@@ -43,6 +58,8 @@ _WRITE_ROWS = 4096
 def _cell(value):
     if value is None:
         return ""
+    if isinstance(value, tuple):  # boundary flags
+        return "|".join(sorted(value)) or "-"
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -51,10 +68,6 @@ def _cell(value):
     if math.isnan(x):
         return "nan"
     return repr(x)
-
-
-def _boundary_cell(flags):
-    return "|".join(sorted(flags)) if flags else "-"
 
 
 def write_table(path, header, rows):
@@ -94,60 +107,38 @@ def write_stats_csv(subjects, u, v, out_path):
     ))
 
 
+def write_records(path, columns, records):
+    """A CSV of one row per record, a mapping: the _cell of its value
+    under each of columns, which is also the header."""
+    write_table(path, columns, ([_cell(r[c]) for c in columns] for r in records))
+
+
 def write_fit_csv(fit, n, out_path):
     se_mu, se_w2 = fit.wald_se if fit.wald_se is not None else (None, None)
-    write_table(
-        out_path,
-        ("n", "mu_hat", "omega2_hat", "loglik", "score_norm",
-         "boundary", "se_mu", "se_omega2", "iterations"),
-        [(str(n), _cell(fit.theta_hat.mu), _cell(fit.theta_hat.omega2),
-          _cell(fit.loglik), _cell(fit.score_norm), _boundary_cell(fit.boundary),
-          _cell(se_mu), _cell(se_w2), str(fit.iterations))],
-    )
+    write_records(out_path, _FIT_COLUMNS, [{
+        "n": n, "mu_hat": fit.theta_hat.mu, "omega2_hat": fit.theta_hat.omega2,
+        "loglik": fit.loglik, "score_norm": fit.score_norm, "boundary": fit.boundary,
+        "se_mu": se_mu, "se_omega2": se_w2, "iterations": fit.iterations,
+    }])
 
 
 def write_replicates_csv(rows, out_path):
-    write_table(
-        out_path,
-        ("rep", "n", "mu_hat", "omega2_hat", "z_mu", "z_omega2", "boundary"),
-        ((str(r["rep"]), str(r["n"]), _cell(r["mu_hat"]), _cell(r["omega2_hat"]),
-          _cell(r["z_mu"]), _cell(r["z_omega2"]), _boundary_cell(r["boundary"]))
-         for r in rows),
-    )
+    write_records(out_path, _REPLICATES_COLUMNS, rows)
 
 
 def write_summary_csv(summaries, out_path):
-    keys = ("med_err", "p90_err", "ks_mu", "ks_omega2", "cov_mu", "cov_omega2")
-    write_table(out_path, ("n",) + keys, (
-        [str(s["n"])] + [_cell(s[k]) for k in keys] for s in summaries
-    ))
-
-
-_LIMITS_KEYS = (
-    "kl", "kl_se", "kl_gap", "kl_gap_se",
-    "i00", "i00_se", "i00_gap", "i00_gap_se",
-    "i01", "i01_se", "i01_gap", "i01_gap_se",
-    "i11", "i11_se", "i11_gap", "i11_gap_se",
-)
+    write_records(out_path, _SUMMARY_COLUMNS, summaries)
 
 
 def write_limits_csv(table, out_path, limit_path):
     """Running-average rows of a ConvergenceTable to out_path, its limit
     estimates to limit_path."""
-    write_table(out_path, ("n",) + _LIMITS_KEYS, (
-        [str(r["n"])] + [_cell(r[k]) for k in _LIMITS_KEYS] for r in table.rows
-    ))
-    keys = ("kl", "kl_se", "i00", "i00_se", "i01", "i01_se", "i11", "i11_se")
-    write_table(limit_path, keys, [[_cell(table.limit[k]) for k in keys]])
+    write_records(out_path, _LIMITS_COLUMNS, table.rows)
+    write_records(limit_path, _LIMIT_COLUMNS, [table.limit])
 
 
 def write_continuity_csv(table, out_path):
-    keys = ("m", "x", "T", "k", "estimate", "se",
-            "limit_estimate", "limit_se", "gap", "gap_se")
-    write_table(out_path, keys, (
-        [str(r[k]) if k in ("m", "k") else _cell(r[k]) for k in keys]
-        for r in table.rows
-    ))
+    write_records(out_path, _CONTINUITY_COLUMNS, table.rows)
 
 
 def _line_blocks(fh):

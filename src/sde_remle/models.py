@@ -83,6 +83,9 @@ class DesignFamily:
     """Subject layout: iid (every subject at (x0, T)) or harmonic
     (subject i at (x_inf + x_amp/i, T_inf + T_amp/i), i starting at 1)."""
 
+    # the fields each kind reads
+    FIELDS = {"iid": ("x0", "T"), "harmonic": ("x_inf", "x_amp", "T_inf", "T_amp")}
+
     kind: str
     x0: float = 0.0
     T: float = 1.0

@@ -1,4 +1,5 @@
 import re
+import shutil
 import subprocess
 import sys
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from sde_remle import Design, ParamSpace, Theta, builtin_model, simulate_ensemble
-from sde_remle.cli import main
+from sde_remle.cli import _COMMANDS, main
 from sde_remle.estimator import fit_mle
 from sde_remle.io import read_paths_csv
-from sde_remle.models import MAX_STEPS
+from sde_remle.models import MAX_STEPS, DesignFamily
 from sde_remle.stats import stats_list, suff_stats_rows
 
 SIM_CFG = """\
@@ -139,7 +140,6 @@ def test_fit_with_an_infinite_v_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "fit" / "stats.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_with_an_overflowing_objective_is_runtime_error(tmp_path, capsys):
     # on the unit model U = x(T) - x0, so a finite path ending at 1e200
     # gives a U whose square overflows the objective
@@ -321,6 +321,24 @@ def test_threads_must_be_positive(capsys):
     rc = main(["simulate", "--config", "whatever.cfg", "--threads", "0"])
     assert rc == 1
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--config", "CFG", "--out", "OUT", "--seed", "abc"],
+    ["simulate", "--config", "CFG", "--out", "OUT", "--threads", "x"],
+    ["simulate", "--out", "OUT"],
+    ["experiment", "bogus", "--config", "CFG", "--out", "OUT"],
+    [],
+], ids=["seed", "threads", "no-config", "kind", "no-command"])
+def test_a_malformed_command_line_is_a_one_line_validation_error(
+        tmp_path, capsys, monkeypatch, args):
+    cfg = _cfg(tmp_path, SIM_CFG)
+    monkeypatch.chdir(tmp_path)
+    assert main([{"CFG": cfg, "OUT": str(tmp_path / "out")}.get(a, a) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    # nothing was written, not even the default output directory "."
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_negative_seed_rejected(tmp_path, capsys):
@@ -762,3 +780,66 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "experiment" in proc.stdout
+
+
+def _command_args(command):
+    return [command] if command in ("simulate", "fit") else ["experiment", command]
+
+
+# a value for every key of the command table, at sizes that run in a blink;
+# R = 100 is the least the information and divergence estimates take
+_VALUES = {
+    "model": "unit", "mu0": "1.0", "omega2_0": "0.5", "mu_alt": "1.5", "omega2_alt": "0.25",
+    "mu_lo": "-3.0", "mu_hi": "3.0", "omega2_lo": "0.0", "omega2_hi": "4.0",
+    "x0": "0.0", "T": "1.0", "x_inf": "0.0", "x_amp": "1.0", "T_inf": "1.0", "T_amp": "1.0",
+    "n": "4", "n_schedule": "2,4", "m_schedule": "1,2", "dt": "0.1",
+    "replicates": "100", "limit_replicates": "100", "psi": "0.5", "xi": "1.0",
+}
+_DATA = "subject,k,t,x\n" + "".join(
+    f"{i},0,0.0,0.0\n{i},1,0.5,{x / 2}\n{i},2,1.0,{x}\n"
+    for i, x in enumerate((0.3, 1.2, -0.4, 2.1, 0.9)))
+
+
+@pytest.mark.parametrize("command,kind", [
+    ("simulate", "iid"), ("simulate", "harmonic"), ("fit", None),
+    ("consistency", "iid"), ("consistency", "harmonic"),
+    ("normality", "iid"), ("normality", "harmonic"),
+    ("noniid", "iid"), ("noniid", "harmonic"), ("continuity", None),
+])
+def test_every_key_a_command_reads_is_required(tmp_path, capsys, command, kind):
+    """A config of exactly a command's required keys runs, and one that
+    lacks any of them is refused with that key at the end-of-file line."""
+    _, keys = _COMMANDS[command]
+    assert ("design" in keys) == (kind is not None)
+    keys += DesignFamily.FIELDS.get(kind, ())
+    data = tmp_path / "paths.csv"
+    data.write_text(_DATA)
+    values = dict(_VALUES, design=kind, data=str(data))
+    lines = [f"{key} = {values[key]}\n" for key in keys]
+    out = tmp_path / "out"
+    args = _command_args(command) + ["--config", str(tmp_path / "run.cfg"), "--out", str(out)]
+    _cfg(tmp_path, "".join(lines))
+    rc, err = main(args), capsys.readouterr().err
+    if command == "noniid" and kind == "iid":
+        # every key is there; the design is the wrong kind
+        assert (rc, err) == (1, "error: the noniid experiment needs design = harmonic\n")
+    else:
+        assert (rc, err) == (0, "")
+    for i, key in enumerate(keys):
+        shutil.rmtree(out, ignore_errors=True)
+        _cfg(tmp_path, "".join(lines[:i] + lines[i + 1:]))
+        assert main(args) == 1
+        eof = len(keys)  # the line after the last of the remaining keys
+        assert capsys.readouterr().err == f"error: line {eof}: missing required key '{key}'\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "consistency", "normality", "noniid"])
+def test_an_unknown_design_kind_is_a_validation_error(tmp_path, capsys, command):
+    # no point key is given; the kind is refused before any is read
+    _, keys = _COMMANDS[command]
+    values = dict(_VALUES, design="bogus")
+    cfg = _cfg(tmp_path, "".join(f"{key} = {values[key]}\n" for key in keys))
+    out = tmp_path / "out"
+    assert main(_command_args(command) + ["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: design kind must be 'iid' or 'harmonic'\n"

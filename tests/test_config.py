@@ -1,11 +1,10 @@
 import pytest
 
+from sde_remle.cli import _COMMANDS, main
 from sde_remle.config import (
-    COMMANDS,
     check_required,
     emit_config,
     parse_config,
-    required_keys,
     resolve_seed,
 )
 from sde_remle.errors import MissingKey, ParseError, UnknownKey
@@ -79,24 +78,41 @@ def test_emit_floats_round_trip_exactly():
     assert again["mu0"] == cfg["mu0"]
 
 
-def test_required_keys_follow_design_kind():
-    iid = required_keys("simulate", {"design": "iid"})
-    assert "x0" in iid and "T" in iid
-    harmonic = required_keys("simulate", {"design": "harmonic"})
-    assert "x_inf" in harmonic and "T_amp" in harmonic and "x0" not in harmonic
-    with pytest.raises(ValueError):
-        required_keys("deploy", {})
+def _simulate_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err
+
+
+def test_required_keys_follow_design_kind(tmp_path, capsys):
+    base = "model = unit\nmu0 = 1.0\nomega2_0 = 0.5\nn = 3\ndt = 0.1\n"
+    # iid asks for x0 and T, after the command's own keys
+    assert _simulate_error(tmp_path, capsys, "design = iid\nT = 1.0\n" + base) == (
+        1, "error: line 8: missing required key 'x0'\n")
+    # harmonic asks for its four fields and not for x0
+    harmonic = base + "design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 1.0\n"
+    assert _simulate_error(tmp_path, capsys, harmonic) == (
+        1, "error: line 10: missing required key 'T_amp'\n")
+    assert _simulate_error(tmp_path, capsys, harmonic + "T_amp = 1.0\n")[0] == 0
+    # a command that is not in the table is a malformed command line
+    rc = main(["experiment", "deploy", "--config", str(tmp_path / "run.cfg")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: argument kind: invalid choice: 'deploy'")
 
 
 def test_check_required_reports_at_eof():
     cfg = parse_config("model = unit\ndesign = iid")
+    check_required(("model", "design"), cfg, eof_line=12)
     with pytest.raises(MissingKey) as exc:
-        check_required("simulate", cfg, eof_line=12)
+        check_required(("model", "x0", "design", "T"), cfg, eof_line=12)
     assert exc.value.line == 12
+    # the first absent key, in the order given
+    assert str(exc.value) == "line 12: missing required key 'x0'"
 
 
 def test_every_command_has_requirements():
-    assert set(COMMANDS) == {
+    assert set(_COMMANDS) == {
         "simulate",
         "fit",
         "consistency",
@@ -104,8 +120,8 @@ def test_every_command_has_requirements():
         "noniid",
         "continuity",
     }
-    for command in COMMANDS:
-        assert "model" in required_keys(command, {"design": "iid"})
+    for _, keys in _COMMANDS.values():
+        assert "model" in keys
 
 
 def test_seed_precedence():

@@ -11,10 +11,10 @@ from sde_remle import Design, Theta, builtin_model, simulate_ensemble
 from sde_remle import io as sde_io
 from sde_remle.errors import IngestError
 from sde_remle.io import (
-    _boundary_cell,
     _cell,
     read_paths_csv,
     write_paths_csv,
+    write_records,
     write_stats_csv,
 )
 from sde_remle.simulate import Path
@@ -39,9 +39,20 @@ def test_cell_round_trips_floats():
 
 
 def test_boundary_cell():
-    assert _boundary_cell(()) == "-"
-    assert _boundary_cell(("mu_hi",)) == "mu_hi"
-    assert _boundary_cell(("omega2_lo", "mu_hi")) == "mu_hi|omega2_lo"
+    # a tuple is a fit's boundary flags
+    assert _cell(()) == "-"
+    assert _cell(("mu_hi",)) == "mu_hi"
+    assert _cell(("omega2_lo", "mu_hi")) == "mu_hi|omega2_lo"
+
+
+def test_write_records_writes_each_records_cells_in_column_order(tmp_path):
+    out = tmp_path / "t.csv"
+    records = [{"b": 0.1, "a": 3, "flags": (), "extra": "unread"},
+               {"a": np.int64(-1), "b": None, "flags": ("omega2_lo", "mu_hi"), "extra": 1}]
+    write_records(out, ("a", "b", "flags"), iter(records))
+    assert out.read_bytes() == b"a,b,flags\n3,0.1,-\n-1,,mu_hi|omega2_lo\n"
+    write_records(out, ("a",), [])
+    assert out.read_bytes() == b"a\n"
 
 
 def test_paths_round_trip(tmp_path):
