@@ -211,21 +211,17 @@ _COMMANDS = {
 
 
 def _config_text(path):
-    """The config file's text, newlines translated as a text-mode read
-    translates them and one leading byte order mark dropped, as the
-    utf-8-sig codec drops it. A file that cannot be read raises
-    ConfigError, and a byte that is not UTF-8 ParseError."""
+    """The config file's text from io.open_text: line ends translated, one
+    leading byte order mark dropped. A file that cannot be read raises
+    ConfigError, and a byte that is not UTF-8 ParseError at its line."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        with io_mod.open_text(path) as fh:
+            text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise ParseError(f"byte 0x{data[err.start]:02x} is not UTF-8",
-                         line=data.count(b"\n", 0, err.start) + 1) from None
-    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    if bad := io_mod.not_utf8(text):
+        raise ParseError(bad[1], line=text.count("\n", 0, bad[0]) + 1)
+    return text
 
 
 def main(argv=None):

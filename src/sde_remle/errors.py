@@ -72,13 +72,13 @@ class ExperimentFailed(SdeRemleError):
     """Too many replicates failed for the experiment report to be trusted."""
 
 
-class IngestError(SdeRemleError):
-    """External path data violated the ingestion contract.
+class _Located(SdeRemleError):
+    """An error in an input file, at a line of it when known.
 
     Attributes
     ----------
     line : int or None
-        1-based line number in the ingested file, when known.
+        1-based line number in the file, named in the message; None if unknown.
     """
 
     def __init__(self, message, line=None):
@@ -88,14 +88,12 @@ class IngestError(SdeRemleError):
         super().__init__(message)
 
 
-class ConfigError(SdeRemleError):
-    """Base class for configuration errors; carries an optional line number."""
+class IngestError(_Located):
+    """External path data violated the ingestion contract."""
 
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+
+class ConfigError(_Located):
+    """Base class for configuration errors."""
 
 
 class UnknownKey(ConfigError):

@@ -11,14 +11,20 @@ time, is a tuple of column names and a write_records call: one row per
 record, a mapping, with the _cell of its value under each column.
 
 Tables stream both ways. write_table writes rows as its caller yields
-them, and read_paths_csv parses fixed-size blocks of lines, so neither
-holds a whole file of Python strings. Each block is checked a column at a
-time, which only tells whether it is good; a refused block is walked
-line by line to raise the IngestError of its first bad line.
+them, and read_paths_csv parses blocks of whole lines, so neither holds a
+whole file of Python strings. Each block is checked a column at a time,
+which only tells whether it is good; a refused block is walked line by
+line to raise the IngestError of its first bad line.
+
+Every input file (paths.csv, the CLI's config) is read by open_text:
+'\n', '\r\n' and '\r' each end a line and come out as '\n', one leading
+byte order mark is dropped, and a byte that is not UTF-8 becomes one code
+point in U+DC80..U+DCFF, which not_utf8 names.
 """
 
 import math
 import os
+import re
 from itertools import islice, repeat
 
 import numpy as np
@@ -47,10 +53,11 @@ _LIMITS_COLUMNS = ("n",) + tuple(
 _LIMIT_COLUMNS = tuple(f"{e}{s}" for e in _ESTIMATES for s in ("", "_se"))
 _CONTINUITY_COLUMNS = ("m", "x", "T", "k", "estimate", "se",
                        "limit_estimate", "limit_se", "gap", "gap_se")
-# bytes of text read_paths_csv parses at a time; its working set is a few
-# dozen times this (the lines, tokens and parsed values of one block),
-# whatever the size of the file
-_BLOCK_BYTES = 1 << 16
+# characters of whole lines read_paths_csv parses at a time (a readlines
+# hint); its working set is a few dozen times this (the lines, tokens and
+# parsed values of one block), whatever the size of the file
+_BLOCK_CHARS = 1 << 16
+_ESCAPED = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte, surrogateescaped
 # rows write_table joins into one write
 _WRITE_ROWS = 4096
 
@@ -60,14 +67,9 @@ def _cell(value):
         return ""
     if isinstance(value, tuple):  # boundary flags
         return "|".join(sorted(value)) or "-"
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # a bool too
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+    return repr(float(value))
 
 
 def write_table(path, header, rows):
@@ -141,29 +143,17 @@ def write_continuity_csv(table, out_path):
     write_records(out_path, _CONTINUITY_COLUMNS, table.rows)
 
 
-def _line_blocks(fh):
-    """(number of its first line, its bytes) for each run of whole lines
-    of about _BLOCK_BYTES in a binary file.
+def open_text(path):
+    """path opened to read as the module docstring says every input file
+    is read; raises OSError as open does."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
-    '\n', '\r\n' and '\r' each end a line, as in text mode with
-    newline=''; every line ending comes out as '\n'.
-    """
-    line_no, rest = 1, b""
-    while True:
-        # a line longer than a block doubles the read, so its bytes are
-        # copied O(1) times on average
-        chunk = fh.read(max(_BLOCK_BYTES, len(rest)))
-        data = rest + chunk
-        if not data:
-            return
-        # a final '\r' may be the first half of a '\r\n' that the read split
-        hold = 1 if chunk and data.endswith(b"\r") else 0
-        text = data[:len(data) - hold].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        end = text.rfind(b"\n") + 1 if chunk else len(text)
-        block, rest = text[:end], text[end:] + data[len(data) - hold:]
-        if block:
-            yield line_no, block
-            line_no += block.count(b"\n")
+
+def not_utf8(text):
+    """(index, message) of the first byte of text from open_text that was
+    not UTF-8, or None when every byte was."""
+    m = _ESCAPED.search(text)
+    return m and (m.start(), f"byte 0x{ord(m.group()) - 0xdc00:02x} is not UTF-8")
 
 
 def _ints(values):
@@ -173,7 +163,7 @@ def _ints(values):
         return np.array(values, dtype=object)
 
 
-def _check_block(block, first, seen):
+def _check_block(lines, first, seen):
     """Parse and check a block of data lines, whose first line is line
     number first, and add its rows to seen.
 
@@ -182,7 +172,7 @@ def _check_block(block, first, seen):
     refused with the IngestError of its first bad line, from _bad_line.
     """
     try:
-        rows = list(filter(None, block.decode("utf-8").split("\n")))
+        rows = list(filter(None, "".join(lines).split("\n")))
         # a blank line carries no row; every other has 4 fields
         if not all(row.count(",") == 3 for row in rows):
             raise ValueError
@@ -190,8 +180,8 @@ def _check_block(block, first, seen):
         n = len(rows)
         s, k = _ints(list(map(int, tokens[0::4] + tokens[1::4]))).reshape(2, n)
         t, x = tx = np.array(list(map(float, tokens[2::4] + tokens[3::4]))).reshape(2, n)
-    except ValueError:  # a UnicodeDecodeError is one too
-        raise _bad_line(block, first, seen) from None
+    except ValueError:  # no int or float parses a byte that was not UTF-8
+        raise _bad_line(lines, first, seen) from None
     # each subject's rows in file order, and where its run starts
     order = np.argsort(s, kind="stable")
     s_run, t_run, x_run = s[order], t[order], x[order]
@@ -212,7 +202,7 @@ def _check_block(block, first, seen):
     if not ((s >= 0).all() and np.isfinite(tx).all()
             and (k[order] == expect).all()
             and np.where(expect == 0, t_run == 0.0, t_run > prev).all()):
-        raise _bad_line(block, first, seen)
+        raise _bad_line(lines, first, seen)
     for i, c, h, m in zip(ids, known, head.tolist(), size.tolist()):
         if c is None:
             seen[i] = c = [0, [], []]
@@ -225,16 +215,15 @@ _CELLS = (("subject", int, "an integer"), ("k", int, "an integer"),
           ("t", float, "a number"), ("x", float, "a number"))
 
 
-def _bad_line(block, first, seen):
+def _bad_line(lines, first, seen):
     """The IngestError of the first bad line of a block that _check_block
     refused: its lines are checked in order from the state in seen, each
     as a line-by-line reader checks it."""
     state = {i: (c[0], float(c[1][-1][-1])) for i, c in seen.items()}
-    for line, raw in enumerate(block.split(b"\n"), first):
-        try:
-            cells = raw.decode("utf-8").split(",")
-        except UnicodeDecodeError as err:
-            return IngestError(f"byte 0x{raw[err.start]:02x} is not UTF-8", line=line)
+    for line, text in enumerate(lines, first):
+        if bad := not_utf8(text):
+            return IngestError(bad[1], line=line)
+        cells = text.removesuffix("\n").split(",")
         if cells == [""]:
             continue  # a blank line carries no row
         if len(cells) != 4:
@@ -272,18 +261,17 @@ def read_paths_csv(in_path):
     naming the first bad line; a file that cannot be opened raises it too.
     """
     try:
-        fh = open(in_path, "rb")
+        fh = open_text(in_path)
     except OSError as err:
         raise IngestError(f"cannot read {os.fspath(in_path)}: {err.strerror}") from None
     seen = {}
     with fh:
-        blocks = _line_blocks(fh)
-        header, _, block = next(blocks, (1, b""))[1].partition(b"\n")
-        if header != ",".join(_PATHS_HEADER).encode():
+        if fh.readline().removesuffix("\n") != ",".join(_PATHS_HEADER):
             raise IngestError("expected header 'subject,k,t,x'", line=1)
-        _check_block(block, 2, seen)
-        for first, block in blocks:
-            _check_block(block, first, seen)
+        first = 2
+        while lines := fh.readlines(_BLOCK_CHARS):
+            _check_block(lines, first, seen)
+            first += len(lines)
     if not seen:
         raise IngestError("no data rows", line=1)
     short = [subject for subject, (n, _, _) in seen.items() if n < 2]

@@ -1,8 +1,9 @@
 """Fuzz read_paths_csv against the per-line reference reader.
 
 Generates paths.csv files with test_io's strategy (interleaved subjects,
-ids past int64, blank lines, any line ending, up to two of the faults in
-test_io._FAULTS), reads each with the per-line reader in
+ids past int64, blank lines, any line ending, an optional byte order
+mark, up to two of the faults in test_io._FAULTS, a byte that is not
+UTF-8 among them), reads each with the per-line reader in
 tests/io_reference.py and with read_paths_csv at every block size in
 BLOCK_SIZES, and reports every file on which the two differ: in the
 paths read, or in the line or message of the IngestError raised. pytest
@@ -46,18 +47,18 @@ def fuzz(examples, random_seed, path):
     def run(text):
         nonlocal files, refused
         with open(path, "wb") as fh:
-            fh.write(text.encode())
+            fh.write(text.encode(errors="surrogateescape"))
         want = _outcome(reference.read_paths_csv, path)
         files += 1
         refused += want[0] == "error"
-        for block_bytes in BLOCK_SIZES:
+        for block_chars in BLOCK_SIZES:
             try:
-                with mock.patch.object(sde_io, "_BLOCK_BYTES", block_bytes):
+                with mock.patch.object(sde_io, "_BLOCK_CHARS", block_chars):
                     got = _outcome(sde_io.read_paths_csv, path)
             except Exception as err:  # anything but an IngestError is a mismatch
                 got = ("raised", repr(err))
             if got != want:
-                mismatches.append((text, block_bytes, got, want))
+                mismatches.append((text, block_chars, got, want))
 
     run()
     return files, refused, mismatches
@@ -73,8 +74,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         files, refused, mismatches = fuzz(args.examples, args.seed,
                                           os.path.join(tmp, "paths.csv"))
-    for text, block_bytes, got, want in mismatches:
-        print(f"MISMATCH at block size {block_bytes}: {text!r}\n"
+    for text, block_chars, got, want in mismatches:
+        print(f"MISMATCH at block size {block_chars}: {text!r}\n"
               f"  read_paths_csv: {got}\n  reference:      {want}")
     print(f"{files} files, {refused} refused by the reference, {files - refused} read; "
           f"{len(mismatches)} mismatches ({time.perf_counter() - t0:.0f} s)")

@@ -4,9 +4,16 @@ The writers format every cell with _cell and read_paths_csv parses one
 line at a time, as the package did before its codec streamed blocks.
 The package must write the same bytes, and read the same arrays or raise
 the same IngestError (line and message) for the first bad line.
+
+read_paths_csv works on the file's bytes, not through a text decoder:
+it drops one leading byte order mark, splits lines at '\r\n', '\r' and
+'\n', and decodes each line strictly, so a line's first byte that is not
+UTF-8 is reported at that line.
 """
 
+import codecs
 import math
+import re
 
 import numpy as np
 
@@ -89,48 +96,52 @@ def read_paths_csv(in_path):
     external data and left as None.
     """
     by_subject = {}
-    with open(in_path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        if header != "subject,k,t,x":
+    with open(in_path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    header, *lines = re.split(rb"\r\n|\r|\n", data)
+    if header != b"subject,k,t,x":
+        raise IngestError(
+            "expected header 'subject,k,t,x'", line=1
+        )
+    for line_no, raw in enumerate(lines, start=2):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise IngestError(f"byte 0x{raw[err.start]:02x} is not UTF-8", line=line_no)
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != 4:
             raise IngestError(
-                "expected header 'subject,k,t,x'", line=1
+                f"expected 4 fields, got {len(parts)}",
+                line=line_no,
             )
-        for line_no, raw in enumerate(fh, start=2):
-            text = raw.rstrip("\n").rstrip("\r")
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 4:
+        subject = _parse_int(parts[0], line_no, "subject")
+        if subject < 0:
+            raise IngestError("subject must be >= 0", line=line_no)
+        k = _parse_int(parts[1], line_no, "k")
+        t = _parse_float(parts[2], line_no, "t")
+        x = _parse_float(parts[3], line_no, "x")
+        rec = by_subject.setdefault(subject, {"t": [], "x": []})
+        if k != len(rec["t"]):
+            raise IngestError(
+                f"subject {subject} expected k={len(rec['t'])}, got {k}",
+                line=line_no,
+            )
+        if k == 0:
+            if t != 0.0:
                 raise IngestError(
-                    f"expected 4 fields, got {len(parts)}",
+                    f"subject {subject} must start at t=0",
                     line=line_no,
                 )
-            subject = _parse_int(parts[0], line_no, "subject")
-            if subject < 0:
-                raise IngestError("subject must be >= 0", line=line_no)
-            k = _parse_int(parts[1], line_no, "k")
-            t = _parse_float(parts[2], line_no, "t")
-            x = _parse_float(parts[3], line_no, "x")
-            rec = by_subject.setdefault(subject, {"t": [], "x": []})
-            if k != len(rec["t"]):
-                raise IngestError(
-                    f"subject {subject} expected k={len(rec['t'])}, got {k}",
-                    line=line_no,
-                )
-            if k == 0:
-                if t != 0.0:
-                    raise IngestError(
-                        f"subject {subject} must start at t=0",
-                        line=line_no,
-                    )
-            elif not t > rec["t"][-1]:
-                raise IngestError(
-                    f"subject {subject} time must increase "
-                    f"(t={t!r} after t={rec['t'][-1]!r})",
-                    line=line_no,
-                )
-            rec["t"].append(t)
-            rec["x"].append(x)
+        elif not t > rec["t"][-1]:
+            raise IngestError(
+                f"subject {subject} time must increase "
+                f"(t={t!r} after t={rec['t'][-1]!r})",
+                line=line_no,
+            )
+        rec["t"].append(t)
+        rec["x"].append(x)
     if not by_subject:
         raise IngestError("no data rows", line=1)
     paths = []

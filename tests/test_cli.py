@@ -186,25 +186,36 @@ def test_a_config_byte_that_is_not_utf8_is_a_one_line_validation_error(tmp_path,
     assert capsys.readouterr().err == "error: line 4: byte 0xff is not UTF-8\n"
 
 
-@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_config_lines_end_in_any_newline(tmp_path, capsys, newline):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes((SIM_CFG + "burnin = 7\n").replace("\n", newline).encode())
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == "error: line 10: unknown key 'burnin'\n"
+    # a byte that is not UTF-8 is named by its line whatever the line ends
+    cfg.write_bytes(SIM_CFG.replace("\n", newline).encode().replace(b"= iid", b"= \xffiid"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: line 4: byte 0xff is not UTF-8\n"
 
 
 def test_a_config_saved_with_a_byte_order_mark_reads_as_without(tmp_path):
     # the mark was read as part of the first key: "unknown key 'model'",
-    # with the U+FEFF before "model" invisible
-    outputs = []
+    # with the U+FEFF before "model" invisible; in a paths.csv it was read
+    # as part of the header
+    outputs, fits = [], []
     for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_bytes(bom + SIM_CFG.encode())
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         outputs.append({f: (tmp_path / name / f).read_bytes() for f in ("paths.csv", "stats.csv")})
+        data = tmp_path / f"{name}.csv"
+        data.write_bytes(bom + outputs[0]["paths.csv"])
+        cfg.write_bytes(bom + f"model = unit\n{SPACE_CFG}data = {data}\n".encode())
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / f"fit-{name}")]) == 0
+        fits.append({f: (tmp_path / f"fit-{name}" / f).read_bytes() for f in ("fit.csv", "stats.csv")})
     assert outputs[0] == outputs[1]
+    assert fits[0] == fits[1]
 
 
 @pytest.mark.parametrize("out, reason", [

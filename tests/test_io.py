@@ -125,8 +125,8 @@ def test_read_rejects_decreasing_time(tmp_path):
 def test_read_rejects_a_repeated_time(tmp_path):
     # the generated files' times always step up by 1e-3 or more
     f = _write(tmp_path, "subject,k,t,x\n0,0,0.0,1.0\n1,0,0.0,2.0\n0,1,0.5,1.1\n0,2,0.5,1.2\n")
-    for block_bytes in (1, 1 << 16):
-        got = _assert_reads_like_reference(f, block_bytes)
+    for block_chars in (1, 1 << 16):
+        got = _assert_reads_like_reference(f, block_chars)
         assert got == ("error", 5, "line 5: subject 0 time must increase (t=0.5 after t=0.5)")
 
 
@@ -244,8 +244,8 @@ def _outcome(read, path):
     ])
 
 
-def _assert_reads_like_reference(path, block_bytes):
-    with mock.patch.object(sde_io, "_BLOCK_BYTES", block_bytes):
+def _assert_reads_like_reference(path, block_chars):
+    with mock.patch.object(sde_io, "_BLOCK_CHARS", block_chars):
         got = _outcome(read_paths_csv, path)
     assert got == _outcome(reference.read_paths_csv, path)
     return got
@@ -267,13 +267,18 @@ _FAULTS = {
     "t-order": lambda r: r[:2] + ["-0.5"] + r[3:],
     "x": lambda r: r[:3] + ["x"],
     "x-finite": lambda r: r[:3] + ["-inf"],
+    # one byte 0x80-0xff, set by t's text, into t: alone it is never UTF-8
+    "utf8": lambda r: [r[0], r[1], r[2][:1] + chr(0xdc80 + sum(map(ord, r[2])) % 128)
+                       + r[2][1:]] + r[3:],
 }
 
 
 @st.composite
 def _path_files(draw):
     """A paths.csv text: interleaved subjects, optional faults, blank
-    lines and any of the three line endings."""
+    lines, any of the three line endings and an optional leading byte
+    order mark. A byte that is not UTF-8 is its surrogateescape code
+    point, so write the text encoded with errors="surrogateescape"."""
     queues = []
     ids = st.one_of(st.integers(0, 40), st.sampled_from([2**63, 2**70]))  # past int64 too
     for sid in draw(st.lists(ids, min_size=1, max_size=4, unique=True)):
@@ -294,15 +299,16 @@ def _path_files(draw):
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(1, len(lines))), "")
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_path_files(), st.sampled_from([1, 7, 24, 64, 1 << 16]))
-def test_paths_reader_matches_the_per_line_reference(tmp_path_factory, text, block_bytes):
+def test_paths_reader_matches_the_per_line_reference(tmp_path_factory, text, block_chars):
     f = tmp_path_factory.mktemp("r") / "in.csv"
-    f.write_bytes(text.encode())
-    _assert_reads_like_reference(f, block_bytes)
+    f.write_bytes(text.encode(errors="surrogateescape"))
+    _assert_reads_like_reference(f, block_chars)
 
 
 @pytest.mark.parametrize("kind", sorted(_FAULTS))
@@ -314,10 +320,10 @@ def test_each_fault_on_either_side_of_a_block_boundary(tmp_path, kind):
             edited = [_FAULTS[kind](r) if i in (bad, second) else r for i, r in enumerate(rows)]
             text = "subject,k,t,x\n" + "".join(",".join(r) + "\n" for r in edited)
             f = tmp_path / "in.csv"
-            f.write_text(text)
+            f.write_bytes(text.encode(errors="surrogateescape"))
             # the block ends fall before, inside and after the bad line
-            for block_bytes in (1, 17, 30, 64, 100):
-                got = _assert_reads_like_reference(f, block_bytes)
+            for block_chars in (1, 17, 30, 64, 100):
+                got = _assert_reads_like_reference(f, block_chars)
                 assert got[0] == "error"
 
 
@@ -335,15 +341,15 @@ def test_valid_files_never_reach_the_per_line_explainer(tmp_path):
     mixed.write_bytes("".join(r + ("\r\n", "\r")[i % 2] for i, r in enumerate(rows)).encode())
     spy = mock.patch.object(sde_io, "_bad_line", wraps=sde_io._bad_line)
     for f in (big, mixed):
-        for block_bytes in (1, 17, 1 << 16):
+        for block_chars in (1, 17, 1 << 16):
             with spy as bad_line:
-                assert _assert_reads_like_reference(f, block_bytes)[0] == "paths"
-            assert bad_line.call_count == 0, (f.name, block_bytes)
+                assert _assert_reads_like_reference(f, block_chars)[0] == "paths"
+            assert bad_line.call_count == 0, (f.name, block_chars)
 
 
 def test_a_line_far_longer_than_a_block_reads_in_linear_time(tmp_path):
-    # with fixed 16-byte reads, re-copying the growing partial line would
-    # move about 30 GB for this one 1 MB line
+    # with fixed 16-character reads, re-copying the growing partial line
+    # would move about 30 GB for this one 1 MB line
     f = tmp_path / "in.csv"
     f.write_text("subject,k,t,x\n0,0,0.0," + "1" * 1_000_000 + "\n0,1,1.0,2.0\n")
     got = _assert_reads_like_reference(f, 16)
@@ -352,13 +358,15 @@ def test_a_line_far_longer_than_a_block_reads_in_linear_time(tmp_path):
 
 def test_read_reports_a_byte_that_is_not_utf8_with_its_line(tmp_path):
     f = tmp_path / "in.csv"
-    f.write_bytes(b"subject,k,t,x\r\n0,0,0.0,1.0\r\n\r\n0,1,0.5,\xff1.0\r\n")
-    for block_bytes in (1, 16, 1 << 16):
-        with mock.patch.object(sde_io, "_BLOCK_BYTES", block_bytes):
-            with pytest.raises(IngestError) as exc:
-                read_paths_csv(f)
-        assert exc.value.line == 4
-        assert str(exc.value) == "line 4: byte 0xff is not UTF-8"
+    for newline in (b"\r\n", b"\r"):
+        f.write_bytes(b"subject,k,t,x\r\n0,0,0.0,1.0\r\n\r\n0,1,0.5,\xff1.0\r\n"
+                      .replace(b"\r\n", newline))
+        for block_chars in (1, 16, 1 << 16):
+            with mock.patch.object(sde_io, "_BLOCK_CHARS", block_chars):
+                with pytest.raises(IngestError) as exc:
+                    read_paths_csv(f)
+            assert exc.value.line == 4
+            assert str(exc.value) == "line 4: byte 0xff is not UTF-8"
     # a bad line before it is still the one reported
     f.write_bytes(b"subject,k,t,x\n0,0,0.5,1.0\n0,1,\xe9,1.0\n")
     with pytest.raises(IngestError) as exc:
