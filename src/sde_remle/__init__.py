@@ -51,7 +51,7 @@ from .models import (
     register_model,
 )
 from .rng import derive_seed
-from .simulate import Path, euler_maruyama, simulate_ensemble, time_grid
+from .simulate import Path, simulate_ensemble, time_grid
 from .stats import stats_list
 
 __version__ = "0.1.0"
@@ -86,7 +86,6 @@ __all__ = [
     "builtin_model",
     "derive_seed",
     "emit_config",
-    "euler_maruyama",
     "fisher_info_mc",
     "fit_mle",
     "kl_mc",

@@ -215,8 +215,9 @@ def _config_text(path):
     leading byte order mark dropped. A file that cannot be read raises
     ConfigError, and a byte that is not UTF-8 ParseError at its line."""
     try:
-        with io_mod.open_text(path) as fh:
-            text = fh.read()
+        first, fh = io_mod.open_text(path)
+        with fh:
+            text = first + fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
     if bad := io_mod.not_utf8(text):

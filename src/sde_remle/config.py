@@ -74,8 +74,6 @@ def _parse_value(key, raw, line):
         raise ParseError(
             f"'{key}' needs comma-separated integers, got {raw!r}", line=line
         )
-    if not vals:
-        raise ParseError(f"empty list for '{key}'", line=line)
     return vals
 
 

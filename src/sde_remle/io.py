@@ -144,9 +144,17 @@ def write_continuity_csv(table, out_path):
 
 
 def open_text(path):
-    """path opened to read as the module docstring says every input file
-    is read; raises OSError as open does."""
-    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+    """(first line, the open file after it) of path, read as the module
+    docstring says every input file is read; raises OSError as open does.
+    The mark is dropped by hand: the utf-8-sig codec reads a file of
+    b"\\xef" or b"\\xef\\xbb" as empty text, not as bytes that are not UTF-8.
+    """
+    fh = open(path, encoding="utf-8", errors="surrogateescape")
+    try:
+        return fh.readline().removeprefix("\ufeff"), fh
+    except OSError:
+        fh.close()
+        raise
 
 
 def not_utf8(text):
@@ -256,17 +264,16 @@ def read_paths_csv(in_path):
 
     Per subject: k must count 0,1,2,... in file order, t must start at 0
     and strictly increase. Rows of different subjects may interleave.
-    Returns paths sorted by subject id; phi and seed are unknown for
-    external data and left as None. Every violation raises IngestError
+    Returns paths sorted by subject id. Every violation raises IngestError
     naming the first bad line; a file that cannot be opened raises it too.
     """
     try:
-        fh = open_text(in_path)
+        header, fh = open_text(in_path)
     except OSError as err:
         raise IngestError(f"cannot read {os.fspath(in_path)}: {err.strerror}") from None
     seen = {}
     with fh:
-        if fh.readline().removesuffix("\n") != ",".join(_PATHS_HEADER):
+        if header.removesuffix("\n") != ",".join(_PATHS_HEADER):
             raise IngestError("expected header 'subject,k,t,x'", line=1)
         first = 2
         while lines := fh.readlines(_BLOCK_CHARS):
@@ -280,7 +287,6 @@ def read_paths_csv(in_path):
     paths = []
     for subject in sorted(seen):
         _, t, x = seen.pop(subject)
-        values = np.concatenate(x)
-        paths.append(Path(times=np.concatenate(t), values=values, x0=float(values[0]),
-                          phi=None, seed=None, subject_index=int(subject)))
+        paths.append(Path(times=np.concatenate(t), values=np.concatenate(x),
+                          subject_index=int(subject)))
     return paths

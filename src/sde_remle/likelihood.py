@@ -37,31 +37,13 @@ def loglik_terms(u, v, mu, omega2):
     """Per-subject log-likelihood terms, vectorized over (u, v).
 
     Returns +inf exactly where v == 0 and u != 0 (the degenerate-input
-    sentinel); finite everywhere else. The terms are built in place, in
-    the operation order of
-    -0.5*log1p(w2*v) + (2*mu*u - mu^2*v + w2*u^2) / (2*(1 + w2*v)).
+    sentinel); finite everywhere else.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    # explicit outputs keep the steps in place on 0-d input too
-    shape = np.broadcast_shapes(u.shape, v.shape, np.shape(mu), np.shape(omega2))
-    den = np.multiply(omega2, v, out=np.empty(shape))
-    terms = np.log1p(den, out=np.empty(shape))
-    terms *= -0.5
-    den += 1.0
-    den *= 2.0
-    num = np.multiply(2.0 * mu, u, out=np.empty(shape))
-    tmp = np.multiply(mu * mu, v, out=np.empty(shape))
-    num -= tmp
-    np.multiply(u, u, out=tmp)
-    tmp *= omega2
-    num += tmp
-    num /= den
-    terms += num
-    zero_v = v == 0.0
-    if zero_v.any():
-        terms[np.broadcast_to(zero_v & (u != 0.0), terms.shape)] = np.inf
-    return terms
+    terms = -0.5 * np.log1p(omega2 * v) + (2.0 * mu * u - mu * mu * v + u * u * omega2) / (
+        (omega2 * v + 1.0) * 2.0)
+    return np.where((v == 0.0) & (u != 0.0), np.inf, terms)
 
 
 def gamma_cap(u, v, mu, omega2):

@@ -65,12 +65,6 @@ class ParamSpace:
         if not 0 <= self.omega2_lo < self.omega2_hi:
             raise ValueError("need 0 <= omega2_lo < omega2_hi")
 
-    def contains(self, theta):
-        return (
-            self.mu_lo <= theta.mu <= self.mu_hi
-            and self.omega2_lo <= theta.omega2 <= self.omega2_hi
-        )
-
     def interior_contains(self, theta):
         return (
             self.mu_lo < theta.mu < self.mu_hi

@@ -5,9 +5,9 @@ dt the final step covers the remainder. Every simulation is one pass of
 segments through replicate_uv's chunk driver, the only code that runs
 the Euler kernel, and every pass holds one chunk buffer, the normals:
 the Monte Carlo passes add each row's (U, V) up as running left-to-right
-totals inside the step loop, and the path API (euler_maruyama,
-simulate_ensemble, simulate_replicates) writes each step's states over
-the normals just consumed, copied per segment into exact-length arrays.
+totals inside the step loop, and the path API (simulate_ensemble,
+simulate_replicates) writes each step's states over the normals just
+consumed, copied per segment into exact-length arrays.
 Both share identical arithmetic. Every normal is drawn by path_normals,
 reading one stream (see rng) in order: replicate r of a subject on an
 s-step grid takes normals [r s, (r+1) s) of its path stream, and its
@@ -20,7 +20,6 @@ their segments from it.
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,18 +31,13 @@ from .stats import SIGMA2_FLOOR, floor_error
 
 @dataclass(frozen=True, eq=False)
 class Path:
-    """One discretized trajectory.
+    """One discretized trajectory, what paths.csv holds of a subject.
 
-    times starts at 0 and strictly increases, and values[0] = x0; phi is
-    retained for oracle tests on simulated paths and is None for ingested
-    data.
+    times starts at 0 and strictly increases; values[0] is the start.
     """
 
     times: np.ndarray
     values: np.ndarray
-    x0: float
-    phi: Optional[float]
-    seed: int
     subject_index: int
 
     def __post_init__(self):
@@ -53,8 +47,6 @@ class Path:
             raise ValueError("grid must start at t = 0")
         if not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("grid must be strictly increasing")
-        if self.values[0] != self.x0:
-            raise ValueError("values[0] must equal x0")
 
 
 def time_grid(T, dt):
@@ -204,45 +196,23 @@ def effect_rows(theta0, seed, R, n):
     return z
 
 
-def euler_maruyama(model, phi, x0, T, dt, seed, stream_id=0):
-    """Simulate one path of dX = phi*b(X)dt + sigma(X)dW from x0 over [0, T].
-
-    The path is replicate 0 of subject stream_id: its increments are the
-    first normals of path stream (seed, stream_id), and its subject_index
-    is stream_id.
-
-    Raises SimulationDiverged, with the step, if the state overflows or
-    becomes NaN, and DegenerateDiffusion if sigma evaluates <= 0 along
-    the path.
-    """
-    (times, values, first_bad), = replicate_uv(model, dt, [
-        Segment(float(x0), float(T), seed, stream_id, [float(phi)])
-    ], store=True)
-    if first_bad[0] >= 0:
-        raise SimulationDiverged(int(first_bad[0]), subject_index=stream_id)
-    return Path(times=times, values=values[0], x0=float(x0), phi=float(phi), seed=seed,
-                subject_index=stream_id)
-
-
 def simulate_ensemble(model, theta0, design):
     """Simulate replicate 0 of every design subject, all in one pass.
 
     Subject i's increments start its path stream (design.seed, i) and its
-    effect is the first normal of its effect stream, so each path equals
-    euler_maruyama on its own stream bit for bit. Raises
-    SimulationDiverged for the lowest diverging subject, at its own step,
-    and DegenerateDiffusion for the first chunk with a row where sigma <= 0.
+    effect phi is effect_rows(theta0, design.seed, 1, design.n)[0, i], so
+    each path equals row 0 of simulate_replicates on its own stream bit
+    for bit. Raises SimulationDiverged for the lowest diverging subject,
+    at its own step, and DegenerateDiffusion for the first chunk with a
+    row where sigma <= 0.
     """
     segments = subject_segments(theta0, design.seed, design.subjects, 1)
     runs = replicate_uv(model, design.dt, segments, store=True)
     for i, (_, _, first_bad) in enumerate(runs):
         if first_bad[0] >= 0:
             raise SimulationDiverged(int(first_bad[0]), subject_index=i)
-    return [
-        Path(times=times, values=values[0], x0=seg.x0, phi=float(seg.phis[0]), seed=seg.seed,
-             subject_index=seg.subject)
-        for seg, (times, values, _) in zip(segments, runs)
-    ]
+    return [Path(times=times, values=values[0], subject_index=seg.subject)
+            for seg, (times, values, _) in zip(segments, runs)]
 
 
 def simulate_replicates(model, phis, x0, T, dt, seed, subject_index):

@@ -92,8 +92,7 @@ def read_paths_csv(in_path):
 
     Per subject: k must count 0,1,2,... in file order, t must start at 0
     and strictly increase. Rows of different subjects may interleave.
-    Returns paths sorted by subject id; phi and seed are unknown for
-    external data and left as None.
+    Returns paths sorted by subject id.
     """
     by_subject = {}
     with open(in_path, "rb") as fh:
@@ -152,9 +151,6 @@ def read_paths_csv(in_path):
         paths.append(Path(
             times=np.array(rec["t"]),
             values=np.array(rec["x"]),
-            x0=rec["x"][0],
-            phi=None,
-            seed=None,
             subject_index=subject,
         ))
     return paths

@@ -2,7 +2,8 @@
 
 audit_fit certifies a fit against a grid of the objective; profile_mu
 is the fitter's closed-form mu at one omega2; decompose
-splits a simulated path's U into its drift and martingale parts;
+splits a simulated path's U, given its phi, into its drift and
+martingale parts;
 stored_paths runs the Euler kernel on one unchunked block of rows and
 first_nonfinite_step finds where a row of states diverged;
 path_increments and left_fold rebuild (U, V) from stored rows.
@@ -18,15 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from sde_remle.asymptotics import _columns, _draw, _reduce
-from sde_remle.errors import SdeRemleError
 from sde_remle.estimator import _profile_sums, _ratio
 from sde_remle.likelihood import hess_terms, score_terms, total_loglik_uv
 from sde_remle.rng import generator
 from sde_remle.simulate import _euler_rows, time_grid
-
-
-class MissingPhi(SdeRemleError):
-    """Operation needs the realized random effect but the path does not carry one."""
 
 
 @dataclass(frozen=True)
@@ -42,17 +38,14 @@ class SuffStatsDecomposition:
     phi: float
 
 
-def decompose(path, u, v):
-    """Split a simulated path's U = u as phi*u1 + u2, given its V = v.
+def decompose(phi, u, v):
+    """Split the U = u of a path simulated with effect phi as phi*u1 + u2,
+    given its V = v.
 
     u1 is the same left-endpoint sum as V; u2 is defined residually so the
-    identity is exact. Raises MissingPhi for ingested paths.
+    identity is exact.
     """
-    if path.phi is None:
-        raise MissingPhi("decomposition needs the realized phi of a simulated path")
-    u1 = v
-    u2 = u - path.phi * u1
-    return SuffStatsDecomposition(u1=u1, u2=u2, phi=path.phi)
+    return SuffStatsDecomposition(u1=v, u2=u - phi * v, phi=phi)
 
 
 def profile_mu(omega2, u, v, space=None):

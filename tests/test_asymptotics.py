@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sde_remle import (
+    Design,
     DesignFamily,
     McEstimate,
     ParamSpace,
@@ -18,6 +19,7 @@ from sde_remle import (
     run_moment_continuity_probe,
     run_noniid_experiment,
     run_normality_experiment,
+    simulate_ensemble,
     sqrt_2x2_spd,
 )
 from sde_remle import asymptotics
@@ -749,7 +751,9 @@ def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
 def _coarse_step_calls():
     theta = Theta(mu=1.0, omega2=0.5)
     # each breaks dt <= min(T) / 10 at one horizon only: a later n level,
-    # the limit point, or a probe point estimated after the limit
+    # the limit point, a probe point estimated after the limit, or the
+    # second subject of an ensemble; together, every public function that
+    # draws a normal
     late = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=0.5, T_amp=1.0)
     first = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=-0.5)
     return {
@@ -766,6 +770,9 @@ def _coarse_step_calls():
         "run_noniid_experiment": lambda: _noniid(design=late, dt=0.06),
         "run_moment_continuity_probe": lambda: _continuity(
             theta0=theta, design=first, m_schedule=(1, 2), dt=0.06,
+        ),
+        "simulate_ensemble": lambda: simulate_ensemble(
+            UNIT, theta, Design(subjects=((0.0, 1.0), (0.0, 0.5)), dt=0.06, seed=0),
         ),
     }
 

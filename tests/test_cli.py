@@ -197,6 +197,11 @@ def test_config_lines_end_in_any_newline(tmp_path, capsys, newline):
     cfg.write_bytes(SIM_CFG.replace("\n", newline).encode().replace(b"= iid", b"= \xffiid"))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: line 4: byte 0xff is not UTF-8\n"
+    # a file that is only the first bytes of a byte order mark is not UTF-8
+    for prefix in (b"\xef", b"\xef\xbb"):
+        cfg.write_bytes(prefix)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: line 1: byte 0xef is not UTF-8\n"
 
 
 def test_a_config_saved_with_a_byte_order_mark_reads_as_without(tmp_path):

@@ -52,6 +52,7 @@ def test_missing_equals_sign():
         ("dt = inf", 1),
         ("model =", 1),
         ("seed = 1\nn_schedule = 10,,20", 2),
+        ("n_schedule =", 1),
     ],
 )
 def test_typed_value_errors(text, line):

@@ -40,7 +40,7 @@ PUBLIC = (
     "ModelSpec", "NonFiniteObjective", "NotFound",
     "ParamSpace", "ParseError", "Path", "SdeRemleError", "SimulationDiverged", "Theta",
     "UnknownKey", "averaged_limits", "builtin_model", "derive_seed", "emit_config",
-    "euler_maruyama", "fisher_info_mc", "fit_mle", "kl_mc", "parse_config",
+    "fisher_info_mc", "fit_mle", "kl_mc", "parse_config",
     "read_paths_csv", "register_model", "resolve_seed", "run_consistency_experiment",
     "run_moment_continuity_probe", "run_noniid_experiment", "run_normality_experiment",
     "simulate_ensemble",

@@ -85,10 +85,13 @@ def test_param_space_ordering_enforced():
 
 
 def test_validate_theta_boundary_and_corner():
+    # the fits' truth check is strict: edges and corners are outside
     space = ParamSpace(mu_lo=-1.0, mu_hi=1.0, omega2_lo=0.0, omega2_hi=1.0)
-    assert space.contains(Theta(mu=0.0, omega2=0.0))
-    assert not space.contains(Theta(mu=2.0, omega2=0.5))
-    assert space.contains(Theta(mu=1.0, omega2=1.0))
+    assert space.interior_contains(Theta(mu=0.0, omega2=0.5))
+    assert not space.interior_contains(Theta(mu=0.0, omega2=0.0))
+    assert not space.interior_contains(Theta(mu=-1.0, omega2=0.5))
+    assert not space.interior_contains(Theta(mu=1.0, omega2=1.0))
+    assert not space.interior_contains(Theta(mu=2.0, omega2=0.5))
 
 
 @given(
@@ -109,8 +112,8 @@ def test_validate_theta_monotone_in_rectangle(mu, w2, lo, hi, wlo, whi, grow):
         mu_lo=lo - grow, mu_hi=hi + grow, omega2_lo=max(0.0, wlo - grow),
         omega2_hi=whi + grow,
     )
-    if small.contains(theta):
-        assert big.contains(theta)
+    if small.interior_contains(theta):
+        assert big.interior_contains(theta)
 
 
 def test_design_validates_dt_against_horizon():

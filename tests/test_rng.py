@@ -10,7 +10,7 @@ from sde_remle.rng import (
     row_keys,
 )
 from sde_remle.models import builtin_model
-from sde_remle.simulate import Segment, euler_maruyama, path_normals, replicate_uv
+from sde_remle.simulate import Segment, path_normals, replicate_uv, simulate_replicates
 
 
 def test_same_triple_bit_identical():
@@ -59,15 +59,15 @@ def test_path_and_effect_key_spaces_are_disjoint():
 
 
 def test_rng_stream_validates_ranges():
-    # generator checks both key words; euler_maruyama's pass checks its
-    # seed and subject through row_keys
+    # generator checks both key words; a one-subject pass checks its seed
+    # and subject through row_keys
     unit = builtin_model("unit")
     for seed, word in ((-1, 0), (2**64, 0), (0, 2**64), (0, -1)):
         with pytest.raises(ValueError):
             generator(seed, word)
     for seed, subject in ((-1, 0), (2**64, 0), (0, 2**32), (0, -1)):
         with pytest.raises(ValueError):
-            euler_maruyama(unit, 1.0, 0.0, 1.0, 0.1, seed, subject)
+            simulate_replicates(unit, [1.0], 0.0, 1.0, 0.1, seed, subject)
 
 
 def test_derive_seed_stable_and_sensitive():
@@ -183,4 +183,4 @@ def test_path_normals_range_errors_match_single_key(seed, subject, reps, bad_tri
     bad_seed, bad_subject, replicate = bad_triple
     assert replicate == 0
     with pytest.raises(ValueError, match=match):
-        euler_maruyama(builtin_model("unit"), 1.0, 0.0, 1.0, 0.1, bad_seed, bad_subject)
+        simulate_replicates(builtin_model("unit"), [1.0], 0.0, 1.0, 0.1, bad_seed, bad_subject)

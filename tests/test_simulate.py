@@ -10,7 +10,6 @@ from sde_remle import (
     SimulationDiverged,
     Theta,
     builtin_model,
-    euler_maruyama,
     simulate_ensemble,
     time_grid,
 )
@@ -95,35 +94,35 @@ def test_zero_noise_matches_explicit_euler_ode():
 
 
 def test_single_step_formula():
-    p = euler_maruyama(UNIT, 1.5, 0.25, 1.0, 1.0, 3)
+    times, values, _ = simulate_replicates(UNIT, [1.5], 0.25, 1.0, 1.0, 3, 0)
     z0 = generator(3, 0).standard_normal()
-    assert p.values[-1] == pytest.approx(0.25 + 1.5 * 1.0 + math.sqrt(1.0) * z0, rel=1e-15)
-    assert len(p.times) == 2
+    assert values[0, -1] == pytest.approx(0.25 + 1.5 * 1.0 + math.sqrt(1.0) * z0, rel=1e-15)
+    assert len(times) == 2
 
 
 def test_path_determinism():
-    a = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, 11, 4)
-    b = euler_maruyama(BOUNDED, 0.7, 0.2, 1.0, 0.01, 11, 4)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.times, b.times)
+    a = simulate_replicates(BOUNDED, [0.7], 0.2, 1.0, 0.01, 11, 4)
+    b = simulate_replicates(BOUNDED, [0.7], 0.2, 1.0, 0.01, 11, 4)
+    assert np.array_equal(a[1], b[1])
+    assert np.array_equal(a[0], b[0])
 
 
 def test_unit_increment_moments():
     # X(t+dt) - X(t) - phi dt must be N(0, dt) for the unit model
-    p = euler_maruyama(UNIT, 1.0, 0.0, 40.0, 0.01, 21)
-    incs = np.diff(p.values) - 1.0 * np.diff(p.times)
-    scaled = incs / np.sqrt(np.diff(p.times))
+    times, values, _ = simulate_replicates(UNIT, [1.0], 0.0, 40.0, 0.01, 21, 0)
+    incs = np.diff(values[0]) - 1.0 * np.diff(times)
+    scaled = incs / np.sqrt(np.diff(times))
     n = len(scaled)
     assert abs(scaled.mean()) < 4.0 / math.sqrt(n)
     assert abs(scaled.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
 
 
-def test_divergence_raises_with_step_index():
+def test_divergence_reports_its_step():
     # growth factor 1 + phi*dt = 1e6 per step overflows float64 within
     # ~52 steps
-    with pytest.raises(SimulationDiverged) as exc:
-        euler_maruyama(LINEAR, 1.0e8, 1.0, 1.0, 0.01, 2)
-    assert exc.value.step >= 1
+    _, values, first_bad = simulate_replicates(LINEAR, [1.0e8], 1.0, 1.0, 0.01, 2, 0)
+    assert 1 <= first_bad[0] <= 60
+    assert np.isfinite(values[0, :first_bad[0]]).all()
 
 
 @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
@@ -133,9 +132,6 @@ def test_a_non_finite_start_diverges_at_step_one(model, x0):
     _, values, first_bad = simulate_replicates(model, [0.5, -1.0], x0, 1.0, 0.1, 4, 2)
     assert first_bad.tolist() == [1, 1]
     assert np.array_equal(values[:, 0], [x0, x0], equal_nan=True)
-    with pytest.raises(SimulationDiverged) as exc:
-        euler_maruyama(model, 0.5, x0, 1.0, 0.1, 4, 2)
-    assert (exc.value.step, exc.value.subject_index) == (1, 2)
 
 
 def test_degenerate_sigma_raises():
@@ -186,13 +182,13 @@ def test_ensemble_deterministic_and_tagged():
     for p, q, idx in zip(e1, e2, range(3)):
         assert p.subject_index == idx
         assert np.array_equal(p.values, q.values)
-        assert p.phi == q.phi
+        assert np.array_equal(p.times, q.times)
 
 
 def _own_divergence_step(model, phi, x0, T, dt, seed, subject):
-    with pytest.raises(SimulationDiverged) as exc:
-        euler_maruyama(model, phi, x0, T, dt, seed, subject)
-    return exc.value.step
+    first_bad = simulate_replicates(model, [phi], x0, T, dt, seed, subject)[2]
+    assert first_bad[0] >= 1
+    return int(first_bad[0])
 
 
 def test_ensemble_divergence_carries_subject_index():
@@ -230,7 +226,7 @@ def _own_degenerate_step(model, theta0, subjects, dt, seed, i):
     phi = effect_rows(theta0, seed, 1, len(subjects))[0, i]
     x0, T = subjects[i]
     try:
-        euler_maruyama(model, phi, x0, T, dt, seed, i)
+        simulate_replicates(model, [phi], x0, T, dt, seed, i)
     except DegenerateDiffusion as err:
         return err.step
     return math.inf
@@ -283,7 +279,8 @@ def test_ensemble_divergence_reports_lowest_subject_not_earliest_step():
 @pytest.mark.parametrize("seed", [0, 5])
 def test_ensemble_row_blocks_equal_per_subject_paths(seed):
     """Subjects are grouped by (x0, T) into row blocks; every path must
-    equal euler_maruyama on the subject's own stream, bit for bit."""
+    equal a one-row pass on the subject's own stream and effect, bit for
+    bit."""
     family = DesignFamily(kind="harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=1.0)
     subjects = family.subjects(4) + family.subjects(3) + ((0.25, 1.0),)
     design = Design(subjects=subjects, dt=0.02, seed=31 + seed)
@@ -292,12 +289,11 @@ def test_ensemble_row_blocks_equal_per_subject_paths(seed):
     phis = effect_rows(theta0, 31 + seed, 1, design.n)[0].tolist()
     assert len(paths) == design.n
     for i, ((x0, T), path, phi) in enumerate(zip(subjects, paths, phis)):
-        want = euler_maruyama(BOUNDED, phi, x0, T, 0.02, 31 + seed, i)
+        times, values, _ = simulate_replicates(BOUNDED, [phi], x0, T, 0.02, 31 + seed, i)
         assert path.subject_index == i
-        assert path.phi == phi
-        assert path.x0 == want.x0
-        assert np.array_equal(path.times, want.times)
-        assert np.array_equal(path.values, want.values)
+        assert path.values[0] == x0
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.values, values[0])
 
 
 def _check_keeps_only_its_paths(family):

@@ -9,24 +9,16 @@ from sde_remle.models import ModelSpec
 from sde_remle.rng import generator
 from sde_remle.simulate import Path, effect_rows, simulate_replicates, time_grid
 from sde_remle.stats import SIGMA2_FLOOR, suff_stats_rows
-from oracles import MissingPhi, decompose
+from oracles import decompose
 
 UNIT = builtin_model("unit")
 LINEAR = builtin_model("linear-drift")
 BOUNDED = builtin_model("bounded-ratio")
 
 
-def _path(times, values, phi=1.0, subject_index=0):
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return Path(
-        times=times,
-        values=values,
-        x0=float(values[0]),
-        phi=phi,
-        seed=0,
-        subject_index=subject_index,
-    )
+def _path(times, values, subject_index=0):
+    return Path(times=np.asarray(times, dtype=float), values=np.asarray(values, dtype=float),
+                subject_index=subject_index)
 
 
 def _uv(path, model):
@@ -43,7 +35,7 @@ def test_unit_model_identities_exact():
         design = Design(subjects=((0.3, 4.0),), dt=dt, seed=5)
         p = simulate_ensemble(UNIT, Theta(mu=1.0, omega2=0.5), design)[0]
         u, v = _uv(p, UNIT)
-        assert math.isclose(u, p.values[-1] - p.x0, rel_tol=1e-14, abs_tol=0.0)
+        assert math.isclose(u, p.values[-1] - p.values[0], rel_tol=1e-14, abs_tol=0.0)
         assert v == 4.0
 
 
@@ -54,7 +46,7 @@ def test_unit_model_u_exact_on_dyadic_path():
 
 
 def test_constant_path():
-    p = _path([0.0, 0.25, 0.5, 0.75, 1.0], [2.0] * 5, phi=0.0)
+    p = _path([0.0, 0.25, 0.5, 0.75, 1.0], [2.0] * 5)
     assert _uv(p, UNIT) == (0.0, 1.0)
 
 
@@ -77,8 +69,8 @@ def test_v_and_u_additive_at_grid_point():
 def test_stats_ignore_provenance_fields():
     times = time_grid(1.0, 0.1)
     values = np.cos(times) + 1.5
-    a = _path(times, values, phi=0.3, subject_index=0)
-    b = _path(times, values, phi=-2.0, subject_index=9)
+    a = _path(times, values, subject_index=0)
+    b = _path(times, values, subject_index=9)
     assert _uv(a, BOUNDED) == _uv(b, BOUNDED)
 
 
@@ -106,24 +98,22 @@ def test_stats_list_preserves_order():
 
 def test_decompose_unit_model():
     design = Design(subjects=((0.5, 2.0),), dt=0.05, seed=11)
-    p = simulate_ensemble(UNIT, Theta(mu=1.5, omega2=0.0), design)[0]
+    theta0 = Theta(mu=1.5, omega2=0.0)
+    p = simulate_ensemble(UNIT, theta0, design)[0]
+    # subject i's phi is entry i of the first row of its effect streams
+    phi = effect_rows(theta0, design.seed, 1, design.n)[0, 0]
+    assert phi == 1.5
     u, v = _uv(p, UNIT)
-    d = decompose(p, u, v)
+    d = decompose(phi, u, v)
     assert d.u1 == v
     assert u == d.phi * d.u1 + d.u2
-    assert d.u2 == pytest.approx(p.values[-1] - p.x0 - p.phi * v, abs=1e-12)
+    assert d.u2 == pytest.approx(p.values[-1] - p.values[0] - phi * v, abs=1e-12)
 
 
 def test_decompose_zero_phi():
-    p = _path([0.0, 0.5, 1.0], [1.0, 1.2, 0.9], phi=0.0)
+    p = _path([0.0, 0.5, 1.0], [1.0, 1.2, 0.9])
     u, v = _uv(p, LINEAR)
-    assert decompose(p, u, v).u2 == u
-
-
-def test_decompose_requires_phi():
-    p = _path([0.0, 0.5, 1.0], [1.0, 1.2, 0.9], phi=None)
-    with pytest.raises(MissingPhi):
-        decompose(p, *_uv(p, LINEAR))
+    assert decompose(0.0, u, v).u2 == u
 
 
 def test_ito_isometry_unit_model():
@@ -136,8 +126,7 @@ def test_ito_isometry_unit_model():
     times, values, _ = simulate_replicates(UNIT, phis, 0.0, T, 0.05, 41, 0)
     u2s = []
     for phi, row in zip(phis, values):
-        p = _path(times, row, phi=phi)
-        u2s.append(decompose(p, *_uv(p, UNIT)).u2)
+        u2s.append(decompose(phi, *_uv(_path(times, row), UNIT)).u2)
     u2s = np.asarray(u2s)
     assert abs(u2s.mean()) < 4.0 * math.sqrt(T / R)
     assert abs(u2s.var() - T) < 4.0 * T * math.sqrt(2.0 / R)
@@ -231,5 +220,5 @@ def test_replicate_rows_match_single_paths():
     times, values, _ = simulate_replicates(LINEAR, phis, 1.0, 1.0, 0.1, 9, 0)
     u_rows, v_rows = suff_stats_rows(times, values, LINEAR)
     for r in range(3):
-        p = _path(times, values[r], phi=phis[r])
+        p = _path(times, values[r])
         assert _uv(p, LINEAR) == (u_rows[r], v_rows[r])
