@@ -19,28 +19,17 @@ from .asymptotics import (
     run_moment_continuity_probe,
     run_noniid_experiment,
     run_normality_experiment,
-    sqrt_2x2_spd,
 )
-from .config import emit_config, parse_config, resolve_seed
 from .errors import (
-    AllDegenerate,
     ConfigError,
-    DegenerateDiffusion,
-    EmptyEnsemble,
-    EmptyExperiment,
     ExperimentFailed,
     IngestError,
     InvalidStats,
-    MissingKey,
-    NonFiniteObjective,
-    NotFound,
-    ParseError,
     SdeRemleError,
     SimulationDiverged,
-    UnknownKey,
 )
 from .estimator import MleFit, fit_mle
-from .io import read_paths_csv, write_fit_csv, write_paths_csv, write_stats_csv
+from .io import read_paths_csv, write_stats_csv
 from .models import (
     Design,
     DesignFamily,
@@ -50,58 +39,41 @@ from .models import (
     builtin_model,
     register_model,
 )
-from .rng import derive_seed
 from .simulate import Path, simulate_ensemble, time_grid
 from .stats import stats_list
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllDegenerate",
     "ConfigError",
     "ConvergenceTable",
-    "DegenerateDiffusion",
     "Design",
     "DesignFamily",
-    "EmptyEnsemble",
-    "EmptyExperiment",
     "ExperimentFailed",
     "ExperimentReport",
     "IngestError",
     "InvalidStats",
     "McEstimate",
-    "MissingKey",
     "MleFit",
     "ModelSpec",
-    "NonFiniteObjective",
-    "NotFound",
     "ParamSpace",
-    "ParseError",
     "Path",
     "SdeRemleError",
     "SimulationDiverged",
     "Theta",
-    "UnknownKey",
     "averaged_limits",
     "builtin_model",
-    "derive_seed",
-    "emit_config",
     "fisher_info_mc",
     "fit_mle",
     "kl_mc",
-    "parse_config",
     "read_paths_csv",
     "register_model",
-    "resolve_seed",
     "run_consistency_experiment",
     "run_moment_continuity_probe",
     "run_noniid_experiment",
     "run_normality_experiment",
     "simulate_ensemble",
-    "sqrt_2x2_spd",
     "stats_list",
     "time_grid",
-    "write_fit_csv",
-    "write_paths_csv",
     "write_stats_csv",
 ]

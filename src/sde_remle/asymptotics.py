@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyExperiment, ExperimentFailed
+from .errors import ExperimentFailed
 from .estimator import fit_rows
 from .ks import ks_norm_pvalue
 from .likelihood import _row_fsum, ratio_terms, score_terms
@@ -253,7 +253,7 @@ def _limits(model, designs, theta0, theta, dt, replicates, limit_point, limit_re
     points and each point's information matrix."""
     designs = [(float(x), float(T)) for x, T in designs]
     if not designs:
-        raise EmptyExperiment("averaged_limits needs at least one design point")
+        raise ValueError("averaged_limits needs at least one design point")
     if not all(1 <= n <= len(designs) for n in schedule):
         raise ValueError(f"every schedule entry must lie in 1..{len(designs)}")
     _check_schedule("schedule", schedule)
@@ -349,8 +349,7 @@ def _summary(n, errs, ks=(None, None), cov=(None, None)):
 
 def _check_run(replicates, theta0=None, space=None, limit_replicates=0):
     """Bad input, before any normal is drawn: a truth off the rectangle's
-    interior or a negative count raises ValueError, zero replicates
-    EmptyExperiment."""
+    interior, a negative count or zero replicates raises ValueError."""
     if space is not None and not space.interior_contains(theta0):
         raise ValueError(
             "the true theta must lie strictly inside the parameter rectangle"
@@ -359,7 +358,7 @@ def _check_run(replicates, theta0=None, space=None, limit_replicates=0):
         if count < 0:
             raise ValueError(f"{name} must be >= 0, got {count}")
     if replicates == 0:
-        raise EmptyExperiment("replicates = 0")
+        raise ValueError("replicates = 0")
 
 
 def run_consistency_experiment(model, theta0, space, design, n_schedule, replicates, dt, seed):

@@ -5,9 +5,10 @@ continuity}. Each takes --config PATH (flat key=value file), --seed N
 (overrides the config key and the SDE_REMLE_SEED environment variable),
 --out DIR, and --threads N. Every pass runs on one thread: --threads
 must be >= 1 and changes nothing, so output files are byte-identical for
-any value. Exit status: 0 success, 1 validation error (a malformed flag
-included), 2 runtime error; every error is one "error: ..." line on
-stderr.
+any value. Exit status: 0 success; 1 for bad input, a ConfigError (a
+malformed flag, config or output location), IngestError or ValueError;
+2 for every other SdeRemleError, a failed run. Every error is one
+"error: ..." line on stderr.
 
 Each command is one entry in the _COMMANDS table: its runner and the
 config keys it needs, to which a command that reads the design key adds
@@ -29,25 +30,13 @@ from .asymptotics import (
     run_noniid_experiment,
     run_normality_experiment,
 )
-from .errors import (
-    ConfigError,
-    EmptyEnsemble,
-    EmptyExperiment,
-    ExperimentFailed,
-    IngestError,
-    NotFound,
-    ParseError,
-    SdeRemleError,
-)
+from .errors import ConfigError, ExperimentFailed, IngestError, InvalidStats, SdeRemleError
 from .estimator import fit_mle
 from .models import Design, DesignFamily, ParamSpace, Theta, builtin_model
 from .simulate import simulate_ensemble
-from .stats import stats_list
+from .stats import bad_stats, ensemble_stats, stats_list
 
-_VALIDATION_ERRORS = (
-    ConfigError, IngestError, NotFound, ValueError,
-    EmptyExperiment, EmptyEnsemble,
-)
+_VALIDATION_ERRORS = (ConfigError, IngestError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +98,11 @@ def _simulate(cfg, seed, out_dir):
     theta0 = _theta0(cfg)
     design = Design(subjects=_family(cfg).subjects(cfg["n"]), dt=cfg["dt"], seed=seed)
     paths = simulate_ensemble(model, theta0, design)
-    u, v = stats_list(paths, model)
+    u, v = ensemble_stats(paths, model)
+    # simulate_ensemble refused non-finite states, so (U, V) that fail
+    # here overflowed: the run failed, not its input
+    if bad := bad_stats(u, v):
+        raise InvalidStats(f"{bad[1]} (subject {paths[bad[0]].subject_index})")
     paths_file = os.path.join(out_dir, io_mod.PATHS_FILE)
     stats_file = os.path.join(out_dir, io_mod.STATS_FILE)
     io_mod.write_paths_csv(paths, paths_file)
@@ -213,7 +206,7 @@ _COMMANDS = {
 def _config_text(path):
     """The config file's text from io.open_text: line ends translated, one
     leading byte order mark dropped. A file that cannot be read raises
-    ConfigError, and a byte that is not UTF-8 ParseError at its line."""
+    ConfigError, as does a byte that is not UTF-8, at its line."""
     try:
         first, fh = io_mod.open_text(path)
         with fh:
@@ -221,7 +214,7 @@ def _config_text(path):
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
     if bad := io_mod.not_utf8(text):
-        raise ParseError(bad[1], line=text.count("\n", 0, bad[0]) + 1)
+        raise ConfigError(bad[1], line=text.count("\n", 0, bad[0]) + 1)
     return text
 
 
@@ -241,10 +234,13 @@ def main(argv=None):
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         out_dir = args.out or cfg.get("output_dir") or "."
-        os.makedirs(out_dir, exist_ok=True)
-        report, line = run(cfg, seed, out_dir)
-        print(f"experiment {command}: {line}" if args.command == "experiment"
-              else f"{command}: {line}")
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            report, line = run(cfg, seed, out_dir)
+            print(f"experiment {command}: {line}" if args.command == "experiment"
+                  else f"{command}: {line}")
+        except OSError as err:  # the output directory or a file in it
+            raise ConfigError(f"cannot write output: {err}") from None
         # the files are on disk for a post-mortem before a failed run raises
         if report is not None and report.failed:
             raise ExperimentFailed(
@@ -254,9 +250,6 @@ def main(argv=None):
         return 0
     except _VALIDATION_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:  # the output directory or a file in it
-        print(f"error: cannot write output: {err}", file=sys.stderr)
         return 1
     except SdeRemleError as err:
         print(f"error: {err}", file=sys.stderr)

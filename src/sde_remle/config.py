@@ -11,7 +11,7 @@ takes the list and reports the first that is absent.
 import math
 import os
 
-from .errors import MissingKey, ParseError, UnknownKey
+from .errors import ConfigError
 
 # key -> type tag; tuple order is the canonical emission order
 _REGISTRY = (
@@ -52,26 +52,26 @@ def _parse_value(key, raw, line):
     kind = _TYPES[key]
     if kind == "str":
         if not raw:
-            raise ParseError(f"empty value for '{key}'", line=line)
+            raise ConfigError(f"empty value for '{key}'", line=line)
         return raw
     if kind == "int":
         try:
             return int(raw)
         except ValueError:
-            raise ParseError(f"'{key}' needs an integer, got {raw!r}", line=line)
+            raise ConfigError(f"'{key}' needs an integer, got {raw!r}", line=line)
     if kind == "float":
         try:
             x = float(raw)
         except ValueError:
-            raise ParseError(f"'{key}' needs a number, got {raw!r}", line=line)
+            raise ConfigError(f"'{key}' needs a number, got {raw!r}", line=line)
         if not math.isfinite(x):
-            raise ParseError(f"'{key}' must be finite", line=line)
+            raise ConfigError(f"'{key}' must be finite", line=line)
         return x
     # int_list
     try:
         vals = tuple(int(tok.strip()) for tok in raw.split(","))
     except ValueError:
-        raise ParseError(
+        raise ConfigError(
             f"'{key}' needs comma-separated integers, got {raw!r}", line=line
         )
     return vals
@@ -80,8 +80,8 @@ def _parse_value(key, raw, line):
 def parse_config(text):
     """Parse config text into a {key: typed value} dict.
 
-    Raises UnknownKey / ParseError with the 1-based line number of the
-    offending line.
+    Raises ConfigError with the 1-based line number of the offending
+    line.
     """
     out = {}
     lines = text.split("\n")
@@ -90,14 +90,14 @@ def parse_config(text):
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ParseError("expected 'key = value'", line=line_no)
+            raise ConfigError("expected 'key = value'", line=line_no)
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _TYPES:
-            raise UnknownKey(f"unknown key '{key}'", line=line_no)
+            raise ConfigError(f"unknown key '{key}'", line=line_no)
         if key in out:
-            raise ParseError(f"duplicate key '{key}'", line=line_no)
+            raise ConfigError(f"duplicate key '{key}'", line=line_no)
         out[key] = _parse_value(key, value, line_no)
     return out
 
@@ -121,11 +121,11 @@ def emit_config(cfg):
 
 
 def check_required(keys, cfg, eof_line):
-    """Raise MissingKey, positioned at the end of file, for the first of
+    """Raise ConfigError, positioned at the end of file, for the first of
     keys that cfg lacks."""
     for key in keys:
         if key not in cfg:
-            raise MissingKey(f"missing required key '{key}'", line=eof_line)
+            raise ConfigError(f"missing required key '{key}'", line=eof_line)
 
 
 def resolve_seed(cfg, flag_seed=None, env=None):
@@ -141,5 +141,5 @@ def resolve_seed(cfg, flag_seed=None, env=None):
         try:
             return int(raw)
         except ValueError:
-            raise ParseError(f"SDE_REMLE_SEED is not an integer: {raw!r}")
+            raise ConfigError(f"SDE_REMLE_SEED is not an integer: {raw!r}")
     return 0

@@ -1,41 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per failure role.
+
+The CLI exits 1 for bad input: ConfigError, IngestError and ValueError
+(a value the package refuses, an unknown model name, zero subjects or
+replicates). It exits 2 for every other SdeRemleError, a failure of the
+run: SimulationDiverged, InvalidStats and ExperimentFailed.
+"""
 
 
 class SdeRemleError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotFound(SdeRemleError):
-    """Requested a model name that is not registered."""
-
-
 class SimulationDiverged(SdeRemleError):
-    """Path state became non-finite during integration.
-
-    Attributes
-    ----------
-    step : int
-        Index of the grid step at which the state stopped being finite.
-    subject_index : int or None
-        Subject whose path diverged, when known.
-    """
-
-    def __init__(self, step, subject_index=None):
-        self.step = step
-        self.subject_index = subject_index
-        where = f" (subject {subject_index})" if subject_index is not None else ""
-        super().__init__(f"state became non-finite at step {step}{where}")
-
-
-class DegenerateDiffusion(SdeRemleError):
-    """The diffusion coefficient evaluated to a non-positive or vanishing value.
+    """A path stopped being integrable: its state became non-finite, or
+    sigma <= 0 or sigma^2 fell below the floor on it.
 
     Attributes
     ----------
     step : int or None
-        Index of the grid step at which sigma was evaluated, when known.
+        Index of the grid step at which it happened, when known.
     subject_index : int or None
-        Subject whose path met sigma <= 0, when known.
+        Subject whose path it was, when known; named in the message.
     """
 
     def __init__(self, message, step=None, subject_index=None):
@@ -46,26 +31,9 @@ class DegenerateDiffusion(SdeRemleError):
         super().__init__(message)
 
 
-class EmptyEnsemble(SdeRemleError):
-    """An ensemble reduction was asked for zero subjects."""
-
-
 class InvalidStats(SdeRemleError):
-    """Sufficient statistics handed to the estimator are not finite, or V < 0."""
-
-
-class AllDegenerate(SdeRemleError):
-    """Every subject has V = 0, so the profile mean is undefined."""
-
-
-class NonFiniteObjective(SdeRemleError):
-    """The log-likelihood is not finite: a subject with V = 0 and U != 0
-    carries the infinite sentinel, or U or V is so large that the
-    objective overflows."""
-
-
-class EmptyExperiment(SdeRemleError):
-    """An experiment was configured with zero replicates."""
+    """Sufficient statistics handed to the estimator are not finite, V < 0,
+    every V = 0, or the log-likelihood they give is not finite."""
 
 
 class ExperimentFailed(SdeRemleError):
@@ -93,16 +61,6 @@ class IngestError(_Located):
 
 
 class ConfigError(_Located):
-    """Base class for configuration errors."""
-
-
-class UnknownKey(ConfigError):
-    pass
-
-
-class MissingKey(ConfigError):
-    pass
-
-
-class ParseError(ConfigError):
-    pass
+    """A config file or command line that is malformed, names an unknown
+    key, lacks a required one, or names an output location that cannot
+    be written."""

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
+from .errors import InvalidStats
 from .likelihood import _row_fsum, _row_totals, total_hess_uv, total_loglik_uv, total_score_uv
 from .models import Theta
 
@@ -62,13 +62,13 @@ def _profile_sums(u, v, omega2):
     cap = v / d
     den, num = _row_totals((cap, u / d)).T
     if not den.all():
-        raise AllDegenerate("every subject has V = 0")
+        raise InvalidStats("every subject has V = 0")
     return d, cap, den, num
 
 
 def _ratio(num, den):
     # a tiny den can overflow mu to inf; fit_rows clamps it into the
-    # rectangle and raises NonFiniteObjective if the objective then
+    # rectangle and raises InvalidStats if the objective then
     # overflows, so the division need not warn
     with np.errstate(over="ignore"):
         return num / den
@@ -83,7 +83,7 @@ def _check_rows(u, v, space):
     on it.
     """
     if u.shape[1] == 0:
-        raise EmptyEnsemble("cannot fit zero subjects")
+        raise ValueError("cannot fit zero subjects")
     zero_v = v == 0.0
     mu_max = max(abs(space.mu_lo), abs(space.mu_hi))
     u_max = np.abs(u).max(axis=1)
@@ -95,11 +95,11 @@ def _check_rows(u, v, space):
         (~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)),
          InvalidStats("U and V must be finite")),
         ((v < 0.0).any(axis=1), InvalidStats("V must be >= 0")),
-        (zero_v.all(axis=1), AllDegenerate("every subject has V = 0")),
-        ((zero_v & (u != 0.0)).any(axis=1), NonFiniteObjective(
+        (zero_v.all(axis=1), InvalidStats("every subject has V = 0")),
+        ((zero_v & (u != 0.0)).any(axis=1), InvalidStats(
             "subject with V = 0 but U != 0 makes the objective infinite"
         )),
-        (~np.isfinite(products).all(axis=0), NonFiniteObjective(
+        (~np.isfinite(products).all(axis=0), InvalidStats(
             "the objective is not finite on the rectangle: U or V too large"
         )),
     )
@@ -139,13 +139,13 @@ def fit_mle(u, v, space):
     undecided, so its decisions are those of exactly rounded sums; every
     total that reaches the fit is an exactly rounded row sum.
 
-    Raises InvalidStats, before any work, when u and v are not 1-D
-    arrays of one shape, and when any U or V is not finite or any V < 0,
-    AllDegenerate when every V_i = 0 and NonFiniteObjective when any
-    subject carries the V = 0, U != 0 sentinel, U or V is so large that
-    a product the objective forms (2*mu*U, mu^2*V, omega2*V, omega2*U^2)
-    overflows somewhere on the rectangle, the exact row sum overflows, or
-    the objective at the fit is not finite.
+    Raises ValueError for zero subjects, and InvalidStats, before any
+    work, when u and v are not 1-D arrays of one shape, any U or V is not
+    finite, any V < 0, every V_i = 0, or any subject carries the V = 0,
+    U != 0 sentinel; then also when U or V is so large that a product the
+    objective forms (2*mu*U, mu^2*V, omega2*V, omega2*U^2) overflows
+    somewhere on the rectangle, the exact row sum overflows, or the
+    objective at the fit is not finite.
     """
     u, v = _arrays(u, v, 1)
     return fit_rows(u[None, :], v[None, :], space)[0]
@@ -160,7 +160,7 @@ def fit_rows(u, v, space):
     one shape raise InvalidStats before any work; the lowest row that
     fails fit_mle's input checks raises its error; past those checks, a
     row sum that overflows, or a row whose objective at its fit is not
-    finite, raises NonFiniteObjective.
+    finite, raises InvalidStats.
     """
     u, v = _arrays(u, v, 2)
     if u.shape[0] == 0:
@@ -179,9 +179,9 @@ def fit_rows(u, v, space):
         ]
     except OverflowError as err:
         # math.fsum's "intermediate overflow": finite terms, infinite total
-        raise NonFiniteObjective("the objective's row sum overflows: U or V too large") from err
+        raise InvalidStats("the objective's row sum overflows: U or V too large") from err
     if not all(math.isfinite(fit.loglik) for fit in fits):
-        raise NonFiniteObjective("the objective is not finite at the fit: U or V too large")
+        raise InvalidStats("the objective is not finite at the fit: U or V too large")
     return fits
 
 

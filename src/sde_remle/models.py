@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotFound
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -197,12 +195,13 @@ def builtin_model(name):
     """Look up a registered model by name.
 
     The built-ins are "unit" (b = 1, sigma = 1), "linear-drift" (b(x) = x,
-    sigma = 1) and "bounded-ratio" (b(x) = x, sigma(x) = sqrt(1 + x^2)).
+    sigma = 1) and "bounded-ratio" (b(x) = x, sigma(x) = sqrt(1 + x^2));
+    an unknown name raises ValueError.
     """
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise NotFound(f"no model named {name!r}") from None
+        raise ValueError(f"no model named {name!r}") from None
 
 
 register_model(ModelSpec("unit", _one, _one))

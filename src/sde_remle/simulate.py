@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDiffusion, SimulationDiverged
+from .errors import SimulationDiverged
 from .models import grid_steps
 from .rng import EFFECT_WORD, generator, rekey, row_keys
 from .stats import SIGMA2_FLOOR, floor_error
@@ -87,7 +87,7 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=Fal
     Without, normals is only read and the result is each row's (U, V),
     running totals from +0.0 that add each step's increments left to
     right, as suff_stats_rows adds a stored path's: equal bit for bit.
-    sigma <= 0 on a live row raises DegenerateDiffusion at that step, as
+    sigma <= 0 on a live row raises SimulationDiverged at that step, as
     does, for (U, V), sigma^2 < SIGMA2_FLOOR on a row finite up to its
     last step, after the loop; errors name the lowest failing row's
     subject and design point.
@@ -161,9 +161,9 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=Fal
 
 
 def _degenerate(what, step, x0, T, subject_index, failing):
-    """DegenerateDiffusion naming the lowest failing row's subject and (x, T)."""
+    """SimulationDiverged naming the lowest failing row's subject and (x, T)."""
     r = int(np.argmax(failing))
-    return DegenerateDiffusion(
+    return SimulationDiverged(
         f"{what} at design point (x, T) = ({float(x0[r])!r}, {float(T[r])!r})",
         step=step, subject_index=int(subject_index[r]),
     )
@@ -202,15 +202,16 @@ def simulate_ensemble(model, theta0, design):
     Subject i's increments start its path stream (design.seed, i) and its
     effect phi is effect_rows(theta0, design.seed, 1, design.n)[0, i], so
     each path equals row 0 of simulate_replicates on its own stream bit
-    for bit. Raises SimulationDiverged for the lowest diverging subject,
-    at its own step, and DegenerateDiffusion for the first chunk with a
-    row where sigma <= 0.
+    for bit. Raises SimulationDiverged for the first chunk with a row
+    where sigma <= 0, and otherwise for the lowest diverging subject, at
+    its own step.
     """
     segments = subject_segments(theta0, design.seed, design.subjects, 1)
     runs = replicate_uv(model, design.dt, segments, store=True)
     for i, (_, _, first_bad) in enumerate(runs):
         if first_bad[0] >= 0:
-            raise SimulationDiverged(int(first_bad[0]), subject_index=i)
+            step = int(first_bad[0])
+            raise SimulationDiverged(f"state became non-finite at step {step}", step, i)
     return [Path(times=times, values=values[0], subject_index=seg.subject)
             for seg, (times, values, _) in zip(segments, runs)]
 

@@ -15,7 +15,7 @@ Euler kernel's running totals, so storing a path does not change them.
 
 import numpy as np
 
-from .errors import DegenerateDiffusion
+from .errors import SimulationDiverged
 
 # hard floor on sigma^2; integrability of b^2/sigma^2 is an assumption of
 # the whole theory, so underflow is an error, never a clamp
@@ -24,7 +24,7 @@ SIGMA2_FLOOR = 1e-12
 
 def floor_error(model):
     """The error for sigma^2 below SIGMA2_FLOOR on a finite path."""
-    return DegenerateDiffusion(
+    return SimulationDiverged(
         f"sigma^2 below {SIGMA2_FLOOR:g} on the grid for model {model.name!r}"
     )
 
@@ -61,9 +61,17 @@ def stats_list(paths, model):
 
     The paths that share one time grid go through suff_stats_rows as one
     (rows, M+1) block; each row's sums equal those of the path alone, bit
-    for bit. V is a sum of squares, so the lowest path whose V is not
-    finite or is < 0 raises ValueError, as does one whose U is not finite.
+    for bit. The lowest path that bad_stats names raises ValueError with
+    its message.
     """
+    u, v = ensemble_stats(paths, model)
+    if bad := bad_stats(u, v):
+        raise ValueError(bad[1])
+    return u, v
+
+
+def ensemble_stats(paths, model):
+    """stats_list without its check: every (U, V) is returned as it is."""
     paths = list(paths)
     grids = {}
     for i, p in enumerate(paths):
@@ -72,9 +80,15 @@ def stats_list(paths, model):
     u, v = np.empty(len(paths)), np.empty(len(paths))
     for times, rows in grids.values():
         u[rows], v[rows] = suff_stats_rows(times, [paths[i].values for i in rows], model)
+    return u, v
+
+
+def bad_stats(u, v):
+    """(index, message) of the lowest entry whose V is not finite or is
+    < 0, V checked first, or whose U is not finite; None when every entry
+    passes. V is a sum of squares, so it is < 0 only on bad input."""
     bad_v = ~(np.isfinite(v) & (v >= 0))
     bad = bad_v | ~np.isfinite(u)
     if bad.any():
         r = int(np.argmax(bad))
-        raise ValueError("v must be finite and >= 0" if bad_v[r] else "u must be finite")
-    return u, v
+        return r, "v must be finite and >= 0" if bad_v[r] else "u must be finite"

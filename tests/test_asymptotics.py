@@ -20,18 +20,10 @@ from sde_remle import (
     run_noniid_experiment,
     run_normality_experiment,
     simulate_ensemble,
-    sqrt_2x2_spd,
 )
 from sde_remle import asymptotics
-from sde_remle.asymptotics import _replicate_fits
-from sde_remle.errors import (
-    AllDegenerate,
-    DegenerateDiffusion,
-    EmptyExperiment,
-    ExperimentFailed,
-    InvalidStats,
-    NonFiniteObjective,
-)
+from sde_remle.asymptotics import _replicate_fits, sqrt_2x2_spd
+from sde_remle.errors import ExperimentFailed, InvalidStats, SimulationDiverged
 from sde_remle.estimator import fit_mle
 from sde_remle.likelihood import ratio_terms
 from sde_remle.rng import derive_seed, float_label
@@ -346,7 +338,7 @@ def test_a_constant_designs_repeated_points_are_distinct_subjects(monkeypatch):
 
 def test_averaged_limits_without_design_points_is_empty(no_draws):
     theta = Theta(mu=1.0, omega2=0.5)
-    with pytest.raises(EmptyExperiment):
+    with pytest.raises(ValueError, match=r"^averaged_limits needs at least one design point$"):
         averaged_limits(UNIT, [], theta, theta, 0.1, 100, (0.0, 1.0), 100, 0, (1,))
 
 
@@ -378,7 +370,7 @@ def test_stacked_point_pass_errors_name_the_failing_design_point(sigma, message,
     model = _zone_model(f"zone-{step}", sigma)
     theta = Theta(mu=0.0, omega2=0.01)
     points = [(0.0, 1.0), (11.0, 1.5), (0.5, 2.0)]
-    with pytest.raises(DegenerateDiffusion, match=message) as exc:
+    with pytest.raises(SimulationDiverged, match=message) as exc:
         averaged_limits(model, points, theta, theta, 0.1, replicates=100,
                         limit_point=(0.0, 1.0), limit_replicates=100, seed=4,
                         schedule=(1, 2, 3))
@@ -578,7 +570,7 @@ def test_consistency_raises_a_late_level_degeneracy_before_any_fit(monkeypatch):
         return real(u, v, space)
 
     monkeypatch.setattr(asymptotics, "fit_rows", spy)
-    with pytest.raises(DegenerateDiffusion, match=r"sigma <= 0") as exc:
+    with pytest.raises(SimulationDiverged, match=r"sigma <= 0") as exc:
         _consistency(model=model, theta0=Theta(mu=0.0, omega2=0.01), design=family,
                      n_schedule=(1, 8), replicates=20, seed=3)
     assert exc.value.subject_index > 0
@@ -591,7 +583,7 @@ def test_consistency_refuses_boundary_truth():
 
 
 def test_consistency_zero_replicates():
-    with pytest.raises(EmptyExperiment):
+    with pytest.raises(ValueError, match=r"^replicates = 0$"):
         _consistency(n_schedule=(50,), replicates=0, seed=1)
 
 
@@ -625,7 +617,7 @@ def test_normality_experiment():
 
 
 def test_normality_zero_replicates():
-    with pytest.raises(EmptyExperiment):
+    with pytest.raises(ValueError, match=r"^replicates = 0$"):
         _normality(replicates=0)
 
 
@@ -715,17 +707,21 @@ def test_fit_rows_drop_non_finite_replicates():
                                  want.theta_hat.omega2 - THETA0.omega2]
 
 
-@pytest.mark.parametrize("breaks,error", [
+_ON_RECTANGLE = "the objective is not finite on the rectangle: U or V too large"
+
+
+@pytest.mark.parametrize("breaks,message", [
     # (row, kind) pairs; the lowest finite failing row decides the error
-    (((1, "all_zero"), (2, "negative")), AllDegenerate),
-    (((1, "sentinel"), (3, "negative")), NonFiniteObjective),
-    (((0, "nan"), (2, "negative"), (3, "all_zero")), InvalidStats),
-    (((2, "overflow"),), NonFiniteObjective),
-    (((1, "huge_v"), (3, "negative")), NonFiniteObjective),
-    (((1, "negative"), (2, "fsum_overflow")), InvalidStats),
-    (((0, "fsum_overflow"), (2, "nan")), NonFiniteObjective),
+    (((1, "all_zero"), (2, "negative")), "every subject has V = 0"),
+    (((1, "sentinel"), (3, "negative")),
+     "subject with V = 0 but U != 0 makes the objective infinite"),
+    (((0, "nan"), (2, "negative"), (3, "all_zero")), "V must be >= 0"),
+    (((2, "overflow"),), _ON_RECTANGLE),
+    (((1, "huge_v"), (3, "negative")), _ON_RECTANGLE),
+    (((1, "negative"), (2, "fsum_overflow")), "V must be >= 0"),
+    (((0, "fsum_overflow"), (2, "nan")), _ON_RECTANGLE),
 ])
-def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
+def test_fit_rows_raise_the_first_failing_replicates_error(breaks, message):
     rng = np.random.default_rng(12)
     v = rng.uniform(0.5, 2.0, size=(4, 6))
     u = rng.normal(v, np.sqrt(v))
@@ -744,7 +740,7 @@ def test_fit_rows_raise_the_first_failing_replicates_error(breaks, error):
             u[r, :4], v[r, :4] = [1e308, 1e308, -1e308, -1e308], 1.0
         else:
             u[r, 0] = np.nan
-    with pytest.raises(error):
+    with pytest.raises(InvalidStats, match=f"^{message}$"):
         _replicate_fits(u, v, THETA0, SPACE)
 
 
@@ -789,12 +785,12 @@ def test_entry_points_reject_a_coarse_step_before_drawing(no_draws, name):
     (_continuity, {"replicates": -1}, ValueError, r"^replicates must be >= 0, got -1$"),
     (_continuity, {"limit_replicates": -2}, ValueError,
      r"^limit_replicates must be >= 0, got -2$"),
-    (_continuity, {"replicates": 0}, EmptyExperiment, r"^replicates = 0$"),
+    (_continuity, {"replicates": 0}, ValueError, r"^replicates = 0$"),
     *[(_continuity, {key: count}, ValueError, r"^moment estimation needs R >= 3$")
       for key, count in (("limit_replicates", 0), ("limit_replicates", 1),
                          ("limit_replicates", 2), ("replicates", 1), ("replicates", 2))],
     (_noniid, {"replicates": -1}, ValueError, r"^replicates must be >= 0, got -1$"),
-    (_noniid, {"replicates": 0}, EmptyExperiment, r"^replicates = 0$"),
+    (_noniid, {"replicates": 0}, ValueError, r"^replicates = 0$"),
     *[(_noniid, {key: count}, ValueError, r"^divergence estimation needs R >= 100$")
       for key, count in (("replicates", 99), ("limit_replicates", 99), ("limit_replicates", -1))],
     *[(_noniid, {"n": n}, ValueError, rf"^n must be >= 1, got {n}$") for n in (0, -1)],

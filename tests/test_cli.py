@@ -7,7 +7,9 @@ import io_reference as reference
 import numpy as np
 import pytest
 
-from sde_remle import Design, ParamSpace, Theta, builtin_model, simulate_ensemble
+from sde_remle import (
+    Design, ModelSpec, ParamSpace, Path, Theta, builtin_model, simulate_ensemble,
+)
 from sde_remle.cli import _COMMANDS, main
 from sde_remle.estimator import fit_mle
 from sde_remle.io import read_paths_csv
@@ -859,3 +861,81 @@ def test_an_unknown_design_kind_is_a_validation_error(tmp_path, capsys, command)
     out = tmp_path / "out"
     assert main(_command_args(command) + ["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: design kind must be 'iid' or 'harmonic'\n"
+
+
+# b(x) = x at mu0 = 50 and dt = 1: the states grow by about 51 a step and
+# stay finite up to T = 180, but b^2 / sigma^2 overflows long before
+_OVERFLOW_CFG = """\
+model = linear-drift
+mu0 = 50.0
+omega2_0 = 0.5
+design = iid
+x0 = 1.0
+T = {T}
+n = 3
+dt = 1.0
+seed = 4
+"""
+_LIB_SPACE = ParamSpace(mu_lo=-3.0, mu_hi=3.0, omega2_lo=0.0, omega2_hi=4.0)
+_SIGNED = ModelSpec(name="signed", b=np.ones_like, sigma=lambda x: x)
+_THIN_PATH = Path(times=np.array([0.0, 1.0]), values=np.array([1e-7, 1.0]), subject_index=0)
+
+# one input per error role, and the one stderr line and exit code it
+# gives: a config (with {data}, a paths.csv whose line 4 goes back in
+# time), or a library call that the simulate runner makes in its stead
+_ERRORS = {
+    "unknown key": ("simulate", SIM_CFG + "burnin = 7\n",
+                    "line 10: unknown key 'burnin'", 1),
+    "missing key": ("simulate", "model = unit\nmu0 = 1.0\n",
+                    "line 3: missing required key 'omega2_0'", 1),
+    "bad value": ("simulate", SIM_CFG.replace("n = 12", "n = twelve"),
+                  "line 7: 'n' needs an integer, got 'twelve'", 1),
+    "unknown model": ("simulate", SIM_CFG.replace("model = unit", "model = bogus"),
+                      "no model named 'bogus'", 1),
+    "zero replicates": ("consistency", CONS_CFG.replace("replicates = 12", "replicates = 0"),
+                        "replicates = 0", 1),
+    "bad paths line": ("fit", f"model = unit\n{SPACE_CFG}data = {{data}}\n",
+                       "line 4: subject 0 time must increase (t=0.25 after t=0.5)", 1),
+    "diverged": ("simulate", _OVERFLOW_CFG.replace("{T}", "200"),
+                 "state became non-finite at step 181 (subject 0)", 2),
+    "no subjects": ("simulate", lambda: fit_mle([], [], _LIB_SPACE),
+                    "cannot fit zero subjects", 1),
+    "every V = 0": ("simulate", lambda: fit_mle([0.0, 0.0], [0.0, 0.0], _LIB_SPACE),
+                    "every subject has V = 0", 2),
+    "V = 0, U != 0": ("simulate", lambda: fit_mle([1.0, 1.0], [0.0, 1.0], _LIB_SPACE),
+                      "subject with V = 0 but U != 0 makes the objective infinite", 2),
+    "U not finite": ("simulate", lambda: fit_mle([np.nan], [1.0], _LIB_SPACE),
+                     "U and V must be finite", 2),
+    "sigma <= 0": ("simulate", lambda: simulate_ensemble(
+        _SIGNED, Theta(1.0, 0.5), Design(subjects=((1.0, 1.0), (-1.0, 1.0)), dt=0.1, seed=4)),
+        "sigma <= 0 at step 0 for model 'signed' at design point (x, T) = (-1.0, 1.0) "
+        "(subject 1)", 2),
+    "sigma^2 below floor": ("simulate", lambda: stats_list([_THIN_PATH], _SIGNED),
+                            "sigma^2 below 1e-12 on the grid for model 'signed'", 2),
+}
+
+
+@pytest.mark.parametrize("case", _ERRORS)
+def test_each_error_role_prints_its_line_and_exits_with_its_code(
+        tmp_path, capsys, monkeypatch, case):
+    command, source, line, code = _ERRORS[case]
+    if callable(source):
+        call, source = source, SIM_CFG
+        monkeypatch.setitem(_COMMANDS, command,
+                            (lambda cfg, seed, out_dir: call(), _COMMANDS[command][1]))
+    data = tmp_path / "paths.csv"
+    data.write_text("subject,k,t,x\n0,0,0.0,1.0\n0,1,0.5,1.1\n0,2,0.25,1.2\n")
+    cfg = _cfg(tmp_path, source.replace("{data}", str(data)))
+    rc = main(_command_args(command) + ["--config", cfg, "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (code, f"error: {line}\n")
+
+
+@pytest.mark.parametrize("T", [100, 150])
+def test_simulated_stats_that_overflow_are_a_runtime_error_naming_the_subject(
+        tmp_path, capsys, T):
+    # the states are finite, so it is the run that failed, not its input;
+    # fit on such a paths.csv is still a validation error
+    cfg = _cfg(tmp_path, _OVERFLOW_CFG.replace("{T}", str(T)))
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert (rc, capsys.readouterr().err) == (2, "error: v must be finite and >= 0 (subject 0)\n")
+    assert not (tmp_path / "out" / "paths.csv").exists()

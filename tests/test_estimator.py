@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sde_remle import ParamSpace, Theta, fit_mle
-from sde_remle.errors import AllDegenerate, EmptyEnsemble, InvalidStats, NonFiniteObjective
+from sde_remle.errors import InvalidStats
 from sde_remle import estimator, likelihood
 from sde_remle.estimator import _SCORE_TOL, fit_rows
 from oracles import audit_fit, profile_mu
@@ -55,7 +55,7 @@ def test_profile_mu_beats_grid():
 
 
 def test_profile_mu_all_degenerate():
-    with pytest.raises(AllDegenerate):
+    with pytest.raises(InvalidStats, match=r"^every subject has V = 0$"):
         profile_mu(1.0, *_stats([(0.0, 0.0), (0.0, 0.0)]))
 
 
@@ -201,11 +201,11 @@ def test_interior_fit_certificates():
 
 
 def test_fit_rejects_empty_and_degenerate():
-    with pytest.raises(EmptyEnsemble):
+    with pytest.raises(ValueError, match=r"^cannot fit zero subjects$"):
         fit_mle(np.array([]), np.array([]), SPACE)
-    with pytest.raises(AllDegenerate):
+    with pytest.raises(InvalidStats, match=r"^every subject has V = 0$"):
         fit_mle(*_stats([(0.0, 0.0)]), SPACE)
-    with pytest.raises(NonFiniteObjective):
+    with pytest.raises(InvalidStats, match=r"^subject with V = 0 but U != 0 makes the objective infinite$"):
         fit_mle(*_stats([(1.0, 0.0), (0.5, 1.0)]), SPACE)
 
 
@@ -226,13 +226,13 @@ def test_fit_rejects_invalid_raw_pairs(u, v):
 def test_overflowing_u_is_a_typed_error_not_a_nan_fit():
     # U is finite but U^2 overflows, so the objective is NaN or inf on the
     # whole rectangle; no fit with a non-finite loglik may come back
-    with pytest.raises(NonFiniteObjective):
+    with pytest.raises(InvalidStats, match=r"^the objective is not finite on the rectangle: U or V too large$"):
         fit_mle(np.array([1e200, 1.0]), np.array([1.0, 1.0]), SPACE)
     rng = np.random.default_rng(3)
     v = rng.uniform(0.5, 2.0, size=(40, 5))
     u = rng.normal(v, np.sqrt(v))
     u[33, 2] = -1e200
-    with pytest.raises(NonFiniteObjective):
+    with pytest.raises(InvalidStats, match=r"^the objective is not finite on the rectangle: U or V too large$"):
         fit_rows(u, v, SPACE)
     assert all(math.isfinite(f.loglik) for f in fit_rows(u[:33], v[:33], SPACE))
 
@@ -246,7 +246,7 @@ def test_overflowing_u_is_a_typed_error_not_a_nan_fit():
 def test_products_overflowing_on_the_rectangle_are_refused_up_front(u, v):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteObjective, match="not finite on the rectangle"):
+        with pytest.raises(InvalidStats, match="not finite on the rectangle"):
             fit_mle(np.array(u), np.array(v), SPACE)
 
 
@@ -255,7 +255,7 @@ def test_row_sum_overflow_raises_without_warnings():
     # typed error must come without a RuntimeWarning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteObjective, match="row sum overflows"):
+        with pytest.raises(InvalidStats, match="row sum overflows"):
             fit_mle(np.full(3, 6e153), np.full(3, 1e-300), SPACE)
 
 
@@ -265,11 +265,11 @@ def test_fit_rows_report_the_lowest_overflowing_row():
     u = rng.normal(v, np.sqrt(v))
     v[1, 2] = 1e308
     v[3, 0] = -1.0
-    with pytest.raises(NonFiniteObjective):
+    with pytest.raises(InvalidStats, match=r"^the objective is not finite on the rectangle: U or V too large$"):
         fit_rows(u, v, SPACE)
     # a lower row with V < 0 decides the error instead
     v[0, 1] = -1.0
-    with pytest.raises(InvalidStats):
+    with pytest.raises(InvalidStats, match=r"^V must be >= 0$"):
         fit_rows(u, v, SPACE)
 
 
@@ -641,9 +641,9 @@ def test_fit_rows_checks_rows_in_order():
     v[2, 0] = -1.0
     u[1] = 0.0
     v[1] = 0.0
-    with pytest.raises(AllDegenerate):
+    with pytest.raises(InvalidStats, match=r"^every subject has V = 0$"):
         fit_rows(u, v, SPACE)
-    with pytest.raises(InvalidStats):
+    with pytest.raises(InvalidStats, match=r"^V must be >= 0$"):
         fit_rows(u[[2, 1]], v[[2, 1]], SPACE)
-    with pytest.raises(EmptyEnsemble):
+    with pytest.raises(ValueError, match=r"^cannot fit zero subjects$"):
         fit_rows(np.empty((2, 0)), np.empty((2, 0)), SPACE)

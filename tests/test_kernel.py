@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sde_remle import Design, DesignFamily, Theta, builtin_model, time_grid
 from sde_remle.asymptotics import _draw
-from sde_remle.errors import DegenerateDiffusion
+from sde_remle.errors import SimulationDiverged
 from sde_remle.models import ModelSpec, register_model
 from sde_remle.rng import generator
 from sde_remle import simulate
@@ -311,7 +311,7 @@ def _own_degenerate_step(model, theta0, n, T, dt, seed, R, i):
     phis = effect_rows(theta0, seed, R, n)[:, i]
     try:
         simulate_replicates(model, phis, 4.6, T, dt, seed, i)
-    except DegenerateDiffusion as err:
+    except SimulationDiverged as err:
         return err.step
     return math.inf
 
@@ -326,13 +326,15 @@ def test_stacked_iid_block_names_the_subject_that_fails_first():
     first = min(steps)
     expected = steps.index(first)
     assert expected > 0 and steps[0] > first
-    with pytest.raises(DegenerateDiffusion) as exc:
+    with pytest.raises(SimulationDiverged,
+                       match=rf"^sigma <= 0 at step {first} for model 'kernel-cliff' at design "
+                             rf"point \(x, T\) = \(4\.6, 1\.0\) \(subject {expected}\)$") as exc:
         _draw(CLIFF, theta0, dt, [(seed, ((4.6, 1.0),) * n, R)], 1, "ensemble")
     assert (exc.value.subject_index, exc.value.step) == (expected, first)
 
 
 def test_sigma_below_the_floor_raises_through_point_uv():
-    with pytest.raises(DegenerateDiffusion, match=r"sigma\^2 below 1e-12") as exc:
+    with pytest.raises(SimulationDiverged, match=r"sigma\^2 below 1e-12") as exc:
         _draw(FAINT, THETA, 0.1, [(3, [(0.0, 1.0)], 10)], 3, "moment")
     assert exc.value.step is None
 

@@ -8,7 +8,6 @@ from sde_remle import (
     Design,
     DesignFamily,
     ModelSpec,
-    NotFound,
     ParamSpace,
     Theta,
     builtin_model,
@@ -36,7 +35,7 @@ def test_builtin_bounded_ratio_bound():
 
 
 def test_unknown_model_not_found():
-    with pytest.raises(NotFound):
+    with pytest.raises(ValueError, match=r"^no model named 'ornstein'$"):
         builtin_model("ornstein")
 
 

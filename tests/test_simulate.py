@@ -13,7 +13,6 @@ from sde_remle import (
     simulate_ensemble,
     time_grid,
 )
-from sde_remle.errors import DegenerateDiffusion
 from sde_remle.models import MAX_STEPS, ModelSpec, register_model
 from sde_remle.rng import EFFECT_WORD, generator
 from sde_remle.simulate import (
@@ -138,7 +137,9 @@ def test_degenerate_sigma_raises():
     # zero increments reduce the recursion to x -> x + dt, which walks
     # -0.5 -> -0.25 -> 0.0 where sigma vanishes
     model = ModelSpec(name="vanishing", b=lambda x: np.ones_like(x), sigma=lambda x: -x)
-    with pytest.raises(DegenerateDiffusion):
+    with pytest.raises(SimulationDiverged,
+                       match=r"^sigma <= 0 at step 2 for model 'vanishing' at design point "
+                             r"\(x, T\) = \(-0\.5, 1\.0\) \(subject 0\)$"):
         _zero_noise_path(model, 1.0, -0.5, 1.0, 0.25)
 
 
@@ -215,7 +216,9 @@ def test_ensemble_degenerate_diffusion_names_the_lowest_failing_subject():
     # the lowest failing row of that block is subject 1, not row 0
     subjects = ((0.0, 1.0), (6.0, 1.0), (0.0, 1.0), (6.0, 1.0))
     design = Design(subjects=subjects, dt=0.1, seed=3)
-    with pytest.raises(DegenerateDiffusion) as exc:
+    with pytest.raises(SimulationDiverged,
+                       match=r"^sigma <= 0 at step 0 for model 'cliff' at design point "
+                             r"\(x, T\) = \(6\.0, 1\.0\) \(subject 1\)$") as exc:
         simulate_ensemble(CLIFF, Theta(mu=0.5, omega2=0.1), design)
     assert exc.value.subject_index == 1
     assert exc.value.step == 0
@@ -227,7 +230,7 @@ def _own_degenerate_step(model, theta0, subjects, dt, seed, i):
     x0, T = subjects[i]
     try:
         simulate_replicates(model, [phi], x0, T, dt, seed, i)
-    except DegenerateDiffusion as err:
+    except SimulationDiverged as err:
         return err.step
     return math.inf
 
@@ -243,20 +246,24 @@ def test_ensemble_degenerate_diffusion_is_the_lowest_row_to_fail_first():
     first = min(steps)
     expected = steps.index(first)
     assert expected > 0
-    with pytest.raises(DegenerateDiffusion) as exc:
+    with pytest.raises(SimulationDiverged,
+                       match=rf"^sigma <= 0 at step {first} for model 'cliff' at design point "
+                             rf"\(x, T\) = \(4\.6, 1\.0\) \(subject {expected}\)$") as exc:
         simulate_ensemble(CLIFF, theta0, design)
     assert (exc.value.subject_index, exc.value.step) == (expected, first)
 
 
 def test_replicates_degenerate_diffusion_carries_subject_index():
-    with pytest.raises(DegenerateDiffusion) as exc:
+    with pytest.raises(SimulationDiverged,
+                       match=r"^sigma <= 0 at step 0 for model 'cliff' at design point "
+                             r"\(x, T\) = \(6\.0, 1\.0\) \(subject 7\)$") as exc:
         simulate_replicates(CLIFF, [0.5, 0.5], 6.0, 1.0, 0.1, 3, 7)
     assert exc.value.subject_index == 7
     assert exc.value.step == 0
 
 
 def test_degenerate_diffusion_without_subject():
-    err = DegenerateDiffusion("sigma <= 0", step=2)
+    err = SimulationDiverged("sigma <= 0", step=2)
     assert err.subject_index is None and str(err) == "sigma <= 0"
 
 

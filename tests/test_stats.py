@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sde_remle import Design, Theta, builtin_model, simulate_ensemble, stats_list
-from sde_remle.errors import DegenerateDiffusion
+from sde_remle.errors import SimulationDiverged
 from sde_remle.models import ModelSpec
 from sde_remle.rng import generator
 from sde_remle.simulate import Path, effect_rows, simulate_replicates, time_grid
@@ -177,7 +177,8 @@ def test_v_refinement_error_window():
 def test_sigma_floor_is_an_error():
     model = ModelSpec(name="thin", b=lambda x: np.ones_like(x), sigma=lambda x: x)
     p = _path([0.0, 1.0], [1e-7, 1.0])
-    with pytest.raises(DegenerateDiffusion) as exc:
+    with pytest.raises(SimulationDiverged,
+                       match=r"^sigma\^2 below 1e-12 on the grid for model 'thin'$") as exc:
         stats_list([p], model)
     assert f"{SIGMA2_FLOOR:g}" in str(exc.value)
 
