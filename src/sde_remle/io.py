@@ -12,9 +12,10 @@ record, a mapping, with the _cell of its value under each column.
 
 Tables stream both ways. write_table writes rows as its caller yields
 them, and read_paths_csv parses blocks of whole lines, so neither holds a
-whole file of Python strings. Each block is checked a column at a time,
-which only tells whether it is good; a refused block is walked line by
-line to raise the IngestError of its first bad line.
+whole file of Python strings. A block is parsed by numpy's C tokenizer,
+or line by line with int and float where numpy refuses it, and checked a
+column at a time, which only tells whether it is good; a refused block is
+walked line by line to raise the IngestError of its first bad line.
 
 Every input file (paths.csv, the CLI's config) is read by open_text:
 '\n', '\r\n' and '\r' each end a line and come out as '\n', one leading
@@ -54,10 +55,11 @@ _LIMIT_COLUMNS = tuple(f"{e}{s}" for e in _ESTIMATES for s in ("", "_se"))
 _CONTINUITY_COLUMNS = ("m", "x", "T", "k", "estimate", "se",
                        "limit_estimate", "limit_se", "gap", "gap_se")
 # characters of whole lines read_paths_csv parses at a time (a readlines
-# hint); its working set is a few dozen times this (the lines, tokens and
-# parsed values of one block), whatever the size of the file
+# hint); its working set is a few dozen times this (the lines and parsed
+# columns of one block), whatever the size of the file
 _BLOCK_CHARS = 1 << 16
 _ESCAPED = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte, surrogateescaped
+_NUMPY_SPACES = "\x1c\x1d\x1e\x1f"  # numpy strips these around a cell; int and float refuse
 # rows write_table joins into one write
 _WRITE_ROWS = 4096
 
@@ -86,13 +88,18 @@ def write_table(path, header, rows):
 
 
 def _path_rows(paths):
-    k_text = []
+    # repr of a float from tolist() is _cell's text for it, nan included; the paths after
+    # the first of a run on one grid, bit for bit (-0.0 == 0.0), share one k,t text per point
+    k_text, grid, kt = [], None, None
     for p in paths:
-        # repr of a float from tolist() is _cell's text for it, nan included
-        times, values = p.times.tolist(), p.values.tolist()
+        key, times = (p.times.dtype, p.times.tobytes()), p.times.tolist()
         k_text.extend(map(str, range(len(k_text), len(times))))
-        yield from zip(repeat(str(p.subject_index)), k_text,
-                       map(repr, times), map(repr, values))
+        if key != grid:
+            grid, kt = key, None
+        elif kt is None:
+            kt = list(map(",".join, zip(k_text, map(repr, times))))
+        cells = (k_text, map(repr, times)) if kt is None else (kt,)
+        yield from zip(repeat(str(p.subject_index)), *cells, map(repr, p.values.tolist()))
 
 
 def write_paths_csv(paths, out_path):
@@ -164,32 +171,29 @@ def not_utf8(text):
     return m and (m.start(), f"byte 0x{ord(m.group()) - 0xdc00:02x} is not UTF-8")
 
 
-def _ints(values):
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:  # ids past int64 stay exact Python ints
-        return np.array(values, dtype=object)
-
-
 def _check_block(lines, first, seen):
     """Parse and check a block of data lines, whose first line is line
     number first, and add its rows to seen.
 
     seen maps each subject to [its point count, its t chunks, its x
-    chunks]. The checks run on whole columns; a block that fails one is
-    refused with the IngestError of its first bad line, from _bad_line.
+    chunks]. numpy's C tokenizer parses the block, or _per_line where
+    numpy refuses it or may differ from int and float: it reads some
+    non-ASCII letters as digits and strips _NUMPY_SPACES. The checks run
+    on whole columns; a block that fails one is refused with the
+    IngestError of its first bad line, from _per_line.
     """
-    try:
-        rows = list(filter(None, "".join(lines).split("\n")))
-        # a blank line carries no row; every other has 4 fields
-        if not all(row.count(",") == 3 for row in rows):
-            raise ValueError
-        tokens = ",".join(rows).split(",") if rows else []
-        n = len(rows)
-        s, k = _ints(list(map(int, tokens[0::4] + tokens[1::4]))).reshape(2, n)
-        t, x = tx = np.array(list(map(float, tokens[2::4] + tokens[3::4]))).reshape(2, n)
-    except ValueError:  # no int or float parses a byte that was not UTF-8
-        raise _bad_line(lines, first, seen) from None
+    n = len(lines) - lines.count("\n")  # a blank line carries no row
+    if not n:
+        return
+    text, columns = "".join(lines), None
+    if text.isascii() and not any(c in text for c in _NUMPY_SPACES):
+        try:
+            rows = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                              dtype="i8,i8,f8,f8", ndmin=1)
+            columns = [rows[f] for f in rows.dtype.names] if len(rows) == n else None
+        except ValueError:
+            pass
+    s, k, t, x = columns or _per_line(lines, first, seen)
     # each subject's rows in file order, and where its run starts
     order = np.argsort(s, kind="stable")
     s_run, t_run, x_run = s[order], t[order], x[order]
@@ -207,10 +211,11 @@ def _check_block(lines, first, seen):
     prev = np.empty(n)
     prev[1:] = t_run[:-1]
     prev[head] = [c[1][-1][-1] if c else math.nan for c in known]
-    if not ((s >= 0).all() and np.isfinite(tx).all()
+    if not ((s >= 0).all() and np.isfinite(t).all() and np.isfinite(x).all()
             and (k[order] == expect).all()
             and np.where(expect == 0, t_run == 0.0, t_run > prev).all()):
-        raise _bad_line(lines, first, seen)
+        _per_line(lines, first, seen)
+        raise AssertionError(f"the block at line {first} was refused with no bad line")
     for i, c, h, m in zip(ids, known, head.tolist(), size.tolist()):
         if c is None:
             seen[i] = c = [0, [], []]
@@ -223,40 +228,43 @@ _CELLS = (("subject", int, "an integer"), ("k", int, "an integer"),
           ("t", float, "a number"), ("x", float, "a number"))
 
 
-def _bad_line(lines, first, seen):
-    """The IngestError of the first bad line of a block that _check_block
-    refused: its lines are checked in order from the state in seen, each
-    as a line-by-line reader checks it."""
+def _per_line(lines, first, seen):
+    """The (subject, k, t, x) columns of a block whose lines int and float
+    parse in order from the state in seen, as a line-by-line reader does;
+    subjects stay exact Python ints. Raises its first bad line's IngestError."""
     state = {i: (c[0], float(c[1][-1][-1])) for i, c in seen.items()}
+    rows = []
     for line, text in enumerate(lines, first):
         if bad := not_utf8(text):
-            return IngestError(bad[1], line=line)
+            raise IngestError(bad[1], line=line)
         cells = text.removesuffix("\n").split(",")
         if cells == [""]:
             continue  # a blank line carries no row
         if len(cells) != 4:
-            return IngestError(f"expected 4 fields, got {len(cells)}", line=line)
+            raise IngestError(f"expected 4 fields, got {len(cells)}", line=line)
         values = []
         for cell, (what, conv, kind) in zip(cells, _CELLS):
             try:
                 values.append(conv(cell))
             except ValueError:
-                return IngestError(f"{what} is not {kind}: {cell!r}", line=line)
+                raise IngestError(f"{what} is not {kind}: {cell!r}", line=line) from None
             if what == "subject" and values[0] < 0:
-                return IngestError("subject must be >= 0", line=line)
+                raise IngestError("subject must be >= 0", line=line)
             if conv is float and not math.isfinite(values[-1]):
-                return IngestError(f"{what} is not finite", line=line)
+                raise IngestError(f"{what} is not finite", line=line)
         subject, k, t, _ = values
         count, last = state.get(subject, (0, None))
         if k != count:
-            return IngestError(f"subject {subject} expected k={count}, got {k}", line=line)
+            raise IngestError(f"subject {subject} expected k={count}, got {k}", line=line)
         if count == 0 and t != 0.0:
-            return IngestError(f"subject {subject} must start at t=0", line=line)
+            raise IngestError(f"subject {subject} must start at t=0", line=line)
         if count and not t > last:
-            return IngestError(f"subject {subject} time must increase "
-                               f"(t={t!r} after t={last!r})", line=line)
+            raise IngestError(f"subject {subject} time must increase "
+                              f"(t={t!r} after t={last!r})", line=line)
         state[subject] = (count + 1, t)
-    raise AssertionError(f"the block at line {first} was refused with no bad line")
+        rows.append(values)
+    s, k, t, x = zip(*rows)
+    return np.array(s, dtype=object), np.array(k), np.array(t), np.array(x)
 
 
 def read_paths_csv(in_path):

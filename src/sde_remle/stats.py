@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SimulationDiverged
 
+_BLOCK_TERMS = 1 << 14  # terms per row block, as in estimator: 128 KB temporaries
 # hard floor on sigma^2; integrability of b^2/sigma^2 is an assumption of
 # the whole theory, so underflow is an error, never a clamp
 SIGMA2_FLOOR = 1e-12
@@ -59,10 +60,10 @@ def suff_stats_rows(times, values, model):
 def stats_list(paths, model):
     """U and V of every path of an ensemble, as two float arrays in order.
 
-    The paths that share one time grid go through suff_stats_rows as one
-    (rows, M+1) block; each row's sums equal those of the path alone, bit
-    for bit. The lowest path that bad_stats names raises ValueError with
-    its message.
+    The paths that share one time grid go through suff_stats_rows in
+    (rows, M+1) blocks of about _BLOCK_TERMS terms; each row's sums equal
+    those of the path alone, bit for bit. The lowest path that bad_stats
+    names raises ValueError with its message.
     """
     u, v = ensemble_stats(paths, model)
     if bad := bad_stats(u, v):
@@ -79,7 +80,10 @@ def ensemble_stats(paths, model):
         grids.setdefault(times.tobytes(), (times, []))[1].append(i)
     u, v = np.empty(len(paths)), np.empty(len(paths))
     for times, rows in grids.values():
-        u[rows], v[rows] = suff_stats_rows(times, [paths[i].values for i in rows], model)
+        step = max(1, _BLOCK_TERMS // len(times))
+        for block in (rows[j:j + step] for j in range(0, len(rows), step)):
+            u[block], v[block] = suff_stats_rows(times, [paths[i].values for i in block],
+                                                 model)
     return u, v
 
 

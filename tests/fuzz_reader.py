@@ -2,13 +2,14 @@
 
 Generates paths.csv files with test_io's strategy (interleaved subjects,
 ids past int64, blank lines, any line ending, an optional byte order
-mark, up to two of the faults in test_io._FAULTS, a byte that is not
-UTF-8 among them), reads each with the per-line reader in
-tests/io_reference.py and with read_paths_csv at every block size in
-BLOCK_SIZES, and reports every file on which the two differ: in the
-paths read, or in the line or message of the IngestError raised. pytest
-does not collect this file; test_io runs the same comparison on a few
-hundred files.
+mark, up to three of the valid cell spellings in test_io._SPELLINGS, on
+which numpy's tokenizer and int or float may disagree, and up to two of
+the faults in test_io._FAULTS, a byte that is not UTF-8 among them),
+reads each with the per-line reader in tests/io_reference.py and with
+read_paths_csv at every block size in BLOCK_SIZES, and reports every
+file on which the two differ: in the paths read, or in the line or
+message of the IngestError raised. pytest does not collect this file;
+test_io runs the same comparison on a few hundred files.
 
     python tests/fuzz_reader.py [--examples N] [--seed S]
 

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -215,15 +217,27 @@ _FLOATS = st.one_of(
 def _paths(draw):
     out = []
     for _ in range(draw(st.integers(0, 4))):
-        n = draw(st.integers(2, 9))
-        rest = st.lists(_FLOATS, min_size=n - 1, max_size=n - 1)
-        # a Path's grid strictly increases from 0
-        times = [draw(st.sampled_from([0.0, -0.0]))] + sorted(draw(st.lists(
-            _FLOATS.filter(lambda x: x > 0), min_size=n - 1, max_size=n - 1, unique=True)))
+        reuse = draw(st.sampled_from(["no", "same", "copy", "signed zero", "last ulp"]))
+        if out and reuse != "no":
+            # an earlier path's grid, the array itself or a copy, which may
+            # start at the other signed zero or end one ulp later
+            times = draw(st.sampled_from(out)).times
+            if reuse != "same":
+                times = times.copy()
+            if reuse == "signed zero":
+                times[0] = -times[0]
+            elif reuse == "last ulp":
+                times[-1] = math.nextafter(times[-1], math.inf)
+        else:
+            n = draw(st.integers(2, 9))
+            # a Path's grid strictly increases from 0
+            times = np.array([draw(st.sampled_from([0.0, -0.0]))] + sorted(draw(st.lists(
+                _FLOATS.filter(lambda x: x > 0), min_size=n - 1, max_size=n - 1, unique=True))))
+        rest = st.lists(_FLOATS, min_size=len(times) - 1, max_size=len(times) - 1)
         values = [draw(_FLOATS.filter(lambda x: x == x))] + draw(rest)
         sid = draw(st.integers(0, 2**63 - 1))
         out.append(Path(
-            times=np.array(times), values=np.array(values),
+            times=times, values=np.array(values),
             subject_index=np.int64(sid) if draw(st.booleans()) else sid,
         ))
     return out
@@ -276,15 +290,37 @@ _FAULTS = {
     # one byte 0x80-0xff, set by t's text, into t: alone it is never UTF-8
     "utf8": lambda r: [r[0], r[1], r[2][:1] + chr(0xdc80 + sum(map(ord, r[2])) % 128)
                        + r[2][1:]] + r[3:],
+    # str.isspace counts U+001C, and numpy strips it, but int and float refuse it
+    "t-separator": lambda r: r[:2] + ["\x1c" + r[2]] + r[3:],
+    # a letter that numpy's int parser reads as a digit of value 462
+    "subject-letter": lambda r: [r[0] + "\u01fe"] + r[1:],
+}
+
+# valid spellings of a cell, for the columns (0 subject, 1 k, 2 t, 3 x)
+# they suit; int and float read each as the cell it rewrites, though
+# numpy's tokenizer refuses some of them
+_SPELLINGS = {
+    "underscore": ((0, 1, 2, 3), lambda c: re.sub("([0-9])([0-9])", r"\1_\2", c, count=1)),
+    "plus": ((0, 1, 2, 3), lambda c: c if c.startswith("-") else "+" + c),
+    "tab": ((0, 1, 2, 3), lambda c: "\t" + c + "\t"),
+    "vertical tab": ((0, 1, 2, 3), lambda c: "\x0b" + c),
+    "form feed": ((0, 1, 2, 3), lambda c: c + "\x0c"),
+    "em space": ((0, 1, 2, 3), lambda c: "\u2003" + c + "\u2003"),
+    "arabic-indic digit": ((0, 1, 2, 3), lambda c: re.sub(
+        "[0-9]", lambda m: chr(0x660 + int(m.group())), c, count=1)),
+    "minus zero": ((0, 1, 2, 3), lambda c: "-" + c if c in ("0", "0.0") else c),
+    "exponent": ((2,), lambda c: c + "E+0"),
+    "1E-3": ((3,), lambda c: "1E-3"),
 }
 
 
 @st.composite
 def _path_files(draw):
-    """A paths.csv text: interleaved subjects, optional faults, blank
-    lines, any of the three line endings and an optional leading byte
-    order mark. A byte that is not UTF-8 is its surrogateescape code
-    point, so write the text encoded with errors="surrogateescape"."""
+    """A paths.csv text: interleaved subjects, valid respellings of some
+    cells, optional faults, blank lines, any of the three line endings
+    and an optional leading byte order mark. A byte that is not UTF-8 is
+    its surrogateescape code point, so write the text encoded with
+    errors="surrogateescape"."""
     queues = []
     ids = st.one_of(st.integers(0, 40), st.sampled_from([2**63, 2**70]))  # past int64 too
     for sid in draw(st.lists(ids, min_size=1, max_size=4, unique=True)):
@@ -298,6 +334,10 @@ def _path_files(draw):
         q = queues[draw(st.integers(0, len(queues) - 1))]
         rows.append(q.pop(0))
         queues = [q for q in queues if q]
+    for kind in draw(st.lists(st.sampled_from(sorted(_SPELLINGS)), max_size=3)):
+        columns, spell = _SPELLINGS[kind]
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(columns))
+        rows[i][j] = spell(rows[i][j])
     for kind in draw(st.lists(st.sampled_from(sorted(_FAULTS)), max_size=2)):
         i = draw(st.integers(0, len(rows) - 1))
         rows[i] = _FAULTS[kind](rows[i])
@@ -334,23 +374,29 @@ def test_each_fault_on_either_side_of_a_block_boundary(tmp_path, kind):
 
 
 @pytest.mark.slow
-def test_valid_files_never_reach_the_per_line_explainer(tmp_path):
-    # _check_block's column checks accept every valid block themselves;
-    # _bad_line runs only on a block they refused
+def test_a_valid_int64_file_never_reaches_the_per_line_reader(tmp_path):
+    # numpy's tokenizer and _check_block's column checks accept every
+    # block of a file that simulate writes; _per_line runs on none
     design = Design(subjects=((1.0, 2.0),) * 600, dt=0.01, seed=3)
     big = tmp_path / "big.csv"
     write_paths_csv(simulate_ensemble(UNIT, Theta(mu=0.8, omega2=0.4), design), big)
+    spy = mock.patch.object(sde_io, "_per_line", wraps=sde_io._per_line)
+    for block_chars in (1, 17, 1 << 16):
+        with spy as per_line:
+            assert _assert_reads_like_reference(big, block_chars)[0] == "paths"
+        assert per_line.call_count == 0, block_chars
+
+
+def test_a_valid_file_with_ids_past_int64_reads_like_the_reference(tmp_path):
+    # blank lines, both line ends and an id past int64, which only the
+    # per-line reader parses
     rows = ["subject,k,t,x", "", "7,0,0.0,1.5", f"{2**70},0,-0.0,2.5", "", "",
             "7,1,0.25,-1.0", f"{2**70},1,1e-300,0.0", "0,0,0.0,3.0", "7,2,0.5,4.0",
             "0,1,2.0,-0.0", ""]
     mixed = tmp_path / "mixed.csv"
     mixed.write_bytes("".join(r + ("\r\n", "\r")[i % 2] for i, r in enumerate(rows)).encode())
-    spy = mock.patch.object(sde_io, "_bad_line", wraps=sde_io._bad_line)
-    for f in (big, mixed):
-        for block_chars in (1, 17, 1 << 16):
-            with spy as bad_line:
-                assert _assert_reads_like_reference(f, block_chars)[0] == "paths"
-            assert bad_line.call_count == 0, (f.name, block_chars)
+    for block_chars in (1, 17, 1 << 16):
+        assert _assert_reads_like_reference(mixed, block_chars)[0] == "paths"
 
 
 def test_a_line_far_longer_than_a_block_reads_in_linear_time(tmp_path):

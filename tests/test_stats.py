@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from sde_remle.errors import SimulationDiverged
 from sde_remle.models import ModelSpec
 from sde_remle.rng import generator
 from sde_remle.simulate import Path, effect_rows, simulate_replicates, time_grid
-from sde_remle.stats import SIGMA2_FLOOR, suff_stats_rows
+from sde_remle.stats import SIGMA2_FLOOR, ensemble_stats, suff_stats_rows
 from oracles import decompose
 
 UNIT = builtin_model("unit")
@@ -85,6 +86,26 @@ def test_stats_list_stacks_shared_grids_bit_for_bit(model):
     alone = [_uv(p, model) for p in paths]
     assert [(a.hex(), b.hex()) for a, b in zip(u.tolist(), v.tolist())] == \
         [(a.hex(), b.hex()) for a, b in alone]
+
+
+def test_ensemble_stats_in_row_blocks_on_a_600_by_201_ensemble():
+    # 0.92 MiB of states; as one (600, 201) block their temporaries
+    # peaked at 6.5 MiB
+    design = Design(subjects=((1.0, 2.0),) * 600, dt=0.01, seed=3)
+    paths = simulate_ensemble(UNIT, Theta(mu=0.8, omega2=0.4), design)
+    tracemalloc.start()
+    try:
+        ensemble_stats(paths, UNIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    # each row's left-to-right sums ignore the other rows of its block
+    values = np.array([p.values for p in paths])
+    for model in (UNIT, LINEAR, BOUNDED):
+        u, v = ensemble_stats(paths, model)
+        one_u, one_v = suff_stats_rows(paths[0].times, values, model)
+        assert u.tobytes() == one_u.tobytes() and v.tobytes() == one_v.tobytes()
 
 
 def test_stats_list_preserves_order():

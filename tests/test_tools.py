@@ -24,9 +24,10 @@ def _run(cwd, script, *args):
     (("bench_fit.py", "--repeats", "2"), r"120x800"),
     (("bench_kernel.py", "--repeats", "2", "--rows", "4"),
      r"median: pass .* s, peak .* MiB, reduce \d+\.\d\d ms$"),
+    (("bench_io.py", "--repeats", "2"), r"harmonic +read .* peak +\d+\.\d\d$"),
     (("fuzz_reader.py", "--examples", "20"), r"20 files,"),
     (("seed_sweep.py", "05", "1", "2"), r"05 \{\}: 1 of 1 seeds pass"),
-], ids=["bench_fit", "bench_kernel", "fuzz_reader", "seed_sweep"])
+], ids=["bench_fit", "bench_kernel", "bench_io", "fuzz_reader", "seed_sweep"])
 def test_uncollected_script_runs_at_its_smallest_size(tmp_path, args, last):
     # last matches the start of the script's last line
     done = _run(tmp_path, *args)
