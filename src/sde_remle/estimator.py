@@ -22,12 +22,10 @@ import numpy as np
 from .errors import InvalidStats
 from .likelihood import _row_fsum, _row_totals, total_hess_uv, total_loglik_uv, total_score_uv
 from .models import Theta
+from .stats import _BLOCK_TERMS
 
 _FLAT_TOL = 1e-12
 _SCAN_POINTS = 33
-# terms per row block of fit_rows: each (rows, n) temporary stays at
-# 128 KB, inside the cache, whatever the batch size
-_BLOCK_TERMS = 1 << 14
 # Newton stops when |g'| is within _SCORE_TOL or its bracket is at most
 # _BRACKET_ULPS ulps wide; the cap leaves room for a run of bisections
 # from a scan cell down to a few ulps

@@ -92,13 +92,13 @@ def _path_rows(paths):
     # the first of a run on one grid, bit for bit (-0.0 == 0.0), share one k,t text per point
     k_text, grid, kt = [], None, None
     for p in paths:
-        key, times = (p.times.dtype, p.times.tobytes()), p.times.tolist()
-        k_text.extend(map(str, range(len(k_text), len(times))))
+        key = (p.times.dtype, p.times.tobytes())
+        k_text.extend(map(str, range(len(k_text), len(p.times))))
         if key != grid:
             grid, kt = key, None
         elif kt is None:
-            kt = list(map(",".join, zip(k_text, map(repr, times))))
-        cells = (k_text, map(repr, times)) if kt is None else (kt,)
+            kt = list(map(",".join, zip(k_text, map(repr, p.times.tolist()))))
+        cells = (k_text, map(repr, p.times.tolist())) if kt is None else (kt,)
         yield from zip(repeat(str(p.subject_index)), *cells, map(repr, p.values.tolist()))
 
 

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import SimulationDiverged
 
-_BLOCK_TERMS = 1 << 14  # terms per row block, as in estimator: 128 KB temporaries
+# terms per row block of ensemble_stats and estimator.fit_rows: each (rows,
+# M) temporary stays at 128 KB, inside the cache, whatever the batch size
+_BLOCK_TERMS = 1 << 14
 # hard floor on sigma^2; integrability of b^2/sigma^2 is an assumption of
 # the whole theory, so underflow is an error, never a clamp
 SIGMA2_FLOOR = 1e-12
