@@ -37,7 +37,6 @@ from .models import (
     ParamSpace,
     Theta,
     builtin_model,
-    register_model,
 )
 from .simulate import Path, simulate_ensemble, time_grid
 from .stats import stats_list
@@ -67,7 +66,6 @@ __all__ = [
     "fit_mle",
     "kl_mc",
     "read_paths_csv",
-    "register_model",
     "run_consistency_experiment",
     "run_moment_continuity_probe",
     "run_noniid_experiment",

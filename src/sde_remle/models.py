@@ -4,11 +4,12 @@ The observation model for subject i is
 
     dX_i(t) = phi_i * b(X_i(t)) dt + sigma(X_i(t)) dW_i(t),   X_i(0) = x_i,
 
-with phi_i drawn iid N(mu, omega2). A ModelSpec names the (b, sigma) pair;
+with phi_i drawn iid N(mu, omega2). A ModelSpec names the (b, sigma) pair
+and is passed as a value; builtin_model names the three built-ins.
 Theta and ParamSpace describe the random-effect law and the compact
 rectangle it is estimated over; DesignFamily lays subjects out and Design,
-the one place the step rule dt <= min(T) / 10 is checked, lists the
-subjects of one ensemble.
+the one place the horizon rule T > 0 and the step rule dt <= min(T) / 10
+are checked, lists the subjects of one ensemble.
 """
 
 import math
@@ -50,7 +51,9 @@ class Theta:
 
 @dataclass(frozen=True)
 class ParamSpace:
-    """Closed rectangle [mu_lo, mu_hi] x [omega2_lo, omega2_hi]."""
+    """Closed rectangle [mu_lo, mu_hi] x [omega2_lo, omega2_hi] on which
+    mu^2 and omega2 are finite; else mu^2 V or omega2 V overflows for
+    every V > 0 and no data can be fitted."""
 
     mu_lo: float
     mu_hi: float
@@ -62,6 +65,9 @@ class ParamSpace:
             raise ValueError("need mu_lo < mu_hi")
         if not 0 <= self.omega2_lo < self.omega2_hi:
             raise ValueError("need 0 <= omega2_lo < omega2_hi")
+        mu_max = max(abs(float(self.mu_lo)), abs(float(self.mu_hi)))  # a float: overflow is inf
+        if not (math.isfinite(mu_max * mu_max) and math.isfinite(self.omega2_hi)):
+            raise ValueError("need max(|mu_lo|, |mu_hi|)^2 and omega2_hi finite")
 
     def interior_contains(self, theta):
         return (
@@ -73,7 +79,8 @@ class ParamSpace:
 @dataclass(frozen=True)
 class DesignFamily:
     """Subject layout: iid (every subject at (x0, T)) or harmonic
-    (subject i at (x_inf + x_amp/i, T_inf + T_amp/i), i starting at 1)."""
+    (subject i at (x_inf + x_amp/i, T_inf + T_amp/i), i starting at 1).
+    Only the kind is checked here: Design checks the points a run draws."""
 
     # the fields each kind reads
     FIELDS = {"iid": ("x0", "T"), "harmonic": ("x_inf", "x_amp", "T_inf", "T_amp")}
@@ -89,12 +96,6 @@ class DesignFamily:
     def __post_init__(self):
         if self.kind not in ("iid", "harmonic"):
             raise ValueError("design kind must be 'iid' or 'harmonic'")
-        if self.kind == "iid" and not self.T > 0:
-            raise ValueError("iid design needs T > 0")
-        if self.kind == "harmonic" and not (
-            self.T_inf > 0 and self.T_inf + self.T_amp > 0
-        ):
-            raise ValueError("harmonic design needs positive horizons")
 
     def point(self, i):
         """Design point (x0, T) of subject i, counting from 1."""
@@ -182,28 +183,21 @@ def _bounded_ratio_sigma(x):
     return np.sqrt(1.0 + x * x)
 
 
-_REGISTRY = {}
-
-
-def register_model(model):
-    """Register a ModelSpec under its name, replacing any model of that name."""
-    _REGISTRY[model.name] = model
-    return model
+_BUILTIN = {m.name: m for m in (
+    ModelSpec("unit", _one, _one),
+    ModelSpec("linear-drift", _identity, _one),
+    ModelSpec("bounded-ratio", _identity, _bounded_ratio_sigma),
+)}
 
 
 def builtin_model(name):
-    """Look up a registered model by name.
+    """The built-in model of that name.
 
     The built-ins are "unit" (b = 1, sigma = 1), "linear-drift" (b(x) = x,
     sigma = 1) and "bounded-ratio" (b(x) = x, sigma(x) = sqrt(1 + x^2));
-    an unknown name raises ValueError.
+    an unknown name raises ValueError. Other models are ModelSpec values.
     """
     try:
-        return _REGISTRY[name]
+        return _BUILTIN[name]
     except KeyError:
         raise ValueError(f"no model named {name!r}") from None
-
-
-register_model(ModelSpec("unit", _one, _one))
-register_model(ModelSpec("linear-drift", _identity, _one))
-register_model(ModelSpec("bounded-ratio", _identity, _bounded_ratio_sigma))

@@ -353,9 +353,9 @@ def test_averaged_limits_rejects_a_schedule_past_its_design_points(no_draws, sch
 
 
 def _zone_model(name, sigma):
-    from sde_remle.models import ModelSpec, register_model
+    from sde_remle.models import ModelSpec
 
-    return register_model(ModelSpec(name, lambda x: np.ones_like(x), sigma))
+    return ModelSpec(name, lambda x: np.ones_like(x), sigma)
 
 
 @pytest.mark.parametrize("sigma,message,step", [

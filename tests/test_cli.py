@@ -471,6 +471,42 @@ def test_experiment_rejects_step_coarser_than_a_tenth_of_a_horizon(tmp_path, cap
     assert list(out.iterdir()) == []
 
 
+# each config breaks T > 0 at exactly one horizon: the iid horizon, or
+# the limit point of a harmonic family whose drawn subjects sit at T = 1/i
+_NONPOSITIVE = {
+    "simulate": "design = iid\nx0 = 0.0\nT = 0.0\nn = 4\n",
+    "consistency": "design = iid\nx0 = 0.0\nT = 0.0\nn_schedule = 2,4\n",
+    "normality": "design = iid\nx0 = 0.0\nT = 0.0\nn = 4\n",
+    "noniid": "design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 0.0\n"
+              "T_amp = 1.0\nn = 2\nn_schedule = 1,2\nmu_alt = 1.5\n"
+              "omega2_alt = 0.25\nlimit_replicates = 100\n",
+    "continuity": "psi = 1.0\nxi = 1.0\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 0.0\n"
+                  "T_amp = 1.0\nm_schedule = 1,2\nlimit_replicates = 100\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NONPOSITIVE))
+def test_every_command_that_draws_refuses_a_nonpositive_horizon_before_drawing(
+        tmp_path, capsys, no_draws, command):
+    cfg = _cfg(tmp_path, _COARSE_COMMON + _NONPOSITIVE[command])
+    out = tmp_path / "out"
+    assert main(_command_args(command) + ["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: every T must be > 0\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["consistency", "normality"])
+def test_a_harmonic_limit_horizon_of_zero_runs_where_the_limit_is_not_drawn(
+        tmp_path, capsys, kind):
+    # subjects at T = 1/i; only noniid and continuity draw the limit (0, 0)
+    text = (_COARSE_COMMON.replace("dt = 0.05", "dt = 0.02")
+            + "design = harmonic\nx_inf = 0.0\nx_amp = 1.0\nT_inf = 0.0\nT_amp = 1.0\n"
+            + ("n_schedule = 2,4\n" if kind == "consistency" else "n = 4\n"))
+    rc = main(["experiment", kind, "--config", _cfg(tmp_path, text), "--out", str(tmp_path)])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert len((tmp_path / "replicates.csv").read_text().splitlines()) > 1
+
+
 def test_noniid_requires_harmonic_design(tmp_path, capsys):
     cfg = _cfg(tmp_path, CONS_CFG + "mu_alt = 1.5\nomega2_alt = 0.25\n"
                "n = 16\nlimit_replicates = 100\n")
@@ -486,10 +522,17 @@ def test_experiment_failure_is_runtime_error(tmp_path, capsys):
                .replace("mu_hi = 3.0", "mu_hi = 1.0e51"))
     rc = main(["experiment", "consistency", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "fail" in err
-    # partial outputs still land on disk for post-mortems
-    assert (tmp_path / "replicates.csv").exists()
+    out, err = capsys.readouterr()
+    assert err == "error: consistency: more than 1% of replicates failed (24 failures)\n"
+    assert out == ("experiment consistency: n_schedule=[20, 40] replicates=12 "
+                   f"med_err_final=nan -> {tmp_path / 'replicates.csv'}\n")
+    # partial outputs still land on disk for post-mortems: an empty table
+    # is its header, and a level with no fit has NaN quantiles
+    assert (tmp_path / "replicates.csv").read_bytes() == (
+        b"rep,n,mu_hat,omega2_hat,z_mu,z_omega2,boundary\n")
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"n,med_err,p90_err,ks_mu,ks_omega2,cov_mu,cov_omega2\n"
+        b"20,nan,nan,,,,\n40,nan,nan,,,,\n")
 
 
 NORM_CFG = (CONS_CFG.replace("n_schedule = 20,40\n", "n = 20\n")
@@ -562,6 +605,22 @@ def test_noniid_refuses_its_truth_and_rectangle_before_drawing(
     out = tmp_path / "out"
     assert main(["experiment", "noniid", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["consistency", "fit"])
+def test_a_rectangle_no_data_can_be_fitted_on_is_refused_before_any_work(
+        tmp_path, capsys, no_draws, command):
+    # mu^2 V overflows for every V > 0 once max(|mu_lo|, |mu_hi|)^2 does
+    data = tmp_path / "paths.csv"
+    data.write_text(_DATA)
+    text = (CONS_CFG if command == "consistency"
+            else f"model = unit\n{SPACE_CFG}data = {data}\n")
+    text = text.replace("mu_lo = -3.0", "mu_lo = -1e300").replace("mu_hi = 3.0", "mu_hi = 1e300")
+    out = tmp_path / "out"
+    assert main(_command_args(command) + ["--config", _cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: need max(|mu_lo|, |mu_hi|)^2 and omega2_hi finite\n")
     assert list(out.iterdir()) == []
 
 

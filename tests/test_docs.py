@@ -38,7 +38,7 @@ PUBLIC = (
     "ExperimentReport", "IngestError", "InvalidStats", "McEstimate", "MleFit", "ModelSpec",
     "ParamSpace", "Path", "SdeRemleError", "SimulationDiverged", "Theta",
     "averaged_limits", "builtin_model", "fisher_info_mc", "fit_mle", "kl_mc",
-    "read_paths_csv", "register_model", "run_consistency_experiment",
+    "read_paths_csv", "run_consistency_experiment",
     "run_moment_continuity_probe", "run_noniid_experiment", "run_normality_experiment",
     "simulate_ensemble", "stats_list", "time_grid", "write_stats_csv",
 )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sde_remle import Design, DesignFamily, Theta, builtin_model, time_grid
 from sde_remle.asymptotics import _draw
 from sde_remle.errors import SimulationDiverged
-from sde_remle.models import ModelSpec, register_model
+from sde_remle.models import ModelSpec
 from sde_remle.rng import generator
 from sde_remle import simulate
 from sde_remle.simulate import (
@@ -26,23 +26,19 @@ from oracles import first_nonfinite_step, left_fold, path_increments, stored_pat
 # user models: a smooth state-dependent pair, a drift that explodes in
 # finite time for phi > 0, a diffusion that vanishes beyond x = 5, one
 # below the sigma^2 floor everywhere, and one below it only far out
-WAVY = register_model(ModelSpec(
+WAVY = ModelSpec(
     "kernel-wavy", lambda x: np.sin(x) + 0.5 * x, lambda x: 1.0 + 0.5 * np.tanh(x),
-))
-BLOWUP = register_model(ModelSpec(
-    "kernel-blowup", lambda x: x * x, lambda x: np.ones_like(x),
-))
-CLIFF = register_model(ModelSpec(
+)
+BLOWUP = ModelSpec("kernel-blowup", lambda x: x * x, lambda x: np.ones_like(x))
+CLIFF = ModelSpec(
     "kernel-cliff", lambda x: np.ones_like(x), lambda x: np.where(x < 5.0, 1.0, 0.0),
-))
-FAINT = register_model(ModelSpec(
-    "kernel-faint", lambda x: np.ones_like(x), lambda x: np.full_like(x, 1e-7),
-))
-FAR_FAINT = register_model(ModelSpec(
-    "kernel-far-faint", lambda x: x * x,
-    lambda x: np.where(np.abs(x) > 1e3, 1e-7, 1.0),
-))
-MODELS = ("unit", "linear-drift", "bounded-ratio", WAVY.name, BLOWUP.name)
+)
+FAINT = ModelSpec("kernel-faint", lambda x: np.ones_like(x), lambda x: np.full_like(x, 1e-7))
+FAR_FAINT = ModelSpec(
+    "kernel-far-faint", lambda x: x * x, lambda x: np.where(np.abs(x) > 1e3, 1e-7, 1.0),
+)
+UNIT = builtin_model("unit")
+MODELS = (UNIT, builtin_model("linear-drift"), builtin_model("bounded-ratio"), WAVY, BLOWUP)
 THETA = Theta(mu=0.5, omega2=0.3)
 
 
@@ -74,11 +70,10 @@ def _segments_of(rows, parts, x0, T, seed, phis):
     seed=st.integers(0, 2**32),
 )
 # a chunk boundary inside a segment, with rows that diverge
-@example(model=BLOWUP.name, rows=ROW_CHUNK + 3, parts=3, T=1.3, steps=17.5,
+@example(model=BLOWUP, rows=ROW_CHUNK + 3, parts=3, T=1.3, steps=17.5,
          x0=2.0, phi_sd=4.0, seed=5)
 def test_replicate_uv_equals_the_stored_path_statistics(
         model, rows, parts, T, steps, x0, phi_sd, seed):
-    model = builtin_model(model)
     dt = T / steps
     try:
         time_grid(T, dt)
@@ -143,17 +138,16 @@ _SEGMENT = st.tuples(
     normal_cap=st.integers(1, 60),
 )
 # two segments with equal step counts but different horizons
-@example(model="unit", dt=0.25, specs=[(3.7, 0.0, 1, 2, 4, 1.0), (3.2, 0.5, 2, 3, 5, 1.0)],
+@example(model=UNIT, dt=0.25, specs=[(3.7, 0.0, 1, 2, 4, 1.0), (3.2, 0.5, 2, 3, 5, 1.0)],
          row_cap=6, normal_cap=40)
 # a one-step segment between longer ones
-@example(model=WAVY.name, dt=0.3, specs=[(2.5, 0.0, 1, 0, 3, 1.0), (0.4, 1.0, 9, 1, 4, 2.0),
+@example(model=WAVY, dt=0.3, specs=[(2.5, 0.0, 1, 0, 3, 1.0), (0.4, 1.0, 9, 1, 4, 2.0),
                                          (6.2, -1.0, 3, 2, 9, 0.5)],
          row_cap=5, normal_cap=25)
 # rows that diverge, with chunks cut by the normals cap
-@example(model=BLOWUP.name, dt=0.1, specs=[(20.0, 2.0, 5, 0, 9, 6.0), (6.2, 1.5, 6, 1, 9, 6.0)],
+@example(model=BLOWUP, dt=0.1, specs=[(20.0, 2.0, 5, 0, 9, 6.0), (6.2, 1.5, 6, 1, 9, 6.0)],
          row_cap=12, normal_cap=50)
 def test_stacked_segments_equal_one_pass_per_segment(model, dt, specs, row_cap, normal_cap):
-    model = builtin_model(model)
     segments = []
     for steps, x0, seed, subject, rows, phi_sd in specs:
         rng = np.random.default_rng(seed % 1000)
@@ -177,14 +171,13 @@ def test_stacked_segments_equal_one_pass_per_segment(model, dt, specs, row_cap, 
 )
 # a 3-step segment split across chunks 16 normals wide: its pieces are
 # narrower than their chunks and drawn row by row
-@example(model="unit", dt=0.25, specs=[(4.0, 0.0, 1, 2, 9, 1.0), (0.7, 0.5, 2, 3, 7, 1.0)],
+@example(model=UNIT, dt=0.25, specs=[(4.0, 0.0, 1, 2, 9, 1.0), (0.7, 0.5, 2, 3, 7, 1.0)],
          row_cap=4, normal_cap=64)
 def test_stored_rows_read_each_subject_stream_in_replicate_order(
         model, dt, specs, row_cap, normal_cap):
     """Row r of a segment on an s-step grid is driven by normals
     [r s, (r+1) s) of its subject's path stream, drawn in one call,
     however the chunks cut and stack the segments."""
-    model = builtin_model(model)
     segments = []
     for steps, x0, seed, subject, rows, phi_sd in specs:
         rng = np.random.default_rng(seed % 1000)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +8,9 @@ from hypothesis import strategies as st
 from sde_remle import (
     Design,
     DesignFamily,
-    ModelSpec,
     ParamSpace,
     Theta,
     builtin_model,
-    register_model,
 )
 from sde_remle.models import MAX_STEPS
 
@@ -37,12 +36,6 @@ def test_builtin_bounded_ratio_bound():
 def test_unknown_model_not_found():
     with pytest.raises(ValueError, match=r"^no model named 'ornstein'$"):
         builtin_model("ornstein")
-
-
-def test_register_model_roundtrip():
-    m = ModelSpec(name="flat2", b=lambda x: 2.0, sigma=lambda x: 1.0)
-    register_model(m)
-    assert builtin_model("flat2") is m
 
 
 # growth constants (K, tau) of the built-in models, which the theory
@@ -81,6 +74,16 @@ def test_param_space_ordering_enforced():
         ParamSpace(mu_lo=-1.0, mu_hi=1.0, omega2_lo=-0.5, omega2_hi=1.0)
     with pytest.raises(ValueError):
         ParamSpace(mu_lo=-1.0, mu_hi=1.0, omega2_lo=1.0, omega2_hi=1.0)
+    # past these, mu^2 V or omega2 V overflows for every V > 0
+    finite = r"^need max\(\|mu_lo\|, \|mu_hi\|\)\^2 and omega2_hi finite$"
+    inf = float("inf")
+    for mu_lo, mu_hi, omega2_hi in ((-1e300, 1e300, 4.0), (-1e300, 1.0, 4.0),
+                                    (-1.0, 1e300, 4.0), (-inf, 1.0, 4.0), (-1.0, inf, 4.0),
+                                    (-3.0, 3.0, inf), (np.float64(-1e300), 1.0, 4.0)):
+        with pytest.raises(ValueError, match=finite):
+            ParamSpace(mu_lo=mu_lo, mu_hi=mu_hi, omega2_lo=0.0, omega2_hi=omega2_hi)
+    # (1.3e154)^2 = 1.69e308 is still finite
+    assert ParamSpace(mu_lo=-1.3e154, mu_hi=1.3e154, omega2_lo=0.0, omega2_hi=1e308).mu_hi == 1.3e154
 
 
 def test_validate_theta_boundary_and_corner():

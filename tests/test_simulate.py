@@ -13,7 +13,7 @@ from sde_remle import (
     simulate_ensemble,
     time_grid,
 )
-from sde_remle.models import MAX_STEPS, ModelSpec, register_model
+from sde_remle.models import MAX_STEPS, ModelSpec
 from sde_remle.rng import EFFECT_WORD, generator
 from sde_remle.simulate import (
     Segment, _euler_rows, effect_rows, replicate_uv, simulate_replicates,
@@ -208,7 +208,7 @@ def _cliff_sigma(x):
 
 
 # a user model whose diffusion vanishes beyond x = 5
-CLIFF = register_model(ModelSpec("cliff", lambda x: np.ones_like(x), _cliff_sigma))
+CLIFF = ModelSpec("cliff", lambda x: np.ones_like(x), _cliff_sigma)
 
 
 def test_ensemble_degenerate_diffusion_names_the_lowest_failing_subject():
