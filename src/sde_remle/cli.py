@@ -3,11 +3,13 @@
 Subcommands: simulate, fit, experiment {consistency,normality,noniid,
 continuity}. Each takes --config PATH (flat key=value file), --seed N
 (overrides the config key and the SDE_REMLE_SEED environment variable),
---out DIR, and --threads N. Every pass runs on one thread: --threads
-must be >= 1 and changes nothing, so output files are byte-identical for
-any value. Exit status: 0 success; 1 for bad input, a ConfigError (a
-malformed flag, config or output location), IngestError or ValueError;
-2 for every other SdeRemleError, a failed run. Every error is one
+--out DIR, and --threads N. --threads must be >= 1 and changes
+nothing: a pass of more than one chunk draws its next chunk's normals
+on one helper thread whatever --threads is, 1 included, so output files
+are byte-identical for any value.
+Exit status: 0 success; 1 for bad input, a ConfigError (a malformed
+flag, config or output location), IngestError or ValueError; 2 for
+every other SdeRemleError, a failed run. Every error is one
 "error: ..." line on stderr.
 
 Each command is one entry in the _COMMANDS table: its runner and the

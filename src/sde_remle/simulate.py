@@ -3,11 +3,13 @@
 The integration grid is uniform with step dt; when T is not a multiple of
 dt the final step covers the remainder. Every simulation is one pass of
 segments through replicate_uv's chunk driver, the only code that runs
-the Euler kernel, and every pass holds one chunk buffer, the normals:
-the Monte Carlo passes add each row's (U, V) up as running left-to-right
-totals inside the step loop, and the path API (simulate_ensemble,
-simulate_replicates) writes each step's states over the normals just
-consumed, copied per segment into exact-length arrays.
+the Euler kernel. A pass holds at most two half-size buffers of normals
+(each one row wide at least), and once it has more than one chunk, a
+helper thread draws the next chunk into one while the Euler loop runs
+the other. The Monte Carlo passes add each row's (U, V) up as running
+left-to-right totals inside the step loop, and the path API
+(simulate_ensemble, simulate_replicates) writes each step's states over
+the normals just consumed, copied per segment into exact-length arrays.
 Both share identical arithmetic. Every normal is drawn by path_normals,
 reading one stream (see rng) in order: replicate r of a subject on an
 s-step grid takes normals [r s, (r+1) s) of its path stream, and its
@@ -19,6 +21,7 @@ their segments from it.
 
 import math
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +71,11 @@ def time_grid(T, dt):
 
 # a chunk of the Monte Carlo kernel holds at most ROW_CHUNK rows, enough
 # that the Python cost of a step stays small against its numpy work, and
-# NORMAL_CHUNK normals (4096 rows of 200 steps, one 6.25 MiB buffer, which
-# a stored pass also fills with the states)
+# NORMAL_CHUNK // 2 normals, or one row when a row is longer: a pass holds
+# two such buffers, one drawn while the other is run, so NORMAL_CHUNK
+# normals in all (4096 rows of 200 steps, 6.25 MiB, which a stored pass
+# also fills with the states), or two rows when a row has more than
+# NORMAL_CHUNK // 2 steps
 ROW_CHUNK = 4096
 NORMAL_CHUNK = ROW_CHUNK * 200
 
@@ -96,18 +102,29 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=Fal
     top = int(steps[0]) if rows else 0
     # the first live[k] rows run at step k; live[top] = 0
     live = np.searchsorted(-steps, -np.arange(1, top + 2), side="right").tolist()
-    state = np.array(x0, dtype=float)
-    # two scratch rows take each step's drift and noise terms, then its
-    # (U, V) increments, so a step allocates only its new state
+    # step k reads its state from row k % 2 of pair and writes the next
+    # into the other; two scratch rows take each step's drift and noise
+    # terms, then its (U, V) increments, so a step allocates only what b
+    # and sigma return
+    pair = np.empty((2, rows))
+    pair[0] = x0
     one, two = np.empty((2, rows))
     if not store:
         u, v, body_end = np.zeros(rows), np.zeros(rows), np.empty(rows)
         low = np.zeros(rows, dtype=bool)
+    n = -1
     # a non-finite state never becomes finite again, so the live rows are
     # the finite ones; masks are built only once a test on every row fails
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(top):
-            n, m = live[k], live[k + 1]
+            if live[k] != n:
+                # views of the live rows, made again only when rows end
+                n = live[k]
+                halves, drift, noise, live_phis = tuple(pair[:, :n]), one[:n], two[:n], phis[:n]
+                if not store:
+                    live_u, live_v, live_low = u[:n], v[:n], low[:n]
+            m = live[k + 1]
+            state, after = halves[k & 1], halves[(k + 1) & 1]
             delta = dt * (k + 1) - dt * k
             root = math.sqrt(delta)
             if m < n:
@@ -120,7 +137,7 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=Fal
             bvals, svals = model.b(state), model.sigma(state)
             # sigma >= smin > 0 gives sigma^2 >= smin^2, rounding being
             # monotone; a NaN smin fails both tests
-            smin = svals.min()
+            smin = np.minimum.reduce(svals)
             clean = smin > 0 and smin * smin >= SIGMA2_FLOOR
             if not clean:
                 bad_sigma = np.isfinite(state) & ~(svals > 0)
@@ -129,12 +146,11 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=Fal
                         f"sigma <= 0 at step {k} for model {model.name!r}", k,
                         x0, T, subject_index, bad_sigma,
                     )
-            drift, noise = one[:n], two[:n]
-            np.multiply(phis[:n], bvals, out=drift)
+            np.multiply(live_phis, bvals, out=drift)
             drift *= delta
             np.multiply(svals, root, out=noise)
             noise *= normals[:n, k]
-            after = state + drift
+            np.add(state, drift, out=after)
             after += noise
             if store:
                 normals[:n, k] = after
@@ -143,15 +159,14 @@ def _euler_rows(model, phis, x0, T, steps, dt, normals, subject_index, store=Fal
                 # increment; drift takes u's
                 sig2 = np.multiply(svals, svals, out=noise)
                 if not clean:
-                    low[:n] |= sig2 < SIGMA2_FLOOR
+                    live_low |= sig2 < SIGMA2_FLOOR
                 w = np.divide(bvals, sig2, out=noise)
                 np.subtract(after, state, out=drift)
                 drift *= w
-                u[:n] += drift
+                live_u += drift
                 np.multiply(bvals, w, out=noise)
                 noise *= delta
-                v[:n] += noise
-            state = after[:m]
+                live_v += noise
     if store:
         return None
     failing = low & np.isfinite(body_end)
@@ -169,14 +184,31 @@ def _degenerate(what, step, x0, T, subject_index, failing):
     )
 
 
+# a non-contiguous fill stages blocks of whole rows of at most STAGE normals
+STAGE = 1 << 15
+
+
 def path_normals(gen, out):
     """Fill out with the next normals of gen's stream, row after row, and
-    return it: one draw when out is C-contiguous, else one per row."""
+    return it: one draw when out is C-contiguous; else one draw per block
+    of whole rows, into one contiguous staging array of at most STAGE
+    normals that is then copied, or one per row when a row is wider
+    than half the stage."""
     if out.flags.c_contiguous:
         gen.standard_normal(out=out)
-    else:
+        return out
+    rows, width = out.shape
+    per = STAGE // width
+    if per < 2:
         for row in out:
             gen.standard_normal(out=row)
+        return out
+    stage = np.empty((min(per, rows), width))
+    for a in range(0, rows, per):
+        block = out[a:a + per]
+        drawn = stage[:len(block)]
+        gen.standard_normal(out=drawn)
+        block[...] = drawn
     return out
 
 
@@ -242,14 +274,14 @@ def subject_segments(theta0, seed, points, R):
 
 def _chunks(steps, sizes):
     """Chunks of (segment, first row, end row) lists, longest segments first
-    (stable), of at most ROW_CHUNK rows and NORMAL_CHUNK normals each."""
+    (stable), of at most ROW_CHUNK rows and NORMAL_CHUNK // 2 normals each."""
     pieces, room = [], 0
     for i in np.argsort(-steps, kind="stable").tolist():
         a = 0
         while a < sizes[i]:
             if not room:
                 yield from [pieces] if pieces else []
-                pieces, room = [], min(ROW_CHUNK, max(1, NORMAL_CHUNK // int(steps[i])))
+                pieces, room = [], min(ROW_CHUNK, max(1, NORMAL_CHUNK // 2 // int(steps[i])))
             b = min(sizes[i], a + room)
             pieces.append((i, a, b))
             room, a = room - (b - a), b
@@ -261,16 +293,21 @@ def replicate_uv(model, dt, segments, store=False):
     paths never stored, or with store as (times, values, first_bad).
 
     The segments run longest first (stable), in chunks of at most
-    ROW_CHUNK rows and NORMAL_CHUNK normals that may span segments. One
-    Philox, keyed once per segment, reads its path stream in row order,
-    across chunk boundaries, since a segment's pieces are consecutive.
-    Either way the pass holds one chunk buffer, the normals. (U, V) are
-    running totals kept by the step loop, equal to suff_stats_rows of the
-    stored rows bit for bit, NaN where a row diverged. values holds a
-    segment's states in a (rows, steps + 1) array of its own, x0 and then
-    what the kernel wrote over the normals; first_bad is read from it.
-    Keys out of range raise before any draw, the first chunk with a
-    failing row after it.
+    ROW_CHUNK rows and NORMAL_CHUNK // 2 normals that may span segments.
+    One Philox, keyed once per segment, reads its path stream in row
+    order, across chunk boundaries, since a segment's pieces are
+    consecutive. Either way the pass holds two half buffers of normals,
+    each max(NORMAL_CHUNK // 2, longest row) long (one if it is one
+    chunk): while the Euler loop runs chunk j in one, a helper thread
+    draws chunk j + 1 into the other, on the same Philox, so the draws
+    and the order of every sum are those of one thread.
+    (U, V) are running totals kept by the step loop, equal to
+    suff_stats_rows of the stored rows bit for bit, NaN where a row
+    diverged. values holds a segment's states in a (rows, steps + 1)
+    array of its own, x0 and then what the kernel wrote over the normals;
+    first_bad is read from it. Keys out of range raise before any draw,
+    the first chunk with a failing row after it, and the helper never
+    outlives the pass.
     """
     grids = {T: time_grid(T, dt) for T in dict.fromkeys(seg.T for seg in segments)}
     steps = np.array([len(grids[seg.T]) - 1 for seg in segments], dtype=np.int64)
@@ -281,38 +318,55 @@ def replicate_uv(model, dt, segments, store=False):
     words = subjects.tolist()
     x0 = np.array([seg.x0 for seg in segments], dtype=float)
     T = np.array([seg.T for seg in segments], dtype=float)
-    # one normals buffer for the pass: chunks leave no holes in the heap
+    # each chunk's pieces, with their segments, first rows and row counts,
+    # and the chunk row at which each piece starts
+    chunks = []
+    for pieces in _chunks(steps, sizes):
+        idx, first, end = (np.array(col) for col in zip(*pieces))
+        counts = end - first
+        chunks.append((pieces, idx, first, counts, np.cumsum(counts) - counts))
+    # two normals buffers for the pass, one for a one-chunk pass: chunks
+    # leave no holes in the heap
     top = int(steps.max(initial=0))
-    cells = min(min(int(starts[-1]), ROW_CHUNK) * top, max(NORMAL_CHUNK, top))
-    zbuf = np.empty(cells)
+    cells = min(min(int(starts[-1]), ROW_CHUNK) * top, max(NORMAL_CHUNK // 2, top))
+    zbufs = [np.empty(cells) for _ in chunks[:2]]
     if store:
         values = [np.empty((size, w + 1)) for size, w in zip(sizes, steps.tolist())]
     else:
         u, v = np.empty(starts[-1]), np.empty(starts[-1])
     gen = generator(0, 0)
-    for pieces in _chunks(steps, sizes):
-        idx, first, end = (np.array(col) for col in zip(*pieces))
-        counts = end - first
-        rows = np.repeat(steps[idx], counts)
-        shape = (len(rows), int(rows[0]))
-        z = zbuf[:rows.size * shape[1]].reshape(shape)
-        # piece j's rows start at row lead[j] of the chunk
-        lead = np.cumsum(counts) - counts
-        for (i, a, b), c, width in zip(pieces, lead.tolist(), steps[idx].tolist()):
+
+    def fill(j):
+        """Chunk j's normals, drawn into buffer j % 2."""
+        pieces, idx, _, counts, lead = chunks[j]
+        widths = steps[idx].tolist()
+        z = zbufs[j % 2][:int(counts.sum()) * widths[0]].reshape(-1, widths[0])
+        for (i, a, b), c, width in zip(pieces, lead.tolist(), widths):
             if a == 0:
                 rekey(gen, segments[i].seed, words[i])
             path_normals(gen, z[c:c + b - a, :width])
-        phis = np.concatenate([segments[i].phis[a:b] for i, a, b in pieces], dtype=float)
-        result = _euler_rows(model, phis, np.repeat(x0[idx], counts), np.repeat(T[idx], counts),
-                             rows, dt, z, np.repeat(subjects[idx], counts), store)
-        if store:
-            for (i, a, b), c, width in zip(pieces, lead.tolist(), steps[idx].tolist()):
-                values[i][a:b, 0] = x0[i]
-                values[i][a:b, 1:] = z[c:c + b - a, :width]
-        else:
-            # chunk row r is row at[r] of the pass
-            at = np.arange(shape[0]) + np.repeat(starts[idx] + first - lead, counts)
-            u[at], v[at] = result
+        return z
+
+    # the calling thread draws chunk 0, so a one-chunk pass starts no
+    # thread; leaving the with block joins the helper, whatever raised
+    with ThreadPoolExecutor(1) as helper:
+        for j, (pieces, idx, first, counts, lead) in enumerate(chunks):
+            z = ahead.result() if j else fill(0)
+            if j + 1 < len(chunks):
+                ahead = helper.submit(fill, j + 1)
+            rows = np.repeat(steps[idx], counts)
+            phis = np.concatenate([segments[i].phis[a:b] for i, a, b in pieces], dtype=float)
+            result = _euler_rows(model, phis, np.repeat(x0[idx], counts),
+                                 np.repeat(T[idx], counts), rows, dt, z,
+                                 np.repeat(subjects[idx], counts), store)
+            if store:
+                for (i, a, b), c, width in zip(pieces, lead.tolist(), steps[idx].tolist()):
+                    values[i][a:b, 0] = x0[i]
+                    values[i][a:b, 1:] = z[c:c + b - a, :width]
+            else:
+                # chunk row r is row at[r] of the pass
+                at = np.arange(len(rows)) + np.repeat(starts[idx] + first - lead, counts)
+                u[at], v[at] = result
     if store:
         return [(grids[seg.T], vals, _first_bad(vals)) for seg, vals in zip(segments, values)]
     return [(u[a:b], v[a:b]) for a, b in zip(starts, starts[1:])]

@@ -8,8 +8,11 @@ asymptotics._limits stacks them. --rows R runs R rows per point and 32 R
 at the limit point instead.
 
 Each repeat runs the pass twice. The first, timed, reports the pass time,
-the time inside simulate.path_normals (the normals) and inside
-simulate._euler_rows (the Euler step loop), the chunk count and the step
+the time inside simulate.path_normals (the normals, summed over the
+calling thread, which draws the first chunk, and the helper thread,
+which draws the others), inside simulate._euler_rows (the Euler step
+loop, on the calling thread) and in Future.result (the calling
+thread's wait for the helper's next chunk), the chunk count and the step
 iterations (the sum over chunks of their longest row's steps). The
 second, untimed, reports the tracemalloc peak above the memory held
 before the pass. Each repeat then times the reduction of the pass's 33
@@ -24,6 +27,7 @@ import argparse
 import statistics
 import time
 import tracemalloc
+from concurrent.futures import Future
 
 from sde_remle import DesignFamily, Theta, asymptotics, builtin_model, simulate
 from sde_remle.asymptotics import _LANE_INFO
@@ -59,35 +63,36 @@ def timed_reduction(segs, parts):
 
 
 def timed_pass(segs):
-    """(pass s, normals s, Euler s, chunks, step iterations, (U, V) of
-    each segment) of one pass."""
-    fill, euler = simulate.path_normals, simulate._euler_rows
-    spent = {"normals": 0.0, "euler": 0.0, "chunks": 0, "steps": 0}
+    """(pass s, normals s, Euler s, wait s, chunks, step iterations, (U, V)
+    of each segment) of one pass."""
+    fill, euler, wait = simulate.path_normals, simulate._euler_rows, Future.result
+    spent = {"normals": 0.0, "euler": 0.0, "wait": 0.0, "chunks": 0, "steps": 0}
 
-    def timed_fill(gen, out):
-        t0 = time.perf_counter()
-        try:
-            return fill(gen, out)
-        finally:
-            spent["normals"] += time.perf_counter() - t0
+    def timed(fn, key):
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[key] += time.perf_counter() - t0
+        return run
 
-    def timed_euler(model, phis, x0, T, steps, *args, **kwargs):
+    def counted_euler(model, phis, x0, T, steps, *args, **kwargs):
         spent["chunks"] += 1
         spent["steps"] += int(steps[0])
-        t0 = time.perf_counter()
-        try:
-            return euler(model, phis, x0, T, steps, *args, **kwargs)
-        finally:
-            spent["euler"] += time.perf_counter() - t0
+        return euler(model, phis, x0, T, steps, *args, **kwargs)
 
-    simulate.path_normals, simulate._euler_rows = timed_fill, timed_euler
+    simulate.path_normals = timed(fill, "normals")
+    simulate._euler_rows = timed(counted_euler, "euler")
+    Future.result = timed(wait, "wait")
     try:
         t0 = time.perf_counter()
         parts = simulate.replicate_uv(MODEL, DT, segs)
         wall = time.perf_counter() - t0
     finally:
-        simulate.path_normals, simulate._euler_rows = fill, euler
-    return wall, spent["normals"], spent["euler"], spent["chunks"], spent["steps"], parts
+        simulate.path_normals, simulate._euler_rows, Future.result = fill, euler, wait
+    return (wall, spent["normals"], spent["euler"], spent["wait"], spent["chunks"],
+            spent["steps"], parts)
 
 
 def peak_mib(segs):
@@ -118,14 +123,15 @@ def main():
     simulate.replicate_uv(MODEL, DT, segs)  # warm-up, untimed
     runs = []
     for r in range(args.repeats):
-        wall, normals, euler, chunks, steps, parts = timed_pass(segs)
-        runs.append((wall, normals, euler, peak_mib(segs), timed_reduction(segs, parts)))
+        wall, normals, euler, wait, chunks, steps, parts = timed_pass(segs)
+        runs.append((wall, normals, euler, wait, peak_mib(segs), timed_reduction(segs, parts)))
         print(f"repeat {r + 1}: pass {wall:.3f} s, normals {normals:.3f} s, "
-              f"Euler {euler:.3f} s, {chunks} chunks, {steps} step iterations, "
-              f"peak {runs[-1][3]:.2f} MiB, reduce {1e3 * runs[-1][4]:.2f} ms")
-    wall, normals, euler, peak, reduce = (statistics.median(col) for col in zip(*runs))
+              f"Euler {euler:.3f} s, wait {wait:.3f} s, {chunks} chunks, "
+              f"{steps} step iterations, peak {runs[-1][4]:.2f} MiB, "
+              f"reduce {1e3 * runs[-1][5]:.2f} ms")
+    wall, normals, euler, wait, peak, reduce = (statistics.median(col) for col in zip(*runs))
     print(f"median: pass {wall:.3f} s, normals {normals:.3f} s, Euler {euler:.3f} s, "
-          f"peak {peak:.2f} MiB, reduce {1e3 * reduce:.2f} ms")
+          f"wait {wait:.3f} s, peak {peak:.2f} MiB, reduce {1e3 * reduce:.2f} ms")
 
 
 if __name__ == "__main__":

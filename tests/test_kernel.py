@@ -3,6 +3,8 @@ against one unchunked block, its summation order, its error semantics on
 stacked row blocks, and its memory bound."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -169,8 +171,9 @@ def test_stacked_segments_equal_one_pass_per_segment(model, dt, specs, row_cap, 
     row_cap=st.integers(1, 12),
     normal_cap=st.integers(1, 60),
 )
-# a 3-step segment split across chunks 16 normals wide: its pieces are
-# narrower than their chunks and drawn row by row
+# a 1-step segment after a 4-step one, in chunks of 4 rows: the chunk
+# they share is 4 normals wide, so the 1-step piece is narrower than its
+# chunk and drawn through the stage
 @example(model=UNIT, dt=0.25, specs=[(4.0, 0.0, 1, 2, 9, 1.0), (0.7, 0.5, 2, 3, 7, 1.0)],
          row_cap=4, normal_cap=64)
 def test_stored_rows_read_each_subject_stream_in_replicate_order(
@@ -213,17 +216,19 @@ def test_replicates_and_subjects_nest():
 
 
 def test_stacked_segments_straddle_the_real_chunk_caps():
-    # the normals cap fills a chunk of 800-step rows at 1024 rows and one
-    # of 400-step rows at 2048, which segments of 1500 and 3000 rows
-    # cross; rows of 200 steps or fewer stop at ROW_CHUNK, which segments
-    # of 3000 and 2000 rows cross
+    # the normals cap, NORMAL_CHUNK // 2, fills a chunk of 800-step rows
+    # at 512 rows, one of 400-step rows at 1024 and one of 200-step rows
+    # at 2048, which segments of 1500, 3000 and 2000 rows cross; rows of
+    # 100 steps or fewer stop at ROW_CHUNK, which a segment of 5000 rows
+    # crosses
     model, dt = builtin_model("bounded-ratio"), 0.0025
     rng = np.random.default_rng(3)
     segments = [
         Segment(x0, T, seed, 0, rng.normal(0.5, 0.5, rows))
         for x0, T, seed, rows in ((0.1, 1.0, 7, 3000), (0.5, 2.0, 8, 1500),
                                   (0.2, 1.99, 9, 1500), (0.3, 1.0, 10, 1000),
-                                  (0.4, 0.5, 11, 3000), (0.6, 0.45, 12, 2000))
+                                  (0.4, 0.5, 11, 3000), (0.6, 0.45, 12, 2000),
+                                  (0.7, 0.25, 13, 5000), (0.8, 0.2, 14, 2000))
     ]
     u, v = _flat(replicate_uv(model, dt, segments))
     want_u, want_v = _one_by_one(model, dt, segments)
@@ -346,6 +351,133 @@ def test_sigma_below_the_floor_on_rows_that_diverge_is_not_an_error():
     assert _same_bits(u, want_u) and _same_bits(v, want_v)
 
 
+def _within(seconds, fn):
+    """fn() on a daemon thread: its result, its error raised, or a failure
+    once seconds pass, so a pass that waits forever fails the test."""
+    box = {}
+
+    def run():
+        try:
+            box["out"] = fn()
+        except BaseException as err:
+            box["err"] = err
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"the pass still runs after {seconds} s"
+    if "err" in box:
+        raise box["err"]
+    return box["out"]
+
+
+def test_an_error_in_the_helper_is_raised_in_the_caller():
+    # 40 rows of 10 steps in chunks of 10 rows: the calling thread draws
+    # chunk 0, the helper the rest, and the third draw fails there
+    segments = [Segment(0.0, 1.0, 7, 0, np.full(40, 0.5))]
+    boom, drawn, fill = RuntimeError("boom"), [], simulate.path_normals
+
+    def failing(gen, out):
+        drawn.append(threading.get_ident())
+        if len(drawn) == 3:
+            raise boom
+        return fill(gen, out)
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "NORMAL_CHUNK", 200)
+        mp.setattr(simulate, "path_normals", failing)
+        with pytest.raises(RuntimeError) as exc:
+            _within(60, lambda: replicate_uv(UNIT, 0.1, segments))
+    assert exc.value is boom
+    assert len(drawn) == 3 and drawn[0] != drawn[2]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("model,x0,match", [
+    (BLOWUP, 100.0, r"^state became non-finite at step \d+ \(subject 2\)$"),
+    (CLIFF, 5.0, r"^sigma <= 0 at step 0 for model 'kernel-cliff' .* \(subject 2\)$"),
+], ids=["diverges", "sigma-zero"])
+def test_a_failing_row_in_a_middle_chunk_raises_as_in_one_chunk(model, x0, match):
+    # subject 2 of 6, in chunk 1 of 3 at two rows per chunk, overflows
+    # (the error is raised after the pass) or starts where sigma = 0 (it
+    # is raised in the Euler loop while the helper draws chunk 2)
+    design = Design(((0.0, 0.5),) * 2 + ((x0, 0.5),) + ((0.0, 0.5),) * 3, 0.05, 3)
+    theta0 = Theta(mu=1.0, omega2=0.01)
+    with pytest.raises(SimulationDiverged, match=match) as alone:
+        simulate.simulate_ensemble(model, theta0, design)
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "NORMAL_CHUNK", 40)
+        with pytest.raises(SimulationDiverged) as chunked:
+            _within(60, lambda: simulate.simulate_ensemble(model, theta0, design))
+    assert threading.active_count() == before
+    assert str(chunked.value) == str(alone.value)
+    assert (chunked.value.subject_index, chunked.value.step) == (
+        alone.value.subject_index, alone.value.step)
+
+
+def test_a_one_chunk_pass_starts_no_thread():
+    # 50 one-row subjects of 200 steps, as roundtrip's simulate stacks its
+    # 600, are one chunk, drawn and run on the calling thread; the watchdog
+    # is started from this thread, the helper from the pass's
+    segments = [Segment(0.0, 1.0, 3, i, [0.5]) for i in range(50)]
+    here, start, started = threading.get_ident(), threading.Thread.start, []
+
+    def counted_start(thread):
+        if threading.get_ident() != here:
+            started.append(thread)
+        return start(thread)
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", counted_start)
+        _within(60, lambda: replicate_uv(UNIT, 0.005, segments))
+        assert started == []
+        # two chunks do start one
+        mp.setattr(simulate, "NORMAL_CHUNK", 8000)
+        _within(60, lambda: replicate_uv(UNIT, 0.005, segments))
+        assert len(started) == 1
+    assert threading.active_count() == before
+
+
+def test_concurrent_passes_drawing_ahead_equal_one_chunk_passes():
+    # four passes at once, each with its own helper, so more threads than
+    # the host has cores, switching every 10 us: a chunk drawn into a
+    # buffer still being run, or a stream read out of order, shows as
+    # bits that differ from the same pass run as one chunk
+    model, dt = builtin_model("bounded-ratio"), 0.05
+    rng = np.random.default_rng(17)
+    passes = [[Segment(x0, T, 30 + p, k, rng.normal(0.5, 0.5, 60))
+               for k, (x0, T) in enumerate(((0.5, 2.0), (-0.5, 1.3), (1.0, 0.75)))]
+              for p in range(4)]
+    want = [_flat(replicate_uv(model, dt, segments)) for segments in passes]
+    got = [None] * len(passes)
+
+    def run(p):
+        got[p] = _flat(replicate_uv(model, dt, passes[p]))
+
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        # 40-step rows in chunks of 5 rows: about 36 chunks per pass
+        mp.setattr(simulate, "ROW_CHUNK", 8)
+        mp.setattr(simulate, "NORMAL_CHUNK", 400)
+        sys.setswitchinterval(1e-5)
+        try:
+            runners = [threading.Thread(target=run, args=(p,), daemon=True)
+                       for p in range(len(passes))]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners)
+    assert threading.active_count() == before
+    for (u, v), (want_u, want_v) in zip(got, want):
+        assert _same_bits(u, want_u) and _same_bits(v, want_v)
+
+
 def _peak_mb(fn):
     tracemalloc.start()
     try:
@@ -358,7 +490,7 @@ def _peak_mb(fn):
 
 def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
     # a stored (12800, 401) path and its (U, V) temporaries took about
-    # 240 MB; the chunked kernel keeps one (2048, 400) buffer at a time
+    # 240 MB; the chunked kernel keeps two (1024, 400) buffers at a time
     point = _peak_mb(lambda: _draw(
         builtin_model("bounded-ratio"), THETA, 0.0025, [(7, [(0.0, 1.0)], 12800)], 100,
         "information",
@@ -382,12 +514,14 @@ def test_monte_carlo_kernel_memory_is_bounded_by_its_row_chunks():
 
 @pytest.mark.parametrize("store", [False, True], ids=["uv", "stored"])
 def test_a_monte_carlo_pass_holds_one_chunk_buffer(store):
-    # 4096 rows of 400 steps, two full chunks of 2048 rows: the normals
-    # (NORMAL_CHUNK, 6.25 MiB) are the only chunk-sized buffer, as (U, V)
+    # 4096 rows of 400 steps, four full chunks of 1024 rows: the normals,
+    # two half buffers of NORMAL_CHUNK // 2 (6.25 MiB in all, one drawn
+    # while the other is run), are the only chunk-sized buffers, as (U, V)
     # are running totals and stored states overwrite the normals; a stored
     # pass also keeps its (4096, 401) paths (12.53 MiB) and, in
     # simulate._first_bad, one (4096, 400) boolean mask of their
-    # non-finite states (1.56 MiB). Measured: 7.38 MiB and 20.45 MiB.
+    # non-finite states (1.56 MiB). Measured: 6.50 MiB (7.20 on a
+    # process's first pass) and 20.44 MiB.
     segments = [Segment(0.0, 1.0, 7, 0, np.full(ROW_CHUNK, 0.5))]
     kept = ROW_CHUNK * (401 * 8 + 400) / 2**20 if store else 0.0
     peak = _peak_mb(lambda: replicate_uv(builtin_model("bounded-ratio"), 0.0025, segments,
@@ -397,8 +531,9 @@ def test_a_monte_carlo_pass_holds_one_chunk_buffer(store):
 
 def test_a_long_ragged_stored_ensemble_holds_one_normals_buffer():
     # 200 harmonic subjects, T from 50 down to 1.245 at dt = 0.01, fill
-    # chunks of 163 and 37 rows from one NORMAL_CHUNK buffer, below the
-    # 200 x 5000 normals of one chunk; beside it only the paths are kept
+    # chunks of 81 and 119 rows from two half buffers of NORMAL_CHUNK // 2
+    # normals, below the 200 x 5000 normals of one chunk; beside them only
+    # the paths are kept
     family = DesignFamily("harmonic", x_inf=0.0, x_amp=1.0, T_inf=1.0, T_amp=49.0)
     design = Design(family.subjects(200), 0.01, 3)
     paths = []

@@ -10,7 +10,7 @@ from sde_remle.rng import (
     row_keys,
 )
 from sde_remle.models import builtin_model
-from sde_remle.simulate import Segment, path_normals, replicate_uv, simulate_replicates
+from sde_remle.simulate import STAGE, Segment, path_normals, replicate_uv, simulate_replicates
 
 
 def test_same_triple_bit_identical():
@@ -115,6 +115,29 @@ def test_path_normals_rows_equal_fresh_generators():
     path_normals(_keyed(12, 5), narrow[:, :9])
     assert np.array_equal(narrow[:, :9], wide)
     assert (narrow[:, 9:] == -1.0).all()
+
+
+@pytest.mark.parametrize("rows,width", [
+    (3, STAGE + 3),      # a row wider than the stage: one row per block
+    (64, 1024),          # the width divides the stage: two full blocks
+    (70, 1000),          # blocks of 32 rows, then a ragged one of 6
+    (0, 9),
+    (5, 0),
+], ids=["wide-rows", "exact-blocks", "ragged-block", "no-rows", "no-width"])
+def test_staged_fills_are_the_row_by_row_stream(rows, width):
+    # rows of a wider buffer are not C-contiguous, so they are staged in
+    # blocks of whole rows; the block cuts must not show in the stream,
+    # and the stream then goes on where a fresh one's rows would end
+    padded = np.full((rows, width + 5), -1.0)
+    out = padded[:, :width]
+    assert out.size == 0 or not out.flags.c_contiguous
+    gen = _keyed(9, EFFECT_WORD | 4)
+    assert path_normals(gen, out) is out
+    fresh = generator(9, EFFECT_WORD | 4)
+    want = [fresh.standard_normal(width) for _ in range(rows)]
+    assert np.array_equal(padded[:, :width], np.reshape(want, (rows, width)))
+    assert (padded[:, width:] == -1.0).all()
+    assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
 
 
 def test_path_normals_mixed_subject_ids_per_row():
