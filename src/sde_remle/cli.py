@@ -36,7 +36,7 @@ from .errors import ConfigError, ExperimentFailed, IngestError, InvalidStats, Sd
 from .estimator import fit_mle
 from .models import Design, DesignFamily, ParamSpace, Theta, builtin_model
 from .simulate import simulate_ensemble
-from .stats import bad_stats, ensemble_stats, stats_list
+from .stats import stats_list
 
 _VALIDATION_ERRORS = (ConfigError, IngestError, ValueError)
 
@@ -100,11 +100,12 @@ def _simulate(cfg, seed, out_dir):
     theta0 = _theta0(cfg)
     design = Design(subjects=_family(cfg).subjects(cfg["n"]), dt=cfg["dt"], seed=seed)
     paths = simulate_ensemble(model, theta0, design)
-    u, v = ensemble_stats(paths, model)
-    # simulate_ensemble refused non-finite states, so (U, V) that fail
-    # here overflowed: the run failed, not its input
-    if bad := bad_stats(u, v):
-        raise InvalidStats(f"{bad[1]} (subject {paths[bad[0]].subject_index})")
+    # simulate_ensemble refused non-finite states, so (U, V) that
+    # stats_list refuses overflowed: the run failed, not its input
+    try:
+        u, v = stats_list(paths, model)
+    except ValueError as err:
+        raise InvalidStats(str(err)) from err
     paths_file = os.path.join(out_dir, io_mod.PATHS_FILE)
     stats_file = os.path.join(out_dir, io_mod.STATS_FILE)
     io_mod.write_paths_csv(paths, paths_file)

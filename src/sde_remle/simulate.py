@@ -21,7 +21,6 @@ their segments from it.
 
 import math
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,6 +345,10 @@ def replicate_uv(model, dt, segments, store=False):
                 rekey(gen, segments[i].seed, words[i])
             path_normals(gen, z[c:c + b - a, :width])
         return z
+
+    # imported here, not at the top: concurrent.futures loads logging,
+    # which a process that never simulates (fit, import alone) skips
+    from concurrent.futures import ThreadPoolExecutor
 
     # the calling thread draws chunk 0, so a one-chunk pass starts no
     # thread; leaving the with block joins the helper, whatever raised

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SimulationDiverged
 
-# terms per row block of ensemble_stats and estimator.fit_rows: each (rows,
+# terms per row block of stats_list and estimator.fit_rows: each (rows,
 # M) temporary stays at 128 KB, inside the cache, whatever the batch size
 _BLOCK_TERMS = 1 << 14
 # hard floor on sigma^2; integrability of b^2/sigma^2 is an assumption of
@@ -64,17 +64,11 @@ def stats_list(paths, model):
 
     The paths that share one time grid go through suff_stats_rows in
     (rows, M+1) blocks of about _BLOCK_TERMS terms; each row's sums equal
-    those of the path alone, bit for bit. The lowest path that bad_stats
-    names raises ValueError with its message.
+    those of the path alone, bit for bit. The lowest path whose V is not
+    finite or is < 0 (V checked first), or whose U is not finite, raises
+    ValueError naming its subject. V is a sum of squares, so it is < 0
+    only on bad input.
     """
-    u, v = ensemble_stats(paths, model)
-    if bad := bad_stats(u, v):
-        raise ValueError(bad[1])
-    return u, v
-
-
-def ensemble_stats(paths, model):
-    """stats_list without its check: every (U, V) is returned as it is."""
     paths = list(paths)
     grids = {}
     for i, p in enumerate(paths):
@@ -86,15 +80,10 @@ def ensemble_stats(paths, model):
         for block in (rows[j:j + step] for j in range(0, len(rows), step)):
             u[block], v[block] = suff_stats_rows(times, [paths[i].values for i in block],
                                                  model)
-    return u, v
-
-
-def bad_stats(u, v):
-    """(index, message) of the lowest entry whose V is not finite or is
-    < 0, V checked first, or whose U is not finite; None when every entry
-    passes. V is a sum of squares, so it is < 0 only on bad input."""
     bad_v = ~(np.isfinite(v) & (v >= 0))
     bad = bad_v | ~np.isfinite(u)
     if bad.any():
         r = int(np.argmax(bad))
-        return r, "v must be finite and >= 0" if bad_v[r] else "u must be finite"
+        what = "v must be finite and >= 0" if bad_v[r] else "u must be finite"
+        raise ValueError(f"{what} (subject {paths[r].subject_index})")
+    return u, v

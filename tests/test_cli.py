@@ -138,7 +138,7 @@ def test_fit_with_an_infinite_v_is_validation_error(tmp_path, capsys):
     cfg = _cfg(tmp_path, f"model = linear-drift\n{SPACE_CFG}data = {data}\n", name="fit.cfg")
     rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: v must be finite and >= 0\n"
+    assert capsys.readouterr().err == "error: v must be finite and >= 0 (subject 0)\n"
     assert not (tmp_path / "fit" / "stats.csv").exists()
 
 

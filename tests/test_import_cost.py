@@ -49,12 +49,13 @@ FIT_CFG = (
 )
 
 
-def _loaded(script, cwd, package):
-    """The modules of package, itself included, loaded once script has
-    run, in a fresh interpreter."""
+def _loaded(script, cwd, *packages):
+    """The modules of the packages, themselves included, loaded once
+    script has run, in a fresh interpreter."""
+    prefixes = tuple(package + "." for package in packages)
     code = textwrap.dedent(script) + textwrap.dedent(f"""
         import sys
-        print(" ".join(sorted(m for m in sys.modules if (m + ".").startswith({package!r} + "."))))
+        print(" ".join(sorted(m for m in sys.modules if (m + ".").startswith({prefixes!r}))))
     """)
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -175,3 +176,21 @@ def test_no_command_loads_numpy_ma(tmp_path, argv):
         assert main(["simulate", "--config", "sim.cfg", "--out", "sim"]) == 0
         assert main({argv!r}) == 0
     """, tmp_path, "numpy.ma") == set()
+
+
+def test_import_and_fit_leave_the_draw_ahead_pool_unloaded(tmp_path):
+    # concurrent.futures loads logging, about 4.6 ms in a fresh process;
+    # only a simulation pass imports it. simulate runs in a process of
+    # its own, so the probe sees what import and fit load
+    (tmp_path / "sim.cfg").write_text(SIM_CFG)
+    (tmp_path / "fit.cfg").write_text(FIT_CFG)
+    pool = ("concurrent", "logging")
+    assert {"concurrent.futures", "logging"} <= _loaded("""
+        from sde_remle.cli import main
+        assert main(["simulate", "--config", "sim.cfg", "--out", "sim"]) == 0
+    """, tmp_path, *pool)
+    assert _loaded("import sde_remle", tmp_path, *pool) == set()
+    assert _loaded("""
+        from sde_remle.cli import main
+        assert main(["fit", "--config", "fit.cfg", "--out", "fit"]) == 0
+    """, tmp_path, *pool) == set()

@@ -9,7 +9,7 @@ from sde_remle.errors import SimulationDiverged
 from sde_remle.models import ModelSpec
 from sde_remle.rng import generator
 from sde_remle.simulate import Path, effect_rows, simulate_replicates, time_grid
-from sde_remle.stats import SIGMA2_FLOOR, ensemble_stats, suff_stats_rows
+from sde_remle.stats import SIGMA2_FLOOR, suff_stats_rows
 from oracles import decompose
 
 UNIT = builtin_model("unit")
@@ -88,14 +88,14 @@ def test_stats_list_stacks_shared_grids_bit_for_bit(model):
         [(a.hex(), b.hex()) for a, b in alone]
 
 
-def test_ensemble_stats_in_row_blocks_on_a_600_by_201_ensemble():
+def test_stats_list_in_row_blocks_on_a_600_by_201_ensemble():
     # 0.92 MiB of states; as one (600, 201) block their temporaries
     # peaked at 6.5 MiB
     design = Design(subjects=((1.0, 2.0),) * 600, dt=0.01, seed=3)
     paths = simulate_ensemble(UNIT, Theta(mu=0.8, omega2=0.4), design)
     tracemalloc.start()
     try:
-        ensemble_stats(paths, UNIT)
+        stats_list(paths, UNIT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -103,7 +103,7 @@ def test_ensemble_stats_in_row_blocks_on_a_600_by_201_ensemble():
     # each row's left-to-right sums ignore the other rows of its block
     values = np.array([p.values for p in paths])
     for model in (UNIT, LINEAR, BOUNDED):
-        u, v = ensemble_stats(paths, model)
+        u, v = stats_list(paths, model)
         one_u, one_v = suff_stats_rows(paths[0].times, values, model)
         assert u.tobytes() == one_u.tobytes() and v.tobytes() == one_v.tobytes()
 
@@ -206,23 +206,28 @@ def test_sigma_floor_is_an_error():
 
 def test_suffstats_validation():
     # a grid that does not increase is refused by Path itself; an endless
-    # grid gives V = inf, a state near the float limit V = inf, and an
-    # infinite last state U = inf with V finite
+    # grid gives V = inf, a state near the float limit V = inf, an
+    # infinite last state U = inf with V finite, and both at once U = V =
+    # inf, which V, checked first, names
     for times in ([0.0, -1.0], [0.0, 1.0, 1.0], [0.0, np.nan]):
         with pytest.raises(ValueError, match=r"^grid must be strictly increasing$"):
             _path(times, [0.0] * len(times))
-    endless = _path([0.0, np.inf], [0.0, 0.0])
-    infinite_v = _path([0.0, 1.0], [1e200, 1e200])
-    infinite_u = _path([0.0, 1.0], [0.0, np.inf])
+    endless = _path([0.0, np.inf], [0.0, 0.0], subject_index=7)
+    infinite_v = _path([0.0, 1.0], [1e200, 1e200], subject_index=7)
+    infinite_u = _path([0.0, 1.0], [0.0, np.inf], subject_index=4)
+    infinite_uv = _path([0.0, 1.0], [1e200, np.inf], subject_index=7)
     u, v = suff_stats_rows(infinite_u.times, infinite_u.values, UNIT)
     assert (u[0], v[0]) == (np.inf, 1.0)
-    for path, model in ((endless, UNIT), (infinite_v, LINEAR)):
-        with pytest.raises(ValueError, match=r"^v must be finite and >= 0$"):
+    u, v = suff_stats_rows(infinite_uv.times, infinite_uv.values, LINEAR)
+    assert (u[0], v[0]) == (np.inf, np.inf)
+    for path, model in ((endless, UNIT), (infinite_v, LINEAR), (infinite_uv, LINEAR)):
+        with pytest.raises(ValueError, match=r"^v must be finite and >= 0 \(subject 7\)$"):
             stats_list([path], model)
-    # as per path before: the lowest failing path decides, V checked first
-    with pytest.raises(ValueError, match=r"^u must be finite$"):
+    # as per path before: the lowest failing path decides, V checked
+    # first, and the message names its subject, not its position
+    with pytest.raises(ValueError, match=r"^u must be finite \(subject 4\)$"):
         stats_list([infinite_u, endless], UNIT)
-    with pytest.raises(ValueError, match=r"^v must be finite and >= 0$"):
+    with pytest.raises(ValueError, match=r"^v must be finite and >= 0 \(subject 7\)$"):
         stats_list([endless, infinite_u], UNIT)
 
 
